@@ -269,6 +269,42 @@ func BenchmarkLocalAnalysisPoint(b *testing.B) {
 	}
 }
 
+// BenchmarkAnalyzeBoxDense is the local analysis of one sub-domain of the
+// benchmark's dense workload (72×36, N=32, radius (4,2), every second point
+// observed, 4×2 sub-domains) from its expansion block: what the enkf.box_*
+// probes of benchmark/ time, under go test -bench.
+func BenchmarkAnalyzeBoxDense(b *testing.B) {
+	const seed = 1
+	mesh, _ := grid.NewMesh(72, 36)
+	cfg := enkf.Config{Mesh: mesh, Radius: grid.Radius{Xi: 4, Eta: 2}, N: 32, Seed: seed}
+	truth := workload.Truth(mesh, workload.DefaultFieldSpec, seed)
+	members, err := workload.Ensemble(mesh, truth, cfg.N, 1.5, seed)
+	if err != nil {
+		b.Fatal(err)
+	}
+	net, err := obs.StridedNetwork(mesh, truth, 2, 2, 0.01, seed)
+	if err != nil {
+		b.Fatal(err)
+	}
+	dec, err := grid.NewDecomposition(mesh, 4, 2, cfg.Radius)
+	if err != nil {
+		b.Fatal(err)
+	}
+	full := &enkf.Block{Box: grid.Box{X0: 0, X1: mesh.NX, Y0: 0, Y1: mesh.NY}, Data: members}
+	blk, err := full.SubBlock(dec.Expansion(1, 0))
+	if err != nil {
+		b.Fatal(err)
+	}
+	cands, sub := net.InBox(blk.Box), dec.SubDomain(1, 0)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := cfg.AnalyzeBox(blk, cands, sub); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func BenchmarkCholesky64(b *testing.B) {
 	s := linalg.NewStream(1)
 	a := linalg.NewMatrix(64, 66)

@@ -339,6 +339,9 @@ func engineCompute(comm *mpi.Comm, p plan.Problem, c *plan.Compiled, r plan.Comp
 	for lvl := range results {
 		results[lvl] = enkf.NewBlock(r.Sub, n)
 	}
+	// One analysis workspace per compute rank: its scratch is reused across
+	// stages and levels, and it keeps only the observations a stage can use.
+	var ws enkf.Workspace
 	for _, st := range r.Stages {
 		st := st
 		tag := -1
@@ -402,16 +405,8 @@ func engineCompute(comm *mpi.Comm, p plan.Problem, c *plan.Compiled, r plan.Comp
 			// the analysis work, not the stage topology.
 			compStart := time.Now()
 			for lvl := 0; lvl < nl; lvl++ {
-				out, err := p.Cfg.AnalyzeBox(blks[lvl], p.NetAt(lvl).InBox(st.Box), st.Analyze)
-				if err != nil {
+				if err := ws.AnalyzeInto(p.Cfg, results[lvl], blks[lvl], p.NetAt(lvl).Obs, st.Analyze); err != nil {
 					return err
-				}
-				for k := 0; k < n; k++ {
-					for y := st.Analyze.Y0; y < st.Analyze.Y1; y++ {
-						for x := st.Analyze.X0; x < st.Analyze.X1; x++ {
-							results[lvl].Set(k, x, y, out.At(k, x, y))
-						}
-					}
 				}
 			}
 			stretch(p, r.Name, t0, compStart, slow)

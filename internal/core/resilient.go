@@ -461,6 +461,7 @@ func runComputeResilient(c *mpi.Comm, p Problem, cp *plan.Compiled, r Resilience
 	}()
 
 	result := enkf.NewBlock(me.Sub, effN)
+	var ws enkf.Workspace
 	for l := 0; l < nStages; l++ {
 		waitStart := time.Now()
 		sd := <-stages
@@ -471,16 +472,8 @@ func runComputeResilient(c *mpi.Comm, p Problem, cp *plan.Compiled, r Resilience
 
 		layer := me.Stages[l].Analyze
 		compStart := time.Now()
-		out, err := effCfg.AnalyzeBox(sd.blk, p.Net.InBox(sd.blk.Box), layer)
-		if err != nil {
+		if err := ws.AnalyzeInto(effCfg, result, sd.blk, p.Net.Obs, layer); err != nil {
 			return nil, err
-		}
-		for s := 0; s < effN; s++ {
-			for y := layer.Y0; y < layer.Y1; y++ {
-				for x := layer.X0; x < layer.X1; x++ {
-					result.Set(s, x, y, out.At(s, x, y))
-				}
-			}
 		}
 		observe(p, name, metrics.PhaseCompute, t0, compStart, time.Now(), -1)
 	}

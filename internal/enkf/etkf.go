@@ -8,7 +8,7 @@ import (
 )
 
 // solveETKF computes the deterministic ensemble transform analysis at the
-// centre point — the LETKF family of the paper's ref [25] (Ott et al.), a
+// centre point (bg and uc are its rows of X and U) — the LETKF family of the paper's ref [25] (Ott et al.), a
 // widely used alternative to the perturbed-observation update:
 //
 //	Ã   = (N−1)·I + Vᵀ·R⁻¹·V            (ensemble-space analysis precision)
@@ -20,40 +20,23 @@ import (
 // perturbations are used, so the analysis is deterministic given the
 // background and the observations; the symmetric square root preserves the
 // zero-sum of deviations (1 is an eigenvector of Ã because V·1 = 0).
-func (c Config) solveETKF(p *localProblem, bg []float64) ([]float64, error) {
-	n := p.members
+func (w *Workspace) solveETKF(c Config, bg, uc, out []float64) error {
+	n := c.N
 	denom := float64(n - 1)
-	u := p.xl.Clone()
-	linalg.CenterRows(u)
-	m := len(p.supports)
 
-	// V = H·U and the mean innovation d = y − H·x̄ᵇ, computed from the raw
-	// observed values: the ETKF uses no observation perturbations.
-	v := linalg.NewMatrix(m, n)
-	d := make([]float64, m)
-	for i, sup := range p.supports {
-		row := v.Row(i)
-		for _, s := range sup {
-			urow := u.Row(s.idx)
-			for k := 0; k < n; k++ {
-				row[k] += s.w * urow[k]
-			}
-		}
-		var hxbMean float64
-		for k := 0; k < n; k++ {
-			hxbMean += p.hRow(i, k)
-		}
-		d[i] = p.values[i] - hxbMean/float64(n)
-	}
-
-	// Ã = (N−1)I + Vᵀ R⁻¹ V.
-	at := linalg.NewMatrix(n, n)
+	// Ã = (N−1)I + Vᵀ R⁻¹ V and rhs = Vᵀ R⁻¹ d, with V = H·U and the mean
+	// innovation d = y − H·x̄ᵇ of the selected observations (the ETKF uses no
+	// observation perturbations).
+	at := w.a.Reset(n, n)
 	for k := 0; k < n; k++ {
 		at.Set(k, k, denom)
 	}
-	for i := 0; i < m; i++ {
-		inv := 1 / p.effVar[i]
-		row := v.Row(i)
+	w.rhs = grow(w.rhs, n)
+	rhs := w.rhs
+	clear(rhs)
+	for _, si := range w.sel {
+		inv := 1 / si.effVar
+		row := w.vrow(si.slot, n)
 		for a := 0; a < n; a++ {
 			va := inv * row[a]
 			if va == 0 {
@@ -70,47 +53,51 @@ func (c Config) solveETKF(p *localProblem, bg []float64) ([]float64, error) {
 			at.Set(a, b, at.At(b, a))
 		}
 	}
-
-	// rhs = Vᵀ R⁻¹ d; w̄ = Ã⁻¹ rhs (Cholesky — Ã is SPD by construction).
-	rhs := make([]float64, n)
-	for i := 0; i < m; i++ {
-		s := d[i] / p.effVar[i]
-		row := v.Row(i)
-		for k := 0; k < n; k++ {
-			rhs[k] += s * row[k]
+	for _, si := range w.sel {
+		s := w.obs[si.slot].value / si.effVar
+		for k, vk := range w.vrow(si.slot, n) {
+			rhs[k] += s * vk
 		}
 	}
-	wbar, err := linalg.Solve(at, rhs)
-	if err != nil {
-		return nil, fmt.Errorf("enkf: ETKF ensemble-space system: %w", err)
+
+	// w̄ = Ã⁻¹ rhs (Cholesky on a copy — Ã is SPD by construction, and the
+	// transform below needs it intact).
+	l := w.b.Reset(n, n)
+	copy(l.Data, at.Data)
+	err := linalg.CholeskyInPlace(l)
+	if err == nil {
+		err = linalg.CholSolveInPlace(l, &linalg.Matrix{Rows: n, Cols: 1, Data: rhs})
 	}
+	if err != nil {
+		return fmt.Errorf("enkf: ETKF ensemble-space system: %w", err)
+	}
+	wbar := rhs
 
 	// W = ((N−1)·Ã⁻¹)^{1/2} via the eigendecomposition of Ã.
-	w, err := linalg.SymmetricFunc(at, func(lambda float64) (float64, error) {
+	tr := &w.b
+	err = linalg.SymmetricFuncInto(tr, at, func(lambda float64) (float64, error) {
 		if lambda <= 0 {
 			return 0, fmt.Errorf("non-positive eigenvalue %g", lambda)
 		}
 		return math.Sqrt(denom / lambda), nil
-	})
+	}, &w.eig)
 	if err != nil {
-		return nil, fmt.Errorf("enkf: ETKF transform: %w", err)
+		return fmt.Errorf("enkf: ETKF transform: %w", err)
 	}
 
 	// xᵃ_k = x̄ᵇ + u_c·w̄ + u_c·W_{·,k} at the centre point.
-	uc := u.Row(p.center)
 	var xbar float64
-	for k := 0; k < n; k++ {
-		xbar += p.xl.At(p.center, k)
+	for _, v := range bg {
+		xbar += v
 	}
 	xbar /= float64(n)
 	meanInc := linalg.Dot(uc, wbar)
-	out := make([]float64, n)
 	for k := 0; k < n; k++ {
 		var dev float64
 		for j := 0; j < n; j++ {
-			dev += uc[j] * w.At(j, k)
+			dev += uc[j] * tr.At(j, k)
 		}
 		out[k] = xbar + meanInc + dev
 	}
-	return out, nil
+	return nil
 }

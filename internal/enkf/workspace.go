@@ -1,0 +1,373 @@
+package enkf
+
+import (
+	"fmt"
+	"slices"
+
+	"senkf/internal/grid"
+	"senkf/internal/linalg"
+	"senkf/internal/obs"
+)
+
+// Workspace is the box-scoped state of the local analysis (DESIGN.md, "The
+// local-analysis workspace"). Everything that depends on a grid point or an
+// observation alone — the inflated ensemble rows X, their deviations U, and
+// each observation's V = H·U row and innovation — is computed once per box;
+// a point then only selects and tapers the observations of its local box,
+// assembles its system and solves it in place, in scratch that is reused
+// from point to point and from box to box. The zero value is ready to use;
+// a Workspace must not be shared between goroutines.
+type Workspace struct {
+	region grid.Box  // the target's expansion, where x, u and the observations live
+	x, u   []float64 // point-major over region: inflated members and their deviations
+	obs    []boxObs  // the usable candidates, ordered by grid row then candidate order
+	rowEnd []int     // obs of region row r: obs[rowEnd[r-1]:rowEnd[r]]
+	v, d   []float64 // per observation: V = H·U row, innovation row Yˢ − H·Xᵇ
+
+	// Per-point scratch.
+	sel  []selected
+	a, b linalg.Matrix // the system to factor, and its right-hand sides
+	ul   linalg.Matrix // the local box's rows of U (modified Cholesky)
+	rhs  []float64
+	xa   []float64
+	mc   linalg.ModCholScratch
+	eig  linalg.EigenScratch
+}
+
+// boxObs is one observation usable inside the workspace's region.
+type boxObs struct {
+	order  int // position among the candidates
+	sup    [4]obs.Support
+	nsup   int
+	px, py float64 // position, for the taper
+	vari   float64
+	value  float64 // observed y; the ETKF reduces it to the mean innovation y − mean(H·xᵇ)
+}
+
+// within reports whether the observation's whole support lies inside b.
+func (o *boxObs) within(b grid.Box) bool {
+	for _, s := range o.sup[:o.nsup] {
+		if !b.Contains(s.X, s.Y) {
+			return false
+		}
+	}
+	return true
+}
+
+// selected is one observation of a point's local box with its effective
+// (tapered) error variance.
+type selected struct {
+	slot   int // index into Workspace.obs
+	effVar float64
+}
+
+// grow returns s resized to n elements, reallocating only when its capacity
+// is too small. The contents are unspecified.
+func grow[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
+// inflate applies the multiplicative inflation x ← mean + λ(x − mean) to one
+// grid point's members.
+func (c Config) inflate(row []float64) {
+	if c.Inflation <= 0 || c.Inflation == 1 {
+		return
+	}
+	var mean float64
+	for _, v := range row {
+		mean += v
+	}
+	mean /= float64(len(row))
+	for k := range row {
+		row[k] = mean + c.Inflation*(row[k]-mean)
+	}
+}
+
+// begin scopes the workspace to the analysis of target from blk: it keeps
+// the candidates whose support lies in the target's expansion and, if there
+// are any, computes X, U and the per-observation rows over that expansion.
+// Nothing here depends on which point of target is analysed.
+func (w *Workspace) begin(c Config, blk *Block, candidates []obs.Observation, target grid.Box) {
+	n := c.N
+	w.obs = w.obs[:0]
+	if blk.Members() != n {
+		return // every point reports it
+	}
+	region := target.Expand(c.Mesh, c.Radius.Xi, c.Radius.Eta).Intersect(blk.Box)
+	for i, o := range candidates {
+		bo := boxObs{order: i, px: float64(o.X) + o.OffsetX, py: float64(o.Y) + o.OffsetY, vari: o.Variance, value: o.Value}
+		bo.sup, bo.nsup = o.SupportPoints()
+		// An observation of nothing (no positive weight) constrains nothing.
+		if bo.nsup > 0 && bo.within(region) {
+			w.obs = append(w.obs, bo)
+		}
+	}
+	if len(w.obs) == 0 {
+		return // every analysis is the inflated background
+	}
+	// A point visits the observations of its local box's rows only; the
+	// stable sort keeps candidate order within a row.
+	slices.SortStableFunc(w.obs, func(p, q boxObs) int { return p.sup[0].Y - q.sup[0].Y })
+	w.rowEnd = grow(w.rowEnd, region.Height())
+	clear(w.rowEnd)
+	for i := range w.obs {
+		w.rowEnd[w.obs[i].sup[0].Y-region.Y0] = i + 1
+	}
+	for r := 1; r < len(w.rowEnd); r++ {
+		w.rowEnd[r] = max(w.rowEnd[r], w.rowEnd[r-1])
+	}
+
+	w.region = region
+	w.loadEnsemble(c, blk)
+	w.loadObservations(c, candidates)
+}
+
+// loadEnsemble fills x with the region's members, point-major and inflated,
+// and u with their deviations from the ensemble mean.
+func (w *Workspace) loadEnsemble(c Config, blk *Block) {
+	n, region := c.N, w.region
+	pts, width := region.Points(), region.Width()
+	w.x, w.u = grow(w.x, pts*n), grow(w.u, pts*n)
+	for k, member := range blk.Data {
+		for y := region.Y0; y < region.Y1; y++ {
+			src := member[(y-blk.Box.Y0)*blk.Box.Width()+region.X0-blk.Box.X0:][:width]
+			for i, val := range src {
+				w.x[((y-region.Y0)*width+i)*n+k] = val
+			}
+		}
+	}
+	for p := 0; p < pts; p++ {
+		c.inflate(w.x[p*n : (p+1)*n])
+	}
+	copy(w.u, w.x)
+	linalg.CenterRows(&linalg.Matrix{Rows: pts, Cols: n, Data: w.u})
+}
+
+// loadObservations fills, per usable observation, the row V = H·U and the
+// innovation row Yˢ − H·Xᵇ, its perturbations drawn once. The deterministic
+// transform uses no perturbations, only the mean innovation y − mean(H·xᵇ).
+func (w *Workspace) loadObservations(c Config, candidates []obs.Observation) {
+	n := c.N
+	w.v = grow(w.v, len(w.obs)*n)
+	clear(w.v)
+	if c.Solver != SolverETKF {
+		w.d = grow(w.d, len(w.obs)*n)
+	}
+	for i := range w.obs {
+		o := &w.obs[i]
+		sup := o.sup[:o.nsup]
+		vrow := w.vrow(i, n)
+		for _, s := range sup {
+			urow := w.row(w.u, s.X, s.Y, n)
+			for k := range vrow {
+				vrow[k] += s.W * urow[k]
+			}
+		}
+		hxb := func(k int) float64 {
+			var h float64
+			for _, s := range sup {
+				h += s.W * w.row(w.x, s.X, s.Y, n)[k]
+			}
+			return h
+		}
+		if c.Solver == SolverETKF {
+			var hxbMean float64
+			for k := 0; k < n; k++ {
+				hxbMean += hxb(k)
+			}
+			o.value -= hxbMean / float64(n)
+			continue
+		}
+		drow := w.drow(i, n)
+		obs.CenteredPerturbationsInto(drow, candidates[o.order], c.Seed)
+		for k := range drow {
+			drow[k] -= hxb(k)
+		}
+	}
+}
+
+// row returns grid point (x, y)'s members in the point-major buffer buf.
+func (w *Workspace) row(buf []float64, x, y, n int) []float64 {
+	p := (y-w.region.Y0)*w.region.Width() + x - w.region.X0
+	return buf[p*n : (p+1)*n]
+}
+
+// vrow and drow return observation slot i's V = H·U and innovation rows.
+func (w *Workspace) vrow(i, n int) []float64 { return w.v[i*n : (i+1)*n] }
+func (w *Workspace) drow(i, n int) []float64 { return w.d[i*n : (i+1)*n] }
+
+// point writes the analysis ensemble at grid point (x, y) into out, which
+// has length N. The point must belong to the target, and blk be the block,
+// begin was called with.
+func (w *Workspace) point(c Config, blk *Block, x, y int, out []float64) error {
+	lb := c.Radius.LocalBox(c.Mesh, x, y)
+	if lb.Intersect(blk.Box) != lb {
+		return fmt.Errorf("enkf: local box %v of point (%d,%d) not contained in block %v", lb, x, y, blk.Box)
+	}
+	if blk.Members() != c.N {
+		return fmt.Errorf("enkf: block has %d members, config says %d", blk.Members(), c.N)
+	}
+	if len(w.obs) == 0 {
+		for k := range out {
+			out[k] = blk.At(k, x, y)
+		}
+		c.inflate(out)
+		return nil
+	}
+
+	// Select the observations of the local box, tapered, in candidate order
+	// so the solver factors the same matrix whatever the bucketing.
+	w.sel = w.sel[:0]
+	first := 0
+	if r := lb.Y0 - w.region.Y0; r > 0 {
+		first = w.rowEnd[r-1]
+	}
+	for i := first; i < w.rowEnd[lb.Y1-1-w.region.Y0]; i++ {
+		o := &w.obs[i]
+		if !o.within(lb) {
+			continue
+		}
+		tw := c.taper(x, y, o.px, o.py)
+		if tw < 1e-10 {
+			continue
+		}
+		w.sel = append(w.sel, selected{slot: i, effVar: o.vari / tw})
+	}
+	slices.SortFunc(w.sel, func(p, q selected) int { return w.obs[p.slot].order - w.obs[q.slot].order })
+
+	bg := w.row(w.x, x, y, c.N)
+	if len(w.sel) == 0 {
+		// No observations in reach: the analysis equals the background.
+		copy(out, bg)
+		return nil
+	}
+	switch c.Solver {
+	case SolverEnsembleSpace:
+		return w.solveEnsembleSpace(c, bg, w.row(w.u, x, y, c.N), out)
+	case SolverModifiedCholesky:
+		return w.solveModifiedCholesky(c, lb, bg, (y-lb.Y0)*lb.Width()+x-lb.X0, out)
+	case SolverETKF:
+		return w.solveETKF(c, bg, w.row(w.u, x, y, c.N), out)
+	default:
+		return fmt.Errorf("enkf: unknown solver %d", c.Solver)
+	}
+}
+
+// solveEnsembleSpace computes δxa at the centre point via
+// δXa = U·Vᵀ·(V·Vᵀ/(N−1) + R)⁻¹·D/(N−1); uc is the centre row of U.
+func (w *Workspace) solveEnsembleSpace(c Config, bg, uc, out []float64) error {
+	n, m := c.N, len(w.sel)
+	denom := float64(n - 1)
+	// A = V·Vᵀ/(N−1) + R (lower triangle) and D, the selected rows.
+	a, d := w.a.Reset(m, m), w.b.Reset(m, n)
+	for i, si := range w.sel {
+		vi, arow := w.vrow(si.slot, n), a.Row(i)
+		for j, sj := range w.sel[:i+1] {
+			arow[j] = linalg.Dot(vi, w.vrow(sj.slot, n)) * (1 / denom)
+		}
+		arow[i] += si.effVar
+		copy(d.Row(i), w.drow(si.slot, n))
+	}
+	if err := linalg.CholeskyInPlace(a); err != nil {
+		return fmt.Errorf("enkf: innovation covariance not SPD: %w", err)
+	}
+	// W = A⁻¹·D (m × N), overwriting D.
+	if err := linalg.CholSolveInPlace(a, d); err != nil {
+		return err
+	}
+	// δxa_centre = u_centre · (Vᵀ·W) / (N−1)
+	//  = Σ_i (Σ_k u_c[k]·V[i][k]) · W[i][·] / (N−1).
+	copy(out, bg)
+	for i, si := range w.sel {
+		s := linalg.Dot(uc, w.vrow(si.slot, n)) / denom
+		for k2, wv := range d.Row(i) {
+			out[k2] += s * wv
+		}
+	}
+	return nil
+}
+
+// solveModifiedCholesky computes Eq. (5) on the local box lb:
+// δX = (B̂⁻¹ + HᵀR⁻¹H)⁻¹ · HᵀR⁻¹ · D, taking the centre row.
+func (w *Workspace) solveModifiedCholesky(c Config, lb grid.Box, bg []float64, centre int, out []float64) error {
+	n, nb, width := c.N, lb.Points(), lb.Width()
+	u := w.ul.Reset(nb, n)
+	for y := lb.Y0; y < lb.Y1; y++ {
+		p := (y-w.region.Y0)*w.region.Width() + lb.X0 - w.region.X0
+		copy(u.Data[(y-lb.Y0)*width*n:], w.u[p*n:(p+width)*n])
+	}
+	band := c.Band
+	if band == 0 {
+		// Default to coupling within one local-box row.
+		band = 2*c.Radius.Xi + 1
+	}
+	if band >= nb {
+		band = nb - 1
+	}
+	ridge := c.Ridge
+	if ridge == 0 {
+		ridge = 1e-6
+	}
+	m2 := &w.a
+	if err := linalg.ModifiedCholeskyPrecisionInto(m2, u, band, ridge, &w.mc); err != nil {
+		return fmt.Errorf("enkf: modified Cholesky estimate: %w", err)
+	}
+	// M = B̂⁻¹ + HᵀR⁻¹H: each observation contributes its weight outer
+	// product w·wᵀ/R over its support rows; C = HᵀR⁻¹·D (nb × N).
+	cm := w.b.Reset(nb, n)
+	local := func(s obs.Support) int { return (s.Y-lb.Y0)*width + s.X - lb.X0 }
+	for _, si := range w.sel {
+		o := &w.obs[si.slot]
+		inv := 1 / si.effVar
+		drow := w.drow(si.slot, n)
+		for _, a := range o.sup[:o.nsup] {
+			for _, b := range o.sup[:o.nsup] {
+				m2.Data[local(a)*nb+local(b)] += a.W * b.W * inv
+			}
+		}
+		for _, a := range o.sup[:o.nsup] {
+			crow := cm.Row(local(a))
+			for k := range crow {
+				crow[k] += a.W * inv * drow[k]
+			}
+		}
+	}
+	if err := linalg.CholeskyInPlace(m2); err != nil {
+		return fmt.Errorf("enkf: analysis matrix not SPD: %w", err)
+	}
+	if err := linalg.CholSolveInPlace(m2, cm); err != nil {
+		return err
+	}
+	for k, dx := range cm.Row(centre) {
+		out[k] = bg[k] + dx
+	}
+	return nil
+}
+
+// AnalyzeInto runs the local analysis over every point of target, using
+// ensemble data in blk (which must contain the expansion of target) and the
+// given observation candidates (at least every observation whose support
+// lies in that expansion), and writes the analysis ensemble into dst, whose
+// box must contain target.
+func (w *Workspace) AnalyzeInto(c Config, dst, blk *Block, candidates []obs.Observation, target grid.Box) error {
+	if target.Intersect(dst.Box) != target || dst.Members() != c.N {
+		return fmt.Errorf("enkf: destination block %v with %d members cannot hold the %d-member analysis of %v", dst.Box, dst.Members(), c.N, target)
+	}
+	w.begin(c, blk, candidates, target)
+	w.xa = grow(w.xa, c.N)
+	for y := target.Y0; y < target.Y1; y++ {
+		for x := target.X0; x < target.X1; x++ {
+			if err := w.point(c, blk, x, y, w.xa); err != nil {
+				return fmt.Errorf("enkf: point (%d,%d): %w", x, y, err)
+			}
+			off := (y-dst.Box.Y0)*dst.Box.Width() + x - dst.Box.X0
+			for k, v := range w.xa {
+				dst.Data[k][off] = v
+			}
+		}
+	}
+	return nil
+}

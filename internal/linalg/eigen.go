@@ -12,18 +12,38 @@ import (
 // matrices but robust and ideal for the N×N ensemble-space systems of the
 // deterministic (ETKF) solver, with N at most a few hundred.
 func SymmetricEigen(a *Matrix) ([]float64, *Matrix, error) {
+	ws := new(EigenScratch)
+	if err := ws.eigen(a); err != nil {
+		return nil, nil, err
+	}
+	return ws.vals, &ws.q, nil
+}
+
+// EigenScratch holds the buffers SymmetricFuncInto reuses from call to call,
+// whatever the matrix size. The zero value is ready to use.
+type EigenScratch struct {
+	w, q     Matrix // the rotated copy of a and the accumulated eigenvectors
+	vals, fv []float64
+}
+
+// eigen is SymmetricEigen working in ws: eigenvalues land in ws.vals, the
+// eigenvectors in the columns of ws.q.
+func (ws *EigenScratch) eigen(a *Matrix) error {
 	if a.Rows != a.Cols {
-		return nil, nil, fmt.Errorf("linalg: SymmetricEigen needs a square matrix, got %dx%d", a.Rows, a.Cols)
+		return fmt.Errorf("linalg: SymmetricEigen needs a square matrix, got %dx%d", a.Rows, a.Cols)
 	}
 	n := a.Rows
 	// Work on the symmetrized copy.
-	w := NewMatrix(n, n)
+	w := ws.w.Reset(n, n)
 	for i := 0; i < n; i++ {
 		for j := 0; j < n; j++ {
 			w.Set(i, j, 0.5*(a.At(i, j)+a.At(j, i)))
 		}
 	}
-	q := Identity(n)
+	q := ws.q.Reset(n, n)
+	for i := 0; i < n; i++ {
+		q.Set(i, i, 1)
+	}
 
 	offDiag := func() float64 {
 		var s float64
@@ -87,9 +107,10 @@ func SymmetricEigen(a *Matrix) ([]float64, *Matrix, error) {
 		}
 	}
 	if offDiag() > 1e-10*(norm+1) {
-		return nil, nil, fmt.Errorf("linalg: Jacobi did not converge (off-diagonal %g)", offDiag())
+		return fmt.Errorf("linalg: Jacobi did not converge (off-diagonal %g)", offDiag())
 	}
-	vals := make([]float64, n)
+	ws.vals = growFloats(ws.vals, n)
+	vals := ws.vals
 	for i := 0; i < n; i++ {
 		vals[i] = w.At(i, i)
 	}
@@ -105,27 +126,37 @@ func SymmetricEigen(a *Matrix) ([]float64, *Matrix, error) {
 			}
 		}
 	}
-	return vals, q, nil
+	return nil
 }
 
 // SymmetricFunc applies the scalar function f to a symmetric matrix through
 // its eigendecomposition: f(A) = Q·f(Λ)·Qᵀ. f must be defined on every
 // eigenvalue of a.
 func SymmetricFunc(a *Matrix, f func(float64) (float64, error)) (*Matrix, error) {
-	vals, q, err := SymmetricEigen(a)
-	if err != nil {
+	out := new(Matrix)
+	if err := SymmetricFuncInto(out, a, f, new(EigenScratch)); err != nil {
 		return nil, err
 	}
+	return out, nil
+}
+
+// SymmetricFuncInto is SymmetricFunc writing f(A) into out (reshaped to
+// n × n, and not aliasing a) and working in ws.
+func SymmetricFuncInto(out, a *Matrix, f func(float64) (float64, error), ws *EigenScratch) error {
+	if err := ws.eigen(a); err != nil {
+		return err
+	}
 	n := a.Rows
-	fv := make([]float64, n)
-	for i, v := range vals {
-		fv[i], err = f(v)
-		if err != nil {
-			return nil, fmt.Errorf("linalg: SymmetricFunc at eigenvalue %g: %w", v, err)
+	ws.fv = growFloats(ws.fv, n)
+	fv, q := ws.fv, &ws.q
+	for i, v := range ws.vals {
+		var err error
+		if fv[i], err = f(v); err != nil {
+			return fmt.Errorf("linalg: SymmetricFunc at eigenvalue %g: %w", v, err)
 		}
 	}
 	// Q·diag(fv)·Qᵀ without forming intermediates.
-	out := NewMatrix(n, n)
+	out.Reset(n, n)
 	for i := 0; i < n; i++ {
 		for j := i; j < n; j++ {
 			var s float64
@@ -136,7 +167,7 @@ func SymmetricFunc(a *Matrix, f func(float64) (float64, error)) (*Matrix, error)
 			out.Set(j, i, s)
 		}
 	}
-	return out, nil
+	return nil
 }
 
 // SPDInvSqrt returns A^{-1/2} for symmetric positive definite A.

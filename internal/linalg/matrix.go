@@ -1,15 +1,17 @@
 // Package linalg provides the small dense linear algebra kernels the
 // ensemble Kalman filter needs: matrix products, Cholesky factorization and
-// solves, symmetric-positive-definite inverses, and the modified Cholesky
-// decomposition (Bickel–Levina style banded regression) that P-EnKF uses to
-// estimate the inverse background error covariance B̂⁻¹ (§2.3 of the paper,
-// refs [23, 24]).
+// solves, a symmetric eigensolver, and the modified Cholesky decomposition
+// (Bickel–Levina style banded regression) that P-EnKF uses to estimate the
+// inverse background error covariance B̂⁻¹ (§2.3 of the paper, refs [23, 24]).
 //
 // Everything is implemented on top of the standard library only. Matrices
 // are small in this application — local analyses work with matrices of
 // dimension at most a few hundred — so the kernels favour clarity and
-// numerical robustness over cache blocking, with a parallel path for the few
-// larger products.
+// numerical robustness over cache blocking. The kernels the local analysis
+// runs once per grid point (Cholesky, the triangular solves, the modified
+// Cholesky estimate, SymmetricFunc) exist in an in-place form that works in
+// caller-owned storage; the allocating functions of the same name are thin
+// wrappers over those loops, so both forms round identically.
 package linalg
 
 import (
@@ -46,6 +48,19 @@ func FromRows(rows [][]float64) (*Matrix, error) {
 		copy(m.Data[i*c:(i+1)*c], row)
 	}
 	return m, nil
+}
+
+// Reset reshapes m to a zeroed r × c matrix, reusing its storage when that is
+// large enough, and returns m. The zero Matrix is a valid receiver.
+func (m *Matrix) Reset(r, c int) *Matrix {
+	m.Rows, m.Cols = r, c
+	if n := r * c; cap(m.Data) < n {
+		m.Data = make([]float64, n)
+	} else {
+		m.Data = m.Data[:n]
+		clear(m.Data)
+	}
+	return m
 }
 
 // At returns element (i, j).
@@ -236,115 +251,142 @@ var ErrNotPositiveDefinite = errors.New("linalg: matrix is not positive definite
 // Cholesky computes the lower-triangular factor L with a = L·Lᵀ.
 // a must be symmetric positive definite; only its lower triangle is read.
 func Cholesky(a *Matrix) (*Matrix, error) {
+	l := a.Clone()
+	if err := CholeskyInPlace(l); err != nil {
+		return nil, err
+	}
+	for i := 0; i < l.Rows; i++ {
+		clear(l.Row(i)[i+1:])
+	}
+	return l, nil
+}
+
+// CholeskyInPlace overwrites the lower triangle of a with its Cholesky
+// factor. The strict upper triangle is neither read nor written, and no
+// consumer of the factor in this package reads it.
+func CholeskyInPlace(a *Matrix) error {
 	if a.Rows != a.Cols {
-		return nil, fmt.Errorf("linalg: Cholesky needs a square matrix, got %dx%d", a.Rows, a.Cols)
+		return fmt.Errorf("linalg: Cholesky needs a square matrix, got %dx%d", a.Rows, a.Cols)
 	}
 	n := a.Rows
-	l := NewMatrix(n, n)
 	for j := 0; j < n; j++ {
-		d := a.At(j, j)
-		lj := l.Row(j)
+		lj := a.Row(j)
+		d := lj[j]
 		for k := 0; k < j; k++ {
 			d -= lj[k] * lj[k]
 		}
 		if d <= 0 || math.IsNaN(d) {
-			return nil, fmt.Errorf("%w: pivot %d is %g", ErrNotPositiveDefinite, j, d)
+			return fmt.Errorf("%w: pivot %d is %g", ErrNotPositiveDefinite, j, d)
 		}
 		dj := math.Sqrt(d)
 		lj[j] = dj
 		for i := j + 1; i < n; i++ {
-			li := l.Row(i)
-			s := a.At(i, j)
+			li := a.Row(i)
+			s := li[j]
 			for k := 0; k < j; k++ {
 				s -= li[k] * lj[k]
 			}
 			li[j] = s / dj
 		}
 	}
-	return l, nil
+	return nil
+}
+
+// SolveLowerInPlace overwrites every column of b with the solution of
+// L·x = b for lower-triangular L (forward substitution). It sweeps b row by
+// row, so each element sees exactly the operations of a column-at-a-time
+// solve, in the same order.
+func SolveLowerInPlace(l, b *Matrix) error {
+	n := l.Rows
+	if l.Cols != n || b.Rows != n {
+		return fmt.Errorf("linalg: SolveLower shape mismatch %dx%d, b=%d", l.Rows, l.Cols, b.Rows)
+	}
+	for i := 0; i < n; i++ {
+		li, bi := l.Row(i), b.Row(i)
+		for k := 0; k < i; k++ {
+			lik, bk := li[k], b.Row(k)[:len(bi)]
+			for j := range bi {
+				bi[j] -= lik * bk[j]
+			}
+		}
+		if li[i] == 0 {
+			return fmt.Errorf("linalg: singular triangular system at row %d", i)
+		}
+		for j := range bi {
+			bi[j] /= li[i]
+		}
+	}
+	return nil
+}
+
+// SolveUpperFromLowerInPlace overwrites every column of b with the solution
+// of Lᵀ·x = b given lower-triangular L (back substitution on the implicit
+// transpose), row by row like SolveLowerInPlace.
+func SolveUpperFromLowerInPlace(l, b *Matrix) error {
+	n := l.Rows
+	if l.Cols != n || b.Rows != n {
+		return fmt.Errorf("linalg: SolveUpper shape mismatch %dx%d, b=%d", l.Rows, l.Cols, b.Rows)
+	}
+	for i := n - 1; i >= 0; i-- {
+		bi := b.Row(i)
+		for k := i + 1; k < n; k++ {
+			lki, bk := l.Data[k*n+i], b.Row(k)[:len(bi)]
+			for j := range bi {
+				bi[j] -= lki * bk[j]
+			}
+		}
+		d := l.Data[i*n+i]
+		if d == 0 {
+			return fmt.Errorf("linalg: singular triangular system at row %d", i)
+		}
+		for j := range bi {
+			bi[j] /= d
+		}
+	}
+	return nil
+}
+
+// CholSolveInPlace overwrites B with the solution of a·X = B given the
+// Cholesky factor L of a.
+func CholSolveInPlace(l, b *Matrix) error {
+	if err := SolveLowerInPlace(l, b); err != nil {
+		return err
+	}
+	return SolveUpperFromLowerInPlace(l, b)
+}
+
+// solveVec runs an in-place solver on a copy of the vector b.
+func solveVec(solve func(l, b *Matrix) error, l *Matrix, b []float64) ([]float64, error) {
+	x := &Matrix{Rows: len(b), Cols: 1, Data: append([]float64(nil), b...)}
+	if err := solve(l, x); err != nil {
+		return nil, err
+	}
+	return x.Data, nil
 }
 
 // SolveLower solves L·x = b for lower-triangular L (forward substitution).
 func SolveLower(l *Matrix, b []float64) ([]float64, error) {
-	n := l.Rows
-	if l.Cols != n || len(b) != n {
-		return nil, fmt.Errorf("linalg: SolveLower shape mismatch %dx%d, b=%d", l.Rows, l.Cols, len(b))
-	}
-	x := make([]float64, n)
-	for i := 0; i < n; i++ {
-		row := l.Row(i)
-		s := b[i]
-		for k := 0; k < i; k++ {
-			s -= row[k] * x[k]
-		}
-		if row[i] == 0 {
-			return nil, fmt.Errorf("linalg: singular triangular system at row %d", i)
-		}
-		x[i] = s / row[i]
-	}
-	return x, nil
+	return solveVec(SolveLowerInPlace, l, b)
 }
 
 // SolveUpperFromLower solves Lᵀ·x = b given lower-triangular L
 // (back substitution on the implicit transpose).
 func SolveUpperFromLower(l *Matrix, b []float64) ([]float64, error) {
-	n := l.Rows
-	if l.Cols != n || len(b) != n {
-		return nil, fmt.Errorf("linalg: SolveUpper shape mismatch %dx%d, b=%d", l.Rows, l.Cols, len(b))
-	}
-	x := make([]float64, n)
-	for i := n - 1; i >= 0; i-- {
-		s := b[i]
-		for k := i + 1; k < n; k++ {
-			s -= l.At(k, i) * x[k]
-		}
-		d := l.At(i, i)
-		if d == 0 {
-			return nil, fmt.Errorf("linalg: singular triangular system at row %d", i)
-		}
-		x[i] = s / d
-	}
-	return x, nil
+	return solveVec(SolveUpperFromLowerInPlace, l, b)
 }
 
 // CholSolve solves a·x = b given the Cholesky factor L of a.
 func CholSolve(l *Matrix, b []float64) ([]float64, error) {
-	y, err := SolveLower(l, b)
-	if err != nil {
-		return nil, err
-	}
-	return SolveUpperFromLower(l, y)
+	return solveVec(CholSolveInPlace, l, b)
 }
 
-// CholSolveMatrix solves a·X = B column-by-column given the Cholesky factor.
+// CholSolveMatrix solves a·X = B given the Cholesky factor.
 func CholSolveMatrix(l, bm *Matrix) (*Matrix, error) {
-	if l.Rows != bm.Rows {
-		return nil, fmt.Errorf("linalg: CholSolveMatrix shape mismatch %dx%d vs %dx%d", l.Rows, l.Cols, bm.Rows, bm.Cols)
-	}
-	out := NewMatrix(bm.Rows, bm.Cols)
-	col := make([]float64, bm.Rows)
-	for j := 0; j < bm.Cols; j++ {
-		for i := 0; i < bm.Rows; i++ {
-			col[i] = bm.At(i, j)
-		}
-		x, err := CholSolve(l, col)
-		if err != nil {
-			return nil, err
-		}
-		for i := 0; i < bm.Rows; i++ {
-			out.Set(i, j, x[i])
-		}
+	out := bm.Clone()
+	if err := CholSolveInPlace(l, out); err != nil {
+		return nil, err
 	}
 	return out, nil
-}
-
-// SPDInverse inverts a symmetric positive definite matrix via Cholesky.
-func SPDInverse(a *Matrix) (*Matrix, error) {
-	l, err := Cholesky(a)
-	if err != nil {
-		return nil, err
-	}
-	return CholSolveMatrix(l, Identity(a.Rows))
 }
 
 // Solve solves a·x = b for symmetric positive definite a.

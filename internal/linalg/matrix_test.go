@@ -155,11 +155,17 @@ func TestSolveResidual(t *testing.T) {
 	}
 }
 
-func TestSPDInverse(t *testing.T) {
+// The row-sweeping matrix solve must give every column exactly the bits of
+// solving that column alone, and A·(A⁻¹) must be the identity.
+func TestCholSolveMatrixColumnsAndInverse(t *testing.T) {
 	s := NewStream(6)
 	n := 8
 	a := randomSPD(s, n)
-	inv, err := SPDInverse(a)
+	l, err := Cholesky(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inv, err := CholSolveMatrix(l, Identity(n))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,6 +175,26 @@ func TestSPDInverse(t *testing.T) {
 	}
 	if d, _ := MaxAbsDiff(prod, Identity(n)); d > 1e-8 {
 		t.Errorf("A·A⁻¹ differs from I by %g", d)
+	}
+	b := NewMatrix(n, 5)
+	copy(b.Data, s.NormVec(n*5))
+	x, err := CholSolveMatrix(l, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for j := 0; j < b.Cols; j++ {
+		col, err := CholSolve(l, b.T().Row(j))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range col {
+			if col[i] != x.At(i, j) {
+				t.Fatalf("column %d row %d: %g alone, %g in the matrix solve", j, i, col[i], x.At(i, j))
+			}
+		}
+	}
+	if _, err := CholSolveMatrix(l, NewMatrix(n+1, 2)); err == nil {
+		t.Error("expected shape error")
 	}
 }
 

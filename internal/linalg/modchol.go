@@ -20,96 +20,103 @@ import (
 // construction whenever every residual variance is positive; `ridge` is
 // added to each regression normal matrix for numerical robustness.
 func ModifiedCholeskyPrecision(u *Matrix, band int, ridge float64) (*Matrix, error) {
+	inv := new(Matrix)
+	if err := ModifiedCholeskyPrecisionInto(inv, u, band, ridge, new(ModCholScratch)); err != nil {
+		return nil, err
+	}
+	return inv, nil
+}
+
+// ModCholScratch holds the buffers ModifiedCholeskyPrecisionInto reuses from
+// call to call, whatever the problem size. The zero value is ready to use.
+type ModCholScratch struct {
+	coeff    Matrix // row i: regression coefficients t_i over i's predecessor window
+	g        Matrix // normal matrix of one regression
+	d, resid []float64
+}
+
+// ModifiedCholeskyPrecisionInto is ModifiedCholeskyPrecision writing B̂⁻¹
+// into inv (reshaped to n × n) and working in w.
+func ModifiedCholeskyPrecisionInto(inv, u *Matrix, band int, ridge float64, w *ModCholScratch) error {
 	n, samples := u.Rows, u.Cols
 	if samples < 2 {
-		return nil, fmt.Errorf("linalg: modified Cholesky needs at least 2 samples, got %d", samples)
+		return fmt.Errorf("linalg: modified Cholesky needs at least 2 samples, got %d", samples)
 	}
 	if band < 0 {
-		return nil, fmt.Errorf("linalg: negative band %d", band)
+		return fmt.Errorf("linalg: negative band %d", band)
 	}
 	denom := float64(samples - 1)
 
-	// T coefficients (t[i] aligned to predecessor window) and residual
-	// variances d[i].
-	type reg struct {
-		lo    int
-		coeff []float64
-	}
-	regs := make([]reg, n)
-	d := make([]float64, n)
-
-	resid := make([]float64, samples)
+	// Variable i's window starts at lo(i); its coefficients t_i sit at the
+	// head of row i of coeff and its residual variance in d[i].
+	lo := func(i int) int { return max(i-band, 0) }
+	coeff := w.coeff.Reset(n, band)
+	w.d = growFloats(w.d, n)
+	w.resid = growFloats(w.resid, samples)
+	d, resid := w.d, w.resid
 	for i := 0; i < n; i++ {
-		lo := i - band
-		if lo < 0 {
-			lo = 0
-		}
-		p := i - lo
+		p := i - lo(i)
 		ui := u.Row(i)
 		if p == 0 {
 			v := Dot(ui, ui) / denom
 			if v <= 0 {
 				v = ridge
 				if v <= 0 {
-					return nil, fmt.Errorf("linalg: zero variance at variable %d", i)
+					return fmt.Errorf("linalg: zero variance at variable %d", i)
 				}
 			}
 			d[i] = v
-			regs[i] = reg{lo: lo}
 			continue
 		}
-		// Normal equations G·t = g over the predecessor window.
-		g := NewMatrix(p, p)
-		rhs := make([]float64, p)
+		// Normal equations G·t = g over the predecessor window, solved in
+		// place: t overwrites the right-hand side.
+		g := w.g.Reset(p, p)
+		t := coeff.Row(i)[:p]
 		for a := 0; a < p; a++ {
-			ua := u.Row(lo + a)
-			rhs[a] = Dot(ua, ui) / denom
+			ua := u.Row(lo(i) + a)
+			t[a] = Dot(ua, ui) / denom
 			for b := a; b < p; b++ {
-				v := Dot(ua, u.Row(lo+b)) / denom
+				v := Dot(ua, u.Row(lo(i)+b)) / denom
 				g.Set(a, b, v)
 				g.Set(b, a, v)
 			}
 			g.Data[a*p+a] += ridge
 		}
-		t, err := Solve(g, rhs)
+		err := CholeskyInPlace(g)
+		if err == nil {
+			err = CholSolveInPlace(g, &Matrix{Rows: p, Cols: 1, Data: t})
+		}
 		if err != nil {
-			return nil, fmt.Errorf("linalg: regression for variable %d: %w", i, err)
+			return fmt.Errorf("linalg: regression for variable %d: %w", i, err)
 		}
 		copy(resid, ui)
 		for a := 0; a < p; a++ {
-			ua := u.Row(lo + a)
+			ua := u.Row(lo(i) + a)
 			ta := t[a]
 			for s := 0; s < samples; s++ {
 				resid[s] -= ta * ua[s]
 			}
 		}
-		v := Dot(resid[:samples], resid[:samples])/denom + ridge
+		v := Dot(resid, resid)/denom + ridge
 		if v <= 0 || math.IsNaN(v) {
-			return nil, fmt.Errorf("linalg: non-positive residual variance %g at variable %d", v, i)
+			return fmt.Errorf("linalg: non-positive residual variance %g at variable %d", v, i)
 		}
 		d[i] = v
-		regs[i] = reg{lo: lo, coeff: t}
 	}
 
 	// B̂⁻¹ = Wᵀ D⁻¹ W with W = I − T (row i has 1 at i and −t over window).
 	// W is banded, so accumulate only overlapping windows.
-	inv := NewMatrix(n, n)
+	inv.Reset(n, n)
 	wrow := func(i, j int) float64 {
 		if j == i {
 			return 1
 		}
-		r := regs[i]
-		if j >= r.lo && j < i {
-			return -r.coeff[j-r.lo]
-		}
-		return 0
+		return -coeff.Data[i*band+j-lo(i)]
 	}
 	for k := 0; k < n; k++ {
 		dk := 1 / d[k]
-		lo := k - 0 // row k of W spans [regs[k].lo, k]
-		_ = lo
-		// Non-zero columns of W row k: [regs[k].lo, k].
-		for a := regs[k].lo; a <= k; a++ {
+		// Non-zero columns of W row k: [lo(k), k].
+		for a := lo(k); a <= k; a++ {
 			wa := wrow(k, a)
 			if wa == 0 {
 				continue
@@ -128,7 +135,16 @@ func ModifiedCholeskyPrecision(u *Matrix, band int, ridge float64) (*Matrix, err
 			inv.Set(i, j, inv.At(j, i))
 		}
 	}
-	return inv, nil
+	return nil
+}
+
+// growFloats returns s resized to n elements, reallocating only when its
+// capacity is too small. The contents are unspecified.
+func growFloats(s []float64, n int) []float64 {
+	if cap(s) < n {
+		return make([]float64, n)
+	}
+	return s[:n]
 }
 
 // SampleCovariance returns the sample covariance of the rows of U

@@ -24,31 +24,30 @@ type Support struct {
 // with zero weight are omitted, so an on-grid observation yields exactly
 // one point of weight 1.
 func (o Observation) Support() []Support {
+	pts, n := o.SupportPoints()
+	return pts[:n]
+}
+
+// SupportPoints is Support without the heap: the support points fill the
+// head of a fixed array and n counts them, row by row (the first point has
+// the smallest Y).
+func (o Observation) SupportPoints() (pts [4]Support, n int) {
 	fx, fy := o.OffsetX, o.OffsetY
-	type corner struct {
-		dx, dy int
-		w      float64
-	}
-	corners := []corner{
-		{0, 0, (1 - fx) * (1 - fy)},
-		{1, 0, fx * (1 - fy)},
-		{0, 1, (1 - fx) * fy},
-		{1, 1, fx * fy},
-	}
-	var out []Support
-	for _, c := range corners {
-		if c.w > 0 {
-			out = append(out, Support{X: o.X + c.dx, Y: o.Y + c.dy, W: c.w})
+	for i, w := range [4]float64{(1 - fx) * (1 - fy), fx * (1 - fy), (1 - fx) * fy, fx * fy} {
+		if w > 0 {
+			pts[n] = Support{X: o.X + i&1, Y: o.Y + i>>1, W: w}
+			n++
 		}
 	}
-	return out
+	return pts, n
 }
 
 // InterpolateField evaluates the observation operator on a full row-major
 // field: the bilinear interpolation at the observation's position.
 func (o Observation) InterpolateField(m grid.Mesh, field []float64) float64 {
 	var v float64
-	for _, s := range o.Support() {
+	pts, n := o.SupportPoints()
+	for _, s := range pts[:n] {
 		v += s.W * field[m.Index(s.X, s.Y)]
 	}
 	return v
@@ -57,9 +56,9 @@ func (o Observation) InterpolateField(m grid.Mesh, field []float64) float64 {
 // perturbKeys derives the integer key tuple identifying this observation's
 // random streams. Fractional offsets are quantized to 2^-20 grid cells so
 // distinct off-grid observations in the same cell get independent streams.
-func (o Observation) perturbKeys(member int) []int {
+func (o Observation) perturbKeys(member int) [6]int {
 	const q = 1 << 20
-	return []int{0x5EED, o.X, o.Y, int(math.Round(o.OffsetX * q)), int(math.Round(o.OffsetY * q)), member}
+	return [6]int{0x5EED, o.X, o.Y, int(math.Round(o.OffsetX * q)), int(math.Round(o.OffsetY * q)), member}
 }
 
 // RandomOffGridNetwork places count observations at random fractional
@@ -88,7 +87,8 @@ func RandomOffGridNetwork(m grid.Mesh, truth []float64, count int, variance floa
 			OffsetY: s.Float64(),
 		}
 		o.Variance = variance
-		ns := linalg.KeyedStream(seed, o.perturbKeys(-1)...)
+		keys := o.perturbKeys(-1)
+		ns := linalg.KeyedStream(seed, keys[:]...)
 		o.Value = o.InterpolateField(m, truth) + ns.Norm()*sqrt(variance)
 		obsList = append(obsList, o)
 	}

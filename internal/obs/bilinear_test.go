@@ -188,3 +188,39 @@ func TestApplyHBilinear(t *testing.T) {
 		t.Error("edge-crossing support accepted")
 	}
 }
+
+// The per-candidate and per-observation calls of the local analysis must not
+// touch the heap: ObsInBox runs once per candidate per box, the perturbation
+// fill once per usable observation.
+func TestHotPathDoesNotAllocate(t *testing.T) {
+	b := grid.Box{X0: 2, X1: 9, Y0: 2, Y1: 9}
+	offGrid := Observation{X: 3, Y: 3, OffsetX: 0.25, OffsetY: 0.75, Value: 2, Variance: 0.5}
+	onGrid := Observation{X: 4, Y: 5, Value: 1, Variance: 0.5}
+	dst := make([]float64, 16)
+	if n := testing.AllocsPerRun(100, func() {
+		if !ObsInBox(offGrid, b) || !ObsInBox(onGrid, b) {
+			t.Fatal("observation inside the box rejected")
+		}
+		CenteredPerturbationsInto(dst, offGrid, 9)
+	}); n != 0 {
+		t.Errorf("ObsInBox + CenteredPerturbationsInto allocate %v objects", n)
+	}
+	for k, v := range CenteredPerturbations(offGrid, len(dst), 9) {
+		if v != dst[k] {
+			t.Fatalf("member %d: CenteredPerturbationsInto %v, CenteredPerturbations %v", k, dst[k], v)
+		}
+	}
+	pts, n := offGrid.SupportPoints()
+	sup := offGrid.Support()
+	if n != 4 || len(sup) != 4 {
+		t.Fatalf("off-grid support has %d / %d points, want 4", n, len(sup))
+	}
+	for i := range sup {
+		if pts[i] != sup[i] {
+			t.Errorf("support point %d: %v vs %v", i, pts[i], sup[i])
+		}
+	}
+	if pts[0].Y != offGrid.Y {
+		t.Errorf("first support point is on row %d, want the base row %d", pts[0].Y, offGrid.Y)
+	}
+}

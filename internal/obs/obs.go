@@ -148,7 +148,8 @@ func (n *Network) InBox(b grid.Box) []Observation {
 
 // ObsInBox reports whether every support point of o lies inside b.
 func ObsInBox(o Observation, b grid.Box) bool {
-	for _, s := range o.Support() {
+	pts, n := o.SupportPoints()
+	for _, s := range pts[:n] {
 		if !b.Contains(s.X, s.Y) {
 			return false
 		}
@@ -161,7 +162,8 @@ func ObsInBox(o Observation, b grid.Box) bool {
 // the matrix Yˢ ∈ ℝ^{m×N} of Eq. (3) one entry at a time so that any
 // process may reproduce exactly the entries it needs.
 func Perturbed(o Observation, member int, seed uint64) float64 {
-	s := linalg.KeyedStream(seed, o.perturbKeys(member)...)
+	keys := o.perturbKeys(member)
+	s := linalg.KeyedStream(seed, keys[:]...)
 	return o.Value + s.Norm()*sqrt(o.Variance)
 }
 
@@ -173,18 +175,26 @@ func Perturbed(o Observation, member int, seed uint64) float64 {
 // can regenerate all N raw perturbations locally.
 func CenteredPerturbations(o Observation, members int, seed uint64) []float64 {
 	out := make([]float64, members)
+	CenteredPerturbationsInto(out, o, seed)
+	return out
+}
+
+// CenteredPerturbationsInto fills dst with the len(dst) centred perturbed
+// values of CenteredPerturbations without allocating.
+func CenteredPerturbationsInto(dst []float64, o Observation, seed uint64) {
 	var mean float64
-	for k := 0; k < members; k++ {
-		s := linalg.KeyedStream(seed, o.perturbKeys(k)...)
+	keys := o.perturbKeys(0)
+	for k := range dst {
+		keys[len(keys)-1] = k // the member is the last key
+		s := linalg.KeyedStream(seed, keys[:]...)
 		e := s.Norm() * sqrt(o.Variance)
-		out[k] = e
+		dst[k] = e
 		mean += e
 	}
-	mean /= float64(members)
-	for k := range out {
-		out[k] = o.Value + (out[k] - mean)
+	mean /= float64(len(dst))
+	for k := range dst {
+		dst[k] = o.Value + (dst[k] - mean)
 	}
-	return out
 }
 
 // PerturbedMatrix materialises Yˢ for a list of observations and N members:
