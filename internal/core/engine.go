@@ -1,10 +1,11 @@
 // The real-substrate plan interpreter: one orchestration loop executing any
 // compiled plan (S-EnKF, P-EnKF or L-EnKF) on the goroutine message-passing
 // runtime against real member files. The algorithm-specific entry points —
-// RunSEnKF here, RunPEnKF/RunLEnKF in internal/baseline, the resilient and
-// multilevel variants — are thin strategy+policy wrappers that compile a
-// plan.Spec and hand the schedule to ExecutePlan. internal/schedule replays
-// the same compiled plans on the discrete-event substrate.
+// RunSEnKF, RunSEnKFMultiLevel and RunSEnKFResilient here, RunPEnKF/RunLEnKF
+// in internal/baseline — are thin wrappers that compile a plan.Spec and hand
+// the schedule to this loop, the resilient one together with the recovery
+// policy of resilient.go, consulted at the four seams marked below.
+// internal/schedule replays the same plans on the discrete-event substrate.
 
 package core
 
@@ -73,11 +74,29 @@ func announceFaults(p plan.Problem) {
 // addIOStats feeds one member file's addressing counters into the tracer's
 // registry so real runs expose the same accounting the cost model predicts.
 func addIOStats(tr *trace.Tracer, st ensio.IOStats) {
-	if reg := tr.Counters(); reg != nil {
-		reg.Add("ensio.seeks", float64(st.Seeks))
-		reg.Add("ensio.bytes", float64(st.BytesRead))
-		reg.Add("ensio.reads", float64(st.Reads))
+	reg := tr.Counters()
+	reg.Add("ensio.seeks", float64(st.Seeks))
+	reg.Add("ensio.bytes", float64(st.BytesRead))
+	reg.Add("ensio.reads", float64(st.Reads))
+	if st.Retries > 0 {
+		reg.Add("ensio.retries", float64(st.Retries))
 	}
+}
+
+// geometryError marks a member file that opened but fails CheckGeometry.
+type geometryError struct{ error }
+
+// openMember opens member k's file and checks it against the run's geometry.
+func openMember(p plan.Problem, k, levels int, o ensio.OpenOptions) (*ensio.MemberFile, error) {
+	mf, err := ensio.OpenMemberOpts(ensio.MemberPath(p.Dir, k), o)
+	if err != nil {
+		return nil, err
+	}
+	if err := mf.CheckGeometry(p.Cfg.Mesh.NX, p.Cfg.Mesh.NY, levels, k); err != nil {
+		mf.Close()
+		return nil, geometryError{err}
+	}
+	return mf, nil
 }
 
 // cutPayload extracts a destination's block from a full-width bar read.
@@ -113,6 +132,12 @@ func ExecutePlan(p plan.Problem, c *plan.Compiled) ([][]float64, error) {
 // reads, tags, spans and bits — with the result wrapped in a one-element
 // level slice.
 func ExecutePlanLevels(p plan.Problem, c *plan.Compiled) ([][][]float64, error) {
+	return execute(p, c, nil)
+}
+
+// execute is ExecutePlanLevels under a recovery policy (nil: none). With one,
+// fields are indexed by survivor position and rc.agreed says whose they are.
+func execute(p plan.Problem, c *plan.Compiled, rc *recovery) ([][][]float64, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
@@ -151,7 +176,7 @@ func ExecutePlanLevels(p plan.Problem, c *plan.Compiled) ([][][]float64, error) 
 			r := c.Compute[comm.Rank()]
 			sc := p.Prof.Scope(r.Name)
 			return sc.Do(func() error {
-				f, err := engineCompute(comm, p, c, r, t0, sc)
+				f, err := engineCompute(comm, p, c, r, rc, t0, sc)
 				if err != nil {
 					return err
 				}
@@ -163,7 +188,7 @@ func ExecutePlanLevels(p plan.Problem, c *plan.Compiled) ([][][]float64, error) 
 		}
 		r := c.IO[comm.Rank()-c.NumCompute()]
 		sc := p.Prof.Scope(r.Name)
-		return sc.Do(func() error { return engineIO(comm, p, c, r, t0, sc) })
+		return sc.Do(func() error { return engineIO(comm, p, c, r, rc, t0, sc) })
 	})
 	if p.Obs != nil {
 		err = p.Obs.EndRun(err)
@@ -177,7 +202,7 @@ func ExecutePlanLevels(p plan.Problem, c *plan.Compiled) ([][][]float64, error) 
 // engineIO is the body of one dedicated I/O rank: per stage, read the
 // stage's region from every member of the stage, then cut and send every
 // destination its block of every member.
-func engineIO(comm *mpi.Comm, p plan.Problem, c *plan.Compiled, r plan.IORank, t0 time.Time, sc *runtimeobs.Scope) error {
+func engineIO(comm *mpi.Comm, p plan.Problem, c *plan.Compiled, r plan.IORank, rc *recovery, t0 time.Time, sc *runtimeobs.Scope) error {
 	staged := c.Staged()
 	nx := p.Cfg.Mesh.NX
 	nl := c.Spec.LevelCount()
@@ -192,26 +217,39 @@ func engineIO(comm *mpi.Comm, p plan.Problem, c *plan.Compiled, r plan.IORank, t
 			f.Close()
 		}
 	}()
-	for _, k := range r.Members {
-		mf, err := ensio.OpenMember(ensio.MemberPath(p.Dir, k))
-		if err != nil {
-			return err
+	// Seam 1, open: the policy supplies the open options and turns a failure
+	// into a drop code to agree on instead of a fatal error. A rank dead from
+	// the start opens nothing but still joins the agreement.
+	codes, opts := rc.reportCodes(c, r), rc.openOptions()
+	if !rc.dead(r, 0) {
+		for _, k := range r.Members {
+			mf, err := openMember(p, k, nl, opts)
+			if err != nil {
+				if rc == nil {
+					return err
+				}
+				if codes != nil {
+					codes[k] = classifyOpenError(err)
+				}
+				continue
+			}
+			files[k] = mf
 		}
-		if err := mf.CheckGeometry(p.Cfg.Mesh.NX, p.Cfg.Mesh.NY, nl, k); err != nil {
-			mf.Close()
-			return err
-		}
-		files[k] = mf
+	}
+	// Seam 2, membership: identity without a policy, agreed world-wide with.
+	mem, _, err := rc.agree(comm, p, c, t0, codes)
+	if err != nil {
+		return err
 	}
 
-	for _, st := range r.Stages {
-		st := st
+	// serve runs one stage of a bar row — the rank's own or an adopted one;
+	// either way the work, and so the spans and labels, are this rank's.
+	serve := func(st *plan.IOStage) error {
 		tag := -1
 		if staged {
 			tag = st.Stage
 		}
-
-		err := sc.Stage(tag, func() error {
+		return sc.Stage(tag, func() error {
 			// Read phase: the stage's contiguous region of each member — one
 			// addressing operation per member read (bar reading, §4.1.2),
 			// fetching every level of the stage rows at once on multilevel
@@ -219,14 +257,21 @@ func engineIO(comm *mpi.Comm, p plan.Problem, c *plan.Compiled, r plan.IORank, t
 			readStart := time.Now()
 			bars := make([][][]float64, len(st.Members))
 			for mi, k := range st.Members {
+				if mem.pos(k) < 0 {
+					continue
+				}
+				mf := files[k]
+				if mf == nil {
+					return fmt.Errorf("core: reader %s lost member %d agreed as a survivor", r.Name, k)
+				}
 				if nl == 1 {
-					bar, err := files[k].ReadBar(st.Read.Box.Y0, st.Read.Box.Y1)
+					bar, err := mf.ReadBar(st.Read.Box.Y0, st.Read.Box.Y1)
 					if err != nil {
 						return err
 					}
 					bars[mi] = [][]float64{bar}
 				} else {
-					lb, err := files[k].ReadBarLevels(st.Read.Box.Y0, st.Read.Box.Y1)
+					lb, err := mf.ReadBarLevels(st.Read.Box.Y0, st.Read.Box.Y1)
 					if err != nil {
 						return err
 					}
@@ -237,9 +282,12 @@ func engineIO(comm *mpi.Comm, p plan.Problem, c *plan.Compiled, r plan.IORank, t
 			observe(p, r.Name, metrics.PhaseRead, t0, readStart, time.Now(), tag)
 
 			// Comm phase: every destination gets its stage box of every
-			// member, one message per level.
+			// member, one message per level, tagged in member space.
 			commStart := time.Now()
 			for mi, k := range st.Members {
+				if bars[mi] == nil {
+					continue
+				}
 				for _, dst := range st.Comm.Dsts {
 					box := c.Compute[dst].Stages[st.Stage].Box
 					meta := []int{k, box.X0, box.X1, box.Y0, box.Y1}
@@ -255,8 +303,22 @@ func engineIO(comm *mpi.Comm, p plan.Problem, c *plan.Compiled, r plan.IORank, t
 			observe(p, r.Name, metrics.PhaseComm, t0, commStart, time.Now(), tag)
 			return nil
 		})
-		if err != nil {
+	}
+
+	for si := range r.Stages {
+		// Seam 3, rows served: the rank's own plus the dead rows it adopts,
+		// unless it is itself dead before the stage and leaves.
+		adopted, alive := rc.adopt(p, c, r, r.Stages[si].Stage, t0)
+		if !alive {
+			return nil
+		}
+		if err := serve(&r.Stages[si]); err != nil {
 			return err
+		}
+		for _, row := range adopted {
+			if err := serve(&c.IOAt(r.Group, row).Stages[si]); err != nil {
+				return err
+			}
 		}
 	}
 	return nil
@@ -267,11 +329,19 @@ func engineIO(comm *mpi.Comm, p plan.Problem, c *plan.Compiled, r plan.IORank, t
 // main flow stage by stage; self-read stages block-read the member files
 // directly. The main flow analyses each stage's region and accumulates the
 // sub-domain result, gathered at world rank 0.
-func engineCompute(comm *mpi.Comm, p plan.Problem, c *plan.Compiled, r plan.ComputeRank, t0 time.Time, sc *runtimeobs.Scope) ([][][]float64, error) {
+func engineCompute(comm *mpi.Comm, p plan.Problem, c *plan.Compiled, r plan.ComputeRank, rc *recovery, t0 time.Time, sc *runtimeobs.Scope) ([][][]float64, error) {
 	staged := c.Staged()
-	n := c.Spec.N
 	nl := c.Spec.LevelCount()
 	slow := p.Faults.SlowdownFor(r.Name)
+
+	// Seam 2 again (compute ranks report nothing). Seam 4 is every use of
+	// mem below: a stage expects the survivors' tags, places member k at its
+	// survivor position and is analysed with the membership's configuration.
+	mem, cfg, err := rc.agree(comm, p, c, t0, nil)
+	if err != nil {
+		return nil, err
+	}
+	n := cfg.N
 
 	type stageData struct {
 		blks []*enkf.Block // one per level
@@ -303,6 +373,10 @@ func engineCompute(comm *mpi.Comm, p plan.Problem, c *plan.Compiled, r plan.Comp
 						blks[lvl] = enkf.NewBlock(st.Box, n)
 					}
 					for k := 0; k < st.Expect; k++ {
+						s := mem.pos(k)
+						if s < 0 {
+							continue
+						}
 						for lvl := 0; lvl < nl; lvl++ {
 							m, err := comm.Recv(mpi.AnySource, c.Spec.Tag(st.Stage, k, lvl))
 							if err != nil {
@@ -315,7 +389,7 @@ func engineCompute(comm *mpi.Comm, p plan.Problem, c *plan.Compiled, r plan.Comp
 							if len(m.Data) != st.Box.Points() {
 								return fmt.Errorf("core: stage %d member %d payload %d, want %d", st.Stage, k, len(m.Data), st.Box.Points())
 							}
-							blks[lvl].Data[m.Meta[0]] = m.Data
+							blks[lvl].Data[s] = m.Data
 						}
 					}
 					return nil
@@ -369,12 +443,8 @@ func engineCompute(comm *mpi.Comm, p plan.Problem, c *plan.Compiled, r plan.Comp
 				}
 				for _, k := range st.SelfMembers {
 					readStart := time.Now()
-					mf, err := ensio.OpenMember(ensio.MemberPath(p.Dir, k))
+					mf, err := openMember(p, k, nl, ensio.OpenOptions{})
 					if err != nil {
-						return err
-					}
-					if err := mf.CheckGeometry(p.Cfg.Mesh.NX, p.Cfg.Mesh.NY, nl, k); err != nil {
-						mf.Close()
 						return err
 					}
 					if nl == 1 {
@@ -405,7 +475,7 @@ func engineCompute(comm *mpi.Comm, p plan.Problem, c *plan.Compiled, r plan.Comp
 			// the analysis work, not the stage topology.
 			compStart := time.Now()
 			for lvl := 0; lvl < nl; lvl++ {
-				if err := ws.AnalyzeInto(p.Cfg, results[lvl], blks[lvl], p.NetAt(lvl).Obs, st.Analyze); err != nil {
+				if err := ws.AnalyzeInto(cfg, results[lvl], blks[lvl], p.NetAt(lvl).Obs, st.Analyze); err != nil {
 					return err
 				}
 			}
@@ -422,7 +492,7 @@ func engineCompute(comm *mpi.Comm, p plan.Problem, c *plan.Compiled, r plan.Comp
 		}
 	}
 
-	return gatherResults(comm, p.Cfg, results, c.NumCompute())
+	return gatherResults(comm, cfg, results, c.NumCompute())
 }
 
 // gatherResults sends each compute rank's per-level analysis blocks to

@@ -1,10 +1,6 @@
 package core
 
-import (
-	"fmt"
-
-	"senkf/internal/plan"
-)
+import "senkf/internal/plan"
 
 // MultiLevelProblem is the shared multi-level problem type, declared in
 // internal/plan: member files carry `Levels` vertical levels interleaved
@@ -23,12 +19,6 @@ type MultiLevelProblem = plan.MultiLevelProblem
 // loop lives inside ExecutePlanLevels, not here.
 func RunSEnKFMultiLevel(p MultiLevelProblem, pl Plan) ([][][]float64, error) {
 	if err := p.Validate(); err != nil {
-		return nil, err
-	}
-	if pl.Dec.Mesh != p.Cfg.Mesh {
-		return nil, fmt.Errorf("core: decomposition mesh %v differs from config mesh %v", pl.Dec.Mesh, p.Cfg.Mesh)
-	}
-	if err := pl.Validate(p.Cfg.N); err != nil {
 		return nil, err
 	}
 	c, err := plan.Compile(pl.Spec(p.Cfg.N).WithLevels(p.Levels()))

@@ -17,10 +17,11 @@
 //     analysis.
 //
 // The same engine executes the baseline plans (see internal/baseline for
-// the P-EnKF/L-EnKF entry points); RunSEnKF, RunSEnKFResilient and
-// RunSEnKFMultiLevel are strategy+policy wrappers over it. The result must
-// equal the serial reference (and both baselines) exactly; integration
-// tests assert the correctness triangle.
+// the P-EnKF/L-EnKF entry points); RunSEnKF, RunSEnKFMultiLevel and
+// RunSEnKFResilient are wrappers that compile the layout's spec and hand it
+// over, the last together with a recovery policy the engine consults (see
+// resilient.go). The result must equal the serial reference (and both
+// baselines) exactly; integration tests assert the correctness triangle.
 package core
 
 import (
@@ -49,21 +50,7 @@ func (pl Plan) IORanks() int { return pl.NCg * pl.Dec.NSdy }
 func (pl Plan) WorldSize() int { return pl.ComputeRanks() + pl.IORanks() }
 
 // Validate checks the plan against the problem geometry.
-func (pl Plan) Validate(n int) error {
-	if pl.L <= 0 {
-		return fmt.Errorf("core: layer count must be positive, got %d", pl.L)
-	}
-	if pl.Dec.SubHeight()%pl.L != 0 {
-		return fmt.Errorf("core: sub-domain height %d not divisible by L=%d", pl.Dec.SubHeight(), pl.L)
-	}
-	if pl.NCg <= 0 {
-		return fmt.Errorf("core: concurrent group count must be positive, got %d", pl.NCg)
-	}
-	if n%pl.NCg != 0 {
-		return fmt.Errorf("core: %d members not divisible by n_cg=%d", n, pl.NCg)
-	}
-	return nil
-}
+func (pl Plan) Validate(n int) error { return pl.Spec(n).Validate() }
 
 // Spec returns the declarative algorithm spec this layout describes.
 func (pl Plan) Spec(n int) plan.Spec { return plan.SEnKF(pl.Dec, n, pl.L, pl.NCg) }
@@ -78,15 +65,6 @@ const resultTag = 1 << 20
 // RunSEnKF executes the full S-EnKF schedule and returns the analysis
 // ensemble (assembled at world rank 0).
 func RunSEnKF(p Problem, pl Plan) ([][]float64, error) {
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
-	if pl.Dec.Mesh != p.Cfg.Mesh {
-		return nil, fmt.Errorf("core: decomposition mesh %v differs from config mesh %v", pl.Dec.Mesh, p.Cfg.Mesh)
-	}
-	if err := pl.Validate(p.Cfg.N); err != nil {
-		return nil, err
-	}
 	c, err := plan.Compile(pl.Spec(p.Cfg.N))
 	if err != nil {
 		return nil, err

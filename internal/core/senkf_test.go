@@ -124,20 +124,25 @@ func TestCorrectnessTriangle(t *testing.T) {
 	}
 }
 
+// planShapes are the (n_sdx, n_sdy, L, n_cg) layouts the differential tests
+// sweep over the workload.TestScale problem.
+type planShape struct{ nsdx, nsdy, l, ncg int }
+
+var planShapes = []planShape{
+	{4, 2, 1, 1},
+	{4, 2, 6, 1},
+	{4, 2, 3, 2},
+	{2, 2, 2, 5},
+	{1, 1, 4, 10},
+	{6, 3, 2, 2},
+	{2, 4, 3, 4},
+}
+
 func TestSEnKFAcrossPlanShapes(t *testing.T) {
-	// The analysis must be independent of L, n_cg and the decomposition.
+	// The analysis must be independent of L, n_cg and the decomposition —
+	// and of whether the engine ran under the (idle) recovery policy.
 	p, _, ref := setup(t, enkf.SolverEnsembleSpace)
-	shapes := []struct {
-		nsdx, nsdy, l, ncg int
-	}{
-		{4, 2, 1, 1},
-		{4, 2, 6, 1},
-		{2, 2, 2, 5},
-		{1, 1, 4, 10},
-		{6, 3, 2, 2},
-		{2, 4, 3, 4},
-	}
-	for _, s := range shapes {
+	for _, s := range planShapes {
 		dec, err := grid.NewDecomposition(p.Cfg.Mesh, s.nsdx, s.nsdy, p.Cfg.Radius)
 		if err != nil {
 			t.Fatalf("decomposition %+v: %v", s, err)
@@ -149,6 +154,14 @@ func TestSEnKFAcrossPlanShapes(t *testing.T) {
 		}
 		if d := enkf.MaxAbsDiffFields(got, ref); d != 0 {
 			t.Errorf("plan %+v: differs from reference by %g", s, d)
+		}
+		res, err := RunSEnKFResilient(p, pl, Resilience{})
+		if err != nil {
+			t.Fatalf("plan %+v, resilient: %v", s, err)
+		}
+		if d := enkf.MaxAbsDiffFields(res.Fields, got); d != 0 || res.Degraded || res.EffectiveConfig != p.Cfg {
+			t.Errorf("plan %+v: healthy resilient run differs from RunSEnKF by %g (degraded %v, effective config %+v)",
+				s, d, res.Degraded, res.EffectiveConfig)
 		}
 	}
 }

@@ -261,6 +261,10 @@ func IsTransient(err error) bool {
 	return errors.As(err, &t) && t.Transient()
 }
 
+// ErrTruncated is wrapped by the open error of a member file whose size
+// does not match the payload its header declares.
+var ErrTruncated = errors.New("truncated or padded member file")
+
 // OpenOptions configures integrity and fault-tolerance behaviour of
 // OpenMemberOpts. The zero value matches OpenMember exactly.
 type OpenOptions struct {
@@ -336,7 +340,7 @@ func OpenMemberOpts(path string, o OpenOptions) (*MemberFile, error) {
 	}
 	if want := dataOff + int64(8*h.NX*h.NY*h.LevelCount()); fi.Size() != want {
 		f.Close()
-		return nil, fmt.Errorf("ensio: %s has %d bytes, want %d (truncated or padded member file)", path, fi.Size(), want)
+		return nil, fmt.Errorf("ensio: %s has %d bytes, want %d: %w", path, fi.Size(), want, ErrTruncated)
 	}
 	m := &MemberFile{Header: h, path: path, f: f, dataOff: dataOff, retry: o.Retry, hook: o.Hook}
 	if o.Verify {

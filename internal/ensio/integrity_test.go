@@ -92,6 +92,9 @@ func TestTruncationDetectedAtOpen(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "truncated") {
 		t.Fatalf("open of a truncated file = %v, want truncation error", err)
 	}
+	if !errors.Is(err, ErrTruncated) {
+		t.Errorf("open of a truncated file = %v, want it to wrap ErrTruncated", err)
+	}
 }
 
 func TestRetryRecoversFromTransient(t *testing.T) {

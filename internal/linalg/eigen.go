@@ -169,13 +169,3 @@ func SymmetricFuncInto(out, a *Matrix, f func(float64) (float64, error), ws *Eig
 	}
 	return nil
 }
-
-// SPDInvSqrt returns A^{-1/2} for symmetric positive definite A.
-func SPDInvSqrt(a *Matrix) (*Matrix, error) {
-	return SymmetricFunc(a, func(v float64) (float64, error) {
-		if v <= 0 {
-			return 0, fmt.Errorf("non-positive eigenvalue %g", v)
-		}
-		return 1 / math.Sqrt(v), nil
-	})
-}

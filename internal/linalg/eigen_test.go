@@ -78,41 +78,6 @@ func TestSymmetricEigenDiagonal(t *testing.T) {
 	}
 }
 
-func TestSPDInvSqrt(t *testing.T) {
-	s := NewStream(22)
-	n := 10
-	a := randomSPD(s, n)
-	is, err := SPDInvSqrt(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// is·a·is == I
-	t1, err := MatMul(is, a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t2, err := MatMul(t1, is)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d, _ := MaxAbsDiff(t2, Identity(n)); d > 1e-8 {
-		t.Errorf("A^-1/2·A·A^-1/2 differs from I by %g", d)
-	}
-	// Symmetric.
-	for i := 0; i < n; i++ {
-		for j := 0; j < i; j++ {
-			if math.Abs(is.At(i, j)-is.At(j, i)) > 1e-12 {
-				t.Fatal("inverse square root not symmetric")
-			}
-		}
-	}
-	// Fails on indefinite matrices.
-	indef, _ := FromRows([][]float64{{1, 2}, {2, 1}})
-	if _, err := SPDInvSqrt(indef); err == nil {
-		t.Error("indefinite matrix accepted")
-	}
-}
-
 func TestSymmetricFuncIdentity(t *testing.T) {
 	s := NewStream(23)
 	a := randomSPD(s, 6)

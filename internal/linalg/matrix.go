@@ -98,28 +98,6 @@ func (m *Matrix) Scale(s float64) *Matrix {
 	return m
 }
 
-// AddInPlace adds o to m element-wise; the shapes must match.
-func (m *Matrix) AddInPlace(o *Matrix) error {
-	if m.Rows != o.Rows || m.Cols != o.Cols {
-		return fmt.Errorf("linalg: add shape mismatch %dx%d vs %dx%d", m.Rows, m.Cols, o.Rows, o.Cols)
-	}
-	for i, v := range o.Data {
-		m.Data[i] += v
-	}
-	return nil
-}
-
-// SubInPlace subtracts o from m element-wise; the shapes must match.
-func (m *Matrix) SubInPlace(o *Matrix) error {
-	if m.Rows != o.Rows || m.Cols != o.Cols {
-		return fmt.Errorf("linalg: sub shape mismatch %dx%d vs %dx%d", m.Rows, m.Cols, o.Rows, o.Cols)
-	}
-	for i, v := range o.Data {
-		m.Data[i] -= v
-	}
-	return nil
-}
-
 // MatMul returns a·b.
 func MatMul(a, b *Matrix) (*Matrix, error) {
 	if a.Cols != b.Rows {
@@ -179,30 +157,6 @@ func AAT(a *Matrix) *Matrix {
 			s := Dot(ri, a.Row(j))
 			out.Set(i, j, s)
 			out.Set(j, i, s)
-		}
-	}
-	return out
-}
-
-// ATA returns aᵀ·a.
-func ATA(a *Matrix) *Matrix {
-	out := NewMatrix(a.Cols, a.Cols)
-	for k := 0; k < a.Rows; k++ {
-		row := a.Row(k)
-		for i := 0; i < a.Cols; i++ {
-			vi := row[i]
-			if vi == 0 {
-				continue
-			}
-			orow := out.Row(i)
-			for j := i; j < a.Cols; j++ {
-				orow[j] += vi * row[j]
-			}
-		}
-	}
-	for i := 0; i < out.Rows; i++ {
-		for j := 0; j < i; j++ {
-			out.Set(i, j, out.At(j, i))
 		}
 	}
 	return out
@@ -367,12 +321,6 @@ func solveVec(solve func(l, b *Matrix) error, l *Matrix, b []float64) ([]float64
 // SolveLower solves L·x = b for lower-triangular L (forward substitution).
 func SolveLower(l *Matrix, b []float64) ([]float64, error) {
 	return solveVec(SolveLowerInPlace, l, b)
-}
-
-// SolveUpperFromLower solves Lᵀ·x = b given lower-triangular L
-// (back substitution on the implicit transpose).
-func SolveUpperFromLower(l *Matrix, b []float64) ([]float64, error) {
-	return solveVec(SolveUpperFromLowerInPlace, l, b)
 }
 
 // CholSolve solves a·x = b given the Cholesky factor L of a.
