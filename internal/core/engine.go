@@ -99,19 +99,6 @@ func openMember(p plan.Problem, k, levels int, o ensio.OpenOptions) (*ensio.Memb
 	return mf, nil
 }
 
-// cutPayload extracts a destination's block from a full-width bar read.
-// barBox is the region held in bar (full mesh rows); dst is the
-// destination's stage box, guaranteed to lie inside barBox.
-func cutPayload(bar []float64, barBox, dst grid.Box, nx int) []float64 {
-	payload := make([]float64, dst.Points())
-	for y := dst.Y0; y < dst.Y1; y++ {
-		srcOff := (y-barBox.Y0)*nx + dst.X0
-		dstOff := (y - dst.Y0) * dst.Width()
-		copy(payload[dstOff:dstOff+dst.Width()], bar[srcOff:srcOff+dst.Width()])
-	}
-	return payload
-}
-
 // ExecutePlan runs a compiled single-level plan on the real substrate and
 // returns the analysis ensemble assembled at world rank 0 (a compute rank).
 func ExecutePlan(p plan.Problem, c *plan.Compiled) ([][]float64, error) {
@@ -204,7 +191,6 @@ func execute(p plan.Problem, c *plan.Compiled, rc *recovery) ([][][]float64, err
 // destination its block of every member.
 func engineIO(comm *mpi.Comm, p plan.Problem, c *plan.Compiled, r plan.IORank, rc *recovery, t0 time.Time, sc *runtimeobs.Scope) error {
 	staged := c.Staged()
-	nx := p.Cfg.Mesh.NX
 	nl := c.Spec.LevelCount()
 	slow := p.Faults.SlowdownFor(r.Name)
 
@@ -253,9 +239,14 @@ func engineIO(comm *mpi.Comm, p plan.Problem, c *plan.Compiled, r plan.IORank, r
 			// Read phase: the stage's contiguous region of each member — one
 			// addressing operation per member read (bar reading, §4.1.2),
 			// fetching every level of the stage rows at once on multilevel
-			// files (the level-interleaved layout's co-design).
+			// files (the level-interleaved layout's co-design) and decoding
+			// them straight into the payload of each destination and level.
 			readStart := time.Now()
-			bars := make([][][]float64, len(st.Members))
+			boxes := make([]grid.Box, len(st.Comm.Dsts))
+			for di, dst := range st.Comm.Dsts {
+				boxes[di] = c.Compute[dst].Stages[st.Stage].Box
+			}
+			payloads := make([][][][]float64, len(st.Members)) // [member][dst][level]
 			for mi, k := range st.Members {
 				if mem.pos(k) < 0 {
 					continue
@@ -264,36 +255,27 @@ func engineIO(comm *mpi.Comm, p plan.Problem, c *plan.Compiled, r plan.IORank, r
 				if mf == nil {
 					return fmt.Errorf("core: reader %s lost member %d agreed as a survivor", r.Name, k)
 				}
-				if nl == 1 {
-					bar, err := mf.ReadBar(st.Read.Box.Y0, st.Read.Box.Y1)
-					if err != nil {
-						return err
-					}
-					bars[mi] = [][]float64{bar}
-				} else {
-					lb, err := mf.ReadBarLevels(st.Read.Box.Y0, st.Read.Box.Y1)
-					if err != nil {
-						return err
-					}
-					bars[mi] = lb
+				var err error
+				if payloads[mi], err = mf.ReadBarBoxes(st.Read.Box.Y0, st.Read.Box.Y1, boxes); err != nil {
+					return err
 				}
 			}
 			stretch(p, r.Name, t0, readStart, slow)
 			observe(p, r.Name, metrics.PhaseRead, t0, readStart, time.Now(), tag)
 
 			// Comm phase: every destination gets its stage box of every
-			// member, one message per level, tagged in member space.
+			// member, one message per level, tagged in member space. Each
+			// payload was cut for this one receiver, so it is handed over.
 			commStart := time.Now()
 			for mi, k := range st.Members {
-				if bars[mi] == nil {
+				if payloads[mi] == nil {
 					continue
 				}
-				for _, dst := range st.Comm.Dsts {
-					box := c.Compute[dst].Stages[st.Stage].Box
+				for di, dst := range st.Comm.Dsts {
+					box := boxes[di]
 					meta := []int{k, box.X0, box.X1, box.Y0, box.Y1}
-					for lvl := 0; lvl < nl; lvl++ {
-						payload := cutPayload(bars[mi][lvl], st.Read.Box, box, nx)
-						if err := comm.Send(dst, c.Spec.Tag(st.Stage, k, lvl), meta, payload); err != nil {
+					for lvl, payload := range payloads[mi][di] {
+						if err := comm.SendOwned(dst, c.Spec.Tag(st.Stage, k, lvl), meta, payload); err != nil {
 							return err
 						}
 					}
@@ -368,10 +350,7 @@ func engineCompute(comm *mpi.Comm, p plan.Problem, c *plan.Compiled, r plan.Comp
 				}
 				var blks []*enkf.Block
 				err := sc.Stage(st.Stage, func() error {
-					blks = make([]*enkf.Block, nl)
-					for lvl := range blks {
-						blks[lvl] = enkf.NewBlock(st.Box, n)
-					}
+					blks = stageBlocks(st.Box, n, nl)
 					for k := 0; k < st.Expect; k++ {
 						s := mem.pos(k)
 						if s < 0 {
@@ -409,9 +388,14 @@ func engineCompute(comm *mpi.Comm, p plan.Problem, c *plan.Compiled, r plan.Comp
 		}()
 	}
 
-	results := make([]*enkf.Block, nl)
+	// The rank's result, per level, is rows over one member-major slice, the
+	// form it travels in: the gather hands that slice over as it is.
+	flats, results := make([][]float64, nl), make([]*enkf.Block, nl)
 	for lvl := range results {
-		results[lvl] = enkf.NewBlock(r.Sub, n)
+		flats[lvl] = make([]float64, n*r.Sub.Points())
+		if results[lvl], err = memberRows(r.Sub, n, flats[lvl]); err != nil {
+			return nil, err
+		}
 	}
 	// One analysis workspace per compute rank: its scratch is reused across
 	// stages and levels, and it keeps only the observations a stage can use.
@@ -437,34 +421,21 @@ func engineCompute(comm *mpi.Comm, p plan.Problem, c *plan.Compiled, r plan.Comp
 				// Block reading (§2.3): the rank reads its own expansion from
 				// every member file, one addressing operation per row — rows
 				// that are levels× heavier on multilevel files.
-				blks = make([]*enkf.Block, nl)
-				for lvl := range blks {
-					blks[lvl] = enkf.NewBlock(st.Box, n)
-				}
+				blks = stageBlocks(st.Box, n, nl)
 				for _, k := range st.SelfMembers {
 					readStart := time.Now()
 					mf, err := openMember(p, k, nl, ensio.OpenOptions{})
 					if err != nil {
 						return err
 					}
-					if nl == 1 {
-						data, err := mf.ReadBlock(st.Read.Box)
-						addIOStats(p.Tr, mf.Stats())
-						mf.Close()
-						if err != nil {
-							return err
-						}
-						blks[0].Data[k] = data
-					} else {
-						data, err := mf.ReadBlockLevels(st.Read.Box)
-						addIOStats(p.Tr, mf.Stats())
-						mf.Close()
-						if err != nil {
-							return err
-						}
-						for lvl := 0; lvl < nl; lvl++ {
-							blks[lvl].Data[k] = data[lvl]
-						}
+					data, err := mf.ReadBlockLevels(st.Read.Box)
+					addIOStats(p.Tr, mf.Stats())
+					mf.Close()
+					if err != nil {
+						return err
+					}
+					for lvl, d := range data {
+						blks[lvl].Data[k] = d
 					}
 					stretch(p, r.Name, t0, readStart, slow)
 					observe(p, r.Name, metrics.PhaseRead, t0, readStart, time.Now(), -1)
@@ -492,38 +463,65 @@ func engineCompute(comm *mpi.Comm, p plan.Problem, c *plan.Compiled, r plan.Comp
 		}
 	}
 
-	return gatherResults(comm, cfg, results, c.NumCompute())
+	return gatherResults(comm, cfg, r.Sub, flats, c.NumCompute())
 }
 
-// gatherResults sends each compute rank's per-level analysis blocks to
-// world rank 0 and assembles the full fields there, level by level (tag
+// stageBlocks returns one block header per level over a stage box: the rows
+// are assigned, not filled — each is a received payload or a block read.
+func stageBlocks(box grid.Box, n, levels int) []*enkf.Block {
+	blks := make([]*enkf.Block, levels)
+	for lvl := range blks {
+		blks[lvl] = &enkf.Block{Box: box, Data: make([][]float64, n)}
+	}
+	return blks
+}
+
+// memberRows views flat — n members of box.Points() values each, member by
+// member — as a block over box whose rows alias it.
+func memberRows(box grid.Box, n int, flat []float64) (*enkf.Block, error) {
+	pts := box.Points()
+	if len(flat) != n*pts {
+		return nil, fmt.Errorf("core: block payload has %d values, want %d", len(flat), n*pts)
+	}
+	rows := make([][]float64, n)
+	for k := range rows {
+		rows[k] = flat[k*pts : (k+1)*pts : (k+1)*pts]
+	}
+	return &enkf.Block{Box: box, Data: rows}, nil
+}
+
+// gatherResults hands each compute rank's per-level analysis over sub — flat,
+// the slices its result blocks are rows of — to world rank 0, which places
+// every block into the full fields as it arrives, level by level (tag
 // resultTag+level). Other ranks return nil fields.
-func gatherResults(comm *mpi.Comm, cfg enkf.Config, mine []*enkf.Block, contributors int) ([][][]float64, error) {
+func gatherResults(comm *mpi.Comm, cfg enkf.Config, sub grid.Box, flats [][]float64, contributors int) ([][][]float64, error) {
 	if comm.Rank() != 0 {
-		for lvl, res := range mine {
-			meta := []int{res.Box.X0, res.Box.X1, res.Box.Y0, res.Box.Y1}
-			if err := comm.Send(0, resultTag+lvl, meta, flattenBlock(res)); err != nil {
+		meta := []int{sub.X0, sub.X1, sub.Y0, sub.Y1}
+		for lvl, flat := range flats {
+			if err := comm.SendOwned(0, resultTag+lvl, meta, flat); err != nil {
 				return nil, err
 			}
 		}
 		return nil, nil
 	}
-	out := make([][][]float64, len(mine))
-	for lvl := range mine {
-		blocks := []*enkf.Block{mine[lvl]}
-		for i := 1; i < contributors; i++ {
+	out := make([][][]float64, len(flats))
+	for lvl, flat := range flats {
+		placed := 0
+		fields, err := enkf.AssembleFrom(cfg.Mesh, cfg.N, func() (*enkf.Block, error) {
+			placed++
+			switch {
+			case placed == 1:
+				return memberRows(sub, cfg.N, flat)
+			case placed > contributors:
+				return nil, nil
+			}
 			m, err := comm.Recv(mpi.AnySource, resultTag+lvl)
 			if err != nil {
 				return nil, err
 			}
 			box := grid.Box{X0: m.Meta[0], X1: m.Meta[1], Y0: m.Meta[2], Y1: m.Meta[3]}
-			blk, err := unflattenBlock(box, cfg.N, m.Data)
-			if err != nil {
-				return nil, err
-			}
-			blocks = append(blocks, blk)
-		}
-		fields, err := enkf.Assemble(cfg.Mesh, cfg.N, blocks)
+			return memberRows(box, cfg.N, m.Data)
+		})
 		if err != nil {
 			return nil, err
 		}

@@ -25,9 +25,6 @@
 package core
 
 import (
-	"fmt"
-
-	"senkf/internal/enkf"
 	"senkf/internal/grid"
 	"senkf/internal/plan"
 )
@@ -70,25 +67,4 @@ func RunSEnKF(p Problem, pl Plan) ([][]float64, error) {
 		return nil, err
 	}
 	return ExecutePlan(p, c)
-}
-
-func flattenBlock(b *enkf.Block) []float64 {
-	pts := b.Box.Points()
-	out := make([]float64, len(b.Data)*pts)
-	for k, d := range b.Data {
-		copy(out[k*pts:(k+1)*pts], d)
-	}
-	return out
-}
-
-func unflattenBlock(box grid.Box, n int, data []float64) (*enkf.Block, error) {
-	pts := box.Points()
-	if len(data) != n*pts {
-		return nil, fmt.Errorf("core: block payload has %d values, want %d", len(data), n*pts)
-	}
-	b := enkf.NewBlock(box, n)
-	for k := 0; k < n; k++ {
-		copy(b.Data[k], data[k*pts:(k+1)*pts])
-	}
-	return b, nil
 }

@@ -302,25 +302,56 @@ func GlobalAnalysis(c Config, background [][]float64, net *obs.Network) ([][]flo
 // row-major fields over the mesh. Every mesh point must be covered exactly
 // once.
 func Assemble(m grid.Mesh, n int, blocks []*Block) ([][]float64, error) {
+	return AssembleFrom(m, n, func() (*Block, error) {
+		if len(blocks) == 0 {
+			return nil, nil
+		}
+		b := blocks[0]
+		blocks = blocks[1:]
+		return b, nil
+	})
+}
+
+// AssembleFrom is Assemble over blocks handed in one at a time: next returns
+// the next block, or nil after the last. Each block is placed row by row as
+// it arrives and not kept, so a caller receiving blocks need never hold more
+// than one beside the fields.
+func AssembleFrom(m grid.Mesh, n int, next func() (*Block, error)) ([][]float64, error) {
 	out := make([][]float64, n)
 	for k := range out {
 		out[k] = make([]float64, m.Points())
 	}
 	covered := make([]bool, m.Points())
-	for _, b := range blocks {
+	for {
+		b, err := next()
+		if err != nil {
+			return nil, err
+		}
+		if b == nil {
+			break
+		}
 		if b.Members() != n {
 			return nil, fmt.Errorf("enkf: block over %v has %d members, want %d", b.Box, b.Members(), n)
 		}
+		if b.Box.Clamp(m) != b.Box {
+			return nil, fmt.Errorf("enkf: block over %v outside the %dx%d mesh", b.Box, m.NX, m.NY)
+		}
+		w := b.Box.Width()
 		for y := b.Box.Y0; y < b.Box.Y1; y++ {
-			for x := b.Box.X0; x < b.Box.X1; x++ {
-				idx := m.Index(x, y)
-				if covered[idx] {
-					return nil, fmt.Errorf("enkf: point (%d,%d) covered twice", x, y)
+			row := covered[m.Index(b.Box.X0, y):][:w]
+			for i, c := range row {
+				if c {
+					return nil, fmt.Errorf("enkf: point (%d,%d) covered twice", b.Box.X0+i, y)
 				}
-				covered[idx] = true
-				for k := 0; k < n; k++ {
-					out[k][idx] = b.At(k, x, y)
-				}
+				row[i] = true
+			}
+		}
+		for k, member := range b.Data {
+			if len(member) != b.Box.Points() {
+				return nil, fmt.Errorf("enkf: block over %v holds %d values of member %d, want %d", b.Box, len(member), k, b.Box.Points())
+			}
+			for y := b.Box.Y0; y < b.Box.Y1; y++ {
+				copy(out[k][m.Index(b.Box.X0, y):][:w], member[(y-b.Box.Y0)*w:])
 			}
 		}
 	}

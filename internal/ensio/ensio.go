@@ -30,6 +30,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"sync"
 	"time"
 
 	"senkf/internal/grid"
@@ -449,70 +450,155 @@ func (m *MemberFile) VerifyChecksum() error {
 	})
 }
 
-// readContiguous reads count float64 values starting at value offset off
-// with a single addressing operation, applying the hook and retry policy.
-func (m *MemberFile) readContiguous(off, count int, dst []float64) error {
-	buf := make([]byte, 8*count)
+// scratch holds the raw-byte buffers reads land in before they are decoded.
+// A read borrows one per addressing operation and hands it back once the
+// values are decoded, so a run's readers share a handful of buffers instead
+// of allocating one per read. Nothing a read returns aliases a buffer.
+var scratch = sync.Pool{New: func() any { return new([]byte) }}
+
+// fetch reads the count grid points starting at point offset off — every
+// level of each — with a single addressing operation, applying the hook and
+// retry policy. The bytes land in a scratch buffer, which the caller gives
+// back with scratch.Put when it has decoded them.
+func (m *MemberFile) fetch(off, count int) (*[]byte, error) {
+	pointBytes := 8 * m.Header.LevelCount()
+	n := count * pointBytes
+	bp := scratch.Get().(*[]byte)
+	if cap(*bp) < n {
+		*bp = make([]byte, n)
+	}
+	*bp = (*bp)[:n]
 	err := m.withRetry("read", func() error {
-		if _, err := m.f.ReadAt(buf, m.dataOff+int64(8*off)); err != nil {
+		if _, err := m.f.ReadAt(*bp, m.dataOff+int64(off*pointBytes)); err != nil {
 			return fmt.Errorf("ensio: read at %d: %w", off, err)
 		}
 		return nil
 	})
 	if err != nil {
-		return err
-	}
-	for i := 0; i < count; i++ {
-		dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(buf[8*i:]))
+		scratch.Put(bp)
+		return nil, err
 	}
 	m.stats.Seeks++
 	m.stats.Reads++
-	m.stats.BytesRead += int64(8 * count)
-	return nil
+	m.stats.BytesRead += int64(n)
+	return bp, nil
 }
 
-// ReadBar reads the contiguous latitude rows [y0, y1) — the bar reading
-// approach: exactly one addressing operation regardless of the bar height.
+// decode is the one decoder of the on-disk layout. raw holds whole rows of
+// rowWidth grid points, levels values interleaved per point, little-endian;
+// columns [x0, x1) of its first rows rows go to dst[l][at:], row-major, one
+// slice per level.
+func decode(dst [][]float64, at int, raw []byte, rowWidth, x0, x1, rows int) {
+	nl, w := len(dst), x1-x0
+	for r := 0; r < rows; r++ {
+		src := raw[8*nl*(r*rowWidth+x0):][:8*nl*w]
+		for l, d := range dst {
+			d = d[at+r*w:][:w]
+			for x := range d {
+				d[x] = math.Float64frombits(binary.LittleEndian.Uint64(src[8*(x*nl+l):]))
+			}
+		}
+	}
+}
+
+// levelSlices allocates one slice of points values per level.
+func levelSlices(levels, points int) [][]float64 {
+	out := make([][]float64, levels)
+	for l := range out {
+		out[l] = make([]float64, points)
+	}
+	return out
+}
+
+// ReadBarBoxes reads the contiguous latitude rows [y0, y1) of every level
+// with a single addressing operation — the bar reading approach: one seek
+// regardless of the bar height or of how many boxes are cut from it — and
+// decodes the bar straight into one payload per box and level: out[i][l] is
+// level l over boxes[i], row-major. Every box must be non-empty and lie
+// inside the bar. The payloads are freshly allocated and the caller's.
+func (m *MemberFile) ReadBarBoxes(y0, y1 int, boxes []grid.Box) ([][][]float64, error) {
+	nx, nl := m.Header.NX, m.Header.LevelCount()
+	if y0 < 0 || y1 > m.Header.NY || y0 >= y1 {
+		return nil, fmt.Errorf("ensio: bar rows [%d,%d) out of range [0,%d)", y0, y1, m.Header.NY)
+	}
+	bar := grid.Box{X0: 0, X1: nx, Y0: y0, Y1: y1}
+	for _, b := range boxes {
+		if b.Empty() || b.Intersect(bar) != b {
+			return nil, fmt.Errorf("ensio: box %v empty or outside bar rows [%d,%d) of a %d-wide mesh", b, y0, y1, nx)
+		}
+	}
+	bp, err := m.fetch(y0*nx, bar.Points())
+	if err != nil {
+		return nil, err
+	}
+	defer scratch.Put(bp)
+	out := make([][][]float64, len(boxes))
+	for i, b := range boxes {
+		out[i] = levelSlices(nl, b.Points())
+		decode(out[i], 0, (*bp)[8*nl*nx*(b.Y0-y0):], nx, b.X0, b.X1, b.Height())
+	}
+	return out, nil
+}
+
+// ReadBarLevels reads the contiguous latitude rows [y0, y1) of every level
+// with a single addressing operation, returning one row-major slice per
+// level.
+func (m *MemberFile) ReadBarLevels(y0, y1 int) ([][]float64, error) {
+	out, err := m.ReadBarBoxes(y0, y1, []grid.Box{{X0: 0, X1: m.Header.NX, Y0: y0, Y1: y1}})
+	if err != nil {
+		return nil, err
+	}
+	return out[0], nil
+}
+
+// ReadBar is ReadBarLevels on a single-level file.
 func (m *MemberFile) ReadBar(y0, y1 int) ([]float64, error) {
 	if m.Header.LevelCount() != 1 {
 		return nil, fmt.Errorf("ensio: %d-level file needs ReadBarLevels", m.Header.LevelCount())
 	}
-	if y0 < 0 || y1 > m.Header.NY || y0 >= y1 {
-		return nil, fmt.Errorf("ensio: bar rows [%d,%d) out of range [0,%d)", y0, y1, m.Header.NY)
-	}
-	out := make([]float64, (y1-y0)*m.Header.NX)
-	if err := m.readContiguous(y0*m.Header.NX, len(out), out); err != nil {
+	out, err := m.ReadBarLevels(y0, y1)
+	if err != nil {
 		return nil, err
 	}
-	return out, nil
+	return out[0], nil
 }
 
-// ReadBlock reads the rectangle b — the block reading approach: one
-// addressing operation per latitude row of the block, because the rows of a
-// rectangle that is narrower than the mesh are not adjacent on disk.
-func (m *MemberFile) ReadBlock(b grid.Box) ([]float64, error) {
-	if m.Header.LevelCount() != 1 {
-		return nil, fmt.Errorf("ensio: %d-level file needs ReadBlockLevels", m.Header.LevelCount())
-	}
+// ReadBlockLevels reads the rectangle b of every level — the block reading
+// approach: one addressing operation per latitude row of the block, because
+// the rows of a rectangle that is narrower than the mesh are not adjacent on
+// disk (and each row is levels times heavier on a multi-level file).
+func (m *MemberFile) ReadBlockLevels(b grid.Box) ([][]float64, error) {
 	mesh := grid.Mesh{NX: m.Header.NX, NY: m.Header.NY}
 	if b.Clamp(mesh) != b || b.Empty() {
 		return nil, fmt.Errorf("ensio: block %v out of range for %dx%d", b, mesh.NX, mesh.NY)
 	}
-	out := make([]float64, b.Points())
 	if b.Width() == mesh.NX {
 		// Full-width blocks are bars: contiguous, single seek.
-		if err := m.readContiguous(b.Y0*mesh.NX, len(out), out); err != nil {
-			return nil, err
-		}
-		return out, nil
+		return m.ReadBarLevels(b.Y0, b.Y1)
 	}
+	nl, w := m.Header.LevelCount(), b.Width()
+	out := levelSlices(nl, b.Points())
 	for y := b.Y0; y < b.Y1; y++ {
-		row := out[(y-b.Y0)*b.Width() : (y-b.Y0+1)*b.Width()]
-		if err := m.readContiguous(y*mesh.NX+b.X0, b.Width(), row); err != nil {
+		bp, err := m.fetch(y*mesh.NX+b.X0, w)
+		if err != nil {
 			return nil, err
 		}
+		decode(out, (y-b.Y0)*w, *bp, w, 0, w, 1)
+		scratch.Put(bp)
 	}
 	return out, nil
+}
+
+// ReadBlock is ReadBlockLevels on a single-level file.
+func (m *MemberFile) ReadBlock(b grid.Box) ([]float64, error) {
+	if m.Header.LevelCount() != 1 {
+		return nil, fmt.Errorf("ensio: %d-level file needs ReadBlockLevels", m.Header.LevelCount())
+	}
+	out, err := m.ReadBlockLevels(b)
+	if err != nil {
+		return nil, err
+	}
+	return out[0], nil
 }
 
 // ReadAll reads the entire field with one addressing operation.

@@ -89,67 +89,3 @@ func WriteEnsembleLevels(dir string, m grid.Mesh, members [][][]float64) ([]stri
 	}
 	return paths, nil
 }
-
-// deinterleave splits an interleaved [point][level] buffer into per-level
-// slices of the given point count.
-func deinterleave(data []float64, points, levels int) [][]float64 {
-	out := make([][]float64, levels)
-	for l := range out {
-		out[l] = make([]float64, points)
-	}
-	for p := 0; p < points; p++ {
-		base := p * levels
-		for l := 0; l < levels; l++ {
-			out[l][p] = data[base+l]
-		}
-	}
-	return out
-}
-
-// ReadBarLevels reads the contiguous latitude rows [y0, y1) of every level
-// with a single addressing operation, returning one row-major slice per
-// level.
-func (m *MemberFile) ReadBarLevels(y0, y1 int) ([][]float64, error) {
-	if y0 < 0 || y1 > m.Header.NY || y0 >= y1 {
-		return nil, fmt.Errorf("ensio: bar rows [%d,%d) out of range [0,%d)", y0, y1, m.Header.NY)
-	}
-	nl := m.Header.LevelCount()
-	points := (y1 - y0) * m.Header.NX
-	raw := make([]float64, points*nl)
-	if err := m.readContiguous(y0*m.Header.NX*nl, len(raw), raw); err != nil {
-		return nil, err
-	}
-	return deinterleave(raw, points, nl), nil
-}
-
-// ReadBlockLevels reads the rectangle b of every level, one addressing
-// operation per latitude row (the block-reading penalty, now h times
-// heavier per row).
-func (m *MemberFile) ReadBlockLevels(b grid.Box) ([][]float64, error) {
-	mesh := grid.Mesh{NX: m.Header.NX, NY: m.Header.NY}
-	if b.Clamp(mesh) != b || b.Empty() {
-		return nil, fmt.Errorf("ensio: block %v out of range for %dx%d", b, mesh.NX, mesh.NY)
-	}
-	nl := m.Header.LevelCount()
-	if b.Width() == mesh.NX {
-		return m.ReadBarLevels(b.Y0, b.Y1)
-	}
-	out := make([][]float64, nl)
-	for l := range out {
-		out[l] = make([]float64, b.Points())
-	}
-	raw := make([]float64, b.Width()*nl)
-	for y := b.Y0; y < b.Y1; y++ {
-		off := (y*mesh.NX + b.X0) * nl
-		if err := m.readContiguous(off, len(raw), raw); err != nil {
-			return nil, err
-		}
-		rowBase := (y - b.Y0) * b.Width()
-		for xx := 0; xx < b.Width(); xx++ {
-			for l := 0; l < nl; l++ {
-				out[l][rowBase+xx] = raw[xx*nl+l]
-			}
-		}
-	}
-	return out, nil
-}

@@ -184,8 +184,13 @@ func (ib *inbox) take(context, src, tag int, timeout time.Duration) (envelope, i
 			if tag != AnyTag && e.Tag != tag {
 				continue
 			}
-			ib.msgs = append(ib.msgs[:i], ib.msgs[i+1:]...)
-			return e, len(ib.msgs), nil
+			// Shift the tail down and clear the vacated slot: the backing
+			// array must not keep the last envelope's payload reachable.
+			last := len(ib.msgs) - 1
+			copy(ib.msgs[i:], ib.msgs[i+1:])
+			ib.msgs[last] = envelope{}
+			ib.msgs = ib.msgs[:last]
+			return e, last, nil
 		}
 		if ib.cause != nil {
 			return envelope{}, 0, ib.cause
@@ -400,13 +405,35 @@ func opName(tag int) string {
 // are copied, so the caller may immediately reuse its buffers. Tags must be
 // non-negative.
 func (c *Comm) Send(dst, tag int, meta []int, data []float64) error {
+	if err := c.checkSend(dst, tag); err != nil {
+		return err
+	}
+	c.send(dst, tag, meta, data)
+	return nil
+}
+
+// SendOwned is Send with the payload handed over instead of copied: the
+// receiver's Message.Data is data itself, so the caller must not read or
+// write data after the call. It is for a payload built for exactly one
+// receiver and dropped by its sender; a buffer the sender keeps or reuses
+// needs Send. Meta is still copied. Validation, CommStats, tracing and the
+// message observer see the same message either way.
+func (c *Comm) SendOwned(dst, tag int, meta []int, data []float64) error {
+	if err := c.checkSend(dst, tag); err != nil {
+		return err
+	}
+	c.deliver(dst, tag, append([]int(nil), meta...), data)
+	return nil
+}
+
+// checkSend validates a user-level send's destination and tag.
+func (c *Comm) checkSend(dst, tag int) error {
 	if dst < 0 || dst >= len(c.group) {
 		return fmt.Errorf("mpi: send to rank %d out of range [0,%d)", dst, len(c.group))
 	}
 	if tag < 0 {
 		return fmt.Errorf("mpi: negative tag %d", tag)
 	}
-	c.send(dst, tag, meta, data)
 	return nil
 }
 
@@ -416,11 +443,8 @@ func (c *Comm) Send(dst, tag int, meta []int, data []float64) error {
 // *RankFailedError instead of silently feeding a dead peer. The timeout
 // parameter is accepted for interface symmetry with RecvDeadline.
 func (c *Comm) SendDeadline(dst, tag int, meta []int, data []float64, timeout time.Duration) error {
-	if dst < 0 || dst >= len(c.group) {
-		return fmt.Errorf("mpi: send to rank %d out of range [0,%d)", dst, len(c.group))
-	}
-	if tag < 0 {
-		return fmt.Errorf("mpi: negative tag %d", tag)
+	if err := c.checkSend(dst, tag); err != nil {
+		return err
 	}
 	if cause := c.world.inboxes[c.group[dst]].aborted(); cause != nil {
 		return cause
@@ -429,20 +453,21 @@ func (c *Comm) SendDeadline(dst, tag int, meta []int, data []float64, timeout ti
 	return nil
 }
 
+// send delivers copies of meta and data, leaving the caller its buffers.
 func (c *Comm) send(dst, tag int, meta []int, data []float64) {
+	c.deliver(dst, tag, append([]int(nil), meta...), append([]float64(nil), data...))
+}
+
+// deliver enqueues the message at dst and accounts for it. The envelope
+// keeps meta and data themselves: both belong to the receiver from here on.
+func (c *Comm) deliver(dst, tag int, meta []int, data []float64) {
 	e := envelope{
 		context:  c.context,
 		worldSrc: c.group[c.rank],
-		Message:  Message{Src: c.rank, Tag: tag},
+		Message:  Message{Src: c.rank, Tag: tag, Meta: meta, Data: data},
 	}
 	if c.world.msgObs != nil {
 		e.sentAt = c.world.now()
-	}
-	if meta != nil {
-		e.Meta = append([]int(nil), meta...)
-	}
-	if data != nil {
-		e.Data = append([]float64(nil), data...)
 	}
 	c.world.inboxes[c.group[dst]].put(e)
 	bytes := msgBytes(meta, data)

@@ -60,10 +60,13 @@ func sortObs(obs []Observation) {
 	})
 }
 
-// NewNetwork validates observation coordinates and returns a network.
+// NewNetwork validates the observations — support on the mesh, offsets in
+// [0,1), a positive finite variance, a finite value — and returns a network.
+// Every comparison is written to fail on NaN.
 func NewNetwork(m grid.Mesh, obs []Observation) (*Network, error) {
+	inCell := func(off float64) bool { return off >= 0 && off < 1 }
 	for i, o := range obs {
-		if o.OffsetX < 0 || o.OffsetX >= 1 || o.OffsetY < 0 || o.OffsetY >= 1 {
+		if !inCell(o.OffsetX) || !inCell(o.OffsetY) {
 			return nil, fmt.Errorf("obs: observation %d has offsets (%g,%g) outside [0,1)", i, o.OffsetX, o.OffsetY)
 		}
 		for _, s := range o.Support() {
@@ -71,8 +74,11 @@ func NewNetwork(m grid.Mesh, obs []Observation) (*Network, error) {
 				return nil, fmt.Errorf("obs: observation %d support point (%d,%d) outside %dx%d mesh", i, s.X, s.Y, m.NX, m.NY)
 			}
 		}
-		if o.Variance <= 0 {
-			return nil, fmt.Errorf("obs: observation %d has non-positive variance %g", i, o.Variance)
+		if !(o.Variance > 0) || math.IsInf(o.Variance, 1) {
+			return nil, fmt.Errorf("obs: observation %d has non-positive or non-finite variance %g", i, o.Variance)
+		}
+		if math.IsNaN(o.Value) || math.IsInf(o.Value, 0) {
+			return nil, fmt.Errorf("obs: observation %d has non-finite value %g", i, o.Value)
 		}
 	}
 	cp := make([]Observation, len(obs))

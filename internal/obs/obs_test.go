@@ -2,6 +2,7 @@ package obs
 
 import (
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -27,11 +28,35 @@ func flatTruth(m grid.Mesh, v float64) []float64 {
 
 func TestNewNetworkValidation(t *testing.T) {
 	m := testMesh(t, 4, 4)
-	if _, err := NewNetwork(m, []Observation{{X: 4, Y: 0, Variance: 1}}); err == nil {
-		t.Error("expected out-of-mesh error")
+	nan, inf := math.NaN(), math.Inf(1)
+	good := Observation{X: 1, Y: 1, OffsetX: 0.5, Value: 2, Variance: 1}
+	for _, tc := range []struct {
+		name string
+		bad  Observation
+		want string // what the error must mention besides the observation index
+	}{
+		{"out of mesh", Observation{X: 4, Y: 0, Variance: 1}, "outside 4x4 mesh"},
+		{"zero variance", Observation{X: 0, Y: 0, Variance: 0}, "variance"},
+		{"negative variance", Observation{X: 0, Y: 0, Variance: -1}, "variance"},
+		{"NaN offset x", Observation{X: 1, Y: 1, OffsetX: nan, Variance: 1}, "offsets"},
+		{"NaN offset y", Observation{X: 1, Y: 1, OffsetY: nan, Variance: 1}, "offsets"},
+		{"NaN variance", Observation{X: 1, Y: 1, Variance: nan}, "variance"},
+		{"infinite variance", Observation{X: 1, Y: 1, Variance: inf}, "variance"},
+		{"NaN value", Observation{X: 1, Y: 1, Value: nan, Variance: 1}, "value"},
+		{"infinite value", Observation{X: 1, Y: 1, Value: -inf, Variance: 1}, "value"},
+	} {
+		// The bad observation goes second, so the error must name index 1.
+		_, err := NewNetwork(m, []Observation{good, tc.bad})
+		if err == nil {
+			t.Errorf("%s: accepted", tc.name)
+			continue
+		}
+		if msg := err.Error(); !strings.Contains(msg, "observation 1 ") || !strings.Contains(msg, tc.want) {
+			t.Errorf("%s: error %q does not name observation 1 and %q", tc.name, msg, tc.want)
+		}
 	}
-	if _, err := NewNetwork(m, []Observation{{X: 0, Y: 0, Variance: 0}}); err == nil {
-		t.Error("expected non-positive variance error")
+	if _, err := NewNetwork(m, []Observation{good}); err != nil {
+		t.Errorf("valid observation rejected: %v", err)
 	}
 }
 
