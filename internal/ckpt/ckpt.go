@@ -13,8 +13,10 @@
 // Crash-consistency protocol. A checkpoint is staged into a hidden temp
 // directory inside the checkpoint root: every field is written as an
 // ensio member file (format v2, CRC-64 payload checksums, staged +
-// fsynced + renamed per file), then a MANIFEST.json naming every file by
-// SHA-256 and guarded by its own CRC-64 is written last and fsynced, the
+// fsynced + renamed per file, a few files in flight at a time so their
+// fsyncs share journal commits), then — only once every file is durable —
+// a MANIFEST.json naming every file by the SHA-256 of the image that was
+// written and guarded by its own CRC-64 is written last and fsynced, the
 // staged directories are fsynced, and the stage is atomically renamed to
 // its final ckpt-<cycle> name (parent directory fsynced). A crash at any
 // point leaves either a complete, verifiable checkpoint or an ignorable
@@ -263,51 +265,45 @@ func Write(dir string, m grid.Mesh, st State) (string, error) {
 		man.ConfigDigest = DigestConfig(st.Config)
 	}
 
-	// Stage every field as an ensio member file (each one staged, synced
-	// and renamed on its own), then hash it into the manifest. Multilevel
-	// fields arrive level-major and land level-interleaved (the engine's
-	// on-disk layout).
-	write := func(rel string, member int, field []float64) error {
-		path := filepath.Join(stage, filepath.FromSlash(rel))
-		hdr := ensio.Header{NX: m.NX, NY: m.NY, Member: member}
-		if lv == 1 {
-			if err := ensio.WriteMember(path, hdr, field); err != nil {
-				return err
-			}
-		} else {
-			pts := m.Points()
-			levels := make([][]float64, lv)
-			for l := range levels {
-				levels[l] = field[l*pts : (l+1)*pts]
-			}
-			if err := ensio.WriteMemberLevels(path, hdr, levels); err != nil {
-				return err
-			}
-		}
-		data, err := os.ReadFile(path)
-		if err != nil {
-			return err
-		}
-		man.Files[rel] = fileHash(data)
-		return nil
-	}
+	// Stage every field as an ensio member file — each one staged, synced
+	// and renamed on its own, a few in flight at a time — and hash each from
+	// the image ensio is about to write: the bytes hashed are the bytes
+	// written, without reading the file back. Multilevel fields arrive
+	// level-major and land level-interleaved (the engine's on-disk layout).
 	for _, sub := range []string{ensembleDir, freeDir} {
 		if err := os.Mkdir(filepath.Join(stage, sub), 0o755); err != nil {
 			return "", fmt.Errorf("ckpt: %w", err)
 		}
 	}
-	if err := write(truthFile, 0, st.Truth); err != nil {
-		return "", fmt.Errorf("ckpt: truth: %w", err)
+	type stagedFile struct {
+		rel    string
+		member int
+		field  []float64
+		hash   string
 	}
+	files := make([]stagedFile, 0, 1+2*len(st.Ensemble))
+	files = append(files, stagedFile{rel: truthFile, field: st.Truth})
 	for k, f := range st.Ensemble {
-		if err := write(ensembleDir+"/"+memberName(k), k, f); err != nil {
-			return "", fmt.Errorf("ckpt: member %d: %w", k, err)
-		}
+		files = append(files, stagedFile{rel: ensembleDir + "/" + memberName(k), member: k, field: f})
 	}
 	for k, f := range st.Free {
-		if err := write(freeDir+"/"+memberName(k), k, f); err != nil {
-			return "", fmt.Errorf("ckpt: free member %d: %w", k, err)
+		files = append(files, stagedFile{rel: freeDir + "/" + memberName(k), member: k, field: f})
+	}
+	pts := m.Points()
+	err = ensio.WriteBatch(len(files), func(i int) (string, ensio.Header, [][]float64) {
+		f := files[i]
+		levels := make([][]float64, lv)
+		for l := range levels {
+			levels[l] = f.field[l*pts : (l+1)*pts]
 		}
+		return filepath.Join(stage, filepath.FromSlash(f.rel)), ensio.Header{NX: m.NX, NY: m.NY, Member: f.member}, levels
+	}, func(i int, image []byte) { files[i].hash = fileHash(image) })
+	if err != nil {
+		return "", fmt.Errorf("ckpt: %w", err)
+	}
+	// Every file is durable; only now does the manifest name them.
+	for _, f := range files {
+		man.Files[f.rel] = f.hash
 	}
 
 	// Manifest last, CRC-guarded, fsynced.

@@ -11,6 +11,7 @@ package cycle
 import (
 	"fmt"
 	"math"
+	"runtime"
 
 	"senkf/internal/baseline"
 	"senkf/internal/core"
@@ -20,6 +21,7 @@ import (
 	"senkf/internal/metrics"
 	"senkf/internal/model"
 	"senkf/internal/obs"
+	"senkf/internal/par"
 	"senkf/internal/runtimeobs"
 	"senkf/internal/trace"
 	"senkf/internal/workload"
@@ -259,14 +261,18 @@ func RunFrom(c Config, st State, totalCycles int, analyze Analyzer, onCycle func
 // addModelError perturbs every member with a deterministic realization of
 // spatially correlated (smooth) stochastic model error, keyed by
 // (seed, cycle, ensemble id, member). Smoothness matters: only correlated
-// background errors can be corrected at unobserved points.
+// background errors can be corrected at unobserved points. Each member's
+// realization depends on its key alone, so the members are perturbed on up
+// to GOMAXPROCS goroutines with the result a serial loop gives.
 func addModelError(m grid.Mesh, fields [][]float64, sd float64, seed uint64, cycleIdx, which int) {
-	for k := range fields {
+	// The work function cannot fail, so neither can Do.
+	_ = par.Do(len(fields), runtime.GOMAXPROCS(0), func(_, k int) error {
 		noise := workload.SmoothNoise(m, sd, seed, 0x30DE1, cycleIdx, which, k)
 		for i := range fields[k] {
 			fields[k][i] += noise[i]
 		}
-	}
+		return nil
+	})
 }
 
 // SerialAnalyzer runs the serial reference analysis.

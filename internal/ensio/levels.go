@@ -1,14 +1,6 @@
 package ensio
 
-import (
-	"encoding/binary"
-	"fmt"
-	"hash/crc64"
-	"math"
-	"os"
-
-	"senkf/internal/grid"
-)
+import "senkf/internal/grid"
 
 // Multi-level member files realise the paper's 3-D states: the §5.1
 // configuration has 30 vertical levels, giving the Table-1 per-grid-point
@@ -19,8 +11,8 @@ import (
 // exploits (the block reading approach keeps paying one seek per row, each
 // row now h times larger).
 //
-// The header's reserved field stores the level count; 0 (files written by
-// WriteMember) means 1 level, so single-level files remain valid.
+// The header's reserved field stores the level count; a stored 0 reads as 1
+// level, so files from before the field was used remain valid.
 
 // LevelCount returns the number of vertical levels (≥ 1).
 func (h Header) LevelCount() int {
@@ -31,61 +23,31 @@ func (h Header) LevelCount() int {
 }
 
 // WriteMemberLevels writes a multi-level member: levels[l] is the row-major
-// n_y × n_x field of vertical level l. The header's Levels field is set
-// from len(levels).
+// n_y × n_x field of vertical level l. The header's level count is
+// len(levels). Staged and renamed like WriteMember: a crash mid-write never
+// leaves a torn multi-level member behind a valid path.
 func WriteMemberLevels(path string, h Header, levels [][]float64) error {
-	if h.NX <= 0 || h.NY <= 0 {
-		return fmt.Errorf("ensio: invalid dimensions %dx%d", h.NX, h.NY)
+	image, err := encodeMember(h, levels)
+	if err != nil {
+		return err
 	}
-	if len(levels) == 0 {
-		return fmt.Errorf("ensio: no levels")
-	}
-	for l, f := range levels {
-		if len(f) != h.NX*h.NY {
-			return fmt.Errorf("ensio: level %d has %d points, header says %d", l, len(f), h.NX*h.NY)
-		}
-	}
-	h.Levels = len(levels)
-	// Staged and renamed like WriteMember: a crash mid-write never leaves
-	// a torn multi-level member behind a valid path.
-	return atomicCreate(path, func(f *os.File) error {
-		if _, err := f.Write(putHeader(h, h.Levels, 0)); err != nil {
-			return fmt.Errorf("ensio: write header: %w", err)
-		}
-		crc := crc64.New(crcTable)
-		nl := h.Levels
-		buf := make([]byte, 8*h.NX*nl)
-		for y := 0; y < h.NY; y++ {
-			for x := 0; x < h.NX; x++ {
-				for l := 0; l < nl; l++ {
-					v := levels[l][y*h.NX+x]
-					binary.LittleEndian.PutUint64(buf[8*(x*nl+l):], math.Float64bits(v))
-				}
-			}
-			crc.Write(buf)
-			if _, err := f.Write(buf); err != nil {
-				return fmt.Errorf("ensio: write row %d: %w", y, err)
-			}
-		}
-		var sum [8]byte
-		binary.LittleEndian.PutUint64(sum[:], crc.Sum64())
-		if _, err := f.WriteAt(sum[:], checksumOffset); err != nil {
-			return fmt.Errorf("ensio: write checksum: %w", err)
-		}
-		return nil
-	})
+	defer scratch.Put(image)
+	return atomicCreate(path, *image)
 }
 
 // WriteEnsembleLevels writes a multi-level ensemble: members[k][l] is
-// member k's level-l field.
+// member k's level-l field. Like WriteEnsemble it returns the paths, or no
+// paths and the error of the lowest failing member.
 func WriteEnsembleLevels(dir string, m grid.Mesh, members [][][]float64) ([]string, error) {
 	paths := make([]string, len(members))
-	for k, levels := range members {
-		p := MemberPath(dir, k)
-		if err := WriteMemberLevels(p, Header{NX: m.NX, NY: m.NY, Member: k}, levels); err != nil {
-			return nil, fmt.Errorf("ensio: member %d: %w", k, err)
-		}
-		paths[k] = p
+	for k := range paths {
+		paths[k] = MemberPath(dir, k)
+	}
+	err := WriteBatch(len(members), func(k int) (string, Header, [][]float64) {
+		return paths[k], Header{NX: m.NX, NY: m.NY, Member: k}, members[k]
+	}, nil)
+	if err != nil {
+		return nil, err
 	}
 	return paths, nil
 }

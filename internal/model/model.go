@@ -18,22 +18,23 @@ package model
 import (
 	"fmt"
 	"math"
+	"runtime"
 
 	"senkf/internal/grid"
+	"senkf/internal/par"
 )
 
 // AdvectionDiffusion is the forward model. Velocities are in grid cells
-// per unit time; ν is the diffusivity in cells² per unit time.
+// per unit time; ν is the diffusivity in cells² per unit time. A model holds
+// parameters only — every method takes its buffers from the caller or
+// allocates them per call — so one instance may be used from any number of
+// goroutines at once.
 type AdvectionDiffusion struct {
 	Mesh grid.Mesh
 	CX   float64 // zonal velocity
 	CY   float64 // meridional velocity
 	Nu   float64 // diffusivity
 	Dt   float64 // time step
-
-	// scratch buffer reused across steps (one per model instance; Step is
-	// not safe for concurrent use on the same instance).
-	scratch []float64
 }
 
 // New validates the parameters against the explicit scheme's stability
@@ -71,80 +72,107 @@ func (a *AdvectionDiffusion) Step(dst, src []float64) ([]float64, error) {
 		return nil, fmt.Errorf("model: dst has %d points, mesh has %d", len(dst), n)
 	}
 	nx, ny := a.Mesh.NX, a.Mesh.NY
-	dt := a.Dt
 	for y := 0; y < ny; y++ {
-		ym := (y - 1 + ny) % ny
-		yp := (y + 1) % ny
-		for x := 0; x < nx; x++ {
-			xm := (x - 1 + nx) % nx
-			xp := (x + 1) % nx
-			c := src[y*nx+x]
-			w := src[y*nx+xm]
-			e := src[y*nx+xp]
-			s := src[ym*nx+x]
-			nn := src[yp*nx+x]
-
-			v := c
-			// Upwind advection.
-			if a.CX >= 0 {
-				v -= a.CX * dt * (c - w)
-			} else {
-				v -= a.CX * dt * (e - c)
-			}
-			if a.CY >= 0 {
-				v -= a.CY * dt * (c - s)
-			} else {
-				v -= a.CY * dt * (nn - c)
-			}
-			// Explicit diffusion.
-			if a.Nu > 0 {
-				v += a.Nu * dt * (w + e + s + nn - 4*c)
-			}
-			dst[y*nx+x] = v
+		// The periodic wrap is resolved once per row (the three row slices)
+		// and once per edge column; interior points index their neighbours
+		// directly.
+		ym, yp := y-1, y+1
+		if ym < 0 {
+			ym = ny - 1
+		}
+		if yp == ny {
+			yp = 0
+		}
+		row := src[y*nx:][:nx]
+		south := src[ym*nx:][:nx]
+		north := src[yp*nx:][:nx]
+		out := dst[y*nx:][:nx]
+		last := nx - 1
+		out[0] = a.point(row[0], row[last], row[1%nx], south[0], north[0])
+		for x := 1; x < last; x++ {
+			out[x] = a.point(row[x], row[x-1], row[x+1], south[x], north[x])
+		}
+		if last > 0 {
+			out[last] = a.point(row[last], row[last-1], row[0], south[last], north[last])
 		}
 	}
 	return dst, nil
 }
 
+// point advances one grid point: c is its value, w/e/s/n its west, east,
+// south (y−1) and north (y+1) neighbours.
+func (a *AdvectionDiffusion) point(c, w, e, s, n float64) float64 {
+	// Upwind advection: the difference is taken against the flow.
+	dx, dy := c-w, c-s
+	if a.CX < 0 {
+		dx = e - c
+	}
+	if a.CY < 0 {
+		dy = n - c
+	}
+	v := c - a.CX*a.Dt*dx - a.CY*a.Dt*dy
+	// Explicit diffusion.
+	if a.Nu > 0 {
+		v += a.Nu * a.Dt * (w + e + s + n - 4*c)
+	}
+	return v
+}
+
 // Run advances a copy of the field by the given number of steps and returns
 // it; the input is not modified.
 func (a *AdvectionDiffusion) Run(field []float64, steps int) ([]float64, error) {
+	var scratch []float64
+	if steps > 1 {
+		scratch = make([]float64, a.Mesh.Points())
+	}
+	return a.run(field, scratch, steps)
+}
+
+// run is Run with the second buffer of the step ping-pong supplied by the
+// caller (one mesh of values, needed only for steps > 1; its contents are
+// scratch). The first step reads the input itself and the two buffers
+// alternate so that the last step lands in the freshly allocated result: no
+// copy in, no copy out.
+func (a *AdvectionDiffusion) run(field, scratch []float64, steps int) ([]float64, error) {
 	if steps < 0 {
 		return nil, fmt.Errorf("model: negative step count %d", steps)
 	}
-	cur := append([]float64(nil), field...)
 	if steps == 0 {
-		return cur, nil
+		return append([]float64(nil), field...), nil
 	}
-	if a.scratch == nil || len(a.scratch) != len(field) {
-		a.scratch = make([]float64, len(field))
-	}
-	next := a.scratch
+	out := make([]float64, len(field))
+	buf := [2][]float64{out, scratch}
+	cur := field
 	for s := 0; s < steps; s++ {
-		out, err := a.Step(next, cur)
-		if err != nil {
+		dst := buf[(steps-1-s)%2] // the last step writes buf[0], the result
+		if _, err := a.Step(dst, cur); err != nil {
 			return nil, err
 		}
-		cur, next = out, cur
+		cur = dst
 	}
-	// cur may alias the scratch buffer; detach before returning.
-	if &cur[0] == &a.scratch[0] {
-		out := append([]float64(nil), cur...)
-		a.scratch = next
-		return out, nil
-	}
-	return cur, nil
+	return out, nil
 }
 
-// RunEnsemble advances every member independently.
+// RunEnsemble advances every member independently, on up to GOMAXPROCS
+// goroutines. Members share nothing, so the result is bit-identical for any
+// worker count; on failure the error is that of the lowest failing member.
 func (a *AdvectionDiffusion) RunEnsemble(fields [][]float64, steps int) ([][]float64, error) {
 	out := make([][]float64, len(fields))
-	for k, f := range fields {
-		adv, err := a.Run(f, steps)
+	workers := runtime.GOMAXPROCS(0)
+	scratch := make([][]float64, workers) // one ping-pong buffer per worker, on first use
+	err := par.Do(len(fields), workers, func(w, k int) error {
+		if steps > 1 && scratch[w] == nil {
+			scratch[w] = make([]float64, a.Mesh.Points())
+		}
+		adv, err := a.run(fields[k], scratch[w], steps)
 		if err != nil {
-			return nil, fmt.Errorf("model: member %d: %w", k, err)
+			return fmt.Errorf("model: member %d: %w", k, err)
 		}
 		out[k] = adv
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return out, nil
 }

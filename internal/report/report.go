@@ -112,10 +112,10 @@ type Report struct {
 	Schema  int     `json:"schema"`
 	Runtime float64 `json:"runtime"` // last span end (virtual or wall seconds)
 
-	IOTracks      int                `json:"io_tracks"`
-	ComputeTracks int                `json:"compute_tracks"`
-	IOMean        metrics.Breakdown  `json:"io_mean"`      // mean per I/O processor
-	ComputeMean   metrics.Breakdown  `json:"compute_mean"` // mean per compute processor
+	IOTracks      int               `json:"io_tracks"`
+	ComputeTracks int               `json:"compute_tracks"`
+	IOMean        metrics.Breakdown `json:"io_mean"`      // mean per I/O processor
+	ComputeMean   metrics.Breakdown `json:"compute_mean"` // mean per compute processor
 
 	// Figure 11 accounting, recomputed from the trace.
 	OverlapFraction        float64 `json:"overlap_fraction"`

@@ -18,16 +18,16 @@ import (
 
 // Registry names of the baseline gauges.
 const (
-	RegGoGoroutines  = "go/goroutines"
-	RegGoThreads     = "go/threads"
-	RegGoHeapAlloc   = "go/heap_alloc_bytes"
-	RegGoHeapInuse   = "go/heap_inuse_bytes"
-	RegGoTotalAlloc  = "go/alloc_bytes_total"
-	RegGoGCCycles    = "go/gc_cycles_total"
-	RegGoGCPauseTot  = "go/gc_pause_seconds_total"
-	RegProcCPU       = "process/cpu_seconds_total"
-	RegProcRSS       = "process/resident_memory_bytes"
-	RegProcVSize     = "process/virtual_memory_bytes"
+	RegGoGoroutines = "go/goroutines"
+	RegGoThreads    = "go/threads"
+	RegGoHeapAlloc  = "go/heap_alloc_bytes"
+	RegGoHeapInuse  = "go/heap_inuse_bytes"
+	RegGoTotalAlloc = "go/alloc_bytes_total"
+	RegGoGCCycles   = "go/gc_cycles_total"
+	RegGoGCPauseTot = "go/gc_pause_seconds_total"
+	RegProcCPU      = "process/cpu_seconds_total"
+	RegProcRSS      = "process/resident_memory_bytes"
+	RegProcVSize    = "process/virtual_memory_bytes"
 )
 
 // CollectBaseline refreshes the baseline runtime gauges on reg. Nil-safe.

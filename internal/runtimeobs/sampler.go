@@ -26,13 +26,13 @@ const SampleEventName = "sample"
 // drive its runtime watchdogs, so they are shared constants rather than
 // literals in two packages.
 const (
-	ArgGoroutines = "goroutines"        // current goroutine count
-	ArgHeapLive   = "heap_live_bytes"   // live heap at last GC mark
-	ArgHeapInuse  = "heap_inuse_bytes"  // heap spans in use right now
-	ArgHeapGoal   = "heap_goal_bytes"   // pacer's next-GC goal
-	ArgGCCycles   = "gc_cycles"         // completed GC cycles since start
-	ArgGCPause    = "gc_pause_max_s"    // longest stop-the-world pause this tick
-	ArgSchedLat   = "sched_lat_max_s"   // longest goroutine sched latency this tick
+	ArgGoroutines = "goroutines"       // current goroutine count
+	ArgHeapLive   = "heap_live_bytes"  // live heap at last GC mark
+	ArgHeapInuse  = "heap_inuse_bytes" // heap spans in use right now
+	ArgHeapGoal   = "heap_goal_bytes"  // pacer's next-GC goal
+	ArgGCCycles   = "gc_cycles"        // completed GC cycles since start
+	ArgGCPause    = "gc_pause_max_s"   // longest stop-the-world pause this tick
+	ArgSchedLat   = "sched_lat_max_s"  // longest goroutine sched latency this tick
 )
 
 // runtime/metrics names the sampler reads. Read defensively: the set is
