@@ -21,6 +21,7 @@ import (
 	"fmt"
 	"math"
 	"os"
+	"slices"
 	"time"
 
 	"senkf/internal/enkf"
@@ -280,35 +281,26 @@ func agreeMembership(comm *mpi.Comm, codes []float64) (*membership, error) {
 }
 
 // adopt is seam 3: the dead bar rows of r's group that r serves at stage l
-// besides its own — those whose cyclic successor among the live readers it
-// is, an assignment every live reader derives identically from the plan —
-// and whether r itself is still alive.
+// besides its own — faults.Adopt's assignment, which every live reader derives
+// identically from the plan — and whether r itself is still alive.
 func (rc *recovery) adopt(p plan.Problem, c *plan.Compiled, r plan.IORank, l int, t0 time.Time) (rows []int, alive bool) {
 	if rc == nil || rc.Faults == nil {
 		return nil, true
 	}
-	fp, g, nsdy := rc.Faults, r.Group, c.Spec.Dec.NSdy
-	dead := func(j int) bool { return fp.DeadBeforeStage(g, j, l) }
-	if dead(r.Row) {
+	// The predicate is stage-only: there is no virtual clock here for a
+	// time-based death to trigger on.
+	dead := func(row, l int) bool { return rc.Faults.DeadBeforeStage(r.Group, row, l) }
+	rows, fresh, alive := faults.Adopt(r.Row, c.Spec.Dec.NSdy, l, dead)
+	if !alive {
 		p.Tr.Counters().Inc("faults.rank.deaths")
 		p.Tr.Instant(r.Name, trace.CatFault, "rank-death", time.Since(t0).Seconds(),
 			trace.Arg{Key: trace.ArgStage, Val: float64(l)})
 		return nil, false
 	}
-	for j := 0; j < nsdy; j++ {
-		if !dead(j) {
-			continue
-		}
-		if s, ok := faults.Successor(j, nsdy, dead); !ok || s != r.Row {
-			continue
-		}
-		rows = append(rows, j)
-		if l == 0 || !fp.DeadBeforeStage(g, j, l-1) {
-			// First stage this row is adopted.
-			p.Tr.Counters().Inc("faults.failovers")
-			p.Tr.Instant(r.Name, trace.CatFault, "failover", time.Since(t0).Seconds(),
-				trace.Arg{Key: "row", Val: float64(j)}, trace.Arg{Key: trace.ArgStage, Val: float64(l)})
-		}
+	for _, row := range fresh {
+		p.Tr.Counters().Inc("faults.failovers")
+		p.Tr.Instant(r.Name, trace.CatFault, "failover", time.Since(t0).Seconds(),
+			trace.Arg{Key: "row", Val: float64(row)}, trace.Arg{Key: trace.ArgStage, Val: float64(l)})
 	}
 	return rows, true
 }
@@ -331,16 +323,18 @@ func effectiveConfig(cfg enkf.Config, effN int) enkf.Config {
 }
 
 // planFailovers derives the result's failover records from the fault plan:
-// each death's row goes to the reader adopt assigns it to.
+// each death's row goes to the reader that adopts it fresh at that stage.
 func planFailovers(fp *faults.Plan, nsdy int) []Failover {
 	if fp == nil {
 		return nil
 	}
 	var out []Failover
 	for _, d := range fp.Deaths {
-		dead := func(jj int) bool { return fp.DeadBeforeStage(d.Group, jj, d.BeforeStage) }
-		if s, ok := faults.Successor(d.Reader, nsdy, dead); ok {
-			out = append(out, Failover{Group: d.Group, FromReader: d.Reader, ToReader: s, Stage: d.BeforeStage})
+		dead := func(row, l int) bool { return fp.DeadBeforeStage(d.Group, row, l) }
+		for to := 0; to < nsdy; to++ {
+			if _, fresh, _ := faults.Adopt(to, nsdy, d.BeforeStage, dead); slices.Contains(fresh, d.Reader) {
+				out = append(out, Failover{Group: d.Group, FromReader: d.Reader, ToReader: to, Stage: d.BeforeStage})
+			}
 		}
 	}
 	return out

@@ -255,17 +255,36 @@ func (pl *Plan) DeadBeforeStage(g, j, l int) bool {
 	return l >= d.BeforeStage
 }
 
-// Successor returns the reader that takes over row j's bar within group g
-// given the dead set: the next live reader cyclically after j. The second
-// return is false when the whole group is dead.
-func Successor(j, nsdy int, dead func(j int) bool) (int, bool) {
-	for step := 1; step <= nsdy; step++ {
-		cand := (j + step) % nsdy
-		if !dead(cand) {
-			return cand, true
+// Adopt is the failover assignment of one reader at one stage, the decision
+// both substrates share: the dead rows reader j of a group of n serves at
+// stage l besides its own, ascending — a dead row goes to the next live
+// reader cyclically after it — the ones among them that are fresh (dead at l
+// but not at l−1: the one stage a failover is announced and counted), and
+// whether j itself is alive; a dead reader serves nothing. dead(row, stage),
+// the group's death predicate — stage-only on the real engine, stage and
+// virtual time on the simulator — is the only input, so every live reader
+// derives the same assignment alone.
+func Adopt(j, n, l int, dead func(row, stage int) bool) (rows, fresh []int, alive bool) {
+	if dead(j, l) {
+		return nil, nil, false
+	}
+	for row := 0; row < n; row++ {
+		if !dead(row, l) {
+			continue
+		}
+		successor := (row + 1) % n
+		for dead(successor, l) { // ends: j is alive
+			successor = (successor + 1) % n
+		}
+		if successor != j {
+			continue
+		}
+		rows = append(rows, row)
+		if l == 0 || !dead(row, l-1) {
+			fresh = append(fresh, row)
 		}
 	}
-	return 0, false
+	return rows, fresh, true
 }
 
 // Validate checks the plan against an S-EnKF geometry: ncg groups of nsdy

@@ -79,16 +79,79 @@ func TestDeathPredicates(t *testing.T) {
 	}
 }
 
-func TestSuccessor(t *testing.T) {
-	dead := func(j int) bool { return j == 1 || j == 2 }
-	if s, ok := Successor(1, 4, dead); !ok || s != 3 {
-		t.Errorf("successor of 1 = %d, %v", s, ok)
+// TestAdopt pins the failover assignment both substrates derive: per stage,
+// which reader serves which dead rows, and that a row is fresh at exactly one
+// stage — the one its failover is announced at.
+func TestAdopt(t *testing.T) {
+	const n, stages = 4, 4
+	// diesBefore[row] is the first stage the row is dead at (9: never).
+	cases := []struct {
+		name       string
+		diesBefore [n]int
+		// serves[l][j] lists the rows reader j adopts at stage l (nil: none);
+		// a dead reader is marked by the single entry −1.
+		serves [stages][n][]int
+	}{
+		{name: "no deaths", diesBefore: [n]int{9, 9, 9, 9}},
+		{
+			name:       "one death",
+			diesBefore: [n]int{9, 2, 9, 9},
+			serves: [stages][n][]int{
+				2: {nil, {-1}, {1}, nil},
+				3: {nil, {-1}, {1}, nil},
+			},
+		},
+		{
+			// Rows 2 and 3 die one stage apart: row 2 goes to reader 3 first,
+			// then both wrap past row n−1 to reader 0.
+			name:       "adjacent deaths wrap",
+			diesBefore: [n]int{9, 9, 1, 2},
+			serves: [stages][n][]int{
+				1: {nil, nil, {-1}, {2}},
+				2: {{2, 3}, nil, {-1}, {-1}},
+				3: {{2, 3}, nil, {-1}, {-1}},
+			},
+		},
+		{
+			name:       "whole group dead",
+			diesBefore: [n]int{0, 0, 0, 0},
+			serves: [stages][n][]int{
+				{{-1}, {-1}, {-1}, {-1}}, {{-1}, {-1}, {-1}, {-1}},
+				{{-1}, {-1}, {-1}, {-1}}, {{-1}, {-1}, {-1}, {-1}},
+			},
+		},
 	}
-	if s, ok := Successor(2, 4, dead); !ok || s != 3 {
-		t.Errorf("successor of 2 = %d, %v", s, ok)
-	}
-	if _, ok := Successor(0, 2, func(int) bool { return true }); ok {
-		t.Error("successor found in a fully dead group")
+	for _, c := range cases {
+		dead := func(row, l int) bool { return l >= c.diesBefore[row] }
+		freshAt := map[int][]int{} // row → stages it was reported fresh at
+		for l := 0; l < stages; l++ {
+			for j := 0; j < n; j++ {
+				rows, fresh, alive := Adopt(j, n, l, dead)
+				want := c.serves[l][j]
+				if wantDead := len(want) == 1 && want[0] == -1; wantDead || !alive {
+					if alive || !wantDead || rows != nil || fresh != nil {
+						t.Errorf("%s: stage %d reader %d: alive=%v rows=%v fresh=%v, want dead=%v", c.name, l, j, alive, rows, fresh, wantDead)
+					}
+					continue
+				}
+				if !reflect.DeepEqual(rows, want) {
+					t.Errorf("%s: stage %d reader %d adopts %v, want %v", c.name, l, j, rows, want)
+				}
+				for _, row := range fresh {
+					freshAt[row] = append(freshAt[row], l)
+				}
+			}
+		}
+		for row, first := range c.diesBefore {
+			// A row is adopted iff it dies in range while a reader outlives it.
+			adoptable := false
+			for _, other := range c.diesBefore {
+				adoptable = adoptable || (first < stages && other > first)
+			}
+			if got := freshAt[row]; adoptable != (len(got) == 1) || (adoptable && got[0] != first) {
+				t.Errorf("%s: row %d (dies before stage %d) fresh at stages %v", c.name, row, first, got)
+			}
+		}
 	}
 }
 

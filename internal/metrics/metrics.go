@@ -134,16 +134,15 @@ func (b Breakdown) Percent(p Phase) float64 {
 }
 
 // Breakdown sums the phase durations of every processor whose name starts
-// with prefix.
+// with prefix, in name order — so the sums are the same floats on every run,
+// not a map-order permutation of them.
 func (r *Recorder) Breakdown(prefix string) Breakdown {
+	ids := r.Procs(prefix)
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	var b Breakdown
-	for id, ivs := range r.byID {
-		if !strings.HasPrefix(id, prefix) {
-			continue
-		}
-		for _, iv := range ivs {
+	for _, id := range ids {
+		for _, iv := range r.byID[id] {
 			b.Add(iv.Phase, iv.End-iv.Start)
 		}
 	}

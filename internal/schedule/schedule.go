@@ -1,34 +1,26 @@
-// Package schedule replays compiled execution plans (internal/plan) on the
-// discrete-event machine (internal/sim + internal/parfs) at the paper's
-// scale — thousands of simulated processors over the 0.1° problem geometry —
-// to regenerate the evaluation figures. The *numerical* assimilation is not
-// performed here (that is the job of the real engine in internal/core); what
-// is simulated is the exact event structure each compiled plan prescribes:
-// who reads what with how many disk-addressing operations, who waits for
-// whom, and what overlaps with what. Because both this package and the real
-// engine interpret the same plan.Compiled, the simulated schedule is
-// structurally identical to a traced real run at the same geometry
-// (plan.ExpectedDAG is the common reference).
+// Package schedule is the simulated substrate: it interprets compiled
+// execution plans (internal/plan) on the discrete-event machine (internal/sim
+// + internal/parfs) at the paper's scale — thousands of simulated processors
+// over the 0.1° problem geometry — to regenerate the evaluation figures. The
+// *numerical* assimilation is not performed here (that is internal/core's
+// job); what is simulated is the exact event structure a compiled plan
+// prescribes: who reads what with how many disk-addressing operations, who
+// waits for whom, and what overlaps with what.
 //
-// Schedules implemented:
-//
-//   - P-EnKF (§2.3, Figure 3): every processor block-reads its expansion
-//     from every member file, one file after another, paying one addressing
-//     operation per latitude row; local analysis only starts when all
-//     members have arrived. No communication, no overlap.
-//   - L-EnKF (§3.1): a single reader processor reads each member file in
-//     full and distributes expansion blocks serially.
-//   - S-EnKF (§4): n_cg concurrent groups of n_sdy I/O processors bar-read
-//     the n_sdy·L overlapped small bars of their N/n_cg files (one
-//     addressing operation each) and feed n_sdx compute processors
-//     per stage; compute processors overlap stage-l analysis with stage-
-//     (l+1) reading and communication, helper-thread style (Figure 8).
+// There is one interpreter, simulate, the mirror of core's execute: it builds
+// the machine, spawns one process per plan rank and runs two bodies, io and
+// compute. What tells P-EnKF (§2.3: every processor block-reads its
+// expansion, no overlap), L-EnKF (§3.1: one reader, one round per member) and
+// S-EnKF (§4: n_cg groups of n_sdy bar readers feeding L overlapped stages,
+// Figure 8) apart is read from the plan; fault handling is the policy of
+// recovery.go. Both substrates interpreting one plan.Compiled, a simulated
+// schedule has the structure of a traced real run (plan.ExpectedDAG).
 package schedule
 
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"senkf/internal/costmodel"
 	"senkf/internal/faults"
@@ -53,9 +45,8 @@ type Config struct {
 
 	// Faults injects a deterministic fault plan: OST outage/degradation
 	// windows and straggler processors affect every schedule; member-file
-	// faults and I/O-rank deaths additionally drive the drop/failover logic
-	// of SimulateSEnKF. Nil (the default) simulates a healthy machine with
-	// the exact pre-fault event structure.
+	// faults and I/O-rank deaths additionally give SimulateSEnKF a recovery
+	// policy. Nil (the default) simulates a healthy machine.
 	Faults *faults.Plan
 
 	// Obs, when non-nil, observes each simulated run: BeginRun with the
@@ -65,10 +56,8 @@ type Config struct {
 	Obs plan.RunObserver
 
 	// Prof, when non-nil, runs every simulated process under its pprof
-	// proc labels (via sim.Env.SetSpawnWrapper), so profiling the
-	// simulator itself — the ROADMAP's "make it fast enough for massive
-	// sweeps" item — attributes CPU to the same proc names the trace
-	// uses. Nil disables labeling.
+	// proc labels (via sim.Env.SetSpawnWrapper), so profiling the simulator
+	// itself attributes CPU to the proc names the trace uses.
 	Prof *runtimeobs.LabelSet
 
 	// Msgs, when non-nil, receives the simulated substrate's mirror of the
@@ -76,79 +65,15 @@ type Config struct {
 	// plan, then one OnMessage per (member, level, destination) stage-data
 	// send, byte-sized by plan.StageMsgBytes — the real transport's formula,
 	// not the cost model's nominal volume — so the simulated edge matrix is
-	// bit-identical to the real and expected ones. Delivery timestamps are
-	// the virtual send instants (zero latency: the simulator aggregates
-	// messages into notifications; only the matrix is mirrored).
+	// bit-identical to the real one. Delivery is at the virtual send instant:
+	// the simulator sends one notification per stage, only the matrix is
+	// mirrored.
 	Msgs plan.MsgObserver
 
 	// Reads, when non-nil, receives per-read OST attribution from the
 	// simulated file system (see parfs.ReadObserver). The wire collector
 	// (internal/wire) implements both Msgs and Reads.
 	Reads parfs.ReadObserver
-}
-
-// installWire attaches the wire observers to a simulated run. Nil-safe.
-func (c Config) installWire(cp *plan.Compiled, fs *parfs.FS) {
-	if c.Msgs != nil {
-		c.Msgs.BeginMessages(cp)
-	}
-	if c.Reads != nil {
-		fs.SetReadObserver(c.Reads)
-	}
-}
-
-// observe wraps an execution outcome through the configured RunObserver
-// (nil-safe): a monitor may decorate err with blamed plan edges and a
-// flight-recorder dump.
-func (c Config) observe(err error) error {
-	if c.Obs == nil {
-		return err
-	}
-	return c.Obs.EndRun(err)
-}
-
-// announceFaults emits one fault instant per injected straggler so the
-// injections are visible in the event stream (and to a live monitor)
-// before their effects are.
-func (c Config) announceFaults(tr *trace.Tracer) {
-	if c.Faults == nil || !tr.Enabled() {
-		return
-	}
-	for _, s := range c.Faults.Stragglers {
-		tr.Instant(s.Proc, trace.CatFault, "straggler", 0,
-			trace.Arg{Key: "factor", Val: s.Factor})
-	}
-}
-
-// installFaults wires the plan into the simulation substrate (straggler
-// dilation + file-system windows). Nil-safe.
-func (c Config) installFaults(env *sim.Env, fs *parfs.FS) {
-	if c.Faults == nil {
-		return
-	}
-	env.SetSlowdown(c.Faults.SlowdownFor)
-	fs.SetFaults(c.Faults)
-}
-
-// installProf wires pprof label propagation into the simulation
-// substrate: every spawned process body runs under its proc labels.
-// Nil-safe.
-func (c Config) installProf(env *sim.Env) {
-	if c.Prof == nil {
-		return
-	}
-	env.SetSpawnWrapper(c.Prof.SpawnWrapper())
-}
-
-// obs records one phase interval in both the recorder and — when tracing —
-// as a span on the processor's own track, keeping the two derivations of
-// the paper's breakdowns byte-for-byte comparable. Optional args annotate
-// the span (stage tags feed the per-stage overlap accounting).
-func obs(tr *trace.Tracer, rec *metrics.Recorder, name string, ph metrics.Phase, t0, t1 float64, args ...trace.Arg) {
-	rec.Record(name, ph, t0, t1)
-	if tr.Enabled() {
-		tr.Span(name, trace.CatPhase, ph.String(), t0, t1, args...)
-	}
 }
 
 // emitModelPrediction publishes the Eq. 7–10 predictions for the choice
@@ -294,18 +219,6 @@ func ChooseDecomposition(p costmodel.Params, np int) (nsdx, nsdy int, err error)
 	return nsdx, nsdy, nil
 }
 
-// decompose builds the mesh decomposition the plan compiler works on: the
-// cost model's localization radius (ξ, η) becomes the decomposition radius,
-// so the plan's nominal addressing-op and point counts are exactly the
-// quantities of Eqs. 2 and 5.
-func decompose(p costmodel.Params, nsdx, nsdy int) (grid.Decomposition, error) {
-	m, err := grid.NewMesh(p.NX, p.NY)
-	if err != nil {
-		return grid.Decomposition{}, err
-	}
-	return grid.NewDecomposition(m, nsdx, nsdy, grid.Radius{Xi: p.Xi, Eta: p.Eta})
-}
-
 // nominalBytes converts a plan's nominal point count to bytes at h bytes
 // per grid point. All factors are exact small integers, so the product is
 // exact in float64 regardless of association. Callers fold the level
@@ -316,9 +229,28 @@ func nominalBytes(points, h int) float64 {
 	return float64(points) * float64(h)
 }
 
-// SimulatePEnKF replays the compiled block-reading plan on nsdx × nsdy
-// processors.
-func SimulatePEnKF(cfg Config, nsdx, nsdy int) (Result, error) {
+// run compiles spec over the nsdx × nsdy decomposition and simulates it. The
+// cost model's (ξ, η) become the decomposition radius, so the plan's nominal
+// addressing-op and point counts are exactly the quantities of Eqs. 2 and 5.
+func run(cfg Config, nsdx, nsdy int, spec func(grid.Decomposition) plan.Spec, rc *recovery, predict *costmodel.Choice) (*machine, error) {
+	mesh, err := grid.NewMesh(cfg.P.NX, cfg.P.NY)
+	if err != nil {
+		return nil, err
+	}
+	dec, err := grid.NewDecomposition(mesh, nsdx, nsdy, grid.Radius{Xi: cfg.P.Xi, Eta: cfg.P.Eta})
+	if err != nil {
+		return nil, err
+	}
+	cp, err := plan.Compile(spec(dec).WithLevels(cfg.P.LevelCount()))
+	if err != nil {
+		return nil, err
+	}
+	return simulate(cfg, cp, rc, predict)
+}
+
+// simulateBaseline validates and simulates a baseline on nsdx × nsdy
+// processors; without a recovery policy, so deaths and file faults are ignored.
+func simulateBaseline(cfg Config, nsdx, nsdy int, algorithm string, spec func(grid.Decomposition, int) plan.Spec) (Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return Result{}, err
 	}
@@ -328,169 +260,27 @@ func SimulatePEnKF(cfg Config, nsdx, nsdy int) (Result, error) {
 	if err := cfg.Faults.Validate(0, 0, 0, cfg.P.N, cfg.FS.OSTs); err != nil {
 		return Result{}, err
 	}
-	dec, err := decompose(cfg.P, nsdx, nsdy)
+	// L-EnKF stays single-level by design: compiling with the config's level
+	// count makes the spec validator reject a multilevel request loudly.
+	m, err := run(cfg, nsdx, nsdy, func(d grid.Decomposition) plan.Spec { return spec(d, cfg.P.N) }, nil, nil)
 	if err != nil {
 		return Result{}, err
 	}
-	cp, err := plan.Compile(plan.PEnKF(dec, cfg.P.N).WithLevels(cfg.P.LevelCount()))
-	if err != nil {
-		return Result{}, err
-	}
-	env := sim.NewEnv()
-	env.SetTracer(cfg.Tracer)
-	cfg.installProf(env)
-	fs, err := parfs.New(env, cfg.FS)
-	if err != nil {
-		return Result{}, err
-	}
-	cfg.installFaults(env, fs)
-	cfg.installWire(cp, fs)
-	rec := metrics.NewRecorder()
-	tr := cfg.Tracer
-	if cfg.Obs != nil {
-		cfg.Obs.BeginRun(cp)
-	}
-	cfg.announceFaults(tr)
+	return m.result(algorithm), nil
+}
 
-	lv := cp.Spec.LevelCount()
-	for q := range cp.Compute {
-		cr := &cp.Compute[q]
-		env.Go(cr.Name, func(p *sim.Proc) {
-			for _, st := range cr.Stages {
-				// Phase 1: block-read every member file, one after another,
-				// paying the plan's nominal addressing operations per file
-				// (one per expansion row, §4.1.1) — rows that carry every
-				// level on multilevel files.
-				blockBytes := nominalBytes(st.Read.PointsAllLevels(), cfg.P.H)
-				for _, k := range st.SelfMembers {
-					t0 := p.Now()
-					fs.Read(p, k, st.Read.AddrOps, blockBytes)
-					obs(tr, rec, cr.Name, metrics.PhaseRead, t0, p.Now())
-				}
-				// Phase 2: local analysis on the sub-domain, level by level.
-				t0 := p.Now()
-				p.Sleep(cfg.P.C * float64(st.Analyze.Points()*lv))
-				obs(tr, rec, cr.Name, metrics.PhaseCompute, t0, p.Now())
-			}
-		})
-	}
-	end, err := env.Run()
-	if err = cfg.observe(err); err != nil {
-		return Result{}, err
-	}
-	return Result{
-		Algorithm: "P-EnKF",
-		NP:        cp.NumCompute(),
-		Runtime:   end,
-		Compute:   rec.MeanBreakdown(metrics.ComputePrefix),
-		FSStats:   fs.Stats(),
-	}, nil
+// SimulatePEnKF replays the compiled block-reading plan on nsdx × nsdy
+// processors.
+func SimulatePEnKF(cfg Config, nsdx, nsdy int) (Result, error) {
+	return simulateBaseline(cfg, nsdx, nsdy, "P-EnKF", plan.PEnKF)
 }
 
 // SimulateLEnKF replays the compiled single-reader plan: one reader
 // processor reads every member file in full and serially distributes
 // expansion blocks to nsdx × nsdy compute processors.
 func SimulateLEnKF(cfg Config, nsdx, nsdy int) (Result, error) {
-	if err := cfg.Validate(); err != nil {
-		return Result{}, err
-	}
-	if cfg.P.NX%nsdx != 0 || cfg.P.NY%nsdy != 0 {
-		return Result{}, fmt.Errorf("schedule: %dx%d does not divide the %dx%d mesh", nsdx, nsdy, cfg.P.NX, cfg.P.NY)
-	}
-	if err := cfg.Faults.Validate(0, 0, 0, cfg.P.N, cfg.FS.OSTs); err != nil {
-		return Result{}, err
-	}
-	dec, err := decompose(cfg.P, nsdx, nsdy)
-	if err != nil {
-		return Result{}, err
-	}
-	// L-EnKF stays single-level by design: compiling with the config's level
-	// count makes the spec validator reject a multilevel request loudly.
-	cp, err := plan.Compile(plan.LEnKF(dec, cfg.P.N).WithLevels(cfg.P.LevelCount()))
-	if err != nil {
-		return Result{}, err
-	}
-	env := sim.NewEnv()
-	env.SetTracer(cfg.Tracer)
-	cfg.installProf(env)
-	fs, err := parfs.New(env, cfg.FS)
-	if err != nil {
-		return Result{}, err
-	}
-	cfg.installFaults(env, fs)
-	cfg.installWire(cp, fs)
-	rec := metrics.NewRecorder()
-	tr := cfg.Tracer
-	if cfg.Obs != nil {
-		cfg.Obs.BeginRun(cp)
-	}
-	cfg.announceFaults(tr)
-
-	lv := cp.Spec.LevelCount()
-	boxes := make([]*sim.Mailbox, cp.NumCompute())
-	for r := range boxes {
-		boxes[r] = sim.NewMailbox(env, fmt.Sprintf("mb%d", r))
-	}
-	rd := &cp.IO[0]
-	env.Go(rd.Name, func(p *sim.Proc) {
-		// One round per member: read the file in full (one addressing
-		// operation), then scatter every destination its expansion block.
-		for _, st := range rd.Stages {
-			k := st.Members[0]
-			t0 := p.Now()
-			fs.Read(p, k, st.Read.AddrOps, nominalBytes(st.Read.PointsAllLevels(), cfg.P.H))
-			obs(tr, rec, rd.Name, metrics.PhaseRead, t0, p.Now())
-			// Serial distribution: the reader pays startup + transfer for
-			// every destination, one destination after another.
-			blockBytes := nominalBytes(st.Comm.PerDstPoints, cfg.P.H)
-			t0 = p.Now()
-			p.Sleep(float64(len(st.Comm.Dsts)) * (cfg.P.A + cfg.P.B*blockBytes))
-			obs(tr, rec, rd.Name, metrics.PhaseComm, t0, p.Now())
-			for _, dst := range st.Comm.Dsts {
-				boxes[dst].Send(k)
-				// Mirror the real engine's per-(member, level) stage-data
-				// message, byte-sized by the transport's formula.
-				if cfg.Msgs != nil {
-					for lvl := 0; lvl < lv; lvl++ {
-						cfg.Msgs.OnMessage(rd.Rank, dst, cp.Spec.Tag(st.Stage, k, lvl),
-							plan.StageMsgBytes(cp, dst, st.Stage), p.Now(), p.Now(), 0)
-					}
-				}
-			}
-		}
-	})
-	for q := range cp.Compute {
-		cr := &cp.Compute[q]
-		mb := boxes[cr.Rank]
-		env.Go(cr.Name, func(p *sim.Proc) {
-			st := cr.Stages[0]
-			t0 := p.Now()
-			for n := 0; n < st.Expect; n++ {
-				mb.Recv(p)
-			}
-			obs(tr, rec, cr.Name, metrics.PhaseWait, t0, p.Now())
-			t0 = p.Now()
-			p.Sleep(cfg.P.C * float64(st.Analyze.Points()))
-			obs(tr, rec, cr.Name, metrics.PhaseCompute, t0, p.Now())
-		})
-	}
-	end, err := env.Run()
-	if err = cfg.observe(err); err != nil {
-		return Result{}, err
-	}
-	return Result{
-		Algorithm: "L-EnKF",
-		NP:        cp.WorldSize(),
-		Runtime:   end,
-		IO:        rec.MeanBreakdown(metrics.IOPrefix),
-		Compute:   rec.MeanBreakdown(metrics.ComputePrefix),
-		FSStats:   fs.Stats(),
-	}, nil
+	return simulateBaseline(cfg, nsdx, nsdy, "L-EnKF", plan.LEnKF)
 }
-
-// stageMsg is the aggregated "your stage-l blocks from group g have
-// arrived" notification an I/O processor sends a compute processor.
-type stageMsg struct{ stage int }
 
 // SimulateSEnKF replays the compiled multi-stage overlapped plan with the
 // given parameter choice (n_sdx, n_sdy, L, n_cg).
@@ -501,310 +291,44 @@ func SimulateSEnKF(cfg Config, ch costmodel.Choice) (Result, error) {
 	if !cfg.P.Feasible(ch) {
 		return Result{}, fmt.Errorf("schedule: choice %v infeasible for the problem", ch)
 	}
-	p := cfg.P
-	nsdy, ncg := ch.NSdy, ch.NCg
-	pl := cfg.Faults
-	if err := pl.Validate(ncg, nsdy, ch.L, p.N, cfg.FS.OSTs); err != nil {
+	if err := cfg.Faults.Validate(ch.NCg, ch.NSdy, ch.L, cfg.P.N, cfg.FS.OSTs); err != nil {
 		return Result{}, err
 	}
-	dec, err := decompose(p, ch.NSdx, nsdy)
+	var rc *recovery
+	if cfg.Faults != nil {
+		rc = &recovery{pl: cfg.Faults, tr: cfg.Tracer}
+	}
+	m, err := run(cfg, ch.NSdx, ch.NSdy, func(d grid.Decomposition) plan.Spec { return plan.SEnKF(d, cfg.P.N, ch.L, ch.NCg) }, rc, &ch)
 	if err != nil {
 		return Result{}, err
 	}
-	cp, err := plan.Compile(plan.SEnKF(dec, p.N, ch.L, ncg).WithLevels(p.LevelCount()))
-	if err != nil {
-		return Result{}, err
-	}
-	lv := cp.Spec.LevelCount()
-	env := sim.NewEnv()
-	env.SetTracer(cfg.Tracer)
-	cfg.installProf(env)
-	fs, err := parfs.New(env, cfg.FS)
-	if err != nil {
-		return Result{}, err
-	}
-	cfg.installFaults(env, fs)
-	cfg.installWire(cp, fs)
-	rec := metrics.NewRecorder()
-	tr := cfg.Tracer
-	if cfg.Obs != nil {
-		cfg.Obs.BeginRun(cp)
-	}
-	emitModelPrediction(tr, p, ch)
-	cfg.announceFaults(tr)
-
-	// One mailbox per compute processor, indexed by compute rank. The plan
-	// orders ranks row-major, so creation order is unchanged (j outer, i
-	// inner).
-	boxes := make([]*sim.Mailbox, cp.NumCompute())
-	for q := range cp.Compute {
-		cr := &cp.Compute[q]
-		boxes[cr.Rank] = sim.NewMailbox(env, fmt.Sprintf("mb%d.%d", cr.J, cr.I))
-	}
-
-	// I/O processors: group g ∈ [0,ncg), bar row j ∈ [0,nsdy) — the plan's
-	// IO order. The members of a group read the same file at once (§4.1.3) —
-	// a cyclic barrier keeps them on the same file.
-	groupBarriers := make([]*sim.Barrier, ncg)
-	for g := range groupBarriers {
-		groupBarriers[g] = sim.NewBarrier(env, fmt.Sprintf("grp%d", g), nsdy)
-	}
-	// Fault bookkeeping shared across the group's processors. The simulation
-	// is single-threaded (exactly one goroutine runs at any instant), so
-	// plain maps are safe; determinism comes from the plan, not the sharing.
-	var (
-		failovers  int
-		rankDeaths int
-		adopted    = map[[2]int]bool{} // (group, dead row) already counted
-		droppedSet = map[int]bool{}
-	)
-	// Per-group effective file count: unrecoverable members contribute no
-	// payload, shrinking the per-stage send volume of that group. The
-	// group's member set comes from the plan (members k ≡ g mod n_cg).
-	droppedInGroup := make([]int, ncg)
-	for q := range cp.IO {
-		if cp.IO[q].Row != 0 {
-			continue
-		}
-		for _, k := range cp.IO[q].Members {
-			if pl.Drops(k) {
-				droppedInGroup[cp.IO[q].Group]++
-			}
-		}
-	}
-
-	for q := range cp.IO {
-		me := &cp.IO[q]
-		g, j, name := me.Group, me.Row, me.Name
-		effFiles := len(me.Members) - droppedInGroup[g]
-		env.Go(name, func(proc *sim.Proc) {
-			// tStage is the group-agreed virtual time at the top of the
-			// current stage: 0 initially, then the instant the last file
-			// barrier of the previous stage released — identical for
-			// every member of the group, so all members evaluate the
-			// death predicates with the same (stage, time) and agree on
-			// the live set without communication.
-			tStage := 0.0
-			for _, st := range me.Stages {
-				l := st.Stage
-				barBytes := nominalBytes(st.Read.PointsAllLevels(), p.H)
-				sendBytes := nominalBytes(st.Comm.PerDstPoints*lv, p.H) * float64(effFiles)
-				dead := func(jj int) bool { return pl.DeadAt(g, jj, l, tStage) }
-				if dead(j) {
-					if tr.Enabled() {
-						tr.Instant(name, trace.CatFault, "rank-death", proc.Now(),
-							trace.Arg{Key: trace.ArgStage, Val: float64(l)})
-					}
-					tr.Counters().Inc("faults.rank.deaths")
-					rankDeaths++
-					groupBarriers[g].Leave()
-					return
-				}
-				// Rows this reader serves: its own, plus dead rows whose
-				// cyclic successor it is (the failover assignment every
-				// survivor derives identically from the plan).
-				serve := []int{j}
-				for jj := 0; jj < nsdy; jj++ {
-					if jj == j || !dead(jj) {
-						continue
-					}
-					if s, ok := faults.Successor(jj, nsdy, dead); ok && s == j {
-						serve = append(serve, jj)
-						if !adopted[[2]int{g, jj}] {
-							adopted[[2]int{g, jj}] = true
-							failovers++
-							tr.Counters().Inc("faults.failovers")
-							if tr.Enabled() {
-								tr.Instant(name, trace.CatFault, "failover", proc.Now(),
-									trace.Arg{Key: "row", Val: float64(jj)},
-									trace.Arg{Key: trace.ArgStage, Val: float64(l)})
-							}
-						}
-					}
-				}
-				// Read this stage's small bar from each file of the
-				// group: contiguous, one addressing operation each (per
-				// served row). Faulted files cost their retry probes;
-				// unrecoverable ones are dropped and contribute nothing.
-				t0 := proc.Now()
-				for _, file := range st.Members {
-					if pl.Drops(file) {
-						for a := 0; a < pl.Budget(); a++ {
-							fs.Read(proc, file, 1, 0)
-						}
-						if !droppedSet[file] {
-							droppedSet[file] = true
-							tr.Counters().Inc("faults.members.dropped")
-							if tr.Enabled() {
-								tr.Instant(name, trace.CatFault, "member-dropped", proc.Now(),
-									trace.Arg{Key: "member", Val: float64(file)})
-							}
-						}
-					} else {
-						if ff, ok := pl.FaultFor(file); ok && ff.Kind == faults.FileTransient {
-							for a := 0; a < ff.Count; a++ {
-								fs.Read(proc, file, 1, 0)
-							}
-						}
-						for range serve {
-							fs.Read(proc, file, st.Read.AddrOps, barBytes)
-						}
-					}
-					groupBarriers[g].Wait(proc)
-				}
-				obs(tr, rec, name, metrics.PhaseRead, t0, proc.Now(),
-					trace.Arg{Key: trace.ArgStage, Val: float64(l)})
-				// All live members left the last barrier at this same
-				// instant: the agreed stage-top time for stage l+1.
-				tStage = proc.Now()
-				// Send each compute processor of the served rows its
-				// aggregated stage blocks (serialized at the sender's
-				// link). The destinations of an adopted row come from the
-				// dead rank's own plan entry.
-				t0 = proc.Now()
-				proc.Sleep(float64(len(serve)) * float64(len(st.Comm.Dsts)) * (p.A + p.B*sendBytes))
-				obs(tr, rec, name, metrics.PhaseComm, t0, proc.Now(),
-					trace.Arg{Key: trace.ArgStage, Val: float64(l)})
-				for _, row := range serve {
-					rp := cp.IOAt(g, row)
-					for _, dst := range rp.Stages[l].Comm.Dsts {
-						boxes[dst].Send(stageMsg{stage: l})
-						// Mirror the per-(member, level) messages the real
-						// engine sends for this aggregated notification;
-						// dropped members carry no payload on either
-						// substrate.
-						if cfg.Msgs != nil {
-							for _, file := range st.Members {
-								if pl.Drops(file) {
-									continue
-								}
-								for lvl := 0; lvl < lv; lvl++ {
-									cfg.Msgs.OnMessage(rp.Rank, dst, cp.Spec.Tag(l, file, lvl),
-										plan.StageMsgBytes(cp, dst, l), proc.Now(), proc.Now(), 0)
-								}
-							}
-						}
-					}
-				}
-			}
-		})
-	}
-
-	// Compute processors: the helper thread is implicit — arrival counting
-	// happens while the main loop computes, so stage l+1 data accumulates
-	// in the mailbox during stage l's analysis, exactly the overlap of
-	// Figure 8. Each group aggregates its N/n_cg member blocks into one
-	// notification, so the plan's Expect = N per-member blocks arrive as
-	// n_cg messages per stage.
-	firstStage := sim.NewMailbox(env, "first-stage")
-	for q := range cp.Compute {
-		cr := &cp.Compute[q]
-		name := cr.Name
-		mb := boxes[cr.Rank]
-		env.Go(name, func(proc *sim.Proc) {
-			counts := make([]int, len(cr.Stages))
-			for _, st := range cr.Stages {
-				l := st.Stage
-				// Wait for the ncg group notifications of stage l.
-				t0 := proc.Now()
-				for counts[l] < ncg {
-					m := mb.Recv(proc).(stageMsg)
-					counts[m.stage]++
-					if tr.Enabled() && counts[m.stage] == ncg {
-						// The last block of stage m.stage just arrived:
-						// computing that stage is causally legal from
-						// this instant on.
-						tr.Instant(name, trace.CatStage, "ready", proc.Now(),
-							trace.Arg{Key: trace.ArgStage, Val: float64(m.stage)})
-					}
-				}
-				if t0 != proc.Now() {
-					obs(tr, rec, name, metrics.PhaseWait, t0, proc.Now())
-				}
-				if l == 0 && cr.Rank == 0 {
-					firstStage.Send(proc.Now())
-				}
-				t0 = proc.Now()
-				proc.Sleep(p.C * float64(st.Analyze.Points()*lv))
-				rec.Record(name, metrics.PhaseCompute, t0, proc.Now())
-				if tr.Enabled() {
-					tr.Span(name, trace.CatPhase, metrics.PhaseCompute.String(), t0, proc.Now(),
-						trace.Arg{Key: trace.ArgStage, Val: float64(l)})
-				}
-			}
-		})
-	}
-
-	end, err := env.Run()
-	if err = cfg.observe(err); err != nil {
-		return Result{}, err
-	}
-	ioSpans := rec.Spans(metrics.IOPrefix, metrics.PhaseRead, metrics.PhaseComm)
-	cpSpans := rec.Spans(metrics.ComputePrefix, metrics.PhaseCompute)
+	res := m.result("S-EnKF")
+	ioSpans := m.rec.Spans(metrics.IOPrefix, metrics.PhaseRead, metrics.PhaseComm)
+	cpSpans := m.rec.Spans(metrics.ComputePrefix, metrics.PhaseCompute)
 	overlap := metrics.OverlapDuration(ioSpans, cpSpans)
-	ioBusy := metrics.SpanTotal(ioSpans)
-	var first float64
-	if v, ok := firstStage.TryRecv(); ok {
-		first = v.(float64)
-	}
-	res := Result{
-		Algorithm:              "S-EnKF",
-		NP:                     cp.WorldSize(),
-		Runtime:                end,
-		IO:                     rec.MeanBreakdown(metrics.IOPrefix),
-		Compute:                rec.MeanBreakdown(metrics.ComputePrefix),
-		OverlapRuntimeFraction: overlap / end,
-		FirstStage:             first,
-		FSStats:                fs.Stats(),
-		Failovers:              failovers,
-		RankDeaths:             rankDeaths,
-	}
-	for k := range droppedSet {
-		res.DroppedMembers = append(res.DroppedMembers, k)
-	}
-	sort.Ints(res.DroppedMembers)
-	if ioBusy > 0 {
+	res.OverlapRuntimeFraction = overlap / m.end
+	res.FirstStage = m.firstStage
+	if ioBusy := metrics.SpanTotal(ioSpans); ioBusy > 0 {
 		// Clamp: the hidden share of I/O cannot exceed 100%; resilient runs
 		// with truncated spans from dead ranks must not report more.
 		res.OverlapFraction = math.Min(1, overlap/ioBusy)
+	}
+	if rc != nil {
+		res.DroppedMembers, res.Failovers, res.RankDeaths = rc.dropped, rc.failovers, rc.deaths
+		slices.Sort(res.DroppedMembers)
 	}
 	return res, nil
 }
 
 // ReadOnlyBlock simulates just the block-reading phase (no compute) of
-// P-EnKF over nFiles member files — the measurement behind Figure 5. The
-// read geometry (one addressing operation per expansion row, the full
-// nominal expansion block per file) comes from the compiled P-EnKF plan,
-// the same source the full schedule interprets.
+// P-EnKF over nFiles member files — the measurement behind Figure 5: the
+// compiled P-EnKF plan, the same the full schedule interprets, on a machine
+// where only reading costs time.
 func ReadOnlyBlock(cfg Config, nsdx, nsdy, nFiles int) (float64, error) {
 	if err := cfg.Validate(); err != nil {
 		return 0, err
 	}
-	dec, err := decompose(cfg.P, nsdx, nsdy)
-	if err != nil {
-		return 0, err
-	}
-	cp, err := plan.Compile(plan.PEnKF(dec, nFiles).WithLevels(cfg.P.LevelCount()))
-	if err != nil {
-		return 0, err
-	}
-	env := sim.NewEnv()
-	cfg.installProf(env)
-	fs, err := parfs.New(env, cfg.FS)
-	if err != nil {
-		return 0, err
-	}
-	for q := range cp.Compute {
-		cr := &cp.Compute[q]
-		st := cr.Stages[0]
-		blockBytes := nominalBytes(st.Read.PointsAllLevels(), cfg.P.H)
-		env.Go(cr.Name, func(p *sim.Proc) {
-			for _, k := range st.SelfMembers {
-				fs.Read(p, k, st.Read.AddrOps, blockBytes)
-			}
-		})
-	}
-	return env.Run()
+	return readOnly(cfg, nsdx, nsdy, func(d grid.Decomposition) plan.Spec { return plan.PEnKF(d, nFiles) })
 }
 
 // ReadOnlyConcurrent simulates just the concurrent-access reading of
@@ -820,35 +344,248 @@ func ReadOnlyConcurrent(cfg Config, nsdy, ncg, nFiles int) (float64, error) {
 	if nFiles%ncg != 0 {
 		return 0, fmt.Errorf("schedule: %d files do not divide into %d groups", nFiles, ncg)
 	}
-	dec, err := decompose(cfg.P, 1, nsdy)
+	return readOnly(cfg, 1, nsdy, func(d grid.Decomposition) plan.Spec { return plan.SEnKF(d, nFiles, 1, ncg) })
+}
+
+// readOnly runs a plan for its reading time alone: on a private copy of the
+// config with the communication and analysis coefficients zeroed — their
+// sleeps add events, not virtual time — and no observer or fault plan.
+func readOnly(cfg Config, nsdx, nsdy int, spec func(grid.Decomposition) plan.Spec) (float64, error) {
+	ro := Config{P: cfg.P, FS: cfg.FS, Prof: cfg.Prof}
+	ro.P.A, ro.P.B, ro.P.C = 0, 0, 0
+	m, err := run(ro, nsdx, nsdy, spec, nil, nil)
 	if err != nil {
 		return 0, err
 	}
-	cp, err := plan.Compile(plan.SEnKF(dec, nFiles, 1, ncg).WithLevels(cfg.P.LevelCount()))
-	if err != nil {
-		return 0, err
+	return m.end, nil
+}
+
+// machine is one simulated execution: what the process bodies share and what
+// the run leaves behind. One goroutine runs at a time: plain fields are safe.
+type machine struct {
+	cfg Config
+	cp  *plan.Compiled
+	lv  int // the plan's level count
+	rc  *recovery
+	fs  *parfs.FS
+	rec *metrics.Recorder
+
+	barriers []*sim.Barrier // per I/O group: keeps its readers on the same file (§4.1.3)
+	boxes    []*sim.Mailbox // per compute rank, when the plan has I/O ranks to notify it
+
+	end        float64 // final virtual time
+	firstStage float64 // instant compute rank 0 starts analysing stage 0
+}
+
+// result fills the fields every algorithm reports the same way. P-EnKF has
+// no I/O ranks: its IO breakdown is zero and its world the compute ranks.
+func (m *machine) result(algorithm string) Result {
+	return Result{
+		Algorithm: algorithm,
+		NP:        m.cp.WorldSize(),
+		Runtime:   m.end,
+		IO:        m.rec.MeanBreakdown(metrics.IOPrefix),
+		Compute:   m.rec.MeanBreakdown(metrics.ComputePrefix),
+		FSStats:   m.fs.Stats(),
 	}
-	env := sim.NewEnv()
-	cfg.installProf(env)
+}
+
+// simulate interprets any compiled plan on the discrete-event machine: the
+// one walk behind every entry point, as execute is in core. rc is the recovery
+// policy (nil: none), predict the choice whose Eq. 7–10 prediction to trace.
+func simulate(cfg Config, cp *plan.Compiled, rc *recovery, predict *costmodel.Choice) (*machine, error) {
+	env, tr := sim.NewEnv(), cfg.Tracer
+	env.SetTracer(tr)
+	if cfg.Prof != nil {
+		// Every spawned process body runs under its pprof proc labels.
+		env.SetSpawnWrapper(cfg.Prof.SpawnWrapper())
+	}
 	fs, err := parfs.New(env, cfg.FS)
 	if err != nil {
-		return 0, err
+		return nil, err
 	}
-	barriers := make([]*sim.Barrier, ncg)
-	for g := range barriers {
-		barriers[g] = sim.NewBarrier(env, fmt.Sprintf("grp%d", g), nsdy)
+	if cfg.Faults != nil {
+		// Straggler dilation and file-system windows act on every plan.
+		env.SetSlowdown(cfg.Faults.SlowdownFor)
+		fs.SetFaults(cfg.Faults)
+	}
+	if cfg.Msgs != nil {
+		cfg.Msgs.BeginMessages(cp)
+	}
+	fs.SetReadObserver(cfg.Reads)
+	m := &machine{cfg: cfg, cp: cp, lv: cp.Spec.LevelCount(), rc: rc, fs: fs, rec: metrics.NewRecorder()}
+	if cfg.Obs != nil {
+		cfg.Obs.BeginRun(cp)
+	}
+	if predict != nil {
+		emitModelPrediction(tr, cfg.P, *predict)
+	}
+	if cfg.Faults != nil && tr.Enabled() {
+		// One fault instant per injected straggler, so the injections are in
+		// the event stream (and before a live monitor) before their effects.
+		for _, s := range cfg.Faults.Stragglers {
+			tr.Instant(s.Proc, trace.CatFault, "straggler", 0, trace.Arg{Key: "factor", Val: s.Factor})
+		}
+	}
+
+	if n := len(cp.IO); n > 0 {
+		// One file barrier per I/O group — group-major and equally sized in
+		// the plan: n_sdy bar readers, or the single reader, whom a barrier of
+		// one never parks — and one mailbox per compute rank they notify.
+		groups := cp.IO[n-1].Group + 1
+		for g := 0; g < groups; g++ {
+			m.barriers = append(m.barriers, sim.NewBarrier(env, fmt.Sprintf("grp%d", g), n/groups))
+		}
+		m.boxes = make([]*sim.Mailbox, cp.NumCompute())
+		for q := range cp.Compute {
+			cr := &cp.Compute[q]
+			m.boxes[cr.Rank] = sim.NewMailbox(env, fmt.Sprintf("mb%d.%d", cr.J, cr.I))
+		}
 	}
 	for q := range cp.IO {
-		r := &cp.IO[q]
-		st := r.Stages[0]
-		barBytes := nominalBytes(st.Read.PointsAllLevels(), cfg.P.H)
-		g := r.Group
-		env.Go(r.Name, func(p *sim.Proc) {
-			for _, k := range st.Members {
-				fs.Read(p, k, st.Read.AddrOps, barBytes)
-				barriers[g].Wait(p)
-			}
-		})
+		me := &cp.IO[q]
+		env.Go(me.Name, func(p *sim.Proc) { m.io(p, me) })
 	}
-	return env.Run()
+	for q := range cp.Compute {
+		cr := &cp.Compute[q]
+		env.Go(cr.Name, func(p *sim.Proc) { m.compute(p, cr) })
+	}
+	m.end, err = env.Run()
+	if cfg.Obs != nil {
+		err = cfg.Obs.EndRun(err) // a monitor may add blamed plan edges and a dump
+	}
+	return m, err
+}
+
+// obs records one phase interval in both the recorder and — when tracing —
+// as a span on the processor's own track, keeping the two derivations of the
+// paper's breakdowns comparable; stage-tagged, as in core, on a staged plan.
+func (m *machine) obs(name string, ph metrics.Phase, t0, t1 float64, stage int) {
+	m.rec.Record(name, ph, t0, t1)
+	tr := m.cfg.Tracer
+	switch {
+	case !tr.Enabled():
+	case stage >= 0 && m.cp.Staged():
+		tr.Span(name, trace.CatPhase, ph.String(), t0, t1, trace.Arg{Key: trace.ArgStage, Val: float64(stage)})
+	default:
+		tr.Span(name, trace.CatPhase, ph.String(), t0, t1)
+	}
+}
+
+// io is the body of one dedicated I/O processor: per stage, read the stage's
+// region from each member — one file at a time across the group — then pay
+// the sends, serialized at the sender's link, and notify every destination.
+func (m *machine) io(proc *sim.Proc, me *plan.IORank) {
+	p, bar := m.cfg.P, m.barriers[me.Group]
+	// The virtual time at the top of this stage (0, then the instant the last
+	// file barrier released) and of the one before: the same for every reader
+	// of the group, so all evaluate the death predicate alike.
+	tStage, tPrev := 0.0, 0.0
+	for si := range me.Stages {
+		st := &me.Stages[si]
+		// Seam, rows served: the reader's own plus the dead rows it adopts,
+		// unless it is itself dead before the stage and leaves its barrier.
+		adopted, alive := m.rc.adopt(proc, me, m.cp.Spec.Dec.NSdy, st.Stage, tStage, tPrev)
+		if !alive {
+			bar.Leave()
+			return
+		}
+		rows := 1 + len(adopted)
+		// Read phase, once per served row. Seam, members: a faulted file
+		// costs its retry probes; a dropped one is not read.
+		barBytes := nominalBytes(st.Read.PointsAllLevels(), p.H)
+		live := 0
+		t0 := proc.Now()
+		for _, k := range st.Members {
+			if m.rc.probe(proc, m.fs, k) {
+				live++
+				for r := 0; r < rows; r++ {
+					m.fs.Read(proc, k, st.Read.AddrOps, barBytes)
+				}
+			}
+			bar.Wait(proc)
+		}
+		m.obs(me.Name, metrics.PhaseRead, t0, proc.Now(), st.Stage)
+		tPrev, tStage = tStage, proc.Now()
+		// Comm phase: startup + transfer per destination of every served row,
+		// each send carrying its block of every live member and level.
+		sendBytes := nominalBytes(st.Comm.PerDstPoints*m.lv, p.H) * float64(live)
+		t0 = proc.Now()
+		proc.Sleep(float64(rows) * float64(len(st.Comm.Dsts)) * (p.A + p.B*sendBytes))
+		m.obs(me.Name, metrics.PhaseComm, t0, proc.Now(), st.Stage)
+		m.notify(proc, me, st)
+		for _, row := range adopted {
+			// The dead rank's plan entry names the destinations.
+			m.notify(proc, me, &m.cp.IOAt(me.Group, row).Stages[si])
+		}
+	}
+}
+
+// notify tells each destination of st — a stage of me's own row or an adopted
+// one — that its blocks arrived; the notification is the stage itself, its
+// number and member count. Msgs gets the per-(member, level) messages the
+// real engine sends for it, from the rank that sends them. Seam, what a send
+// carries: nothing of a dropped member, on either substrate.
+func (m *machine) notify(proc *sim.Proc, me *plan.IORank, st *plan.IOStage) {
+	for _, dst := range st.Comm.Dsts {
+		m.boxes[dst].Send(st)
+		if m.cfg.Msgs == nil {
+			continue
+		}
+		for _, k := range st.Members {
+			if m.rc.drops(k) {
+				continue
+			}
+			for lvl := 0; lvl < m.lv; lvl++ {
+				m.cfg.Msgs.OnMessage(me.Rank, dst, m.cp.Spec.Tag(st.Stage, k, lvl),
+					plan.StageMsgBytes(m.cp, dst, st.Stage), proc.Now(), proc.Now(), 0)
+			}
+		}
+	}
+}
+
+// compute is the body of one compute processor: per stage, wait for the
+// Expect per-member blocks or block-read SelfMembers, then analyse. The helper
+// thread is implicit — stage l+1 data accumulates in the mailbox during stage
+// l's analysis, exactly the overlap of Figure 8.
+func (m *machine) compute(proc *sim.Proc, cr *plan.ComputeRank) {
+	p, tr := m.cfg.P, m.cfg.Tracer
+	var arrived []int // per-member blocks received, by stage
+	for si := range cr.Stages {
+		st := &cr.Stages[si]
+		if st.Expect > 0 {
+			if arrived == nil {
+				arrived = make([]int, len(cr.Stages))
+			}
+			t0 := proc.Now()
+			for arrived[st.Stage] < st.Expect {
+				n := m.boxes[cr.Rank].Recv(proc).(*plan.IOStage)
+				arrived[n.Stage] += len(n.Members)
+				if tr.Enabled() && m.cp.Staged() && arrived[n.Stage] == cr.Stages[n.Stage].Expect {
+					// The last block of stage n.Stage just arrived: computing
+					// that stage is causally legal from this instant on.
+					tr.Instant(cr.Name, trace.CatStage, "ready", proc.Now(),
+						trace.Arg{Key: trace.ArgStage, Val: float64(n.Stage)})
+				}
+			}
+			if t0 != proc.Now() {
+				m.obs(cr.Name, metrics.PhaseWait, t0, proc.Now(), -1)
+			}
+		} else {
+			// One addressing operation per expansion row and file (§4.1.1).
+			blockBytes := nominalBytes(st.Read.PointsAllLevels(), p.H)
+			for _, k := range st.SelfMembers {
+				t0 := proc.Now()
+				m.fs.Read(proc, k, st.Read.AddrOps, blockBytes)
+				m.obs(cr.Name, metrics.PhaseRead, t0, proc.Now(), -1)
+			}
+		}
+		if st.Stage == 0 && cr.Rank == 0 {
+			m.firstStage = proc.Now()
+		}
+		// Local analysis on the stage's region, level by level.
+		t0 := proc.Now()
+		proc.Sleep(p.C * float64(st.Analyze.Points()*m.lv))
+		m.obs(cr.Name, metrics.PhaseCompute, t0, proc.Now(), st.Stage)
+	}
 }

@@ -294,9 +294,6 @@ func (r *Resource) Release() {
 // InUse returns the currently used capacity.
 func (r *Resource) InUse() int { return r.inUse }
 
-// QueueLen returns the number of processes waiting for the resource.
-func (r *Resource) QueueLen() int { return len(r.waiters) }
-
 // Mailbox is an unbounded FIFO message queue between processes. Sends never
 // block; receives block until a message is available.
 type Mailbox struct {
@@ -352,19 +349,6 @@ func (m *Mailbox) Recv(p *Proc) any {
 	p.handoff = nil
 	return v
 }
-
-// TryRecv dequeues a value if one is immediately available.
-func (m *Mailbox) TryRecv() (any, bool) {
-	if len(m.queue) > 0 {
-		v := m.queue[0]
-		m.queue = m.queue[1:]
-		return v, true
-	}
-	return nil, false
-}
-
-// Len returns the number of queued (unreceived) values.
-func (m *Mailbox) Len() int { return len(m.queue) }
 
 // Barrier synchronizes a fixed set of n processes: every participant blocks
 // in Wait until all n have arrived, then all are released and the barrier
@@ -426,25 +410,3 @@ func (b *Barrier) Leave() {
 
 // Parties returns the current number of participants.
 func (b *Barrier) Parties() int { return b.n }
-
-// WaitGroup lets one process wait for n completions signalled by others.
-type WaitGroup struct {
-	mb      *Mailbox
-	pending int
-}
-
-// NewWaitGroup creates a wait group expecting n Done calls.
-func NewWaitGroup(e *Env, name string, n int) *WaitGroup {
-	return &WaitGroup{mb: NewMailbox(e, name), pending: n}
-}
-
-// Done signals one completion.
-func (w *WaitGroup) Done() { w.mb.Send(struct{}{}) }
-
-// Wait blocks p until all expected completions have been signalled.
-func (w *WaitGroup) Wait(p *Proc) {
-	for w.pending > 0 {
-		w.mb.Recv(p)
-		w.pending--
-	}
-}

@@ -234,28 +234,6 @@ func TestMailboxBlocksConsumerUntilSend(t *testing.T) {
 	}
 }
 
-func TestTryRecvAndLen(t *testing.T) {
-	e := NewEnv()
-	mb := NewMailbox(e, "mb")
-	e.Go("p", func(p *Proc) {
-		if _, ok := mb.TryRecv(); ok {
-			t.Error("TryRecv on empty mailbox succeeded")
-		}
-		mb.Send(1)
-		mb.Send(2)
-		if mb.Len() != 2 {
-			t.Errorf("Len = %d", mb.Len())
-		}
-		v, ok := mb.TryRecv()
-		if !ok || v.(int) != 1 {
-			t.Errorf("TryRecv = %v, %v", v, ok)
-		}
-	})
-	if _, err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestDeadlockDetection(t *testing.T) {
 	e := NewEnv()
 	mb := NewMailbox(e, "never")
@@ -309,29 +287,6 @@ func TestSpawnFromRunningProcess(t *testing.T) {
 	}
 	if end != 5 {
 		t.Errorf("sim ended at %g, want 5", end)
-	}
-}
-
-func TestWaitGroup(t *testing.T) {
-	e := NewEnv()
-	wg := NewWaitGroup(e, "wg", 3)
-	var doneAt float64
-	for i := 1; i <= 3; i++ {
-		d := float64(i)
-		e.Go("worker", func(p *Proc) {
-			p.Sleep(d)
-			wg.Done()
-		})
-	}
-	e.Go("waiter", func(p *Proc) {
-		wg.Wait(p)
-		doneAt = p.Now()
-	})
-	if _, err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if doneAt != 3 {
-		t.Errorf("wait finished at %g, want 3", doneAt)
 	}
 }
 

@@ -10,12 +10,17 @@ import (
 	"bytes"
 	"encoding/json"
 	"math"
+	"reflect"
+	"slices"
+	"sort"
 	"testing"
 
 	"senkf/internal/costmodel"
+	"senkf/internal/faults"
 	"senkf/internal/figures"
 	"senkf/internal/metrics"
 	"senkf/internal/parfs"
+	"senkf/internal/plan"
 	"senkf/internal/schedule"
 	"senkf/internal/trace"
 )
@@ -723,4 +728,190 @@ func TestRealAndSimulatedSchedulesShareStructure(t *testing.T) {
 		})
 		check(t, PEnKFSpec(dec, members).WithLevels(levels), realEvents, simEvents, realWC, simWC)
 	})
+}
+
+// TestRealAndSimulatedRecoveryAgree is the fault-side twin of the structural
+// test above: one fault plan — stage-based reader deaths and unrecoverable
+// member files — applied to both substrates at one geometry. The real
+// engine's recovery policy and the simulator's must drop the same members,
+// lose the same ranks, hand each dead row to the same reader at the same
+// stage, and carry the same traffic on every plan edge: the expected matrix
+// minus the dropped members.
+func TestRealAndSimulatedRecoveryAgree(t *testing.T) {
+	const (
+		members = 8
+		nsdx    = 4
+		nsdy    = 3
+		layers  = 2
+		ncg     = 2
+	)
+	mesh, err := NewMesh(48, 24)
+	if err != nil {
+		t.Fatal(err)
+	}
+	radius, err := NewRadius(4, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	truth := GenerateTruth(mesh, DefaultFieldSpec, 11)
+	ens, err := GenerateEnsemble(mesh, truth, members, 1.5, 11)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if _, err := WriteEnsemble(dir, mesh, ens); err != nil {
+		t.Fatal(err)
+	}
+	net, err := NewStridedNetwork(mesh, truth, 3, 3, 0.01, 11)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dec, err := NewDecomposition(mesh, nsdx, nsdy, radius)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cp, err := CompilePlan(SEnKFSpec(dec, members, layers, ncg))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Group 0 loses reader 1 before stage 1 (adopted by reader 2); group 1
+	// starts without reader 2 (adopted, wrapping, by reader 0). Member 3
+	// (group 1) is missing, member 6 (group 0) corrupt.
+	fp := &FaultPlan{
+		Deaths: []RankDeath{
+			{Group: 0, Reader: 1, BeforeStage: 1},
+			{Group: 1, Reader: 2, BeforeStage: 0},
+		},
+		FileFaults: []FileFault{
+			{Member: 3, Kind: faults.FileMissing},
+			{Member: 6, Kind: faults.FileCorrupt},
+		},
+	}
+	if err := fp.Apply(dir); err != nil {
+		t.Fatal(err)
+	}
+	wantDropped := []int{3, 6}
+	type adoption struct {
+		by         string // adopting reader's proc name
+		row, stage int
+	}
+	wantAdoptions := []adoption{{"io/g0/r2", 1, 1}, {"io/g1/r0", 2, 0}}
+	// The fault instants both substrates emit, in a comparable form.
+	observed := func(events []TraceEvent) (adoptions []adoption, deaths int) {
+		for _, ev := range events {
+			switch {
+			case ev.Cat == trace.CatFault && ev.Name == "rank-death":
+				deaths++
+			case ev.Cat == trace.CatFault && ev.Name == "failover":
+				a := adoption{by: ev.Track}
+				for _, arg := range ev.Args {
+					switch arg.Key {
+					case "row":
+						a.row = int(arg.Val)
+					case trace.ArgStage:
+						a.stage = int(arg.Val)
+					}
+				}
+				adoptions = append(adoptions, a)
+			}
+		}
+		sort.Slice(adoptions, func(i, j int) bool { return adoptions[i].by < adoptions[j].by })
+		return adoptions, deaths
+	}
+
+	realBuf, realWC := trace.NewBuffer(), NewWireCollector()
+	res, err := RunSEnKFResilient(
+		Problem{Cfg: Config{Mesh: mesh, Radius: radius, N: members, Seed: 11}, Dir: dir, Net: net, Tr: NewWallTracer(realBuf), Msgs: realWC},
+		Plan{Dec: dec, L: layers, NCg: ncg}, Resilience{Faults: fp})
+	if err != nil {
+		t.Fatal(err)
+	}
+	simBuf, simWC := trace.NewBuffer(), NewWireCollector()
+	simRes, err := schedule.SimulateSEnKF(schedule.Config{
+		P: costmodel.Params{
+			N: members, NX: 48, NY: 24,
+			A: 1e-6, B: 1e-9, C: 1e-6,
+			Theta: 1e-9, Xi: 4, Eta: 2, H: 8,
+		},
+		FS:     parfs.Config{OSTs: 2, ConcurrencyPerOST: 2, SeekTime: 1e-4, ByteTime: 1e-9, BackboneStreams: 4},
+		Tracer: trace.New(nil, simBuf),
+		Faults: fp,
+		Msgs:   simWC,
+	}, costmodel.Choice{NSdx: nsdx, NSdy: nsdy, L: layers, NCg: ncg})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	var realDropped []int
+	for _, d := range res.Dropped {
+		realDropped = append(realDropped, d.Member)
+	}
+	if !reflect.DeepEqual(realDropped, wantDropped) || !reflect.DeepEqual(simRes.DroppedMembers, wantDropped) {
+		t.Errorf("dropped members: real %v, simulated %v, want %v", realDropped, simRes.DroppedMembers, wantDropped)
+	}
+	realAdoptions, realDeaths := observed(realBuf.Events())
+	simAdoptions, simDeaths := observed(simBuf.Events())
+	if realDeaths != len(fp.Deaths) || simDeaths != len(fp.Deaths) || simRes.RankDeaths != len(fp.Deaths) {
+		t.Errorf("rank deaths: real %d, simulated %d (Result %d), want %d", realDeaths, simDeaths, simRes.RankDeaths, len(fp.Deaths))
+	}
+	if !reflect.DeepEqual(realAdoptions, wantAdoptions) || !reflect.DeepEqual(simAdoptions, wantAdoptions) {
+		t.Errorf("failovers: real %v, simulated %v, want %v", realAdoptions, simAdoptions, wantAdoptions)
+	}
+	if simRes.Failovers != len(wantAdoptions) || len(res.Failovers) != len(wantAdoptions) {
+		t.Errorf("failover counts: real %d, simulated %d, want %d", len(res.Failovers), simRes.Failovers, len(wantAdoptions))
+	}
+	for _, f := range res.Failovers {
+		got := adoption{by: cp.IOAt(f.Group, f.ToReader).Name, row: f.FromReader, stage: f.Stage}
+		if !slices.Contains(wantAdoptions, got) {
+			t.Errorf("DegradedResult failover %+v not among %v", f, wantAdoptions)
+		}
+	}
+
+	// Traffic: every plan edge carries its expected messages minus those of
+	// the dropped members, and from its first adopted stage on a dead row's
+	// edges leave the reader that serves them — on both substrates alike.
+	sender := func(r *plan.IORank, stage int) int {
+		for _, a := range wantAdoptions {
+			if by := ioRankNamed(cp, a.by); by.Group == r.Group && a.row == r.Row && stage >= a.stage {
+				return by.Rank
+			}
+		}
+		return r.Rank
+	}
+	want := EdgeMatrix{}
+	for q := range cp.IO {
+		r := &cp.IO[q]
+		for _, st := range r.Stages {
+			for _, k := range st.Members {
+				if slices.Contains(wantDropped, k) {
+					continue
+				}
+				for _, dst := range st.Comm.Dsts {
+					want.Record(EdgeKey{Src: sender(r, st.Stage), Dst: dst, Stage: st.Stage}, plan.StageMsgBytes(cp, dst, st.Stage))
+				}
+			}
+		}
+	}
+	if err := want.Diff(realWC.Matrix()); err != nil {
+		t.Errorf("expected-minus-dropped vs real edges: %v", err)
+	}
+	if err := want.Diff(simWC.Matrix()); err != nil {
+		t.Errorf("expected-minus-dropped vs simulated edges: %v", err)
+	}
+	if err := realWC.Matrix().Diff(simWC.Matrix()); err != nil {
+		t.Errorf("real vs simulated edges: %v", err)
+	}
+	if ExpectedEdges(cp).Totals().Msgs-want.Totals().Msgs != int64(len(wantDropped)*nsdy*nsdx*layers) {
+		t.Errorf("want matrix lost %d messages, not the dropped members' %d", ExpectedEdges(cp).Totals().Msgs-want.Totals().Msgs, len(wantDropped)*nsdy*nsdx*layers)
+	}
+}
+
+// ioRankNamed returns the I/O rank of c with the given proc name.
+func ioRankNamed(c *CompiledPlan, name string) *plan.IORank {
+	for q := range c.IO {
+		if c.IO[q].Name == name {
+			return &c.IO[q]
+		}
+	}
+	return nil
 }
