@@ -329,6 +329,7 @@ func (p Params) T1CurveConstrained(c2, maxC1 int, tc TuneConstraints) []CurvePoi
 	}
 	best := map[int]*bestAt{}
 	var c1s []int
+	groups := divisors(p.N)
 	for _, nsdy := range divisors(p.NY) {
 		if c2%nsdy != 0 {
 			continue
@@ -337,12 +338,13 @@ func (p Params) T1CurveConstrained(c2, maxC1 int, tc TuneConstraints) []CurvePoi
 		if p.NX%nsdx != 0 {
 			continue
 		}
-		for _, ncg := range divisors(p.N) {
+		layers := divisors(p.NY / nsdy)
+		for _, ncg := range groups {
 			c1 := ncg * nsdy
 			if c1 > maxC1 {
 				continue
 			}
-			for _, l := range divisors(p.NY / nsdy) {
+			for _, l := range layers {
 				if !tc.allows(l, ncg) {
 					continue
 				}
@@ -405,8 +407,9 @@ func (p Params) autoTuneConstrained(np int, eps float64, tc TuneConstraints, rec
 	var best Tuned
 	found := false
 	seen := map[int]bool{}
+	xs := divisors(p.NX)
 	for _, nsdy := range divisors(p.NY) {
-		for _, nsdx := range divisors(p.NX) {
+		for _, nsdx := range xs {
 			c2 := nsdx * nsdy
 			if c2 >= np || seen[c2] {
 				continue

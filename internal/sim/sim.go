@@ -1,9 +1,13 @@
+//go:build go1.23
+
 // Package sim is a deterministic discrete-event simulation engine in the
-// style of SimPy: simulated processes are goroutines that explicitly yield
-// to a central scheduler whenever they wait on virtual time, a capacity-
-// limited resource, or a mailbox. Exactly one goroutine (a process or the
-// scheduler) runs at any instant, so simulations are fully deterministic
-// and need no locking.
+// style of SimPy. A simulated process is a coroutine (iter.Pull): it runs
+// until it waits on virtual time, a capacity-limited resource, a mailbox or
+// a barrier, and is switched back in when Run pops its wake-up from the
+// event heap. A switch is a direct hand-over on one OS thread — no wake-up,
+// no scheduler pass — and an event allocates nothing. Exactly one process
+// (or Run) executes at any instant and wake-ups are ordered by (time,
+// schedule order) alone, so simulations are deterministic and need no locks.
 //
 // The engine is the substrate on which the paper's 12,000-processor
 // experiments run: each simulated MPI rank is a process, disks are
@@ -12,11 +16,14 @@
 // L-EnKF and S-EnKF are executed on this virtual machine to regenerate the
 // paper's scaling figures with the exact event structure — queueing at
 // disks, waiting for messages, overlap of phases — that produces them.
+//
+// The build constraint is for iter (Go 1.23); go.mod stays at 1.22 for the
+// benchmark module's sake (DESIGN.md ch. 21).
 package sim
 
 import (
-	"container/heap"
 	"fmt"
+	"iter"
 	"math"
 	"sort"
 
@@ -30,49 +37,101 @@ type event struct {
 	proc *Proc
 }
 
+func (a event) before(b event) bool { return a.at < b.at || (a.at == b.at && a.seq < b.seq) }
+
+// eventHeap is a binary min-heap on (at, seq). seq is unique, so the order
+// is total and the pop sequence does not depend on the heap's layout. A
+// process has at most one wake-up pending, so the heap never outgrows the
+// number of live processes: it stops allocating once they are spawned.
 type eventHeap []event
 
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
+func (h *eventHeap) push(e event) {
+	*h = append(*h, e)
+	s, i := *h, len(*h)-1
+	for i > 0 {
+		up := (i - 1) / 2
+		if !e.before(s[up]) {
+			break
+		}
+		s[i], i = s[up], up
 	}
-	return h[i].seq < h[j].seq
+	s[i] = e
 }
-func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x any)   { *h = append(*h, x.(event)) }
-func (h *eventHeap) Pop() any     { old := *h; n := len(old); e := old[n-1]; *h = old[:n-1]; return e }
-func (h eventHeap) Peek() (event, bool) {
-	if len(h) == 0 {
-		return event{}, false
+
+func (h *eventHeap) pop() event {
+	s := *h
+	top, n := s[0], len(s)-1
+	e := s[n]
+	s[n] = event{} // do not keep the process reachable from the spare capacity
+	s = s[:n]
+	*h = s
+	i := 0
+	for {
+		kid := 2*i + 1
+		if kid >= n {
+			break
+		}
+		if kid+1 < n && s[kid+1].before(s[kid]) {
+			kid++
+		}
+		if !s[kid].before(e) {
+			break
+		}
+		s[i], i = s[kid], kid
 	}
-	return h[0], true
+	if n > 0 {
+		s[i] = e
+	}
+	return top
+}
+
+// fifo is a queue that reuses its backing array: pop advances a head index
+// and clears the slot it vacates, so a popped value is collectable and a
+// queue of bounded depth stops allocating.
+type fifo[T any] struct {
+	buf  []T
+	head int
+}
+
+func (q *fifo[T]) len() int { return len(q.buf) - q.head }
+
+func (q *fifo[T]) push(v T) {
+	if q.head > 0 && len(q.buf) == cap(q.buf) && 2*q.head >= len(q.buf) {
+		// Full with at least half of it vacated: slide down, don't grow.
+		n := copy(q.buf, q.buf[q.head:])
+		clear(q.buf[n:])
+		q.buf, q.head = q.buf[:n], 0
+	}
+	q.buf = append(q.buf, v)
+}
+
+func (q *fifo[T]) pop() T {
+	v := q.buf[q.head]
+	var zero T
+	q.buf[q.head] = zero
+	if q.head++; q.head == len(q.buf) {
+		q.buf, q.head = q.buf[:0], 0
+	}
+	return v
 }
 
 // Env is a simulation environment: a virtual clock and an event queue.
 type Env struct {
-	now     float64
-	seq     uint64
-	events  eventHeap
-	yieldCh chan struct{}
+	now    float64
+	seq    uint64
+	events eventHeap
 
-	live    int              // processes started and not finished
-	blocked map[*Proc]string // parked with no scheduled wake-up: what they wait on
+	live     int     // processes started and not finished
+	procs    []*Proc // every process, in spawn order
+	stopping bool    // Run has failed and is unwinding what is left
 
-	slowdown func(name string) float64 // per-process sleep multiplier (nil = none)
-
+	slowdown  func(name string) float64           // per-process sleep multiplier (nil = none)
 	spawnWrap func(name string, fn func()) func() // per-process body wrapper (nil = none)
-
-	tracer *trace.Tracer
+	tracer    *trace.Tracer
 }
 
 // NewEnv creates an empty simulation environment at time 0.
-func NewEnv() *Env {
-	return &Env{
-		yieldCh: make(chan struct{}),
-		blocked: map[*Proc]string{},
-	}
-}
+func NewEnv() *Env { return &Env{} }
 
 // Now returns the current virtual time in seconds.
 func (e *Env) Now() float64 { return e.now }
@@ -90,8 +149,8 @@ func (e *Env) Tracer() *trace.Tracer { return e.tracer }
 // models. A nil fn (the default) disables dilation.
 func (e *Env) SetSlowdown(fn func(name string) float64) { e.slowdown = fn }
 
-// SetSpawnWrapper installs a wrapper applied to every process body at Go:
-// the process runs wrap(name, body)() instead of body(). runtimeobs uses
+// SetSpawnWrapper installs a wrapper applied to every process body as the
+// process starts: it runs wrap(name, body)() instead of body(). runtimeobs uses
 // this to run each simulated process under its pprof proc labels; the
 // wrapper must call the wrapped body exactly once, synchronously. A nil
 // wrap (the default) disables wrapping. Must be set before processes
@@ -103,8 +162,14 @@ func (e *Env) SetSpawnWrapper(wrap func(name string, fn func()) func()) { e.spaw
 type Proc struct {
 	Name    string
 	env     *Env
-	resume  chan struct{}
-	handoff any // value delivered by a mailbox or resource wake-up
+	next    func() (struct{}, bool) // runs the process until it next parks
+	stop    func()                  // unwinds a parked process (Env.stopAll)
+	yield   func(struct{}) bool     // the process's side of next: park
+	handoff any                     // value delivered by a mailbox wake-up
+
+	// What the process is parked on while it has no wake-up of its own:
+	// "resource", "mailbox" or "barrier", and the object's name.
+	waitKind, waitName string
 }
 
 // Env returns the environment the process runs in.
@@ -113,26 +178,35 @@ func (p *Proc) Env() *Env { return p.env }
 // Now returns the current virtual time.
 func (p *Proc) Now() float64 { return p.env.now }
 
+// stopped is what park panics with when Run has given up on the simulation.
+type stopped struct{}
+
 // Go starts a new process. May be called before Run or from inside a
 // running process; in the latter case the new process starts at the current
 // virtual time once the caller yields.
 func (e *Env) Go(name string, fn func(p *Proc)) *Proc {
-	p := &Proc{Name: name, env: e, resume: make(chan struct{})}
+	p := &Proc{Name: name, env: e}
 	e.live++
 	e.tracer.Counters().Inc("sim.procs")
 	if e.tracer.Detail() {
 		e.tracer.Instant(name, "sim", "start", e.now)
 	}
-	body := func() { fn(p) }
-	if e.spawnWrap != nil {
-		body = e.spawnWrap(name, body)
-	}
-	go func() {
-		<-p.resume
-		body()
-		e.live--
-		e.yieldCh <- struct{}{}
-	}()
+	p.next, p.stop = iter.Pull(func(yield func(struct{}) bool) {
+		p.yield = yield
+		defer func() {
+			// A stopped process unwinds like any panicking one — deferred
+			// calls and the spawn wrapper included — and ends here.
+			if r := recover(); r != nil && r != any(stopped{}) {
+				panic(r)
+			}
+		}()
+		if e.spawnWrap != nil {
+			e.spawnWrap(name, func() { fn(p) })()
+		} else {
+			fn(p)
+		}
+	})
+	e.procs = append(e.procs, p)
 	e.schedule(e.now, p)
 	return p
 }
@@ -140,14 +214,35 @@ func (e *Env) Go(name string, fn func(p *Proc)) *Proc {
 // schedule enqueues a wake-up for p at time t.
 func (e *Env) schedule(t float64, p *Proc) {
 	e.seq++
-	heap.Push(&e.events, event{at: t, seq: e.seq, proc: p})
+	e.events.push(event{at: t, seq: e.seq, proc: p})
 }
 
-// park transfers control from the calling process back to the scheduler and
-// blocks until the scheduler resumes the process.
+// park suspends the calling process until Run pops a wake-up for it. When
+// that wake-up is already the head of the heap, Run would pop it and switch
+// straight back, so the process pops it itself and keeps running: the same
+// event leaves the heap at the same point of the sequence, without a switch.
 func (p *Proc) park() {
-	p.env.yieldCh <- struct{}{}
-	<-p.resume
+	e := p.env
+	if len(e.events) > 0 && e.events[0].proc == p && e.events[0].at >= e.now && !e.stopping {
+		e.now = e.events.pop().at
+		return
+	}
+	if !p.yield(struct{}{}) {
+		panic(stopped{})
+	}
+}
+
+// wait parks p with no wake-up scheduled: the holder of the named
+// synchronization object schedules one. A simulation that runs out of
+// events finds here what each remaining process was blocked on.
+func (p *Proc) wait(kind, name string) {
+	t0 := p.env.now
+	p.waitKind, p.waitName = kind, name
+	p.park()
+	p.waitKind = ""
+	if tr := p.env.tracer; tr.Detail() {
+		tr.Span(p.Name, "sim", kind+"-wait", t0, p.env.now)
+	}
 }
 
 // Sleep advances the process by d seconds of virtual time. Negative or NaN
@@ -203,29 +298,46 @@ func (d *DeadlockError) BlockedOn() map[string]string {
 
 // Run drives the simulation until no events remain. It returns the final
 // virtual time, or a DeadlockError if processes remain blocked on resources
-// or mailboxes with an empty event queue.
+// or mailboxes with an empty event queue. On an error every unfinished
+// process is unwound before Run returns, so none outlives the simulation.
 func (e *Env) Run() (float64, error) {
 	for len(e.events) > 0 {
-		ev := heap.Pop(&e.events).(event)
+		ev := e.events.pop()
 		if ev.at < e.now {
+			e.stopAll()
 			return e.now, fmt.Errorf("sim: time went backwards: %g -> %g", e.now, ev.at)
 		}
 		e.now = ev.at
-		ev.proc.resume <- struct{}{}
-		<-e.yieldCh
+		if _, parked := ev.proc.next(); !parked {
+			e.live--
+		}
 	}
 	if e.live > 0 {
 		d := &DeadlockError{Time: e.now}
-		for p, what := range e.blocked {
-			d.Blocked = append(d.Blocked, BlockedProc{Name: p.Name, WaitingOn: what})
+		for _, p := range e.procs {
+			if p.waitKind != "" {
+				d.Blocked = append(d.Blocked, BlockedProc{Name: p.Name, WaitingOn: p.waitKind + ":" + p.waitName})
+			}
 		}
 		sort.Slice(d.Blocked, func(i, j int) bool { return d.Blocked[i].Name < d.Blocked[j].Name })
 		for _, b := range d.Blocked {
 			d.Waiting = append(d.Waiting, b.Name+"("+b.WaitingOn+")")
 		}
+		e.stopAll()
 		return e.now, d
 	}
 	return e.now, nil
+}
+
+// stopAll unwinds every unfinished process: a parked one resumes inside
+// park, which panics with stopped{} up to the recover in Go — as does any
+// wait a deferred call attempts on the way; one that never started never
+// will; a finished one is left alone.
+func (e *Env) stopAll() {
+	e.stopping = true
+	for _, p := range e.procs {
+		p.stop()
+	}
 }
 
 // Resource is a FIFO capacity-limited resource (a disk with a bounded
@@ -235,7 +347,7 @@ type Resource struct {
 	env      *Env
 	capacity int
 	inUse    int
-	waiters  []*Proc
+	waiters  fifo[*Proc]
 }
 
 // NewResource creates a resource with the given concurrency capacity.
@@ -253,22 +365,16 @@ func (r *Resource) Acquire(p *Proc) {
 		r.inUse++
 		return
 	}
-	r.waiters = append(r.waiters, p)
-	r.env.blocked[p] = "resource:" + r.Name
+	r.waiters.push(p)
 	reg := r.env.tracer.Counters()
 	if reg != nil {
 		reg.Inc("sim.resource.waits")
-		reg.SetGauge("sim.resource.queue", float64(len(r.waiters)))
+		reg.SetGauge("sim.resource.queue", float64(r.waiters.len()))
 	}
-	t0 := r.env.now
 	if r.env.tracer.Detail() {
-		r.env.tracer.Counter(r.Name, "queue", t0, float64(len(r.waiters)))
+		r.env.tracer.Counter(r.Name, "queue", r.env.now, float64(r.waiters.len()))
 	}
-	p.park()
-	delete(r.env.blocked, p)
-	if r.env.tracer.Detail() {
-		r.env.tracer.Span(p.Name, "sim", "resource-wait", t0, r.env.now)
-	}
+	p.wait("resource", r.Name)
 	// Capacity was transferred to us by Release.
 }
 
@@ -278,13 +384,11 @@ func (r *Resource) Release() {
 	if r.inUse <= 0 {
 		panic(fmt.Sprintf("sim: release of idle resource %s", r.Name))
 	}
-	if len(r.waiters) > 0 {
-		w := r.waiters[0]
-		r.waiters = r.waiters[1:]
+	if r.waiters.len() > 0 {
 		// Capacity passes directly to the waiter; inUse stays constant.
-		r.env.schedule(r.env.now, w)
+		r.env.schedule(r.env.now, r.waiters.pop())
 		if r.env.tracer.Detail() {
-			r.env.tracer.Counter(r.Name, "queue", r.env.now, float64(len(r.waiters)))
+			r.env.tracer.Counter(r.Name, "queue", r.env.now, float64(r.waiters.len()))
 		}
 		return
 	}
@@ -299,52 +403,41 @@ func (r *Resource) InUse() int { return r.inUse }
 type Mailbox struct {
 	Name  string
 	env   *Env
-	queue []any
-	recvq []*Proc
+	queue fifo[any]
+	recvq fifo[*Proc]
 }
 
 // NewMailbox creates an empty mailbox.
-func NewMailbox(e *Env, name string) *Mailbox {
-	return &Mailbox{Name: name, env: e}
-}
+func NewMailbox(e *Env, name string) *Mailbox { return &Mailbox{Name: name, env: e} }
 
 // Send enqueues a value, waking the oldest waiting receiver if any.
 // It never blocks, so it may be called from any process.
 func (m *Mailbox) Send(v any) {
-	if len(m.recvq) > 0 {
-		w := m.recvq[0]
-		m.recvq = m.recvq[1:]
+	if m.recvq.len() > 0 {
+		w := m.recvq.pop()
 		w.handoff = v
 		m.env.schedule(m.env.now, w)
 		return
 	}
-	m.queue = append(m.queue, v)
+	m.queue.push(v)
 	reg := m.env.tracer.Counters()
 	if reg != nil {
 		// One global gauge: its high-water mark is the deepest any mailbox
 		// ever got (per-mailbox gauges would explode at 12k-rank scale).
-		reg.SetGauge("sim.mailbox.depth", float64(len(m.queue)))
+		reg.SetGauge("sim.mailbox.depth", float64(m.queue.len()))
 	}
 	if m.env.tracer.Detail() {
-		m.env.tracer.Counter(m.Name, "depth", m.env.now, float64(len(m.queue)))
+		m.env.tracer.Counter(m.Name, "depth", m.env.now, float64(m.queue.len()))
 	}
 }
 
 // Recv dequeues the oldest value, blocking until one is available.
 func (m *Mailbox) Recv(p *Proc) any {
-	if len(m.queue) > 0 {
-		v := m.queue[0]
-		m.queue = m.queue[1:]
-		return v
+	if m.queue.len() > 0 {
+		return m.queue.pop()
 	}
-	m.recvq = append(m.recvq, p)
-	m.env.blocked[p] = "mailbox:" + m.Name
-	t0 := m.env.now
-	p.park()
-	delete(m.env.blocked, p)
-	if m.env.tracer.Detail() {
-		m.env.tracer.Span(p.Name, "sim", "mailbox-wait", t0, m.env.now)
-	}
+	m.recvq.push(p)
+	p.wait("mailbox", m.Name)
 	v := p.handoff
 	p.handoff = nil
 	return v
@@ -358,7 +451,7 @@ type Barrier struct {
 	env     *Env
 	n       int
 	arrived int
-	waiters []*Proc
+	waiters fifo[*Proc]
 }
 
 // NewBarrier creates a cyclic barrier for n participants.
@@ -373,21 +466,11 @@ func NewBarrier(e *Env, name string, n int) *Barrier {
 func (b *Barrier) Wait(p *Proc) {
 	b.arrived++
 	if b.arrived == b.n {
-		for _, w := range b.waiters {
-			b.env.schedule(b.env.now, w)
-		}
-		b.waiters = b.waiters[:0]
-		b.arrived = 0
+		b.release()
 		return
 	}
-	b.waiters = append(b.waiters, p)
-	b.env.blocked[p] = "barrier:" + b.Name
-	t0 := b.env.now
-	p.park()
-	delete(b.env.blocked, p)
-	if b.env.tracer.Detail() {
-		b.env.tracer.Span(p.Name, "sim", "barrier-wait", t0, b.env.now)
-	}
+	b.waiters.push(p)
+	p.wait("barrier", b.Name)
 }
 
 // Leave permanently removes one participant from the barrier — the hook a
@@ -400,12 +483,17 @@ func (b *Barrier) Leave() {
 	}
 	b.n--
 	if b.arrived >= b.n && b.arrived > 0 {
-		for _, w := range b.waiters {
-			b.env.schedule(b.env.now, w)
-		}
-		b.waiters = b.waiters[:0]
-		b.arrived = 0
+		b.release()
 	}
+}
+
+// release ends the current round: every waiter wakes at the current time,
+// in arrival order.
+func (b *Barrier) release() {
+	for b.waiters.len() > 0 {
+		b.env.schedule(b.env.now, b.waiters.pop())
+	}
+	b.arrived = 0
 }
 
 // Parties returns the current number of participants.
