@@ -12,13 +12,15 @@ import (
 // Workspace is the box-scoped state of the local analysis (DESIGN.md, "The
 // local-analysis workspace"). Everything that depends on a grid point or an
 // observation alone — the inflated ensemble rows X, their deviations U, and
-// each observation's V = H·U row and innovation — is computed once per box;
-// a point then only selects and tapers the observations of its local box,
-// assembles its system and solves it in place, in scratch that is reused
-// from point to point and from box to box. The zero value is ready to use;
-// a Workspace must not be shared between goroutines.
+// each observation's V = H·U row and innovation — is computed once per box,
+// over the part of it the observations reach; a point there only selects and
+// tapers the observations of its local box, assembles its system and solves
+// it in place, in scratch that is reused from point to point and from box to
+// box; a point no observation reaches is written through from the block. The
+// zero value is ready to use; a Workspace must not be shared between
+// goroutines.
 type Workspace struct {
-	region grid.Box  // the target's expansion, where x, u and the observations live
+	region grid.Box  // what the reached points' local boxes span, where x, u and the observations live
 	x, u   []float64 // point-major over region: inflated members and their deviations
 	obs    []boxObs  // the usable candidates, ordered by grid row then candidate order
 	rowEnd []int     // obs of region row r: obs[rowEnd[r-1]:rowEnd[r]]
@@ -32,6 +34,11 @@ type Workspace struct {
 	xa   []float64
 	mc   linalg.ModCholScratch
 	eig  linalg.EigenScratch
+
+	// What AnalyzeInto writes through instead of solving. (New fields go
+	// last: the offsets above are in the solvers' instruction encodings.)
+	reach []bool    // over the target, row-major: the points some observation can reach
+	mean  []float64 // ensemble means along one run of unreached points
 }
 
 // boxObs is one observation usable inside the workspace's region.
@@ -84,45 +91,6 @@ func (c Config) inflate(row []float64) {
 	for k := range row {
 		row[k] = mean + c.Inflation*(row[k]-mean)
 	}
-}
-
-// begin scopes the workspace to the analysis of target from blk: it keeps
-// the candidates whose support lies in the target's expansion and, if there
-// are any, computes X, U and the per-observation rows over that expansion.
-// Nothing here depends on which point of target is analysed.
-func (w *Workspace) begin(c Config, blk *Block, candidates []obs.Observation, target grid.Box) {
-	n := c.N
-	w.obs = w.obs[:0]
-	if blk.Members() != n {
-		return // every point reports it
-	}
-	region := target.Expand(c.Mesh, c.Radius.Xi, c.Radius.Eta).Intersect(blk.Box)
-	for i, o := range candidates {
-		bo := boxObs{order: i, px: float64(o.X) + o.OffsetX, py: float64(o.Y) + o.OffsetY, vari: o.Variance, value: o.Value}
-		bo.sup, bo.nsup = o.SupportPoints()
-		// An observation of nothing (no positive weight) constrains nothing.
-		if bo.nsup > 0 && bo.within(region) {
-			w.obs = append(w.obs, bo)
-		}
-	}
-	if len(w.obs) == 0 {
-		return // every analysis is the inflated background
-	}
-	// A point visits the observations of its local box's rows only; the
-	// stable sort keeps candidate order within a row.
-	slices.SortStableFunc(w.obs, func(p, q boxObs) int { return p.sup[0].Y - q.sup[0].Y })
-	w.rowEnd = grow(w.rowEnd, region.Height())
-	clear(w.rowEnd)
-	for i := range w.obs {
-		w.rowEnd[w.obs[i].sup[0].Y-region.Y0] = i + 1
-	}
-	for r := 1; r < len(w.rowEnd); r++ {
-		w.rowEnd[r] = max(w.rowEnd[r], w.rowEnd[r-1])
-	}
-
-	w.region = region
-	w.loadEnsemble(c, blk)
-	w.loadObservations(c, candidates)
 }
 
 // loadEnsemble fills x with the region's members, point-major and inflated,
@@ -200,8 +168,9 @@ func (w *Workspace) vrow(i, n int) []float64 { return w.v[i*n : (i+1)*n] }
 func (w *Workspace) drow(i, n int) []float64 { return w.d[i*n : (i+1)*n] }
 
 // point writes the analysis ensemble at grid point (x, y) into out, which
-// has length N. The point must belong to the target, and blk be the block,
-// begin was called with.
+// has length N. blk must be the block begin was called with and the point one
+// of the target begin marked reached (any of them when no observation is
+// usable: the region covers the reached points' local boxes only).
 func (w *Workspace) point(c Config, blk *Block, x, y int, out []float64) error {
 	lb := c.Radius.LocalBox(c.Mesh, x, y)
 	if lb.Intersect(blk.Box) != lb {
@@ -347,11 +316,141 @@ func (w *Workspace) solveModifiedCholesky(c Config, lb grid.Box, bg []float64, c
 	return nil
 }
 
+// What follows runs once per box, not per point. It sits below the solvers it
+// feeds because functions are laid out in source order: text added above
+// them moves their loops across 64-byte lines, and the dense benchmark pays
+// some 10% for that (EXPERIMENTS.md, "Record: PR 21").
+
+// reach returns the points of target whose local box holds the observation's
+// whole support — the only points whose analysis it enters (Eq. 6). A point's
+// box holds a support point exactly when that point's box holds the point, so
+// the reach is an intersection of boxes; they are taken unclamped, which adds
+// nothing inside the mesh. The result may be empty.
+func (o *boxObs) reach(r grid.Radius, target grid.Box) grid.Box {
+	b := target
+	for _, s := range o.sup[:o.nsup] {
+		b = b.Intersect(grid.Box{X0: s.X - r.Xi, X1: s.X + r.Xi + 1, Y0: s.Y - r.Eta, Y1: s.Y + r.Eta + 1})
+	}
+	return b
+}
+
+// hull returns the smallest box holding a, which may be empty, and b, which
+// is not.
+func hull(a, b grid.Box) grid.Box {
+	if a.Empty() {
+		return b
+	}
+	return grid.Box{X0: min(a.X0, b.X0), X1: max(a.X1, b.X1), Y0: min(a.Y0, b.Y0), Y1: max(a.Y1, b.Y1)}
+}
+
+// begin scopes the workspace to the analysis of target from blk: it keeps
+// the candidates that reach a point of target, marks the points they reach
+// and, if there are any, computes X, U and the per-observation rows over what
+// the reached points' local boxes span. Nothing here depends on which point
+// of target is analysed.
+func (w *Workspace) begin(c Config, blk *Block, candidates []obs.Observation, target grid.Box) {
+	n := c.N
+	w.obs = w.obs[:0]
+	expansion := target.Expand(c.Mesh, c.Radius.Xi, c.Radius.Eta)
+	region := expansion.Intersect(blk.Box)
+	// A block that cannot serve every point fails at the first point it fails
+	// in target order, after whatever the points before it report: then every
+	// point is analysed on its own.
+	whole := blk.Members() != n || region != expansion
+	w.reach = grow(w.reach, target.Points())
+	for i := range w.reach {
+		w.reach[i] = whole
+	}
+	if blk.Members() != n {
+		return // every point reports it
+	}
+	var span grid.Box // of the reached points
+	if whole {
+		span = target
+	}
+	for i, o := range candidates {
+		bo := boxObs{order: i, px: float64(o.X) + o.OffsetX, py: float64(o.Y) + o.OffsetY, vari: o.Variance, value: o.Value}
+		bo.sup, bo.nsup = o.SupportPoints()
+		// An observation of nothing (no positive weight) constrains nothing.
+		if bo.nsup == 0 || !bo.within(region) {
+			continue
+		}
+		r := bo.reach(c.Radius, target)
+		if r.Empty() {
+			continue
+		}
+		w.obs = append(w.obs, bo)
+		if whole {
+			continue
+		}
+		span = hull(span, r)
+		for y := r.Y0; y < r.Y1; y++ {
+			row := w.reach[(y-target.Y0)*target.Width()+r.X0-target.X0:][:r.Width()]
+			for x := range row {
+				row[x] = true
+			}
+		}
+	}
+	if len(w.obs) == 0 {
+		return // every analysis is the inflated background
+	}
+	region = span.Expand(c.Mesh, c.Radius.Xi, c.Radius.Eta).Intersect(blk.Box)
+	// A point visits the observations of its local box's rows only; the
+	// stable sort keeps candidate order within a row.
+	slices.SortStableFunc(w.obs, func(p, q boxObs) int { return p.sup[0].Y - q.sup[0].Y })
+	w.rowEnd = grow(w.rowEnd, region.Height())
+	clear(w.rowEnd)
+	for i := range w.obs {
+		w.rowEnd[w.obs[i].sup[0].Y-region.Y0] = i + 1
+	}
+	for r := 1; r < len(w.rowEnd); r++ {
+		w.rowEnd[r] = max(w.rowEnd[r], w.rowEnd[r-1])
+	}
+
+	w.region = region
+	w.loadEnsemble(c, blk)
+	w.loadObservations(c, candidates)
+}
+
+// background writes the inflated background of row y's points [x0, x1) from
+// blk into dst, member-major: what point yields where no observation
+// reaches, by the operations of Config.inflate in their order, so the bits
+// are the same.
+func (w *Workspace) background(c Config, dst, blk *Block, x0, x1, y int) {
+	run := x1 - x0
+	src := (y-blk.Box.Y0)*blk.Box.Width() + x0 - blk.Box.X0
+	off := (y-dst.Box.Y0)*dst.Box.Width() + x0 - dst.Box.X0
+	if c.Inflation <= 0 || c.Inflation == 1 {
+		for k, member := range blk.Data {
+			copy(dst.Data[k][off:off+run], member[src:])
+		}
+		return
+	}
+	w.mean = grow(w.mean, run)
+	mean := w.mean
+	clear(mean)
+	for _, member := range blk.Data {
+		for i, v := range member[src:][:run] {
+			mean[i] += v
+		}
+	}
+	for i := range mean {
+		mean[i] /= float64(len(blk.Data))
+	}
+	for k, member := range blk.Data {
+		out := dst.Data[k][off:][:run]
+		for i, v := range member[src:][:run] {
+			out[i] = mean[i] + c.Inflation*(v-mean[i])
+		}
+	}
+}
+
 // AnalyzeInto runs the local analysis over every point of target, using
 // ensemble data in blk (which must contain the expansion of target) and the
 // given observation candidates (at least every observation whose support
 // lies in that expansion), and writes the analysis ensemble into dst, whose
-// box must contain target.
+// box must contain target. Its cost follows the observations: only the
+// points one reaches are solved, the rest of each row is written through.
 func (w *Workspace) AnalyzeInto(c Config, dst, blk *Block, candidates []obs.Observation, target grid.Box) error {
 	if target.Intersect(dst.Box) != target || dst.Members() != c.N {
 		return fmt.Errorf("enkf: destination block %v with %d members cannot hold the %d-member analysis of %v", dst.Box, dst.Members(), c.N, target)
@@ -359,7 +458,18 @@ func (w *Workspace) AnalyzeInto(c Config, dst, blk *Block, candidates []obs.Obse
 	w.begin(c, blk, candidates, target)
 	w.xa = grow(w.xa, c.N)
 	for y := target.Y0; y < target.Y1; y++ {
-		for x := target.X0; x < target.X1; x++ {
+		reach := w.reach[(y-target.Y0)*target.Width():][:target.Width()]
+		for i := 0; i < len(reach); {
+			x := target.X0 + i
+			if !reach[i] {
+				j := i + 1
+				for j < len(reach) && !reach[j] {
+					j++
+				}
+				w.background(c, dst, blk, x, target.X0+j, y)
+				i = j
+				continue
+			}
 			if err := w.point(c, blk, x, y, w.xa); err != nil {
 				return fmt.Errorf("enkf: point (%d,%d): %w", x, y, err)
 			}
@@ -367,6 +477,7 @@ func (w *Workspace) AnalyzeInto(c Config, dst, blk *Block, candidates []obs.Obse
 			for k, v := range w.xa {
 				dst.Data[k][off] = v
 			}
+			i++
 		}
 	}
 	return nil

@@ -28,6 +28,7 @@ import (
 	"hash/crc64"
 	"io"
 	"math"
+	"math/bits"
 	"os"
 	"path/filepath"
 	"sync"
@@ -77,6 +78,15 @@ type IOStats struct {
 	BytesRead int64 // payload bytes read
 	Reads     int   // read requests issued
 	Retries   int   // failed attempts that were retried
+}
+
+// payloadBytes returns the size of the payload the header declares, and
+// false if it is more than a file can hold: the three factors come from the
+// file, and a product that wraps must not pass for a small one.
+func (h Header) payloadBytes() (int64, bool) {
+	points := uint64(h.NX) * uint64(h.NY) // each below 2³²
+	hi, n := bits.Mul64(points, 8*uint64(h.LevelCount()))
+	return int64(n), hi == 0 && n <= math.MaxInt64-headerSizeV2
 }
 
 // MemberPath returns the canonical file name of member k inside dir.
@@ -381,9 +391,10 @@ func OpenMemberOpts(path string, o OpenOptions) (*MemberFile, error) {
 		f.Close()
 		return nil, fmt.Errorf("ensio: stat: %w", err)
 	}
-	if want := dataOff + int64(8*h.NX*h.NY*h.LevelCount()); fi.Size() != want {
+	if want, ok := h.payloadBytes(); !ok || fi.Size() != dataOff+want {
 		f.Close()
-		return nil, fmt.Errorf("ensio: %s has %d bytes, want %d: %w", path, fi.Size(), want, ErrTruncated)
+		return nil, fmt.Errorf("ensio: %s has %d bytes, not the %d of its header and the %dx%d points × %d levels it declares: %w",
+			path, fi.Size(), dataOff, h.NX, h.NY, h.LevelCount(), ErrTruncated)
 	}
 	m := &MemberFile{Header: h, path: path, f: f, dataOff: dataOff, retry: o.Retry, hook: o.Hook}
 	if o.Verify {

@@ -47,6 +47,23 @@ func TestFig01IOShareGrows(t *testing.T) {
 	}
 }
 
+// The read-only ablations compile a plan, so a swept decomposition that does
+// not divide its mesh stops the figure and the bare senkf-bench with it.
+func TestSweptDecompositionsDivideTheMesh(t *testing.T) {
+	for name, o := range map[string]Options{"paper": PaperOptions(), "quick": QuickOptions()} {
+		for _, nsdx := range o.Fig5NSdxs {
+			if o.Cfg.P.NX%nsdx != 0 {
+				t.Errorf("%s: Figure 5 n_sdx = %d does not divide n_x = %d", name, nsdx, o.Cfg.P.NX)
+			}
+		}
+		for fig, nsdy := range map[string]int{"5": o.Fig5NSdy, "10": o.Fig10NSdy} {
+			if o.Cfg.P.NY%nsdy != 0 {
+				t.Errorf("%s: Figure %s n_sdy = %d does not divide n_y = %d", name, fig, nsdy, o.Cfg.P.NY)
+			}
+		}
+	}
+}
+
 func TestFig05RoughlyLinear(t *testing.T) {
 	s := quickSuite()
 	f, err := s.Fig05()
