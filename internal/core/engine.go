@@ -11,6 +11,7 @@ package core
 
 import (
 	"fmt"
+	"sync"
 	"time"
 
 	"senkf/internal/enkf"
@@ -399,7 +400,9 @@ func engineCompute(comm *mpi.Comm, p plan.Problem, c *plan.Compiled, r plan.Comp
 	}
 	// One analysis workspace per compute rank: its scratch is reused across
 	// stages and levels, and it keeps only the observations a stage can use.
-	var ws enkf.Workspace
+	// The rank owns it from here until it returns, by whichever path.
+	ws := workspaces.Get().(*enkf.Workspace)
+	defer workspaces.Put(ws)
 	for _, st := range r.Stages {
 		st := st
 		tag := -1
@@ -465,6 +468,12 @@ func engineCompute(comm *mpi.Comm, p plan.Problem, c *plan.Compiled, r plan.Comp
 
 	return gatherResults(comm, cfg, r.Sub, flats, c.NumCompute())
 }
+
+// workspaces holds analysis workspaces between runs: in a forecast–analysis
+// cycle the same ranks analyse the same shapes every cycle, so the scratch one
+// run grew is the scratch the next one needs. A workspace keeps no reference
+// to the blocks it analysed.
+var workspaces = sync.Pool{New: func() any { return new(enkf.Workspace) }}
 
 // stageBlocks returns one block header per level over a stage box: the rows
 // are assigned, not filled — each is a received payload or a block read.

@@ -172,13 +172,16 @@ func reachedPoints(ws *Workspace) int {
 }
 
 // The oracle net over sparse and hostile-but-legal networks, three solvers ×
-// three inflations each. One workspace is carried through every case, so
-// scratch a wide box leaves behind would show in the sparse one after it, and
-// the destination is the whole block, so a write outside the target shows too.
+// three inflations each: the same bits at every point no observation reaches
+// and for the ETKF, oracleTolerance where the other two solve. One workspace
+// is carried through every case, so scratch a wide box leaves behind would
+// show in the sparse one after it, and the destination is the whole block, so
+// a write outside the target shows too.
 func TestWorkspaceMatchesOracleOnSparseNetworks(t *testing.T) {
 	var ws Workspace
 	untouched := math.Float64bits(math.NaN())
 	var solved, written [sparseKinds]int
+	var worst float64
 	for seed := uint64(1001); seed < 1001+8*sparseKinds; seed++ {
 		kind := int(seed % sparseKinds)
 		for _, solver := range []Solver{SolverEnsembleSpace, SolverModifiedCholesky, SolverETKF} {
@@ -202,7 +205,7 @@ func TestWorkspaceMatchesOracleOnSparseNetworks(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				sameBits(t, what, got, want)
+				worst = max(worst, agreesWithOracle(t, what, solver, got, want, ws.reach))
 				for k, member := range dst.Data {
 					for i, v := range member {
 						x, y := dst.Box.X0+i%dst.Box.Width(), dst.Box.Y0+i/dst.Box.Width()
@@ -219,20 +222,11 @@ func TestWorkspaceMatchesOracleOnSparseNetworks(t *testing.T) {
 					t.Errorf("%s: %d points reached in a case built to have none", what, reached)
 				}
 
-				s := linalg.KeyedStream(seed, 0x9017)
-				x, y := rc.target.X0+s.Intn(rc.target.Width()), rc.target.Y0+s.Intn(rc.target.Height())
-				xa, err := rc.cfg.AnalyzePoint(rc.blk, rc.cands, x, y)
-				if err != nil {
-					t.Fatalf("%s: point (%d,%d): %v", what, x, y, err)
-				}
-				for k, v := range xa {
-					if math.Float64bits(v) != math.Float64bits(want.At(k, x, y)) {
-						t.Fatalf("%s: AnalyzePoint(%d,%d) member %d is %v, oracle %v", what, x, y, k, v, want.At(k, x, y))
-					}
-				}
+				samePoint(t, what, rc, got, linalg.KeyedStream(seed, 0x9017))
 			}
 		}
 	}
+	t.Logf("largest deviation from the oracle: %.2g of the field scale", worst)
 	// The generator has to keep both paths of AnalyzeInto in play.
 	for kind := range solved {
 		t.Logf("kind %d: %d points solved, %d written through", kind, solved[kind], written[kind])
@@ -283,7 +277,7 @@ func TestAnalysisWorkFollowsObservations(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: oracle: %v", tc.name, err)
 		}
-		sameBits(t, tc.name, got, want)
+		agreesWithOracle(t, tc.name, cfg.Solver, got, want, ws.reach)
 		if reached := reachedPoints(&ws); reached != tc.reached {
 			t.Errorf("%s: %d points go through the solver, want %d of %d", tc.name, reached, tc.reached, target.Points())
 		}
@@ -296,5 +290,98 @@ func TestAnalysisWorkFollowsObservations(t *testing.T) {
 		if len(ws.v) != members*len(ws.obs) || len(ws.obs) > len(tc.cands) {
 			t.Errorf("%s: %d observation rows of %d values for %d candidates", tc.name, len(ws.obs), len(ws.v), len(tc.cands))
 		}
+	}
+}
+
+// rowBand returns the most observations of ws whose first support row lies in
+// one window of 2η+1 grid rows: what the rows of a local box can hold.
+func rowBand(ws *Workspace, eta int) int {
+	most := 0
+	for y := ws.region.Y0; y < ws.region.Y1; y++ {
+		n := 0
+		for i := range ws.obs {
+			if r := ws.obs[i].sup[0].Y; r >= y && r <= y+2*eta {
+				n++
+			}
+		}
+		most = max(most, n)
+	}
+	return most
+}
+
+// The V·Vᵀ cache as exact ceilings. A pair of observations has one entry,
+// filled the first time a point asks for it and not again, so the entries
+// filled after a box count the products computed: on the dense benchmark
+// sub-domain they are exactly the pairs that share some point's local box, and
+// each holds what linalg.Dot gives. The cache's size is the observations times
+// what the rows of one local box hold — on a wide box far from observations².
+func TestPairProductsAreComputedOncePerBox(t *testing.T) {
+	cfg, blk, cands, sub := denseSubDomain(t)
+	var ws Workspace
+	if err := ws.AnalyzeInto(cfg, NewBlock(sub, cfg.N), blk, cands, sub); err != nil {
+		t.Fatal(err)
+	}
+	type pair struct{ i, j int }
+	shared := map[pair]bool{}
+	for y := sub.Y0; y < sub.Y1; y++ {
+		for x := sub.X0; x < sub.X1; x++ {
+			lb := cfg.Radius.LocalBox(cfg.Mesh, x, y)
+			var in []int
+			for i := range ws.obs {
+				if ws.obs[i].within(lb) {
+					in = append(in, i)
+					for _, j := range in {
+						shared[pair{i, j}] = true
+					}
+				}
+			}
+		}
+	}
+	if want := rowBand(&ws, cfg.Radius.Eta); ws.band != want || len(ws.pair) != len(ws.obs)*want {
+		t.Errorf("dense: %d cached products in rows of %d for %d observations, of which the rows of a local box hold %d", len(ws.pair), ws.band, len(ws.obs), want)
+	}
+	filled := 0
+	for i := range ws.obs {
+		for k, v := range ws.pair[i*ws.band:][:ws.band] {
+			if v != v {
+				continue
+			}
+			filled++
+			if j := i - k; j < 0 || !shared[pair{i, j}] {
+				t.Fatalf("dense: a product was computed for observations %d and %d, which share no local box", i, j)
+			} else if want := linalg.Dot(ws.vrow(i, cfg.N), ws.vrow(j, cfg.N)); math.Float64bits(v) != math.Float64bits(want) {
+				t.Fatalf("dense: the cached product of observations %d and %d is %v, want %v", i, j, v, want)
+			}
+		}
+	}
+	if filled != len(shared) {
+		t.Errorf("dense: %d products computed for %d pairs of observations that share a local box", filled, len(shared))
+	}
+	t.Logf("dense: %d observations, %d products computed (%d entries), %d points", len(ws.obs), filled, len(ws.pair), sub.Points())
+
+	// A wide, sparsely observed box: 1200 observations, 400 in the rows of a
+	// local box.
+	const members, seed = 4, 3
+	m, err := grid.NewMesh(400, 12)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wide := Config{Mesh: m, Radius: grid.Radius{Xi: 2, Eta: 1}, N: members, Seed: seed}
+	truth := workload.Truth(m, workload.DefaultFieldSpec, seed)
+	bg, err := workload.Ensemble(m, truth, members, 1.5, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	net, err := obs.StridedNetwork(m, truth, 2, 2, 0.05, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	full := grid.Box{X0: 0, X1: m.NX, Y0: 0, Y1: m.NY}
+	ws = Workspace{}
+	if err := ws.AnalyzeInto(wide, NewBlock(full, members), &Block{Box: full, Data: bg}, net.Obs, full); err != nil {
+		t.Fatal(err)
+	}
+	if want := rowBand(&ws, wide.Radius.Eta); len(ws.obs) != 1200 || want != 400 || cap(ws.pair) != len(ws.obs)*want {
+		t.Errorf("wide: %d cached products for %d observations, of which the rows of a local box hold %d", cap(ws.pair), len(ws.obs), want)
 	}
 }

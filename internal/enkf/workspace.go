@@ -2,6 +2,7 @@ package enkf
 
 import (
 	"fmt"
+	"math"
 	"slices"
 
 	"senkf/internal/grid"
@@ -10,15 +11,17 @@ import (
 )
 
 // Workspace is the box-scoped state of the local analysis (DESIGN.md, "The
-// local-analysis workspace"). Everything that depends on a grid point or an
-// observation alone — the inflated ensemble rows X, their deviations U, and
-// each observation's V = H·U row and innovation — is computed once per box,
-// over the part of it the observations reach; a point there only selects and
-// tapers the observations of its local box, assembles its system and solves
-// it in place, in scratch that is reused from point to point and from box to
-// box; a point no observation reaches is written through from the block. The
-// zero value is ready to use; a Workspace must not be shared between
-// goroutines.
+// local-analysis workspace" and "A local solve that costs what it uses").
+// Everything that depends on a grid point or an observation alone — the
+// inflated ensemble rows X, their deviations U, and each observation's
+// V = H·U row and innovation — is computed once per box, over the part of it
+// the observations reach, and the product of two V rows the first time a
+// point needs it; a point there only selects and tapers the observations of
+// its local box, assembles its system and solves it for one right-hand side,
+// in scratch that is reused from point to point and from box to box; a point
+// no observation reaches is written through from the block. The zero value
+// is ready to use and a used one may be kept for any later analysis; a
+// Workspace must not be shared between goroutines.
 type Workspace struct {
 	region grid.Box  // what the reached points' local boxes span, where x, u and the observations live
 	x, u   []float64 // point-major over region: inflated members and their deviations
@@ -28,9 +31,9 @@ type Workspace struct {
 
 	// Per-point scratch.
 	sel  []selected
-	a, b linalg.Matrix // the system to factor, and its right-hand sides
+	a, b linalg.Matrix // the system to factor; the ETKF's factor and transform
 	ul   linalg.Matrix // the local box's rows of U (modified Cholesky)
-	rhs  []float64
+	rhs  []float64     // the one right-hand side, overwritten by its solution
 	xa   []float64
 	mc   linalg.ModCholScratch
 	eig  linalg.EigenScratch
@@ -39,6 +42,13 @@ type Workspace struct {
 	// last: the offsets above are in the solvers' instruction encodings.)
 	reach []bool    // over the target, row-major: the points some observation can reach
 	mean  []float64 // ensemble means along one run of unreached points
+
+	// V·Vᵀ, which depends on neither the point nor the box: entry
+	// pair[i*band+i-j] is v_i·v_j for slots j ≤ i, NaN until a point asks for
+	// it. Two observations of one selection lie in one local box's rows, so
+	// fewer than band slots apart.
+	band int // the most observations the rows of one local box hold
+	pair []float64
 }
 
 // boxObs is one observation usable inside the workspace's region.
@@ -225,42 +235,44 @@ func (w *Workspace) point(c Config, blk *Block, x, y int, out []float64) error {
 	}
 }
 
-// solveEnsembleSpace computes δxa at the centre point via
-// δXa = U·Vᵀ·(V·Vᵀ/(N−1) + R)⁻¹·D/(N−1); uc is the centre row of U.
+// solveEnsembleSpace computes δxa at the centre point,
+// u_c·Vᵀ·(V·Vᵀ/(N−1) + R)⁻¹·D/(N−1) with u_c the centre row of U, as
+// zᵀ·D where A·z = V·u_c/(N−1): A is symmetric, so one solve gives the only
+// combination of A⁻¹·D's rows the point uses.
 func (w *Workspace) solveEnsembleSpace(c Config, bg, uc, out []float64) error {
 	n, m := c.N, len(w.sel)
 	denom := float64(n - 1)
-	// A = V·Vᵀ/(N−1) + R (lower triangle) and D, the selected rows.
-	a, d := w.a.Reset(m, m), w.b.Reset(m, n)
+	// A = V·Vᵀ/(N−1) + R (lower triangle) and s = V·u_c/(N−1).
+	a := w.a.Reset(m, m)
+	w.rhs = grow(w.rhs, m)
+	z := w.rhs
 	for i, si := range w.sel {
-		vi, arow := w.vrow(si.slot, n), a.Row(i)
+		arow := a.Row(i)
 		for j, sj := range w.sel[:i+1] {
-			arow[j] = linalg.Dot(vi, w.vrow(sj.slot, n)) * (1 / denom)
+			arow[j] = w.vv(si.slot, sj.slot, n) * (1 / denom)
 		}
 		arow[i] += si.effVar
-		copy(d.Row(i), w.drow(si.slot, n))
+		z[i] = linalg.Dot(uc, w.vrow(si.slot, n)) / denom
 	}
 	if err := linalg.CholeskyInPlace(a); err != nil {
 		return fmt.Errorf("enkf: innovation covariance not SPD: %w", err)
 	}
-	// W = A⁻¹·D (m × N), overwriting D.
-	if err := linalg.CholSolveInPlace(a, d); err != nil {
+	if err := linalg.CholSolveVecInPlace(a, z); err != nil {
 		return err
 	}
-	// δxa_centre = u_centre · (Vᵀ·W) / (N−1)
-	//  = Σ_i (Σ_k u_c[k]·V[i][k]) · W[i][·] / (N−1).
 	copy(out, bg)
 	for i, si := range w.sel {
-		s := linalg.Dot(uc, w.vrow(si.slot, n)) / denom
-		for k2, wv := range d.Row(i) {
-			out[k2] += s * wv
+		zi := z[i]
+		for k, dv := range w.drow(si.slot, n) {
+			out[k] += zi * dv
 		}
 	}
 	return nil
 }
 
-// solveModifiedCholesky computes Eq. (5) on the local box lb:
-// δX = (B̂⁻¹ + HᵀR⁻¹H)⁻¹ · HᵀR⁻¹ · D, taking the centre row.
+// solveModifiedCholesky computes Eq. (5) on the local box lb, the centre row
+// of δX = M⁻¹·HᵀR⁻¹·D with M = B̂⁻¹ + HᵀR⁻¹H, as (HᵀR⁻¹·z)ᵀ·D where
+// M·z = e_centre: M is symmetric, so z is that row of M⁻¹.
 func (w *Workspace) solveModifiedCholesky(c Config, lb grid.Box, bg []float64, centre int, out []float64) error {
 	n, nb, width := c.N, lb.Points(), lb.Width()
 	u := w.ul.Reset(nb, n)
@@ -284,42 +296,62 @@ func (w *Workspace) solveModifiedCholesky(c Config, lb grid.Box, bg []float64, c
 	if err := linalg.ModifiedCholeskyPrecisionInto(m2, u, band, ridge, &w.mc); err != nil {
 		return fmt.Errorf("enkf: modified Cholesky estimate: %w", err)
 	}
-	// M = B̂⁻¹ + HᵀR⁻¹H: each observation contributes its weight outer
-	// product w·wᵀ/R over its support rows; C = HᵀR⁻¹·D (nb × N).
-	cm := w.b.Reset(nb, n)
+	// Each observation contributes its weight outer product w·wᵀ/R over its
+	// support rows.
 	local := func(s obs.Support) int { return (s.Y-lb.Y0)*width + s.X - lb.X0 }
 	for _, si := range w.sel {
 		o := &w.obs[si.slot]
 		inv := 1 / si.effVar
-		drow := w.drow(si.slot, n)
 		for _, a := range o.sup[:o.nsup] {
 			for _, b := range o.sup[:o.nsup] {
 				m2.Data[local(a)*nb+local(b)] += a.W * b.W * inv
-			}
-		}
-		for _, a := range o.sup[:o.nsup] {
-			crow := cm.Row(local(a))
-			for k := range crow {
-				crow[k] += a.W * inv * drow[k]
 			}
 		}
 	}
 	if err := linalg.CholeskyInPlace(m2); err != nil {
 		return fmt.Errorf("enkf: analysis matrix not SPD: %w", err)
 	}
-	if err := linalg.CholSolveInPlace(m2, cm); err != nil {
+	w.rhs = grow(w.rhs, nb)
+	z := w.rhs
+	clear(z)
+	z[centre] = 1
+	if err := linalg.CholSolveVecInPlace(m2, z); err != nil {
 		return err
 	}
-	for k, dx := range cm.Row(centre) {
-		out[k] = bg[k] + dx
+	copy(out, bg)
+	for _, si := range w.sel {
+		o := &w.obs[si.slot]
+		var g float64
+		for _, a := range o.sup[:o.nsup] {
+			g += z[local(a)] * a.W
+		}
+		g /= si.effVar
+		for k, dv := range w.drow(si.slot, n) {
+			out[k] += g * dv
+		}
 	}
 	return nil
 }
 
-// What follows runs once per box, not per point. It sits below the solvers it
-// feeds because functions are laid out in source order: text added above
-// them moves their loops across 64-byte lines, and the dense benchmark pays
-// some 10% for that (EXPERIMENTS.md, "Record: PR 21").
+// What follows runs once per box, not per point — or, for vv, once per pair of
+// observations. It sits below the solvers it feeds because functions are laid
+// out in source order: text added above them moves their loops across 64-byte
+// lines, and the dense benchmark pays some 6–10% for that (EXPERIMENTS.md,
+// "Record: PR 21" and "PR 22"; scripts/text-parity.sh prints where they are).
+
+// vv returns v_i·v_j for two observation slots of one selection, computed the
+// first time a point of the box asks. The product does not depend on the
+// order of its factors, so it is the same bits whoever asks first.
+func (w *Workspace) vv(i, j, n int) float64 {
+	if i < j {
+		i, j = j, i
+	}
+	p := &w.pair[i*w.band+i-j]
+	if *p != *p {
+		*p = linalg.Dot(w.vrow(i, n), w.vrow(j, n))
+	}
+	return *p
+}
 
 // reach returns the points of target whose local box holds the observation's
 // whole support — the only points whose analysis it enters (Eq. 6). A point's
@@ -405,6 +437,23 @@ func (w *Workspace) begin(c Config, blk *Block, candidates []obs.Observation, ta
 	}
 	for r := 1; r < len(w.rowEnd); r++ {
 		w.rowEnd[r] = max(w.rowEnd[r], w.rowEnd[r-1])
+	}
+	// A local box spans at most 2η+1 rows: what they hold bounds a selection,
+	// and how many slots apart two observations of one selection lie.
+	w.band = 0
+	for r, end := range w.rowEnd {
+		first := 0
+		if r > 2*c.Radius.Eta {
+			first = w.rowEnd[r-2*c.Radius.Eta-1]
+		}
+		w.band = max(w.band, end-first)
+	}
+	w.sel = grow(w.sel, w.band)
+	if c.Solver == SolverEnsembleSpace {
+		w.pair = grow(w.pair, len(w.obs)*w.band)
+		for i := range w.pair {
+			w.pair[i] = math.NaN()
+		}
 	}
 
 	w.region = region

@@ -1,6 +1,7 @@
 package linalg
 
 import (
+	"errors"
 	"math"
 	"testing"
 )
@@ -68,6 +69,23 @@ func TestInPlaceKernelsReuseScratch(t *testing.T) {
 			t.Fatal(err)
 		}
 		sameMatrixBits(t, "CholSolveInPlace on the in-place factor", b, wantX)
+
+		// One right-hand side: the vector solve is the matrix solve's column.
+		col := &Matrix{Rows: size.n, Cols: 1, Data: s.NormVec(size.n)}
+		vec := append([]float64(nil), col.Data...)
+		if err := CholSolveInPlace(f, col); err != nil {
+			t.Fatal(err)
+		}
+		if err := CholSolveVecInPlace(f, vec); err != nil {
+			t.Fatal(err)
+		}
+		sameMatrixBits(t, "CholSolveVecInPlace", &Matrix{Rows: size.n, Cols: 1, Data: vec}, col)
+	}
+	if err := CholSolveVecInPlace(Identity(3), make([]float64, 2)); err == nil {
+		t.Error("CholSolveVecInPlace accepted a right-hand side of the wrong length")
+	}
+	if err := CholSolveVecInPlace(NewMatrix(2, 2), make([]float64, 2)); err == nil {
+		t.Error("CholSolveVecInPlace accepted a singular factor")
 	}
 
 	u := sampleFromAR1(s, 14, 30, 0.5)
@@ -81,6 +99,36 @@ func TestInPlaceKernelsReuseScratch(t *testing.T) {
 		}
 	}); n != 0 {
 		t.Errorf("warm in-place kernels allocate %v objects per call", n)
+	}
+}
+
+// A pivot that is not a positive finite number is not a factor's diagonal:
+// +Inf used to pass and leave a factor of zeros and NaNs behind.
+func TestCholeskyRejectsNonFinitePivots(t *testing.T) {
+	inf, big := math.Inf(1), math.MaxFloat64
+	for _, tc := range []struct {
+		name string
+		rows [][]float64
+	}{
+		{"+Inf diagonal", [][]float64{{inf}}},
+		{"a diagonal that overflowed, after a finite pivot", [][]float64{{4, 2}, {2, big + big}}},
+		{"update that overflows", [][]float64{{1e-300, 0}, {1e10, 1}}},
+		{"NaN diagonal", [][]float64{{1, 0}, {0, math.NaN()}}},
+		{"NaN off the diagonal", [][]float64{{1, 0}, {math.NaN(), 1}}},
+		{"-0 diagonal", [][]float64{{math.Copysign(0, -1)}}},
+		{"zero pivot", [][]float64{{1, 1}, {1, 1}}},
+	} {
+		a, err := FromRows(tc.rows)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := CholeskyInPlace(a); !errors.Is(err, ErrNotPositiveDefinite) {
+			t.Errorf("%s: CholeskyInPlace returned %v, want ErrNotPositiveDefinite", tc.name, err)
+		}
+	}
+	ok, _ := FromRows([][]float64{{big / 4, 0}, {0, 1e-300}})
+	if err := CholeskyInPlace(ok); err != nil {
+		t.Errorf("extreme but finite pivots: %v", err)
 	}
 }
 

@@ -198,8 +198,8 @@ func MaxAbsDiff(a, b *Matrix) (float64, error) {
 	return m, nil
 }
 
-// ErrNotPositiveDefinite is returned by Cholesky when a non-positive pivot
-// is encountered.
+// ErrNotPositiveDefinite is returned by Cholesky when a pivot is not a
+// positive finite number.
 var ErrNotPositiveDefinite = errors.New("linalg: matrix is not positive definite")
 
 // Cholesky computes the lower-triangular factor L with a = L·Lᵀ.
@@ -229,7 +229,7 @@ func CholeskyInPlace(a *Matrix) error {
 		for k := 0; k < j; k++ {
 			d -= lj[k] * lj[k]
 		}
-		if d <= 0 || math.IsNaN(d) {
+		if !(d > 0) || math.IsInf(d, 1) {
 			return fmt.Errorf("%w: pivot %d is %g", ErrNotPositiveDefinite, j, d)
 		}
 		dj := math.Sqrt(d)
@@ -309,23 +309,60 @@ func CholSolveInPlace(l, b *Matrix) error {
 	return SolveUpperFromLowerInPlace(l, b)
 }
 
-// solveVec runs an in-place solver on a copy of the vector b.
-func solveVec(solve func(l, b *Matrix) error, l *Matrix, b []float64) ([]float64, error) {
-	x := &Matrix{Rows: len(b), Cols: 1, Data: append([]float64(nil), b...)}
+// CholSolveVecInPlace overwrites b with the solution of a·x = b given the
+// Cholesky factor L of a: CholSolveInPlace for one right-hand side, by the
+// same operations in the same order.
+func CholSolveVecInPlace(l *Matrix, b []float64) error {
+	if err := solveLowerVec(l, b); err != nil {
+		return err
+	}
+	n := l.Rows
+	for i := n - 1; i >= 0; i-- {
+		s := b[i]
+		for k := i + 1; k < n; k++ {
+			s -= l.Data[k*n+i] * b[k]
+		}
+		b[i] = s / l.Data[i*n+i]
+	}
+	return nil
+}
+
+// solveLowerVec is SolveLowerInPlace for one right-hand side.
+func solveLowerVec(l *Matrix, b []float64) error {
+	n := l.Rows
+	if l.Cols != n || len(b) != n {
+		return fmt.Errorf("linalg: SolveLower shape mismatch %dx%d, b=%d", l.Rows, l.Cols, len(b))
+	}
+	for i, s := range b {
+		li := l.Row(i)
+		for k, lik := range li[:i] {
+			s -= lik * b[k]
+		}
+		if li[i] == 0 {
+			return fmt.Errorf("linalg: singular triangular system at row %d", i)
+		}
+		b[i] = s / li[i]
+	}
+	return nil
+}
+
+// solveVec runs an in-place vector solver on a copy of b.
+func solveVec(solve func(l *Matrix, b []float64) error, l *Matrix, b []float64) ([]float64, error) {
+	x := append([]float64(nil), b...)
 	if err := solve(l, x); err != nil {
 		return nil, err
 	}
-	return x.Data, nil
+	return x, nil
 }
 
 // SolveLower solves L·x = b for lower-triangular L (forward substitution).
 func SolveLower(l *Matrix, b []float64) ([]float64, error) {
-	return solveVec(SolveLowerInPlace, l, b)
+	return solveVec(solveLowerVec, l, b)
 }
 
 // CholSolve solves a·x = b given the Cholesky factor L of a.
 func CholSolve(l *Matrix, b []float64) ([]float64, error) {
-	return solveVec(CholSolveInPlace, l, b)
+	return solveVec(CholSolveVecInPlace, l, b)
 }
 
 // CholSolveMatrix solves a·X = B given the Cholesky factor.
