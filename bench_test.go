@@ -6,24 +6,20 @@
 // report the headline numbers (speedup at 12,000 cores, scaling
 // efficiency, overlap percentage) as custom metrics.
 //
-// Micro-benchmarks of the underlying kernels (local analysis, Cholesky,
-// bar/block file reads, message passing, the event engine, the auto-tuner)
-// follow the figure benches.
+// Wall-clock cost per layer — the engines end to end, the kernels, file
+// reads, message passing, the event engine, the auto-tuner — is measured by
+// the probes of benchmark/, in one versioned record; the one micro-benchmark
+// kept here is BenchmarkAnalyzeBoxDense, the -cpu 1 harness the EXPERIMENTS
+// recipes profile the local solver with.
 package senkf
 
 import (
-	"fmt"
 	"os"
 	"testing"
 
-	"senkf/internal/costmodel"
 	"senkf/internal/enkf"
-	"senkf/internal/ensio"
 	"senkf/internal/grid"
-	"senkf/internal/linalg"
-	"senkf/internal/mpi"
 	"senkf/internal/obs"
-	"senkf/internal/sim"
 	"senkf/internal/workload"
 )
 
@@ -124,150 +120,7 @@ func BenchmarkFig09_PhaseBreakdown_PaperScale(b *testing.B) {
 	}
 }
 
-// --- Real-execution benchmarks (ablations on real files) ---------------
-
-// benchProblem builds a real laptop-scale problem once per benchmark.
-func benchProblem(b *testing.B) (Problem, Decomposition) {
-	b.Helper()
-	ps := workload.TestScale
-	mesh, err := NewMesh(ps.NX, ps.NY)
-	if err != nil {
-		b.Fatal(err)
-	}
-	truth := GenerateTruth(mesh, DefaultFieldSpec, ps.Seed)
-	members, err := GenerateEnsemble(mesh, truth, ps.Members, ps.Spread, ps.Seed)
-	if err != nil {
-		b.Fatal(err)
-	}
-	dir := b.TempDir()
-	if _, err := WriteEnsemble(dir, mesh, members); err != nil {
-		b.Fatal(err)
-	}
-	net, err := NewStridedNetwork(mesh, truth, ps.ObsStride, ps.ObsStride, ps.ObsVar, ps.Seed)
-	if err != nil {
-		b.Fatal(err)
-	}
-	radius := grid.Radius{Xi: ps.Xi, Eta: ps.Eta}
-	cfg := Config{Mesh: mesh, Radius: radius, N: ps.Members, Seed: ps.Seed}
-	dec, err := NewDecomposition(mesh, 4, 2, radius)
-	if err != nil {
-		b.Fatal(err)
-	}
-	return Problem{Cfg: cfg, Dir: dir, Net: net}, dec
-}
-
-func BenchmarkRealSEnKF(b *testing.B) {
-	p, dec := benchProblem(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := RunSEnKF(p, Plan{Dec: dec, L: 3, NCg: 2}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkRealPEnKF(b *testing.B) {
-	p, dec := benchProblem(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := RunPEnKF(p, dec); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkRealLEnKF(b *testing.B) {
-	p, dec := benchProblem(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := RunLEnKF(p, dec); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkSerialReference(b *testing.B) {
-	ps := workload.TestScale
-	mesh, _ := NewMesh(ps.NX, ps.NY)
-	truth := GenerateTruth(mesh, DefaultFieldSpec, ps.Seed)
-	members, err := GenerateEnsemble(mesh, truth, ps.Members, ps.Spread, ps.Seed)
-	if err != nil {
-		b.Fatal(err)
-	}
-	net, err := NewStridedNetwork(mesh, truth, ps.ObsStride, ps.ObsStride, ps.ObsVar, ps.Seed)
-	if err != nil {
-		b.Fatal(err)
-	}
-	cfg := Config{Mesh: mesh, Radius: grid.Radius{Xi: ps.Xi, Eta: ps.Eta}, N: ps.Members, Seed: ps.Seed}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := SerialReference(cfg, members, net); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// --- Ablation: bar reading vs block reading on real files --------------
-
-func benchReadFiles(b *testing.B, bar bool) {
-	mesh, _ := grid.NewMesh(256, 128)
-	field := make([]float64, mesh.Points())
-	for i := range field {
-		field[i] = float64(i)
-	}
-	dir := b.TempDir()
-	path := ensio.MemberPath(dir, 0)
-	if err := ensio.WriteMember(path, ensio.Header{NX: mesh.NX, NY: mesh.NY}, field); err != nil {
-		b.Fatal(err)
-	}
-	// Equal payload (8192 values) either way; the bar needs one addressing
-	// operation, the narrow block needs one per row (128).
-	block := grid.Box{X0: 32, X1: 96, Y0: 0, Y1: 128}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		mf, err := ensio.OpenMember(path)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if bar {
-			if _, err := mf.ReadBar(0, 32); err != nil {
-				b.Fatal(err)
-			}
-		} else {
-			if _, err := mf.ReadBlock(block); err != nil {
-				b.Fatal(err)
-			}
-		}
-		mf.Close()
-	}
-}
-
-func BenchmarkAblationBarRead(b *testing.B)   { benchReadFiles(b, true) }
-func BenchmarkAblationBlockRead(b *testing.B) { benchReadFiles(b, false) }
-
-// --- Kernel micro-benchmarks -------------------------------------------
-
-func BenchmarkLocalAnalysisPoint(b *testing.B) {
-	ps := workload.TestScale
-	mesh, _ := grid.NewMesh(ps.NX, ps.NY)
-	truth := workload.Truth(mesh, workload.DefaultFieldSpec, ps.Seed)
-	members, err := workload.Ensemble(mesh, truth, ps.Members, ps.Spread, ps.Seed)
-	if err != nil {
-		b.Fatal(err)
-	}
-	net, err := obs.StridedNetwork(mesh, truth, ps.ObsStride, ps.ObsStride, ps.ObsVar, ps.Seed)
-	if err != nil {
-		b.Fatal(err)
-	}
-	cfg := enkf.Config{Mesh: mesh, Radius: grid.Radius{Xi: ps.Xi, Eta: ps.Eta}, N: ps.Members, Seed: ps.Seed}
-	blk := &enkf.Block{Box: grid.Box{X0: 0, X1: mesh.NX, Y0: 0, Y1: mesh.NY}, Data: members}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := cfg.AnalyzePoint(blk, net.Obs, 10, 6); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
+// --- The local analysis of one box --------------------------------------
 
 // BenchmarkAnalyzeBoxDense is the local analysis of one sub-domain of the
 // benchmark's dense workload (72×36, N=32, radius (4,2), every second point
@@ -301,123 +154,6 @@ func BenchmarkAnalyzeBoxDense(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := cfg.AnalyzeBox(blk, cands, sub); err != nil {
 			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkCholesky64(b *testing.B) {
-	s := linalg.NewStream(1)
-	a := linalg.NewMatrix(64, 66)
-	for i := range a.Data {
-		a.Data[i] = s.Norm()
-	}
-	spd := linalg.AAT(a)
-	for i := 0; i < 64; i++ {
-		spd.Data[i*64+i] += 64
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := linalg.Cholesky(spd); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkModifiedCholesky(b *testing.B) {
-	s := linalg.NewStream(2)
-	u := linalg.NewMatrix(25, 40)
-	for i := range u.Data {
-		u.Data[i] = s.Norm()
-	}
-	linalg.CenterRows(u)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := linalg.ModifiedCholeskyPrecision(u, 5, 1e-6); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkMatMul64(b *testing.B) {
-	s := linalg.NewStream(3)
-	x := linalg.NewMatrix(64, 64)
-	y := linalg.NewMatrix(64, 64)
-	for i := range x.Data {
-		x.Data[i] = s.Norm()
-		y.Data[i] = s.Norm()
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := linalg.MatMul(x, y); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkMPIPingPong(b *testing.B) {
-	payload := make([]float64, 1024)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		w, err := mpi.NewWorld(2)
-		if err != nil {
-			b.Fatal(err)
-		}
-		err = w.Run(func(c *mpi.Comm) error {
-			const rounds = 100
-			if c.Rank() == 0 {
-				for r := 0; r < rounds; r++ {
-					if err := c.Send(1, 0, nil, payload); err != nil {
-						return err
-					}
-					if _, err := c.Recv(1, 1); err != nil {
-						return err
-					}
-				}
-				return nil
-			}
-			for r := 0; r < rounds; r++ {
-				m, err := c.Recv(0, 0)
-				if err != nil {
-					return err
-				}
-				if err := c.Send(0, 1, nil, m.Data); err != nil {
-					return err
-				}
-			}
-			return nil
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkSimEngineEvents(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		env := sim.NewEnv()
-		r := sim.NewResource(env, "disk", 4)
-		for p := 0; p < 1000; p++ {
-			env.Go(fmt.Sprintf("p%d", p), func(pr *sim.Proc) {
-				for j := 0; j < 10; j++ {
-					r.Acquire(pr)
-					pr.Sleep(0.001)
-					r.Release()
-				}
-			})
-		}
-		if _, err := env.Run(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkAutoTunePaperScale(b *testing.B) {
-	p := DefaultMachine().P
-	tc := costmodel.TuneConstraints{MaxL: 12, MaxNCg: 12}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, ok := p.AutoTuneConstrained(12000, 0.001, tc); !ok {
-			b.Fatal("no configuration")
 		}
 	}
 }

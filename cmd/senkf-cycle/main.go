@@ -206,15 +206,15 @@ func main() {
 		}
 		defer os.RemoveAll(dir)
 		if *analyzer == "senkf" {
-			tpl := senkf.Problem{Tr: sess.Tracer, Obs: sess.Observer(), Faults: fp, Prof: sess.Labels(), Msgs: sess.MsgObserver()}
+			tpl := senkf.Problem{Dir: dir, Tr: sess.Tracer, Obs: sess.Observer(), Faults: fp, Prof: sess.Labels(), Msgs: sess.MsgObserver()}
+			pl := senkf.Plan{Dec: dec, L: *layers, NCg: *ncg}
 			if *resil {
-				pl := senkf.Plan{Dec: dec, L: *layers, NCg: *ncg}
 				an = func(cfg senkf.Config, background [][]float64, net *senkf.Network) ([][]float64, error) {
 					if _, err := senkf.WriteEnsemble(dir, cfg.Mesh, background); err != nil {
 						return nil, err
 					}
 					p := tpl
-					p.Cfg, p.Dir, p.Net = cfg, dir, net
+					p.Cfg, p.Net = cfg, net
 					res, err := senkf.RunSEnKFResilient(p, pl, senkf.Resilience{})
 					if err != nil {
 						return nil, err
@@ -223,10 +223,10 @@ func main() {
 					return res.Fields, nil
 				}
 			} else {
-				an = senkf.SEnKFAnalyzerHooked(dir, dec, *layers, *ncg, tpl)
+				an = senkf.SEnKFAnalyzer(tpl, pl)
 			}
 		} else {
-			an = senkf.PEnKFAnalyzerObserved(dir, dec, nil, sess.Tracer)
+			an = senkf.PEnKFAnalyzer(senkf.Problem{Dir: dir, Tr: sess.Tracer}, dec)
 		}
 	default:
 		sess.Fatal(fmt.Errorf("unknown analyzer %q", *analyzer))

@@ -171,7 +171,7 @@ func main() {
 			sess.Fatal(err)
 		}
 	}
-	mlp := senkf.MultiLevelProblem{Cfg: mlCfg, Dir: mlDir, Nets: nets}
+	mlp := senkf.Problem{Cfg: mlCfg, Dir: mlDir, Nets: nets}
 	checkML := func(name string, run func() ([][][]float64, error)) {
 		got, err := run()
 		if err != nil {

@@ -41,28 +41,15 @@ func RunCycles(c CycleConfig, truth []float64, ensemble [][]float64, cycles int,
 func SerialAnalyzer() Analyzer { return cycle.SerialAnalyzer() }
 
 // SEnKFAnalyzer analyses each cycle with the real parallel S-EnKF: the
-// background ensemble is written to dir as member files (as an operational
-// system would between model run and assimilation) and assimilated by
-// C1 + C2 goroutine ranks.
-func SEnKFAnalyzer(dir string, dec Decomposition, layers, ncg int) Analyzer {
-	return cycle.SEnKFAnalyzer(dir, dec, layers, ncg)
-}
+// background ensemble is written to tpl.Dir as member files (as an
+// operational system would between model run and assimilation) and
+// assimilated by C1 + C2 goroutine ranks. tpl is the template of every
+// cycle's problem — its hooks (Tr, Obs, Msgs, Faults, Prof) ride into each
+// run; Cfg and Net are filled per cycle.
+func SEnKFAnalyzer(tpl Problem, plan Plan) Analyzer { return cycle.SEnKFAnalyzer(tpl, plan) }
 
-// SEnKFAnalyzerObserved is SEnKFAnalyzer with observability attached: every
-// cycle's run records into rec and traces through tr (either may be nil).
-func SEnKFAnalyzerObserved(dir string, dec Decomposition, layers, ncg int, rec *Recorder, tr *Tracer) Analyzer {
-	return cycle.SEnKFAnalyzerObserved(dir, dec, layers, ncg, rec, tr)
-}
-
-// PEnKFAnalyzer analyses each cycle with the block-reading baseline.
-func PEnKFAnalyzer(dir string, dec Decomposition) Analyzer {
-	return cycle.PEnKFAnalyzer(dir, dec)
-}
-
-// PEnKFAnalyzerObserved is PEnKFAnalyzer with observability attached.
-func PEnKFAnalyzerObserved(dir string, dec Decomposition, rec *Recorder, tr *Tracer) Analyzer {
-	return cycle.PEnKFAnalyzerObserved(dir, dec, rec, tr)
-}
+// PEnKFAnalyzer is SEnKFAnalyzer for the block-reading baseline.
+func PEnKFAnalyzer(tpl Problem, dec Decomposition) Analyzer { return cycle.PEnKFAnalyzer(tpl, dec) }
 
 // GenerateSmoothNoise returns a deterministic smooth random field with
 // point-wise standard deviation on the order of sd — usable as spatially

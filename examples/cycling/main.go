@@ -63,7 +63,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	analyzer := senkf.SEnKFAnalyzer(dir, dec, 3, 2)
+	analyzer := senkf.SEnKFAnalyzer(senkf.Problem{Dir: dir}, senkf.Plan{Dec: dec, L: 3, NCg: 2})
 
 	const cycles = 10
 	history, err := senkf.RunCycles(cfg, truth, ensemble, cycles, analyzer)

@@ -76,7 +76,7 @@ func main() {
 	}
 	fmt.Printf("compiled plan: %s\n", cp)
 
-	problem := senkf.MultiLevelProblem{Cfg: cfg, Dir: dir, Nets: nets}
+	problem := senkf.Problem{Cfg: cfg, Dir: dir, Nets: nets}
 	analysis, err := senkf.RunSEnKFMultiLevel(problem, senkf.Plan{Dec: dec, L: 3, NCg: 2})
 	if err != nil {
 		log.Fatal(err)

@@ -49,7 +49,7 @@ func TestFacadeCycling(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hist2, err := RunCycles(cfg, truth, ensemble, 4, SEnKFAnalyzer(t.TempDir(), dec, 2, 2))
+	hist2, err := RunCycles(cfg, truth, ensemble, 4, SEnKFAnalyzer(Problem{Dir: t.TempDir()}, Plan{Dec: dec, L: 2, NCg: 2}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +96,7 @@ func TestFacadeMultiLevel(t *testing.T) {
 		t.Fatal(err)
 	}
 	analysis, err := RunSEnKFMultiLevel(
-		MultiLevelProblem{Cfg: cfg, Dir: dir, Nets: nets},
+		Problem{Cfg: cfg, Dir: dir, Nets: nets},
 		Plan{Dec: dec, L: 2, NCg: 2},
 	)
 	if err != nil {

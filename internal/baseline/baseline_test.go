@@ -8,6 +8,7 @@ import (
 	"senkf/internal/grid"
 	"senkf/internal/metrics"
 	"senkf/internal/obs"
+	"senkf/internal/trace"
 	"senkf/internal/workload"
 )
 
@@ -79,36 +80,38 @@ func TestLEnKFMatchesReferenceAcrossDecompositions(t *testing.T) {
 
 func TestPEnKFRecordsReadAndCompute(t *testing.T) {
 	p, dec, _ := setup(t)
-	rec := metrics.NewRecorder()
-	p.Rec = rec
+	buf := trace.NewBuffer()
+	p.Tr = trace.New(nil, buf)
 	if _, err := RunPEnKF(p, dec); err != nil {
 		t.Fatal(err)
 	}
-	b := rec.Breakdown(metrics.ComputePrefix)
+	events := buf.Events()
+	b := trace.PhaseBreakdown(events, metrics.ComputePrefix)
 	if b.Read <= 0 || b.Compute <= 0 {
 		t.Errorf("breakdown %+v", b)
 	}
 	if b.Comm != 0 {
 		t.Error("P-EnKF should not communicate during acquisition")
 	}
-	if got := len(rec.Procs(metrics.ComputePrefix)); got != dec.SubDomains() {
+	if got := len(trace.Tracks(events, metrics.ComputePrefix)); got != dec.SubDomains() {
 		t.Errorf("recorded %d procs, want %d", got, dec.SubDomains())
 	}
 }
 
 func TestLEnKFRecordsReaderPhases(t *testing.T) {
 	p, dec, _ := setup(t)
-	rec := metrics.NewRecorder()
-	p.Rec = rec
+	buf := trace.NewBuffer()
+	p.Tr = trace.New(nil, buf)
 	if _, err := RunLEnKF(p, dec); err != nil {
 		t.Fatal(err)
 	}
-	reader := rec.Breakdown(metrics.IOName(0, 0))
+	events := buf.Events()
+	reader := trace.PhaseBreakdown(events, metrics.IOName(0, 0))
 	if reader.Read <= 0 || reader.Comm <= 0 {
 		t.Errorf("reader breakdown %+v", reader)
 	}
 	// Compute ranks wait for the scattered blocks, never read.
-	other := rec.Breakdown(metrics.ComputeName(1, 0))
+	other := trace.PhaseBreakdown(events, metrics.ComputeName(1, 0))
 	if other.Read != 0 || other.Wait <= 0 {
 		t.Errorf("non-reader breakdown %+v", other)
 	}

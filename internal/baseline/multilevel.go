@@ -1,33 +1,24 @@
 package baseline
 
 import (
-	"fmt"
-
 	"senkf/internal/core"
 	"senkf/internal/grid"
 	"senkf/internal/plan"
 )
 
-// MultiLevelProblem is the shared multi-level problem type, declared in
-// internal/plan.
-type MultiLevelProblem = plan.MultiLevelProblem
-
 // RunPEnKFMultiLevel executes the block-reading baseline over a multi-level
-// ensemble: every rank block-reads its expansion *of every level* from
-// every member file — paying the per-row addressing penalty on rows that
-// are now levels × heavier — and assimilates level by level. The analysis
-// is returned as [level][member][]field. Like the single-level baselines,
-// it is a thin spec wrapper over the shared engine.
-func RunPEnKFMultiLevel(p MultiLevelProblem, dec grid.Decomposition) ([][][]float64, error) {
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
-	if dec.Mesh != p.Cfg.Mesh {
-		return nil, fmt.Errorf("baseline: decomposition mesh %v differs from config mesh %v", dec.Mesh, p.Cfg.Mesh)
+// ensemble (a Problem with Nets): every rank block-reads its expansion *of
+// every level* from every member file — paying the per-row addressing
+// penalty on rows that are now levels × heavier — and assimilates level by
+// level. The analysis is returned as [level][member][]field. Like the
+// single-level baselines, it is a thin spec wrapper over the shared engine.
+func RunPEnKFMultiLevel(p Problem, dec grid.Decomposition) ([][][]float64, error) {
+	if len(p.Nets) == 0 {
+		return nil, plan.ErrNoNetworks
 	}
 	c, err := plan.Compile(plan.PEnKF(dec, p.Cfg.N).WithLevels(p.Levels()))
 	if err != nil {
 		return nil, err
 	}
-	return core.ExecutePlanLevels(p.Problem(), c)
+	return core.ExecutePlanLevels(p, c)
 }

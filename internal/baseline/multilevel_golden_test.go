@@ -31,7 +31,7 @@ const (
 
 // goldenMLProblem builds the fixed seeded multilevel problem behind the
 // golden hashes. Any change to these constants invalidates the pin.
-func goldenMLProblem(t *testing.T) (MultiLevelProblem, grid.Decomposition) {
+func goldenMLProblem(t *testing.T) (Problem, grid.Decomposition) {
 	t.Helper()
 	const (
 		levels  = 3
@@ -66,7 +66,7 @@ func goldenMLProblem(t *testing.T) (MultiLevelProblem, grid.Decomposition) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return MultiLevelProblem{Cfg: cfg, Dir: dir, Nets: nets}, dec
+	return Problem{Cfg: cfg, Dir: dir, Nets: nets}, dec
 }
 
 // hashFields canonicalises a [level][member][]float64 analysis as the

@@ -1,6 +1,7 @@
 package baseline
 
 import (
+	"errors"
 	"testing"
 
 	"senkf/internal/core"
@@ -8,12 +9,13 @@ import (
 	"senkf/internal/ensio"
 	"senkf/internal/grid"
 	"senkf/internal/obs"
+	"senkf/internal/plan"
 	"senkf/internal/workload"
 )
 
 // setupML builds a 3-level problem with member files on disk and the
 // per-level serial references.
-func setupML(t *testing.T) (MultiLevelProblem, grid.Decomposition, [][][]float64) {
+func setupML(t *testing.T) (Problem, grid.Decomposition, [][][]float64) {
 	t.Helper()
 	const levels = 3
 	ps := workload.TestScale
@@ -57,7 +59,7 @@ func setupML(t *testing.T) (MultiLevelProblem, grid.Decomposition, [][][]float64
 			t.Fatal(err)
 		}
 	}
-	return MultiLevelProblem{Cfg: cfg, Dir: dir, Nets: nets}, dec, refs
+	return Problem{Cfg: cfg, Dir: dir, Nets: nets}, dec, refs
 }
 
 func TestMultiLevelTriangleWithPEnKF(t *testing.T) {
@@ -80,5 +82,15 @@ func TestMultiLevelTriangleWithPEnKF(t *testing.T) {
 		if d := enkf.MaxAbsDiffFields(pen[l], refs[l]); d != 0 {
 			t.Errorf("level %d: P-EnKF differs by %g", l, d)
 		}
+	}
+}
+
+// Without Nets the problem is a valid single-level one over Net, which the
+// multilevel entry point must still refuse.
+func TestMultiLevelPEnKFNeedsNetworks(t *testing.T) {
+	p, dec, _ := setupML(t)
+	p.Net, p.Nets = p.Nets[0], nil
+	if _, err := RunPEnKFMultiLevel(p, dec); !errors.Is(err, plan.ErrNoNetworks) {
+		t.Errorf("missing networks: err = %v, want %v", err, plan.ErrNoNetworks)
 	}
 }

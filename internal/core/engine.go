@@ -24,21 +24,19 @@ import (
 	"senkf/internal/trace"
 )
 
-// observe records one phase interval in the recorder and, when tracing, as
-// a span on the rank's track, stage-tagged when stage >= 0. Both use
-// seconds since t0 so trace-derived breakdowns match the recorder exactly.
+// observe emits one phase interval as a span on the rank's track, in seconds
+// since t0, stage-tagged when stage >= 0. The span is the run's only record
+// of the phase: breakdowns are folded from the stream (trace.PhaseBreakdown).
 func observe(p plan.Problem, proc string, ph metrics.Phase, t0, from, to time.Time, stage int) {
-	f, t := from.Sub(t0).Seconds(), to.Sub(t0).Seconds()
-	if p.Rec != nil {
-		p.Rec.Record(proc, ph, f, t)
+	if !p.Tr.Enabled() {
+		return
 	}
-	if p.Tr.Enabled() {
-		if stage >= 0 {
-			p.Tr.Span(proc, trace.CatPhase, ph.String(), f, t,
-				trace.Arg{Key: trace.ArgStage, Val: float64(stage)})
-		} else {
-			p.Tr.Span(proc, trace.CatPhase, ph.String(), f, t)
-		}
+	f, t := from.Sub(t0).Seconds(), to.Sub(t0).Seconds()
+	if stage >= 0 {
+		p.Tr.Span(proc, trace.CatPhase, ph.String(), f, t,
+			trace.Arg{Key: trace.ArgStage, Val: float64(stage)})
+	} else {
+		p.Tr.Span(proc, trace.CatPhase, ph.String(), f, t)
 	}
 }
 

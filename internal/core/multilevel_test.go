@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"testing"
 
 	"senkf/internal/enkf"
@@ -8,12 +9,14 @@ import (
 	"senkf/internal/grid"
 	"senkf/internal/metrics"
 	"senkf/internal/obs"
+	"senkf/internal/plan"
+	"senkf/internal/trace"
 	"senkf/internal/workload"
 )
 
 // setupML builds a 3-level problem with member files on disk and the
 // per-level serial references.
-func setupML(t *testing.T) (MultiLevelProblem, grid.Decomposition, [][][]float64) {
+func setupML(t *testing.T) (Problem, grid.Decomposition, [][][]float64) {
 	t.Helper()
 	const levels = 3
 	ps := workload.TestScale
@@ -57,7 +60,7 @@ func setupML(t *testing.T) (MultiLevelProblem, grid.Decomposition, [][][]float64
 			t.Fatal(err)
 		}
 	}
-	return MultiLevelProblem{Cfg: cfg, Dir: dir, Nets: nets}, dec, refs
+	return Problem{Cfg: cfg, Dir: dir, Nets: nets}, dec, refs
 }
 
 func TestMultiLevelMatchesPerLevelReference(t *testing.T) {
@@ -104,12 +107,12 @@ func TestMultiLevelSharedBarReads(t *testing.T) {
 	// addressing operations as reading one level — the bar carries all
 	// levels contiguously.
 	p, dec, _ := setupML(t)
-	rec := metrics.NewRecorder()
-	p.Rec = rec
+	buf := trace.NewBuffer()
+	p.Tr = trace.New(nil, buf)
 	if _, err := RunSEnKFMultiLevel(p, Plan{Dec: dec, L: 3, NCg: 2}); err != nil {
 		t.Fatal(err)
 	}
-	if rec.Breakdown(metrics.IOPrefix).Read <= 0 {
+	if trace.PhaseBreakdown(buf.Events(), metrics.IOPrefix).Read <= 0 {
 		t.Error("no read time recorded")
 	}
 	// Check actual seek counts on a fresh file: one seek per stage bar,
@@ -129,10 +132,12 @@ func TestMultiLevelSharedBarReads(t *testing.T) {
 
 func TestMultiLevelValidation(t *testing.T) {
 	p, dec, _ := setupML(t)
+	// Without Nets the problem is a valid single-level one over Net, which
+	// the multilevel entry point must still refuse.
 	bad := p
-	bad.Nets = nil
-	if _, err := RunSEnKFMultiLevel(bad, Plan{Dec: dec, L: 1, NCg: 1}); err == nil {
-		t.Error("missing networks accepted")
+	bad.Net, bad.Nets = p.Nets[0], nil
+	if _, err := RunSEnKFMultiLevel(bad, Plan{Dec: dec, L: 1, NCg: 1}); !errors.Is(err, plan.ErrNoNetworks) {
+		t.Errorf("missing networks: err = %v, want %v", err, plan.ErrNoNetworks)
 	}
 	bad = p
 	bad.Nets = []*obs.Network{p.Nets[0], nil}
@@ -180,7 +185,7 @@ func TestMultiLevelImprovesEveryLevel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := RunSEnKFMultiLevel(MultiLevelProblem{Cfg: cfg, Dir: dir, Nets: nets}, Plan{Dec: dec, L: 2, NCg: 4})
+	got, err := RunSEnKFMultiLevel(Problem{Cfg: cfg, Dir: dir, Nets: nets}, Plan{Dec: dec, L: 2, NCg: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,6 +9,7 @@ import (
 	"senkf/internal/metrics"
 	"senkf/internal/obs"
 	"senkf/internal/plan"
+	"senkf/internal/trace"
 	"senkf/internal/workload"
 )
 
@@ -168,23 +169,24 @@ func TestSEnKFAcrossPlanShapes(t *testing.T) {
 
 func TestSEnKFRecordsPhases(t *testing.T) {
 	p, dec, _ := setup(t, enkf.SolverEnsembleSpace)
-	rec := metrics.NewRecorder()
-	p.Rec = rec
+	buf := trace.NewBuffer()
+	p.Tr = trace.New(nil, buf)
 	if _, err := RunSEnKF(p, Plan{Dec: dec, L: 3, NCg: 2}); err != nil {
 		t.Fatal(err)
 	}
-	io := rec.Breakdown(metrics.IOPrefix)
+	events := buf.Events()
+	io := trace.PhaseBreakdown(events, metrics.IOPrefix)
 	if io.Read <= 0 || io.Comm <= 0 {
 		t.Errorf("io breakdown %+v", io)
 	}
-	cp := rec.Breakdown(metrics.ComputePrefix)
+	cp := trace.PhaseBreakdown(events, metrics.ComputePrefix)
 	if cp.Compute <= 0 {
 		t.Errorf("compute breakdown %+v", cp)
 	}
-	if got := len(rec.Procs(metrics.IOPrefix)); got != 4 {
+	if got := len(trace.Tracks(events, metrics.IOPrefix)); got != 4 {
 		t.Errorf("io procs = %d, want 4", got)
 	}
-	if got := len(rec.Procs(metrics.ComputePrefix)); got != 8 {
+	if got := len(trace.Tracks(events, metrics.ComputePrefix)); got != 8 {
 		t.Errorf("compute procs = %d, want 8", got)
 	}
 }

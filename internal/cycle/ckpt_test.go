@@ -105,7 +105,7 @@ func TestKillResumeMatrixSEnKF(t *testing.T) {
 		t.Fatal(err)
 	}
 	runKillResumeMatrix(t, 3, func(t *testing.T) Analyzer {
-		return SEnKFAnalyzer(t.TempDir(), dec, 3, 2)
+		return SEnKFAnalyzer(core.Problem{Dir: t.TempDir()}, core.Plan{Dec: dec, L: 3, NCg: 2})
 	})
 }
 
@@ -220,7 +220,7 @@ func TestResizedResumeConformance(t *testing.T) {
 	dir := t.TempDir()
 	cp := checkpointer(dir)
 	_, err = RunFrom(cfg, State{Truth: truth, Ensemble: ens}, cycles,
-		SEnKFAnalyzer(t.TempDir(), dec, 3, 2), nil, crashAfter(cp.Hook(cfg), 0))
+		SEnKFAnalyzer(core.Problem{Dir: t.TempDir()}, core.Plan{Dec: dec, L: 3, NCg: 2}), nil, crashAfter(cp.Hook(cfg), 0))
 	if !errors.Is(err, errSimulatedCrash) {
 		t.Fatalf("err = %v", err)
 	}
@@ -250,7 +250,7 @@ func TestResizedResumeConformance(t *testing.T) {
 	mon := monitor.New(monitor.Options{})
 	defer mon.Close()
 	tr := trace.New(nil, mon.Tee(nil))
-	analyzer := SEnKFAnalyzerHooked(t.TempDir(), dec, 3, 2, core.Problem{Tr: tr, Obs: mon})
+	analyzer := SEnKFAnalyzer(core.Problem{Dir: t.TempDir(), Tr: tr, Obs: mon}, core.Plan{Dec: dec, L: 3, NCg: 2})
 	resumed, err := RunFrom(grown, st, cycles, analyzer, nil, nil)
 	if err != nil {
 		t.Fatalf("resized resume: %v", err)

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"senkf/internal/ckpt"
+	"senkf/internal/core"
 	"senkf/internal/enkf"
 	"senkf/internal/grid"
 	"senkf/internal/model"
@@ -93,7 +94,7 @@ func TestCycleAllocationBudget(t *testing.T) {
 	ckptDir := t.TempDir()
 	cp := &Checkpointer{Dir: ckptDir, Every: 1, Keep: 2, Seed: 11}
 	ckHook := cp.Hook(cfg)
-	analyzer := PEnKFAnalyzer(t.TempDir(), dec)
+	analyzer := PEnKFAnalyzer(core.Problem{Dir: t.TempDir()}, dec)
 	state := State{Truth: truth, Ensemble: ensemble}
 	oneCycle := func() {
 		t.Helper()

@@ -18,12 +18,10 @@ import (
 	"senkf/internal/enkf"
 	"senkf/internal/ensio"
 	"senkf/internal/grid"
-	"senkf/internal/metrics"
 	"senkf/internal/model"
 	"senkf/internal/obs"
 	"senkf/internal/par"
 	"senkf/internal/runtimeobs"
-	"senkf/internal/trace"
 	"senkf/internal/workload"
 )
 
@@ -282,47 +280,30 @@ func SerialAnalyzer() Analyzer {
 	}
 }
 
-// SEnKFAnalyzer writes each cycle's background ensemble into dir (as an
+// SEnKFAnalyzer writes each cycle's background ensemble into tpl.Dir (as an
 // operational system would, between the model run and the assimilation) and
-// runs the real parallel S-EnKF over the files.
-func SEnKFAnalyzer(dir string, dec grid.Decomposition, layers, ncg int) Analyzer {
-	return SEnKFAnalyzerObserved(dir, dec, layers, ncg, nil, nil)
+// runs the real parallel S-EnKF over the files. tpl is the template of every
+// cycle's problem: its hooks (Tr, Obs, Msgs, Faults, Prof) are carried into
+// each run — a monitor sees BeginRun/EndRun per cycle, injected faults recur
+// each cycle — and Cfg and Net are filled per cycle.
+func SEnKFAnalyzer(tpl core.Problem, pl core.Plan) Analyzer {
+	return fileAnalyzer(tpl, func(p core.Problem) ([][]float64, error) { return core.RunSEnKF(p, pl) })
 }
 
-// SEnKFAnalyzerObserved is SEnKFAnalyzer with observability attached: every
-// cycle's parallel run records phase intervals into rec and emits trace
-// events through tr (either may be nil).
-func SEnKFAnalyzerObserved(dir string, dec grid.Decomposition, layers, ncg int, rec *metrics.Recorder, tr *trace.Tracer) Analyzer {
-	return SEnKFAnalyzerHooked(dir, dec, layers, ncg, core.Problem{Rec: rec, Tr: tr})
+// PEnKFAnalyzer is SEnKFAnalyzer for the block-reading baseline.
+func PEnKFAnalyzer(tpl core.Problem, dec grid.Decomposition) Analyzer {
+	return fileAnalyzer(tpl, func(p core.Problem) ([][]float64, error) { return baseline.RunPEnKF(p, dec) })
 }
 
-// SEnKFAnalyzerHooked is SEnKFAnalyzerObserved with the full hook set: the
-// template problem's Rec, Tr, Obs and Faults are carried into every
-// cycle's parallel run (so a monitor sees BeginRun/EndRun per cycle, and
-// injected faults recur each cycle); Cfg, Dir and Net are filled per cycle.
-func SEnKFAnalyzerHooked(dir string, dec grid.Decomposition, layers, ncg int, tpl core.Problem) Analyzer {
+// fileAnalyzer writes the background into tpl.Dir and runs tpl, completed
+// with the cycle's configuration and observations, over the files.
+func fileAnalyzer(tpl core.Problem, run func(core.Problem) ([][]float64, error)) Analyzer {
 	return func(cfg enkf.Config, background [][]float64, net *obs.Network) ([][]float64, error) {
-		if _, err := ensio.WriteEnsemble(dir, cfg.Mesh, background); err != nil {
+		if _, err := ensio.WriteEnsemble(tpl.Dir, cfg.Mesh, background); err != nil {
 			return nil, err
 		}
 		p := tpl
-		p.Cfg, p.Dir, p.Net = cfg, dir, net
-		return core.RunSEnKF(p, core.Plan{Dec: dec, L: layers, NCg: ncg})
-	}
-}
-
-// PEnKFAnalyzer writes each cycle's background ensemble into dir and runs
-// the block-reading baseline over the files.
-func PEnKFAnalyzer(dir string, dec grid.Decomposition) Analyzer {
-	return PEnKFAnalyzerObserved(dir, dec, nil, nil)
-}
-
-// PEnKFAnalyzerObserved is PEnKFAnalyzer with observability attached.
-func PEnKFAnalyzerObserved(dir string, dec grid.Decomposition, rec *metrics.Recorder, tr *trace.Tracer) Analyzer {
-	return func(cfg enkf.Config, background [][]float64, net *obs.Network) ([][]float64, error) {
-		if _, err := ensio.WriteEnsemble(dir, cfg.Mesh, background); err != nil {
-			return nil, err
-		}
-		return baseline.RunPEnKF(baseline.Problem{Cfg: cfg, Dir: dir, Net: net, Rec: rec, Tr: tr}, dec)
+		p.Cfg, p.Net = cfg, net
+		return run(p)
 	}
 }

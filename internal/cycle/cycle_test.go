@@ -3,6 +3,7 @@ package cycle
 import (
 	"testing"
 
+	"senkf/internal/core"
 	"senkf/internal/enkf"
 	"senkf/internal/grid"
 	"senkf/internal/model"
@@ -161,7 +162,7 @@ func TestSEnKFAnalyzerMatchesSerial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, err := Run(cfg, truth, ens, 3, SEnKFAnalyzer(t.TempDir(), dec, 3, 2))
+	parallel, err := Run(cfg, truth, ens, 3, SEnKFAnalyzer(core.Problem{Dir: t.TempDir()}, core.Plan{Dec: dec, L: 3, NCg: 2}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +183,7 @@ func TestPEnKFAnalyzerMatchesSerial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, err := Run(cfg, truth, ens, 2, PEnKFAnalyzer(t.TempDir(), dec))
+	parallel, err := Run(cfg, truth, ens, 2, PEnKFAnalyzer(core.Problem{Dir: t.TempDir()}, dec))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -211,13 +211,18 @@ func (d Decomposition) Layers(i, j, L int) ([]Box, error) {
 }
 
 // LayerExpansion returns the expansion of layer l of D_{i,j}: the data
-// needed to run local analysis on exactly that layer (Figure 7).
+// needed to run local analysis on exactly that layer (Figure 7) — the rows
+// of stage l's small bar, the columns of the sub-domain's own expansion.
 func (d Decomposition) LayerExpansion(i, j, l, L int) (Box, error) {
-	layers, err := d.Layers(i, j, L)
+	if l < 0 || l >= L {
+		return Box{}, fmt.Errorf("grid: layer %d outside [0, %d)", l, L)
+	}
+	rows, err := d.LayerBar(j, l, L)
 	if err != nil {
 		return Box{}, err
 	}
-	return layers[l].Expand(d.Mesh, d.R.Xi, d.R.Eta), nil
+	cols := d.Expansion(i, j)
+	return Box{X0: cols.X0, X1: cols.X1, Y0: rows.Y0, Y1: rows.Y1}, nil
 }
 
 // Bar returns the contiguous latitude bar assigned to I/O row index j under
@@ -245,18 +250,4 @@ func (d Decomposition) LayerBar(j, l, L int) (Box, error) {
 	bar := d.Bar(j)
 	b := Box{X0: 0, X1: d.Mesh.NX, Y0: bar.Y0 + l*lh, Y1: bar.Y0 + (l+1)*lh}
 	return b.Expand(d.Mesh, 0, d.R.Eta), nil
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

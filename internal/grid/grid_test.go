@@ -221,6 +221,20 @@ func TestLayersPartitionSubDomain(t *testing.T) {
 	}
 }
 
+// A layer index outside [0, L) is an error, not an index panic; so is a
+// layer count the sub-domain height does not divide.
+func TestLayerExpansionRejectsBadLayer(t *testing.T) {
+	d := mustDecomp(t, mustMesh(t, 16, 12), 4, 2, Radius{Xi: 2, Eta: 2})
+	for _, c := range []struct{ l, L int }{{3, 3}, {-1, 3}, {0, 0}, {0, 4}} {
+		if _, err := d.LayerExpansion(0, 0, c.l, c.L); err == nil {
+			t.Errorf("LayerExpansion(0, 0, %d, %d): no error", c.l, c.L)
+		}
+	}
+	if _, err := d.LayerExpansion(0, 0, 2, 3); err != nil {
+		t.Errorf("LayerExpansion(0, 0, 2, 3): %v", err)
+	}
+}
+
 func TestLayerExpansionCoversLayerLocalBoxes(t *testing.T) {
 	m := mustMesh(t, 16, 12)
 	r := Radius{Xi: 2, Eta: 2}

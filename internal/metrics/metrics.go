@@ -1,15 +1,16 @@
-// Package metrics records per-processor phase timings (file reading,
-// communication, local analysis, waiting) as time intervals and derives the
-// quantities the paper's evaluation plots: phase breakdowns per processor
-// class (Figure 9), the share of I/O and communication hidden behind local
-// computation (Figure 11), and I/O-vs-compute percentages (Figure 1).
+// Package metrics is the vocabulary and arithmetic of the paper's evaluation
+// quantities: the phases a processor spends time in (file reading,
+// communication, local analysis, waiting), phase breakdowns per processor
+// class (Figure 9), and the span algebra behind the share of I/O and
+// communication hidden behind local computation (Figure 11). It keeps no
+// record of a run: the real substrate's phases are spans on the trace
+// stream (trace.PhaseBreakdown folds them), the simulator's a ledger private
+// to internal/schedule.
 package metrics
 
 import (
 	"fmt"
 	"sort"
-	"strings"
-	"sync"
 )
 
 // Phase classifies what a processor spends time on.
@@ -25,7 +26,6 @@ const (
 	PhaseCompute
 	// PhaseWait is idle time waiting for data to arrive.
 	PhaseWait
-	numPhases
 )
 
 func (p Phase) String() string {
@@ -41,49 +41,6 @@ func (p Phase) String() string {
 	default:
 		return fmt.Sprintf("phase(%d)", int(p))
 	}
-}
-
-// Interval is one recorded activity of one processor.
-type Interval struct {
-	Phase      Phase
-	Start, End float64
-}
-
-// Recorder accumulates intervals per processor. It is safe for concurrent
-// use (the real executions record from many goroutines).
-type Recorder struct {
-	mu   sync.Mutex
-	byID map[string][]Interval
-}
-
-// NewRecorder returns an empty recorder.
-func NewRecorder() *Recorder {
-	return &Recorder{byID: map[string][]Interval{}}
-}
-
-// Record adds an interval for the named processor. Degenerate intervals
-// (End <= Start) are dropped.
-func (r *Recorder) Record(proc string, ph Phase, start, end float64) {
-	if end <= start {
-		return
-	}
-	r.mu.Lock()
-	r.byID[proc] = append(r.byID[proc], Interval{Phase: ph, Start: start, End: end})
-	r.mu.Unlock()
-}
-
-// Procs returns the recorded processor names with the given prefix, sorted.
-func (r *Recorder) Procs(prefix string) []string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	var out []string
-	for id := range r.byID {
-		if strings.HasPrefix(id, prefix) {
-			out = append(out, id)
-		}
-	}
-	sort.Strings(out)
-	return out
 }
 
 // Breakdown is the total time per phase across a set of processors.
@@ -133,27 +90,9 @@ func (b Breakdown) Percent(p Phase) float64 {
 	return 100 * b.Get(p) / t
 }
 
-// Breakdown sums the phase durations of every processor whose name starts
-// with prefix, in name order — so the sums are the same floats on every run,
-// not a map-order permutation of them.
-func (r *Recorder) Breakdown(prefix string) Breakdown {
-	ids := r.Procs(prefix)
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	var b Breakdown
-	for _, id := range ids {
-		for _, iv := range r.byID[id] {
-			b.Add(iv.Phase, iv.End-iv.Start)
-		}
-	}
-	return b
-}
-
-// MeanBreakdown divides the prefix breakdown by the number of matching
-// processors, yielding the per-processor averages Figure 9 plots.
-func (r *Recorder) MeanBreakdown(prefix string) Breakdown {
-	n := len(r.Procs(prefix))
-	b := r.Breakdown(prefix)
+// Mean divides every phase by n processors — the per-processor averages
+// Figure 9 plots (zero when n is 0).
+func (b Breakdown) Mean(n int) Breakdown {
 	if n == 0 {
 		return Breakdown{}
 	}
@@ -195,29 +134,6 @@ func UnionSpans(ivs []Span) []Span {
 		out = append(out, s)
 	}
 	return out
-}
-
-// Spans returns the union of the intervals of the given phases across
-// processors matching prefix.
-func (r *Recorder) Spans(prefix string, phases ...Phase) []Span {
-	want := map[Phase]bool{}
-	for _, p := range phases {
-		want[p] = true
-	}
-	r.mu.Lock()
-	var raw []Span
-	for id, ivs := range r.byID {
-		if !strings.HasPrefix(id, prefix) {
-			continue
-		}
-		for _, iv := range ivs {
-			if want[iv.Phase] {
-				raw = append(raw, Span{Start: iv.Start, End: iv.End})
-			}
-		}
-	}
-	r.mu.Unlock()
-	return UnionSpans(raw)
 }
 
 // OverlapDuration returns the total time during which both span sets are

@@ -2,7 +2,6 @@ package metrics
 
 import (
 	"math"
-	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -21,34 +20,27 @@ func TestPhaseString(t *testing.T) {
 	}
 }
 
+// Add records durations into the phase they belong to; the sums a class of
+// processors is reported by (Figure 9) are these running totals.
 func TestRecordAndBreakdown(t *testing.T) {
-	r := NewRecorder()
-	r.Record("io0", PhaseRead, 0, 2)
-	r.Record("io0", PhaseComm, 2, 3)
-	r.Record("io1", PhaseRead, 0, 1)
-	r.Record("cp0", PhaseCompute, 0, 5)
-	r.Record("cp0", PhaseWait, 5, 6)
-
-	io := r.Breakdown("io")
+	var io, cp Breakdown
+	io.Add(PhaseRead, 2)
+	io.Add(PhaseComm, 1)
+	io.Add(PhaseRead, 1)
+	cp.Add(PhaseCompute, 5)
+	cp.Add(PhaseWait, 1)
 	if io.Read != 3 || io.Comm != 1 || io.Compute != 0 || io.Wait != 0 {
 		t.Errorf("io breakdown %+v", io)
 	}
-	cp := r.Breakdown("cp")
 	if cp.Compute != 5 || cp.Wait != 1 {
 		t.Errorf("cp breakdown %+v", cp)
 	}
-	all := r.Breakdown("")
-	if all.Total() != 10 {
-		t.Errorf("total %g, want 10", all.Total())
+	if io.Total()+cp.Total() != 10 {
+		t.Errorf("total %g, want 10", io.Total()+cp.Total())
 	}
-}
-
-func TestDegenerateIntervalsDropped(t *testing.T) {
-	r := NewRecorder()
-	r.Record("a", PhaseRead, 5, 5)
-	r.Record("a", PhaseRead, 5, 4)
-	if b := r.Breakdown(""); b.Total() != 0 {
-		t.Errorf("degenerate intervals recorded: %+v", b)
+	io.Add(Phase(9), 7)
+	if io.Total() != 4 {
+		t.Errorf("unknown phase added to the total: %+v", io)
 	}
 }
 
@@ -71,18 +63,14 @@ func TestPercentAndGet(t *testing.T) {
 }
 
 func TestProcsAndMeanBreakdown(t *testing.T) {
-	r := NewRecorder()
-	r.Record("io0", PhaseRead, 0, 4)
-	r.Record("io1", PhaseRead, 0, 2)
-	procs := r.Procs("io")
-	if len(procs) != 2 || procs[0] != "io0" || procs[1] != "io1" {
-		t.Errorf("procs %v", procs)
+	var b Breakdown
+	b.Add(PhaseRead, 4)
+	b.Add(PhaseRead, 2)
+	b.Add(PhaseWait, 1)
+	if mean := b.Mean(2); mean.Read != 3 || mean.Wait != 0.5 || mean.Comm != 0 {
+		t.Errorf("mean over 2 procs %+v", mean)
 	}
-	mean := r.MeanBreakdown("io")
-	if mean.Read != 3 {
-		t.Errorf("mean read %g, want 3", mean.Read)
-	}
-	if (NewRecorder()).MeanBreakdown("none").Total() != 0 {
+	if b.Mean(0) != (Breakdown{}) {
 		t.Error("mean of no procs should be zero")
 	}
 }
@@ -103,21 +91,6 @@ func TestUnionSpans(t *testing.T) {
 	}
 }
 
-func TestSpansByPhase(t *testing.T) {
-	r := NewRecorder()
-	r.Record("cp0", PhaseCompute, 0, 2)
-	r.Record("cp1", PhaseCompute, 1, 3)
-	r.Record("cp0", PhaseWait, 3, 4)
-	spans := r.Spans("cp", PhaseCompute)
-	if len(spans) != 1 || spans[0] != (Span{0, 3}) {
-		t.Errorf("compute spans %v", spans)
-	}
-	both := r.Spans("cp", PhaseCompute, PhaseWait)
-	if SpanTotal(both) != 4 {
-		t.Errorf("compute+wait total %g, want 4", SpanTotal(both))
-	}
-}
-
 func TestOverlapDuration(t *testing.T) {
 	a := []Span{{0, 2}, {4, 6}}
 	b := []Span{{1, 5}}
@@ -134,33 +107,16 @@ func TestOverlapDuration(t *testing.T) {
 }
 
 func TestOverlapScenarioLikeFig11(t *testing.T) {
-	// I/O happens at [0,1] (exposed) and [1,9] (hidden behind compute).
-	r := NewRecorder()
-	r.Record("io0", PhaseRead, 0, 9)
-	r.Record("cp0", PhaseCompute, 1, 10)
-	io := r.Spans("io", PhaseRead, PhaseComm)
-	cp := r.Spans("cp", PhaseCompute)
+	// I/O happens at [0,1] (exposed) and [1,9] (hidden behind compute), read
+	// by two ranks whose spans touch; a zero-length span adds nothing.
+	io := UnionSpans([]Span{{0, 4}, {4, 9}, {9.5, 9.5}})
+	cp := UnionSpans([]Span{{1, 10}})
 	overlapped := OverlapDuration(io, cp)
 	if math.Abs(overlapped-8) > 1e-12 {
 		t.Errorf("overlapped = %g, want 8", overlapped)
 	}
-}
-
-func TestConcurrentRecording(t *testing.T) {
-	r := NewRecorder()
-	var wg sync.WaitGroup
-	for g := 0; g < 16; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; i < 100; i++ {
-				r.Record("p", PhaseCompute, float64(i), float64(i)+0.5)
-			}
-		}(g)
-	}
-	wg.Wait()
-	if got := r.Breakdown("p").Compute; math.Abs(got-16*100*0.5) > 1e-9 {
-		t.Errorf("concurrent total %g", got)
+	if busy := SpanTotal(io); busy != 9 {
+		t.Errorf("io busy = %g, want 9", busy)
 	}
 }
 

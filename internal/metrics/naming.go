@@ -1,6 +1,5 @@
-// Stable, class-prefixed processor names shared by every schedule, the
-// recorder and the trace tracks. Grouping by Procs(IOPrefix) or
-// Procs(ComputePrefix) — and grouping trace tracks the same way — works
+// Stable, class-prefixed processor names shared by every schedule and the
+// trace tracks. Grouping tracks by IOPrefix or ComputePrefix works
 // identically across P-EnKF, L-EnKF and S-EnKF because all of them name
 // their processors through these two functions.
 

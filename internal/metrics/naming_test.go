@@ -6,9 +6,9 @@ import (
 )
 
 // TestNamingScheme pins the class-prefixed processor naming shared by the
-// recorder and the trace tracks. Changing these strings silently breaks
-// Procs(prefix) grouping and every trace-derived analysis, so the exact
-// format is asserted here.
+// plans and the trace tracks. Changing these strings silently breaks prefix
+// grouping in every trace-derived analysis and the name order the simulator
+// folds its ledger in, so the exact format is asserted here.
 func TestNamingScheme(t *testing.T) {
 	if got := IOName(0, 0); got != "io/g0/r0" {
 		t.Errorf("IOName(0,0) = %q, want io/g0/r0", got)
@@ -38,23 +38,5 @@ func TestNamingScheme(t *testing.T) {
 				t.Errorf("ComputeName %q not grouped by prefix %q", n, ComputePrefix)
 			}
 		}
-	}
-}
-
-// TestNamingGroupsInRecorder exercises the prefixes through the recorder,
-// the way every schedule uses them.
-func TestNamingGroupsInRecorder(t *testing.T) {
-	rec := NewRecorder()
-	rec.Record(IOName(0, 0), PhaseRead, 0, 1)
-	rec.Record(IOName(1, 0), PhaseRead, 0, 2)
-	rec.Record(ComputeName(0, 0), PhaseCompute, 1, 3)
-	if got := len(rec.Procs(IOPrefix)); got != 2 {
-		t.Errorf("io procs = %d, want 2", got)
-	}
-	if got := len(rec.Procs(ComputePrefix)); got != 1 {
-		t.Errorf("compute procs = %d, want 1", got)
-	}
-	if b := rec.Breakdown(IOPrefix); b.Read != 3 || b.Compute != 0 {
-		t.Errorf("io breakdown %+v", b)
 	}
 }

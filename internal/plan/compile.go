@@ -69,7 +69,7 @@ type IOStage struct {
 // IORank is the compiled schedule of one dedicated I/O rank.
 type IORank struct {
 	Rank    int    // world rank
-	Name    string // stable trace/recorder proc name ("io/g<g>/r<r>")
+	Name    string // stable proc name and trace track ("io/g<g>/r<r>")
 	Group   int    // concurrent group g
 	Row     int    // bar row j (reader index within the group)
 	Members []int  // the rank's member files, ascending
@@ -110,7 +110,7 @@ type ComputeStage struct {
 // ComputeRank is the compiled schedule of one compute rank.
 type ComputeRank struct {
 	Rank   int    // world rank
-	Name   string // stable trace/recorder proc name ("comp/x<i>y<j>")
+	Name   string // stable proc name and trace track ("comp/x<i>y<j>")
 	I, J   int    // sub-domain coordinates
 	Sub    grid.Box
 	Stages []ComputeStage
@@ -232,10 +232,7 @@ func (b BarReader) compile(s Spec, c *Compiled) error {
 		}
 		stages := make([]ComputeStage, s.L)
 		for l := 0; l < s.L; l++ {
-			exp, err := d.LayerExpansion(i, j, l, s.L)
-			if err != nil {
-				return nil, err
-			}
+			exp := layers[l].Expand(d.Mesh, d.R.Xi, d.R.Eta)
 			stages[l] = ComputeStage{Stage: l, Expect: s.N, Box: exp, Analyze: layers[l]}
 		}
 		return stages, nil

@@ -20,12 +20,12 @@
 package plan
 
 import (
+	"errors"
 	"fmt"
 
 	"senkf/internal/enkf"
 	"senkf/internal/faults"
 	"senkf/internal/grid"
-	"senkf/internal/metrics"
 	"senkf/internal/obs"
 	"senkf/internal/runtimeobs"
 	"senkf/internal/trace"
@@ -46,8 +46,6 @@ type Problem struct {
 	// Nets[l]. Net is ignored when Nets is set; when Nets is empty the
 	// problem is the ordinary single-level one over Net.
 	Nets []*obs.Network
-	// Rec, when non-nil, receives wall-clock phase intervals.
-	Rec *metrics.Recorder
 	// Tr, when non-nil and enabled, receives phase spans per rank.
 	Tr *trace.Tracer
 	// Obs, when non-nil, observes the run: BeginRun with the compiled
@@ -111,54 +109,14 @@ func (p Problem) NetAt(l int) *obs.Network {
 	return p.Net
 }
 
-// MultiLevelProblem is the 3-D variant of Problem: member files carry
-// several vertical levels interleaved per grid point (the paper's
-// h = levels × 8 bytes), each level with its own observation network. It
-// is a convenience view — Problem() converts it to the shared Problem the
-// engine executes, so multilevel runs get every Problem capability
-// (observers, fault injection, pprof labels) for free.
-type MultiLevelProblem struct {
-	Cfg  enkf.Config // per-level analysis parameters (shared)
-	Dir  string
-	Nets []*obs.Network // one network per vertical level
-	Rec  *metrics.Recorder
-	Tr   *trace.Tracer
-	// Obs, Msgs, Faults and Prof mirror the Problem hooks of the same names.
-	Obs    RunObserver
-	Msgs   MsgObserver
-	Faults *faults.Plan
-	Prof   *runtimeobs.LabelSet
-}
+// ErrNoNetworks is what the multilevel entry points return for a Problem
+// without Nets, which Validate accepts as the single-level problem over Net.
+var ErrNoNetworks = errors.New("plan: no observation networks (need one per level)")
 
-// Problem converts the multilevel view to the shared engine problem.
-func (p MultiLevelProblem) Problem() Problem {
-	return Problem{
-		Cfg: p.Cfg, Dir: p.Dir, Nets: p.Nets,
-		Rec: p.Rec, Tr: p.Tr, Obs: p.Obs, Msgs: p.Msgs, Faults: p.Faults, Prof: p.Prof,
-	}
-}
-
-// Validate checks the problem.
-func (p MultiLevelProblem) Validate() error {
-	if err := p.Cfg.Validate(); err != nil {
-		return err
-	}
-	if len(p.Nets) == 0 {
-		return fmt.Errorf("plan: no observation networks (need one per level)")
-	}
-	for l, n := range p.Nets {
-		if n == nil {
-			return fmt.Errorf("plan: nil network at level %d", l)
-		}
-	}
-	if p.Dir == "" {
-		return fmt.Errorf("plan: empty member directory")
-	}
-	return nil
-}
-
-// Levels returns the number of vertical levels.
-func (p MultiLevelProblem) Levels() int { return len(p.Nets) }
+// MultiLevelProblem is Problem: a Problem with Nets set is the multilevel
+// one. The name stays because the frozen benchmark module spells
+// plan.MultiLevelProblem{Cfg:, Dir:, Nets:}; nothing else uses it.
+type MultiLevelProblem = Problem
 
 // Algorithm identifies one of the paper's three schedules.
 type Algorithm string

@@ -31,6 +31,8 @@ type Flags struct {
 	runtimeSample  *time.Duration
 	captureProfile *bool
 	wire           *bool
+
+	keepEvents bool // the binary prints from the event stream (KeepEvents)
 }
 
 // Register installs the full observability flag set — -trace, -counters,
@@ -70,6 +72,11 @@ func strOf(p *string) string {
 }
 
 func boolOf(p *bool) bool { return p != nil && *p }
+
+// KeepEvents makes the session buffer the run's events whether or not
+// -trace or -archive ask for them, for a binary whose own output is folded
+// from the stream (Session.Events). Call it before Start.
+func (f *Flags) KeepEvents() { f.keepEvents = true }
 
 // TraceOut returns the -trace path ("" when unset or unregistered).
 func (f *Flags) TraceOut() string { return strOf(f.trace) }

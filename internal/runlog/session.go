@@ -113,7 +113,7 @@ func (f *Flags) Start() (*Session, error) {
 	// Chrome-trace sink (when any) is untouched, and an unmonitored run
 	// executes the identical code path with a nil monitor.
 	var primary trace.Sink
-	if f.TraceOut() != "" || s.archive != nil {
+	if f.TraceOut() != "" || s.archive != nil || f.keepEvents {
 		s.buf = trace.NewBuffer()
 		primary = s.buf
 	}
@@ -247,6 +247,15 @@ func (s *Session) SetParent(parentRunID string, resumeCycle int) {
 	s.parentRun, s.resumeCycle = parentRunID, resumeCycle
 	s.mu.Unlock()
 	s.Log.Info("resumed from checkpoint", "parent_run", parentRunID, "resume_cycle", resumeCycle)
+}
+
+// Events returns the run's buffered events so far, in emission order: nil
+// unless -trace, -archive or Flags.KeepEvents made the session keep them.
+func (s *Session) Events() []trace.Event {
+	if s.buf == nil {
+		return nil
+	}
+	return s.buf.Events()
 }
 
 // PlanHash returns the compiled plan's content address recorded by

@@ -21,13 +21,16 @@ import (
 // bits), and the observer call sequence (RunObserver, MsgObserver,
 // ReadObserver, then the counter registry). They were recorded by running
 // the five hand-written walks this package had before simulate — PR 17's
-// schedule.go — with two things the pins need: metrics.Recorder summing its
-// breakdowns in name order (map order made Result.IO/Compute differ in the
-// last ulp from run to run), and, for the three plans with reader deaths, the
-// one-line fix that reports an adopted row's messages from the reader that
-// sends them, as the real transport does (the walk named the dead rank; see
-// TestRealAndSimulatedRecoveryAgree). A change to schedule.go that keeps the
-// simulated machine's event structure leaves them untouched.
+// schedule.go — with two things the pins need. First, the phase ledger of the
+// time (one shared recorder keyed by proc name) summing its breakdowns in
+// name order: map order made Result.IO/Compute differ in the last ulp from
+// run to run. The machine's per-rank ledger folds in that same order, which
+// is how the Result digests outlived the recorder. Second, for the three
+// plans with reader deaths, the one-line fix that reports an adopted row's
+// messages from the reader that sends them, as the real transport does (the
+// walk named the dead rank; see TestRealAndSimulatedRecoveryAgree). A change
+// to schedule.go that keeps the simulated machine's event structure leaves
+// them untouched.
 var goldenDigests = map[string][3]string{
 	"penkf":               {"8dcfff4388e359fd5369679fe95ba4b9ea63ec3604ca4c2c422ec23eb90fd40f", "782fca950e6ea30b12ad6ccb8dcccf1a37ae8b47830a26f33db33e05a9db9462", "7bd977eb1e181f3ac36b8c28ea520b4fa18406b1aedc9288a855cb36f09067ff"},
 	"lenkf":               {"28e3582fd4264437d36fbe22f0a2b9266a821b7bf3b878ffad89b8fba1dfe120", "80099f6cbc8211e37d2efbcb829a16dfd0b4449d562892aa793be92a4ec4b360", "80ebe4e3c9d7cc1b1bf71dcdf20e4064dbc27d1e55104c577484eeb2a4d0c36b"},

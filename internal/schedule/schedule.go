@@ -21,6 +21,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"strings"
 
 	"senkf/internal/costmodel"
 	"senkf/internal/faults"
@@ -303,8 +304,8 @@ func SimulateSEnKF(cfg Config, ch costmodel.Choice) (Result, error) {
 		return Result{}, err
 	}
 	res := m.result("S-EnKF")
-	ioSpans := m.rec.Spans(metrics.IOPrefix, metrics.PhaseRead, metrics.PhaseComm)
-	cpSpans := m.rec.Spans(metrics.ComputePrefix, metrics.PhaseCompute)
+	ioSpans := m.spans(m.cp.NumCompute(), m.cp.WorldSize(), metrics.PhaseRead, metrics.PhaseComm)
+	cpSpans := m.spans(0, m.cp.NumCompute(), metrics.PhaseCompute)
 	overlap := metrics.OverlapDuration(ioSpans, cpSpans)
 	res.OverlapRuntimeFraction = overlap / m.end
 	res.FirstStage = m.firstStage
@@ -368,13 +369,81 @@ type machine struct {
 	lv  int // the plan's level count
 	rc  *recovery
 	fs  *parfs.FS
-	rec *metrics.Recorder
+
+	// ledger is the run's phase record, by world rank — the compute ranks,
+	// then the I/O ranks: what Result's breakdowns and overlap shares are
+	// folded from, tracer on or off. A rank's slice is written by its own
+	// process alone and sized for every phase its plan stages can record.
+	ledger []rankLedger
 
 	barriers []*sim.Barrier // per I/O group: keeps its readers on the same file (§4.1.3)
 	boxes    []*sim.Mailbox // per compute rank, when the plan has I/O ranks to notify it
 
 	end        float64 // final virtual time
 	firstStage float64 // instant compute rank 0 starts analysing stage 0
+}
+
+// rankLedger is the phases one rank spent time in, in the order it did.
+type rankLedger struct {
+	name string
+	ivs  []interval
+}
+
+type interval struct {
+	ph     metrics.Phase
+	t0, t1 float64
+}
+
+// newLedger gives every rank of cp room for what its stages record: a read
+// and a comm per I/O stage; per compute stage the analysis and either one
+// wait or a read per self-read member.
+func newLedger(cp *plan.Compiled) []rankLedger {
+	ledger := make([]rankLedger, cp.WorldSize())
+	for q := range cp.IO {
+		me := &cp.IO[q]
+		ledger[me.Rank] = rankLedger{name: me.Name, ivs: make([]interval, 0, 2*len(me.Stages))}
+	}
+	for q := range cp.Compute {
+		cr, n := &cp.Compute[q], 0
+		for si := range cr.Stages {
+			n += 1 + max(1, len(cr.Stages[si].SelfMembers))
+		}
+		ledger[cr.Rank] = rankLedger{name: cr.Name, ivs: make([]interval, 0, n)}
+	}
+	return ledger
+}
+
+// mean folds world ranks [lo, hi) into their mean phase breakdown. The order
+// of the additions is part of Result's bits: ranks by proc name, a rank's
+// intervals as recorded, one running sum per phase, divided once by the
+// number of ranks that recorded anything.
+func (m *machine) mean(lo, hi int) metrics.Breakdown {
+	ranks := slices.DeleteFunc(slices.Clone(m.ledger[lo:hi]), func(r rankLedger) bool { return len(r.ivs) == 0 })
+	slices.SortFunc(ranks, func(a, b rankLedger) int { return strings.Compare(a.name, b.name) })
+	var b metrics.Breakdown
+	for _, r := range ranks {
+		for _, iv := range r.ivs {
+			b.Add(iv.ph, iv.t1-iv.t0)
+		}
+	}
+	return b.Mean(len(ranks))
+}
+
+// spans merges the intervals world ranks [lo, hi) spent in the given phases.
+func (m *machine) spans(lo, hi int, phases ...metrics.Phase) []metrics.Span {
+	n := 0 // room for every interval of the ranks: no growing by doubling
+	for _, r := range m.ledger[lo:hi] {
+		n += len(r.ivs)
+	}
+	raw := make([]metrics.Span, 0, n)
+	for _, r := range m.ledger[lo:hi] {
+		for _, iv := range r.ivs {
+			if slices.Contains(phases, iv.ph) {
+				raw = append(raw, metrics.Span{Start: iv.t0, End: iv.t1})
+			}
+		}
+	}
+	return metrics.UnionSpans(raw)
 }
 
 // result fills the fields every algorithm reports the same way. P-EnKF has
@@ -384,8 +453,8 @@ func (m *machine) result(algorithm string) Result {
 		Algorithm: algorithm,
 		NP:        m.cp.WorldSize(),
 		Runtime:   m.end,
-		IO:        m.rec.MeanBreakdown(metrics.IOPrefix),
-		Compute:   m.rec.MeanBreakdown(metrics.ComputePrefix),
+		IO:        m.mean(m.cp.NumCompute(), m.cp.WorldSize()),
+		Compute:   m.mean(0, m.cp.NumCompute()),
 		FSStats:   m.fs.Stats(),
 	}
 }
@@ -413,7 +482,7 @@ func simulate(cfg Config, cp *plan.Compiled, rc *recovery, predict *costmodel.Ch
 		cfg.Msgs.BeginMessages(cp)
 	}
 	fs.SetReadObserver(cfg.Reads)
-	m := &machine{cfg: cfg, cp: cp, lv: cp.Spec.LevelCount(), rc: rc, fs: fs, rec: metrics.NewRecorder()}
+	m := &machine{cfg: cfg, cp: cp, lv: cp.Spec.LevelCount(), rc: rc, fs: fs, ledger: newLedger(cp)}
 	if cfg.Obs != nil {
 		cfg.Obs.BeginRun(cp)
 	}
@@ -457,18 +526,21 @@ func simulate(cfg Config, cp *plan.Compiled, rc *recovery, predict *costmodel.Ch
 	return m, err
 }
 
-// obs records one phase interval in both the recorder and — when tracing —
-// as a span on the processor's own track, keeping the two derivations of the
-// paper's breakdowns comparable; stage-tagged, as in core, on a staged plan.
-func (m *machine) obs(name string, ph metrics.Phase, t0, t1 float64, stage int) {
-	m.rec.Record(name, ph, t0, t1)
+// obs records one phase interval of world rank r: in the ledger and — when
+// tracing — as a span on the rank's own track, stage-tagged, as in core, on a
+// staged plan. An interval of no length is a span but not a ledger entry.
+func (m *machine) obs(r int, ph metrics.Phase, t0, t1 float64, stage int) {
+	led := &m.ledger[r]
+	if t1 > t0 {
+		led.ivs = append(led.ivs, interval{ph, t0, t1})
+	}
 	tr := m.cfg.Tracer
 	switch {
 	case !tr.Enabled():
 	case stage >= 0 && m.cp.Staged():
-		tr.Span(name, trace.CatPhase, ph.String(), t0, t1, trace.Arg{Key: trace.ArgStage, Val: float64(stage)})
+		tr.Span(led.name, trace.CatPhase, ph.String(), t0, t1, trace.Arg{Key: trace.ArgStage, Val: float64(stage)})
 	default:
-		tr.Span(name, trace.CatPhase, ph.String(), t0, t1)
+		tr.Span(led.name, trace.CatPhase, ph.String(), t0, t1)
 	}
 }
 
@@ -505,14 +577,14 @@ func (m *machine) io(proc *sim.Proc, me *plan.IORank) {
 			}
 			bar.Wait(proc)
 		}
-		m.obs(me.Name, metrics.PhaseRead, t0, proc.Now(), st.Stage)
+		m.obs(me.Rank, metrics.PhaseRead, t0, proc.Now(), st.Stage)
 		tPrev, tStage = tStage, proc.Now()
 		// Comm phase: startup + transfer per destination of every served row,
 		// each send carrying its block of every live member and level.
 		sendBytes := nominalBytes(st.Comm.PerDstPoints*m.lv, p.H) * float64(live)
 		t0 = proc.Now()
 		proc.Sleep(float64(rows) * float64(len(st.Comm.Dsts)) * (p.A + p.B*sendBytes))
-		m.obs(me.Name, metrics.PhaseComm, t0, proc.Now(), st.Stage)
+		m.obs(me.Rank, metrics.PhaseComm, t0, proc.Now(), st.Stage)
 		m.notify(proc, me, st)
 		for _, row := range adopted {
 			// The dead rank's plan entry names the destinations.
@@ -569,7 +641,7 @@ func (m *machine) compute(proc *sim.Proc, cr *plan.ComputeRank) {
 				}
 			}
 			if t0 != proc.Now() {
-				m.obs(cr.Name, metrics.PhaseWait, t0, proc.Now(), -1)
+				m.obs(cr.Rank, metrics.PhaseWait, t0, proc.Now(), -1)
 			}
 		} else {
 			// One addressing operation per expansion row and file (§4.1.1).
@@ -577,7 +649,7 @@ func (m *machine) compute(proc *sim.Proc, cr *plan.ComputeRank) {
 			for _, k := range st.SelfMembers {
 				t0 := proc.Now()
 				m.fs.Read(proc, k, st.Read.AddrOps, blockBytes)
-				m.obs(cr.Name, metrics.PhaseRead, t0, proc.Now(), -1)
+				m.obs(cr.Rank, metrics.PhaseRead, t0, proc.Now(), -1)
 			}
 		}
 		if st.Stage == 0 && cr.Rank == 0 {
@@ -586,6 +658,6 @@ func (m *machine) compute(proc *sim.Proc, cr *plan.ComputeRank) {
 		// Local analysis on the stage's region, level by level.
 		t0 := proc.Now()
 		proc.Sleep(p.C * float64(st.Analyze.Points()*m.lv))
-		m.obs(cr.Name, metrics.PhaseCompute, t0, proc.Now(), st.Stage)
+		m.obs(cr.Rank, metrics.PhaseCompute, t0, proc.Now(), st.Stage)
 	}
 }

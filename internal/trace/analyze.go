@@ -1,9 +1,7 @@
-// Trace-derived verification: the quantities the paper's evaluation plots
-// (phase breakdowns, overlap percentages) recomputed from raw trace events
-// rather than from metrics.Recorder, plus causality and capacity
-// invariants. Tests cross-check the two derivations against each other, so
-// a bug in either the instrumentation or the recorder shows up as a
-// mismatch.
+// Trace-derived analysis: the quantities the paper's evaluation plots (phase
+// breakdowns, overlap percentages) folded from raw trace events — the only
+// derivation a real run has, and the one tests hold the simulator's Result
+// against — plus causality and capacity invariants.
 //
 // Conventions (shared by every instrumented schedule):
 //
@@ -116,9 +114,8 @@ func Tracks(events []Event, trackPrefix string) []string {
 }
 
 // PhaseBreakdown sums phase-span durations across tracks with the given
-// prefix — the trace-derived analogue of metrics.Recorder.Breakdown.
-// Truncated spans (negative duration, as left behind by ranks that died
-// mid-phase) contribute nothing instead of subtracting time.
+// prefix. Truncated spans (negative duration, as left behind by ranks that
+// died mid-phase) contribute nothing instead of subtracting time.
 func PhaseBreakdown(events []Event, trackPrefix string) metrics.Breakdown {
 	var b metrics.Breakdown
 	for _, ev := range events {
@@ -133,24 +130,13 @@ func PhaseBreakdown(events []Event, trackPrefix string) metrics.Breakdown {
 }
 
 // MeanPhaseBreakdown divides the prefix breakdown by the number of tracks
-// carrying phase spans — the trace-derived analogue of
-// metrics.Recorder.MeanBreakdown (Figure 9).
+// carrying phase spans: the per-processor averages of Figure 9.
 func MeanPhaseBreakdown(events []Event, trackPrefix string) metrics.Breakdown {
-	b := PhaseBreakdown(events, trackPrefix)
-	n := len(Tracks(events, trackPrefix))
-	if n == 0 {
-		return metrics.Breakdown{}
-	}
-	b.Read /= float64(n)
-	b.Comm /= float64(n)
-	b.Compute /= float64(n)
-	b.Wait /= float64(n)
-	return b
+	return PhaseBreakdown(events, trackPrefix).Mean(len(Tracks(events, trackPrefix)))
 }
 
 // PhaseSpans returns the merged busy spans of the given phases across
-// tracks with the prefix — the trace-derived analogue of
-// metrics.Recorder.Spans, feeding metrics.OverlapDuration (Figure 11).
+// tracks with the prefix, feeding metrics.OverlapDuration (Figure 11).
 func PhaseSpans(events []Event, trackPrefix string, phases ...metrics.Phase) []metrics.Span {
 	want := map[metrics.Phase]bool{}
 	for _, p := range phases {

@@ -17,10 +17,10 @@
 // Events carry a Track (one per simulated processor, OST, or MPI rank), so
 // a trace loads in Perfetto/chrome://tracing as one row per processor —
 // the event structure behind the paper's Figures 9 and 11 made visible.
-// The same events feed trace-derived verification (see analyze.go): the
-// overlap percentage and phase breakdowns are recomputed from the trace
-// and checked against metrics.Recorder, and causality/limit invariants are
-// asserted.
+// The same events feed trace-derived analysis (see analyze.go): the
+// overlap percentage and phase breakdowns are folded from the trace — and
+// checked against the simulator's Result — and causality/limit invariants
+// are asserted.
 //
 // A nil *Tracer is the disabled fast path: every method is a nil-receiver
 // no-op, and hot call sites additionally guard with Enabled() so disabled

@@ -7,11 +7,6 @@ import (
 	"senkf/internal/workload"
 )
 
-// MultiLevelProblem is the 3-D assimilation problem: member files carry
-// several vertical levels interleaved per grid point (the paper's h =
-// levels × 8 bytes), each level with its own observation network.
-type MultiLevelProblem = core.MultiLevelProblem
-
 // GenerateTruthLevels produces one deterministic truth field per vertical
 // level.
 func GenerateTruthLevels(m Mesh, spec FieldSpec, levels int, seed uint64) ([][]float64, error) {
@@ -31,13 +26,15 @@ func WriteEnsembleLevels(dir string, m Mesh, members [][][]float64) ([]string, e
 	return ensio.WriteEnsembleLevels(dir, m, members)
 }
 
-// RunSEnKFMultiLevel executes S-EnKF over a multi-level ensemble: the I/O
+// RunSEnKFMultiLevel executes S-EnKF over a multi-level ensemble — a Problem
+// with Nets: member files carry len(Nets) vertical levels interleaved per grid
+// point (the paper's h = levels × 8 bytes), each with its own network. The I/O
 // ranks read each stage's bar once for all levels (shared addressing), the
 // compute ranks assimilate level by level with 2-D localization. Returns
 // the analysis as [level][member][]field. It is a thin spec wrapper: the
 // same compiled plan RunSEnKF executes, with the level dimension set, runs
 // on the one shared engine (ExecutePlanLevels).
-func RunSEnKFMultiLevel(p MultiLevelProblem, plan Plan) ([][][]float64, error) {
+func RunSEnKFMultiLevel(p Problem, plan Plan) ([][][]float64, error) {
 	return core.RunSEnKFMultiLevel(p, plan)
 }
 
@@ -45,7 +42,7 @@ func RunSEnKFMultiLevel(p MultiLevelProblem, plan Plan) ([][][]float64, error) {
 // ensemble — every rank block-reads its expansion of every level from every
 // member file and assimilates level by level. Like RunSEnKFMultiLevel it is
 // a thin spec wrapper over the shared engine.
-func RunPEnKFMultiLevel(p MultiLevelProblem, dec Decomposition) ([][][]float64, error) {
+func RunPEnKFMultiLevel(p Problem, dec Decomposition) ([][][]float64, error) {
 	return baseline.RunPEnKFMultiLevel(p, dec)
 }
 

@@ -68,9 +68,3 @@ func ParseStraggler(spec string) (Straggler, error) { return faults.ParseStraggl
 func RunCyclesObserved(c CycleConfig, truth []float64, ensemble [][]float64, cycles int, analyze Analyzer, onCycle func(CycleStats)) ([]CycleStats, error) {
 	return cycle.RunObserved(c, truth, ensemble, cycles, analyze, onCycle)
 }
-
-// SEnKFAnalyzerHooked is SEnKFAnalyzerObserved with the full hook set: the
-// template problem's Rec, Tr, Obs and Faults ride into every cycle's run.
-func SEnKFAnalyzerHooked(dir string, dec Decomposition, layers, ncg int, tpl Problem) Analyzer {
-	return cycle.SEnKFAnalyzerHooked(dir, dec, layers, ncg, tpl)
-}

@@ -1,9 +1,10 @@
 // Trace-derived verification of the paper's evaluation quantities: the
 // Figure 9 phase breakdowns and the Figure 11 overlap share are recomputed
-// from the raw trace events and asserted against the metrics.Recorder
-// derivation, and the causality/capacity invariants of the schedules are
-// checked on the same trace. A bug in either the instrumentation or the
-// recorder shows up here as a mismatch.
+// from the raw trace events and asserted against the simulator's Result —
+// folded from its private per-rank ledger, tracer on or off — and the
+// causality/capacity invariants of the schedules are checked on the same
+// trace. A bug in either the instrumentation or the ledger shows up here as
+// a mismatch.
 package senkf
 
 import (
@@ -32,12 +33,12 @@ func relClose(a, b, tol float64) bool {
 	return math.Abs(a-b) <= tol*math.Max(math.Abs(a), math.Abs(b))
 }
 
-func assertBreakdownsMatch(t *testing.T, label string, fromTrace, fromRecorder metrics.Breakdown) {
+func assertBreakdownsMatch(t *testing.T, label string, fromTrace, fromResult metrics.Breakdown) {
 	t.Helper()
 	for _, ph := range []metrics.Phase{metrics.PhaseRead, metrics.PhaseComm, metrics.PhaseCompute, metrics.PhaseWait} {
-		if !relClose(fromTrace.Get(ph), fromRecorder.Get(ph), 1e-6) {
-			t.Errorf("%s %s: trace-derived %.12g vs recorder %.12g",
-				label, ph, fromTrace.Get(ph), fromRecorder.Get(ph))
+		if !relClose(fromTrace.Get(ph), fromResult.Get(ph), 1e-6) {
+			t.Errorf("%s %s: trace-derived %.12g vs Result %.12g",
+				label, ph, fromTrace.Get(ph), fromResult.Get(ph))
 		}
 	}
 }
@@ -46,7 +47,7 @@ func assertBreakdownsMatch(t *testing.T, label string, fromTrace, fromRecorder m
 // paper's 12,000-processor scale with tracing attached and verifies:
 // the Chrome export is valid, loadable JSON that round-trips; the Fig. 9
 // breakdowns and Fig. 11 overlap share recomputed from the trace match the
-// Recorder-derived Result within 1e-6 relative; no stage is computed before
+// ledger-derived Result within 1e-6 relative; no stage is computed before
 // its last block arrived; and no OST ever serves more requests at once than
 // its configured concurrency.
 func TestTracedSEnKFPaperScale(t *testing.T) {
@@ -343,25 +344,25 @@ func TestWireAccountingMatchesTransportTotals(t *testing.T) {
 	// the two totals must agree exactly.
 	realVariants := []struct {
 		name string
-		run  func(p Problem, mp MultiLevelProblem) error
+		run  func(p, mp Problem) error
 	}{
-		{"SEnKF", func(p Problem, _ MultiLevelProblem) error {
+		{"SEnKF", func(p, _ Problem) error {
 			_, err := RunSEnKF(p, Plan{Dec: dec, L: layers, NCg: ncg})
 			return err
 		}},
-		{"PEnKF", func(p Problem, _ MultiLevelProblem) error {
+		{"PEnKF", func(p, _ Problem) error {
 			_, err := RunPEnKF(p, dec)
 			return err
 		}},
-		{"LEnKF", func(p Problem, _ MultiLevelProblem) error {
+		{"LEnKF", func(p, _ Problem) error {
 			_, err := RunLEnKF(p, dec)
 			return err
 		}},
-		{"SEnKF-ML", func(_ Problem, mp MultiLevelProblem) error {
+		{"SEnKF-ML", func(_, mp Problem) error {
 			_, err := RunSEnKFMultiLevel(mp, Plan{Dec: dec, L: layers, NCg: ncg})
 			return err
 		}},
-		{"PEnKF-ML", func(_ Problem, mp MultiLevelProblem) error {
+		{"PEnKF-ML", func(_, mp Problem) error {
 			_, err := RunPEnKFMultiLevel(mp, dec)
 			return err
 		}},
@@ -373,7 +374,7 @@ func TestWireAccountingMatchesTransportTotals(t *testing.T) {
 			tr.SetCounters(reg)
 			wc := NewWireCollector()
 			p := Problem{Cfg: cfg, Dir: dir, Net: net, Tr: tr, Msgs: wc}
-			mp := MultiLevelProblem{Cfg: cfg, Dir: mlDir, Nets: nets, Tr: tr, Msgs: wc}
+			mp := Problem{Cfg: cfg, Dir: mlDir, Nets: nets, Tr: tr, Msgs: wc}
 			if err := v.run(p, mp); err != nil {
 				t.Fatal(err)
 			}
@@ -682,11 +683,11 @@ func TestRealAndSimulatedSchedulesShareStructure(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	realML := func(t *testing.T, run func(MultiLevelProblem) error) ([]TraceEvent, *WireCollector) {
+	realML := func(t *testing.T, run func(Problem) error) ([]TraceEvent, *WireCollector) {
 		t.Helper()
 		buf := trace.NewBuffer()
 		wc := NewWireCollector()
-		if err := run(MultiLevelProblem{Cfg: cfg, Dir: mlDir, Nets: nets, Tr: NewWallTracer(buf), Msgs: wc}); err != nil {
+		if err := run(Problem{Cfg: cfg, Dir: mlDir, Nets: nets, Tr: NewWallTracer(buf), Msgs: wc}); err != nil {
 			t.Fatal(err)
 		}
 		return buf.Events(), wc
@@ -707,7 +708,7 @@ func TestRealAndSimulatedSchedulesShareStructure(t *testing.T) {
 	}
 
 	t.Run("SEnKF-ML", func(t *testing.T) {
-		realEvents, realWC := realML(t, func(p MultiLevelProblem) error {
+		realEvents, realWC := realML(t, func(p Problem) error {
 			_, err := RunSEnKFMultiLevel(p, Plan{Dec: dec, L: layers, NCg: ncg})
 			return err
 		})
@@ -718,7 +719,7 @@ func TestRealAndSimulatedSchedulesShareStructure(t *testing.T) {
 		check(t, SEnKFSpec(dec, members, layers, ncg).WithLevels(levels), realEvents, simEvents, realWC, simWC)
 	})
 	t.Run("PEnKF-ML", func(t *testing.T) {
-		realEvents, realWC := realML(t, func(p MultiLevelProblem) error {
+		realEvents, realWC := realML(t, func(p Problem) error {
 			_, err := RunPEnKFMultiLevel(p, dec)
 			return err
 		})

@@ -97,9 +97,7 @@ type (
 type (
 	// Plan is the S-EnKF processor layout: decomposition + L + n_cg.
 	Plan = core.Plan
-	// Recorder collects wall-clock phase intervals from real executions.
-	Recorder = metrics.Recorder
-	// PhaseBreakdown sums recorded time per phase.
+	// PhaseBreakdown is time per phase, summed over a class of processors.
 	PhaseBreakdown = metrics.Breakdown
 )
 
@@ -120,7 +118,7 @@ type (
 
 // Processor-name class prefixes: every I/O processor is named
 // "io/g<group>/r<reader>" and every compute processor "comp/x<i>y<j>",
-// across all schedules, the recorder and the trace tracks.
+// across all schedules and their trace tracks.
 const (
 	IOPrefix      = metrics.IOPrefix
 	ComputePrefix = metrics.ComputePrefix
@@ -236,9 +234,6 @@ func EnsembleMean(fields [][]float64) []float64 { return enkf.EnsembleMean(field
 // RMSE returns the root-mean-square error between a field and the truth.
 func RMSE(field, truth []float64) float64 { return enkf.RMSE(field, truth) }
 
-// NewRecorder returns an empty phase recorder for real executions.
-func NewRecorder() *Recorder { return metrics.NewRecorder() }
-
 // NewTraceBuffer returns an empty in-memory trace sink.
 func NewTraceBuffer() *TraceBuffer { return trace.NewBuffer() }
 
@@ -247,13 +242,20 @@ func NewTraceBuffer() *TraceBuffer { return trace.NewBuffer() }
 // cheap no-op), so it is safe to construct one unconditionally.
 func NewWallTracer(sinks ...trace.Sink) *Tracer { return trace.New(nil, sinks...) }
 
+// PhaseTotals sums a traced run's phase spans over the tracks of one
+// processor class (IOPrefix, ComputePrefix, or a full proc name).
+func PhaseTotals(events []TraceEvent, prefix string) PhaseBreakdown {
+	return trace.PhaseBreakdown(events, prefix)
+}
+
 // NewCounterRegistry returns an empty counter/gauge/histogram registry.
 func NewCounterRegistry() *CounterRegistry { return trace.NewRegistry() }
 
 // Problem bundles what a real parallel run needs: the assimilation
-// configuration, the member-file directory, the observation network, an
-// optional phase recorder, and an optional tracer. It is the one shared
-// problem type of every real execution path (declared in internal/plan).
+// configuration, the member-file directory, the observation network (Net, or
+// Nets — one per vertical level — for a multilevel ensemble), and the
+// optional observation hooks. It is the one problem type of every real
+// execution path (declared in internal/plan).
 type Problem = plan.Problem
 
 // Declarative plan types: algorithms are declared as specs, compiled into
