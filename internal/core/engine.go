@@ -99,7 +99,7 @@ func openMember(p plan.Problem, k, levels int, o ensio.OpenOptions) (*ensio.Memb
 }
 
 // ExecutePlan runs a compiled single-level plan on the real substrate and
-// returns the analysis ensemble assembled at world rank 0 (a compute rank).
+// returns the analysis ensemble.
 func ExecutePlan(p plan.Problem, c *plan.Compiled) ([][]float64, error) {
 	out, err := ExecutePlanLevels(p, c)
 	if err != nil {
@@ -112,11 +112,11 @@ func ExecutePlan(p plan.Problem, c *plan.Compiled) ([][]float64, error) {
 }
 
 // ExecutePlanLevels runs a compiled plan on the real substrate and returns
-// the analysis as [level][member][]field, assembled at world rank 0. It is
-// the one orchestration loop behind every real entry point: a single-level
-// problem (Levels() == 1) produces exactly the classic execution — same
-// reads, tags, spans and bits — with the result wrapped in a one-element
-// level slice.
+// the analysis as [level][member][]field, every compute rank having written
+// its own sub-domain of it. It is the one orchestration loop behind every
+// real entry point: a single-level problem (Levels() == 1) produces exactly
+// the classic execution — same reads, tags, spans and bits — with the result
+// wrapped in a one-element level slice.
 func ExecutePlanLevels(p plan.Problem, c *plan.Compiled) ([][][]float64, error) {
 	return execute(p, c, nil)
 }
@@ -152,7 +152,15 @@ func execute(p plan.Problem, c *plan.Compiled, rc *recovery) ([][][]float64, err
 		p.Obs.BeginRun(c)
 	}
 	announceFaults(p)
+	// The result is allocated once, by the first compute rank to know how many
+	// members the run assimilates, and written by all of them: each analyses
+	// its own rectangle of every field, and no two rectangles share a point.
 	var fields [][][]float64
+	var once sync.Once
+	result := func(n int) [][][]float64 {
+		once.Do(func() { fields = newFields(p.Levels(), n, p.Cfg.Mesh.Points()) })
+		return fields
+	}
 	t0 := time.Now()
 	err = w.Run(func(comm *mpi.Comm) error {
 		// Each rank body runs under its proc-name pprof scope, so CPU
@@ -161,16 +169,7 @@ func execute(p plan.Problem, c *plan.Compiled, rc *recovery) ([][][]float64, err
 		if comm.Rank() < c.NumCompute() {
 			r := c.Compute[comm.Rank()]
 			sc := p.Prof.Scope(r.Name)
-			return sc.Do(func() error {
-				f, err := engineCompute(comm, p, c, r, rc, t0, sc)
-				if err != nil {
-					return err
-				}
-				if comm.Rank() == 0 {
-					fields = f
-				}
-				return nil
-			})
+			return sc.Do(func() error { return engineCompute(comm, p, c, r, rc, result, t0, sc) })
 		}
 		r := c.IO[comm.Rank()-c.NumCompute()]
 		sc := p.Prof.Scope(r.Name)
@@ -308,9 +307,10 @@ func engineIO(comm *mpi.Comm, p plan.Problem, c *plan.Compiled, r plan.IORank, r
 // engineCompute is the body of one compute rank. Stages whose data arrives
 // by message are assembled by a helper goroutine (§4.2) that signals the
 // main flow stage by stage; self-read stages block-read the member files
-// directly. The main flow analyses each stage's region and accumulates the
-// sub-domain result, gathered at world rank 0.
-func engineCompute(comm *mpi.Comm, p plan.Problem, c *plan.Compiled, r plan.ComputeRank, rc *recovery, t0 time.Time, sc *runtimeobs.Scope) ([][][]float64, error) {
+// directly. The main flow analyses each stage's region straight into the
+// run's result fields, which result returns for the agreed member count, and
+// tells world rank 0 when its sub-domain is written.
+func engineCompute(comm *mpi.Comm, p plan.Problem, c *plan.Compiled, r plan.ComputeRank, rc *recovery, result func(n int) [][][]float64, t0 time.Time, sc *runtimeobs.Scope) error {
 	staged := c.Staged()
 	nl := c.Spec.LevelCount()
 	slow := p.Faults.SlowdownFor(r.Name)
@@ -320,9 +320,15 @@ func engineCompute(comm *mpi.Comm, p plan.Problem, c *plan.Compiled, r plan.Comp
 	// survivor position and is analysed with the membership's configuration.
 	mem, cfg, err := rc.agree(comm, p, c, t0, nil)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	n := cfg.N
+	// The destination of every stage and level: the whole mesh, of which this
+	// rank writes the points of its sub-domain and no other.
+	results := make([]*enkf.Block, nl)
+	for lvl, fields := range result(n) {
+		results[lvl] = &enkf.Block{Box: grid.Box{X0: 0, X1: cfg.Mesh.NX, Y0: 0, Y1: cfg.Mesh.NY}, Data: fields}
+	}
 
 	type stageData struct {
 		blks []*enkf.Block // one per level
@@ -360,6 +366,9 @@ func engineCompute(comm *mpi.Comm, p plan.Problem, c *plan.Compiled, r plan.Comp
 							if err != nil {
 								return err
 							}
+							if len(m.Meta) != 5 {
+								return &metaError{what: fmt.Sprintf("stage %d member %d block", st.Stage, k), got: len(m.Meta), want: 5}
+							}
 							box := grid.Box{X0: m.Meta[1], X1: m.Meta[2], Y0: m.Meta[3], Y1: m.Meta[4]}
 							if box != st.Box {
 								return fmt.Errorf("core: stage %d member %d box %v, want %v", st.Stage, k, box, st.Box)
@@ -387,15 +396,6 @@ func engineCompute(comm *mpi.Comm, p plan.Problem, c *plan.Compiled, r plan.Comp
 		}()
 	}
 
-	// The rank's result, per level, is rows over one member-major slice, the
-	// form it travels in: the gather hands that slice over as it is.
-	flats, results := make([][]float64, nl), make([]*enkf.Block, nl)
-	for lvl := range results {
-		flats[lvl] = make([]float64, n*r.Sub.Points())
-		if results[lvl], err = memberRows(r.Sub, n, flats[lvl]); err != nil {
-			return nil, err
-		}
-	}
 	// One analysis workspace per compute rank: its scratch is reused across
 	// stages and levels, and it keeps only the observations a stage can use.
 	// The rank owns it from here until it returns, by whichever path.
@@ -409,6 +409,9 @@ func engineCompute(comm *mpi.Comm, p plan.Problem, c *plan.Compiled, r plan.Comp
 		}
 
 		err := sc.Stage(tag, func() error {
+			if st.Analyze.Intersect(r.Sub) != st.Analyze {
+				return fmt.Errorf("core: stage %d of %s analyses %v, outside its sub-domain %v", st.Stage, r.Name, st.Analyze, r.Sub)
+			}
 			var blks []*enkf.Block
 			if st.Expect > 0 {
 				waitStart := time.Now()
@@ -451,6 +454,11 @@ func engineCompute(comm *mpi.Comm, p plan.Problem, c *plan.Compiled, r plan.Comp
 					return err
 				}
 			}
+			// The stage is analysed and nothing refers to its payloads any
+			// more: the next reads may have them.
+			for _, blk := range blks {
+				ensio.Recycle(blk.Data)
+			}
 			stretch(p, r.Name, t0, compStart, slow)
 			observe(p, r.Name, metrics.PhaseCompute, t0, compStart, time.Now(), tag)
 			if staged && p.Tr.Enabled() {
@@ -460,11 +468,10 @@ func engineCompute(comm *mpi.Comm, p plan.Problem, c *plan.Compiled, r plan.Comp
 			return nil
 		})
 		if err != nil {
-			return nil, err
+			return err
 		}
 	}
-
-	return gatherResults(comm, cfg, r.Sub, flats, c.NumCompute())
+	return gatherResults(comm, cfg, r.Sub, c.NumCompute())
 }
 
 // workspaces holds analysis workspaces between runs: in a forecast–analysis
@@ -483,56 +490,78 @@ func stageBlocks(box grid.Box, n, levels int) []*enkf.Block {
 	return blks
 }
 
-// memberRows views flat — n members of box.Points() values each, member by
-// member — as a block over box whose rows alias it.
-func memberRows(box grid.Box, n int, flat []float64) (*enkf.Block, error) {
-	pts := box.Points()
-	if len(flat) != n*pts {
-		return nil, fmt.Errorf("core: block payload has %d values, want %d", len(flat), n*pts)
+// newFields allocates a result: n zeroed fields of points values per level.
+func newFields(levels, n, points int) [][][]float64 {
+	fields := make([][][]float64, levels)
+	for lvl := range fields {
+		fields[lvl] = make([][]float64, n)
+		for k := range fields[lvl] {
+			fields[lvl][k] = make([]float64, points)
+		}
 	}
-	rows := make([][]float64, n)
-	for k := range rows {
-		rows[k] = flat[k*pts : (k+1)*pts : (k+1)*pts]
-	}
-	return &enkf.Block{Box: box, Data: rows}, nil
+	return fields
 }
 
-// gatherResults hands each compute rank's per-level analysis over sub — flat,
-// the slices its result blocks are rows of — to world rank 0, which places
-// every block into the full fields as it arrives, level by level (tag
-// resultTag+level). Other ranks return nil fields.
-func gatherResults(comm *mpi.Comm, cfg enkf.Config, sub grid.Box, flats [][]float64, contributors int) ([][][]float64, error) {
+// metaError reports a received message whose meta is not the length its
+// reader indexes.
+type metaError struct {
+	what      string
+	got, want int
+}
+
+func (e *metaError) Error() string {
+	return fmt.Sprintf("core: %s carries %d meta values, want %d", e.what, e.got, e.want)
+}
+
+// gatherResults tells world rank 0 that the caller's sub-domain of the result
+// is written: one token per rank — its box and member count, no payload —
+// whose receipt orders the rank's writes before rank 0's return. Rank 0 checks
+// that the sub-domains cover every mesh point exactly once, inside the mesh,
+// with one member count.
+func gatherResults(comm *mpi.Comm, cfg enkf.Config, sub grid.Box, contributors int) error {
 	if comm.Rank() != 0 {
-		meta := []int{sub.X0, sub.X1, sub.Y0, sub.Y1}
-		for lvl, flat := range flats {
-			if err := comm.SendOwned(0, resultTag+lvl, meta, flat); err != nil {
-				return nil, err
+		return comm.Send(0, resultTag, []int{sub.X0, sub.X1, sub.Y0, sub.Y1, cfg.N}, nil)
+	}
+	m := cfg.Mesh
+	covered := make([]bool, m.Points())
+	place := func(sub grid.Box) error {
+		if sub.Clamp(m) != sub {
+			return fmt.Errorf("core: sub-domain %v outside the %dx%d mesh", sub, m.NX, m.NY)
+		}
+		for y := sub.Y0; y < sub.Y1; y++ {
+			row := covered[m.Index(sub.X0, y):][:sub.Width()]
+			for i, c := range row {
+				if c {
+					return fmt.Errorf("core: point (%d,%d) covered twice", sub.X0+i, y)
+				}
+				row[i] = true
 			}
 		}
-		return nil, nil
+		return nil
 	}
-	out := make([][][]float64, len(flats))
-	for lvl, flat := range flats {
-		placed := 0
-		fields, err := enkf.AssembleFrom(cfg.Mesh, cfg.N, func() (*enkf.Block, error) {
-			placed++
-			switch {
-			case placed == 1:
-				return memberRows(sub, cfg.N, flat)
-			case placed > contributors:
-				return nil, nil
-			}
-			m, err := comm.Recv(mpi.AnySource, resultTag+lvl)
-			if err != nil {
-				return nil, err
-			}
-			box := grid.Box{X0: m.Meta[0], X1: m.Meta[1], Y0: m.Meta[2], Y1: m.Meta[3]}
-			return memberRows(box, cfg.N, m.Data)
-		})
+	if err := place(sub); err != nil {
+		return err
+	}
+	for i := 1; i < contributors; i++ {
+		msg, err := comm.Recv(mpi.AnySource, resultTag)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		out[lvl] = fields
+		if len(msg.Meta) != 5 {
+			return &metaError{what: fmt.Sprintf("completion token of rank %d", msg.Src), got: len(msg.Meta), want: 5}
+		}
+		if msg.Meta[4] != cfg.N {
+			return fmt.Errorf("core: rank %d analysed %d members, rank 0 %d", msg.Src, msg.Meta[4], cfg.N)
+		}
+		if err := place(grid.Box{X0: msg.Meta[0], X1: msg.Meta[1], Y0: msg.Meta[2], Y1: msg.Meta[3]}); err != nil {
+			return err
+		}
 	}
-	return out, nil
+	for idx, c := range covered {
+		if !c {
+			x, y := m.Coords(idx)
+			return fmt.Errorf("core: point (%d,%d) not covered", x, y)
+		}
+	}
+	return nil
 }

@@ -6,8 +6,7 @@ import "senkf/internal/plan"
 // ensemble — a Problem with Nets: member files carry len(Nets) vertical
 // levels interleaved per grid point (the paper's h = levels × 8 bytes), each
 // level with its own observation network — and returns the analysis as
-// [level][member][]field, assembled at world rank 0. The levels are
-// assimilated with 2-D localization, level by level — standard practice for
+// [level][member][]field. The levels are assimilated with 2-D localization, level by level — standard practice for
 // layered ocean states — but the I/O is shared: one bar read per stage
 // fetches *all* levels of the stage rows with a single addressing operation.
 // It is a thin spec wrapper: the same plan RunSEnKF compiles, with the level

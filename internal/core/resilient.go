@@ -143,7 +143,7 @@ func classifyOpenError(err error) float64 {
 // RunSEnKFResilient executes the S-EnKF schedule under the recovery policy r
 // describes. Unreadable members are dropped (not fatal) down to
 // Resilience.MinMembers; plan-declared reader deaths fail over to the
-// group's surviving readers. The DegradedResult is assembled at world rank 0.
+// group's surviving readers.
 func RunSEnKFResilient(p Problem, pl Plan, r Resilience) (*DegradedResult, error) {
 	c, err := plan.Compile(pl.Spec(p.Cfg.N))
 	if err != nil {

@@ -55,12 +55,13 @@ func (pl Plan) Spec(n int) plan.Spec { return plan.SEnKF(pl.Dec, n, pl.L, pl.NCg
 // Problem is the shared real-run problem type, declared in internal/plan.
 type Problem = plan.Problem
 
-// resultTag is the base tag of the final gather: level l's result blocks
-// travel under resultTag+l, far above the plan.Tag stage-tag space.
+// resultTag is the tag of the completion tokens: one per compute rank, sent to
+// world rank 0 when the rank's sub-domain of the result is written, far above
+// the plan.Tag stage-tag space.
 const resultTag = 1 << 20
 
 // RunSEnKF executes the full S-EnKF schedule and returns the analysis
-// ensemble (assembled at world rank 0).
+// ensemble.
 func RunSEnKF(p Problem, pl Plan) ([][]float64, error) {
 	c, err := plan.Compile(pl.Spec(p.Cfg.N))
 	if err != nil {

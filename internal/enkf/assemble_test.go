@@ -9,12 +9,10 @@ import (
 	"senkf/internal/workload"
 )
 
-// tilings are the (n_sdx, n_sdy) decompositions of core's planShapes table,
-// the sub-domain tilings TestSEnKFAcrossPlanShapes gathers over.
+// tilings are the (n_sdx, n_sdy) decompositions of core's planShapes table.
 var tilings = [][2]int{{4, 2}, {2, 2}, {1, 1}, {6, 3}, {2, 4}}
 
-// flatBlock copies block b into the form a gathered result arrives in: rows
-// over one member-major slice.
+// flatBlock copies block b into rows over one member-major slice.
 func flatBlock(b *Block) *Block {
 	pts := b.Box.Points()
 	flat := make([]float64, len(b.Data)*pts)
@@ -26,21 +24,10 @@ func flatBlock(b *Block) *Block {
 	return &Block{Box: b.Box, Data: rows}
 }
 
-// oneByOne hands blocks to AssembleFrom in the given order and counts how
-// many it was asked for.
-func oneByOne(blocks []*Block, asked *int) func() (*Block, error) {
-	return func() (*Block, error) {
-		*asked++
-		if len(blocks) == 0 {
-			return nil, nil
-		}
-		b := blocks[0]
-		blocks = blocks[1:]
-		return b, nil
-	}
-}
-
-func TestAssembleFromMatchesAssembleOnPlanTilings(t *testing.T) {
+// TestAssembleOnPlanTilings cuts random fields by each tiling and puts them
+// back: from sub-blocks in plan order, from member-major copies in any order,
+// and not at all when a tile is doubled or missing.
+func TestAssembleOnPlanTilings(t *testing.T) {
 	ps := workload.TestScale
 	m, err := ps.Mesh()
 	if err != nil {
@@ -70,46 +57,28 @@ func TestAssembleFromMatchesAssembleOnPlanTilings(t *testing.T) {
 				flats = append(flats, flatBlock(sb))
 			}
 		}
-		want, err := Assemble(m, n, blocks)
-		if err != nil {
-			t.Fatalf("tiling %v: Assemble: %v", tl, err)
-		}
-		if d := MaxAbsDiffFields(want, full.Data); d != 0 {
-			t.Errorf("tiling %v: Assemble does not restore the fields it was cut from (off by %g)", tl, d)
-		}
-		// Arrival order is whatever the gather sees.
 		rng.Shuffle(len(flats), func(a, b int) { flats[a], flats[b] = flats[b], flats[a] })
-		asked := 0
-		got, err := AssembleFrom(m, n, oneByOne(flats, &asked))
-		if err != nil {
-			t.Fatalf("tiling %v: AssembleFrom: %v", tl, err)
-		}
-		if d := MaxAbsDiffFields(got, want); d != 0 {
-			t.Errorf("tiling %v: incremental flat placement differs from Assemble by %g", tl, d)
-		}
-		if asked != len(flats)+1 {
-			t.Errorf("tiling %v: asked for %d blocks, want %d and the end", tl, asked, len(flats))
-		}
-
-		// The exactly-once coverage check, by either entry point.
-		overlapping := append(append([]*Block(nil), blocks...), blocks[len(blocks)-1])
-		missing := blocks[:len(blocks)-1]
 		for name, tc := range map[string]struct {
 			blocks []*Block
-			want   string
+			want   string // error text; empty: the fields come back
 		}{
-			"overlapping": {overlapping, "covered twice"},
-			"missing":     {missing, "not covered"},
+			"plan order":    {blocks, ""},
+			"flat shuffled": {flats, ""},
+			"overlapping":   {append(append([]*Block(nil), blocks...), blocks[len(blocks)-1]), "covered twice"},
+			"missing":       {blocks[:len(blocks)-1], "not covered"},
 		} {
-			_, errAll := Assemble(m, n, tc.blocks)
-			_, errInc := AssembleFrom(m, n, oneByOne(tc.blocks, new(int)))
-			for entry, err := range map[string]error{"Assemble": errAll, "AssembleFrom": errInc} {
+			got, err := Assemble(m, n, tc.blocks)
+			switch {
+			case tc.want != "":
 				if err == nil || !strings.Contains(err.Error(), tc.want) {
-					t.Errorf("tiling %v, %s blocks: %s returned %v, want a %q error", tl, name, entry, err, tc.want)
+					t.Errorf("tiling %v, %s blocks: Assemble returned %v, want a %q error", tl, name, err, tc.want)
 				}
-			}
-			if errAll != nil && errInc != nil && errAll.Error() != errInc.Error() {
-				t.Errorf("tiling %v, %s blocks: %q from Assemble, %q from AssembleFrom", tl, name, errAll, errInc)
+			case err != nil:
+				t.Errorf("tiling %v, %s blocks: %v", tl, name, err)
+			default:
+				if d := MaxAbsDiffFields(got, full.Data); d != 0 {
+					t.Errorf("tiling %v, %s blocks: Assemble does not restore the fields it was cut from (off by %g)", tl, name, d)
+				}
 			}
 		}
 	}

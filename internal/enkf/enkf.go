@@ -302,34 +302,12 @@ func GlobalAnalysis(c Config, background [][]float64, net *obs.Network) ([][]flo
 // row-major fields over the mesh. Every mesh point must be covered exactly
 // once.
 func Assemble(m grid.Mesh, n int, blocks []*Block) ([][]float64, error) {
-	return AssembleFrom(m, n, func() (*Block, error) {
-		if len(blocks) == 0 {
-			return nil, nil
-		}
-		b := blocks[0]
-		blocks = blocks[1:]
-		return b, nil
-	})
-}
-
-// AssembleFrom is Assemble over blocks handed in one at a time: next returns
-// the next block, or nil after the last. Each block is placed row by row as
-// it arrives and not kept, so a caller receiving blocks need never hold more
-// than one beside the fields.
-func AssembleFrom(m grid.Mesh, n int, next func() (*Block, error)) ([][]float64, error) {
 	out := make([][]float64, n)
 	for k := range out {
 		out[k] = make([]float64, m.Points())
 	}
 	covered := make([]bool, m.Points())
-	for {
-		b, err := next()
-		if err != nil {
-			return nil, err
-		}
-		if b == nil {
-			break
-		}
+	for _, b := range blocks {
 		if b.Members() != n {
 			return nil, fmt.Errorf("enkf: block over %v has %d members, want %d", b.Box, b.Members(), n)
 		}
@@ -394,25 +372,4 @@ func RMSE(field, truth []float64) float64 {
 		s += d * d
 	}
 	return math.Sqrt(s / float64(len(field)))
-}
-
-// MaxAbsDiffFields returns the largest |a−b| across two ensembles of
-// fields; used by integration tests comparing implementations.
-func MaxAbsDiffFields(a, b [][]float64) float64 {
-	if len(a) != len(b) {
-		return math.Inf(1)
-	}
-	var m float64
-	for k := range a {
-		if len(a[k]) != len(b[k]) {
-			return math.Inf(1)
-		}
-		for i := range a[k] {
-			d := math.Abs(a[k][i] - b[k][i])
-			if d > m {
-				m = d
-			}
-		}
-	}
-	return m
 }

@@ -531,3 +531,28 @@ func (w *Workspace) AnalyzeInto(c Config, dst, blk *Block, candidates []obs.Obse
 	}
 	return nil
 }
+
+// MaxAbsDiffFields returns the largest |a−b| across two ensembles of
+// fields; used by integration tests comparing implementations.
+//
+// It sits behind the solvers for the reason given above vv: ahead of them its
+// seven 32-byte slots put point and solveEnsembleSpace on the slow parity
+// (EXPERIMENTS.md, "Record: PR 23" and "PR 24").
+func MaxAbsDiffFields(a, b [][]float64) float64 {
+	if len(a) != len(b) {
+		return math.Inf(1)
+	}
+	var m float64
+	for k := range a {
+		if len(a[k]) != len(b[k]) {
+			return math.Inf(1)
+		}
+		for i := range a[k] {
+			d := math.Abs(a[k][i] - b[k][i])
+			if d > m {
+				m = d
+			}
+		}
+	}
+	return m
+}

@@ -272,3 +272,67 @@ func TestNarrowBlockStillSeeksPerRow(t *testing.T) {
 		t.Errorf("narrow block read cost %+v, want %+v", st, want)
 	}
 }
+
+// TestReadsOverwriteRecycledPayloads gives every payload back poisoned — all
+// NaN, in bundles of mixed sizes — and reads on: whatever the pool hands a
+// read (a payload that fits, a larger one resliced, nothing for one too
+// small), each value returned is the file's, and a payload the caller kept is
+// never handed out again.
+func TestReadsOverwriteRecycledPayloads(t *testing.T) {
+	rng := rand.New(rand.NewSource(24))
+	const nx, ny, nl = 11, 9, 2
+	levels := make([][]float64, nl)
+	for l := range levels {
+		levels[l] = make([]float64, nx*ny)
+		for i := range levels[l] {
+			levels[l][i] = rng.NormFloat64()
+		}
+	}
+	path := t.TempDir() + "/m.senk"
+	writeGeneratedMember(t, path, Version, nx, ny, levels)
+	mf, err := OpenMember(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mf.Close()
+
+	var kept [][]float64 // payloads never given back, with what they must hold
+	var keptWant [][]float64
+	for round := 0; round < 200; round++ {
+		y0 := rng.Intn(ny)
+		y1 := y0 + 1 + rng.Intn(ny-y0)
+		x0 := rng.Intn(nx)
+		b := grid.Box{X0: x0, X1: x0 + 1 + rng.Intn(nx-x0), Y0: y0, Y1: y1}
+		var got [][]float64
+		if round%2 == 0 {
+			out, err := mf.ReadBarBoxes(y0, y1, []grid.Box{b, {X0: 0, X1: nx, Y0: y0, Y1: y1}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			got = out[0]
+			Recycle(out[1])
+		} else if got, err = mf.ReadBlockLevels(b); err != nil {
+			t.Fatal(err)
+		}
+		for l := range got {
+			if want := cutBox(levels[l], nx, b); !sameBits(got[l], want) {
+				t.Fatalf("round %d: level %d of %v is not the file's", round, l, b)
+			}
+		}
+		if round%5 == 0 {
+			kept, keptWant = append(kept, got[0]), append(keptWant, cutBox(levels[0], nx, b))
+			got = got[1:]
+		}
+		for _, p := range got {
+			for i := range p {
+				p[i] = math.NaN()
+			}
+		}
+		Recycle(got)
+	}
+	for i := range kept {
+		if !sameBits(kept[i], keptWant[i]) {
+			t.Fatalf("kept payload %d was handed out again", i)
+		}
+	}
+}

@@ -554,11 +554,42 @@ func decode(dst [][]float64, at int, raw []byte, rowWidth, x0, x1, rows int) {
 	}
 }
 
-// levelSlices allocates one slice of points values per level.
-func levelSlices(levels, points int) [][]float64 {
-	out := make([][]float64, levels)
-	for l := range out {
-		out[l] = make([]float64, points)
+// payloads holds the payload bundles handed to Recycle, whole or what a read
+// left of one.
+var payloads sync.Pool // of *[][]float64
+
+// Recycle gives back payloads returned by ReadBarBoxes or ReadBlockLevels, by
+// the bundle, once the caller holds no other reference to them. Later reads
+// hand them out again as they are: a read overwrites every element it returns.
+func Recycle(bundle [][]float64) {
+	if len(bundle) > 0 {
+		payloads.Put(&bundle)
+	}
+}
+
+// borrow returns count payloads, the i-th of points(i) values, each a recycled
+// one where the pool has one that large and new otherwise. The caller
+// overwrites them all.
+func borrow(count int, points func(i int) int) [][]float64 {
+	out := make([][]float64, count)
+	var bundle *[][]float64
+	for i := range out {
+		if bundle == nil || len(*bundle) == 0 {
+			bundle, _ = payloads.Get().(*[][]float64)
+		}
+		if bundle != nil {
+			last := len(*bundle) - 1
+			out[i], (*bundle)[last] = (*bundle)[last], nil
+			*bundle = (*bundle)[:last]
+		}
+		if n := points(i); cap(out[i]) < n {
+			out[i] = make([]float64, n)
+		} else {
+			out[i] = out[i][:n]
+		}
+	}
+	if bundle != nil && len(*bundle) > 0 {
+		payloads.Put(bundle)
 	}
 	return out
 }
@@ -568,7 +599,7 @@ func levelSlices(levels, points int) [][]float64 {
 // regardless of the bar height or of how many boxes are cut from it — and
 // decodes the bar straight into one payload per box and level: out[i][l] is
 // level l over boxes[i], row-major. Every box must be non-empty and lie
-// inside the bar. The payloads are freshly allocated and the caller's.
+// inside the bar. The payloads are the caller's, to keep or to Recycle.
 func (m *MemberFile) ReadBarBoxes(y0, y1 int, boxes []grid.Box) ([][][]float64, error) {
 	nx, nl := m.Header.NX, m.Header.LevelCount()
 	if y0 < 0 || y1 > m.Header.NY || y0 >= y1 {
@@ -585,9 +616,10 @@ func (m *MemberFile) ReadBarBoxes(y0, y1 int, boxes []grid.Box) ([][][]float64, 
 		return nil, err
 	}
 	defer scratch.Put(bp)
+	all := borrow(len(boxes)*nl, func(i int) int { return boxes[i/nl].Points() })
 	out := make([][][]float64, len(boxes))
 	for i, b := range boxes {
-		out[i] = levelSlices(nl, b.Points())
+		out[i] = all[i*nl : (i+1)*nl : (i+1)*nl]
 		decode(out[i], 0, (*bp)[8*nl*nx*(b.Y0-y0):], nx, b.X0, b.X1, b.Height())
 	}
 	return out, nil
@@ -630,7 +662,7 @@ func (m *MemberFile) ReadBlockLevels(b grid.Box) ([][]float64, error) {
 		return m.ReadBarLevels(b.Y0, b.Y1)
 	}
 	nl, w := m.Header.LevelCount(), b.Width()
-	out := levelSlices(nl, b.Points())
+	out := borrow(nl, func(int) int { return b.Points() })
 	for y := b.Y0; y < b.Y1; y++ {
 		bp, err := m.fetch(y*mesh.NX+b.X0, w)
 		if err != nil {
