@@ -59,7 +59,7 @@ type Incident struct {
 // flight recorder (first anomaly wins).
 func (m *Monitor) incidentLocked(inc Incident, dump bool) {
 	m.incidentCount++
-	if len(m.incidents) < 64 {
+	if len(m.incidents) < maxLogged {
 		m.incidents = append(m.incidents, inc)
 		if m.opts.Logger != nil {
 			m.opts.Logger.Warn("monitor: incident",

@@ -21,10 +21,12 @@
 //     as a JSON conformance summary at /status;
 //   - a flight recorder — a fixed-size ring of the most recent trace
 //     events, dumped automatically (file + attached to the error) on
-//     deadlock, watchdog trip, rank death, or plan divergence.
+//     deadlock, watchdog trip, rank death, or plan divergence;
+//   - wire conformance — the traffic the wire collector (Options.Wire)
+//     counted, judged at EndRun against the plan's expected edge matrix.
 //
 // The package is substrate-free by construction: it depends on plan,
-// trace, costmodel and metrics (naming), and duck-types the substrate
+// trace, wire, costmodel and metrics (naming), and duck-types the substrate
 // errors (sim.DeadlockError's BlockedOn, mpi.RankFailedError's
 // FailedRank) instead of importing sim or mpi. CI enforces the layering.
 package monitor
@@ -39,6 +41,7 @@ import (
 	"senkf/internal/plan"
 	"senkf/internal/runtimeobs"
 	"senkf/internal/trace"
+	"senkf/internal/wire"
 )
 
 // Options configures a Monitor.
@@ -71,6 +74,10 @@ type Options struct {
 	// the run ledger uses it to refresh the baseline go/process gauges so
 	// scrapes carry current runtime stats even without the sampler.
 	ScrapeHook func()
+	// Wire, when set, is the run's wire collector: EndRun judges the
+	// traffic it counted against the plan's expected edge matrix, and
+	// /status reports it live (wire.go).
+	Wire *wire.Collector
 
 	// Runtime watchdog knobs (see runtime.go); zero values take the
 	// Default* constants.
@@ -113,8 +120,8 @@ type Monitor struct {
 	verdicts []Verdict
 	injected map[string]float64 // announced straggler proc -> factor
 
-	// Wire conformance (wire.go): actual vs expected edge matrix, per-OST
-	// attribution, fed by the wire collector's side events.
+	// Wire conformance (wire.go): the collector's baseline and the
+	// expected edge matrix.
 	wire wireState
 
 	// Conformance bookkeeping.
@@ -171,6 +178,7 @@ func New(opts Options) *Monitor {
 		readyTs:  map[string]map[int]float64{},
 		ring:     newRing(opts.FlightSize),
 		runtime:  runtimeState{ring: newRing(DefaultRuntimeRingSamples)},
+		wire:     wireState{outaged: map[int]bool{}},
 	}
 }
 
@@ -248,7 +256,7 @@ func (m *Monitor) BeginRun(c *plan.Compiled) {
 	m.divergences = nil
 	m.divCount = 0
 	m.spans = 0
-	m.resetWireLocked(c)
+	m.beginWireLocked(c)
 
 	for q := range c.Compute {
 		m.rankName[c.Compute[q].Rank] = c.Compute[q].Name
@@ -295,9 +303,10 @@ func (m *Monitor) BeginRun(c *plan.Compiled) {
 }
 
 // EndRun drains the tee (so the monitor's view is complete), finalizes
-// conformance, and — on error — classifies the failure, blames the plan
-// edges involved, triggers the flight recorder, and wraps the error with
-// the context. A nil error is always returned as nil.
+// conformance, judges the run's wire traffic, and — on error — classifies
+// the failure, blames the plan edges involved, triggers the flight
+// recorder, and wraps the error with the context. A nil error is always
+// returned as nil.
 func (m *Monitor) EndRun(err error) error {
 	m.mu.Lock()
 	t := m.tee
@@ -309,8 +318,8 @@ func (m *Monitor) EndRun(err error) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.finished = true
+	m.judgeWireLocked(err == nil)
 	if err == nil {
-		m.finishWireLocked()
 		// Healthy completion: every live track must have run its full
 		// expected chain. Tracks whose rank death was announced are
 		// exempt — truncation is their expected structure.
@@ -360,17 +369,6 @@ func (m *Monitor) Emit(ev trace.Event) {
 		if ev.Ph == trace.PhaseInstant && ev.Cat == trace.CatRuntime && ev.Name == runtimeobs.SampleEventName {
 			m.foldRuntimeLocked(ev)
 		}
-		return
-	}
-	if ev.Ph == trace.PhaseInstant && ev.Cat == trace.CatComm && ev.Name == "deliver" {
-		// Wire telemetry is high-rate and has its own conformance fold;
-		// keeping it out of the flight ring preserves the plan events a
-		// dump exists to show.
-		m.foldDeliverLocked(ev)
-		return
-	}
-	if ev.Ph == trace.PhaseInstant && ev.Cat == trace.CatOST && ev.Name == "read" {
-		m.foldWireReadLocked(ev)
 		return
 	}
 	m.ring.add(ev)

@@ -141,12 +141,8 @@ func (m *Monitor) runtimeTripLocked(kind string, at, observed, budget float64, d
 		Observed: observed, Budget: budget, Tolerance: 1,
 		Mode: "runtime", At: at,
 	}
-	if len(m.verdicts) < 256 {
-		m.verdicts = append(m.verdicts, v)
-	}
-	m.reg.Inc("monitor/watchdog_trips")
 	m.reg.Inc("monitor/runtime_trips")
-	m.incidentLocked(Incident{
+	m.tripLocked(v, Incident{
 		Kind: "runtime", Proc: proc, Time: at,
 		Detail: detail + " (blaming " + v.Phase + fmt.Sprintf(" at stage %d)", stage),
 	}, true)

@@ -38,6 +38,11 @@ const (
 	peerMinSlack   = 1e-3
 )
 
+// maxLogged bounds the verdict list and the incident log alike: the wire
+// verdicts of EndRun come after every live trip of the run, and a shorter
+// incident log could be full before they arrive.
+const maxLogged = 256
+
 // Verdict is one watchdog trip: a (proc, phase, stage) that exceeded
 // budget × tolerance.
 type Verdict struct {
@@ -47,7 +52,10 @@ type Verdict struct {
 	Observed  float64 `json:"observed_s"`
 	Budget    float64 `json:"budget_s"`
 	Tolerance float64 `json:"tolerance"`
-	// Mode is "model" (cost-model budget) or "peer" (peer-median budget).
+	// Mode is what the verdict was judged against: "model" (cost-model
+	// budget), "peer" (peer-median budget), "wire" (the plan's edge matrix
+	// and the storage targets' peers, wire.go) or "runtime" (the runtime
+	// watchdog budgets, runtime.go).
 	Mode string `json:"mode"`
 	// Injected is the announced straggler factor when the trip matches a
 	// fault injection (0 otherwise) — the watchdog caught the injection.
@@ -104,15 +112,20 @@ func (m *Monitor) checkBudgetLocked(track, phase string, stage int, ev trace.Eve
 	if strings.HasPrefix(track, metrics.ComputePrefix+"/") && phase == "wait" {
 		v.Edge = m.blamedEdgeLocked(track, stage)
 	}
-	if len(m.verdicts) < 256 {
-		m.verdicts = append(m.verdicts, v)
-	}
-	m.reg.Inc("monitor/watchdog_trips")
-	m.incidentLocked(Incident{
+	m.tripLocked(v, Incident{
 		Kind: "watchdog", Proc: track, Time: v.At,
 		Detail: v.String(),
 		Edge:   v.Edge,
 	}, true)
+}
+
+// tripLocked records one watchdog verdict and the incident explaining it.
+func (m *Monitor) tripLocked(v Verdict, inc Incident, dump bool) {
+	if len(m.verdicts) < maxLogged {
+		m.verdicts = append(m.verdicts, v)
+	}
+	m.reg.Inc("monitor/watchdog_trips")
+	m.incidentLocked(inc, dump)
 }
 
 func median(xs []float64) float64 {

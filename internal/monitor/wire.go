@@ -1,215 +1,152 @@
-// Wire conformance: the monitor folds the wire collector's per-message
-// "deliver" and per-read "read" instants (internal/wire, arriving on the
-// tee's secondary path) against the expected edge matrix derived from the
-// compiled plan. Missing, unexpected and short edges are plan divergences
-// like any structural one; a saturated storage target or a skewed edge
-// becomes a watchdog verdict naming the culprit.
+// Wire conformance: the monitor judges the wire collector (internal/wire,
+// Options.Wire) against the expected edge matrix derived from the compiled
+// plan. The collector is the only place wire traffic is counted; it
+// accumulates across runs while expectations are per run, so BeginRun
+// snapshots it and a run's traffic is the collector minus that snapshot.
+// Missing, unexpected, overflowing and short edges are plan divergences
+// like any structural one; an outaged or saturated storage target or a
+// skewed receiver becomes a watchdog verdict naming the culprit.
 //
-// The fold is gated on wire events actually arriving: a run without a
-// collector attached reports no wire state and no missing edges.
+// A monitor without a collector, or whose collector saw no traffic,
+// reports no wire state and no missing edges.
 
 package monitor
 
 import (
 	"fmt"
-	"sort"
 
 	"senkf/internal/plan"
-	"senkf/internal/trace"
+	"senkf/internal/wire"
 )
 
-// wireOST is the live per-storage-target picture built from wire "read"
-// instants.
-type wireOST struct {
-	reads         int64
-	bytes         float64
-	wait          float64
-	service       float64
-	degraded      int64
-	outage        int64
-	first         float64
-	last          float64
-	outageTripped bool
-}
-
-// wireState is the per-run wire-conformance state.
+// wireState is what the collector is judged against.
 type wireState struct {
-	expected   plan.EdgeMatrix
-	actual     plan.EdgeMatrix
-	msgs       int64
-	otherMsgs  int64
-	otherBytes int64
-	maxDepth   int
-	unexpected map[plan.EdgeKey]bool // flagged-once unexpected edges
-	over       map[plan.EdgeKey]bool // flagged-once overflowing edges
-	osts       map[int]*wireOST
-	finalized  bool
+	expected plan.EdgeMatrix
+	// The collector's stage-data matrix and other traffic at BeginRun.
+	base      plan.EdgeMatrix
+	baseOther plan.EdgeStats
+	// OSTs whose outage verdict was issued: one per OST per monitor.
+	outaged map[int]bool
 }
 
-func (w *wireState) active() bool {
-	return w.msgs > 0 || w.otherMsgs > 0 || len(w.osts) > 0
+// wireRun is one run's traffic, judged against the plan.
+type wireRun struct {
+	edges plan.EdgeMatrix // collector minus the BeginRun snapshot
+	other plan.EdgeStats
+	sum   *wire.Summary // cumulative: OSTs and queue depth span runs
+
+	unexpected, over, missing, short []plan.EdgeKey
 }
 
-// resetWireLocked derives the expected edge matrix for the new run. The
-// OST picture is cumulative across cycles (one machine), so only the edge
-// side resets.
-func (m *Monitor) resetWireLocked(c *plan.Compiled) {
+// beginWireLocked snapshots the collector and derives the run's expected
+// edge matrix.
+func (m *Monitor) beginWireLocked(c *plan.Compiled) {
+	wc := m.opts.Wire
+	if wc == nil {
+		return
+	}
 	m.wire.expected = plan.ExpectedEdges(c)
-	m.wire.actual = plan.EdgeMatrix{}
-	m.wire.msgs = 0
-	m.wire.otherMsgs = 0
-	m.wire.otherBytes = 0
-	m.wire.maxDepth = 0
-	m.wire.unexpected = map[plan.EdgeKey]bool{}
-	m.wire.over = map[plan.EdgeKey]bool{}
-	m.wire.finalized = false
-	if m.wire.osts == nil {
-		m.wire.osts = map[int]*wireOST{}
-	}
+	m.wire.base = wc.Matrix()
+	m.wire.baseOther.Msgs, m.wire.baseOther.Bytes = wc.Other()
 }
 
-// foldDeliverLocked folds one wire "deliver" instant: the message lands on
-// its plan edge (or the other bucket), feeds the latency histogram, and is
-// checked live against the expected matrix.
-func (m *Monitor) foldDeliverLocked(ev trace.Event) {
-	src, _ := ev.ArgValue("src")
-	dst, _ := ev.ArgValue("dst")
-	tag, _ := ev.ArgValue("tag")
-	bytes, _ := ev.ArgValue("bytes")
-	lat, _ := ev.ArgValue("lat")
-	depth, _ := ev.ArgValue("depth")
-
-	m.wire.msgs++
-	m.reg.Observe("monitor/msg_latency", lat)
-	m.reg.Inc("monitor/comm/msgs")
-	m.reg.Add("monitor/comm/bytes", bytes)
-	if d := int(depth); d > m.wire.maxDepth {
-		m.wire.maxDepth = d
-		m.reg.SetGauge("monitor/comm/queue_depth_max", depth)
+// wireRunLocked reads the collector and classifies the run's edges, in key
+// order. Nil without a collector or before any traffic reached it.
+func (m *Monitor) wireRunLocked() *wireRun {
+	wc := m.opts.Wire
+	if wc == nil {
+		return nil
 	}
-
-	if m.cp == nil {
-		return
-	}
-	stage, _, level, ok := m.cp.Spec.InvertTag(int(tag))
-	if !ok {
-		m.wire.otherMsgs++
-		m.wire.otherBytes += int64(bytes)
-		return
-	}
-	k := plan.EdgeKey{Src: int(src), Dst: int(dst), Stage: stage, Level: level}
-	m.wire.actual.Record(k, int64(bytes))
-	exp, known := m.wire.expected[k]
-	switch {
-	case !known:
-		if !m.wire.unexpected[k] {
-			m.wire.unexpected[k] = true
-			m.divergeLocked("unexpected wire edge %s: %d bytes outside the plan's comm matrix", k, int64(bytes))
-		}
-	case m.wire.actual[k].Msgs > exp.Msgs || m.wire.actual[k].Bytes > exp.Bytes:
-		if !m.wire.over[k] {
-			m.wire.over[k] = true
-			got := m.wire.actual[k]
-			m.divergeLocked("wire edge %s overflow: %d msgs/%d bytes exceed planned %d msgs/%d bytes",
-				k, got.Msgs, got.Bytes, exp.Msgs, exp.Bytes)
+	r := &wireRun{edges: plan.EdgeMatrix{}, sum: wc.Summary(0)}
+	for k, es := range wc.Matrix() {
+		if b := m.wire.base[k]; es.Msgs > b.Msgs {
+			r.edges[k] = plan.EdgeStats{Msgs: es.Msgs - b.Msgs, Bytes: es.Bytes - b.Bytes}
 		}
 	}
-}
-
-// foldWireReadLocked folds one wire "read" instant into the per-OST
-// picture: utilization gauge, wait/service accounting, and an immediate
-// verdict when an outage stalls the target.
-func (m *Monitor) foldWireReadLocked(ev trace.Event) {
-	osti, _ := ev.ArgValue("ost")
-	bytes, _ := ev.ArgValue("bytes")
-	wait, _ := ev.ArgValue("wait")
-	service, _ := ev.ArgValue("service")
-	degraded, _ := ev.ArgValue("degraded")
-	outage, _ := ev.ArgValue("outage")
-
-	if m.wire.osts == nil {
-		m.wire.osts = map[int]*wireOST{}
+	r.other = plan.EdgeStats{
+		Msgs:  r.sum.OtherMsgs - m.wire.baseOther.Msgs,
+		Bytes: r.sum.OtherBytes - m.wire.baseOther.Bytes,
 	}
-	a := m.wire.osts[int(osti)]
-	if a == nil {
-		a = &wireOST{first: ev.Ts}
-		m.wire.osts[int(osti)] = a
+	if len(r.edges) == 0 && r.other.Msgs == 0 && len(r.sum.OSTs) == 0 {
+		return nil
 	}
-	a.reads++
-	a.bytes += bytes
-	a.wait += wait
-	a.service += service
-	if degraded != 0 {
-		a.degraded++
-	}
-	if outage != 0 {
-		a.outage++
-	}
-	if ev.Ts < a.first {
-		a.first = ev.Ts
-	}
-	if end := ev.Ts + wait + service; end > a.last {
-		a.last = end
-	}
-	if span := a.last - a.first; span > 0 {
-		util := a.service / span
-		if util > 1 {
-			util = 1
+	for _, k := range r.edges.Keys() {
+		got := r.edges[k]
+		exp, known := m.wire.expected[k]
+		switch {
+		case !known:
+			r.unexpected = append(r.unexpected, k)
+		case got.Msgs > exp.Msgs || got.Bytes > exp.Bytes:
+			r.over = append(r.over, k)
 		}
-		m.reg.SetGauge("monitor/"+ev.Track+"/util", util)
 	}
-	m.reg.SetGauge("monitor/"+ev.Track+"/queue_wait", a.wait)
-
-	if outage != 0 && !a.outageTripped {
-		a.outageTripped = true
-		v := Verdict{
-			Proc: ev.Track, Phase: "ost", Stage: -1,
-			Observed: wait, Tolerance: m.opts.Tolerance,
-			Mode: "wire", At: ev.Ts,
-		}
-		if len(m.verdicts) < 256 {
-			m.verdicts = append(m.verdicts, v)
-		}
-		m.reg.Inc("monitor/watchdog_trips")
-		m.incidentLocked(Incident{
-			Kind: "watchdog", Proc: ev.Track, Time: ev.Ts,
-			Detail: fmt.Sprintf("saturated OST %d: outage stalled a read %.3gs (queue wait, %d reads affected)",
-				int(osti), wait, a.outage),
-		}, true)
-	}
-}
-
-// finishWireLocked finalizes wire conformance at run end: every expected
-// edge must have been fully carried (missing/short edges are divergences),
-// and sustained imbalance becomes skew/saturation verdicts. No-op when no
-// wire events arrived (collector not attached).
-func (m *Monitor) finishWireLocked() {
-	w := &m.wire
-	if w.finalized || !w.active() {
-		return
-	}
-	w.finalized = true
-	for _, k := range w.expected.Keys() {
-		exp := w.expected[k]
-		got, ok := w.actual[k]
+	for _, k := range m.wire.expected.Keys() {
+		got, ok := r.edges[k]
+		exp := m.wire.expected[k]
 		switch {
 		case !ok:
-			m.divergeLocked("wire edge %s missing: planned %d msgs/%d bytes, saw none", k, exp.Msgs, exp.Bytes)
+			r.missing = append(r.missing, k)
 		case got.Msgs < exp.Msgs || got.Bytes < exp.Bytes:
+			r.short = append(r.short, k)
+		}
+	}
+	return r
+}
+
+// judgeWireLocked judges the run's traffic at EndRun: unexpected and
+// overflowing edges and outaged OSTs on every outcome; missing and short
+// edges, comm skew and OST saturation on a healthy one only.
+func (m *Monitor) judgeWireLocked(healthy bool) {
+	r := m.wireRunLocked()
+	if r == nil {
+		return
+	}
+	tot := r.edges.Totals()
+	m.reg.Add("monitor/comm/msgs", float64(tot.Msgs+r.other.Msgs))
+	m.reg.Add("monitor/comm/bytes", float64(tot.Bytes+r.other.Bytes))
+	for _, k := range r.unexpected {
+		m.divergeLocked("unexpected wire edge %s: %d bytes outside the plan's comm matrix", k, r.edges[k].Bytes)
+	}
+	for _, k := range r.over {
+		got, exp := r.edges[k], m.wire.expected[k]
+		m.divergeLocked("wire edge %s overflow: %d msgs/%d bytes exceed planned %d msgs/%d bytes",
+			k, got.Msgs, got.Bytes, exp.Msgs, exp.Bytes)
+	}
+	if healthy {
+		for _, k := range r.missing {
+			exp := m.wire.expected[k]
+			m.divergeLocked("wire edge %s missing: planned %d msgs/%d bytes, saw none", k, exp.Msgs, exp.Bytes)
+		}
+		for _, k := range r.short {
+			got, exp := r.edges[k], m.wire.expected[k]
 			m.divergeLocked("wire edge %s short: %d msgs/%d bytes of planned %d msgs/%d bytes",
 				k, got.Msgs, got.Bytes, exp.Msgs, exp.Bytes)
 		}
 	}
-	m.skewVerdictLocked()
-	m.saturationVerdictLocked()
+	for _, o := range r.sum.OSTs {
+		if o.Outage == 0 || m.wire.outaged[o.OST] {
+			continue
+		}
+		m.wire.outaged[o.OST] = true
+		proc := fmt.Sprintf("ost%d", o.OST)
+		m.tripLocked(Verdict{
+			Proc: proc, Phase: "ost", Stage: -1,
+			Observed: o.Wait, Tolerance: m.opts.Tolerance, Mode: "wire",
+		}, Incident{Kind: "watchdog", Proc: proc, Detail: fmt.Sprintf(
+			"saturated OST %d: outage stalled a read %.3gs (queue wait, %d reads affected)", o.OST, o.Wait, o.Outage)}, true)
+	}
+	if healthy {
+		m.skewVerdictLocked(r.edges)
+		m.saturationVerdictLocked(r.sum.OSTs)
+	}
 }
 
 // skewVerdictLocked blames the receiver whose inbound wire volume exceeds
 // tolerance × the peer median — the comm-skew analogue of the straggler
 // verdict.
-func (m *Monitor) skewVerdictLocked() {
+func (m *Monitor) skewVerdictLocked(edges plan.EdgeMatrix) {
 	perDst := map[int]int64{}
-	for k, es := range m.wire.actual {
+	for k, es := range edges {
 		perDst[k.Dst] += es.Bytes
 	}
 	if len(perDst) < peerMinSamples {
@@ -231,65 +168,45 @@ func (m *Monitor) skewVerdictLocked() {
 	if name == "" {
 		name = fmt.Sprintf("rank %d", worstDst)
 	}
-	v := Verdict{
+	edge := fmt.Sprintf("* -> %s (%d inbound bytes, peer median %.0f)", name, worst, med)
+	m.tripLocked(Verdict{
 		Proc: name, Phase: "comm-skew", Stage: -1,
 		Observed: float64(worst), Budget: med,
-		Tolerance: m.opts.Tolerance, Mode: "wire",
-		Edge: fmt.Sprintf("* -> %s (%d inbound bytes, peer median %.0f)", name, worst, med),
-	}
-	if len(m.verdicts) < 256 {
-		m.verdicts = append(m.verdicts, v)
-	}
-	m.reg.Inc("monitor/watchdog_trips")
-	m.incidentLocked(Incident{
-		Kind: "watchdog", Proc: name,
+		Tolerance: m.opts.Tolerance, Mode: "wire", Edge: edge,
+	}, Incident{
+		Kind: "watchdog", Proc: name, Edge: edge,
 		Detail: fmt.Sprintf("skewed wire edge: %s receives %d bytes vs peer median %.0f", name, worst, med),
-		Edge:   v.Edge,
 	}, false)
 }
 
 // saturationVerdictLocked blames a storage target whose mean queue wait
-// per read exceeds tolerance × the peer median (outage-tripped targets
-// already carry their verdict).
-func (m *Monitor) saturationVerdictLocked() {
-	if len(m.wire.osts) < 2 {
+// per read exceeds tolerance × the peer median (outaged targets already
+// carry their verdict).
+func (m *Monitor) saturationVerdictLocked(osts []wire.OSTLine) {
+	if len(osts) < 2 {
 		return
 	}
-	ids := make([]int, 0, len(m.wire.osts))
-	means := make([]float64, 0, len(m.wire.osts))
-	for id, a := range m.wire.osts {
-		if a.reads > 0 {
-			ids = append(ids, id)
+	var read []wire.OSTLine
+	var means []float64
+	for _, o := range osts {
+		if o.Reads > 0 {
+			read = append(read, o)
+			means = append(means, o.Wait/float64(o.Reads))
 		}
-	}
-	sort.Ints(ids)
-	for _, id := range ids {
-		a := m.wire.osts[id]
-		means = append(means, a.wait/float64(a.reads))
 	}
 	med := median(means)
-	for i, id := range ids {
-		a := m.wire.osts[id]
-		if a.outageTripped {
-			continue
-		}
+	for i, o := range read {
 		mean := means[i]
-		if med <= 0 || mean <= med*m.opts.Tolerance || mean <= med+peerMinSlack {
+		if o.Outage > 0 || med <= 0 || mean <= med*m.opts.Tolerance || mean <= med+peerMinSlack {
 			continue
 		}
-		v := Verdict{
-			Proc: fmt.Sprintf("ost%d", id), Phase: "ost-wait", Stage: -1,
+		proc := fmt.Sprintf("ost%d", o.OST)
+		m.tripLocked(Verdict{
+			Proc: proc, Phase: "ost-wait", Stage: -1,
 			Observed: mean, Budget: med,
-			Tolerance: m.opts.Tolerance, Mode: "wire", At: a.last,
-		}
-		if len(m.verdicts) < 256 {
-			m.verdicts = append(m.verdicts, v)
-		}
-		m.reg.Inc("monitor/watchdog_trips")
-		m.incidentLocked(Incident{
-			Kind: "watchdog", Proc: v.Proc, Time: a.last,
-			Detail: fmt.Sprintf("saturated OST %d: mean queue wait %.3gs vs peer median %.3gs", id, mean, med),
-		}, false)
+			Tolerance: m.opts.Tolerance, Mode: "wire",
+		}, Incident{Kind: "watchdog", Proc: proc, Detail: fmt.Sprintf(
+			"saturated OST %d: mean queue wait %.3gs vs peer median %.3gs", o.OST, mean, med)}, false)
 	}
 }
 
@@ -309,53 +226,26 @@ type WireStatus struct {
 	PeakOSTUtil     float64 `json:"peak_ost_util"`
 }
 
-// wireStatusLocked snapshots the wire state, or nil when no wire events
-// arrived.
+// wireStatusLocked reads the collector now, so /status stays live; nil
+// when there is no wire state to report.
 func (m *Monitor) wireStatusLocked() *WireStatus {
-	w := &m.wire
-	if !w.active() {
+	r := m.wireRunLocked()
+	if r == nil {
 		return nil
 	}
-	s := &WireStatus{
-		Msgs:            w.msgs,
-		EdgesObserved:   len(w.actual),
-		EdgesExpected:   len(w.expected),
-		OtherMsgs:       w.otherMsgs,
-		OtherBytes:      w.otherBytes,
-		MaxQueueDepth:   w.maxDepth,
-		UnexpectedEdges: len(w.unexpected),
-		OSTs:            len(w.osts),
+	tot := r.edges.Totals()
+	return &WireStatus{
+		Msgs:            tot.Msgs + r.other.Msgs,
+		Bytes:           tot.Bytes,
+		EdgesObserved:   len(r.edges),
+		EdgesExpected:   len(m.wire.expected),
+		OtherMsgs:       r.other.Msgs,
+		OtherBytes:      r.other.Bytes,
+		MaxQueueDepth:   r.sum.MaxQueueDepth,
+		MissingEdges:    len(r.missing),
+		ShortEdges:      len(r.short),
+		UnexpectedEdges: len(r.unexpected),
+		OSTs:            len(r.sum.OSTs),
+		PeakOSTUtil:     r.sum.PeakOSTUtil,
 	}
-	s.Bytes = w.actual.Totals().Bytes
-	for _, k := range w.expected.Keys() {
-		got, ok := w.actual[k]
-		exp := w.expected[k]
-		switch {
-		case !ok:
-			s.MissingEdges++
-		case got.Msgs < exp.Msgs || got.Bytes < exp.Bytes:
-			s.ShortEdges++
-		}
-	}
-	for _, a := range w.osts {
-		if span := a.last - a.first; span > 0 {
-			util := a.service / span
-			if util > 1 {
-				util = 1
-			}
-			if util > s.PeakOSTUtil {
-				s.PeakOSTUtil = util
-			}
-		}
-	}
-	return s
-}
-
-// ActualEdges returns a copy of the edge matrix the monitor assembled from
-// wire events — the third derivation (after the collector's and the
-// expected one) the parity tests pin.
-func (m *Monitor) ActualEdges() plan.EdgeMatrix {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.wire.actual.Clone()
 }

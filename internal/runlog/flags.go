@@ -50,7 +50,7 @@ func Register(fs *flag.FlagSet, binary string) *Flags {
 	f.linger = fs.Duration("linger", 0, "keep serving -metrics-addr for this long after the run, so it can be scraped")
 	f.runtimeSample = fs.Duration("runtime-sample", 0, "sample runtime/metrics (goroutines, heap, GC pauses) on this cadence into the trace and registry (0 = off)")
 	f.captureProfile = fs.Bool("capture-profile", false, "with -archive: capture a whole-run labeled CPU profile and archive it with hot-stage attribution")
-	f.wire = fs.Bool("wire", false, "collect wire telemetry: per-edge comm accounting and per-OST read attribution (wire summary after the run, wire.json with -archive, live conformance with -monitor)")
+	f.wire = fs.Bool("wire", false, "collect wire telemetry: per-edge comm accounting and per-OST read attribution (wire summary after the run, wire.json with -archive; with -monitor, judged against the plan's edge matrix at run end, live in /status)")
 	return f
 }
 

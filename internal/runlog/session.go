@@ -48,7 +48,8 @@ type Session struct {
 	// Wire is the wire-telemetry collector, nil without -wire. It
 	// implements plan.MsgObserver and, structurally, the substrate observer
 	// interfaces (mpi.MsgObserver, parfs.ReadObserver) — binaries attach it
-	// to Problem.Msgs / schedule Config.Msgs+Reads.
+	// to Problem.Msgs / schedule Config.Msgs+Reads. With -monitor the
+	// monitor reads it too (monitor.Options.Wire); it is built first.
 	Wire *wire.Collector
 
 	flags   *Flags
@@ -117,6 +118,9 @@ func (f *Flags) Start() (*Session, error) {
 		s.buf = trace.NewBuffer()
 		primary = s.buf
 	}
+	if f.WireOn() {
+		s.Wire = wire.NewCollector()
+	}
 	if f.MonitorOn() {
 		opts := monitor.Options{
 			DumpPath:    strOf(f.flight),
@@ -130,21 +134,13 @@ func (f *Flags) Start() (*Session, error) {
 				runtimeobs.CollectBaseline(s.Registry)
 				s.collectWireBaseline()
 			},
+			Wire: s.Wire,
 		}
 		if s.archive != nil {
 			opts.AnomalyHook = s.captureAnomalyProfiles
 		}
 		s.Monitor = monitor.New(opts)
 		primary = s.Monitor.Tee(primary)
-	}
-	if f.WireOn() {
-		s.Wire = wire.NewCollector()
-		// With a monitor attached, wire events ride the tee's
-		// secondary-only path (EmitSide): the monitor folds them live while
-		// the primary Chrome sink stays byte-identical to an unwired run.
-		if t, ok := primary.(*trace.Tee); ok {
-			s.Wire.SetSide(t)
-		}
 	}
 	if primary != nil || f.CountersOn() || f.CountersCSV() != "" {
 		var sinks []trace.Sink
@@ -394,8 +390,16 @@ func (s *Session) captureAnomalyProfiles(kind string) {
 	}
 }
 
-// close shuts down servers and the monitor tee.
+// close shuts down the sampler, the whole-run CPU capture, servers and the
+// monitor tee. Finish has already stopped and landed the first two; on a
+// failed Start nothing else would.
 func (s *Session) close() {
+	if s.sampler != nil {
+		s.sampler.Stop()
+	}
+	if s.cpuStop != nil {
+		s.cpuStop()
+	}
 	if s.Monitor != nil {
 		s.Monitor.Close()
 	}

@@ -315,15 +315,16 @@ func (p *Profile) Marshal() []byte {
 		}
 		putBytesField(&body, 2, sm.Bytes())
 	}
-	for _, s := range strtab {
-		putBytesField(&body, 6, []byte(s))
-	}
 	if p.PeriodNanos > 0 {
 		var vt bytes.Buffer
 		putVarintField(&vt, 1, uint64(intern("cpu")))
 		putVarintField(&vt, 2, uint64(intern("nanoseconds")))
 		putBytesField(&body, 11, vt.Bytes())
 		putVarintField(&body, 12, uint64(p.PeriodNanos))
+	}
+	// Last, once every string is interned (FuzzParseProfile).
+	for _, s := range strtab {
+		putBytesField(&body, 6, []byte(s))
 	}
 
 	var out bytes.Buffer

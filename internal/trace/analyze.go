@@ -11,7 +11,9 @@
 //     and an Arg "stage"; compute spans of multi-stage schedules carry the
 //     matching "stage" Arg;
 //   - file-system service is a span with Cat "ost", Name "service" on the
-//     OST's own track.
+//     OST's own track;
+//   - per-message and per-read wire traffic is not a trace event at all:
+//     internal/wire's collector counts it, and the monitor reads that.
 
 package trace
 
@@ -36,17 +38,6 @@ const CatOST = "ost"
 // CatFault is the category of injected-fault and recovery events (OST
 // outages, member drops, rank deaths, failovers, retries).
 const CatFault = "fault"
-
-// CatComm is the category of per-message wire-telemetry events: one
-// "deliver" instant per matched point-to-point message, carrying src, dst,
-// tag, bytes, enqueue→deliver latency and the receiver's queue depth at
-// match time. Wire events travel through Tee.EmitSide — secondary sinks
-// only — so an unfaulted run's primary Chrome buffer stays byte-identical
-// whether or not wire telemetry is on.
-const CatComm = "comm"
-
-// CommTrack is the track per-message wire events are emitted on.
-const CommTrack = "comm"
 
 // CatModel is the category of cost-model events: the "prediction" instant
 // a simulated S-EnKF run emits at tuner decision time (carrying the

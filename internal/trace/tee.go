@@ -52,23 +52,6 @@ func (t *Tee) Emit(ev Event) {
 	t.mu.Unlock()
 }
 
-// EmitSide enqueues an event for the secondary sink only, skipping the
-// primary. Wire telemetry (per-message and per-read instants) goes through
-// here so the primary Chrome buffer of an unfaulted run stays byte-identical
-// whether or not the wire observers are attached; the live monitor still
-// sees every event, in order relative to the Emit stream.
-func (t *Tee) EmitSide(ev Event) {
-	if t.secondary == nil {
-		return
-	}
-	t.mu.Lock()
-	if !t.closed {
-		t.queue = append(t.queue, ev)
-		t.cond.Broadcast()
-	}
-	t.mu.Unlock()
-}
-
 func (t *Tee) drain() {
 	defer close(t.stopped)
 	t.mu.Lock()

@@ -100,7 +100,24 @@ func (c *Collector) Summary(topN int) *Summary {
 		}
 		lines = append(lines, l)
 	}
-	sort.SliceStable(lines, func(i, j int) bool { return lines[i].Bytes > lines[j].Bytes })
+	// Heaviest first, ties in key order. Not sort.SliceStable: the monitor
+	// calls Summary, so the benchmark binary links it, and the stable sort's
+	// code lands ahead of enkf's and shifts its hot loops by 32 bytes
+	// (scripts/text-parity.sh).
+	sort.Slice(lines, func(i, j int) bool {
+		a, b := lines[i].EdgeKey, lines[j].EdgeKey
+		switch {
+		case lines[i].Bytes != lines[j].Bytes:
+			return lines[i].Bytes > lines[j].Bytes
+		case a.Src != b.Src:
+			return a.Src < b.Src
+		case a.Dst != b.Dst:
+			return a.Dst < b.Dst
+		case a.Stage != b.Stage:
+			return a.Stage < b.Stage
+		}
+		return a.Level < b.Level
+	})
 	if len(lines) > topN {
 		lines = lines[:topN]
 	}

@@ -6,35 +6,24 @@
 // matrix, collective/result "other" traffic, message-latency extremes,
 // and per-OST attribution timelines.
 //
-// The package sits beside the monitor in the layering: it builds on plan
-// and trace only (never on a substrate package), declaring nothing the
-// substrates must import — mpi and parfs each declare their own
-// structurally identical observer interfaces, which Collector satisfies.
-// A Collector optionally forwards every observation as a trace event on
-// the CatComm/CatOST categories through a side sink (trace.Tee.EmitSide),
-// so a live monitor sees the wire without the primary trace sink ever
-// learning telemetry was on: unfaulted runs stay byte-identical on the
-// primary sink with or without a collector attached.
+// The package sits below the monitor in the layering: it builds on plan
+// only (never on a substrate package), declaring nothing the substrates
+// must import — mpi and parfs each declare their own structurally
+// identical observer interfaces, which Collector satisfies. The collector
+// is the only place wire traffic is counted: it emits no trace event, and
+// a live monitor reads it directly (monitor.Options.Wire).
 package wire
 
 import (
-	"fmt"
 	"sync"
 
 	"senkf/internal/plan"
-	"senkf/internal/trace"
 )
 
 // maxIntervalsPerOST bounds the per-OST service-interval log backing the
 // utilization timeline; beyond it the timeline is truncated (flagged in
 // the summary) while scalar accounting stays exact.
 const maxIntervalsPerOST = 16384
-
-// SideSink receives wire trace events on the secondary-only path.
-// *trace.Tee implements it.
-type SideSink interface {
-	EmitSide(trace.Event)
-}
 
 type interval struct{ t0, t1 float64 }
 
@@ -72,22 +61,11 @@ type Collector struct {
 	depthMax int
 
 	osts map[int]*ostAccum
-
-	side SideSink
 }
 
 // NewCollector returns an empty collector.
 func NewCollector() *Collector {
 	return &Collector{edges: plan.EdgeMatrix{}, osts: map[int]*ostAccum{}}
-}
-
-// SetSide attaches the secondary-only trace sink wire events are forwarded
-// to (typically the monitor tee). A nil sink (the default) keeps the
-// collector silent on the trace stream.
-func (c *Collector) SetSide(s SideSink) {
-	c.mu.Lock()
-	c.side = s
-	c.mu.Unlock()
 }
 
 // BeginMessages implements plan.MsgObserver: it records the compiled
@@ -128,22 +106,7 @@ func (c *Collector) OnMessage(src, dst, tag int, bytes int64, sentAt, deliveredA
 		c.otherMsgs++
 		c.otherBytes += bytes
 	}
-	side := c.side
 	c.mu.Unlock()
-	if side != nil {
-		side.EmitSide(trace.Event{
-			Track: trace.CommTrack, Cat: trace.CatComm, Name: "deliver",
-			Ph: trace.PhaseInstant, Ts: deliveredAt,
-			Args: []trace.Arg{
-				{Key: "src", Val: float64(src)},
-				{Key: "dst", Val: float64(dst)},
-				{Key: "tag", Val: float64(tag)},
-				{Key: "bytes", Val: float64(bytes)},
-				{Key: "lat", Val: lat},
-				{Key: "depth", Val: float64(depth)},
-			},
-		})
-	}
 }
 
 // OnRead implements, structurally, parfs.ReadObserver: one completed read
@@ -177,29 +140,7 @@ func (c *Collector) OnRead(ost int, bytes float64, start, wait, service float64,
 	} else {
 		a.truncated = true
 	}
-	side := c.side
 	c.mu.Unlock()
-	if side != nil {
-		var deg, out float64
-		if degraded {
-			deg = 1
-		}
-		if outage {
-			out = 1
-		}
-		side.EmitSide(trace.Event{
-			Track: fmt.Sprintf("ost%d", ost), Cat: trace.CatOST, Name: "read",
-			Ph: trace.PhaseInstant, Ts: start,
-			Args: []trace.Arg{
-				{Key: "ost", Val: float64(ost)},
-				{Key: "bytes", Val: bytes},
-				{Key: "wait", Val: wait},
-				{Key: "service", Val: service},
-				{Key: "degraded", Val: deg},
-				{Key: "outage", Val: out},
-			},
-		})
-	}
 }
 
 // Matrix returns a copy of the accumulated stage-data edge matrix.

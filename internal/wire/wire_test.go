@@ -8,7 +8,6 @@ import (
 
 	"senkf/internal/grid"
 	"senkf/internal/plan"
-	"senkf/internal/trace"
 )
 
 func compiled(t *testing.T, levels int) *plan.Compiled {
@@ -154,37 +153,6 @@ func TestTimelineBinsServiceIntervals(t *testing.T) {
 		if v < 0 || v > 1 {
 			t.Errorf("bin %d = %g outside [0, 1]", b, v)
 		}
-	}
-}
-
-type sideRecorder struct{ events []trace.Event }
-
-func (s *sideRecorder) EmitSide(ev trace.Event) { s.events = append(s.events, ev) }
-
-// TestCollectorForwardsWireEventsToSideSink checks the secondary-only
-// trace emission: one CatComm deliver per message, one CatOST read per
-// read, and silence with no side sink attached.
-func TestCollectorForwardsWireEventsToSideSink(t *testing.T) {
-	c := NewCollector()
-	c.OnMessage(0, 1, 3, 100, 0, 0.5, 0) // no sink: must not panic
-	side := &sideRecorder{}
-	c.SetSide(side)
-	c.OnMessage(4, 5, 7, 200, 1, 1.25, 2)
-	c.OnRead(3, 900, 2, 0.5, 0.25, true, false)
-
-	if len(side.events) != 2 {
-		t.Fatalf("side sink got %d events, want 2", len(side.events))
-	}
-	d := side.events[0]
-	if d.Cat != trace.CatComm || d.Name != "deliver" || d.Ph != trace.PhaseInstant {
-		t.Errorf("first side event = %+v, want a comm deliver instant", d)
-	}
-	if d.Ts != 1.25 {
-		t.Errorf("deliver stamped at %g, want the delivery time 1.25", d.Ts)
-	}
-	r := side.events[1]
-	if r.Cat != trace.CatOST || r.Name != "read" || r.Track != "ost3" {
-		t.Errorf("second side event = %+v, want an ost3 read instant", r)
 	}
 }
 

@@ -6,8 +6,10 @@
 // into an edge matrix keyed by (src, dst, stage, level), and reduces to
 // the wire.json summary the run ledger archives; ExpectedEdges derives
 // the same matrix from a compiled plan alone, so real, simulated and
-// expected traffic are directly comparable (see the monitor's live
-// conformance fold and MonitorWireStatus).
+// expected traffic are directly comparable. The collector is the one
+// place traffic is counted: a monitor handed it (MonitorOptions.Wire)
+// judges each run's share against ExpectedEdges and reports it as
+// MonitorWireStatus.
 
 package senkf
 
