@@ -43,7 +43,6 @@ func main() {
 		record    = flag.String("record", "", "run the bench suite and write the next versioned BENCH_<n>.json into this directory")
 		recordVer = flag.Int("record-version", 0, "with -record: force the record's version number (0 = latest+1)")
 		check     = flag.String("check", "", "run the bench suite and compare against the latest BENCH_<n>.json in this directory; exit 1 on regression")
-		benchTol  = flag.Float64("bench-tol", 0.15, "relative wall-time regression tolerance for -check")
 	)
 	obs := senkf.RegisterRunFlags(flag.CommandLine, "senkf-bench")
 	flag.Parse()
@@ -64,7 +63,7 @@ func main() {
 		sess.Fatal(fmt.Errorf("-ost-outage applies only to the traced run (-trace/-counters/-monitor, without -record/-check)"))
 	}
 	if *record != "" || *check != "" {
-		benchPipeline(sess, suite, scale, *record, *recordVer, *check, *benchTol)
+		benchPipeline(sess, suite, scale, *record, *recordVer, *check)
 		return
 	}
 	if traced {
@@ -179,21 +178,16 @@ func finish(sess *senkf.RunSession) {
 	}
 }
 
+// benchTol is the relative wall-time regression tolerance of -check.
+const benchTol = 0.15
+
 // benchPipeline runs the deterministic bench suite and either records it
 // as the next BENCH_<n>.json version or checks it against the latest
 // committed record, exiting non-zero when any run's wall time regressed
-// beyond the tolerance. With -archive, the record is collected through
-// the run ledger: every suite cell lands as its own archived run and the
-// BENCH_<n>.json cells carry their run IDs.
-func benchPipeline(sess *senkf.RunSession, suite *senkf.FigureSuite, scale, record string, recordVer int, check string, tol float64) {
+// beyond benchTol.
+func benchPipeline(sess *senkf.RunSession, suite *senkf.FigureSuite, scale, record string, recordVer int, check string) {
 	sess.Describe("bench-suite", "simulated", nil)
-	var rec senkf.BenchRecord
-	var err error
-	if a := sess.Archive(); a != nil {
-		rec, err = senkf.CollectBenchRecordArchived(suite, scale, a, sess.Log)
-	} else {
-		rec, err = senkf.CollectBenchRecord(suite, scale)
-	}
+	rec, err := senkf.CollectBenchRecord(suite, scale)
 	if err != nil {
 		sess.Fatal(fmt.Errorf("bench suite: %w", err))
 	}
@@ -216,11 +210,11 @@ func benchPipeline(sess *senkf.RunSession, suite *senkf.FigureSuite, scale, reco
 	if !ok {
 		sess.Fatal(fmt.Errorf("no BENCH_<n>.json in %s to check against (record one with -record)", check))
 	}
-	deltas, err := senkf.CompareBenchRecords(prev, rec, tol)
+	deltas, err := senkf.CompareBenchRecords(prev, rec, benchTol)
 	if err != nil {
 		sess.Fatal(err)
 	}
-	fmt.Printf("checked against %s (tolerance %.0f%%):\n", path, 100*tol)
+	fmt.Printf("checked against %s (tolerance %.0f%%):\n", path, 100*benchTol)
 	for _, d := range deltas {
 		verdict := "ok"
 		if d.Regressed {
@@ -230,7 +224,7 @@ func benchPipeline(sess *senkf.RunSession, suite *senkf.FigureSuite, scale, reco
 			d.Algorithm, d.NP, d.Prev, d.Cur, 100*d.Delta, verdict)
 	}
 	if reg := senkf.BenchRegressions(deltas); len(reg) > 0 {
-		sess.Fatal(fmt.Errorf("%d run(s) regressed beyond %.0f%% vs %s", len(reg), 100*tol, path))
+		sess.Fatal(fmt.Errorf("%d run(s) regressed beyond %.0f%% vs %s", len(reg), 100*benchTol, path))
 	}
 	fmt.Println("no regressions")
 	finish(sess)

@@ -9,7 +9,7 @@
 // the auto-tuner would decide differently under the measured
 // coefficients.
 //
-// Ledger mode: list, diff and trend query the archive that senkf-run,
+// Ledger mode: list and diff query the archive that senkf-run,
 // senkf-cycle and senkf-bench populate via -archive.
 //
 // Usage:
@@ -20,7 +20,6 @@
 //	senkf-run -dir /tmp/ens -algo senkf -archive ledger
 //	senkf-report list -archive ledger
 //	senkf-report diff -archive ledger <runA> <runB>
-//	senkf-report trend -archive ledger -metric runtime
 //	senkf-report hotspots -archive ledger <run>   (needs -capture-profile)
 //	senkf-report wire -archive ledger <run>       (needs -wire)
 package main
@@ -47,9 +46,6 @@ func main() {
 		case "diff":
 			runDiff(os.Args[2:])
 			return
-		case "trend":
-			runTrend(os.Args[2:])
-			return
 		case "hotspots":
 			runHotspots(os.Args[2:])
 			return
@@ -73,7 +69,7 @@ func runSingle() {
 	flag.Parse()
 	if *traceIn == "" {
 		flag.Usage()
-		fmt.Fprintln(os.Stderr, "subcommands: list | diff | trend | hotspots | wire (cross-run ledger queries; see -h of each)")
+		fmt.Fprintln(os.Stderr, "subcommands: list | diff | hotspots | wire (cross-run ledger queries; see -h of each)")
 		log.Fatal("missing -trace (point it at a trace file from senkf-run/senkf-bench/senkf-cycle)")
 	}
 	sess, err := obs.Start()
@@ -151,17 +147,12 @@ func (lf *ledgerFlags) open(args []string) *senkf.RunArchive {
 	return a
 }
 
-func filterFlags(fs *flag.FlagSet) (binary, algo, substrate, outcome *string) {
-	binary = fs.String("binary", "", "only runs of this binary (e.g. senkf-run)")
-	algo = fs.String("algo", "", "only runs of this algorithm (e.g. senkf)")
-	substrate = fs.String("substrate", "", "only runs on this substrate: real | simulated")
-	outcome = fs.String("outcome", "", "only runs with this outcome: ok | error")
-	return
-}
-
 func runList(args []string) {
 	lf := newLedgerFlags("list")
-	binary, algo, substrate, outcome := filterFlags(lf.fs)
+	binary := lf.fs.String("binary", "", "only runs of this binary (e.g. senkf-run)")
+	algo := lf.fs.String("algo", "", "only runs of this algorithm (e.g. senkf)")
+	substrate := lf.fs.String("substrate", "", "only runs on this substrate: real | simulated")
+	outcome := lf.fs.String("outcome", "", "only runs with this outcome: ok | error")
 	a := lf.open(args)
 	rows, err := a.List(senkf.RunFilter{
 		Binary: *binary, Algorithm: *algo, Substrate: *substrate, Outcome: *outcome,
@@ -336,29 +327,6 @@ func runWire(args []string) {
 	}
 	if err := sum.WriteTable(os.Stdout); err != nil {
 		log.Fatal(err)
-	}
-}
-
-func runTrend(args []string) {
-	lf := newLedgerFlags("trend")
-	metric := lf.fs.String("metric", "runtime", "metric to trend: runtime | duration | verdicts | divergences | cycles | pipeline-efficiency | stage<N>-efficiency | a counter or gauge name")
-	tol := lf.fs.Float64("tol", 0.15, "relative regression tolerance (last run vs median of its predecessors)")
-	gate := lf.fs.Bool("gate", false, "exit non-zero when the trend regressed (for CI)")
-	binary, algo, substrate, outcome := filterFlags(lf.fs)
-	a := lf.open(args)
-	t, err := a.TrendMetric(*metric, senkf.RunFilter{
-		Binary: *binary, Algorithm: *algo, Substrate: *substrate, Outcome: *outcome,
-	}, *tol)
-	if err != nil {
-		log.Fatal(err)
-	}
-	if *lf.jsonOut != "" {
-		writeJSON(*lf.jsonOut, t)
-	} else if err := t.WriteText(os.Stdout); err != nil {
-		log.Fatal(err)
-	}
-	if *gate && t.Regressed {
-		log.Fatalf("metric %s regressed beyond %.0f%%", t.Metric, 100*t.Tolerance)
 	}
 }
 

@@ -45,9 +45,6 @@ type Run struct {
 	Tuned *costmodel.Tuned `json:"tuned,omitempty"`
 	// Drift holds the per-term model-vs-measured comparison (S-EnKF only).
 	Drift []costmodel.TermDrift `json:"drift,omitempty"`
-	// RunID names the archived run-ledger record this cell was derived
-	// from (empty when the record was collected without an archive).
-	RunID string `json:"run_id,omitempty"`
 	// Wire-telemetry summary of the cell's simulated run. All omitempty so
 	// records predating wire telemetry compare cleanly (-check matches on
 	// Runtime only).

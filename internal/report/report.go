@@ -6,10 +6,10 @@
 // model-vs-measured drift of every Eq. 7–10 term, including whether the
 // auto-tuner would have decided differently under measured coefficients.
 //
-// The same package implements the bench regression pipeline: versioned
-// BENCH_<n>.json records of a deterministic simulated suite (config, wall
-// times, phase breakdowns, model drift) and the tolerance gate CI runs
-// against the previously committed record (see bench.go).
+// The bench regression pipeline — versioned BENCH_<n>.json records of a
+// deterministic simulated suite and the tolerance gate CI runs against the
+// previously committed record — lives in internal/report/bench, above this
+// package, because it runs the simulator.
 package report
 
 import (
@@ -146,6 +146,13 @@ type ModelSection struct {
 	Drift    costmodel.DriftReport `json:"drift"`
 }
 
+// maxRetuneExtent caps the mesh sides and member count for which Build
+// re-runs the auto-tuner. Its search walks divisors in O(√n) steps per
+// compute cost: about 2 s when all three are 55,440, and more than 30 s
+// for a trace that claims a 1e18-row mesh. The paper's mesh is 3600×1800
+// with N = 120.
+const maxRetuneExtent = 1 << 16
+
 // Build computes the report from trace events plus optional counters.
 func Build(events []trace.Event, counters map[string]float64) (*Report, error) {
 	if len(events) == 0 {
@@ -205,7 +212,7 @@ func Build(events []trace.Event, counters map[string]float64) (*Report, error) {
 				TComp: r.ComputeMean.Compute / l,
 			}
 			ms.Drift = info.Params.Drift(info.Choice, ms.Measured)
-			if info.HasDecision {
+			if info.HasDecision && max(info.Params.NX, info.Params.NY, info.Params.N) <= maxRetuneExtent {
 				ms.Drift.Retune(info.NP, info.Eps, info.Constraints)
 			}
 			r.Model = ms

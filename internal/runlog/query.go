@@ -1,8 +1,6 @@
 // Cross-run analytics over the archive: list (filterable table of
-// archived runs), diff (config/plan-hash/counter/critical-path deltas
-// with per-term Eq. 7–10 drift attribution) and trend (time-ordered
-// series of one metric across matching runs, with a regression flag like
-// the bench gate). senkf-report fronts all three.
+// archived runs) and diff (config/plan-hash/counter/critical-path deltas
+// with per-term Eq. 7–10 drift attribution). senkf-report fronts both.
 
 package runlog
 
@@ -11,11 +9,10 @@ import (
 	"io"
 	"math"
 	"sort"
-	"strconv"
 	"strings"
 )
 
-// Filter selects archived runs for list/trend.
+// Filter selects archived runs for list.
 type Filter struct {
 	// Binary, Algorithm, Substrate and Outcome match exactly when
 	// non-empty.
@@ -500,195 +497,4 @@ func (d *Diff) WriteText(w io.Writer) error {
 		}
 	}
 	return nil
-}
-
-// TrendPoint is one run's value of the trended metric.
-type TrendPoint struct {
-	RunID string  `json:"run_id"`
-	Start string  `json:"start_utc"`
-	Value float64 `json:"value"`
-}
-
-// Trend is the time-ordered series of one metric across matching runs,
-// with a simple regression verdict like the bench gate: the last run is
-// compared against the median of the preceding ones.
-type Trend struct {
-	Metric string       `json:"metric"`
-	Points []TrendPoint `json:"points"`
-	// HigherBetter flips the regression direction (efficiency metrics).
-	HigherBetter bool    `json:"higher_better"`
-	Baseline     float64 `json:"baseline"` // median of all but the last point
-	Last         float64 `json:"last"`
-	Tolerance    float64 `json:"tolerance"`
-	Regressed    bool    `json:"regressed"`
-	// Skipped counts matching runs that do not carry the metric.
-	Skipped int `json:"skipped,omitempty"`
-}
-
-// metricValue resolves one metric name against one record. ok is false
-// when the record does not carry it.
-func metricValue(rec *Record, metric string) (float64, bool, error) {
-	m := &rec.Manifest
-	switch metric {
-	case "runtime":
-		return m.Runtime, m.Runtime > 0, nil
-	case "duration":
-		return m.DurationS, true, nil
-	case "verdicts":
-		return float64(m.Verdicts), true, nil
-	case "divergences":
-		return float64(m.Divergences), true, nil
-	case "cycles":
-		return float64(m.Cycles), m.Cycles > 0, nil
-	case "pipeline-efficiency":
-		rep, err := rec.Report()
-		if err != nil || rep == nil {
-			return 0, false, err
-		}
-		return rep.PipelineEfficiency, true, nil
-	case "peak-heap":
-		rs, err := rec.RuntimeSummary()
-		if err != nil || rs == nil {
-			return 0, false, err
-		}
-		return float64(rs.PeakHeapInuseBytes), rs.PeakHeapInuseBytes > 0, nil
-	case "max-gc-pause":
-		rs, err := rec.RuntimeSummary()
-		if err != nil || rs == nil {
-			return 0, false, err
-		}
-		return rs.MaxGCPauseSeconds, rs.Samples > 0, nil
-	case "peak-goroutines":
-		rs, err := rec.RuntimeSummary()
-		if err != nil || rs == nil {
-			return 0, false, err
-		}
-		return float64(rs.PeakGoroutines), rs.PeakGoroutines > 0, nil
-	}
-	if rest, ok := strings.CutPrefix(metric, "stage"); ok {
-		if n, err := strconv.Atoi(strings.TrimSuffix(rest, "-efficiency")); err == nil {
-			rep, err := rec.Report()
-			if err != nil || rep == nil {
-				return 0, false, err
-			}
-			for _, s := range rep.Stages {
-				if s.Stage == n {
-					return s.Efficiency, true, nil
-				}
-			}
-			return 0, false, nil
-		}
-	}
-	// Counter metrics: exact flat key, or the counter/gauge shorthand.
-	counters, err := rec.Counters()
-	if err != nil || counters == nil {
-		return 0, false, err
-	}
-	for _, key := range []string{metric, "counter/" + metric + "/value", "gauge/" + metric + "/value"} {
-		if v, ok := counters[key]; ok {
-			return v, true, nil
-		}
-	}
-	return 0, false, nil
-}
-
-// TrendMetric assembles the metric's series over the filtered runs and
-// flags a regression when the last run is worse than the median of its
-// predecessors by more than tol (relative). Metrics named *efficiency*
-// regress downward; everything else regresses upward.
-func (a *Archive) TrendMetric(metric string, f Filter, tol float64) (*Trend, error) {
-	if tol <= 0 {
-		tol = 0.15
-	}
-	rows, err := a.List(f)
-	if err != nil {
-		return nil, err
-	}
-	t := &Trend{
-		Metric:       metric,
-		HigherBetter: strings.Contains(metric, "efficiency"),
-		Tolerance:    tol,
-	}
-	for _, row := range rows {
-		rec, err := a.Load(row.RunID)
-		if err != nil {
-			return nil, err
-		}
-		v, ok, err := metricValue(rec, metric)
-		if err != nil {
-			return nil, err
-		}
-		if !ok {
-			t.Skipped++
-			continue
-		}
-		t.Points = append(t.Points, TrendPoint{RunID: row.RunID, Start: row.Start, Value: v})
-	}
-	if len(t.Points) == 0 {
-		return nil, fmt.Errorf("runlog: no archived run carries metric %q", metric)
-	}
-	t.Last = t.Points[len(t.Points)-1].Value
-	if len(t.Points) >= 2 {
-		prev := make([]float64, len(t.Points)-1)
-		for i := range prev {
-			prev[i] = t.Points[i].Value
-		}
-		t.Baseline = median(prev)
-		if t.HigherBetter {
-			t.Regressed = t.Last < t.Baseline*(1-tol)
-		} else {
-			t.Regressed = t.Last > t.Baseline*(1+tol)
-		}
-	} else {
-		t.Baseline = t.Last
-	}
-	return t, nil
-}
-
-// WriteText renders the trend as a table plus the regression verdict.
-func (t *Trend) WriteText(w io.Writer) error {
-	if _, err := fmt.Fprintf(w, "trend of %s (%d runs", t.Metric, len(t.Points)); err != nil {
-		return err
-	}
-	if t.Skipped > 0 {
-		if _, err := fmt.Fprintf(w, ", %d without the metric", t.Skipped); err != nil {
-			return err
-		}
-	}
-	if _, err := fmt.Fprintf(w, "):\n"); err != nil {
-		return err
-	}
-	for _, pnt := range t.Points {
-		if _, err := fmt.Fprintf(w, "  %-34s %-20s %12.6g\n", pnt.RunID, pnt.Start, pnt.Value); err != nil {
-			return err
-		}
-	}
-	if len(t.Points) < 2 {
-		_, err := fmt.Fprintln(w, "one run: no baseline to compare against")
-		return err
-	}
-	verdict := "ok"
-	if t.Regressed {
-		verdict = "REGRESSED"
-	}
-	dir := "above"
-	if t.HigherBetter {
-		dir = "below"
-	}
-	_, err := fmt.Fprintf(w, "last %.6g vs baseline median %.6g (tolerance %.0f%% %s): %s\n",
-		t.Last, t.Baseline, 100*t.Tolerance, dir, verdict)
-	return err
-}
-
-func median(xs []float64) float64 {
-	s := append([]float64(nil), xs...)
-	sort.Float64s(s)
-	n := len(s)
-	if n == 0 {
-		return 0
-	}
-	if n%2 == 1 {
-		return s[n/2]
-	}
-	return (s[n/2-1] + s[n/2]) / 2
 }

@@ -1,8 +1,8 @@
 // Package runlog is the persistent run ledger: every invocation of a
 // senkf binary mints a stable run ID, and — when an archive directory is
 // configured — writes a self-describing run record into it, so runs
-// survive their process and can be listed, diffed and trended later
-// (senkf-report list/diff/trend). One record bundles everything the
+// survive their process and can be listed and diffed later
+// (senkf-report list/diff). One record bundles everything the
 // in-process observability stack produced: the manifest (run identity,
 // binary, full config, algorithm spec + compiled-plan hash, fault plan,
 // substrate, outcome), the final counter registry, the structured run
@@ -109,8 +109,8 @@ type Manifest struct {
 	// "interrupted" (SIGINT/SIGTERM landed gracefully).
 	Outcome string `json:"outcome"`
 	Error   string `json:"error,omitempty"`
-	// Headline numbers duplicated from the attached files so list/trend
-	// work from manifests alone.
+	// Headline numbers duplicated from the attached files so the list
+	// table reads them from the manifest.
 	Runtime     float64 `json:"runtime_s,omitempty"` // traced span end (virtual or wall)
 	Verdicts    int     `json:"verdicts,omitempty"`
 	Divergences int     `json:"divergences,omitempty"`
@@ -177,8 +177,14 @@ func fileHash(data []byte) string {
 	return "sha256:" + hex.EncodeToString(sum[:])
 }
 
+// manifestTemp is the name the manifest is staged under before it is
+// renamed into place. A run directory holding only it is no record.
+const manifestTemp = ManifestFile + ".tmp"
+
 // WriteRecord stores one run record: every attached file first, each
-// hashed into m.Files, then the manifest. Returns the run directory.
+// hashed into m.Files and fsynced, then the manifest, staged under a
+// temporary name, fsynced and renamed into place, so a crash leaves either
+// the whole record or no manifest. Returns the run directory.
 func (a *Archive) WriteRecord(m *Manifest, files map[string][]byte) (string, error) {
 	if m.RunID == "" {
 		return "", fmt.Errorf("runlog: record without a run ID")
@@ -196,28 +202,69 @@ func (a *Archive) WriteRecord(m *Manifest, files map[string][]byte) (string, err
 		names = append(names, name)
 	}
 	sort.Strings(names)
+	dirs := map[string]bool{dir: true}
 	for _, name := range names {
-		if name == ManifestFile || name != filepath.ToSlash(filepath.Clean(name)) || strings.HasPrefix(name, "..") || filepath.IsAbs(name) {
+		if name == ManifestFile || name == manifestTemp || name != filepath.ToSlash(filepath.Clean(name)) || strings.HasPrefix(name, "..") || filepath.IsAbs(name) {
 			return "", fmt.Errorf("runlog: bad attached file name %q", name)
 		}
 		path := filepath.Join(dir, filepath.FromSlash(name))
 		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 			return "", fmt.Errorf("runlog: %w", err)
 		}
-		if err := os.WriteFile(path, files[name], 0o644); err != nil {
+		if err := writeSynced(path, files[name]); err != nil {
 			return "", fmt.Errorf("runlog: %w", err)
 		}
+		dirs[filepath.Dir(path)] = true
 		m.Files[name] = fileHash(files[name])
 	}
 	data, err := json.MarshalIndent(m, "", "  ")
 	if err != nil {
 		return "", fmt.Errorf("runlog: %w", err)
 	}
-	data = append(data, '\n')
-	if err := os.WriteFile(filepath.Join(dir, ManifestFile), data, 0o644); err != nil {
+	tmp := filepath.Join(dir, manifestTemp)
+	if err := writeSynced(tmp, append(data, '\n')); err != nil {
+		return "", fmt.Errorf("runlog: %w", err)
+	}
+	for d := range dirs {
+		if err := syncDir(d); err != nil {
+			return "", fmt.Errorf("runlog: %w", err)
+		}
+	}
+	if err := os.Rename(tmp, filepath.Join(dir, ManifestFile)); err != nil {
+		return "", fmt.Errorf("runlog: %w", err)
+	}
+	if err := syncDir(dir); err != nil {
 		return "", fmt.Errorf("runlog: %w", err)
 	}
 	return dir, nil
+}
+
+// writeSynced writes data to path and fsyncs it before closing.
+func writeSynced(path string, data []byte) error {
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	if err != nil {
+		return err
+	}
+	if _, err := f.Write(data); err != nil {
+		f.Close()
+		return err
+	}
+	if err := f.Sync(); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
+}
+
+// syncDir fsyncs a directory so the entries just created or renamed in it
+// survive a crash.
+func syncDir(path string) error {
+	d, err := os.Open(path)
+	if err != nil {
+		return err
+	}
+	defer d.Close()
+	return d.Sync()
 }
 
 // Record is one archived run loaded back from disk.
@@ -325,7 +372,9 @@ func (a *Archive) Load(id string) (*Record, error) {
 
 // IDs lists the archived run IDs (directories under runs/ holding a
 // manifest), sorted lexically — which, given the ID scheme's embedded
-// timestamp per binary, is also start order per binary.
+// timestamp per binary, is also start order per binary. A directory whose
+// manifest is still staged under manifestTemp (a write that crashed before
+// the rename) is not listed.
 func (a *Archive) IDs() ([]string, error) {
 	entries, err := os.ReadDir(filepath.Join(a.dir, "runs"))
 	if err != nil {

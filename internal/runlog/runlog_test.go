@@ -315,58 +315,6 @@ func TestDiffRuns(t *testing.T) {
 	}
 }
 
-func TestTrendRegression(t *testing.T) {
-	a, err := Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Three stable runs, then one 2x slower: runtime (lower is better)
-	// must flag, efficiency-style metrics must use the opposite direction.
-	archiveRun(t, a, "run-1", "senkf-run", "2026-01-01T00:00:00Z", 1.00, 0.9, nil)
-	archiveRun(t, a, "run-2", "senkf-run", "2026-01-02T00:00:00Z", 1.02, 0.9, nil)
-	archiveRun(t, a, "run-3", "senkf-run", "2026-01-03T00:00:00Z", 0.98, 0.9, nil)
-	archiveRun(t, a, "run-4", "senkf-run", "2026-01-04T00:00:00Z", 2.00, 0.3, nil)
-
-	tr, err := a.TrendMetric("runtime", Filter{}, 0.15)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tr.Points) != 4 || !tr.Regressed || tr.HigherBetter {
-		t.Errorf("runtime trend = %+v", tr)
-	}
-	if tr.Baseline != 1.0 {
-		t.Errorf("baseline = %g, want median 1.0", tr.Baseline)
-	}
-
-	eff, err := a.TrendMetric("pipeline-efficiency", Filter{}, 0.15)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !eff.HigherBetter || !eff.Regressed {
-		t.Errorf("efficiency trend = %+v", eff)
-	}
-
-	stage, err := a.TrendMetric("stage0-efficiency", Filter{}, 0.15)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(stage.Points) != 4 || stage.Regressed {
-		t.Errorf("stage trend = %+v", stage)
-	}
-
-	if _, err := a.TrendMetric("no-such-metric", Filter{}, 0.15); err == nil {
-		t.Error("unknown metric should error")
-	}
-
-	var buf bytes.Buffer
-	if err := tr.WriteText(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "REGRESSED") {
-		t.Errorf("trend text missing verdict:\n%s", buf.String())
-	}
-}
-
 func TestFlagsValidate(t *testing.T) {
 	newFlags := func(args ...string) (*Flags, error) {
 		fs := flag.NewFlagSet("test", flag.ContinueOnError)
@@ -402,5 +350,58 @@ func TestFlattenSnapshot(t *testing.T) {
 	got := FlattenSnapshot(reg.Snapshot())
 	if got["counter/io/reads/value"] != 1 || got["counter/io/bytes/value"] != 7 {
 		t.Errorf("FlattenSnapshot = %v", got)
+	}
+}
+
+// TestManifestWriteIsAtomic pins the crash protocol: the manifest is
+// staged under a temporary name and renamed into place, so a finished
+// write leaves no temp file, and a run directory whose write died before
+// the rename (attachments plus a torn staged manifest) is not a record —
+// List over an archive holding one still succeeds.
+func TestManifestWriteIsAtomic(t *testing.T) {
+	a, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	archiveRun(t, a, "run-ok", "senkf-run", "2026-01-01T00:00:00Z", 1.0, 0.9, nil)
+	if _, err := a.WriteRecord(&Manifest{RunID: "run-prof", Outcome: "ok"},
+		map[string][]byte{CPUProfileFile: []byte("pprof")}); err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range []string{"run-ok", "run-prof"} {
+		err := filepath.WalkDir(a.RunDir(id), func(path string, d os.DirEntry, err error) error {
+			if err == nil && strings.HasSuffix(d.Name(), ".tmp") {
+				t.Errorf("%s left behind after WriteRecord", path)
+			}
+			return err
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	crashed := a.RunDir("run-crashed")
+	if err := os.MkdirAll(crashed, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(crashed, CountersFile), []byte("{}\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(crashed, manifestTemp), []byte(`{"schema": 1, "run_id": "run-cr`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	ids, err := a.IDs()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if strings.Join(ids, ",") != "run-ok,run-prof" {
+		t.Errorf("IDs = %v, want the two finished runs only", ids)
+	}
+	rows, err := a.List(Filter{})
+	if err != nil {
+		t.Fatalf("List over an archive with a crashed write: %v", err)
+	}
+	if len(rows) != 2 {
+		t.Errorf("List = %+v, want the two finished runs", rows)
 	}
 }

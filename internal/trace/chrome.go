@@ -12,6 +12,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"sort"
 )
 
@@ -133,7 +134,10 @@ func (b *Buffer) WriteChrome(w io.Writer) error {
 
 // ReadChrome decodes Chrome trace-event JSON written by WriteChrome back
 // into events, resolving tids to track names via the thread_name metadata.
-// It is the decoding half of the export round-trip the tests validate.
+// It is the decoding half of the export round-trip the tests validate, and
+// rejects what WriteChrome never writes: a phase outside X/i/C/M, a span
+// without dur, a negative dur, or a ts or dur whose microseconds overflow
+// when re-encoded. A dur on any other phase is ignored.
 func ReadChrome(r io.Reader) ([]Event, error) {
 	var ct chromeTrace
 	dec := json.NewDecoder(r)
@@ -149,16 +153,26 @@ func ReadChrome(r io.Reader) ([]Event, error) {
 		}
 	}
 	var out []Event
-	for _, ce := range ct.TraceEvents {
-		if ce.Ph == "M" {
+	for i, ce := range ct.TraceEvents {
+		var dur float64
+		switch ce.Ph {
+		case "M":
 			continue
-		}
-		if len(ce.Ph) != 1 {
-			return nil, fmt.Errorf("trace: unsupported event phase %q", ce.Ph)
+		case "X":
+			if ce.Dur == nil {
+				return nil, fmt.Errorf("trace: event %d: span without dur", i)
+			}
+			if *ce.Dur < 0 {
+				return nil, fmt.Errorf("trace: event %d: negative dur %g", i, *ce.Dur)
+			}
+			dur = *ce.Dur / 1e6
+		case "i", "C":
+		default:
+			return nil, fmt.Errorf("trace: event %d: unsupported phase %q", i, ce.Ph)
 		}
 		track, ok := tracks[ce.Tid]
 		if !ok {
-			return nil, fmt.Errorf("trace: event on unnamed tid %d", ce.Tid)
+			return nil, fmt.Errorf("trace: event %d on unnamed tid %d", i, ce.Tid)
 		}
 		ev := Event{
 			Track: track,
@@ -166,9 +180,11 @@ func ReadChrome(r io.Reader) ([]Event, error) {
 			Name:  ce.Name,
 			Ph:    ce.Ph[0],
 			Ts:    ce.Ts / 1e6,
+			Dur:   dur,
 		}
-		if ce.Dur != nil {
-			ev.Dur = *ce.Dur / 1e6
+		// ts/1e6·1e6 can round past the largest float, near ±1.8e308.
+		if math.IsInf(secondsToMicros(ev.Ts), 0) || math.IsInf(secondsToMicros(ev.Dur), 0) {
+			return nil, fmt.Errorf("trace: event %d: ts %g or dur beyond the float range in microseconds", i, ce.Ts)
 		}
 		if len(ce.Args) > 0 {
 			keys := make([]string, 0, len(ce.Args))

@@ -3,8 +3,8 @@
 // re-exported for the binaries and external users. Every invocation
 // mints a run ID; with -archive it lands a self-describing, content-
 // addressed record (manifest, counters, report, trace, monitor state,
-// per-cycle series, anomaly profiles) that senkf-report can list, diff
-// and trend across runs.
+// per-cycle series, anomaly profiles) that senkf-report can list and
+// diff across runs.
 
 package senkf
 
@@ -14,7 +14,6 @@ import (
 	"log/slog"
 	"time"
 
-	"senkf/internal/report/bench"
 	"senkf/internal/runlog"
 	"senkf/internal/runtimeobs"
 )
@@ -32,14 +31,12 @@ type (
 	RunManifest = runlog.Manifest
 	// RunRecord is one archived run loaded back from the ledger.
 	RunRecord = runlog.Record
-	// RunFilter selects archived runs for list/trend queries.
+	// RunFilter selects archived runs for list queries.
 	RunFilter = runlog.Filter
 	// RunSummary is one archived run's list row.
 	RunSummary = runlog.Summary
 	// RunDiff is the structured comparison of two archived runs.
 	RunDiff = runlog.Diff
-	// RunTrend is one metric's time-ordered series across archived runs.
-	RunTrend = runlog.Trend
 	// RunLabels is a run's pprof label set (RunSession.Labels); assign it
 	// to Problem.Prof / CycleConfig.Prof / Machine.Prof so CPU profiles
 	// slice by {run_id, algo, substrate, proc, stage}.
@@ -117,12 +114,4 @@ func NewRunLogger(w io.Writer, level string, runID string) (*slog.Logger, error)
 // WriteRunListTable renders archived-run list rows as an aligned table.
 func WriteRunListTable(w io.Writer, rows []RunSummary) error {
 	return runlog.WriteListTable(w, rows)
-}
-
-// CollectBenchRecordArchived is CollectBenchRecord through the run
-// ledger: every suite cell is archived as its own run record and the
-// returned bench record is reassembled from the archive, so each cell
-// carries the run ID it was derived from. log may be nil.
-func CollectBenchRecordArchived(s *FigureSuite, scale string, a *RunArchive, log *slog.Logger) (BenchRecord, error) {
-	return bench.FromSuiteArchived(s, scale, a, log)
 }

@@ -1,7 +1,7 @@
 // End-to-end acceptance of the run ledger through the public facade: a
 // session-driven run must trace byte-identically to the seed's hand-wired
 // sink stack, and an archived run must come back out of the ledger with a
-// verifying manifest, a report, and usable list/diff/trend queries.
+// verifying manifest, a report, and usable list/diff queries.
 package senkf
 
 import (
@@ -70,7 +70,7 @@ func TestSessionTraceMatchesSeedWiring(t *testing.T) {
 
 // TestArchivedRunEndToEnd drives the tentpole loop through the facade:
 // archive a monitored simulated run, load it back with a verifying
-// manifest, and query it via list/diff/trend.
+// manifest, and query it via list/diff.
 func TestArchivedRunEndToEnd(t *testing.T) {
 	dir := t.TempDir()
 	sessA := sessionQuickSuite(t, 180, "-archive", dir)
@@ -135,7 +135,7 @@ func TestArchivedRunEndToEnd(t *testing.T) {
 	}
 
 	// Diff by unique prefix; the two runs executed the identical virtual
-	// schedule, so runtimes agree and the trend gate stays quiet.
+	// schedule, so runtimes agree.
 	d, err := a.DiffRuns(sessA.RunID, sessB.RunID)
 	if err != nil {
 		t.Fatal(err)
@@ -149,59 +149,5 @@ func TestArchivedRunEndToEnd(t *testing.T) {
 	}
 	if !strings.Contains(strings.Join(cfgDelta, ","), "monitor") {
 		t.Errorf("config delta should include the monitor flag: %v", cfgDelta)
-	}
-
-	tr, err := a.TrendMetric("runtime", RunFilter{}, 0.15)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tr.Points) != 2 || tr.Regressed {
-		t.Errorf("trend = %+v", tr)
-	}
-}
-
-// TestArchivedBenchRecordCarriesRunIDs pins the bench collector's
-// ledger view: every BENCH cell names an archived run whose record
-// round-trips to the same runtime.
-func TestArchivedBenchRecordCarriesRunIDs(t *testing.T) {
-	dir := t.TempDir()
-	a, err := OpenRunArchive(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	suite := QuickFigures()
-	rec, err := CollectBenchRecordArchived(suite, "quick", a, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rec.Runs) == 0 {
-		t.Fatal("empty bench record")
-	}
-	for _, run := range rec.Runs {
-		if run.RunID == "" {
-			t.Fatalf("cell %s/np%d has no run ID", run.Algorithm, run.NP)
-		}
-		cell, err := a.Load(run.RunID)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if cell.Manifest.Runtime != run.Runtime {
-			t.Errorf("cell %s: archived runtime %g vs record %g",
-				run.RunID, cell.Manifest.Runtime, run.Runtime)
-		}
-	}
-	// The archived collection must agree with the direct one cell for
-	// cell (the ledger is a view, not a different measurement).
-	direct, err := CollectBenchRecord(QuickFigures(), "quick")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(direct.Runs) != len(rec.Runs) {
-		t.Fatalf("cell count %d vs %d", len(rec.Runs), len(direct.Runs))
-	}
-	for i := range direct.Runs {
-		if direct.Runs[i].Runtime != rec.Runs[i].Runtime {
-			t.Errorf("cell %d runtime %g vs %g", i, rec.Runs[i].Runtime, direct.Runs[i].Runtime)
-		}
 	}
 }
