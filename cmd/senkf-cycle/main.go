@@ -9,7 +9,7 @@
 //
 //	senkf-cycle -cycles 10
 //	senkf-cycle -cycles 20 -analyzer senkf -nsdx 4 -nsdy 2 -layers 3 -ncg 2
-//	senkf-cycle -cycles 20 -analyzer senkf -monitor -metrics-addr localhost:9464
+//	senkf-cycle -cycles 20 -analyzer senkf -monitor -profile localhost:9464
 package main
 
 import (

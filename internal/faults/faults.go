@@ -20,6 +20,7 @@ package faults
 
 import (
 	"fmt"
+	"math"
 	"os"
 	"sort"
 	"strconv"
@@ -87,7 +88,8 @@ type Straggler struct {
 
 // ParseStraggler parses a "proc:factor" flag value (e.g. "io/g0/r0:30")
 // into a Straggler. The factor is taken after the last colon, so processor
-// names containing colons would still parse.
+// names containing colons would still parse. The factor must be finite and
+// > 1.
 func ParseStraggler(spec string) (Straggler, error) {
 	i := strings.LastIndex(spec, ":")
 	if i <= 0 || i == len(spec)-1 {
@@ -97,8 +99,8 @@ func ParseStraggler(spec string) (Straggler, error) {
 	if err != nil {
 		return Straggler{}, fmt.Errorf("faults: straggler %q: %w", spec, err)
 	}
-	if f <= 1 {
-		return Straggler{}, fmt.Errorf("faults: straggler %q: factor must be > 1", spec)
+	if !finite(f) || f <= 1 {
+		return Straggler{}, fmt.Errorf("faults: straggler %q: factor must be finite and > 1", spec)
 	}
 	return Straggler{Proc: spec[:i], Factor: f}, nil
 }
@@ -290,7 +292,9 @@ func Adopt(j, n, l int, dead func(row, stage int) bool) (rows, fresh []int, aliv
 // Validate checks the plan against an S-EnKF geometry: ncg groups of nsdy
 // readers, L stages, n members, osts storage targets. It rejects plans
 // that kill every reader of a group (no failover target), reference
-// out-of-range members/OSTs/processors, or carry malformed windows.
+// out-of-range members/OSTs/processors, carry malformed windows, or hold a
+// non-finite time or factor (NaN fails every comparison, so it would slip
+// past the range checks).
 func (pl *Plan) Validate(ncg, nsdy, L, n, osts int) error {
 	if pl == nil {
 		return nil
@@ -298,6 +302,9 @@ func (pl *Plan) Validate(ncg, nsdy, L, n, osts int) error {
 	for _, w := range pl.OSTWindows {
 		if w.OST < 0 || (osts > 0 && w.OST >= osts) {
 			return fmt.Errorf("faults: OST window targets OST %d of %d", w.OST, osts)
+		}
+		if !finite(w.Start) || !finite(w.End) || !finite(w.Factor) {
+			return fmt.Errorf("faults: OST %d window [%g,%g) factor %g is not finite", w.OST, w.Start, w.End, w.Factor)
 		}
 		if w.End <= w.Start || w.Start < 0 {
 			return fmt.Errorf("faults: OST %d window [%g,%g) is empty or negative", w.OST, w.Start, w.End)
@@ -307,8 +314,8 @@ func (pl *Plan) Validate(ncg, nsdy, L, n, osts int) error {
 		}
 	}
 	for _, s := range pl.Stragglers {
-		if s.Factor < 1 {
-			return fmt.Errorf("faults: straggler %q factor %g < 1", s.Proc, s.Factor)
+		if !finite(s.Factor) || s.Factor < 1 {
+			return fmt.Errorf("faults: straggler %q factor %g (want finite and ≥ 1)", s.Proc, s.Factor)
 		}
 	}
 	seen := map[int]bool{}
@@ -338,8 +345,8 @@ func (pl *Plan) Validate(ncg, nsdy, L, n, osts int) error {
 		if d.Reader < 0 || (nsdy > 0 && d.Reader >= nsdy) {
 			return fmt.Errorf("faults: death targets reader %d of %d", d.Reader, nsdy)
 		}
-		if d.At < 0 {
-			return fmt.Errorf("faults: death of io/g%d/r%d at negative time %g", d.Group, d.Reader, d.At)
+		if !finite(d.At) || d.At < 0 {
+			return fmt.Errorf("faults: death of io/g%d/r%d at time %g (want finite and ≥ 0)", d.Group, d.Reader, d.At)
 		}
 		if d.At == 0 && (d.BeforeStage < 0 || (L > 0 && d.BeforeStage >= L)) {
 			return fmt.Errorf("faults: death of io/g%d/r%d before stage %d of %d", d.Group, d.Reader, d.BeforeStage, L)
@@ -564,6 +571,8 @@ func Generate(seed uint64, intensity float64, g Geometry) *Plan {
 	}
 	return pl
 }
+
+func finite(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
 
 // splitmix64 is the SplitMix64 generator — tiny, seedable, dependency-free.
 func splitmix64(x *uint64) uint64 {

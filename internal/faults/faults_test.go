@@ -2,6 +2,7 @@ package faults
 
 import (
 	"errors"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -174,6 +175,14 @@ func TestValidateRejectsBadPlans(t *testing.T) {
 			{Group: 0, Reader: 1, BeforeStage: 2},
 		}}},
 		{"negative crash cycle", &Plan{Crash: &CycleCrash{Cycle: -1}}},
+		{"NaN window start", &Plan{OSTWindows: []OSTWindow{{OST: 0, Start: math.NaN(), End: 1}}}},
+		{"NaN window end", &Plan{OSTWindows: []OSTWindow{{OST: 0, Start: 0, End: math.NaN()}}}},
+		{"endless window", &Plan{OSTWindows: []OSTWindow{{OST: 0, Start: 0, End: math.Inf(1)}}}},
+		{"NaN window factor", &Plan{OSTWindows: []OSTWindow{{OST: 0, Start: 0, End: 1, Factor: math.NaN()}}}},
+		{"infinite window factor", &Plan{OSTWindows: []OSTWindow{{OST: 0, Start: 0, End: 1, Factor: math.Inf(1)}}}},
+		{"NaN straggler", &Plan{Stragglers: []Straggler{{Proc: "io/g0/r0", Factor: math.NaN()}}}},
+		{"infinite straggler", &Plan{Stragglers: []Straggler{{Proc: "io/g0/r0", Factor: math.Inf(1)}}}},
+		{"NaN death time", &Plan{Deaths: []RankDeath{{Group: 0, Reader: 0, At: math.NaN()}}}},
 	}
 	for _, c := range cases {
 		if err := c.pl.Validate(2, 2, 3, 12, 8); err == nil {

@@ -16,9 +16,10 @@
 //     Real runs without a model prediction fall back to peer-median
 //     budgets per (phase, stage);
 //   - streaming metrics — read/comm/compute latencies, scatter wait,
-//     stage data lead (overlap headroom), and per-OST bytes in a
-//     trace.Registry, rendered in Prometheus text format at /metrics and
-//     as a JSON conformance summary at /status;
+//     stage data lead (overlap headroom), and per-OST bytes, counted into
+//     the run's trace.Registry (Options.Registry), plus a JSON conformance
+//     summary (Status), which the run's one server (runlog's -profile)
+//     renders at /metrics and /status;
 //   - a flight recorder — a fixed-size ring of the most recent trace
 //     events, dumped automatically (file + attached to the error) on
 //     deadlock, watchdog trip, rank death, or plan divergence;
@@ -56,12 +57,12 @@ type Options struct {
 	// trace-event JSON, replayable through trace.ReadChrome and
 	// plan.StructuralDAG) on the first anomaly.
 	DumpPath string
-	// RunRegistry, when set, is the run's own counter registry, rendered
-	// after the monitor's registry at /metrics so one scrape carries both.
-	RunRegistry *trace.Registry
-	// RunID, when set, labels the monitor's outputs with the invocation's
-	// run-ledger identity: /status carries it and /metrics exports it as
-	// the senkf_run_info{run_id="..."} info metric.
+	// Registry is the registry the monitor counts into — the run's own, so
+	// one snapshot carries the monitor/* and cycle/* series next to the
+	// run's counters. Nil makes a private one.
+	Registry *trace.Registry
+	// RunID, when set, labels Status with the invocation's run-ledger
+	// identity.
 	RunID string
 	// Logger, when set, receives structured log lines for run boundaries,
 	// incidents, watchdog verdicts and divergences.
@@ -70,10 +71,6 @@ type Options struct {
 	// flight recorder dumps — the run ledger uses it to capture pprof
 	// snapshots into the archive while the anomaly is fresh.
 	AnomalyHook func(kind string)
-	// ScrapeHook, when set, runs at the top of every /metrics request —
-	// the run ledger uses it to refresh the baseline go/process gauges so
-	// scrapes carry current runtime stats even without the sampler.
-	ScrapeHook func()
 	// Wire, when set, is the run's wire collector: EndRun judges the
 	// traffic it counted against the plan's expected edge matrix, and
 	// /status reports it live (wire.go).
@@ -95,8 +92,8 @@ const (
 
 // Monitor consumes trace events (as a trace.Sink) and observes run
 // boundaries (as a plan.RunObserver). All methods are safe for concurrent
-// use: events arrive from the tee's drain goroutine while HTTP handlers
-// read state.
+// use: events arrive from the tee's drain goroutine while a /status
+// request reads state.
 type Monitor struct {
 	opts Options
 	reg  *trace.Registry
@@ -146,7 +143,8 @@ type Monitor struct {
 	cycles []CycleSample
 }
 
-// New returns a monitor with its own streaming-metrics registry.
+// New returns a monitor counting into opts.Registry (a private registry
+// when nil).
 func New(opts Options) *Monitor {
 	if opts.Tolerance <= 0 {
 		opts.Tolerance = DefaultTolerance
@@ -166,9 +164,13 @@ func New(opts Options) *Monitor {
 	if opts.HeapGrowthBudget <= 0 {
 		opts.HeapGrowthBudget = DefaultHeapGrowthBudget
 	}
+	reg := opts.Registry
+	if reg == nil {
+		reg = trace.NewRegistry()
+	}
 	return &Monitor{
 		opts:     opts,
-		reg:      trace.NewRegistry(),
+		reg:      reg,
 		tracks:   map[string]*trackState{},
 		budgets:  map[string]float64{},
 		peers:    map[peerKey][]float64{},
@@ -182,7 +184,7 @@ func New(opts Options) *Monitor {
 	}
 }
 
-// Registry returns the monitor's streaming-metrics registry.
+// Registry returns the registry the monitor counts into.
 func (m *Monitor) Registry() *trace.Registry { return m.reg }
 
 // Tee wraps the given primary sink (nil for monitor-only tracing) in a

@@ -7,10 +7,8 @@
 package monitor_test
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
-	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
@@ -159,40 +157,5 @@ func TestDivergenceOnWrongSpan(t *testing.T) {
 		if !strings.Contains(joined, frag) {
 			t.Errorf("divergences missing %q:\n%s", frag, joined)
 		}
-	}
-}
-
-func TestHTTPHandlers(t *testing.T) {
-	m := monitor.New(monitor.Options{})
-	m.BeginRun(compiled(t))
-	m.RecordCycle(monitor.CycleSample{Cycle: 3, AnalysisRMSE: 0.25, Spread: 0.3})
-
-	mw := httptest.NewRecorder()
-	m.MetricsHandler().ServeHTTP(mw, httptest.NewRequest("GET", "/metrics", nil))
-	if ct := mw.Header().Get("Content-Type"); !strings.HasPrefix(ct, "text/plain; version=0.0.4") {
-		t.Errorf("metrics content type %q", ct)
-	}
-	body := mw.Body.String()
-	for _, frag := range []string{"senkf_monitor_runs 1", "senkf_cycle_rmse_analysis 0.25", "senkf_cycle_index 3"} {
-		if !strings.Contains(body, frag) {
-			t.Errorf("/metrics missing %q:\n%s", frag, body)
-		}
-	}
-
-	sw := httptest.NewRecorder()
-	m.StatusHandler().ServeHTTP(sw, httptest.NewRequest("GET", "/status", nil))
-	if ct := sw.Header().Get("Content-Type"); ct != "application/json" {
-		t.Errorf("status content type %q", ct)
-	}
-	var st monitor.Status
-	if err := json.Unmarshal(sw.Body.Bytes(), &st); err != nil {
-		t.Fatalf("/status is not valid JSON: %v", err)
-	}
-	if st.WorldSize == 0 || len(st.Cycles) != 1 || st.Cycles[0].Cycle != 3 {
-		t.Errorf("status round-trip lost fields: %+v", st)
-	}
-	// The CI smoke job greps for the always-present empty divergence list.
-	if !strings.Contains(sw.Body.String(), `"divergences": []`) {
-		t.Errorf("/status lacks the empty divergences list:\n%s", sw.Body.String())
 	}
 }

@@ -1,15 +1,10 @@
-// The monitor's HTTP surface: Prometheus text metrics at /metrics and the
-// live JSON conformance summary at /status, both mountable on the
-// existing internal/profiling server.
+// The monitor's live summary: the JSON the run's server answers /status
+// with, the run record archives as monitor.json, and the binaries print
+// from after the run.
 
 package monitor
 
-import (
-	"encoding/json"
-	"fmt"
-	"net/http"
-	"sort"
-)
+import "sort"
 
 // RankProgress is one rank's live pipeline position.
 type RankProgress struct {
@@ -32,7 +27,7 @@ type Conformance struct {
 	Laggards        []RankProgress `json:"laggards,omitempty"`
 }
 
-// Status is the live run summary served at /status.
+// Status is the live run summary.
 type Status struct {
 	RunID       string             `json:"run_id,omitempty"`
 	Algorithm   string             `json:"algorithm"`
@@ -126,39 +121,4 @@ func (m *Monitor) Status() Status {
 	c.Laggards = laggards
 	s.Complete = complete && m.divCount == 0
 	return s
-}
-
-// MetricsHandler serves the monitor's registry — and the run's registry,
-// when Options.RunRegistry was set — in Prometheus text format.
-func (m *Monitor) MetricsHandler() http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if m.opts.ScrapeHook != nil {
-			// Refresh scrape-time gauges (baseline go/process stats)
-			// before rendering, outside the monitor lock.
-			m.opts.ScrapeHook()
-		}
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		if m.opts.RunID != "" {
-			// Info-metric idiom: the run ID rides one labeled constant
-			// sample rather than a label on every series, so existing
-			// scrape configs and the CI greps keep matching.
-			fmt.Fprintf(w, "# TYPE senkf_run_info gauge\nsenkf_run_info{run_id=%q} 1\n", m.opts.RunID)
-		}
-		if err := m.reg.WritePrometheus(w, "senkf_"); err != nil {
-			return
-		}
-		if m.opts.RunRegistry != nil {
-			_ = m.opts.RunRegistry.WritePrometheus(w, "senkf_")
-		}
-	})
-}
-
-// StatusHandler serves the live conformance summary as indented JSON.
-func (m *Monitor) StatusHandler() http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		_ = enc.Encode(m.Status())
-	})
 }

@@ -1,7 +1,7 @@
 // Shared observability flag registration: the seven senkf binaries used
 // to copy-paste ~27 flag definitions and the sink-wiring boilerplate
-// behind them (-trace buffer, monitor tee, counter registry, pprof and
-// metrics servers). Register once here, then Start() returns a Session
+// behind them (-trace buffer, monitor tee, counter registry, the -profile
+// server). Register once here, then Start() returns a Session
 // holding the configured sink set plus the run's identity.
 
 package runlog
@@ -23,7 +23,6 @@ type Flags struct {
 	countersCSV    *string
 	profile        *string
 	monitor        *bool
-	metricsAddr    *string
 	flight         *string
 	archive        *string
 	logLevel       *string
@@ -36,18 +35,17 @@ type Flags struct {
 }
 
 // Register installs the full observability flag set — -trace, -counters,
-// -counters-csv, -profile, -monitor, -metrics-addr, -flight-recorder,
-// -linger, -runtime-sample, -capture-profile, -archive and -log-level —
-// on fs for the named binary (senkf-run, senkf-cycle, senkf-bench).
+// -counters-csv, -profile, -monitor, -flight-recorder, -linger,
+// -runtime-sample, -capture-profile, -archive and -log-level — on fs for
+// the named binary (senkf-run, senkf-cycle, senkf-bench).
 func Register(fs *flag.FlagSet, binary string) *Flags {
 	f := RegisterBasic(fs, binary)
 	f.trace = fs.String("trace", "", "write a Chrome trace-event JSON file of the run (open in Perfetto)")
 	f.counters = fs.Bool("counters", false, "print runtime counters/gauges/histograms after the run")
 	f.countersCSV = fs.String("counters-csv", "", "write the counter registry as CSV to this file (feeds senkf-report -counters)")
 	f.monitor = fs.Bool("monitor", false, "attach the live plan-conformance monitor: watchdog verdicts, streaming metrics, flight recorder")
-	f.metricsAddr = fs.String("metrics-addr", "", "with -monitor: serve Prometheus /metrics and JSON /status on this address")
 	f.flight = fs.String("flight-recorder", "", "with -monitor: write the anomaly flight-recorder dump (Chrome trace JSON) here")
-	f.linger = fs.Duration("linger", 0, "keep serving -metrics-addr for this long after the run, so it can be scraped")
+	f.linger = fs.Duration("linger", 0, "keep the -profile server up for this long after the run, so it can be scraped")
 	f.runtimeSample = fs.Duration("runtime-sample", 0, "sample runtime/metrics (goroutines, heap, GC pauses) on this cadence into the trace and registry (0 = off)")
 	f.captureProfile = fs.Bool("capture-profile", false, "with -archive: capture a whole-run labeled CPU profile and archive it with hot-stage attribution")
 	f.wire = fs.Bool("wire", false, "collect wire telemetry: per-edge comm accounting and per-OST read attribution (wire summary after the run, wire.json with -archive; with -monitor, judged against the plan's edge matrix at run end, live in /status)")
@@ -58,7 +56,7 @@ func Register(fs *flag.FlagSet, binary string) *Flags {
 // -archive and -log-level.
 func RegisterBasic(fs *flag.FlagSet, binary string) *Flags {
 	f := &Flags{binary: binary, fs: fs}
-	f.profile = fs.String("profile", "", "serve /debug/pprof/ on this address (e.g. localhost:6060) while running")
+	f.profile = fs.String("profile", "", "serve /debug/pprof/, Prometheus /metrics and (with -monitor) JSON /status on this address (e.g. localhost:6060) while running")
 	f.archive = fs.String("archive", "", "archive this run's record (manifest, counters, report, trace, monitor state) into this run-ledger directory")
 	f.logLevel = fs.String("log-level", "info", "structured-log level: debug | info | warn | error")
 	return f
@@ -89,9 +87,6 @@ func (f *Flags) CountersCSV() string { return strOf(f.countersCSV) }
 
 // MonitorOn reports -monitor.
 func (f *Flags) MonitorOn() bool { return boolOf(f.monitor) }
-
-// MetricsAddr returns the -metrics-addr value.
-func (f *Flags) MetricsAddr() string { return strOf(f.metricsAddr) }
 
 // ArchiveDir returns the -archive directory.
 func (f *Flags) ArchiveDir() string { return strOf(f.archive) }
@@ -135,9 +130,6 @@ func (f *Flags) config() map[string]string {
 // validate cross-checks flag combinations the binaries used to check by
 // hand.
 func (f *Flags) validate() error {
-	if f.MetricsAddr() != "" && !f.MonitorOn() {
-		return fmt.Errorf("-metrics-addr needs -monitor")
-	}
 	if strOf(f.flight) != "" && !f.MonitorOn() {
 		return fmt.Errorf("-flight-recorder needs -monitor")
 	}

@@ -21,9 +21,10 @@ import (
 //
 // e.g. "run-20260808T141503Z-a1b2c3d4" for senkf-run: the binary's short
 // name (the "senkf-" prefix stripped), the UTC start instant at second
-// resolution, and 4 random bytes breaking ties between same-second runs.
-// Lexical order within one binary is start order. entropy defaults to
-// crypto/rand when nil (tests inject a fixed reader for determinism).
+// resolution, and 4 random bytes telling same-second runs apart. Lexical
+// order within one binary is start order only to the second: runs that
+// start in the same second sort by their random suffix. entropy defaults
+// to crypto/rand when nil (tests inject a fixed reader for determinism).
 func NewRunID(binary string, start time.Time, entropy io.Reader) string {
 	short := strings.TrimPrefix(binary, "senkf-")
 	if short == "" {

@@ -324,16 +324,13 @@ func TestFlagsValidate(t *testing.T) {
 		}
 		return f, f.validate()
 	}
-	if _, err := newFlags("-metrics-addr", "localhost:1"); err == nil {
-		t.Error("-metrics-addr without -monitor should fail validation")
-	}
 	if _, err := newFlags("-flight-recorder", "x.json"); err == nil {
 		t.Error("-flight-recorder without -monitor should fail validation")
 	}
 	if _, err := newFlags("-log-level", "loud"); err == nil {
 		t.Error("bad -log-level should fail validation")
 	}
-	f, err := newFlags("-monitor", "-metrics-addr", "localhost:1", "-trace", "t.json")
+	f, err := newFlags("-monitor", "-profile", "localhost:1", "-trace", "t.json")
 	if err != nil {
 		t.Fatalf("valid combination rejected: %v", err)
 	}

@@ -1,7 +1,7 @@
 // Session: one binary invocation's observability context. Start() mints
 // the run ID, builds the logger and the sink set the flags asked for
-// (trace buffer, monitor tee, counter registry, pprof/metrics servers),
-// and Finish() lands everything — trace file, counter dumps, monitor
+// (trace buffer, monitor tee, counter registry, the -profile server), and
+// Finish() lands everything — trace file, counter dumps, monitor
 // summary, and the archived run record when -archive is set.
 
 package runlog
@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
+	"net/http"
 	"os"
 	"os/signal"
 	"sync"
@@ -19,7 +20,6 @@ import (
 
 	"senkf/internal/monitor"
 	"senkf/internal/plan"
-	"senkf/internal/profiling"
 	"senkf/internal/report"
 	"senkf/internal/runtimeobs"
 	"senkf/internal/trace"
@@ -38,7 +38,8 @@ type Session struct {
 	RunID string
 	// Log is the run's structured logger (every line carries RunID).
 	Log *slog.Logger
-	// Registry is the run's counter/gauge/histogram registry.
+	// Registry is the run's counter/gauge/histogram registry, the one
+	// the monitor counts into too.
 	Registry *trace.Registry
 	// Tracer is the configured tracer — nil when no sink or counter
 	// consumer was requested, exactly like the hand-wired binaries.
@@ -57,8 +58,8 @@ type Session struct {
 	buf     *trace.Buffer
 	archive *Archive
 
-	profSrv    *profiling.Server
-	metricsSrv *profiling.Server
+	srv     *http.Server // the -profile server (serve.go), nil without it
+	srvAddr string
 
 	sampler *runtimeobs.Sampler
 	labels  *runtimeobs.LabelSet
@@ -84,8 +85,8 @@ type Session struct {
 }
 
 // Start validates the flag combination and builds the session: run ID,
-// logger, archive, trace buffer, monitor tee, tracer, and the pprof and
-// metrics servers. Call it once, after flag parsing.
+// logger, archive, trace buffer, monitor tee, tracer, and the -profile
+// server. Call it once, after flag parsing.
 func (f *Flags) Start() (*Session, error) {
 	if err := f.validate(); err != nil {
 		return nil, err
@@ -123,18 +124,11 @@ func (f *Flags) Start() (*Session, error) {
 	}
 	if f.MonitorOn() {
 		opts := monitor.Options{
-			DumpPath:    strOf(f.flight),
-			RunRegistry: s.Registry,
-			RunID:       s.RunID,
-			Logger:      s.Log,
-			// Scrapes always carry the baseline go/process gauges plus the
-			// comm/OST totals, even when the periodic sampler and wire
-			// telemetry are off.
-			ScrapeHook: func() {
-				runtimeobs.CollectBaseline(s.Registry)
-				s.collectWireBaseline()
-			},
-			Wire: s.Wire,
+			DumpPath: strOf(f.flight),
+			Registry: s.Registry,
+			RunID:    s.RunID,
+			Logger:   s.Log,
+			Wire:     s.Wire,
 		}
 		if s.archive != nil {
 			opts.AnomalyHook = s.captureAnomalyProfiles
@@ -161,7 +155,7 @@ func (f *Flags) Start() (*Session, error) {
 		s.Log.Info("runtime sampler started", "interval", every.String())
 	}
 	if f.CaptureProfileOn() {
-		stop, err := profiling.StartCPUCapture()
+		stop, err := startCPUCapture()
 		if err != nil {
 			// A concurrent profiler owns the CPU profile; degrade rather
 			// than fail the run.
@@ -173,24 +167,11 @@ func (f *Flags) Start() (*Session, error) {
 	}
 
 	if addr := strOf(f.profile); addr != "" {
-		srv, err := profiling.Serve(addr)
-		if err != nil {
+		if err := s.serve(addr); err != nil {
 			s.close()
 			return nil, err
 		}
-		s.profSrv = srv
-		s.Log.Info("pprof serving", "url", fmt.Sprintf("http://%s/debug/pprof/", srv.Addr()))
-	}
-	if addr := f.MetricsAddr(); addr != "" {
-		srv, err := profiling.Serve(addr)
-		if err != nil {
-			s.close()
-			return nil, err
-		}
-		srv.Handle("/metrics", s.Monitor.MetricsHandler())
-		srv.Handle("/status", s.Monitor.StatusHandler())
-		s.metricsSrv = srv
-		s.Log.Info("monitor serving", "metrics", fmt.Sprintf("http://%s/metrics", srv.Addr()), "status", fmt.Sprintf("http://%s/status", srv.Addr()))
+		s.Log.Info("serving", "pprof", fmt.Sprintf("http://%s/debug/pprof/", s.srvAddr), "metrics", fmt.Sprintf("http://%s/metrics", s.srvAddr))
 	}
 	// Graceful shutdown: the first SIGINT/SIGTERM lands the session —
 	// registered interrupt hooks run (e.g. a final checkpoint cut), the
@@ -286,17 +267,6 @@ func (s *Session) MsgObserver() plan.MsgObserver {
 	return s.Wire
 }
 
-// collectWireBaseline mirrors the always-on transport and file-system
-// counters (mpi.*, parfs.*) into comm/ost gauges, so every /metrics scrape
-// carries senkf_comm_* and senkf_ost_* series even when -wire is off.
-func (s *Session) collectWireBaseline() {
-	s.Registry.SetGauge("comm/msgs_total", s.Registry.CounterValue("mpi.msgs"))
-	s.Registry.SetGauge("comm/bytes_total", s.Registry.CounterValue("mpi.bytes"))
-	s.Registry.SetGauge("ost/requests_total", s.Registry.CounterValue("parfs.requests"))
-	s.Registry.SetGauge("ost/bytes_total", s.Registry.CounterValue("parfs.bytes"))
-	s.Registry.SetGauge("ost/seeks_total", s.Registry.CounterValue("parfs.seeks"))
-}
-
 // Describe records what the run executes: the algorithm name, the
 // substrate ("real" or "simulated"), and — when a compiled plan is at
 // hand — the spec summary and content-addressed plan hash.
@@ -306,7 +276,7 @@ func (s *Session) Describe(algorithm, substrate string, cp *plan.Compiled) {
 	// the whole-run capture, a live /debug/pprof server, or the archive's
 	// anomaly snapshots. Labels are inherited at goroutine spawn, so this
 	// must happen before the plan executes.
-	if s.cpuStop != nil || s.profSrv != nil || s.archive != nil {
+	if s.cpuStop != nil || s.srv != nil || s.archive != nil {
 		s.labels = runtimeobs.Labels(s.RunID, algorithm, substrate)
 	}
 	if cp != nil {
@@ -369,7 +339,7 @@ func (s *Session) captureAnomalyProfiles(kind string) {
 	defer s.profWG.Done()
 
 	s.Log.Warn("anomaly: capturing pprof snapshots", "kind", kind)
-	if heap, err := profiling.CaptureHeapProfile(); err == nil {
+	if heap, err := captureHeapProfile(); err == nil {
 		s.mu.Lock()
 		s.profiles["profiles/heap.pprof"] = heap
 		s.mu.Unlock()
@@ -381,17 +351,20 @@ func (s *Session) captureAnomalyProfiles(kind string) {
 		// cover the anomaly window; a second StartCPUProfile would fail.
 		return
 	}
-	if cpu, err := profiling.CaptureCPUProfile(250 * time.Millisecond); err == nil {
-		s.mu.Lock()
-		s.profiles[CPUProfileFile] = cpu
-		s.mu.Unlock()
-	} else {
+	stop, err := startCPUCapture()
+	if err != nil {
 		s.Log.Warn("cpu profile capture failed", "err", err.Error())
+		return
 	}
+	time.Sleep(250 * time.Millisecond)
+	cpu := stop()
+	s.mu.Lock()
+	s.profiles[CPUProfileFile] = cpu
+	s.mu.Unlock()
 }
 
-// close shuts down the sampler, the whole-run CPU capture, servers and the
-// monitor tee. Finish has already stopped and landed the first two; on a
+// close shuts down the sampler, the whole-run CPU capture, the server and
+// the monitor tee. Finish has already stopped and landed the first two; on a
 // failed Start nothing else would.
 func (s *Session) close() {
 	if s.sampler != nil {
@@ -403,16 +376,13 @@ func (s *Session) close() {
 	if s.Monitor != nil {
 		s.Monitor.Close()
 	}
-	if s.profSrv != nil {
-		s.profSrv.Close()
-	}
-	if s.metricsSrv != nil {
-		s.metricsSrv.Close()
+	if s.srv != nil {
+		s.srv.Close()
 	}
 }
 
 // Finish lands the run: trace file, counter table/CSV, archive record,
-// monitor summary, metrics linger, shutdown — the tail every binary used
+// monitor summary, -linger, shutdown — the tail every binary used
 // to hand-roll. runErr is the run's outcome (nil for success); it is
 // archived either way. Returns the first landing error.
 func (s *Session) Finish(runErr error) error {
@@ -484,12 +454,10 @@ func (s *Session) Finish(runErr error) error {
 
 	if s.Monitor != nil {
 		s.writeMonitorSummary(os.Stdout)
-		if s.metricsSrv != nil {
-			if linger := s.flags.Linger(); linger > 0 {
-				fmt.Printf("monitor: serving metrics for another %s\n", linger)
-				time.Sleep(linger)
-			}
-		}
+	}
+	if linger := s.flags.Linger(); s.srv != nil && linger > 0 {
+		fmt.Printf("serving http://%s/ for another %s\n", s.srvAddr, linger)
+		time.Sleep(linger)
 	}
 
 	switch {

@@ -1,13 +1,21 @@
 package runlog
 
 import (
+	"encoding/json"
 	"flag"
+	"fmt"
 	"io"
 	"net"
+	"net/http"
 	"runtime"
 	"runtime/pprof"
+	"strings"
 	"testing"
 	"time"
+
+	"senkf/internal/grid"
+	"senkf/internal/monitor"
+	"senkf/internal/plan"
 )
 
 // TestFailedStartStopsSamplerAndProfiler starts a session whose -profile
@@ -46,5 +54,124 @@ func TestFailedStartStopsSamplerAndProfiler(t *testing.T) {
 			t.Fatalf("goroutines %d after a failed Start, %d before", runtime.NumGoroutine(), before)
 		}
 		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// startServer starts a session on -profile 127.0.0.1:0, with -monitor when
+// monitored, and returns it with a GET helper for its one server.
+func startServer(t *testing.T, monitored bool) (*Session, func(path string) (*http.Response, string)) {
+	t.Helper()
+	args := []string{"-profile", "127.0.0.1:0", "-log-level", "error"}
+	if monitored {
+		args = append(args, "-monitor")
+	}
+	fs := flag.NewFlagSet("test", flag.ContinueOnError)
+	f := Register(fs, "senkf-test")
+	if err := fs.Parse(args); err != nil {
+		t.Fatal(err)
+	}
+	s, err := f.Start()
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { s.Finish(nil) })
+	client := &http.Client{Timeout: 5 * time.Second}
+	get := func(path string) (*http.Response, string) {
+		t.Helper()
+		resp, err := client.Get("http://" + s.srvAddr + path)
+		if err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
+		return resp, string(body)
+	}
+	return s, get
+}
+
+// checkServer asserts what the run's server always serves: pprof, and a
+// /metrics scrape in Prometheus text that holds every fragment of want and
+// types no metric family twice (one scrape renders one registry).
+func checkServer(t *testing.T, get func(path string) (*http.Response, string), want []string) {
+	t.Helper()
+	for _, path := range []string{"/debug/pprof/", "/debug/pprof/goroutine?debug=1"} {
+		if resp, body := get(path); resp.StatusCode != http.StatusOK || body == "" {
+			t.Errorf("%s: status %d, %d bytes", path, resp.StatusCode, len(body))
+		}
+	}
+	resp, body := get("/metrics")
+	if ct := resp.Header.Get("Content-Type"); !strings.HasPrefix(ct, "text/plain; version=0.0.4") {
+		t.Errorf("metrics content type %q", ct)
+	}
+	for _, frag := range want {
+		if !strings.Contains(body, frag) {
+			t.Errorf("/metrics missing %q:\n%s", frag, body)
+		}
+	}
+	typed := map[string]bool{}
+	for _, line := range strings.Split(body, "\n") {
+		if fam, ok := strings.CutPrefix(line, "# TYPE "); ok {
+			fam, _, _ = strings.Cut(fam, " ")
+			if typed[fam] {
+				t.Errorf("/metrics types %s twice", fam)
+			}
+			typed[fam] = true
+		}
+	}
+}
+
+// TestSessionServerPprof drives the run's one server without -monitor:
+// pprof and /metrics (runtime baseline and the run_info line) are there,
+// /status is not.
+func TestSessionServerPprof(t *testing.T) {
+	s, get := startServer(t, false)
+	checkServer(t, get, []string{"senkf_go_goroutines ", fmt.Sprintf("senkf_run_info{run_id=%q} 1", s.RunID)})
+	if resp, _ := get("/status"); resp.StatusCode != http.StatusNotFound {
+		t.Errorf("/status without -monitor: status %d, want 404", resp.StatusCode)
+	}
+}
+
+// TestSessionServerMonitor drives the run's one server with -monitor: the
+// monitor counts into the run's registry, so its series and the cycle
+// gauges share the one /metrics scrape, and /status serves the monitor's
+// JSON snapshot.
+func TestSessionServerMonitor(t *testing.T) {
+	mesh, err := grid.NewMesh(24, 12)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dec, err := grid.NewDecomposition(mesh, 4, 2, grid.Radius{Xi: 2, Eta: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cp, err := plan.Compile(plan.SEnKF(dec, 20, 3, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, get := startServer(t, true)
+	s.Monitor.BeginRun(cp)
+	s.RecordCycle(monitor.CycleSample{Cycle: 3, AnalysisRMSE: 0.25, Spread: 0.3})
+	checkServer(t, get, []string{
+		"senkf_go_goroutines ", fmt.Sprintf("senkf_run_info{run_id=%q} 1", s.RunID),
+		"senkf_monitor_runs 1", "senkf_cycle_rmse_analysis 0.25", "senkf_cycle_index 3",
+	})
+
+	resp, body := get("/status")
+	if ct := resp.Header.Get("Content-Type"); ct != "application/json" {
+		t.Errorf("status content type %q", ct)
+	}
+	var st monitor.Status
+	if err := json.Unmarshal([]byte(body), &st); err != nil {
+		t.Fatalf("/status is not valid JSON: %v", err)
+	}
+	if st.RunID != s.RunID || st.WorldSize == 0 || len(st.Cycles) != 1 || st.Cycles[0].Cycle != 3 {
+		t.Errorf("status round-trip lost fields: %+v", st)
+	}
+	// The CI smoke job greps for the always-present empty divergence list.
+	if !strings.Contains(body, `"divergences": []`) {
+		t.Errorf("/status lacks the empty divergences list:\n%s", body)
 	}
 }

@@ -80,9 +80,9 @@ func ProfileStageLabels(profile []byte) ([]int, error) {
 }
 
 // RegisterRunFlags installs the full observability flag set (-trace,
-// -counters, -counters-csv, -profile, -monitor, -metrics-addr,
-// -flight-recorder, -linger, -runtime-sample, -capture-profile,
-// -archive, -log-level) for the named binary.
+// -counters, -counters-csv, -profile, -monitor, -flight-recorder,
+// -linger, -runtime-sample, -capture-profile, -archive, -log-level) for
+// the named binary.
 func RegisterRunFlags(fs *flag.FlagSet, binary string) *RunFlags {
 	return runlog.Register(fs, binary)
 }

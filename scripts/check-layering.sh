@@ -40,6 +40,14 @@ for need in senkf/internal/plan senkf/internal/trace senkf/internal/costmodel se
     fi
 done
 
+# The monitor serves nothing: the run's one HTTP server lives in runlog
+# (-profile). The benchmark binary links the monitor for its overhead
+# probe, so an HTTP handler here would link net/http into it as well.
+if grep -qx 'net/http' <<<"$deps"; then
+    echo "FAIL: senkf/internal/monitor must not depend on net/http (the run's server is runlog's)" >&2
+    exit 1
+fi
+
 # internal/runtimeobs sits below the plan layer: pprof labels, the
 # runtime/metrics sampler and hot-stage attribution are pure
 # stdlib + trace machinery that plan (Problem.Prof), both engines, the
@@ -118,4 +126,4 @@ if bad=$(grep -rn 'mlTag\|func observeML\|func runComputeML\|func runIOML' \
     exit 1
 fi
 
-echo "OK: plan, monitor, report and runlog layers are substrate-free; runtimeobs sits below plan; ckpt builds on ensio only; core and schedule build on plan; no bespoke multilevel paths"
+echo "OK: plan, monitor, report and runlog layers are substrate-free; monitor serves no HTTP; runtimeobs sits below plan; ckpt builds on ensio only; core and schedule build on plan; no bespoke multilevel paths"

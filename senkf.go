@@ -53,7 +53,6 @@ import (
 	"senkf/internal/metrics"
 	"senkf/internal/obs"
 	"senkf/internal/plan"
-	"senkf/internal/profiling"
 	"senkf/internal/report"
 	"senkf/internal/report/bench"
 	"senkf/internal/schedule"
@@ -458,8 +457,6 @@ type (
 	BenchRecord = bench.Record
 	// BenchRunDelta compares one bench run across two records.
 	BenchRunDelta = bench.RunDelta
-	// ProfileServer is a running pprof endpoint.
-	ProfileServer = profiling.Server
 )
 
 // ExtractCriticalPath walks the trace's span DAG backwards from the
@@ -538,12 +535,3 @@ func CompareBenchRecords(prev, cur BenchRecord, tol float64) ([]BenchRunDelta, e
 func BenchRegressions(deltas []BenchRunDelta) []BenchRunDelta {
 	return bench.Regressions(deltas)
 }
-
-// StartProfiling serves the standard /debug/pprof/ endpoints (plus
-// /debug/metrics) on addr; every senkf binary exposes this behind its
-// -profile flag.
-func StartProfiling(addr string) (*ProfileServer, error) { return profiling.Serve(addr) }
-
-// WriteRuntimeMetrics dumps a one-shot runtime/metrics snapshot as an
-// aligned name/value table.
-func WriteRuntimeMetrics(w io.Writer) error { return profiling.WriteMetricsTable(w) }
