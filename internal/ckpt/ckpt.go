@@ -394,6 +394,14 @@ func Load(path string) (*Loaded, error) {
 	if man.NX <= 0 || man.NY <= 0 || man.Members < 2 || man.Levels < 0 {
 		return nil, fmt.Errorf("ckpt: %s: invalid geometry %dx%d with %d members, %d levels", path, man.NX, man.NY, man.Members, man.Levels)
 	}
+	if man.Cycle < 0 {
+		return nil, fmt.Errorf("ckpt: %s: negative cycle %d", path, man.Cycle)
+	}
+	// The manifest names the files a checkpoint has and no other: a name that
+	// leads out of the directory ("../../dev/zero") is never opened.
+	if err := checkNames(man.Files, man.Members); err != nil {
+		return nil, fmt.Errorf("ckpt: %s: %w", path, err)
+	}
 	m := grid.Mesh{NX: man.NX, NY: man.NY}
 	lv := man.Levels
 	if lv <= 0 {
@@ -412,9 +420,6 @@ func Load(path string) (*Loaded, error) {
 	}
 
 	read := func(rel string, member int) ([]float64, error) {
-		if _, ok := man.Files[rel]; !ok {
-			return nil, fmt.Errorf("ckpt: %s: manifest lists no %s", path, rel)
-		}
 		mf, err := ensio.OpenMemberOpts(filepath.Join(path, filepath.FromSlash(rel)), ensio.OpenOptions{Verify: true})
 		if err != nil {
 			return nil, err
@@ -461,6 +466,25 @@ func Load(path string) (*Loaded, error) {
 		}
 	}
 	return &Loaded{State: st, Manifest: man, Dir: path}, nil
+}
+
+// checkNames reports an error unless files names exactly the files Write
+// lands for members members: the truth, and each member's file under the
+// ensemble and free directories.
+func checkNames(files map[string]string, members int) error {
+	if members > len(files) || len(files) != 1+2*members {
+		return fmt.Errorf("manifest lists %d files for %d members, want the truth and two per member", len(files), members)
+	}
+	want := []string{truthFile}
+	for k := 0; k < members; k++ {
+		want = append(want, ensembleDir+"/"+memberName(k), freeDir+"/"+memberName(k))
+	}
+	for _, rel := range want {
+		if _, ok := files[rel]; !ok {
+			return fmt.Errorf("manifest lists no %s", rel)
+		}
+	}
+	return nil
 }
 
 func sortedNames(files map[string]string) []string {

@@ -19,6 +19,7 @@ import (
 	"senkf/internal/grid"
 	"senkf/internal/metrics"
 	"senkf/internal/mpi"
+	"senkf/internal/obs"
 	"senkf/internal/plan"
 	"senkf/internal/runtimeobs"
 	"senkf/internal/trace"
@@ -152,14 +153,35 @@ func execute(p plan.Problem, c *plan.Compiled, rc *recovery) ([][][]float64, err
 		p.Obs.BeginRun(c)
 	}
 	announceFaults(p)
-	// The result is allocated once, by the first compute rank to know how many
-	// members the run assimilates, and written by all of them: each analyses
-	// its own rectangle of every field, and no two rectangles share a point.
-	var fields [][][]float64
-	var once sync.Once
-	result := func(n int) [][][]float64 {
-		once.Do(func() { fields = newFields(p.Levels(), n, p.Cfg.Mesh.Points()) })
-		return fields
+	// The result is allocated once, by the first compute rank to know the
+	// configuration the run analyses with, and written by all of them: each
+	// analyses its own rectangle of every field, and no two rectangles share a
+	// point. Each level's table of perturbed rows, which every compute rank
+	// draws into and copies from, is taken here and given back below, on this
+	// goroutine: a sync.Pool hands the value a processor put last to that
+	// processor only, and taken by a rank a table missed the pool on one dense
+	// run in eight (DESIGN.md ch. 26). The rank that allocates the result
+	// retakes a table made for another configuration than the one the run
+	// analyses with — fewer members, when a recovery policy dropped some.
+	var (
+		fields [][][]float64
+		once   sync.Once
+	)
+	draws := make([]*obs.Perturbations, p.Levels())
+	for lvl := range draws {
+		draws[lvl] = obs.NewPerturbations(p.NetAt(lvl).Obs, p.Cfg.N, p.Cfg.Seed)
+	}
+	shared := func(cfg enkf.Config) ([][][]float64, []*obs.Perturbations) {
+		once.Do(func() {
+			fields = newFields(p.Levels(), cfg.N, p.Cfg.Mesh.Points())
+			for lvl, d := range draws {
+				if net := p.NetAt(lvl).Obs; !d.For(net, cfg.N, cfg.Seed) {
+					d.Release()
+					draws[lvl] = obs.NewPerturbations(net, cfg.N, cfg.Seed)
+				}
+			}
+		})
+		return fields, draws
 	}
 	t0 := time.Now()
 	err = w.Run(func(comm *mpi.Comm) error {
@@ -169,12 +191,17 @@ func execute(p plan.Problem, c *plan.Compiled, rc *recovery) ([][][]float64, err
 		if comm.Rank() < c.NumCompute() {
 			r := c.Compute[comm.Rank()]
 			sc := p.Prof.Scope(r.Name)
-			return sc.Do(func() error { return engineCompute(comm, p, c, r, rc, result, t0, sc) })
+			return sc.Do(func() error { return engineCompute(comm, p, c, r, rc, shared, t0, sc) })
 		}
 		r := c.IO[comm.Rank()-c.NumCompute()]
 		sc := p.Prof.Scope(r.Name)
 		return sc.Do(func() error { return engineIO(comm, p, c, r, rc, t0, sc) })
 	})
+	// Each table drew a row once, whichever and however many boxes used it.
+	for _, d := range draws {
+		p.Tr.Counters().Add("obs.perturbed_rows", float64(d.Drawn()))
+		d.Release()
+	}
 	if p.Obs != nil {
 		err = p.Obs.EndRun(err)
 	}
@@ -308,9 +335,10 @@ func engineIO(comm *mpi.Comm, p plan.Problem, c *plan.Compiled, r plan.IORank, r
 // by message are assembled by a helper goroutine (§4.2) that signals the
 // main flow stage by stage; self-read stages block-read the member files
 // directly. The main flow analyses each stage's region straight into the
-// run's result fields, which result returns for the agreed member count, and
-// tells world rank 0 when its sub-domain is written.
-func engineCompute(comm *mpi.Comm, p plan.Problem, c *plan.Compiled, r plan.ComputeRank, rc *recovery, result func(n int) [][][]float64, t0 time.Time, sc *runtimeobs.Scope) error {
+// run's result fields with the run's perturbation tables, which shared
+// returns for the agreed configuration, and tells world rank 0 when its
+// sub-domain is written.
+func engineCompute(comm *mpi.Comm, p plan.Problem, c *plan.Compiled, r plan.ComputeRank, rc *recovery, shared func(cfg enkf.Config) ([][][]float64, []*obs.Perturbations), t0 time.Time, sc *runtimeobs.Scope) error {
 	staged := c.Staged()
 	nl := c.Spec.LevelCount()
 	slow := p.Faults.SlowdownFor(r.Name)
@@ -325,8 +353,9 @@ func engineCompute(comm *mpi.Comm, p plan.Problem, c *plan.Compiled, r plan.Comp
 	n := cfg.N
 	// The destination of every stage and level: the whole mesh, of which this
 	// rank writes the points of its sub-domain and no other.
+	result, draws := shared(cfg)
 	results := make([]*enkf.Block, nl)
-	for lvl, fields := range result(n) {
+	for lvl, fields := range result {
 		results[lvl] = &enkf.Block{Box: grid.Box{X0: 0, X1: cfg.Mesh.NX, Y0: 0, Y1: cfg.Mesh.NY}, Data: fields}
 	}
 
@@ -450,7 +479,7 @@ func engineCompute(comm *mpi.Comm, p plan.Problem, c *plan.Compiled, r plan.Comp
 			// the analysis work, not the stage topology.
 			compStart := time.Now()
 			for lvl := 0; lvl < nl; lvl++ {
-				if err := ws.AnalyzeInto(cfg, results[lvl], blks[lvl], p.NetAt(lvl).Obs, st.Analyze); err != nil {
+				if err := ws.AnalyzeInto(cfg, results[lvl], blks[lvl], p.NetAt(lvl).Obs, st.Analyze, draws[lvl]); err != nil {
 					return err
 				}
 			}

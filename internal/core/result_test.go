@@ -221,11 +221,11 @@ func TestShortMetaIsAnErrorNotAPanic(t *testing.T) {
 		t.Fatal(err)
 	}
 	fields, t0 := newFields(1, 8, f.p.Cfg.Mesh.Points()), time.Now()
-	result := func(int) [][][]float64 { return fields }
+	shared := func(enkf.Config) ([][][]float64, []*obs.Perturbations) { return fields, make([]*obs.Perturbations, 1) }
 	err = w.Run(func(comm *mpi.Comm) error {
 		if comm.Rank() < c.NumCompute() {
 			r := c.Compute[comm.Rank()]
-			return engineCompute(comm, f.p, c, r, nil, result, t0, f.p.Prof.Scope(r.Name))
+			return engineCompute(comm, f.p, c, r, nil, shared, t0, f.p.Prof.Scope(r.Name))
 		}
 		// The first I/O rank sends the first block a compute rank waits for,
 		// its box cut off the meta; the others send nothing.

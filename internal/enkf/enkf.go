@@ -180,10 +180,11 @@ func (c Config) taper(x, y int, ox, oy float64) float64 {
 // (x, y). blk must contain the local box of (x, y); candidates must contain
 // at least every observation inside that local box. It is the analysis of a
 // one-point box: a loop over points should call AnalyzeBox, or reuse one
-// Workspace, so the work the points share is done once.
+// Workspace, so the work the points share is done once. One box shares its
+// perturbed rows with no other, so they are drawn in place (a nil table).
 func (c Config) AnalyzePoint(blk *Block, candidates []obs.Observation, x, y int) ([]float64, error) {
 	var w Workspace
-	w.begin(c, blk, candidates, grid.Box{X0: x, X1: x + 1, Y0: y, Y1: y + 1})
+	w.begin(c, blk, candidates, grid.Box{X0: x, X1: x + 1, Y0: y, Y1: y + 1}, nil)
 	out := make([]float64, c.N)
 	if err := w.point(c, blk, x, y, out); err != nil {
 		return nil, err
@@ -193,10 +194,12 @@ func (c Config) AnalyzePoint(blk *Block, candidates []obs.Observation, x, y int)
 
 // AnalyzeBox runs the per-point analysis over every point of target, using
 // ensemble data in blk (which must contain the expansion of target) and the
-// given observation candidates. The result is a block over target.
+// given observation candidates. The result is a block over target. It
+// analyses one box, which shares its perturbed rows with no other, so they
+// are drawn in place (a nil table).
 func (c Config) AnalyzeBox(blk *Block, candidates []obs.Observation, target grid.Box) (*Block, error) {
 	out := NewBlock(target, c.N)
-	if err := new(Workspace).AnalyzeInto(c, out, blk, candidates, target); err != nil {
+	if err := new(Workspace).AnalyzeInto(c, out, blk, candidates, target, nil); err != nil {
 		return nil, err
 	}
 	return out, nil
@@ -204,7 +207,8 @@ func (c Config) AnalyzeBox(blk *Block, candidates []obs.Observation, target grid
 
 // SerialReference computes the full-grid analysis point by point: the
 // ground truth every parallel implementation is checked against.
-// background holds N row-major full fields.
+// background holds N row-major full fields. The mesh is one box (AnalyzeBox),
+// so each observation's perturbed row is drawn once without a table.
 func SerialReference(c Config, background [][]float64, net *obs.Network) ([][]float64, error) {
 	if err := c.Validate(); err != nil {
 		return nil, err

@@ -198,7 +198,7 @@ func TestWorkspaceMatchesOracleOnSparseNetworks(t *testing.T) {
 						member[i] = math.NaN()
 					}
 				}
-				if err := ws.AnalyzeInto(rc.cfg, dst, rc.blk, rc.cands, rc.target); err != nil {
+				if err := ws.AnalyzeInto(rc.cfg, dst, rc.blk, rc.cands, rc.target, nil); err != nil {
 					t.Fatalf("%s: %v", what, err)
 				}
 				got, err := dst.SubBlock(rc.target)
@@ -270,7 +270,7 @@ func TestAnalysisWorkFollowsObservations(t *testing.T) {
 	} {
 		var ws Workspace
 		got := NewBlock(target, members)
-		if err := ws.AnalyzeInto(cfg, got, blk, tc.cands, target); err != nil {
+		if err := ws.AnalyzeInto(cfg, got, blk, tc.cands, target, nil); err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
 		want, err := cfg.oracleBox(blk, tc.cands, target)
@@ -318,7 +318,7 @@ func rowBand(ws *Workspace, eta int) int {
 func TestPairProductsAreComputedOncePerBox(t *testing.T) {
 	cfg, blk, cands, sub := denseSubDomain(t)
 	var ws Workspace
-	if err := ws.AnalyzeInto(cfg, NewBlock(sub, cfg.N), blk, cands, sub); err != nil {
+	if err := ws.AnalyzeInto(cfg, NewBlock(sub, cfg.N), blk, cands, sub, nil); err != nil {
 		t.Fatal(err)
 	}
 	type pair struct{ i, j int }
@@ -378,7 +378,7 @@ func TestPairProductsAreComputedOncePerBox(t *testing.T) {
 	}
 	full := grid.Box{X0: 0, X1: m.NX, Y0: 0, Y1: m.NY}
 	ws = Workspace{}
-	if err := ws.AnalyzeInto(wide, NewBlock(full, members), &Block{Box: full, Data: bg}, net.Obs, full); err != nil {
+	if err := ws.AnalyzeInto(wide, NewBlock(full, members), &Block{Box: full, Data: bg}, net.Obs, full, nil); err != nil {
 		t.Fatal(err)
 	}
 	if want := rowBand(&ws, wide.Radius.Eta); len(ws.obs) != 1200 || want != 400 || cap(ws.pair) != len(ws.obs)*want {

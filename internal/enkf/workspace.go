@@ -125,9 +125,10 @@ func (w *Workspace) loadEnsemble(c Config, blk *Block) {
 }
 
 // loadObservations fills, per usable observation, the row V = H·U and the
-// innovation row Yˢ − H·Xᵇ, its perturbations drawn once. The deterministic
-// transform uses no perturbations, only the mean innovation y − mean(H·xᵇ).
-func (w *Workspace) loadObservations(c Config, candidates []obs.Observation) {
+// innovation row Yˢ − H·Xᵇ, its perturbations copied from draws or, with a
+// nil table, drawn in place. The deterministic transform uses no
+// perturbations, only the mean innovation y − mean(H·xᵇ).
+func (w *Workspace) loadObservations(c Config, candidates []obs.Observation, draws *obs.Perturbations) {
 	n := c.N
 	w.v = grow(w.v, len(w.obs)*n)
 	clear(w.v)
@@ -160,7 +161,11 @@ func (w *Workspace) loadObservations(c Config, candidates []obs.Observation) {
 			continue
 		}
 		drow := w.drow(i, n)
-		obs.CenteredPerturbationsInto(drow, candidates[o.order], c.Seed)
+		if draws != nil {
+			copy(drow, draws.Row(o.order))
+		} else {
+			obs.CenteredPerturbationsInto(drow, candidates[o.order], c.Seed)
+		}
 		for k := range drow {
 			drow[k] -= hxb(k)
 		}
@@ -380,7 +385,7 @@ func hull(a, b grid.Box) grid.Box {
 // and, if there are any, computes X, U and the per-observation rows over what
 // the reached points' local boxes span. Nothing here depends on which point
 // of target is analysed.
-func (w *Workspace) begin(c Config, blk *Block, candidates []obs.Observation, target grid.Box) {
+func (w *Workspace) begin(c Config, blk *Block, candidates []obs.Observation, target grid.Box, draws *obs.Perturbations) {
 	n := c.N
 	w.obs = w.obs[:0]
 	expansion := target.Expand(c.Mesh, c.Radius.Xi, c.Radius.Eta)
@@ -458,7 +463,7 @@ func (w *Workspace) begin(c Config, blk *Block, candidates []obs.Observation, ta
 
 	w.region = region
 	w.loadEnsemble(c, blk)
-	w.loadObservations(c, candidates)
+	w.loadObservations(c, candidates, draws)
 }
 
 // background writes the inflated background of row y's points [x0, x1) from
@@ -500,11 +505,19 @@ func (w *Workspace) background(c Config, dst, blk *Block, x0, x1, y int) {
 // lies in that expansion), and writes the analysis ensemble into dst, whose
 // box must contain target. Its cost follows the observations: only the
 // points one reaches are solved, the rest of each row is written through.
-func (w *Workspace) AnalyzeInto(c Config, dst, blk *Block, candidates []obs.Observation, target grid.Box) error {
+//
+// draws, when not nil, is the run's table of perturbed rows over exactly the
+// candidates slice, c.N and c.Seed, shared with every other box the run
+// analyses: a row some box has drawn is copied. With nil, the box draws its
+// own rows through the same function, so the bits are the same either way.
+func (w *Workspace) AnalyzeInto(c Config, dst, blk *Block, candidates []obs.Observation, target grid.Box, draws *obs.Perturbations) error {
 	if target.Intersect(dst.Box) != target || dst.Members() != c.N {
 		return fmt.Errorf("enkf: destination block %v with %d members cannot hold the %d-member analysis of %v", dst.Box, dst.Members(), c.N, target)
 	}
-	w.begin(c, blk, candidates, target)
+	if draws != nil && !draws.For(candidates, c.N, c.Seed) {
+		return fmt.Errorf("enkf: perturbation table drawn for other observations, members or seed than the %d candidates, %d members and seed %d", len(candidates), c.N, c.Seed)
+	}
+	w.begin(c, blk, candidates, target, draws)
 	w.xa = grow(w.xa, c.N)
 	for y := target.Y0; y < target.Y1; y++ {
 		reach := w.reach[(y-target.Y0)*target.Width():][:target.Width()]

@@ -173,7 +173,7 @@ func TestWorkspaceMatchesOracle(t *testing.T) {
 		}
 		var ws Workspace
 		got := NewBlock(rc.target, rc.cfg.N)
-		if err := ws.AnalyzeInto(rc.cfg, got, rc.blk, rc.cands, rc.target); err != nil {
+		if err := ws.AnalyzeInto(rc.cfg, got, rc.blk, rc.cands, rc.target, nil); err != nil {
 			t.Fatalf("%s: %v", what, err)
 		}
 		worst = max(worst, agreesWithOracle(t, what, rc.cfg.Solver, got, want, ws.reach))
@@ -209,7 +209,10 @@ func cut(s *linalg.Stream, b grid.Box, depth int, out []grid.Box) []grid.Box {
 // in the problem's order, which is the order the solvers sum in and so part of
 // the problem — through one workspace that has just analysed something else
 // (another solver, another ensemble size, often a larger box); together they
-// must equal the whole-box analysis, and so must a lone AnalyzePoint.
+// must equal the whole-box analysis, and so must a lone AnalyzePoint. The
+// same sub-boxes analysed from every candidate through one perturbation table
+// they share, as the compute ranks of a run do, must equal it too: the table
+// makes each row once where the sub-boxes drew it each on its own.
 func TestAnalysisIsBoxIndependent(t *testing.T) {
 	var cases []randomCase
 	for seed := uint64(1); seed <= 160; seed++ {
@@ -229,7 +232,7 @@ func TestAnalysisIsBoxIndependent(t *testing.T) {
 		decoys = append(decoys, d)
 	}
 
-	var ws Workspace
+	var ws, wsShared Workspace
 	boxes, next := 0, 0
 	for ci, rc := range cases {
 		what := fmt.Sprintf("case %d (%v)", ci, rc)
@@ -238,7 +241,8 @@ func TestAnalysisIsBoxIndependent(t *testing.T) {
 			t.Fatalf("%s: %v", what, err)
 		}
 		s := linalg.KeyedStream(uint64(ci), 0xB0C5)
-		got := NewBlock(rc.target, rc.cfg.N)
+		got, shared := NewBlock(rc.target, rc.cfg.N), NewBlock(rc.target, rc.cfg.N)
+		draws := obs.NewPerturbations(rc.cands, rc.cfg.N, rc.cfg.Seed)
 		for _, sub := range cut(s, rc.target, 3, nil) {
 			d := decoys[next%len(decoys)]
 			if d.cfg.Solver == rc.cfg.Solver {
@@ -246,7 +250,7 @@ func TestAnalysisIsBoxIndependent(t *testing.T) {
 				d = decoys[next%len(decoys)]
 			}
 			next++
-			if err := ws.AnalyzeInto(d.cfg, NewBlock(d.target, d.cfg.N), d.blk, d.cands, d.target); err != nil {
+			if err := ws.AnalyzeInto(d.cfg, NewBlock(d.target, d.cfg.N), d.blk, d.cands, d.target, nil); err != nil {
 				t.Fatalf("decoy (%v): %v", d, err)
 			}
 
@@ -260,12 +264,23 @@ func TestAnalysisIsBoxIndependent(t *testing.T) {
 					cands = append(cands, o)
 				}
 			}
-			if err := ws.AnalyzeInto(rc.cfg, got, blk, cands, sub); err != nil {
+			if err := ws.AnalyzeInto(rc.cfg, got, blk, cands, sub, nil); err != nil {
 				t.Fatalf("%s: sub-box %v: %v", what, sub, err)
+			}
+			if err := wsShared.AnalyzeInto(d.cfg, NewBlock(d.target, d.cfg.N), d.blk, d.cands, d.target, nil); err != nil {
+				t.Fatalf("decoy (%v): %v", d, err)
+			}
+			if err := wsShared.AnalyzeInto(rc.cfg, shared, blk, rc.cands, sub, draws); err != nil {
+				t.Fatalf("%s: sub-box %v with the shared table: %v", what, sub, err)
 			}
 			boxes++
 		}
 		sameBits(t, what+": sub-boxes against the whole box", got, whole)
+		sameBits(t, what+": sub-boxes sharing one table against the whole box", shared, whole)
+		if draws.Drawn() > len(rc.cands) {
+			t.Fatalf("%s: the shared table drew %d rows for %d candidates", what, draws.Drawn(), len(rc.cands))
+		}
+		draws.Release()
 		samePoint(t, what, rc, whole, s)
 	}
 	t.Logf("%d problems analysed as %d sub-boxes", len(cases), boxes)
@@ -314,7 +329,7 @@ func TestWorkspaceReuseEqualsFresh(t *testing.T) {
 	for i, st := range steps {
 		cfg := Config{Mesh: m, Radius: st.radius, N: members, Seed: seed, Solver: st.solver, TaperLength: 1.5, Inflation: 1.05}
 		got := NewBlock(st.target, members)
-		if err := ws.AnalyzeInto(cfg, got, blk, st.cands, st.target); err != nil {
+		if err := ws.AnalyzeInto(cfg, got, blk, st.cands, st.target, nil); err != nil {
 			t.Fatalf("step %d: %v", i, err)
 		}
 		want, err := cfg.AnalyzeBox(blk, st.cands, st.target)
@@ -372,8 +387,33 @@ func TestWorkspaceErrorsMatchOracle(t *testing.T) {
 	if err == nil || oracleErr == nil || err.Error() != oracleErr.Error() || !strings.Contains(err.Error(), "analysis matrix not SPD") {
 		t.Errorf("modified Cholesky: AnalyzePoint error %q, oracle %q", err, oracleErr)
 	}
-	if err := new(Workspace).AnalyzeInto(cfg, NewBlock(grid.Box{X0: 3, X1: 5, Y0: 3, Y1: 5}, cfg.N), full, net.Obs, inner); err == nil {
+	if err := new(Workspace).AnalyzeInto(cfg, NewBlock(grid.Box{X0: 3, X1: 5, Y0: 3, Y1: 5}, cfg.N), full, net.Obs, inner, nil); err == nil {
 		t.Error("a destination smaller than the target was accepted")
+	}
+}
+
+// A table made for other candidates, members or seed is refused before a
+// point is analysed: its rows would be another problem's perturbations.
+func TestForeignPerturbationTableIsRefused(t *testing.T) {
+	cfg, bg, net, _ := smallProblem(t, SolverEnsembleSpace)
+	full := &Block{Box: grid.Box{X0: 0, X1: cfg.Mesh.NX, Y0: 0, Y1: cfg.Mesh.NY}, Data: bg}
+	cp := append([]obs.Observation{}, net.Obs...)
+	for _, tc := range []struct {
+		name  string
+		draws *obs.Perturbations
+	}{
+		{"an equal copy of the candidates", obs.NewPerturbations(cp, cfg.N, cfg.Seed)},
+		{"another member count", obs.NewPerturbations(net.Obs, cfg.N+1, cfg.Seed)},
+		{"another seed", obs.NewPerturbations(net.Obs, cfg.N, cfg.Seed+1)},
+	} {
+		err := new(Workspace).AnalyzeInto(cfg, NewBlock(full.Box, cfg.N), full, net.Obs, full.Box, tc.draws)
+		if err == nil || !strings.Contains(err.Error(), "perturbation table") {
+			t.Errorf("%s: %v, want the table refused", tc.name, err)
+		}
+		if tc.draws.Drawn() != 0 {
+			t.Errorf("%s: %d rows drawn before the refusal", tc.name, tc.draws.Drawn())
+		}
+		tc.draws.Release()
 	}
 }
 

@@ -10,9 +10,11 @@ import "math"
 // L-EnKF, P-EnKF and S-EnKF relies on.
 type Stream struct {
 	state uint64
-	// cached second normal variate from Box–Muller
-	haveSpare bool
-	spare     float64
+	// The polar form of the Box–Muller pair whose cosine Norm returned: the
+	// spare variate r·sin θ is computed only if it is asked for.
+	haveSpare  bool
+	spareR     float64
+	spareTheta float64
 }
 
 // NewStream seeds a stream. Streams seeded differently are effectively
@@ -25,11 +27,20 @@ func NewStream(seed uint64) *Stream {
 // (member index, grid point, observation id, ...). The mixing ensures
 // distinct keys give uncorrelated streams.
 func KeyedStream(seed uint64, keys ...int) *Stream {
+	return NewStream(Key(seed, keys...))
+}
+
+// Key mixes keys into seed, one after the other, and returns the seed
+// KeyedStream(seed, keys...) starts from. Because the mixing is a fold,
+// KeyedStream(Key(seed, a...), b...) is KeyedStream(seed, a..., b...): a
+// caller deriving many streams that share a leading run of keys mixes that
+// run once.
+func Key(seed uint64, keys ...int) uint64 {
 	s := seed
 	for _, k := range keys {
 		s = mix64(s ^ (uint64(k)*0x9E3779B97F4A7C15 + 0xD1B54A32D192ED03))
 	}
-	return NewStream(s)
+	return s
 }
 
 func mix64(z uint64) uint64 {
@@ -49,11 +60,12 @@ func (s *Stream) Float64() float64 {
 	return float64(s.Uint64()>>11) / (1 << 53)
 }
 
-// Norm returns a standard normal variate via Box–Muller.
+// Norm returns a standard normal variate via Box–Muller: r·cos θ of a fresh
+// pair, then r·sin θ of the same pair on the next call.
 func (s *Stream) Norm() float64 {
 	if s.haveSpare {
 		s.haveSpare = false
-		return s.spare
+		return s.spareR * math.Sin(s.spareTheta)
 	}
 	var u1 float64
 	for {
@@ -65,8 +77,7 @@ func (s *Stream) Norm() float64 {
 	u2 := s.Float64()
 	r := math.Sqrt(-2 * math.Log(u1))
 	theta := 2 * math.Pi * u2
-	s.spare = r * math.Sin(theta)
-	s.haveSpare = true
+	s.spareR, s.spareTheta, s.haveSpare = r, theta, true
 	return r * math.Cos(theta)
 }
 

@@ -111,3 +111,105 @@ func TestQuickKeyedStreamsIndependentOfExtraKey(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// oracleStream is Stream as it was before Norm deferred the spare's sine
+// and KeyedStream mixed its keys through Key, kept verbatim: every draw in
+// the repository must stay the bits it was.
+type oracleStream struct {
+	state     uint64
+	haveSpare bool
+	spare     float64
+}
+
+func oracleKeyedStream(seed uint64, keys ...int) *oracleStream {
+	s := seed
+	for _, k := range keys {
+		s = mix64(s ^ (uint64(k)*0x9E3779B97F4A7C15 + 0xD1B54A32D192ED03))
+	}
+	return &oracleStream{state: s}
+}
+
+func (s *oracleStream) Uint64() uint64 {
+	s.state += 0x9E3779B97F4A7C15
+	return mix64(s.state)
+}
+
+func (s *oracleStream) Float64() float64 {
+	return float64(s.Uint64()>>11) / (1 << 53)
+}
+
+func (s *oracleStream) Norm() float64 {
+	if s.haveSpare {
+		s.haveSpare = false
+		return s.spare
+	}
+	var u1 float64
+	for {
+		u1 = s.Float64()
+		if u1 > 0 {
+			break
+		}
+	}
+	u2 := s.Float64()
+	r := math.Sqrt(-2 * math.Log(u1))
+	theta := 2 * math.Pi * u2
+	s.spare = r * math.Sin(theta)
+	s.haveSpare = true
+	return r * math.Cos(theta)
+}
+
+func (s *oracleStream) Intn(n int) int {
+	return int(s.Uint64() % uint64(n))
+}
+
+// Over many keyed streams, a random interleaving of every draw — normals
+// whose spare is taken, skipped past by other draws, or never asked for —
+// gives the oracle's bits.
+func TestStreamMatchesOracleBitForBit(t *testing.T) {
+	choose := NewStream(0xD21E)
+	for seed := uint64(0); seed < 3000; seed++ {
+		keys := make([]int, choose.Intn(7))
+		for i := range keys {
+			keys[i] = int(choose.Uint64()>>1) - 1<<62
+		}
+		got, want := KeyedStream(seed, keys...), oracleKeyedStream(seed, keys...)
+		for step := 0; step < 40; step++ {
+			op := choose.Intn(5)
+			var g, w uint64
+			switch op {
+			case 0:
+				g, w = got.Uint64(), want.Uint64()
+			case 1:
+				g, w = math.Float64bits(got.Float64()), math.Float64bits(want.Float64())
+			case 2:
+				n := 1 + choose.Intn(1000)
+				g, w = uint64(got.Intn(n)), uint64(want.Intn(n))
+			default:
+				g, w = math.Float64bits(got.Norm()), math.Float64bits(want.Norm())
+			}
+			if g != w {
+				t.Fatalf("seed %d keys %v step %d op %d: got %#x, oracle %#x", seed, keys, step, op, g, w)
+			}
+		}
+	}
+}
+
+// Mixing a prefix of the keys first and the rest after is KeyedStream over
+// all of them, at every split.
+func TestKeyPrefixThenRestIsKeyedStream(t *testing.T) {
+	choose := NewStream(0x9EF1)
+	for seed := uint64(0); seed < 500; seed++ {
+		keys := make([]int, choose.Intn(8))
+		for i := range keys {
+			keys[i] = choose.Intn(1<<20) - 1<<19
+		}
+		for j := 0; j <= len(keys); j++ {
+			a, b := KeyedStream(Key(seed, keys[:j]...), keys[j:]...), KeyedStream(seed, keys...)
+			for i := 0; i < 4; i++ {
+				if x, y := a.Uint64(), b.Uint64(); x != y {
+					t.Fatalf("seed %d keys %v split %d draw %d: %#x, want %#x", seed, keys, j, i, x, y)
+				}
+			}
+		}
+	}
+}

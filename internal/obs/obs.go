@@ -190,10 +190,12 @@ func CenteredPerturbations(o Observation, members int, seed uint64) []float64 {
 func CenteredPerturbationsInto(dst []float64, o Observation, seed uint64) {
 	var mean float64
 	keys := o.perturbKeys(0)
+	// The member is the last key: the observation's are mixed once.
+	prefix := linalg.Key(seed, keys[:len(keys)-1]...)
+	sd := sqrt(o.Variance)
 	for k := range dst {
-		keys[len(keys)-1] = k // the member is the last key
-		s := linalg.KeyedStream(seed, keys[:]...)
-		e := s.Norm() * sqrt(o.Variance)
+		s := linalg.KeyedStream(prefix, k)
+		e := s.Norm() * sd
 		dst[k] = e
 		mean += e
 	}
