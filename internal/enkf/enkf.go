@@ -22,10 +22,13 @@ package enkf
 import (
 	"fmt"
 	"math"
+	"runtime"
+	"sync"
 
 	"senkf/internal/grid"
 	"senkf/internal/linalg"
 	"senkf/internal/obs"
+	"senkf/internal/par"
 )
 
 // Solver selects the local analysis formulation.
@@ -205,46 +208,89 @@ func (c Config) AnalyzeBox(blk *Block, candidates []obs.Observation, target grid
 	return out, nil
 }
 
-// SerialReference computes the full-grid analysis point by point: the
-// ground truth every parallel implementation is checked against.
-// background holds N row-major full fields. The mesh is one box (AnalyzeBox),
-// so each observation's perturbed row is drawn once without a table.
-func SerialReference(c Config, background [][]float64, net *obs.Network) ([][]float64, error) {
+// InputError is a reference analysis refusing input whose shape is not its
+// configuration's: a background of another member count or field length, or
+// no observation network.
+type InputError struct{ msg string }
+
+func (e *InputError) Error() string { return e.msg }
+
+// checkInputs validates the configuration, that net exists and that
+// background holds N full fields over the mesh.
+func (c Config) checkInputs(background [][]float64, net *obs.Network) error {
 	if err := c.Validate(); err != nil {
-		return nil, err
+		return err
+	}
+	if net == nil {
+		return &InputError{"enkf: no observation network"}
 	}
 	if len(background) != c.N {
-		return nil, fmt.Errorf("enkf: %d background members, config says %d", len(background), c.N)
+		return &InputError{fmt.Sprintf("enkf: %d background members, config says %d", len(background), c.N)}
 	}
-	full := grid.Box{X0: 0, X1: c.Mesh.NX, Y0: 0, Y1: c.Mesh.NY}
-	blk := &Block{Box: full, Data: background}
 	for k, f := range background {
 		if len(f) != c.Mesh.Points() {
-			return nil, fmt.Errorf("enkf: member %d has %d points, mesh has %d", k, len(f), c.Mesh.Points())
+			return &InputError{fmt.Sprintf("enkf: member %d has %d points, mesh has %d", k, len(f), c.Mesh.Points())}
 		}
 	}
-	out, err := c.AnalyzeBox(blk, net.Obs, full)
+	return nil
+}
+
+// SerialReference computes the full-grid analysis point by point: the
+// ground truth every parallel implementation is checked against.
+// background holds N row-major full fields. A point's analysis depends on its
+// local box alone, so the mesh is analysed as 2×GOMAXPROCS full-width bands of
+// equal height in parallel, each through its own pooled Workspace into one
+// result, with one perturbation table the bands share: the bits, and the
+// error of the first failing point in row-major order, are those of one box.
+func SerialReference(c Config, background [][]float64, net *obs.Network) ([][]float64, error) {
+	if err := c.checkInputs(background, net); err != nil {
+		return nil, err
+	}
+	full := grid.Box{X0: 0, X1: c.Mesh.NX, Y0: 0, Y1: c.Mesh.NY}
+	blk, out := &Block{Box: full, Data: background}, NewBlock(full, c.N)
+	draws := obs.NewPerturbations(net.Obs, c.N, c.Seed)
+	workers := runtime.GOMAXPROCS(0)
+	bands := min(2*workers, c.Mesh.NY)
+	err := par.Do(bands, workers, func(_, i int) error {
+		ws := workspaces.Get().(*Workspace)
+		defer workspaces.Put(ws)
+		return ws.AnalyzeInto(c, out, blk, net.Obs, referenceBand(c.Mesh, i, bands), draws)
+	})
+	// Released by a call, not a defer: a deferred Release links its own
+	// symbol ahead of obs's draw code and moves that across 64-byte lines.
+	draws.Release()
 	if err != nil {
 		return nil, err
 	}
 	return out.Data, nil
 }
 
+// referenceBand is band i of SerialReference's n: full-width rows, top to
+// bottom, the heights of the n differing by at most one row. SerialReference
+// cuts 2×GOMAXPROCS bands (one per row on a mesh with fewer rows): twice the
+// workers, so a band whose observations make it dear does not leave a core
+// idle.
+func referenceBand(m grid.Mesh, i, n int) grid.Box {
+	return grid.Box{X0: 0, X1: m.NX, Y0: m.NY * i / n, Y1: m.NY * (i + 1) / n}
+}
+
+// workspaces holds SerialReference's workspaces between calls: a cycled
+// serial analyzer analyses the same bands every cycle, so it does not regrow
+// their scratch. A workspace keeps no reference to the blocks it analysed.
+var workspaces = sync.Pool{New: func() any { return new(Workspace) }}
+
 // GlobalAnalysis computes the unlocalized perturbed-observation analysis
 // (Eq. 3) directly: Xa = Xb + U·Vᵀ·(V·Vᵀ/(N−1) + R)⁻¹·(Yˢ − H·Xb)/(N−1)
 // over the whole mesh at once. Exponential in neither n nor m but dense, so
 // only suitable for small meshes; used to validate the localized path.
 func GlobalAnalysis(c Config, background [][]float64, net *obs.Network) ([][]float64, error) {
-	if err := c.Validate(); err != nil {
+	if err := c.checkInputs(background, net); err != nil {
 		return nil, err
 	}
 	n := c.Mesh.Points()
 	nEns := c.N
 	xb := linalg.NewMatrix(n, nEns)
 	for k, f := range background {
-		if len(f) != n {
-			return nil, fmt.Errorf("enkf: member %d has %d points, mesh has %d", k, len(f), n)
-		}
 		for i := 0; i < n; i++ {
 			xb.Set(i, k, f[i])
 		}

@@ -1,6 +1,7 @@
 package enkf
 
 import (
+	"errors"
 	"math"
 	"testing"
 
@@ -287,17 +288,35 @@ func TestSolverString(t *testing.T) {
 	}
 }
 
+// The reference analyses refuse a background of another member count or
+// field length than the configuration, and a nil network, with an
+// *InputError. GlobalAnalysis used to return an N-member analysis of fewer
+// members, panic on more, and both dereferenced a nil network.
 func TestSerialReferenceValidations(t *testing.T) {
 	cfg, bg, net, _ := smallProblem(t, SolverEnsembleSpace)
-	if _, err := SerialReference(cfg, bg[:3], net); err == nil {
-		t.Error("expected member-count error")
-	}
-	short := make([][]float64, cfg.N)
-	for k := range short {
-		short[k] = make([]float64, 5)
-	}
-	if _, err := SerialReference(cfg, short, net); err == nil {
-		t.Error("expected field-length error")
+	short := append([][]float64{}, bg...)
+	short[3] = short[3][:5]
+	for _, tc := range []struct {
+		name       string
+		background [][]float64
+		net        *obs.Network
+		want       string
+	}{
+		{"one member", bg[:1], net, "enkf: 1 background members, config says 20"},
+		{"three members too few", bg[:17], net, "enkf: 17 background members, config says 20"},
+		{"one member too many", append(bg[:len(bg):len(bg)], bg[0]), net, "enkf: 21 background members, config says 20"},
+		{"a short member", short, net, "enkf: member 3 has 5 points, mesh has 288"},
+		{"no network", bg, nil, "enkf: no observation network"},
+	} {
+		for name, analysis := range map[string]func(Config, [][]float64, *obs.Network) ([][]float64, error){
+			"SerialReference": SerialReference, "GlobalAnalysis": GlobalAnalysis,
+		} {
+			out, err := analysis(cfg, tc.background, tc.net)
+			var ie *InputError
+			if out != nil || !errors.As(err, &ie) || err.Error() != tc.want {
+				t.Errorf("%s, %s: %d members and %v, want an *InputError %q", name, tc.name, len(out), err, tc.want)
+			}
+		}
 	}
 }
 

@@ -17,8 +17,10 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"sort"
 	"strconv"
+	"strings"
 
 	"senkf/internal/costmodel"
 	"senkf/internal/metrics"
@@ -240,7 +242,10 @@ func (r *Report) AttachHotStages(profile []byte, events []trace.Event) error {
 }
 
 // ParseCountersCSV ingests the kind,name,field,value CSV written by
-// trace.Registry.WriteCSV into a flat "kind/name/field" map.
+// trace.Snapshot.WriteCSV into a flat "kind/name/field" map. It refuses what
+// WriteCSV never writes: a kind other than counter, gauge or histogram, a
+// field that kind does not have, and a (kind, name, field) seen before, of
+// whose two values the map could keep only one.
 func ParseCountersCSV(rd io.Reader) (map[string]float64, error) {
 	cr := csv.NewReader(rd)
 	rows, err := cr.ReadAll()
@@ -249,19 +254,46 @@ func ParseCountersCSV(rd io.Reader) (map[string]float64, error) {
 	}
 	out := map[string]float64{}
 	for i, row := range rows {
-		if i == 0 && len(row) > 0 && row[0] == "kind" {
+		if i == 0 && slices.Equal(row, []string{"kind", "name", "field", "value"}) {
 			continue // header
 		}
 		if len(row) != 4 {
 			return nil, fmt.Errorf("report: counters CSV row %d has %d columns, want 4", i+1, len(row))
 		}
+		if err := checkCounterField(row[0], row[2]); err != nil {
+			return nil, fmt.Errorf("report: counters CSV row %d: %w", i+1, err)
+		}
 		v, err := strconv.ParseFloat(row[3], 64)
 		if err != nil {
 			return nil, fmt.Errorf("report: counters CSV row %d value %q: %w", i+1, row[3], err)
 		}
-		out[row[0]+"/"+row[1]+"/"+row[2]] = v
+		key := row[0] + "/" + row[1] + "/" + row[2]
+		if _, seen := out[key]; seen {
+			return nil, fmt.Errorf("report: counters CSV row %d repeats %s %q field %q", i+1, row[0], row[1], row[2])
+		}
+		out[key] = v
 	}
 	return out, nil
+}
+
+// checkCounterField refuses a kind or a field of it that Snapshot.WriteCSV
+// never writes.
+func checkCounterField(kind, field string) error {
+	var ok bool
+	switch kind {
+	case "counter":
+		ok = field == "value"
+	case "gauge":
+		ok = field == "value" || field == "high-water"
+	case "histogram":
+		ok = field == "count" || field == "sum" || strings.HasPrefix(field, "le_")
+	default:
+		return fmt.Errorf("kind %q, want counter, gauge or histogram", kind)
+	}
+	if !ok {
+		return fmt.Errorf("a %s has no field %q", kind, field)
+	}
+	return nil
 }
 
 // WriteText renders the report as a human-readable summary.

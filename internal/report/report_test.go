@@ -145,3 +145,26 @@ func TestParseCountersCSV(t *testing.T) {
 		t.Fatal("want error on malformed CSV")
 	}
 }
+
+// What Snapshot.WriteCSV never writes is refused, naming the row: a repeated
+// (kind, name, field) — whose first value the map used to lose silently —, a
+// kind other than counter, gauge and histogram, and a field the kind lacks.
+func TestParseCountersCSVRefusesDamage(t *testing.T) {
+	for _, tc := range []struct{ csv, want string }{
+		{"counter,a,value,1\ncounter,a,value,2\n", `row 2 repeats counter "a" field "value"`},
+		{"kind,name,field,value\ngauge,g,value,1\ngauge,g,high-water,2\ngauge,g,value,3\n", `row 4 repeats gauge "g" field "value"`},
+		{"bogus,x,y,3\n", `row 1: kind "bogus"`},
+		{"kind,name,field,value\ncounter,a,high-water,1\n", `row 2: a counter has no field "high-water"`},
+		{"histogram,h,mean,1\n", `row 1: a histogram has no field "mean"`},
+		{"kind,name,field\n", "row 1 has 3 columns"},
+	} {
+		m, err := ParseCountersCSV(strings.NewReader(tc.csv))
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%q: %v (map %v), want an error containing %q", tc.csv, err, m, tc.want)
+		}
+	}
+	m, err := ParseCountersCSV(strings.NewReader("histogram,h,count,2\nhistogram,h,sum,3\nhistogram,h,le_1,1\nhistogram,h,le_inf,1\n"))
+	if err != nil || len(m) != 4 {
+		t.Errorf("a headerless histogram: %v, %v", m, err)
+	}
+}

@@ -10,9 +10,11 @@ package workload
 import (
 	"fmt"
 	"math"
+	"runtime"
 
 	"senkf/internal/grid"
 	"senkf/internal/linalg"
+	"senkf/internal/par"
 )
 
 // FieldSpec controls synthetic field generation.
@@ -28,6 +30,10 @@ var DefaultFieldSpec = FieldSpec{Modes: 6, Amplitude: 2.0, Noise: 0.05}
 // Truth generates a deterministic smooth field over the mesh: a sum of
 // low-wavenumber sinusoidal modes with seed-dependent phases, mimicking the
 // large-scale structure of an ocean state (e.g. SSH or temperature).
+//
+// Every point's value depends on the modes and its own noise stream alone, so
+// the rows are generated in parallel (par.Do over GOMAXPROCS) and the field
+// is the same bits on any number of cores.
 func Truth(m grid.Mesh, spec FieldSpec, seed uint64) []float64 {
 	s := linalg.KeyedStream(seed, 0x7A07)
 	type mode struct {
@@ -43,26 +49,30 @@ func Truth(m grid.Mesh, spec FieldSpec, seed uint64) []float64 {
 		}
 	}
 	f := make([]float64, m.Points())
-	for y := 0; y < m.NY; y++ {
+	noise := linalg.Key(seed, 0x7A08) // KeyedStream(noise, x, y) is KeyedStream(seed, 0x7A08, x, y)
+	// The work function cannot fail, so neither can Do.
+	_ = par.Do(m.NY, runtime.GOMAXPROCS(0), func(_, y int) error {
 		for x := 0; x < m.NX; x++ {
 			var v float64
 			for _, md := range modes {
 				v += md.amp * math.Sin(md.kx*float64(x)+md.ky*float64(y)+md.phase)
 			}
 			if spec.Noise > 0 {
-				ns := linalg.KeyedStream(seed, 0x7A08, x, y)
-				v += spec.Noise * ns.Norm()
+				v += spec.Noise * linalg.KeyedStream(noise, x, y).Norm()
 			}
 			f[m.Index(x, y)] = v
 		}
-	}
+		return nil
+	})
 	return f
 }
 
 // Ensemble generates N background members around the truth: each member is
 // truth plus a member-specific smooth perturbation plus small point noise.
 // Perturbations are smooth so the ensemble carries spatial correlations —
-// without them localized assimilation would be pointless.
+// without them localized assimilation would be pointless. A member depends on
+// its index alone, so the members are generated in parallel (par.Do over
+// GOMAXPROCS), the same bits on any number of cores.
 func Ensemble(m grid.Mesh, truth []float64, n int, spread float64, seed uint64) ([][]float64, error) {
 	if len(truth) != m.Points() {
 		return nil, fmt.Errorf("workload: truth has %d points, mesh has %d", len(truth), m.Points())
@@ -74,7 +84,9 @@ func Ensemble(m grid.Mesh, truth []float64, n int, spread float64, seed uint64) 
 		return nil, fmt.Errorf("workload: spread must be positive, got %g", spread)
 	}
 	out := make([][]float64, n)
-	for k := 0; k < n; k++ {
+	noiseSD := 0.1 * spread
+	// The work function cannot fail, so neither can Do.
+	_ = par.Do(n, runtime.GOMAXPROCS(0), func(_, k int) error {
 		s := linalg.KeyedStream(seed, 0xE45, k)
 		const modes = 4
 		type mode struct {
@@ -89,6 +101,7 @@ func Ensemble(m grid.Mesh, truth []float64, n int, spread float64, seed uint64) 
 				amp:   spread * (0.5 + s.Float64()) / modes,
 			}
 		}
+		noise := linalg.Key(seed, 0xE46, k) // KeyedStream(noise, x, y) is KeyedStream(seed, 0xE46, k, x, y)
 		f := make([]float64, m.Points())
 		for y := 0; y < m.NY; y++ {
 			for x := 0; x < m.NX; x++ {
@@ -96,13 +109,13 @@ func Ensemble(m grid.Mesh, truth []float64, n int, spread float64, seed uint64) 
 				for _, md := range ms {
 					v += md.amp * math.Sin(md.kx*float64(x)+md.ky*float64(y)+md.phase)
 				}
-				ps := linalg.KeyedStream(seed, 0xE46, k, x, y)
-				v += 0.1 * spread * ps.Norm()
+				v += noiseSD * linalg.KeyedStream(noise, x, y).Norm()
 				f[m.Index(x, y)] = v
 			}
 		}
 		out[k] = f
-	}
+		return nil
+	})
 	return out, nil
 }
 
