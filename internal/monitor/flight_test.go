@@ -32,7 +32,7 @@ func TestRingKeepsLastNOldestFirst(t *testing.T) {
 }
 
 func TestDumpOnlyOnFirstAnomaly(t *testing.T) {
-	m := New(Options{FlightSize: 8})
+	m := New(Options{})
 	m.Emit(trace.Event{Ts: 1})
 	m.mu.Lock()
 	m.dumpLocked("first")

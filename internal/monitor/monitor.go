@@ -47,12 +47,6 @@ import (
 
 // Options configures a Monitor.
 type Options struct {
-	// Tolerance is the watchdog multiplier: a phase tripping exceeds
-	// budget × Tolerance. Zero means DefaultTolerance.
-	Tolerance float64
-	// FlightSize is the flight-recorder ring capacity in events. Zero
-	// means DefaultFlightSize.
-	FlightSize int
 	// DumpPath, when set, is the file the flight recorder writes (Chrome
 	// trace-event JSON, replayable through trace.ReadChrome and
 	// plan.StructuralDAG) on the first anomaly.
@@ -75,19 +69,14 @@ type Options struct {
 	// traffic it counted against the plan's expected edge matrix, and
 	// /status reports it live (wire.go).
 	Wire *wire.Collector
-
-	// Runtime watchdog knobs (see runtime.go); zero values take the
-	// Default* constants.
-	GCPauseBudget       float64 // max tolerated stop-the-world pause, seconds
-	GoroutineLeakWindow int     // consecutive growing samples before a leak verdict
-	GoroutineLeakGrowth float64 // goroutines gained across the window
-	HeapGrowthBudget    float64 // bytes of heap growth without a GC cycle
 }
 
-// Defaults for Options zero values.
 const (
-	DefaultTolerance  = 3.0
-	DefaultFlightSize = 512
+	// tolerance is the watchdog multiplier: a phase tripping exceeds
+	// budget × tolerance.
+	tolerance = 3.0
+	// flightSize is the flight-recorder ring capacity in events.
+	flightSize = 512
 )
 
 // Monitor consumes trace events (as a trace.Sink) and observes run
@@ -146,24 +135,6 @@ type Monitor struct {
 // New returns a monitor counting into opts.Registry (a private registry
 // when nil).
 func New(opts Options) *Monitor {
-	if opts.Tolerance <= 0 {
-		opts.Tolerance = DefaultTolerance
-	}
-	if opts.FlightSize <= 0 {
-		opts.FlightSize = DefaultFlightSize
-	}
-	if opts.GCPauseBudget <= 0 {
-		opts.GCPauseBudget = DefaultGCPauseBudget
-	}
-	if opts.GoroutineLeakWindow <= 0 {
-		opts.GoroutineLeakWindow = DefaultGoroutineLeakWin
-	}
-	if opts.GoroutineLeakGrowth <= 0 {
-		opts.GoroutineLeakGrowth = DefaultGoroutineLeakGrow
-	}
-	if opts.HeapGrowthBudget <= 0 {
-		opts.HeapGrowthBudget = DefaultHeapGrowthBudget
-	}
 	reg := opts.Registry
 	if reg == nil {
 		reg = trace.NewRegistry()
@@ -178,8 +149,8 @@ func New(opts Options) *Monitor {
 		injected: map[string]float64{},
 		dead:     map[string]bool{},
 		readyTs:  map[string]map[int]float64{},
-		ring:     newRing(opts.FlightSize),
-		runtime:  runtimeState{ring: newRing(DefaultRuntimeRingSamples)},
+		ring:     newRing(flightSize),
+		runtime:  runtimeState{ring: newRing(runtimeRingSamples)},
 		wire:     wireState{outaged: map[int]bool{}},
 	}
 }

@@ -29,13 +29,13 @@ import (
 	"senkf/internal/trace"
 )
 
-// Defaults for the runtime watchdog knobs in Options.
+// The runtime watchdog budgets.
 const (
-	DefaultGCPauseBudget      = 1.0       // seconds of stop-the-world
-	DefaultGoroutineLeakWin   = 8         // consecutive growing samples
-	DefaultGoroutineLeakGrow  = 256       // goroutines gained across the window
-	DefaultHeapGrowthBudget   = 512 << 20 // bytes grown without a GC cycle
-	DefaultRuntimeRingSamples = 64        // runtime events kept for flight dumps
+	gcPauseBudget       = 1.0       // seconds of stop-the-world
+	goroutineLeakWindow = 8         // consecutive growing samples before a leak verdict
+	goroutineLeakGrowth = 256       // goroutines gained across the window
+	heapGrowthBudget    = 512 << 20 // bytes grown without a GC cycle
+	runtimeRingSamples  = 64        // runtime events kept for flight dumps
 )
 
 // RuntimeSample is one parsed sampler reading.
@@ -94,9 +94,8 @@ func (m *Monitor) foldRuntimeLocked(ev trace.Event) {
 			rt.gorBase = prev.Goroutines
 		}
 		rt.gorGrowth++
-		win, grow := m.opts.GoroutineLeakWindow, m.opts.GoroutineLeakGrowth
-		if rt.gorGrowth >= win && s.Goroutines-rt.gorBase >= grow {
-			m.runtimeTripLocked("goroutine-leak", s.Time, s.Goroutines-rt.gorBase, grow,
+		if rt.gorGrowth >= goroutineLeakWindow && s.Goroutines-rt.gorBase >= goroutineLeakGrowth {
+			m.runtimeTripLocked("goroutine-leak", s.Time, s.Goroutines-rt.gorBase, goroutineLeakGrowth,
 				fmt.Sprintf("goroutine count grew %d samples straight, %.0f -> %.0f",
 					rt.gorGrowth, rt.gorBase, s.Goroutines))
 		}
@@ -108,17 +107,17 @@ func (m *Monitor) foldRuntimeLocked(ev trace.Event) {
 	if !had || s.GCCycles != rt.lastGC {
 		rt.lastGC = s.GCCycles
 		rt.heapBase = s.HeapInuseBytes
-	} else if grown := s.HeapInuseBytes - rt.heapBase; grown > m.opts.HeapGrowthBudget {
-		m.runtimeTripLocked("heap-growth", s.Time, grown, m.opts.HeapGrowthBudget,
+	} else if grown := s.HeapInuseBytes - rt.heapBase; grown > heapGrowthBudget {
+		m.runtimeTripLocked("heap-growth", s.Time, grown, heapGrowthBudget,
 			fmt.Sprintf("heap grew %.0f MiB with no GC cycle (%.0f -> %.0f MiB)",
 				grown/(1<<20), rt.heapBase/(1<<20), s.HeapInuseBytes/(1<<20)))
 	}
 
 	// GC-pause budget.
-	if s.GCPauseMaxS > m.opts.GCPauseBudget {
-		m.runtimeTripLocked("gc-pause", s.Time, s.GCPauseMaxS, m.opts.GCPauseBudget,
+	if s.GCPauseMaxS > gcPauseBudget {
+		m.runtimeTripLocked("gc-pause", s.Time, s.GCPauseMaxS, gcPauseBudget,
 			fmt.Sprintf("stop-the-world pause %.3gs exceeds %.3gs budget",
-				s.GCPauseMaxS, m.opts.GCPauseBudget))
+				s.GCPauseMaxS, gcPauseBudget))
 	}
 }
 
@@ -175,17 +174,6 @@ func (m *Monitor) modalStageLocked() (string, int) {
 		return trace.RuntimeTrack, -1
 	}
 	return rep[bestStage], bestStage
-}
-
-// RuntimeStatus snapshots the runtime section (nil when no sampler fed
-// the monitor).
-func (m *Monitor) RuntimeStatus() *RuntimeStatus {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.runtime.samples == 0 {
-		return nil
-	}
-	return &RuntimeStatus{Samples: m.runtime.samples, Last: m.runtime.last}
 }
 
 // mergeByTs merges two time-ordered event slices into one, preserving

@@ -8,6 +8,7 @@
 package monitor
 
 import (
+	"math"
 	"testing"
 	"time"
 
@@ -39,7 +40,6 @@ func TestSamplerThroughTeeConcurrentWithMonitor(t *testing.T) {
 			default:
 			}
 			_ = m.Status()
-			_ = m.RuntimeStatus()
 		}
 	}()
 	for i := 0; i < 200; i++ {
@@ -48,14 +48,9 @@ func TestSamplerThroughTeeConcurrentWithMonitor(t *testing.T) {
 
 	time.Sleep(25 * time.Millisecond)
 	s.Stop() // takes one final synchronous sample through the still-open tee
-	sum := s.Summary()
 	close(stop)
 	<-readers
 	m.Close() // drains the tee's secondary side
-
-	if sum.Samples < 2 {
-		t.Fatalf("sampler took %d samples in 25ms at 2ms cadence", sum.Samples)
-	}
 
 	// The primary sink received every sample instant inline — including
 	// the final one Stop takes — in emission order.
@@ -65,9 +60,8 @@ func TestSamplerThroughTeeConcurrentWithMonitor(t *testing.T) {
 			instants = append(instants, ev)
 		}
 	}
-	if len(instants) != sum.Samples {
-		t.Fatalf("primary sink saw %d sample instants, sampler took %d (final sample dropped?)",
-			len(instants), sum.Samples)
+	if len(instants) < 2 {
+		t.Fatalf("sampler took %d samples in 25ms at 2ms cadence", len(instants))
 	}
 	for i := 1; i < len(instants); i++ {
 		if instants[i].Ts < instants[i-1].Ts {
@@ -77,14 +71,43 @@ func TestSamplerThroughTeeConcurrentWithMonitor(t *testing.T) {
 
 	// After Close the monitor folded the identical stream off the drain
 	// side — nothing lost between tee and watchdogs.
-	rs := m.RuntimeStatus()
-	if rs == nil || int(rs.Samples) != sum.Samples {
-		t.Fatalf("monitor folded %+v, want %d samples", rs, sum.Samples)
+	rs := m.Status().Runtime
+	if rs == nil || int(rs.Samples) != len(instants) {
+		t.Fatalf("monitor folded %+v, primary sink saw %d sample instants (final sample dropped?)", rs, len(instants))
 	}
 
-	// Stop is idempotent and the summary stable afterwards.
+	// One reading, one name: one runtime-track event per tick, and the
+	// registry's runtime/<key> gauges agree with the instants.
+	var onTrack int
+	for _, ev := range primary.Events() {
+		if ev.Track == trace.RuntimeTrack {
+			onTrack++
+		}
+	}
+	if onTrack != len(instants) {
+		t.Errorf("%d events on the runtime track for %d samples, want one per tick", onTrack, len(instants))
+	}
+	gauges := map[string]trace.GaugeSnapshot{}
+	for _, g := range reg.Snapshot().Gauges {
+		gauges[g.Name] = g
+	}
+	for _, a := range instants[len(instants)-1].Args {
+		g := gauges["runtime/"+a.Key]
+		peak := math.Inf(-1)
+		for _, ev := range instants {
+			if v, _ := ev.ArgValue(a.Key); v > peak {
+				peak = v
+			}
+		}
+		if g.Value != a.Val || g.HighWater != peak {
+			t.Errorf("gauge runtime/%s = %g (high-water %g), want the last sample's %g (peak %g)",
+				a.Key, g.Value, g.HighWater, a.Val, peak)
+		}
+	}
+
+	// Stop is idempotent: a second call samples nothing more.
 	s.Stop()
-	if again := s.Summary(); again.Samples != sum.Samples {
-		t.Errorf("Summary changed after second Stop: %d -> %d", sum.Samples, again.Samples)
+	if n := len(primary.Events()); n != len(instants)+200 {
+		t.Errorf("primary sink holds %d events after a second Stop, want %d", n, len(instants)+200)
 	}
 }

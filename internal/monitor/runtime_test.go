@@ -20,9 +20,11 @@ func runtimeSample(ts float64, args ...trace.Arg) trace.Event {
 func arg(key string, v float64) trace.Arg { return trace.Arg{Key: key, Val: v} }
 
 func TestGoroutineLeakWatchdogTripsOnceAfterWindow(t *testing.T) {
-	m := New(Options{GoroutineLeakWindow: 3, GoroutineLeakGrowth: 10})
-	for i, g := range []float64{100, 105, 110, 115, 120, 125} {
-		m.Emit(runtimeSample(float64(i), arg(runtimeobs.ArgGoroutines, g)))
+	m := New(Options{})
+	// 40 more goroutines a sample: 320 gained over the 8-sample window,
+	// then more growth that must not trip a second time.
+	for i := 0; i < 12; i++ {
+		m.Emit(runtimeSample(float64(i), arg(runtimeobs.ArgGoroutines, float64(100+40*i))))
 	}
 	st := m.Status()
 	if len(st.Verdicts) != 1 {
@@ -47,10 +49,17 @@ func TestGoroutineLeakWatchdogTripsOnceAfterWindow(t *testing.T) {
 }
 
 func TestGoroutineLeakResetsOnNonGrowth(t *testing.T) {
-	m := New(Options{GoroutineLeakWindow: 3, GoroutineLeakGrowth: 10})
-	// Growth windows of length 2 separated by dips never reach the
-	// window of 3.
-	for i, g := range []float64{100, 110, 120, 90, 100, 110, 80} {
+	m := New(Options{})
+	// Growth windows of length 7, each gaining far more than the floor,
+	// separated by dips never reach the window of 8.
+	var counts []float64
+	for _, start := range []float64{100, 50} {
+		for i := 0; i < 8; i++ {
+			counts = append(counts, start+100*float64(i))
+		}
+	}
+	counts = append(counts, 0)
+	for i, g := range counts {
 		m.Emit(runtimeSample(float64(i), arg(runtimeobs.ArgGoroutines, g)))
 	}
 	if st := m.Status(); len(st.Verdicts) != 0 {
@@ -59,46 +68,46 @@ func TestGoroutineLeakResetsOnNonGrowth(t *testing.T) {
 }
 
 func TestHeapGrowthWatchdogTripsWithoutGC(t *testing.T) {
-	m := New(Options{HeapGrowthBudget: 1000})
+	m := New(Options{})
 	emit := func(ts, heap, gc float64) {
 		m.Emit(runtimeSample(ts,
 			arg(runtimeobs.ArgHeapInuse, heap), arg(runtimeobs.ArgGCCycles, gc)))
 	}
 	emit(0, 1000, 5)
-	emit(1, 1800, 5) // +800, under budget
-	emit(2, 2500, 5) // +1500 since the gc-5 base: trip
+	emit(1, 1000+heapGrowthBudget-200, 5) // under budget
+	emit(2, 1000+heapGrowthBudget+500, 5) // budget+500 since the gc-5 base: trip
 	st := m.Status()
 	if len(st.Verdicts) != 1 || st.Verdicts[0].Phase != "runtime:heap-growth" {
 		t.Fatalf("verdicts = %+v, want one runtime:heap-growth", st.Verdicts)
 	}
-	if ob := st.Verdicts[0].Observed; ob != 1500 {
-		t.Errorf("observed growth = %g, want 1500", ob)
+	if ob := st.Verdicts[0].Observed; ob != heapGrowthBudget+500 {
+		t.Errorf("observed growth = %g, want %d", ob, heapGrowthBudget+500)
 	}
 }
 
 func TestHeapGrowthBaseResetsOnGCCycle(t *testing.T) {
-	m := New(Options{HeapGrowthBudget: 1000})
+	m := New(Options{})
 	emit := func(ts, heap, gc float64) {
 		m.Emit(runtimeSample(ts,
 			arg(runtimeobs.ArgHeapInuse, heap), arg(runtimeobs.ArgGCCycles, gc)))
 	}
 	emit(0, 1000, 5)
-	emit(1, 5000, 6) // big jump, but the GC ran: new base
-	emit(2, 5800, 6) // +800 since base, under budget
+	emit(1, 1000+2*heapGrowthBudget, 6) // big jump, but the GC ran: new base
+	emit(2, 800+3*heapGrowthBudget, 6)  // budget-200 since base, under budget
 	if st := m.Status(); len(st.Verdicts) != 0 {
 		t.Fatalf("heap growth across a GC cycle tripped: %+v", st.Verdicts)
 	}
 }
 
 func TestGCPauseWatchdogTrips(t *testing.T) {
-	m := New(Options{GCPauseBudget: 0.5})
-	m.Emit(runtimeSample(1, arg(runtimeobs.ArgGCPause, 0.7)))
+	m := New(Options{})
+	m.Emit(runtimeSample(1, arg(runtimeobs.ArgGCPause, 1.4)))
 	st := m.Status()
 	if len(st.Verdicts) != 1 || st.Verdicts[0].Phase != "runtime:gc-pause" {
 		t.Fatalf("verdicts = %+v, want one runtime:gc-pause", st.Verdicts)
 	}
-	if st.Verdicts[0].Observed != 0.7 || st.Verdicts[0].Budget != 0.5 {
-		t.Errorf("verdict = %+v, want observed 0.7 budget 0.5", st.Verdicts[0])
+	if st.Verdicts[0].Observed != 1.4 || st.Verdicts[0].Budget != gcPauseBudget {
+		t.Errorf("verdict = %+v, want observed 1.4 budget %g", st.Verdicts[0], gcPauseBudget)
 	}
 	if len(st.Incidents) != 1 || st.Incidents[0].Kind != "runtime" {
 		t.Errorf("incidents = %+v, want one runtime incident", st.Incidents)
@@ -118,9 +127,9 @@ func TestRuntimeEventsStayOffThePlanRing(t *testing.T) {
 	if rtRing != 2 {
 		t.Errorf("runtime ring holds %d events, want 2", rtRing)
 	}
-	rs := m.RuntimeStatus()
+	rs := m.Status().Runtime
 	if rs == nil || rs.Samples != 2 {
-		t.Fatalf("RuntimeStatus = %+v, want 2 samples", rs)
+		t.Fatalf("Status().Runtime = %+v, want 2 samples", rs)
 	}
 	if rs.Last.Goroutines != 11 || rs.Last.Time != 2 {
 		t.Errorf("last sample = %+v, want goroutines 11 at t=2", rs.Last)
@@ -131,7 +140,7 @@ func TestRuntimeEventsStayOffThePlanRing(t *testing.T) {
 }
 
 func TestFlightDumpInterleavesRuntimeSamples(t *testing.T) {
-	m := New(Options{FlightSize: 8})
+	m := New(Options{})
 	m.Emit(trace.Event{Track: "io/g0/r0", Cat: trace.CatPhase, Name: "read", Ph: trace.PhaseSpan, Ts: 0.5, Dur: 1})
 	m.Emit(runtimeSample(1, arg(runtimeobs.ArgGoroutines, 10)))
 	m.Emit(trace.Event{Track: "io/g0/r0", Cat: trace.CatPhase, Name: "comm", Ph: trace.PhaseSpan, Ts: 2, Dur: 1})

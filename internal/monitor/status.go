@@ -55,7 +55,7 @@ func (m *Monitor) Status() Status {
 		RunID:       m.opts.RunID,
 		Events:      m.events,
 		Spans:       m.spans,
-		Tolerance:   m.opts.Tolerance,
+		Tolerance:   tolerance,
 		Verdicts:    append([]Verdict{}, m.verdicts...),
 		Incidents:   append([]Incident{}, m.incidents...),
 		FlightDump:  m.dumpPath,

@@ -80,11 +80,11 @@ func (v Verdict) String() string {
 func (m *Monitor) checkBudgetLocked(track, phase string, stage int, ev trace.Event) {
 	v := Verdict{
 		Proc: track, Phase: phase, Stage: stage,
-		Observed: ev.Dur, Tolerance: m.opts.Tolerance,
+		Observed: ev.Dur, Tolerance: tolerance,
 		At: ev.Ts + ev.Dur,
 	}
 	if b, ok := m.budgets[phase]; ok && b > 0 {
-		if ev.Dur <= b*m.opts.Tolerance {
+		if ev.Dur <= b*tolerance {
 			return
 		}
 		v.Budget, v.Mode = b, "model"
@@ -97,7 +97,7 @@ func (m *Monitor) checkBudgetLocked(track, phase string, stage int, ev trace.Eve
 			return
 		}
 		med := median(m.peers[k])
-		if med <= 0 || ev.Dur <= med*m.opts.Tolerance || ev.Dur <= med+peerMinSlack {
+		if med <= 0 || ev.Dur <= med*tolerance || ev.Dur <= med+peerMinSlack {
 			return
 		}
 		v.Budget, v.Mode = med, "peer"

@@ -131,7 +131,7 @@ func (m *Monitor) judgeWireLocked(healthy bool) {
 		proc := fmt.Sprintf("ost%d", o.OST)
 		m.tripLocked(Verdict{
 			Proc: proc, Phase: "ost", Stage: -1,
-			Observed: o.Wait, Tolerance: m.opts.Tolerance, Mode: "wire",
+			Observed: o.Wait, Tolerance: tolerance, Mode: "wire",
 		}, Incident{Kind: "watchdog", Proc: proc, Detail: fmt.Sprintf(
 			"saturated OST %d: outage stalled a read %.3gs (queue wait, %d reads affected)", o.OST, o.Wait, o.Outage)}, true)
 	}
@@ -161,7 +161,7 @@ func (m *Monitor) skewVerdictLocked(edges plan.EdgeMatrix) {
 		}
 	}
 	med := median(vols)
-	if med <= 0 || float64(worst) <= med*m.opts.Tolerance {
+	if med <= 0 || float64(worst) <= med*tolerance {
 		return
 	}
 	name := m.rankName[worstDst]
@@ -172,7 +172,7 @@ func (m *Monitor) skewVerdictLocked(edges plan.EdgeMatrix) {
 	m.tripLocked(Verdict{
 		Proc: name, Phase: "comm-skew", Stage: -1,
 		Observed: float64(worst), Budget: med,
-		Tolerance: m.opts.Tolerance, Mode: "wire", Edge: edge,
+		Tolerance: tolerance, Mode: "wire", Edge: edge,
 	}, Incident{
 		Kind: "watchdog", Proc: name, Edge: edge,
 		Detail: fmt.Sprintf("skewed wire edge: %s receives %d bytes vs peer median %.0f", name, worst, med),
@@ -197,14 +197,14 @@ func (m *Monitor) saturationVerdictLocked(osts []wire.OSTLine) {
 	med := median(means)
 	for i, o := range read {
 		mean := means[i]
-		if o.Outage > 0 || med <= 0 || mean <= med*m.opts.Tolerance || mean <= med+peerMinSlack {
+		if o.Outage > 0 || med <= 0 || mean <= med*tolerance || mean <= med+peerMinSlack {
 			continue
 		}
 		proc := fmt.Sprintf("ost%d", o.OST)
 		m.tripLocked(Verdict{
 			Proc: proc, Phase: "ost-wait", Stage: -1,
 			Observed: mean, Budget: med,
-			Tolerance: m.opts.Tolerance, Mode: "wire",
+			Tolerance: tolerance, Mode: "wire",
 		}, Incident{Kind: "watchdog", Proc: proc, Detail: fmt.Sprintf(
 			"saturated OST %d: mean queue wait %.3gs vs peer median %.3gs", o.OST, mean, med)}, false)
 	}

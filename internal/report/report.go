@@ -24,7 +24,6 @@ import (
 
 	"senkf/internal/costmodel"
 	"senkf/internal/metrics"
-	"senkf/internal/runtimeobs"
 	"senkf/internal/trace"
 	"senkf/internal/trace/critpath"
 )
@@ -133,10 +132,6 @@ type Report struct {
 	// Model drift; nil when the trace has no prediction instant.
 	Model *ModelSection `json:"model,omitempty"`
 
-	// Hot-stage attribution from a labeled CPU profile merged onto the
-	// trace; nil unless AttachHotStages was called with a profile.
-	Hot *runtimeobs.Attribution `json:"hot_stages,omitempty"`
-
 	// Counters ingested from a registry CSV, keyed "kind/name/field".
 	Counters map[string]float64 `json:"counters,omitempty"`
 }
@@ -221,24 +216,6 @@ func Build(events []trace.Event, counters map[string]float64) (*Report, error) {
 		}
 	}
 	return r, nil
-}
-
-// AttachHotStages merges a labeled CPU profile (raw pprof bytes) onto
-// the report's trace events, filling the Hot section: per-{class,stage}
-// CPU self-time ranked against trace busy time. The profile must carry
-// {proc, stage} labels (see internal/runtimeobs); unlabeled samples are
-// accounted in the labeled-fraction footer rather than dropped silently.
-func (r *Report) AttachHotStages(profile []byte, events []trace.Event) error {
-	p, err := runtimeobs.ParseProfile(profile)
-	if err != nil {
-		return fmt.Errorf("report: hot stages: %w", err)
-	}
-	attr, err := runtimeobs.Attribute(p, events)
-	if err != nil {
-		return fmt.Errorf("report: hot stages: %w", err)
-	}
-	r.Hot = attr
-	return nil
 }
 
 // ParseCountersCSV ingests the kind,name,field,value CSV written by
@@ -349,11 +326,6 @@ func (r *Report) WriteText(w io.Writer) error {
 			}
 		}
 		if err := p("  pipeline efficiency (stages >= 1): %.1f%%\n", 100*r.PipelineEfficiency); err != nil {
-			return err
-		}
-	}
-	if r.Hot != nil {
-		if err := r.Hot.WriteTable(w); err != nil {
 			return err
 		}
 	}

@@ -46,8 +46,8 @@ func Register(fs *flag.FlagSet, binary string) *Flags {
 	f.monitor = fs.Bool("monitor", false, "attach the live plan-conformance monitor: watchdog verdicts, streaming metrics, flight recorder")
 	f.flight = fs.String("flight-recorder", "", "with -monitor: write the anomaly flight-recorder dump (Chrome trace JSON) here")
 	f.linger = fs.Duration("linger", 0, "keep the -profile server up for this long after the run, so it can be scraped")
-	f.runtimeSample = fs.Duration("runtime-sample", 0, "sample runtime/metrics (goroutines, heap, GC pauses) on this cadence into the trace and registry (0 = off)")
-	f.captureProfile = fs.Bool("capture-profile", false, "with -archive: capture a whole-run labeled CPU profile and archive it with hot-stage attribution")
+	f.runtimeSample = fs.Duration("runtime-sample", 0, "sample runtime/metrics (goroutines, heap, GC pauses) on this cadence: one runtime-track trace instant per tick, and runtime/<arg> registry gauges whose high-water marks are the run's peaks (0 = off)")
+	f.captureProfile = fs.Bool("capture-profile", false, "with -archive: capture a whole-run labeled CPU profile and archive it beside the trace (attribute it with senkf-report hotspots)")
 	f.wire = fs.Bool("wire", false, "collect wire telemetry: per-edge comm accounting and per-OST read attribution (wire summary after the run, wire.json with -archive; with -monitor, judged against the plan's edge matrix at run end, live in /status)")
 	return f
 }

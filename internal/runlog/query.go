@@ -10,6 +10,8 @@ import (
 	"math"
 	"sort"
 	"strings"
+
+	"senkf/internal/runtimeobs"
 )
 
 // Filter selects archived runs for list.
@@ -53,12 +55,19 @@ type Summary struct {
 	Cycles      int     `json:"cycles,omitempty"`
 	Parent      string  `json:"parent_run_id,omitempty"`
 	ResumeCycle int     `json:"resume_cycle,omitempty"`
-	// Runtime-observability headline numbers from the attached
-	// runtime.json; zero for records archived before runtime sampling
-	// existed (rendered as blanks).
+	// Runtime headline numbers: the high-water marks of the sampler's
+	// gauges in counters.json; zero for a run without -runtime-sample
+	// (rendered as blanks).
 	PeakHeapBytes float64 `json:"peak_heap_bytes,omitempty"`
 	MaxGCPauseS   float64 `json:"max_gc_pause_s,omitempty"`
 }
+
+// The counters.json keys of the list's runtime columns: the sampler names
+// each gauge "runtime/<arg key>".
+const (
+	peakHeapKey = "gauge/runtime/" + runtimeobs.ArgHeapInuse + "/high-water"
+	gcPauseKey  = "gauge/runtime/" + runtimeobs.ArgGCPause + "/high-water"
+)
 
 func summarize(m *Manifest) Summary {
 	s := Summary{
@@ -88,12 +97,10 @@ func (a *Archive) List(f Filter) ([]Summary, error) {
 		}
 		if f.match(&rec.Manifest) {
 			s := summarize(&rec.Manifest)
-			// Runtime columns come from the attached runtime.json; a
-			// record without one (pre-runtime-sampling, or the file
+			// A record without the gauges (no sampler, or counters.json
 			// failed verification) just leaves the columns blank.
-			if rs, err := rec.RuntimeSummary(); err == nil && rs != nil {
-				s.PeakHeapBytes = float64(rs.PeakHeapInuseBytes)
-				s.MaxGCPauseS = rs.MaxGCPauseSeconds
+			if c, err := rec.Counters(); err == nil {
+				s.PeakHeapBytes, s.MaxGCPauseS = c[peakHeapKey], c[gcPauseKey]
 			}
 			out = append(out, s)
 		}
@@ -223,9 +230,6 @@ type Diff struct {
 	// excluded), CountersElided the number beyond the cap.
 	Counters       []ValueDelta `json:"counters,omitempty"`
 	CountersElided int          `json:"counters_elided,omitempty"`
-	// RuntimeObs compares the runtime-observability headline numbers
-	// (runtime.json); empty unless both runs archived one.
-	RuntimeObs []ValueDelta `json:"runtime_obs,omitempty"`
 }
 
 // maxCounterDeltas caps the diff's counter section.
@@ -374,28 +378,6 @@ func (a *Archive) DiffRuns(idA, idB string) (*Diff, error) {
 		deltas = deltas[:maxCounterDeltas]
 	}
 	d.Counters = deltas
-
-	// Runtime-observability deltas, when both runs archived runtime.json.
-	rta, err := ra.RuntimeSummary()
-	if err != nil {
-		return nil, err
-	}
-	rtb, err := rb.RuntimeSummary()
-	if err != nil {
-		return nil, err
-	}
-	if rta != nil && rtb != nil {
-		add := func(name string, va, vb float64) {
-			if va != 0 || vb != 0 {
-				d.RuntimeObs = append(d.RuntimeObs, ValueDelta{Name: name, A: va, B: vb, Delta: vb - va})
-			}
-		}
-		add("peak_goroutines", float64(rta.PeakGoroutines), float64(rtb.PeakGoroutines))
-		add("peak_heap_inuse_bytes", float64(rta.PeakHeapInuseBytes), float64(rtb.PeakHeapInuseBytes))
-		add("gc_cycles", float64(rta.GCCycles), float64(rtb.GCCycles))
-		add("max_gc_pause_s", rta.MaxGCPauseSeconds, rtb.MaxGCPauseSeconds)
-		add("alloc_bytes", float64(rta.AllocBytes), float64(rtb.AllocBytes))
-	}
 	return d, nil
 }
 
@@ -482,16 +464,6 @@ func (d *Diff) WriteText(w io.Writer) error {
 		}
 		if d.CountersElided > 0 {
 			if err := p("    ... and %d more\n", d.CountersElided); err != nil {
-				return err
-			}
-		}
-	}
-	if len(d.RuntimeObs) > 0 {
-		if err := p("  runtime observability:\n"); err != nil {
-			return err
-		}
-		for _, v := range d.RuntimeObs {
-			if err := p("    %-24s %12.6g -> %12.6g  (%+.6g)\n", v.Name, v.A, v.B, v.Delta); err != nil {
 				return err
 			}
 		}

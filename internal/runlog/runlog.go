@@ -5,11 +5,12 @@
 // (senkf-report list/diff). One record bundles everything the
 // in-process observability stack produced: the manifest (run identity,
 // binary, full config, algorithm spec + compiled-plan hash, fault plan,
-// substrate, outcome), the final counter registry, the structured run
-// report (critical path, §4.2 overlap efficiency, Eq. 7–10 drift), the
-// monitor's verdicts/divergences/incidents, the per-cycle RMSE/spread
-// series, the Chrome trace, the flight-recorder dump, and any pprof
-// snapshots captured on anomalies.
+// substrate, outcome), the final counter registry (with the runtime
+// sampler's gauges, whose high-water marks are the run's peaks), the
+// structured run report (critical path, §4.2 overlap efficiency, Eq. 7–10
+// drift), the monitor's verdicts/divergences/incidents, the per-cycle
+// RMSE/spread series, the Chrome trace, the flight-recorder dump, the
+// whole-run CPU profile and any pprof snapshots captured on anomalies.
 //
 // The archive is content-addressed: the manifest records the SHA-256 of
 // every attached file, and the manifest is written last, so a record
@@ -36,7 +37,6 @@ import (
 
 	"senkf/internal/plan"
 	"senkf/internal/report"
-	"senkf/internal/runtimeobs"
 	"senkf/internal/trace"
 )
 
@@ -52,10 +52,6 @@ const (
 	CyclesFile   = "cycles.json"
 	TraceFile    = "trace.json"
 	FlightFile   = "flight.json"
-	// RuntimeFile is the runtime-observability summary (sampler peaks,
-	// GC stats, hot-stage attribution) written under -runtime-sample
-	// and/or -capture-profile.
-	RuntimeFile = "runtime.json"
 	// CPUProfileFile is the attached CPU profile: the whole-run labeled
 	// capture under -capture-profile, or the anomaly-hook snapshot.
 	CPUProfileFile = "profiles/cpu.pprof"
@@ -204,8 +200,8 @@ func (a *Archive) WriteRecord(m *Manifest, files map[string][]byte) (string, err
 	sort.Strings(names)
 	dirs := map[string]bool{dir: true}
 	for _, name := range names {
-		if name == ManifestFile || name == manifestTemp || name != filepath.ToSlash(filepath.Clean(name)) || strings.HasPrefix(name, "..") || filepath.IsAbs(name) {
-			return "", fmt.Errorf("runlog: bad attached file name %q", name)
+		if err := checkFileName(name); err != nil {
+			return "", fmt.Errorf("runlog: %w", err)
 		}
 		path := filepath.Join(dir, filepath.FromSlash(name))
 		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
@@ -237,6 +233,16 @@ func (a *Archive) WriteRecord(m *Manifest, files map[string][]byte) (string, err
 		return "", fmt.Errorf("runlog: %w", err)
 	}
 	return dir, nil
+}
+
+// checkFileName refuses an attached-file name that is not a clean path
+// inside the run directory, or that names the manifest: WriteRecord writes
+// no such file and Load accepts no manifest that lists one.
+func checkFileName(name string) error {
+	if name == ManifestFile || name == manifestTemp || name == "." || name != filepath.ToSlash(filepath.Clean(name)) || strings.HasPrefix(name, "..") || filepath.IsAbs(name) {
+		return fmt.Errorf("bad attached file name %q", name)
+	}
+	return nil
 }
 
 // writeSynced writes data to path and fsyncs it before closing.
@@ -319,23 +325,6 @@ func (r *Record) Report() (*report.Report, error) {
 	return &rep, nil
 }
 
-// RuntimeSummary loads and decodes the attached runtime-observability
-// summary, or nil for records archived before runtime sampling existed.
-func (r *Record) RuntimeSummary() (*runtimeobs.Summary, error) {
-	if !r.Has(RuntimeFile) {
-		return nil, nil
-	}
-	data, err := r.ReadFile(RuntimeFile)
-	if err != nil {
-		return nil, err
-	}
-	var sum runtimeobs.Summary
-	if err := json.Unmarshal(data, &sum); err != nil {
-		return nil, fmt.Errorf("runlog: run %s: %s: %w", r.Manifest.RunID, RuntimeFile, err)
-	}
-	return &sum, nil
-}
-
 // Counters loads the attached flat counter map ("kind/name/field" keys,
 // the same scheme as report.ParseCountersCSV), or nil when absent.
 func (r *Record) Counters() (map[string]float64, error) {
@@ -353,7 +342,9 @@ func (r *Record) Counters() (map[string]float64, error) {
 	return out, nil
 }
 
-// Load reads the record of run id.
+// Load reads the record of run id. It refuses a manifest of another
+// schema, one naming another run, and one listing a file name WriteRecord
+// would refuse.
 func (a *Archive) Load(id string) (*Record, error) {
 	dir := a.RunDir(id)
 	raw, err := os.ReadFile(filepath.Join(dir, ManifestFile))
@@ -364,8 +355,16 @@ func (a *Archive) Load(id string) (*Record, error) {
 	if err := json.Unmarshal(raw, &m); err != nil {
 		return nil, fmt.Errorf("runlog: run %s: manifest: %w", id, err)
 	}
+	if m.Schema != ManifestSchema {
+		return nil, fmt.Errorf("runlog: run %s: manifest schema %d, want %d", id, m.Schema, ManifestSchema)
+	}
 	if m.RunID != id {
 		return nil, fmt.Errorf("runlog: manifest in %s names run %q", dir, m.RunID)
+	}
+	for name := range m.Files {
+		if err := checkFileName(name); err != nil {
+			return nil, fmt.Errorf("runlog: run %s: %w", id, err)
+		}
 	}
 	return &Record{Manifest: m, Dir: dir, raw: raw}, nil
 }

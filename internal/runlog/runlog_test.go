@@ -207,7 +207,7 @@ func testReport(runtime, eff float64) *report.Report {
 	}
 }
 
-func archiveRun(t *testing.T, a *Archive, id, binary, start string, runtime float64, eff float64, counters map[string]float64) {
+func archiveRun(t testing.TB, a *Archive, id, binary, start string, runtime float64, eff float64, counters map[string]float64) {
 	t.Helper()
 	files := map[string][]byte{}
 	rep, err := json.Marshal(testReport(runtime, eff))
@@ -264,6 +264,54 @@ func TestListFilterAndOrder(t *testing.T) {
 	}
 	if !strings.Contains(buf.String(), "run-1") || !strings.Contains(buf.String(), "2 run(s)") {
 		t.Errorf("list table:\n%s", buf.String())
+	}
+}
+
+// TestListRuntimeColumns pins where the list's PEAK-HEAP and GC-PAUSE
+// columns come from: the high-water marks of the sampler's gauges in
+// counters.json, blank for a record without them.
+func TestListRuntimeColumns(t *testing.T) {
+	a, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	archiveRun(t, a, "run-1", "senkf-run", "2026-01-01T00:00:00Z", 1.0, 0.9, map[string]float64{
+		"gauge/runtime/heap_inuse_bytes/value":      3 << 20,
+		"gauge/runtime/heap_inuse_bytes/high-water": 48 << 20,
+		"gauge/runtime/gc_pause_max_s/value":        0,
+		"gauge/runtime/gc_pause_max_s/high-water":   0.0025,
+	})
+	archiveRun(t, a, "run-2", "senkf-run", "2026-01-02T00:00:00Z", 1.0, 0.9, nil)
+
+	rows, err := a.List(Filter{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rows) != 2 || rows[0].RunID != "run-1" {
+		t.Fatalf("List = %+v", rows)
+	}
+	if rows[0].PeakHeapBytes != 48<<20 || rows[0].MaxGCPauseS != 0.0025 {
+		t.Errorf("run-1 runtime columns = %g B, %g s; want the gauges' high-water marks %d B, 0.0025 s",
+			rows[0].PeakHeapBytes, rows[0].MaxGCPauseS, 48<<20)
+	}
+	if rows[1].PeakHeapBytes != 0 || rows[1].MaxGCPauseS != 0 {
+		t.Errorf("run-2 archived no gauges but reads %g B, %g s", rows[1].PeakHeapBytes, rows[1].MaxGCPauseS)
+	}
+
+	var buf bytes.Buffer
+	if err := WriteListTable(&buf, rows); err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(buf.String(), "\n")
+	fields := func(line string) []string {
+		f := strings.Fields(line)
+		return f[len(f)-3 : len(f)-1] // PEAK-HEAP, GC-PAUSE; LINEAGE last
+	}
+	if got := fields(lines[1]); got[0] != "48MiB" || got[1] != "2.5ms" {
+		t.Errorf("run-1 renders PEAK-HEAP, GC-PAUSE as %q:\n%s", got, buf.String())
+	}
+	if got := fields(lines[2]); got[0] != "-" || got[1] != "-" {
+		t.Errorf("run-2 renders PEAK-HEAP, GC-PAUSE as %q, want blanks:\n%s", got, buf.String())
 	}
 }
 

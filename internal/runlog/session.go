@@ -511,23 +511,11 @@ func (s *Session) writeArchiveRecord(runErr error) (string, error) {
 
 	files := map[string][]byte{}
 
-	// Land the whole-run CPU capture and attribute it onto the plan's
-	// trace once; the report and runtime.json both carry the result.
-	var cpuProfile []byte
-	var hot *runtimeobs.Attribution
-	var hotErr error
+	// Land the whole-run CPU capture; senkf-report hotspots attributes it
+	// onto the archived trace.
 	if s.cpuStop != nil {
-		cpuProfile = s.cpuStop()
-		if len(cpuProfile) > 0 {
-			files[CPUProfileFile] = cpuProfile
-			if p, err := runtimeobs.ParseProfile(cpuProfile); err != nil {
-				hotErr = err
-			} else if s.buf != nil {
-				hot, hotErr = runtimeobs.Attribute(p, s.buf.Events())
-			}
-			if hotErr != nil {
-				s.Log.Warn("hot-stage attribution failed", "err", hotErr.Error())
-			}
+		if cpu := s.cpuStop(); len(cpu) > 0 {
+			files[CPUProfileFile] = cpu
 		}
 	}
 
@@ -594,7 +582,6 @@ func (s *Session) writeArchiveRecord(runErr error) (string, error) {
 		files[TraceFile] = data
 		if rep, err := report.Build(events, counters); err == nil {
 			m.Runtime = rep.Runtime
-			rep.Hot = hot
 			data, err := jsonMarshalIndent(rep)
 			if err != nil {
 				return "", err
@@ -603,22 +590,6 @@ func (s *Session) writeArchiveRecord(runErr error) (string, error) {
 		} else {
 			s.Log.Warn("run report not derivable from trace", "err", err.Error())
 		}
-	}
-
-	if s.sampler != nil || len(cpuProfile) > 0 {
-		var sum runtimeobs.Summary
-		if s.sampler != nil {
-			sum = s.sampler.Summary()
-		}
-		sum.HotStages = hot
-		if hotErr != nil {
-			sum.AttributionError = hotErr.Error()
-		}
-		data, err := jsonMarshalIndent(sum)
-		if err != nil {
-			return "", err
-		}
-		files[RuntimeFile] = data
 	}
 
 	if s.Monitor != nil {

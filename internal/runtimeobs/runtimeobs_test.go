@@ -275,14 +275,7 @@ func TestSamplerPublishesAndStopsCleanly(t *testing.T) {
 	s.Stop()
 	s.Stop() // idempotent
 
-	sum := s.Summary()
-	if sum.Samples < 1 {
-		t.Fatalf("samples = %d, want >= 1", sum.Samples)
-	}
-	if sum.PeakGoroutines < 1 {
-		t.Fatalf("peak goroutines = %d", sum.PeakGoroutines)
-	}
-	var instants int
+	var instants []trace.Event
 	lastTs := math.Inf(-1)
 	for _, ev := range buf.Events() {
 		if ev.Cat != trace.CatRuntime {
@@ -298,13 +291,59 @@ func TestSamplerPublishesAndStopsCleanly(t *testing.T) {
 		if _, ok := ev.ArgValue(ArgGoroutines); !ok {
 			t.Fatalf("sample missing %s arg: %+v", ArgGoroutines, ev)
 		}
-		instants++
+		instants = append(instants, ev)
 	}
-	if instants != sum.Samples {
-		t.Fatalf("buffer has %d sample instants, summary says %d — final sample dropped?", instants, sum.Samples)
+	if len(instants) < 1 {
+		t.Fatal("no sample instant in the buffer — final sample dropped?")
 	}
-	if hw := reg.GaugeMax(RegGoroutines); hw < 1 {
-		t.Fatalf("gauge %s high-water = %g, want >= 1", RegGoroutines, hw)
+	checkOneReadingOneName(t, buf.Events(), instants, reg)
+	if hw := reg.GaugeMax("runtime/" + ArgGoroutines); hw < 1 {
+		t.Fatalf("gauge runtime/%s high-water = %g, want >= 1", ArgGoroutines, hw)
+	}
+}
+
+// checkOneReadingOneName asserts that each reading lands once in the trace
+// and once in the registry: the sample instants are the only events on
+// the runtime track, the last instant's args are the gauges' current
+// values, and each gauge's high-water mark is its arg's maximum over all
+// instants.
+func checkOneReadingOneName(t *testing.T, events, instants []trace.Event, reg *trace.Registry) {
+	t.Helper()
+	var onTrack int
+	for _, ev := range events {
+		if ev.Track == trace.RuntimeTrack {
+			onTrack++
+		}
+	}
+	if onTrack != len(instants) {
+		t.Errorf("%d events on the runtime track for %d samples, want one per tick", onTrack, len(instants))
+	}
+	gauges := map[string]trace.GaugeSnapshot{}
+	for _, g := range reg.Snapshot().Gauges {
+		gauges[g.Name] = g
+	}
+	last := instants[len(instants)-1]
+	if len(last.Args) != 7 {
+		t.Errorf("sample carries %d args, want 7: %+v", len(last.Args), last.Args)
+	}
+	for _, a := range last.Args {
+		g, ok := gauges["runtime/"+a.Key]
+		if !ok {
+			t.Errorf("no gauge runtime/%s", a.Key)
+			continue
+		}
+		if g.Value != a.Val {
+			t.Errorf("gauge runtime/%s = %g, last sample says %g", a.Key, g.Value, a.Val)
+		}
+		peak := math.Inf(-1)
+		for _, ev := range instants {
+			if v, _ := ev.ArgValue(a.Key); v > peak {
+				peak = v
+			}
+		}
+		if g.HighWater != peak {
+			t.Errorf("gauge runtime/%s high-water = %g, samples peak at %g", a.Key, g.HighWater, peak)
+		}
 	}
 }
 

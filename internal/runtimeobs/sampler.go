@@ -1,12 +1,11 @@
 // The runtime-metrics sampler: a background goroutine that reads
-// runtime/metrics on a fixed cadence and publishes each reading three
-// ways at once — as a CatRuntime "sample" instant (plus counter series)
-// on the trace stream, as gauges/histograms in the run's counter
-// registry, and as the run-level peaks that end up in the archived
-// runtime.json. Because the instants flow through the session's normal
-// sink chain (trace.Tee → monitor → buffer), the live monitor's runtime
-// watchdogs and the flight recorder see GC/heap state on the same clock
-// as the plan events without any side channel.
+// runtime/metrics on a fixed cadence and publishes each reading once to
+// the trace and once to the registry — as one CatRuntime "sample"
+// instant, and as one gauge per instant arg named "runtime/<arg key>",
+// whose high-water mark is the run's peak. Because the instants flow
+// through the session's normal sink chain (trace.Tee → monitor → buffer),
+// the live monitor's runtime watchdogs and the flight recorder see GC/heap
+// state on the same clock as the plan events without any side channel.
 
 package runtimeobs
 
@@ -22,9 +21,10 @@ import (
 // sampler emits on trace.RuntimeTrack with category trace.CatRuntime.
 const SampleEventName = "sample"
 
-// Arg keys of the "sample" instant. internal/monitor parses these to
-// drive its runtime watchdogs, so they are shared constants rather than
-// literals in two packages.
+// Arg keys of the "sample" instant, and — under "runtime/" — the names of
+// the registry gauges. internal/monitor parses these to drive its runtime
+// watchdogs, so they are shared constants rather than literals in two
+// packages.
 const (
 	ArgGoroutines = "goroutines"       // current goroutine count
 	ArgHeapLive   = "heap_live_bytes"  // live heap at last GC mark
@@ -44,54 +44,15 @@ const (
 	metHeapInuse  = "/memory/classes/heap/objects:bytes"
 	metHeapGoal   = "/gc/heap/goal:bytes"
 	metGCCycles   = "/gc/cycles/total:gc-cycles"
-	metHeapAllocs = "/gc/heap/allocs:bytes"
 	metGCPauses   = "/gc/pauses:seconds"
 	metSchedLat   = "/sched/latencies:seconds"
 )
 
-// Registry metric names the sampler maintains (gauges track high-water,
-// so peak heap and peak goroutines survive into the counters table).
-const (
-	RegGoroutines = "runtime/goroutines"
-	RegHeapLive   = "runtime/heap_live_bytes"
-	RegHeapInuse  = "runtime/heap_inuse_bytes"
-	RegHeapGoal   = "runtime/heap_goal_bytes"
-	RegGCCycles   = "runtime/gc_cycles"
-	RegGCPause    = "runtime/gc_pause_s"
-	RegSchedLat   = "runtime/sched_latency_s"
-)
-
-// gcPauseBuckets spans 1µs..1s stop-the-world pauses.
-var gcPauseBuckets = []float64{1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 1e-1, 1}
-
-// SamplerConfig configures a Sampler. Tracer and Registry may each be
-// nil; the sampler then keeps only its run-level summary.
+// SamplerConfig configures a Sampler. Tracer and Registry may each be nil.
 type SamplerConfig struct {
 	Tracer   *trace.Tracer
 	Registry *trace.Registry
-	Interval time.Duration // cadence; <= 0 defaults to DefaultInterval
-}
-
-// DefaultInterval is the sampling cadence when none is configured.
-const DefaultInterval = 250 * time.Millisecond
-
-// Summary is the run-level digest of the sampler's readings — the shape
-// archived as runtime.json. HotStages is attached by the session after
-// the run when a labeled CPU profile was captured.
-type Summary struct {
-	Samples            int     `json:"samples"`
-	IntervalSeconds    float64 `json:"interval_seconds"`
-	PeakGoroutines     int64   `json:"peak_goroutines"`
-	PeakHeapLiveBytes  int64   `json:"peak_heap_live_bytes"`
-	PeakHeapInuseBytes int64   `json:"peak_heap_inuse_bytes"`
-	HeapGoalBytes      int64   `json:"heap_goal_bytes"`
-	GCCycles           int64   `json:"gc_cycles"`
-	MaxGCPauseSeconds  float64 `json:"max_gc_pause_seconds"`
-	MaxSchedLatSeconds float64 `json:"max_sched_lat_seconds"`
-	AllocBytes         int64   `json:"alloc_bytes"`
-
-	HotStages        *Attribution `json:"hot_stages,omitempty"`
-	AttributionError string       `json:"attribution_error,omitempty"`
+	Interval time.Duration // cadence; must be > 0
 }
 
 // Sampler streams runtime/metrics into the trace/registry plumbing.
@@ -106,22 +67,20 @@ type Sampler struct {
 	stop chan struct{}
 	done chan struct{}
 
-	mu        sync.Mutex
-	started   bool
-	stopped   bool
-	sum       Summary
+	mu      sync.Mutex
+	started bool
+	stopped bool
+
+	// Owned by whichever of the ticker goroutine and the final Stop sample
+	// is running; the two never overlap.
 	prevPause []uint64 // previous /gc/pauses counts
 	prevLat   []uint64 // previous /sched/latencies counts
-	baseAlloc int64    // /gc/heap/allocs at first sample
 	baseGC    int64    // /gc/cycles/total at first sample
 	haveBase  bool
 }
 
 // NewSampler builds a sampler; it reads nothing until Start.
 func NewSampler(cfg SamplerConfig) *Sampler {
-	if cfg.Interval <= 0 {
-		cfg.Interval = DefaultInterval
-	}
 	supported := map[string]bool{}
 	for _, d := range metrics.All() {
 		supported[d.Name] = true
@@ -134,17 +93,12 @@ func NewSampler(cfg SamplerConfig) *Sampler {
 	}
 	for _, name := range []string{
 		metGoroutines, metHeapLive, metHeapInuse, metHeapGoal,
-		metGCCycles, metHeapAllocs, metGCPauses, metSchedLat,
+		metGCCycles, metGCPauses, metSchedLat,
 	} {
 		if supported[name] {
 			s.idx[name] = len(s.batch)
 			s.batch = append(s.batch, metrics.Sample{Name: name})
 		}
-	}
-	s.sum.IntervalSeconds = cfg.Interval.Seconds()
-	if cfg.Registry != nil {
-		cfg.Registry.DeclareHistogram(RegGCPause, gcPauseBuckets)
-		cfg.Registry.DeclareHistogram(RegSchedLat, gcPauseBuckets)
 	}
 	return s
 }
@@ -192,13 +146,6 @@ func (s *Sampler) Stop() {
 	s.sampleOnce()
 }
 
-// Summary returns the run-level digest accumulated so far (a copy).
-func (s *Sampler) Summary() Summary {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.sum
-}
-
 // sampleOnce reads the metric batch and publishes one sample. Called
 // from the ticker goroutine and once more from Stop after it has joined,
 // so publications are never concurrent with each other.
@@ -208,70 +155,29 @@ func (s *Sampler) sampleOnce() {
 	}
 	metrics.Read(s.batch)
 
-	s.mu.Lock()
-	goroutines := s.uint64At(metGoroutines)
-	heapLive := s.uint64At(metHeapLive)
-	heapInuse := s.uint64At(metHeapInuse)
-	heapGoal := s.uint64At(metHeapGoal)
 	gcTotal := s.uint64At(metGCCycles)
-	allocs := s.uint64At(metHeapAllocs)
-	pauseMax, pauseObs := s.histDelta(metGCPauses, &s.prevPause)
-	latMax, _ := s.histDelta(metSchedLat, &s.prevLat)
-
 	if !s.haveBase {
 		s.haveBase = true
-		s.baseAlloc = allocs
 		s.baseGC = gcTotal
 	}
-	gcCycles := gcTotal - s.baseGC
-	allocDelta := allocs - s.baseAlloc
-
-	s.sum.Samples++
-	s.sum.PeakGoroutines = max64(s.sum.PeakGoroutines, goroutines)
-	s.sum.PeakHeapLiveBytes = max64(s.sum.PeakHeapLiveBytes, heapLive)
-	s.sum.PeakHeapInuseBytes = max64(s.sum.PeakHeapInuseBytes, heapInuse)
-	s.sum.HeapGoalBytes = heapGoal
-	s.sum.GCCycles = gcCycles
-	if pauseMax > s.sum.MaxGCPauseSeconds {
-		s.sum.MaxGCPauseSeconds = pauseMax
+	args := [...]trace.Arg{
+		{Key: ArgGoroutines, Val: float64(s.uint64At(metGoroutines))},
+		{Key: ArgHeapLive, Val: float64(s.uint64At(metHeapLive))},
+		{Key: ArgHeapInuse, Val: float64(s.uint64At(metHeapInuse))},
+		{Key: ArgHeapGoal, Val: float64(s.uint64At(metHeapGoal))},
+		{Key: ArgGCCycles, Val: float64(gcTotal - s.baseGC)},
+		{Key: ArgGCPause, Val: s.histDelta(metGCPauses, &s.prevPause)},
+		{Key: ArgSchedLat, Val: s.histDelta(metSchedLat, &s.prevLat)},
 	}
-	if latMax > s.sum.MaxSchedLatSeconds {
-		s.sum.MaxSchedLatSeconds = latMax
+	for _, a := range args {
+		s.cfg.Registry.SetGauge("runtime/"+a.Key, a.Val)
 	}
-	s.sum.AllocBytes = allocDelta
-	s.mu.Unlock()
-
-	if r := s.cfg.Registry; r != nil {
-		r.SetGauge(RegGoroutines, float64(goroutines))
-		r.SetGauge(RegHeapLive, float64(heapLive))
-		r.SetGauge(RegHeapInuse, float64(heapInuse))
-		r.SetGauge(RegHeapGoal, float64(heapGoal))
-		r.SetGauge(RegGCCycles, float64(gcCycles))
-		for _, p := range pauseObs {
-			r.Observe(RegGCPause, p)
-		}
-		if latMax > 0 {
-			r.Observe(RegSchedLat, latMax)
-		}
-	}
-
 	if tr := s.cfg.Tracer; tr != nil && tr.Enabled() {
-		ts := tr.Now()
-		tr.Instant(trace.RuntimeTrack, trace.CatRuntime, SampleEventName, ts,
-			trace.Arg{Key: ArgGoroutines, Val: float64(goroutines)},
-			trace.Arg{Key: ArgHeapLive, Val: float64(heapLive)},
-			trace.Arg{Key: ArgHeapInuse, Val: float64(heapInuse)},
-			trace.Arg{Key: ArgHeapGoal, Val: float64(heapGoal)},
-			trace.Arg{Key: ArgGCCycles, Val: float64(gcCycles)},
-			trace.Arg{Key: ArgGCPause, Val: pauseMax},
-			trace.Arg{Key: ArgSchedLat, Val: latMax})
-		tr.Counter(trace.RuntimeTrack, RegGoroutines, ts, float64(goroutines))
-		tr.Counter(trace.RuntimeTrack, RegHeapInuse, ts, float64(heapInuse))
-		tr.Counter(trace.RuntimeTrack, RegGCCycles, ts, float64(gcCycles))
+		tr.Instant(trace.RuntimeTrack, trace.CatRuntime, SampleEventName, tr.Now(), args[:]...)
 	}
 }
 
-// uint64At reads one scalar metric from the batch; callers hold s.mu.
+// uint64At reads one scalar metric from the batch.
 func (s *Sampler) uint64At(name string) int64 {
 	i, ok := s.idx[name]
 	if !ok {
@@ -287,27 +193,25 @@ func (s *Sampler) uint64At(name string) int64 {
 }
 
 // histDelta diffs a float64-histogram metric against its previous counts,
-// returning the largest bucket edge that gained samples this tick and up
-// to a handful of representative observations (one per grown bucket, at
-// the bucket's upper edge) for the registry histogram. Callers hold s.mu.
-func (s *Sampler) histDelta(name string, prev *[]uint64) (maxEdge float64, obs []float64) {
+// returning the largest bucket edge that gained samples this tick.
+func (s *Sampler) histDelta(name string, prev *[]uint64) (maxEdge float64) {
 	i, ok := s.idx[name]
 	if !ok {
-		return 0, nil
+		return 0
 	}
 	v := s.batch[i].Value
 	if v.Kind() != metrics.KindFloat64Histogram {
-		return 0, nil
+		return 0
 	}
 	h := v.Float64Histogram()
 	if h == nil {
-		return 0, nil
+		return 0
 	}
 	counts, edges := h.Counts, h.Buckets // len(edges) == len(counts)+1
 	if len(*prev) != len(counts) {
 		*prev = make([]uint64, len(counts))
 		copy(*prev, counts)
-		return 0, nil
+		return 0
 	}
 	for b := range counts {
 		if counts[b] <= (*prev)[b] {
@@ -319,21 +223,10 @@ func (s *Sampler) histDelta(name string, prev *[]uint64) (maxEdge float64, obs [
 		if edge > 1e18 || edge != edge {
 			edge = edges[b]
 		}
-		if edge < 0 {
-			edge = 0
-		}
 		if edge > maxEdge {
 			maxEdge = edge
 		}
-		obs = append(obs, edge)
 	}
 	copy(*prev, counts)
-	return maxEdge, obs
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
+	return maxEdge
 }

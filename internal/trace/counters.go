@@ -14,9 +14,9 @@ import (
 	"sync"
 )
 
-// DefaultBuckets are the histogram bucket upper bounds used when a
-// histogram is not declared explicitly: decades from 1 µs to 1000 s,
-// suiting both simulated service times and wall-clock phases.
+// DefaultBuckets are the bucket upper bounds of every histogram: decades
+// from 1 µs to 1000 s, suiting both simulated service times and
+// wall-clock phases.
 var DefaultBuckets = []float64{1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 1e-1, 1, 10, 100, 1000}
 
 type gaugeState struct {
@@ -25,10 +25,9 @@ type gaugeState struct {
 }
 
 type histState struct {
-	buckets []float64 // upper bounds; an implicit +Inf bucket follows
-	counts  []int64   // len(buckets)+1
-	n       int64
-	sum     float64
+	counts []int64 // len(DefaultBuckets)+1: an implicit +Inf bucket follows
+	n      int64
+	sum    float64
 }
 
 // Registry accumulates counters, gauges and histograms. All methods are
@@ -81,30 +80,8 @@ func (r *Registry) SetGauge(name string, v float64) {
 	r.mu.Unlock()
 }
 
-// DeclareHistogram fixes the bucket upper bounds of the named histogram.
-// Must be called before the first Observe to take effect; bounds must be
-// strictly increasing.
-func (r *Registry) DeclareHistogram(name string, buckets []float64) {
-	if r == nil || len(buckets) == 0 {
-		return
-	}
-	for i := 1; i < len(buckets); i++ {
-		if buckets[i] <= buckets[i-1] {
-			panic(fmt.Sprintf("trace: histogram %s buckets not increasing at %d", name, i))
-		}
-	}
-	r.mu.Lock()
-	if _, ok := r.hists[name]; !ok {
-		r.hists[name] = &histState{
-			buckets: append([]float64(nil), buckets...),
-			counts:  make([]int64, len(buckets)+1),
-		}
-	}
-	r.mu.Unlock()
-}
-
 // Observe records v into the named histogram, creating it with
-// DefaultBuckets if it was not declared.
+// DefaultBuckets on first use.
 func (r *Registry) Observe(name string, v float64) {
 	if r == nil {
 		return
@@ -112,13 +89,10 @@ func (r *Registry) Observe(name string, v float64) {
 	r.mu.Lock()
 	h := r.hists[name]
 	if h == nil {
-		h = &histState{
-			buckets: DefaultBuckets,
-			counts:  make([]int64, len(DefaultBuckets)+1),
-		}
+		h = &histState{counts: make([]int64, len(DefaultBuckets)+1)}
 		r.hists[name] = h
 	}
-	i := sort.SearchFloat64s(h.buckets, v)
+	i := sort.SearchFloat64s(DefaultBuckets, v)
 	h.counts[i]++
 	h.n++
 	h.sum += v
@@ -202,7 +176,7 @@ func (r *Registry) Snapshot() Snapshot {
 	for name, h := range r.hists {
 		s.Histograms = append(s.Histograms, HistogramSnapshot{
 			Name:    name,
-			Buckets: append([]float64(nil), h.buckets...),
+			Buckets: append([]float64(nil), DefaultBuckets...),
 			Counts:  append([]int64(nil), h.counts...),
 			Count:   h.n,
 			Sum:     h.sum,

@@ -182,7 +182,6 @@ func TestWritePrometheus(t *testing.T) {
 	reg.Add("parfs.requests", 42)
 	reg.SetGauge("model/t_read", 0.25)
 	reg.SetGauge("model/t_read", 0.125)
-	reg.DeclareHistogram("monitor/read_latency", []float64{0.1, 1})
 	reg.Observe("monitor/read_latency", 0.05)
 	reg.Observe("monitor/read_latency", 0.5)
 	reg.Observe("monitor/read_latency", 5)

@@ -175,7 +175,6 @@ func TestRegistryCountersGaugesHistograms(t *testing.T) {
 	if got := r.GaugeMax("g"); got != 5 {
 		t.Fatalf("gauge high-water = %v, want 5", got)
 	}
-	r.DeclareHistogram("h", []float64{1, 10})
 	r.Observe("h", 0.5)
 	r.Observe("h", 5)
 	r.Observe("h", 50)
@@ -193,7 +192,11 @@ func TestRegistryCountersGaugesHistograms(t *testing.T) {
 	if h.Count != 3 || h.Sum != 55.5 {
 		t.Fatalf("histogram totals wrong: %+v", h)
 	}
-	want := []int64{1, 1, 1}
+	// DefaultBuckets: 0.5 lands under 1, 5 under 10, 50 under 100.
+	want := []int64{0, 0, 0, 0, 0, 0, 1, 1, 1, 0, 0}
+	if len(h.Counts) != len(want) {
+		t.Fatalf("histogram counts = %v, want %v", h.Counts, want)
+	}
 	for i, c := range h.Counts {
 		if c != want[i] {
 			t.Fatalf("histogram counts = %v, want %v", h.Counts, want)

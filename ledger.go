@@ -3,8 +3,8 @@
 // re-exported for the binaries and external users. Every invocation
 // mints a run ID; with -archive it lands a self-describing, content-
 // addressed record (manifest, counters, report, trace, monitor state,
-// per-cycle series, anomaly profiles) that senkf-report can list and
-// diff across runs.
+// per-cycle series, CPU and anomaly profiles) that senkf-report can list,
+// diff and attribute hot stages over.
 
 package senkf
 
@@ -41,25 +41,22 @@ type (
 	// to Problem.Prof / CycleConfig.Prof / Machine.Prof so CPU profiles
 	// slice by {run_id, algo, substrate, proc, stage}.
 	RunLabels = runtimeobs.LabelSet
-	// RuntimeSummary is the archived runtime-observability summary
-	// (runtime.json): sampler peaks, GC stats, hot-stage attribution.
-	RuntimeSummary = runtimeobs.Summary
 	// HotStageAttribution ranks per-{class, stage} CPU self-time from a
 	// labeled profile against trace busy time.
 	HotStageAttribution = runtimeobs.Attribution
 )
 
 // Attached-file names inside an archived run directory, for
-// RunRecord.ReadFile / Has.
+// RunRecord.ReadFile / Has: the two halves of a hot-stage attribution.
 const (
 	RunTraceFile      = runlog.TraceFile
 	RunCPUProfileFile = runlog.CPUProfileFile
-	RunRuntimeFile    = runlog.RuntimeFile
 )
 
 // AttributeHotStages parses a raw labeled CPU profile (pprof bytes) and
 // merges it onto the run's trace events: per-{class, stage} CPU
-// self-time ranked against trace busy time.
+// self-time ranked against trace busy time. It is the one attribution
+// path (senkf-report hotspots); the archive keeps only its two inputs.
 func AttributeHotStages(profile []byte, events []TraceEvent) (*HotStageAttribution, error) {
 	p, err := runtimeobs.ParseProfile(profile)
 	if err != nil {

@@ -23,8 +23,9 @@ type (
 	// NewTraceTee or Monitor.Tee) and a RunObserver (attach through
 	// Problem.Obs / Machine.Obs).
 	Monitor = monitor.Monitor
-	// MonitorOptions configures tolerance, flight-recorder size, the
-	// anomaly dump path and the wire collector the monitor judges (Wire).
+	// MonitorOptions configures the anomaly dump path, the registry the
+	// monitor counts into, the run's identity and logger, and the wire
+	// collector the monitor judges (Wire).
 	MonitorOptions = monitor.Options
 	// MonitorStatus is the live run summary served at /status.
 	MonitorStatus = monitor.Status

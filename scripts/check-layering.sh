@@ -81,6 +81,14 @@ for pkg in senkf/internal/runlog senkf/internal/report; do
     fi
 done
 
+# The report is built from the trace and the counters alone: hot-stage
+# attribution (runtimeobs) is senkf-report hotspots' business, over the
+# archived profile and trace, not a section of the run report.
+if go list -deps senkf/internal/report | grep -qx 'senkf/internal/runtimeobs'; then
+    echo "FAIL: senkf/internal/report must not depend on senkf/internal/runtimeobs" >&2
+    exit 1
+fi
+
 deps=$(go list -deps senkf/internal/runlog)
 for need in senkf/internal/plan senkf/internal/trace senkf/internal/costmodel senkf/internal/report; do
     if ! grep -qx "$need" <<<"$deps"; then
@@ -126,4 +134,4 @@ if bad=$(grep -rn 'mlTag\|func observeML\|func runComputeML\|func runIOML' \
     exit 1
 fi
 
-echo "OK: plan, monitor, report and runlog layers are substrate-free; monitor serves no HTTP; runtimeobs sits below plan; ckpt builds on ensio only; core and schedule build on plan; no bespoke multilevel paths"
+echo "OK: plan, monitor, report and runlog layers are substrate-free; monitor serves no HTTP; report builds without runtimeobs; runtimeobs sits below plan; ckpt builds on ensio only; core and schedule build on plan; no bespoke multilevel paths"
