@@ -1,18 +1,14 @@
-// Incremental plan conformance: fold each phase span / release instant
-// into the per-track structural signature as it arrives and diff against
-// the compiled plan's ExpectedDAG — the streaming version of
-// plan.StructuralDAG + plan.DiffDAG.
-//
-// Spans and release instants advance two separate cursors per track: on
-// the real substrate the helper goroutine emits "ready" concurrently with
-// the main thread's spans on the same track, so only the per-kind order
-// is guaranteed (and is: spans are program order; a mailbox is FIFO, so a
-// group's stage-l notification precedes its stage-l+1 one).
+// Live plan conformance: each phase span and release instant goes to the
+// run's plan.Checker as it arrives, and the checker's divergences become
+// the monitor's. What a conforming run looks like is decided in plan
+// alone; this file words the verdicts and blames plan edges, reading the
+// plan's expected wire edges and each compute stage's Expect.
 
 package monitor
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 
@@ -21,84 +17,40 @@ import (
 	"senkf/internal/trace"
 )
 
-// trackState is the live cursor pair of one processor track.
-type trackState struct {
-	exp      *plan.TrackDAG
-	spanCur  int // next expected index into exp.Spans
-	readyCur int // next expected index into exp.Ready
-	unknown  bool
-}
-
-// stageFeed names the I/O ranks whose sends release one compute stage.
-type stageFeed struct {
-	stage  int
-	expect int
-	srcs   []string
-}
-
-func (m *Monitor) divergeLocked(format string, args ...interface{}) {
+func (m *Monitor) divergeLocked(detail string) {
 	m.divCount++
 	m.reg.Inc("monitor/divergences")
 	if len(m.divergences) < 32 {
-		m.divergences = append(m.divergences, fmt.Sprintf(format, args...))
+		m.divergences = append(m.divergences, detail)
 		if m.opts.Logger != nil {
-			m.opts.Logger.Warn("monitor: plan divergence", "detail", m.divergences[len(m.divergences)-1])
+			m.opts.Logger.Warn("monitor: plan divergence", "detail", detail)
 		}
 	}
 	if m.divCount == 1 {
-		m.incidentLocked(Incident{
-			Kind:   "divergence",
-			Detail: fmt.Sprintf(format, args...),
-		}, true)
+		m.incidentLocked(Incident{Kind: "divergence", Detail: detail}, true)
 	}
 }
 
-// stateFor returns the track's cursor state, flagging tracks the plan
-// does not know as a divergence (once).
-func (m *Monitor) stateFor(track string) *trackState {
-	st := m.tracks[track]
-	if st == nil {
-		st = &trackState{exp: &plan.TrackDAG{}, unknown: true}
-		m.tracks[track] = st
-		if m.cp != nil {
-			m.divergeLocked("unexpected track %s (not in the compiled plan)", track)
-		}
+func stageOf(ev trace.Event) int {
+	if v, ok := ev.ArgValue(trace.ArgStage); ok {
+		return int(v)
 	}
-	return st
+	return -1
 }
 
-// foldSpanLocked advances the span cursor with one busy span and feeds
-// the watchdog + streaming latency histograms. Wait spans are timing, not
+// foldSpanLocked checks one busy span against the plan and feeds the
+// watchdog + streaming latency histograms. Wait spans are timing, not
 // structure (plan.StructuralDAG skips them too), but they are exactly
 // where a starved compute rank shows, so they get the watchdog treatment
-// with the stage derived from the pending release cursor.
+// with the stage the rank was awaiting.
 func (m *Monitor) foldSpanLocked(ev trace.Event) {
-	st := m.stateFor(ev.Track)
-	stage := -1
-	if v, ok := ev.ArgValue(trace.ArgStage); ok {
-		stage = int(v)
-	}
-	isIO := strings.HasPrefix(ev.Track, metrics.IOPrefix+"/")
-
+	stage := stageOf(ev)
 	if ev.Name == metrics.PhaseWait.String() {
-		// The stage being awaited is the first of the plan's expected
-		// releases that had not yet arrived when the wait began. (The
-		// release cursor is no use here: on the real substrate the helper
-		// goroutine may deliver several "ready" instants before the main
-		// thread's wait span is emitted.)
-		waitStage := -1
-		arrived := m.readyTs[ev.Track]
-		for _, stg := range st.exp.Ready {
-			if at, ok := arrived[stg]; !ok || at > ev.Ts {
-				waitStage = stg
-				break
-			}
-		}
 		m.reg.Observe("monitor/scatter_wait", ev.Dur)
-		if waitStage >= 0 {
-			// A wait that began after every expected release had already
-			// arrived is not starving on stage data (a terminal barrier,
-			// say) — there is no plan edge to budget it against.
+		// A wait that began after every expected release had already
+		// arrived is not starving on stage data (a terminal barrier,
+		// say) — there is no plan edge to budget it against.
+		if waitStage := m.awaitedLocked(ev.Track, ev.Ts); waitStage >= 0 {
 			m.checkBudgetLocked(ev.Track, "wait", waitStage, ev)
 		}
 		return
@@ -107,7 +59,7 @@ func (m *Monitor) foldSpanLocked(ev trace.Event) {
 	m.spans++
 	switch ev.Name {
 	case metrics.PhaseRead.String():
-		if isIO {
+		if strings.HasPrefix(ev.Track, metrics.IOPrefix+"/") {
 			m.reg.Observe("monitor/read_latency", ev.Dur)
 		} else {
 			m.reg.Observe("monitor/self_read_latency", ev.Dur)
@@ -124,101 +76,92 @@ func (m *Monitor) foldSpanLocked(ev trace.Event) {
 			}
 		}
 	}
-
-	if !st.unknown {
-		got := plan.DAGNode{Phase: ev.Name, Stage: stage}
-		if st.spanCur >= len(st.exp.Spans) {
-			m.divergeLocked("track %s: extra span %v beyond the %d planned", ev.Track, got, len(st.exp.Spans))
-		} else if want := st.exp.Spans[st.spanCur]; got != want {
-			m.divergeLocked("track %s span %d: got %v, plan says %v", ev.Track, st.spanCur, got, want)
-		}
-		st.spanCur++
+	if d := m.check.Span(ev.Track, plan.DAGNode{Phase: ev.Name, Stage: stage}); d != "" {
+		m.divergeLocked(d)
 	}
 	m.checkBudgetLocked(ev.Track, ev.Name, stage, ev)
 }
 
-// foldReadyLocked advances the release cursor with one "ready" instant.
+// foldReadyLocked checks one "ready" instant and times its arrival.
 func (m *Monitor) foldReadyLocked(ev trace.Event) {
-	st := m.stateFor(ev.Track)
-	stage := -1
-	if v, ok := ev.ArgValue(trace.ArgStage); ok {
-		stage = int(v)
-	}
+	stage := stageOf(ev)
 	if ts := m.readyTs[ev.Track]; ts == nil {
 		m.readyTs[ev.Track] = map[int]float64{stage: ev.Ts}
 	} else if _, dup := ts[stage]; !dup {
 		ts[stage] = ev.Ts
 	}
-	if st.unknown {
-		return
+	if d := m.check.Ready(ev.Track, stage); d != "" {
+		m.divergeLocked(d)
 	}
-	if st.readyCur >= len(st.exp.Ready) {
-		m.divergeLocked("track %s: extra release instant (stage %d) beyond the %d planned", ev.Track, stage, len(st.exp.Ready))
-	} else if want := st.exp.Ready[st.readyCur]; stage != want {
-		m.divergeLocked("track %s release %d: got stage %d, plan says stage %d", ev.Track, st.readyCur, stage, want)
+}
+
+// awaitedLocked returns the first of the track's planned releases that had
+// not arrived by ts, or -1. (The checker's release cursor is no use here:
+// on the real substrate the helper goroutine may deliver several "ready"
+// instants before the main thread's wait span is emitted.)
+func (m *Monitor) awaitedLocked(track string, ts float64) int {
+	for _, stage := range m.check.Expected(track).Ready {
+		if at, ok := m.readyTs[track][stage]; !ok || at > ts {
+			return stage
+		}
 	}
-	st.readyCur++
+	return -1
 }
 
 // blamedEdgeLocked names the plan edge a compute track is (or was)
-// waiting on: the I/O ranks whose stage-l sends release it, derived from
-// the plan's Expect counts and comm destinations.
+// waiting on: the I/O ranks with a level-0 wire edge to it at the stage,
+// and the stage's Expect count. Without a stage, the first release still
+// outstanding.
 func (m *Monitor) blamedEdgeLocked(track string, stage int) string {
-	feeds := m.feeders[track]
-	if len(feeds) == 0 {
-		return ""
-	}
-	feed := feeds[0]
-	found := false
-	for _, f := range feeds {
-		if f.stage == stage {
-			feed, found = f, true
-			break
+	var r *plan.ComputeRank
+	for q := 0; m.cp != nil && q < len(m.cp.Compute); q++ {
+		if m.cp.Compute[q].Name == track {
+			r = &m.cp.Compute[q]
 		}
 	}
-	if !found {
-		// No stage known (an untagged wait before any release): blame the
-		// first stage whose release has not arrived.
-		if st := m.tracks[track]; st != nil && st.readyCur < len(st.exp.Ready) {
-			want := st.exp.Ready[st.readyCur]
-			for _, f := range feeds {
-				if f.stage == want {
-					feed = f
-					break
-				}
+	if r == nil {
+		return ""
+	}
+	// The stage asked about, else the first release still outstanding,
+	// else the first stage fed by messages.
+	var feed *plan.ComputeStage
+	for _, want := range []int{stage, m.awaitedLocked(track, math.Inf(1)), math.MinInt} {
+		for i := range r.Stages {
+			if st := &r.Stages[i]; feed == nil && st.Expect > 0 && (st.Stage == want || want == math.MinInt) {
+				feed = st
 			}
+		}
+	}
+	if feed == nil {
+		return ""
+	}
+	var srcs []string
+	for q := range m.cp.IO {
+		if _, ok := m.edges[plan.EdgeKey{Src: m.cp.IO[q].Rank, Dst: r.Rank, Stage: feed.Stage}]; ok {
+			srcs = append(srcs, m.cp.IO[q].Name)
 		}
 	}
 	return fmt.Sprintf("%s -> %s (stage %d, %d member blocks expected)",
-		compactNames(feed.srcs), track, feed.stage, feed.expect)
+		compactNames(srcs), track, feed.Stage, feed.Expect)
 }
 
 // ioEdgeLocked names the forward edge of an I/O rank: the compute ranks
-// its pending stage feeds — who starves if this rank stalls or dies.
+// its pending stage's wire edges feed — who starves if it stalls or dies.
 func (m *Monitor) ioEdgeLocked(track string) string {
-	if m.cp == nil {
-		return ""
-	}
-	for q := range m.cp.IO {
-		r := &m.cp.IO[q]
-		if r.Name != track {
-			continue
-		}
-		st := m.tracks[track]
-		stageIdx := 0
-		if st != nil {
-			// Two spans (read, comm) per I/O stage.
-			stageIdx = st.spanCur / 2
-			if stageIdx >= len(r.Stages) {
-				stageIdx = len(r.Stages) - 1
+	for q := 0; m.cp != nil && q < len(m.cp.IO); q++ {
+		if r := &m.cp.IO[q]; r.Name == track {
+			stage := m.cp.Spec.L - 1 // a finished reader names its last stage
+			if next, ok := m.check.Next(track); ok {
+				stage = max(next.Stage, 0) // the baselines' one stage is untagged
 			}
+			var dsts []string
+			for d := range m.cp.Compute {
+				if _, ok := m.edges[plan.EdgeKey{Src: r.Rank, Dst: m.cp.Compute[d].Rank, Stage: stage}]; ok {
+					dsts = append(dsts, m.cp.Compute[d].Name)
+				}
+			}
+			return fmt.Sprintf("%s -> %s (stage %d)", track, compactNames(dsts), stage)
 		}
-		ios := r.Stages[stageIdx]
-		dsts := make([]string, 0, len(ios.Comm.Dsts))
-		for _, d := range ios.Comm.Dsts {
-			dsts = append(dsts, m.rankName[d])
-		}
-		return fmt.Sprintf("%s -> %s (stage %d)", track, compactNames(dsts), ios.Stage)
 	}
 	return ""
 }

@@ -58,7 +58,6 @@ type Incident struct {
 // incidentLocked records an incident and, when dump is set, triggers the
 // flight recorder (first anomaly wins).
 func (m *Monitor) incidentLocked(inc Incident, dump bool) {
-	m.incidentCount++
 	if len(m.incidents) < maxLogged {
 		m.incidents = append(m.incidents, inc)
 		if m.opts.Logger != nil {
@@ -106,7 +105,6 @@ func (m *Monitor) dumpLocked(reason string) {
 		return
 	}
 	m.dumpPath = m.opts.DumpPath
-	_ = reason
 }
 
 // LastDump returns the flight-recorder snapshot taken at the first

@@ -4,11 +4,11 @@
 // maintains, per run:
 //
 //   - live plan conformance — every phase span and "ready" release
-//     instant is folded incrementally into the same structural signature
-//     plan.StructuralDAG extracts post-hoc, and diffed on arrival against
-//     the compiled plan's ExpectedDAG: missing/extra spans, out-of-order
+//     instant is streamed into the run's plan.Checker, the same check
+//     plan.DiffDAG runs post-hoc: missing/extra spans, out-of-order
 //     release edges, and per-rank stage progress are visible while the
-//     run executes;
+//     run executes. The checker decides what conforms; the monitor words
+//     the verdicts and blames plan edges;
 //   - budget watchdogs — per-stage expected durations from the Eq. 7–10
 //     cost-model terms (the model/t_* counters the simulated substrate
 //     already emits, or costmodel directly via SetBudgets), with a
@@ -92,9 +92,8 @@ type Monitor struct {
 
 	// Per-run state, reset by BeginRun.
 	cp       *plan.Compiled
-	expected map[string]*plan.TrackDAG
-	tracks   map[string]*trackState
-	feeders  map[string][]stageFeed
+	check    plan.Checker    // nil before the first BeginRun
+	edges    plan.EdgeMatrix // the plan's expected wire edges
 	rankName map[int]string
 	readyTs  map[string]map[int]float64
 	finished bool
@@ -106,8 +105,7 @@ type Monitor struct {
 	verdicts []Verdict
 	injected map[string]float64 // announced straggler proc -> factor
 
-	// Wire conformance (wire.go): the collector's baseline and the
-	// expected edge matrix.
+	// Wire conformance (wire.go): the collector's baseline.
 	wire wireState
 
 	// Conformance bookkeeping.
@@ -118,12 +116,11 @@ type Monitor struct {
 	dead        map[string]bool
 
 	// Incidents + flight recorder.
-	incidents     []Incident
-	incidentCount int
-	ring          *ring
-	dumped        bool
-	dumpPath      string
-	lastDump      []trace.Event
+	incidents []Incident
+	ring      *ring
+	dumped    bool
+	dumpPath  string
+	lastDump  []trace.Event
 
 	// Runtime sampler state + watchdogs (runtime.go).
 	runtime runtimeState
@@ -142,7 +139,6 @@ func New(opts Options) *Monitor {
 	return &Monitor{
 		opts:     opts,
 		reg:      reg,
-		tracks:   map[string]*trackState{},
 		budgets:  map[string]float64{},
 		peers:    map[peerKey][]float64{},
 		tripped:  map[tripKey]bool{},
@@ -204,20 +200,15 @@ func (m *Monitor) setBudgetLocked(phase string, v float64) {
 	}
 }
 
-// BeginRun resets per-run state and derives the expected structure from
-// the compiled plan: ExpectedDAG per track, and the release-edge sources
-// (which I/O ranks feed which compute rank at which stage, with the
-// plan's Expect counts) used to blame plan edges on stalls.
+// BeginRun resets per-run state and takes the run's contract from the
+// compiled plan: a plan.Checker for its structure, and its expected wire
+// edges, which the wire judgement and edge blame read.
 func (m *Monitor) BeginRun(c *plan.Compiled) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.cp = c
-	m.expected = c.ExpectedDAG()
-	m.tracks = make(map[string]*trackState, len(m.expected))
-	for name, exp := range m.expected {
-		m.tracks[name] = &trackState{exp: exp}
-	}
-	m.feeders = map[string][]stageFeed{}
+	m.check = plan.NewChecker(c)
+	m.edges = plan.ExpectedEdges(c)
 	m.rankName = map[int]string{}
 	m.readyTs = map[string]map[int]float64{}
 	m.finished = false
@@ -229,43 +220,12 @@ func (m *Monitor) BeginRun(c *plan.Compiled) {
 	m.divergences = nil
 	m.divCount = 0
 	m.spans = 0
-	m.beginWireLocked(c)
-
+	m.beginWireLocked()
 	for q := range c.Compute {
 		m.rankName[c.Compute[q].Rank] = c.Compute[q].Name
 	}
 	for q := range c.IO {
 		m.rankName[c.IO[q].Rank] = c.IO[q].Name
-	}
-	// Invert the comm plans: feeders[compute name][stage index] = the I/O
-	// ranks whose sends release that stage, plus the plan's Expect count.
-	type key struct {
-		dst, stage int
-	}
-	srcs := map[key][]string{}
-	for q := range c.IO {
-		r := &c.IO[q]
-		for _, st := range r.Stages {
-			for _, dst := range st.Comm.Dsts {
-				k := key{dst, st.Stage}
-				srcs[k] = append(srcs[k], r.Name)
-			}
-		}
-	}
-	for q := range c.Compute {
-		r := &c.Compute[q]
-		feeds := make([]stageFeed, 0, len(r.Stages))
-		for _, st := range r.Stages {
-			if st.Expect == 0 {
-				continue
-			}
-			feeds = append(feeds, stageFeed{
-				stage:  st.Stage,
-				expect: st.Expect,
-				srcs:   srcs[key{r.Rank, st.Stage}],
-			})
-		}
-		m.feeders[r.Name] = feeds
 	}
 	m.reg.Inc("monitor/runs")
 	if m.opts.Logger != nil {
@@ -296,16 +256,8 @@ func (m *Monitor) EndRun(err error) error {
 		// Healthy completion: every live track must have run its full
 		// expected chain. Tracks whose rank death was announced are
 		// exempt — truncation is their expected structure.
-		for name, st := range m.tracks {
-			if m.dead[name] {
-				continue
-			}
-			if st.spanCur < len(st.exp.Spans) {
-				m.divergeLocked("track %s incomplete: %d of %d busy spans", name, st.spanCur, len(st.exp.Spans))
-			}
-			if st.readyCur < len(st.exp.Ready) {
-				m.divergeLocked("track %s incomplete: %d of %d release instants", name, st.readyCur, len(st.exp.Ready))
-			}
+		for _, d := range m.check.Close(m.dead) {
+			m.divergeLocked(d)
 		}
 		if m.opts.Logger != nil {
 			m.opts.Logger.Info("monitor: run end",

@@ -154,14 +154,14 @@ func (m *Monitor) runtimeTripLocked(kind string, at, observed, budget float64, d
 func (m *Monitor) modalStageLocked() (string, int) {
 	votes := map[int]int{}
 	rep := map[int]string{}
-	for name, st := range m.tracks {
-		if st.unknown || m.dead[name] || st.spanCur >= len(st.exp.Spans) {
+	for _, name := range m.check.Tracks() { // in name order: the first at a stage represents it
+		next, ok := m.check.Next(name)
+		if !ok || m.dead[name] {
 			continue
 		}
-		stage := st.exp.Spans[st.spanCur].Stage
-		votes[stage]++
-		if cur, ok := rep[stage]; !ok || name < cur {
-			rep[stage] = name
+		votes[next.Stage]++
+		if _, seen := rep[next.Stage]; !seen {
+			rep[next.Stage] = name
 		}
 	}
 	bestStage, bestVotes := -1, 0

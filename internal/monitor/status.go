@@ -81,28 +81,19 @@ func (m *Monitor) Status() Status {
 	c.DivergenceCount = m.divCount
 	complete := m.finished
 	var laggards []RankProgress
-	for name, st := range m.tracks {
-		if st.unknown {
-			continue
-		}
+	for _, name := range m.check.Tracks() {
+		exp := m.check.Expected(name)
+		spans, ready := m.check.Matched(name)
 		c.Tracks++
-		c.ExpectedSpans += int64(len(st.exp.Spans))
-		c.ExpectedReady += int64(len(st.exp.Ready))
-		done, ready := st.spanCur, st.readyCur
-		if done > len(st.exp.Spans) {
-			done = len(st.exp.Spans)
-		}
-		if ready > len(st.exp.Ready) {
-			ready = len(st.exp.Ready)
-		}
-		c.MatchedSpans += int64(done)
+		c.ExpectedSpans += int64(len(exp.Spans))
+		c.ExpectedReady += int64(len(exp.Ready))
+		c.MatchedSpans += int64(spans)
 		c.MatchedReady += int64(ready)
-		if st.spanCur < len(st.exp.Spans) && !m.dead[name] {
+		if next, ok := m.check.Next(name); ok && !m.dead[name] {
 			complete = false
-			stage := st.exp.Spans[st.spanCur].Stage
 			laggards = append(laggards, RankProgress{
-				Proc: name, Stage: stage, Stages: s.Stages,
-				Spans: st.spanCur, Expected: len(st.exp.Spans),
+				Proc: name, Stage: next.Stage, Stages: s.Stages,
+				Spans: spans, Expected: len(exp.Spans),
 			})
 		}
 	}

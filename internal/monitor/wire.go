@@ -3,8 +3,9 @@
 // plan. The collector is the only place wire traffic is counted; it
 // accumulates across runs while expectations are per run, so BeginRun
 // snapshots it and a run's traffic is the collector minus that snapshot.
-// Missing, unexpected, overflowing and short edges are plan divergences
-// like any structural one; an outaged or saturated storage target or a
+// plan.EdgeMatrix.Compare sorts the run's edges into unexpected, over,
+// missing and short; each is a plan divergence like any structural one,
+// worded here. An outaged or saturated storage target or a
 // skewed receiver becomes a watchdog verdict naming the culprit.
 //
 // A monitor without a collector, or whose collector saw no traffic,
@@ -19,10 +20,9 @@ import (
 	"senkf/internal/wire"
 )
 
-// wireState is what the collector is judged against.
+// wireState is the collector's stage-data matrix and other traffic at
+// BeginRun; the run is judged against the plan's expected edges (m.edges).
 type wireState struct {
-	expected plan.EdgeMatrix
-	// The collector's stage-data matrix and other traffic at BeginRun.
 	base      plan.EdgeMatrix
 	baseOther plan.EdgeStats
 	// OSTs whose outage verdict was issued: one per OST per monitor.
@@ -38,20 +38,18 @@ type wireRun struct {
 	unexpected, over, missing, short []plan.EdgeKey
 }
 
-// beginWireLocked snapshots the collector and derives the run's expected
-// edge matrix.
-func (m *Monitor) beginWireLocked(c *plan.Compiled) {
+// beginWireLocked snapshots the collector.
+func (m *Monitor) beginWireLocked() {
 	wc := m.opts.Wire
 	if wc == nil {
 		return
 	}
-	m.wire.expected = plan.ExpectedEdges(c)
 	m.wire.base = wc.Matrix()
 	m.wire.baseOther.Msgs, m.wire.baseOther.Bytes = wc.Other()
 }
 
-// wireRunLocked reads the collector and classifies the run's edges, in key
-// order. Nil without a collector or before any traffic reached it.
+// wireRunLocked reads the collector and classifies the run's edges. Nil
+// without a collector or before any traffic reached it.
 func (m *Monitor) wireRunLocked() *wireRun {
 	wc := m.opts.Wire
 	if wc == nil {
@@ -70,26 +68,7 @@ func (m *Monitor) wireRunLocked() *wireRun {
 	if len(r.edges) == 0 && r.other.Msgs == 0 && len(r.sum.OSTs) == 0 {
 		return nil
 	}
-	for _, k := range r.edges.Keys() {
-		got := r.edges[k]
-		exp, known := m.wire.expected[k]
-		switch {
-		case !known:
-			r.unexpected = append(r.unexpected, k)
-		case got.Msgs > exp.Msgs || got.Bytes > exp.Bytes:
-			r.over = append(r.over, k)
-		}
-	}
-	for _, k := range m.wire.expected.Keys() {
-		got, ok := r.edges[k]
-		exp := m.wire.expected[k]
-		switch {
-		case !ok:
-			r.missing = append(r.missing, k)
-		case got.Msgs < exp.Msgs || got.Bytes < exp.Bytes:
-			r.short = append(r.short, k)
-		}
-	}
+	r.unexpected, r.over, r.missing, r.short = r.edges.Compare(m.edges)
 	return r
 }
 
@@ -105,22 +84,22 @@ func (m *Monitor) judgeWireLocked(healthy bool) {
 	m.reg.Add("monitor/comm/msgs", float64(tot.Msgs+r.other.Msgs))
 	m.reg.Add("monitor/comm/bytes", float64(tot.Bytes+r.other.Bytes))
 	for _, k := range r.unexpected {
-		m.divergeLocked("unexpected wire edge %s: %d bytes outside the plan's comm matrix", k, r.edges[k].Bytes)
+		m.divergeLocked(fmt.Sprintf("unexpected wire edge %s: %d bytes outside the plan's comm matrix", k, r.edges[k].Bytes))
 	}
 	for _, k := range r.over {
-		got, exp := r.edges[k], m.wire.expected[k]
-		m.divergeLocked("wire edge %s overflow: %d msgs/%d bytes exceed planned %d msgs/%d bytes",
-			k, got.Msgs, got.Bytes, exp.Msgs, exp.Bytes)
+		got, exp := r.edges[k], m.edges[k]
+		m.divergeLocked(fmt.Sprintf("wire edge %s overflow: %d msgs/%d bytes exceed planned %d msgs/%d bytes",
+			k, got.Msgs, got.Bytes, exp.Msgs, exp.Bytes))
 	}
 	if healthy {
 		for _, k := range r.missing {
-			exp := m.wire.expected[k]
-			m.divergeLocked("wire edge %s missing: planned %d msgs/%d bytes, saw none", k, exp.Msgs, exp.Bytes)
+			exp := m.edges[k]
+			m.divergeLocked(fmt.Sprintf("wire edge %s missing: planned %d msgs/%d bytes, saw none", k, exp.Msgs, exp.Bytes))
 		}
 		for _, k := range r.short {
-			got, exp := r.edges[k], m.wire.expected[k]
-			m.divergeLocked("wire edge %s short: %d msgs/%d bytes of planned %d msgs/%d bytes",
-				k, got.Msgs, got.Bytes, exp.Msgs, exp.Bytes)
+			got, exp := r.edges[k], m.edges[k]
+			m.divergeLocked(fmt.Sprintf("wire edge %s short: %d msgs/%d bytes of planned %d msgs/%d bytes",
+				k, got.Msgs, got.Bytes, exp.Msgs, exp.Bytes))
 		}
 	}
 	for _, o := range r.sum.OSTs {
@@ -210,7 +189,8 @@ func (m *Monitor) saturationVerdictLocked(osts []wire.OSTLine) {
 	}
 }
 
-// WireStatus is the wire-conformance slice of /status.
+// WireStatus is the wire-conformance slice of /status. Msgs and Bytes count
+// stage data only, as in wire.Summary; Other* count everything else.
 type WireStatus struct {
 	Msgs            int64   `json:"msgs"`
 	Bytes           int64   `json:"bytes"`
@@ -235,10 +215,10 @@ func (m *Monitor) wireStatusLocked() *WireStatus {
 	}
 	tot := r.edges.Totals()
 	return &WireStatus{
-		Msgs:            tot.Msgs + r.other.Msgs,
+		Msgs:            tot.Msgs,
 		Bytes:           tot.Bytes,
 		EdgesObserved:   len(r.edges),
-		EdgesExpected:   len(m.wire.expected),
+		EdgesExpected:   len(m.edges),
 		OtherMsgs:       r.other.Msgs,
 		OtherBytes:      r.other.Bytes,
 		MaxQueueDepth:   r.sum.MaxQueueDepth,

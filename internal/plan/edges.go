@@ -109,25 +109,43 @@ func (m EdgeMatrix) Clone() EdgeMatrix {
 // Equal reports whether two matrices are bit-identical.
 func (m EdgeMatrix) Equal(other EdgeMatrix) bool { return m.Diff(other) == nil }
 
-// Diff returns the first difference between two matrices in deterministic
-// edge order, or nil when they are identical.
+// Diff returns the first edge Compare finds between other and m, taken as
+// the expected matrix — unexpected, then over, missing and short — or nil
+// when the two are identical.
 func (m EdgeMatrix) Diff(other EdgeMatrix) error {
-	for _, k := range m.Keys() {
-		got, ok := other[k]
-		if !ok {
-			return fmt.Errorf("edge %s: present (%d msgs, %d bytes) vs absent", k, m[k].Msgs, m[k].Bytes)
-		}
-		if got != m[k] {
-			return fmt.Errorf("edge %s: %d msgs/%d bytes vs %d msgs/%d bytes",
-				k, m[k].Msgs, m[k].Bytes, got.Msgs, got.Bytes)
-		}
-	}
-	for _, k := range other.Keys() {
-		if _, ok := m[k]; !ok {
-			return fmt.Errorf("edge %s: absent vs present (%d msgs, %d bytes)", k, other[k].Msgs, other[k].Bytes)
+	unexpected, over, missing, short := other.Compare(m)
+	for i, ks := range [][]EdgeKey{unexpected, over, missing, short} {
+		if len(ks) > 0 {
+			k := ks[0]
+			return fmt.Errorf("edge %s %s: %d msgs/%d bytes vs %d msgs/%d bytes",
+				k, [...]string{"unexpected", "over", "missing", "short"}[i],
+				m[k].Msgs, m[k].Bytes, other[k].Msgs, other[k].Bytes)
 		}
 	}
 	return nil
+}
+
+// Compare classifies the observed matrix m against the expected one, each
+// class in key order: unexpected edges the plan does not have, over edges
+// carrying more messages or bytes than planned, missing planned edges m
+// does not have, and short edges carrying fewer. An edge can be both over
+// and short. All four are empty exactly when the matrices are equal.
+func (m EdgeMatrix) Compare(expected EdgeMatrix) (unexpected, over, missing, short []EdgeKey) {
+	for _, k := range m.Keys() {
+		if exp, ok := expected[k]; !ok {
+			unexpected = append(unexpected, k)
+		} else if m[k].Msgs > exp.Msgs || m[k].Bytes > exp.Bytes {
+			over = append(over, k)
+		}
+	}
+	for _, k := range expected.Keys() {
+		if got, ok := m[k]; !ok {
+			missing = append(missing, k)
+		} else if got.Msgs < expected[k].Msgs || got.Bytes < expected[k].Bytes {
+			short = append(short, k)
+		}
+	}
+	return unexpected, over, missing, short
 }
 
 // StageMsgBytes returns the on-wire byte size of one stage-data message to

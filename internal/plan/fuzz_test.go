@@ -162,14 +162,29 @@ func checkTags(t *testing.T, s Spec) {
 	}
 }
 
-// checkSelfConformance: the plan's expected DAG and edge matrix conform to
-// themselves.
+// checkSelfConformance: the plan's expected DAG, streamed through a
+// Checker, closes with no divergence, and its edge matrix compares clean
+// against itself.
 func checkSelfConformance(t *testing.T, c *Compiled) {
 	t.Helper()
-	if err := DiffDAG(c.ExpectedDAG(), c.ExpectedDAG()); err != nil {
-		t.Fatalf("expected DAG differs from itself: %v", err)
+	k := NewChecker(c)
+	for name, tr := range c.ExpectedDAG() {
+		for _, s := range tr.Spans {
+			if d := k.Span(name, s); d != "" {
+				t.Fatal(d)
+			}
+		}
+		for _, stage := range tr.Ready {
+			if d := k.Ready(name, stage); d != "" {
+				t.Fatal(d)
+			}
+		}
 	}
-	if err := ExpectedEdges(c).Diff(ExpectedEdges(c)); err != nil {
-		t.Fatalf("expected edges differ from themselves: %v", err)
+	if ds := k.Close(nil); len(ds) > 0 {
+		t.Fatalf("the plan's own DAG does not close: %v", ds)
+	}
+	e := ExpectedEdges(c)
+	if u, o, m, s := e.Compare(e); len(u)+len(o)+len(m)+len(s) > 0 {
+		t.Fatalf("expected edges differ from themselves: %v %v %v %v", u, o, m, s)
 	}
 }

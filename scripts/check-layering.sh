@@ -48,6 +48,16 @@ if grep -qx 'net/http' <<<"$deps"; then
     exit 1
 fi
 
+# What a conforming run looks like is decided in plan alone: the monitor
+# streams events into a plan.Checker and reads plan.ExpectedEdges. Were it
+# to derive the expected DAG or invert the comm plans itself, the live
+# check and the post-hoc one could disagree again.
+if bad=$(grep -n 'ExpectedDAG(\|Comm\.Dsts' internal/monitor/*.go | grep -v '_test\.go:'); then
+    echo "FAIL: internal/monitor must take the plan contract from plan.Checker and plan.ExpectedEdges:" >&2
+    echo "$bad" >&2
+    exit 1
+fi
+
 # internal/runtimeobs sits below the plan layer: pprof labels, the
 # runtime/metrics sampler and hot-stage attribution are pure
 # stdlib + trace machinery that plan (Problem.Prof), both engines, the
@@ -134,4 +144,4 @@ if bad=$(grep -rn 'mlTag\|func observeML\|func runComputeML\|func runIOML' \
     exit 1
 fi
 
-echo "OK: plan, monitor, report and runlog layers are substrate-free; monitor serves no HTTP; report builds without runtimeobs; runtimeobs sits below plan; ckpt builds on ensio only; core and schedule build on plan; no bespoke multilevel paths"
+echo "OK: plan, monitor, report and runlog layers are substrate-free; monitor serves no HTTP and derives no plan contract; report builds without runtimeobs; runtimeobs sits below plan; ckpt builds on ensio only; core and schedule build on plan; no bespoke multilevel paths"
