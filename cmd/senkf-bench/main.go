@@ -58,7 +58,7 @@ func main() {
 		suite = senkf.QuickFigures()
 		scale = "quick"
 	}
-	traced := obs.TraceOut() != "" || obs.CountersOn() || obs.CountersCSV() != "" || obs.MonitorOn()
+	traced := obs.TraceOut() != "" || obs.CountersOn() || obs.MonitorOn()
 	if *ostOutage != "" && (!traced || *record != "" || *check != "") {
 		sess.Fatal(fmt.Errorf("-ost-outage applies only to the traced run (-trace/-counters/-monitor, without -record/-check)"))
 	}

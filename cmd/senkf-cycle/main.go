@@ -60,7 +60,7 @@ func main() {
 	if obs.MonitorOn() && *analyzer != "senkf" {
 		log.Fatal("-monitor needs -analyzer senkf (plan conformance is defined by the compiled S-EnKF plan)")
 	}
-	if (obs.TraceOut() != "" || obs.CountersOn() || obs.CountersCSV() != "") && *analyzer == "serial" {
+	if (obs.TraceOut() != "" || obs.CountersOn()) && *analyzer == "serial" {
 		log.Fatal("-trace/-counters need a parallel analyzer (senkf or penkf)")
 	}
 	if *resil && *analyzer != "senkf" {

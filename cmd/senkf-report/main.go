@@ -14,8 +14,8 @@
 //
 // Usage:
 //
-//	senkf-bench -quick -trace trace.json -counters-csv counters.csv
-//	senkf-report -trace trace.json -counters counters.csv -json report.json
+//	senkf-bench -quick -trace trace.json
+//	senkf-report -trace trace.json -json report.json
 //
 //	senkf-run -dir /tmp/ens -algo senkf -archive ledger
 //	senkf-report list -archive ledger
@@ -60,10 +60,9 @@ func main() {
 // runSingle is the original single-trace report mode.
 func runSingle() {
 	var (
-		traceIn  = flag.String("trace", "", "Chrome trace-event JSON file of the run (required)")
-		counters = flag.String("counters", "", "optional counters CSV (from -counters-csv) to attach")
-		jsonOut  = flag.String("json", "", "write the structured report as JSON to this file")
-		quiet    = flag.Bool("quiet", false, "suppress the text summary (useful with -json)")
+		traceIn = flag.String("trace", "", "Chrome trace-event JSON file of the run (required)")
+		jsonOut = flag.String("json", "", "write the structured report as JSON to this file")
+		quiet   = flag.Bool("quiet", false, "suppress the text summary (useful with -json)")
 	)
 	obs := senkf.RegisterBasicRunFlags(flag.CommandLine, "senkf-report")
 	flag.Parse()
@@ -87,20 +86,7 @@ func runSingle() {
 		sess.Fatal(fmt.Errorf("%s: %v", *traceIn, err))
 	}
 
-	var cmap map[string]float64
-	if *counters != "" {
-		cf, err := os.Open(*counters)
-		if err != nil {
-			sess.Fatal(err)
-		}
-		cmap, err = senkf.ParseCountersCSV(cf)
-		cf.Close()
-		if err != nil {
-			sess.Fatal(fmt.Errorf("%s: %v", *counters, err))
-		}
-	}
-
-	rep, err := senkf.BuildRunReport(events, cmap)
+	rep, err := senkf.BuildRunReport(events)
 	if err != nil {
 		sess.Fatal(err)
 	}

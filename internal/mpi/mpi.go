@@ -18,7 +18,6 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"senkf/internal/trace"
@@ -49,7 +48,7 @@ type envelope struct {
 
 // MsgObserver receives one callback per delivered point-to-point message:
 // sender and receiver world ranks, the message tag, the on-wire byte size
-// (8·(meta+data) words, matching CommStats), the enqueue and delivery
+// (8·(meta+data) words, as mpi.bytes counts it), the enqueue and delivery
 // timestamps on the world clock (the tracer's clock when tracing, wall
 // seconds since world creation otherwise), and the receiver's remaining
 // inbox depth at match time. Callbacks run on receiving goroutines
@@ -202,26 +201,8 @@ func (ib *inbox) take(context, src, tag int, timeout time.Duration) (envelope, i
 	}
 }
 
-// CommStats are cumulative per-rank message totals. They are scoped to the
-// world rank: communicators created by Split accumulate into their world
-// rank's totals. A message of m meta ints and d data floats counts as
-// 8*(m+d) bytes.
-type CommStats struct {
-	MsgsSent   int64
-	MsgsRecvd  int64
-	BytesSent  int64
-	BytesRecvd int64
-}
-
-// rankStats is the concurrent accumulator behind CommStats: ranks run as
-// real goroutines, so totals must be atomic.
-type rankStats struct {
-	msgsSent   atomic.Int64
-	msgsRecvd  atomic.Int64
-	bytesSent  atomic.Int64
-	bytesRecvd atomic.Int64
-}
-
+// msgBytes is a message's on-wire size: m meta ints and d data floats
+// count as 8*(m+d) bytes.
 func msgBytes(meta []int, data []float64) int64 {
 	return 8 * int64(len(meta)+len(data))
 }
@@ -230,7 +211,6 @@ func msgBytes(meta []int, data []float64) int64 {
 type World struct {
 	size    int
 	inboxes []*inbox
-	stats   []rankStats
 	tracer  *trace.Tracer
 	msgObs  MsgObserver
 	epoch   time.Time // wall-clock origin when no tracer supplies a clock
@@ -244,7 +224,7 @@ func NewWorld(n int) (*World, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("mpi: world size must be positive, got %d", n)
 	}
-	w := &World{size: n, inboxes: make([]*inbox, n), stats: make([]rankStats, n), nextContext: 1, epoch: time.Now()}
+	w := &World{size: n, inboxes: make([]*inbox, n), nextContext: 1, epoch: time.Now()}
 	for i := range w.inboxes {
 		w.inboxes[i] = newInbox()
 	}
@@ -271,31 +251,6 @@ func (w *World) now() float64 {
 		return w.tracer.Now()
 	}
 	return time.Since(w.epoch).Seconds()
-}
-
-// RankStats returns the cumulative totals of the given world rank.
-func (w *World) RankStats(rank int) CommStats {
-	s := &w.stats[rank]
-	return CommStats{
-		MsgsSent:   s.msgsSent.Load(),
-		MsgsRecvd:  s.msgsRecvd.Load(),
-		BytesSent:  s.bytesSent.Load(),
-		BytesRecvd: s.bytesRecvd.Load(),
-	}
-}
-
-// TotalStats sums RankStats over all ranks. In a quiescent world where
-// every sent message was received, BytesSent == BytesRecvd.
-func (w *World) TotalStats() CommStats {
-	var t CommStats
-	for r := 0; r < w.size; r++ {
-		s := w.RankStats(r)
-		t.MsgsSent += s.MsgsSent
-		t.MsgsRecvd += s.MsgsRecvd
-		t.BytesSent += s.BytesSent
-		t.BytesRecvd += s.BytesRecvd
-	}
-	return t
 }
 
 // allocContext hands out a fresh context id. Contexts separate the message
@@ -377,10 +332,6 @@ func (c *Comm) Rank() int { return c.rank }
 // Size returns the communicator size.
 func (c *Comm) Size() int { return len(c.group) }
 
-// Stats returns the caller's cumulative message totals (world-rank scoped;
-// see CommStats).
-func (c *Comm) Stats() CommStats { return c.world.RankStats(c.group[c.rank]) }
-
 // track is the caller's trace track: one row per world rank.
 func (c *Comm) track() string { return fmt.Sprintf("rank%d", c.group[c.rank]) }
 
@@ -416,7 +367,7 @@ func (c *Comm) Send(dst, tag int, meta []int, data []float64) error {
 // receiver's Message.Data is data itself, so the caller must not read or
 // write data after the call. It is for a payload built for exactly one
 // receiver and dropped by its sender; a buffer the sender keeps or reuses
-// needs Send. Meta is still copied. Validation, CommStats, tracing and the
+// needs Send. Meta is still copied. Validation, the counters, tracing and the
 // message observer see the same message either way.
 func (c *Comm) SendOwned(dst, tag int, meta []int, data []float64) error {
 	if err := c.checkSend(dst, tag); err != nil {
@@ -458,7 +409,8 @@ func (c *Comm) send(dst, tag int, meta []int, data []float64) {
 	c.deliver(dst, tag, append([]int(nil), meta...), append([]float64(nil), data...))
 }
 
-// deliver enqueues the message at dst and accounts for it. The envelope
+// deliver enqueues the message at dst and counts it in the registry (the
+// transport's one record of what it sent: mpi.msgs, mpi.bytes). The envelope
 // keeps meta and data themselves: both belong to the receiver from here on.
 func (c *Comm) deliver(dst, tag int, meta []int, data []float64) {
 	e := envelope{
@@ -471,9 +423,6 @@ func (c *Comm) deliver(dst, tag int, meta []int, data []float64) {
 	}
 	c.world.inboxes[c.group[dst]].put(e)
 	bytes := msgBytes(meta, data)
-	st := &c.world.stats[c.group[c.rank]]
-	st.msgsSent.Add(1)
-	st.bytesSent.Add(bytes)
 	tr := c.world.tracer
 	if reg := tr.Counters(); reg != nil {
 		reg.Inc("mpi.msgs")
@@ -487,7 +436,8 @@ func (c *Comm) deliver(dst, tag int, meta []int, data []float64) {
 }
 
 // take blocks on the caller's inbox for a message from communicator rank
-// src with the given tag, accounting stats and emitting the blocking span.
+// src with the given tag, emitting the blocking span and the delivery to
+// the message observer.
 // All receive paths — point-to-point and collectives — come through here.
 func (c *Comm) take(src, tag int) (Message, error) {
 	return c.takeTimeout(src, tag, 0)
@@ -507,9 +457,6 @@ func (c *Comm) takeTimeout(src, tag int, timeout time.Duration) (Message, error)
 		return e.Message, err
 	}
 	m := e.Message
-	st := &c.world.stats[c.group[c.rank]]
-	st.msgsRecvd.Add(1)
-	st.bytesRecvd.Add(msgBytes(m.Meta, m.Data))
 	if tr.Enabled() {
 		tr.Span(c.track(), "mpi", opName(tag), t0, tr.Now(),
 			trace.Arg{Key: "bytes", Val: float64(msgBytes(m.Meta, m.Data))})

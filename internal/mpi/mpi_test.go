@@ -2,6 +2,7 @@ package mpi
 
 import (
 	"fmt"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -496,12 +497,29 @@ func TestAbortUnblocksPendingReceives(t *testing.T) {
 	}
 }
 
-func TestCommStatsAccounting(t *testing.T) {
-	w, err := NewWorld(2)
+// countingWorld returns an n-rank world that counts into a fresh registry
+// and records every delivery.
+func countingWorld(t *testing.T, n int) (*World, *trace.Registry, *recordingObserver) {
+	t.Helper()
+	w, err := NewWorld(n)
 	if err != nil {
 		t.Fatal(err)
 	}
-	err = w.Run(func(c *Comm) error {
+	reg := trace.NewRegistry()
+	tr := trace.New(nil)
+	tr.SetCounters(reg)
+	w.SetTracer(tr)
+	obs := &recordingObserver{}
+	w.SetMsgObserver(obs)
+	return w, reg, obs
+}
+
+// TestCommStatsAccounting: a send lands once in the registry, as one
+// mpi.msgs and its 8·(meta+data) bytes in mpi.bytes, and its receiver is
+// handed the same sender, receiver and size.
+func TestCommStatsAccounting(t *testing.T) {
+	w, reg, obs := countingWorld(t, 2)
+	err := w.Run(func(c *Comm) error {
 		if c.Rank() == 0 {
 			// 2 meta ints + 3 data floats = 40 bytes.
 			return c.Send(1, 7, []int{1, 2}, []float64{1, 2, 3})
@@ -512,25 +530,19 @@ func TestCommStatsAccounting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s0, s1 := w.RankStats(0), w.RankStats(1)
-	if s0.MsgsSent != 1 || s0.BytesSent != 40 || s0.MsgsRecvd != 0 {
-		t.Errorf("rank 0 stats = %+v", s0)
+	if msgs, bytes := reg.CounterValue("mpi.msgs"), reg.CounterValue("mpi.bytes"); msgs != 1 || bytes != 40 {
+		t.Errorf("mpi.msgs = %v, mpi.bytes = %v, want 1 and 40", msgs, bytes)
 	}
-	if s1.MsgsRecvd != 1 || s1.BytesRecvd != 40 || s1.MsgsSent != 0 {
-		t.Errorf("rank 1 stats = %+v", s1)
-	}
-	tot := w.TotalStats()
-	if tot.BytesSent != tot.BytesRecvd || tot.MsgsSent != tot.MsgsRecvd {
-		t.Errorf("quiescent world asymmetric: %+v", tot)
+	if want := []observed{{0, 1, 7, 40, 0}}; !reflect.DeepEqual(obs.seen, want) {
+		t.Errorf("delivered %+v, want %+v", obs.seen, want)
 	}
 }
 
+// TestCommStatsCoverCollectives: collectives send through the same path, so
+// in a quiescent world the counters equal what the receivers were handed.
 func TestCommStatsCoverCollectives(t *testing.T) {
-	w, err := NewWorld(4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	err = w.Run(func(c *Comm) error {
+	w, reg, obs := countingWorld(t, 4)
+	err := w.Run(func(c *Comm) error {
 		if _, err := c.Bcast(0, []float64{1, 2}); err != nil {
 			return err
 		}
@@ -542,23 +554,17 @@ func TestCommStatsCoverCollectives(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tot := w.TotalStats()
-	if tot.MsgsSent == 0 {
-		t.Fatal("collectives accounted no messages")
+	var bytes int64
+	for _, o := range obs.seen {
+		bytes += o.bytes
 	}
-	if tot.MsgsSent != tot.MsgsRecvd || tot.BytesSent != tot.BytesRecvd {
-		t.Errorf("collective totals asymmetric: %+v", tot)
+	msgs := reg.CounterValue("mpi.msgs")
+	if msgs == 0 {
+		t.Fatal("collectives counted no messages")
 	}
-	// Comm.Stats returns the caller's world-rank slice of the same totals.
-	var sum CommStats
-	for r := 0; r < w.Size(); r++ {
-		s := w.RankStats(r)
-		sum.MsgsSent += s.MsgsSent
-		sum.MsgsRecvd += s.MsgsRecvd
-	}
-	if sum != (CommStats{MsgsSent: tot.MsgsSent, MsgsRecvd: tot.MsgsRecvd,
-		BytesSent: 0, BytesRecvd: 0}) && sum.MsgsSent != tot.MsgsSent {
-		t.Errorf("per-rank sum %+v != total %+v", sum, tot)
+	if msgs != float64(len(obs.seen)) || reg.CounterValue("mpi.bytes") != float64(bytes) {
+		t.Errorf("counted %v msgs / %v bytes, delivered %d / %d",
+			msgs, reg.CounterValue("mpi.bytes"), len(obs.seen), bytes)
 	}
 }
 

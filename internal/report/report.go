@@ -13,14 +13,10 @@
 package report
 
 import (
-	"encoding/csv"
 	"fmt"
 	"io"
 	"math"
-	"slices"
 	"sort"
-	"strconv"
-	"strings"
 
 	"senkf/internal/costmodel"
 	"senkf/internal/metrics"
@@ -131,9 +127,6 @@ type Report struct {
 
 	// Model drift; nil when the trace has no prediction instant.
 	Model *ModelSection `json:"model,omitempty"`
-
-	// Counters ingested from a registry CSV, keyed "kind/name/field".
-	Counters map[string]float64 `json:"counters,omitempty"`
 }
 
 // ModelSection is the cost-model half of the report.
@@ -150,12 +143,12 @@ type ModelSection struct {
 // with N = 120.
 const maxRetuneExtent = 1 << 16
 
-// Build computes the report from trace events plus optional counters.
-func Build(events []trace.Event, counters map[string]float64) (*Report, error) {
+// Build computes the report from trace events.
+func Build(events []trace.Event) (*Report, error) {
 	if len(events) == 0 {
 		return nil, fmt.Errorf("report: empty trace")
 	}
-	r := &Report{Schema: Schema, Counters: counters}
+	r := &Report{Schema: Schema}
 	for _, ev := range events {
 		if ev.Ph != trace.PhaseSpan {
 			continue
@@ -216,61 +209,6 @@ func Build(events []trace.Event, counters map[string]float64) (*Report, error) {
 		}
 	}
 	return r, nil
-}
-
-// ParseCountersCSV ingests the kind,name,field,value CSV written by
-// trace.Snapshot.WriteCSV into a flat "kind/name/field" map. It refuses what
-// WriteCSV never writes: a kind other than counter, gauge or histogram, a
-// field that kind does not have, and a (kind, name, field) seen before, of
-// whose two values the map could keep only one.
-func ParseCountersCSV(rd io.Reader) (map[string]float64, error) {
-	cr := csv.NewReader(rd)
-	rows, err := cr.ReadAll()
-	if err != nil {
-		return nil, fmt.Errorf("report: counters CSV: %w", err)
-	}
-	out := map[string]float64{}
-	for i, row := range rows {
-		if i == 0 && slices.Equal(row, []string{"kind", "name", "field", "value"}) {
-			continue // header
-		}
-		if len(row) != 4 {
-			return nil, fmt.Errorf("report: counters CSV row %d has %d columns, want 4", i+1, len(row))
-		}
-		if err := checkCounterField(row[0], row[2]); err != nil {
-			return nil, fmt.Errorf("report: counters CSV row %d: %w", i+1, err)
-		}
-		v, err := strconv.ParseFloat(row[3], 64)
-		if err != nil {
-			return nil, fmt.Errorf("report: counters CSV row %d value %q: %w", i+1, row[3], err)
-		}
-		key := row[0] + "/" + row[1] + "/" + row[2]
-		if _, seen := out[key]; seen {
-			return nil, fmt.Errorf("report: counters CSV row %d repeats %s %q field %q", i+1, row[0], row[1], row[2])
-		}
-		out[key] = v
-	}
-	return out, nil
-}
-
-// checkCounterField refuses a kind or a field of it that Snapshot.WriteCSV
-// never writes.
-func checkCounterField(kind, field string) error {
-	var ok bool
-	switch kind {
-	case "counter":
-		ok = field == "value"
-	case "gauge":
-		ok = field == "value" || field == "high-water"
-	case "histogram":
-		ok = field == "count" || field == "sum" || strings.HasPrefix(field, "le_")
-	default:
-		return fmt.Errorf("kind %q, want counter, gauge or histogram", kind)
-	}
-	if !ok {
-		return fmt.Errorf("a %s has no field %q", kind, field)
-	}
-	return nil
 }
 
 // WriteText renders the report as a human-readable summary.

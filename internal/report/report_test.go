@@ -29,7 +29,7 @@ func tracedQuickRun(t *testing.T, np int) []trace.Event {
 
 func TestBuildReportFromTracedRun(t *testing.T) {
 	events := tracedQuickRun(t, 120)
-	rep, err := Build(events, map[string]float64{"counter/parfs.requests/value": 42})
+	rep, err := Build(events)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +88,7 @@ func TestBuildReportFromTracedRun(t *testing.T) {
 }
 
 func TestBuildReportEmptyTrace(t *testing.T) {
-	if _, err := Build(nil, nil); err == nil {
+	if _, err := Build(nil); err == nil {
 		t.Fatal("want error on empty trace")
 	}
 }
@@ -114,57 +114,5 @@ func TestExtractRunInfoRoundTripsThroughChrome(t *testing.T) {
 	if fromFile.Choice != direct.Choice || fromFile.Params != direct.Params ||
 		fromFile.NP != direct.NP || fromFile.HasDecision != direct.HasDecision {
 		t.Fatalf("round trip changed run info:\n%+v\n%+v", fromFile, direct)
-	}
-}
-
-func TestParseCountersCSV(t *testing.T) {
-	reg := trace.NewRegistry()
-	reg.Add("parfs.requests", 3)
-	reg.SetGauge("model/t_read", 0.5)
-	var buf bytes.Buffer
-	if err := reg.WriteCSV(&buf); err != nil {
-		t.Fatal(err)
-	}
-	m, err := ParseCountersCSV(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(m) == 0 {
-		t.Fatal("empty counter map")
-	}
-	found := false
-	for k, v := range m {
-		if strings.Contains(k, "parfs.requests") && v == 3 {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("parfs.requests=3 not in %v", m)
-	}
-	if _, err := ParseCountersCSV(strings.NewReader("a,b\n")); err == nil {
-		t.Fatal("want error on malformed CSV")
-	}
-}
-
-// What Snapshot.WriteCSV never writes is refused, naming the row: a repeated
-// (kind, name, field) — whose first value the map used to lose silently —, a
-// kind other than counter, gauge and histogram, and a field the kind lacks.
-func TestParseCountersCSVRefusesDamage(t *testing.T) {
-	for _, tc := range []struct{ csv, want string }{
-		{"counter,a,value,1\ncounter,a,value,2\n", `row 2 repeats counter "a" field "value"`},
-		{"kind,name,field,value\ngauge,g,value,1\ngauge,g,high-water,2\ngauge,g,value,3\n", `row 4 repeats gauge "g" field "value"`},
-		{"bogus,x,y,3\n", `row 1: kind "bogus"`},
-		{"kind,name,field,value\ncounter,a,high-water,1\n", `row 2: a counter has no field "high-water"`},
-		{"histogram,h,mean,1\n", `row 1: a histogram has no field "mean"`},
-		{"kind,name,field\n", "row 1 has 3 columns"},
-	} {
-		m, err := ParseCountersCSV(strings.NewReader(tc.csv))
-		if err == nil || !strings.Contains(err.Error(), tc.want) {
-			t.Errorf("%q: %v (map %v), want an error containing %q", tc.csv, err, m, tc.want)
-		}
-	}
-	m, err := ParseCountersCSV(strings.NewReader("histogram,h,count,2\nhistogram,h,sum,3\nhistogram,h,le_1,1\nhistogram,h,le_inf,1\n"))
-	if err != nil || len(m) != 4 {
-		t.Errorf("a headerless histogram: %v, %v", m, err)
 	}
 }

@@ -20,7 +20,6 @@ type Flags struct {
 
 	trace          *string
 	counters       *bool
-	countersCSV    *string
 	profile        *string
 	monitor        *bool
 	flight         *string
@@ -35,14 +34,13 @@ type Flags struct {
 }
 
 // Register installs the full observability flag set — -trace, -counters,
-// -counters-csv, -profile, -monitor, -flight-recorder, -linger,
+// -profile, -monitor, -flight-recorder, -linger,
 // -runtime-sample, -capture-profile, -archive and -log-level — on fs for
 // the named binary (senkf-run, senkf-cycle, senkf-bench).
 func Register(fs *flag.FlagSet, binary string) *Flags {
 	f := RegisterBasic(fs, binary)
 	f.trace = fs.String("trace", "", "write a Chrome trace-event JSON file of the run (open in Perfetto)")
 	f.counters = fs.Bool("counters", false, "print runtime counters/gauges/histograms after the run")
-	f.countersCSV = fs.String("counters-csv", "", "write the counter registry as CSV to this file (feeds senkf-report -counters)")
 	f.monitor = fs.Bool("monitor", false, "attach the live plan-conformance monitor: watchdog verdicts, streaming metrics, flight recorder")
 	f.flight = fs.String("flight-recorder", "", "with -monitor: write the anomaly flight-recorder dump (Chrome trace JSON) here")
 	f.linger = fs.Duration("linger", 0, "keep the -profile server up for this long after the run, so it can be scraped")
@@ -81,9 +79,6 @@ func (f *Flags) TraceOut() string { return strOf(f.trace) }
 
 // CountersOn reports -counters.
 func (f *Flags) CountersOn() bool { return boolOf(f.counters) }
-
-// CountersCSV returns the -counters-csv path.
-func (f *Flags) CountersCSV() string { return strOf(f.countersCSV) }
 
 // MonitorOn reports -monitor.
 func (f *Flags) MonitorOn() bool { return boolOf(f.monitor) }

@@ -226,8 +226,8 @@ type Diff struct {
 	Efficiency *ValueDelta `json:"pipeline_efficiency,omitempty"`
 	// Drift attributes the runtime delta to the Eq. 7–10 terms.
 	Drift []DriftDelta `json:"drift,omitempty"`
-	// Counters holds the largest counter deltas (histogram buckets
-	// excluded), CountersElided the number beyond the cap.
+	// Counters holds the largest counter deltas, CountersElided the
+	// number beyond the cap.
 	Counters       []ValueDelta `json:"counters,omitempty"`
 	CountersElided int          `json:"counters_elided,omitempty"`
 }
@@ -340,7 +340,7 @@ func (a *Archive) DiffRuns(idA, idB string) (*Diff, error) {
 		}
 	}
 
-	// Counter deltas, largest first, histogram buckets excluded.
+	// Counter deltas, largest first.
 	ca, err := ra.Counters()
 	if err != nil {
 		return nil, err
@@ -358,9 +358,6 @@ func (a *Archive) DiffRuns(idA, idB string) (*Diff, error) {
 	}
 	var deltas []ValueDelta
 	for k := range ckeys {
-		if strings.Contains(k, "/le_") {
-			continue
-		}
 		va, vb := ca[k], cb[k]
 		if va != vb {
 			deltas = append(deltas, ValueDelta{Name: k, A: va, B: vb, Delta: vb - va})

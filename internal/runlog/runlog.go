@@ -325,8 +325,8 @@ func (r *Record) Report() (*report.Report, error) {
 	return &rep, nil
 }
 
-// Counters loads the attached flat counter map ("kind/name/field" keys,
-// the same scheme as report.ParseCountersCSV), or nil when absent.
+// Counters loads the attached flat counter map ("kind/name/field" keys, as
+// FlattenSnapshot writes them), or nil when absent.
 func (r *Record) Counters() (map[string]float64, error) {
 	if !r.Has(CountersFile) {
 		return nil, nil
@@ -421,9 +421,9 @@ func (a *Archive) Resolve(idOrPrefix string) (string, error) {
 }
 
 // FlattenSnapshot converts a registry snapshot into the flat
-// "kind/name/field" map the report layer uses — the JSON shape of
-// counters.json. Histograms keep their count and sum; per-bucket rows
-// stay in the CSV/Prometheus renderings only.
+// "kind/name/field" map of counters.json, the one flat form of the run's
+// counts that list and diff read. Histograms keep their count and sum;
+// per-bucket counts stay in the Prometheus rendering only.
 func FlattenSnapshot(s trace.Snapshot) map[string]float64 {
 	out := map[string]float64{}
 	for _, c := range s.Counters {

@@ -41,11 +41,10 @@ func (s *Session) serve(addr string) error {
 }
 
 // serveMetrics renders the run's registry. Every scrape first refreshes
-// the baseline go/process gauges and the comm/OST totals, so they are
-// current even with the sampler and -wire off.
+// the baseline go/process gauges, so they are current even with the
+// sampler off.
 func (s *Session) serveMetrics(w http.ResponseWriter, _ *http.Request) {
 	runtimeobs.CollectBaseline(s.Registry)
-	s.collectWireBaseline()
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	// Info-metric idiom: the run ID rides one labeled constant sample
 	// rather than a label on every series, so existing scrape configs and
@@ -64,17 +63,6 @@ func (s *Session) serveStatus(w http.ResponseWriter, _ *http.Request) {
 	}
 	w.Header().Set("Content-Type", "application/json")
 	_, _ = w.Write(data) // as in serveMetrics, a failed write has no one to tell
-}
-
-// collectWireBaseline mirrors the always-on transport and file-system
-// counters (mpi.*, parfs.*) into comm/ost gauges, so every /metrics scrape
-// carries senkf_comm_* and senkf_ost_* series even when -wire is off.
-func (s *Session) collectWireBaseline() {
-	s.Registry.SetGauge("comm/msgs_total", s.Registry.CounterValue("mpi.msgs"))
-	s.Registry.SetGauge("comm/bytes_total", s.Registry.CounterValue("mpi.bytes"))
-	s.Registry.SetGauge("ost/requests_total", s.Registry.CounterValue("parfs.requests"))
-	s.Registry.SetGauge("ost/bytes_total", s.Registry.CounterValue("parfs.bytes"))
-	s.Registry.SetGauge("ost/seeks_total", s.Registry.CounterValue("parfs.seeks"))
 }
 
 // captureHeapProfile returns the current heap profile in pprof format

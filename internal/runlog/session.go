@@ -136,7 +136,7 @@ func (f *Flags) Start() (*Session, error) {
 		s.Monitor = monitor.New(opts)
 		primary = s.Monitor.Tee(primary)
 	}
-	if primary != nil || f.CountersOn() || f.CountersCSV() != "" {
+	if primary != nil || f.CountersOn() {
 		var sinks []trace.Sink
 		if primary != nil {
 			sinks = append(sinks, primary)
@@ -381,7 +381,7 @@ func (s *Session) close() {
 	}
 }
 
-// Finish lands the run: trace file, counter table/CSV, archive record,
+// Finish lands the run: trace file, counter table, archive record,
 // monitor summary, -linger, shutdown — the tail every binary used
 // to hand-roll. runErr is the run's outcome (nil for success); it is
 // archived either way. Returns the first landing error.
@@ -431,12 +431,6 @@ func (s *Session) Finish(runErr error) error {
 	if s.flags.CountersOn() {
 		fmt.Println("\nruntime counters:")
 		fail(s.Registry.WriteTable(os.Stdout))
-	}
-	if out := s.flags.CountersCSV(); out != "" {
-		fail(writeFileWith(out, s.Registry.WriteCSV))
-		if firstErr == nil {
-			fmt.Printf("wrote counters CSV to %s\n", out)
-		}
 	}
 	if s.Wire != nil {
 		fmt.Println()
@@ -580,7 +574,7 @@ func (s *Session) writeArchiveRecord(runErr error) (string, error) {
 			return "", err
 		}
 		files[TraceFile] = data
-		if rep, err := report.Build(events, counters); err == nil {
+		if rep, err := report.Build(events); err == nil {
 			m.Runtime = rep.Runtime
 			data, err := jsonMarshalIndent(rep)
 			if err != nil {

@@ -16,6 +16,7 @@ import (
 	"senkf/internal/grid"
 	"senkf/internal/monitor"
 	"senkf/internal/plan"
+	"senkf/internal/runtimeobs"
 )
 
 // TestFailedStartStopsSamplerAndProfiler starts a session whose -profile
@@ -173,5 +174,65 @@ func TestSessionServerMonitor(t *testing.T) {
 	// The CI smoke job greps for the always-present empty divergence list.
 	if !strings.Contains(body, `"divergences": []`) {
 		t.Errorf("/status lacks the empty divergences list:\n%s", body)
+	}
+}
+
+// TestMetricsScrapeAddsNothingToTheRecord: the registry is the run's one
+// record of every count. /metrics renders it, the transport's own counter
+// included, and a scrape adds no series to it — so the archived
+// counters.json does not depend on whether anyone scraped the run.
+func TestMetricsScrapeAddsNothingToTheRecord(t *testing.T) {
+	dir := t.TempDir()
+	fs := flag.NewFlagSet("test", flag.ContinueOnError)
+	f := Register(fs, "senkf-test")
+	if err := fs.Parse([]string{"-profile", "127.0.0.1:0", "-archive", dir, "-log-level", "error"}); err != nil {
+		t.Fatal(err)
+	}
+	s, err := f.Start()
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Tracer.Counters().Add("mpi.msgs", 3)
+	runtimeobs.CollectBaseline(s.Registry)
+	before := FlattenSnapshot(s.Registry.Snapshot())
+
+	resp, err := http.Get("http://" + s.srvAddr + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(body), "# TYPE senkf_mpi_msgs counter\nsenkf_mpi_msgs 3\n") {
+		t.Errorf("/metrics lacks the transport's counter:\n%s", body)
+	}
+	if err := s.Finish(nil); err != nil {
+		t.Fatal(err)
+	}
+
+	a, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec, err := a.Load(s.RunID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	archived, err := rec.Counters()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(archived) != len(before) {
+		t.Errorf("archived %d series, the registry held %d before the scrape", len(archived), len(before))
+	}
+	for k := range archived {
+		if _, ok := before[k]; !ok {
+			t.Errorf("counters.json gained %q", k)
+		}
+	}
+	if archived["counter/mpi.msgs/value"] != 3 {
+		t.Errorf("counters.json mpi.msgs = %v, want 3", archived["counter/mpi.msgs/value"])
 	}
 }

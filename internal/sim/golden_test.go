@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"math/rand"
 	"runtime"
@@ -379,11 +380,37 @@ func (g *gprog) run(t *testing.T) string {
 			fmt.Fprintf(h, "%s %s %s %c %016x %016x %v\n", ev.Track, ev.Cat, ev.Name, ev.Ph,
 				math.Float64bits(ev.Ts), math.Float64bits(ev.Dur), ev.Args)
 		}
-		if err := reg.WriteCSV(h); err != nil {
-			t.Error(err)
-		}
+		writeRegistryRows(h, reg.Snapshot())
 	}
 	return fmt.Sprintf("%x", h.Sum(nil))
+}
+
+// writeRegistryRows writes s in the kind,name,field,value rows the digests
+// were recorded with (the registry's CSV rendering of the time).
+func writeRegistryRows(w io.Writer, s trace.Snapshot) {
+	val := func(v float64) string {
+		if v == math.Trunc(v) && math.Abs(v) < 1e15 {
+			return fmt.Sprintf("%d", int64(v))
+		}
+		return fmt.Sprintf("%.6g", v)
+	}
+	fmt.Fprintln(w, "kind,name,field,value")
+	for _, c := range s.Counters {
+		fmt.Fprintf(w, "counter,%s,value,%s\n", c.Name, val(c.Value))
+	}
+	for _, g := range s.Gauges {
+		fmt.Fprintf(w, "gauge,%s,value,%s\ngauge,%s,high-water,%s\n", g.Name, val(g.Value), g.Name, val(g.HighWater))
+	}
+	for _, h := range s.Histograms {
+		fmt.Fprintf(w, "histogram,%s,count,%d\nhistogram,%s,sum,%s\n", h.Name, h.Count, h.Name, val(h.Sum))
+		for i, c := range h.Counts {
+			bound := "le_inf"
+			if i < len(h.Buckets) {
+				bound = "le_" + val(h.Buckets[i])
+			}
+			fmt.Fprintf(w, "histogram,%s,%s,%d\n", h.Name, bound, c)
+		}
+	}
 }
 
 // TestGoldenPrograms is the refactoring net under the engine: every

@@ -1,7 +1,9 @@
 // The counter registry: named monotonic counters, gauges with high-water
-// marks, and fixed-bucket histograms, accumulated from hot paths and
-// rendered as an aligned text table or CSV. Counters are independent of
-// span sinks so `-counters` costs nothing but a map update per increment.
+// marks, and fixed-bucket histograms, accumulated from hot paths. It is the
+// run's one record of every count: -counters prints it as a table, /metrics
+// serves it in Prometheus text, and an archived run flattens it once into
+// counters.json. Counters are independent of span sinks so `-counters`
+// costs nothing but a map update per increment.
 
 package trace
 
@@ -10,7 +12,6 @@ import (
 	"io"
 	"math"
 	"sort"
-	"strings"
 	"sync"
 )
 
@@ -247,55 +248,6 @@ func (s Snapshot) WriteTable(w io.Writer) error {
 				bound = "> last bucket"
 			}
 			if _, err := fmt.Fprintf(w, "  %-14s %d\n", bound, c); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
-// WriteCSV renders the registry as CSV with columns kind,name,field,value.
-func (r *Registry) WriteCSV(w io.Writer) error { return r.Snapshot().WriteCSV(w) }
-
-// WriteCSV renders the snapshot as CSV with columns kind,name,field,value.
-func (s Snapshot) WriteCSV(w io.Writer) error {
-	if _, err := fmt.Fprintln(w, "kind,name,field,value"); err != nil {
-		return err
-	}
-	esc := func(v string) string {
-		if strings.ContainsAny(v, ",\"\n") {
-			return `"` + strings.ReplaceAll(v, `"`, `""`) + `"`
-		}
-		return v
-	}
-	for _, c := range s.Counters {
-		if _, err := fmt.Fprintf(w, "counter,%s,value,%s\n", esc(c.Name), fmtValue(c.Value)); err != nil {
-			return err
-		}
-	}
-	for _, g := range s.Gauges {
-		if _, err := fmt.Fprintf(w, "gauge,%s,value,%s\n", esc(g.Name), fmtValue(g.Value)); err != nil {
-			return err
-		}
-		if _, err := fmt.Fprintf(w, "gauge,%s,high-water,%s\n", esc(g.Name), fmtValue(g.HighWater)); err != nil {
-			return err
-		}
-	}
-	for _, h := range s.Histograms {
-		if _, err := fmt.Fprintf(w, "histogram,%s,count,%d\n", esc(h.Name), h.Count); err != nil {
-			return err
-		}
-		if _, err := fmt.Fprintf(w, "histogram,%s,sum,%s\n", esc(h.Name), fmtValue(h.Sum)); err != nil {
-			return err
-		}
-		for i, c := range h.Counts {
-			var bound string
-			if i < len(h.Buckets) {
-				bound = fmt.Sprintf("le_%s", fmtValue(h.Buckets[i]))
-			} else {
-				bound = "le_inf"
-			}
-			if _, err := fmt.Fprintf(w, "histogram,%s,%s,%d\n", esc(h.Name), bound, c); err != nil {
 				return err
 			}
 		}

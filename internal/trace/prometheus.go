@@ -1,6 +1,6 @@
-// Prometheus text-format rendering of a registry snapshot, so the live
-// monitor can expose the same counters/gauges/histograms the post-hoc
-// table and CSV writers render — scrapeable at /metrics.
+// Prometheus text-format rendering of a registry snapshot, so a live run
+// exposes the same counters/gauges/histograms the -counters table prints —
+// scrapeable at /metrics.
 
 package trace
 

@@ -234,21 +234,6 @@ func TestRegistryRender(t *testing.T) {
 			t.Fatalf("table output missing %q:\n%s", want, table.String())
 		}
 	}
-
-	var csv bytes.Buffer
-	if err := r.WriteCSV(&csv); err != nil {
-		t.Fatalf("WriteCSV: %v", err)
-	}
-	lines := strings.Split(strings.TrimSpace(csv.String()), "\n")
-	if lines[0] != "kind,name,field,value" {
-		t.Fatalf("csv header = %q", lines[0])
-	}
-	if !strings.Contains(csv.String(), "counter,mpi.bytes,value,4096") {
-		t.Fatalf("csv missing counter row:\n%s", csv.String())
-	}
-	if !strings.Contains(csv.String(), "gauge,mailbox.depth,high-water,3") {
-		t.Fatalf("csv missing gauge row:\n%s", csv.String())
-	}
 }
 
 func TestPhaseBreakdownAndSpans(t *testing.T) {

@@ -152,7 +152,7 @@ func (c *Collector) Matrix() plan.EdgeMatrix {
 
 // Other returns the traffic outside the plan tag space: collectives and
 // the engine's result gather. Matrix totals plus Other equal the
-// transport's CommStats totals exactly.
+// transport's mpi.msgs and mpi.bytes counters exactly.
 func (c *Collector) Other() (msgs, bytes int64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -77,7 +77,7 @@ func ProfileStageLabels(profile []byte) ([]int, error) {
 }
 
 // RegisterRunFlags installs the full observability flag set (-trace,
-// -counters, -counters-csv, -profile, -monitor, -flight-recorder,
+// -counters, -profile, -monitor, -flight-recorder,
 // -linger, -runtime-sample, -capture-profile, -archive, -log-level) for
 // the named binary.
 func RegisterRunFlags(fs *flag.FlagSet, binary string) *RunFlags {

@@ -40,7 +40,7 @@ func TestRunReportEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	rep, err := BuildRunReport(decoded, nil)
+	rep, err := BuildRunReport(decoded)
 	if err != nil {
 		t.Fatal(err)
 	}

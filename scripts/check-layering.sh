@@ -91,7 +91,7 @@ for pkg in senkf/internal/runlog senkf/internal/report; do
     fi
 done
 
-# The report is built from the trace and the counters alone: hot-stage
+# The report is built from the trace alone: hot-stage
 # attribution (runtimeobs) is senkf-report hotspots' business, over the
 # archived profile and trace, not a section of the run report.
 if go list -deps senkf/internal/report | grep -qx 'senkf/internal/runtimeobs'; then
@@ -106,6 +106,18 @@ for need in senkf/internal/plan senkf/internal/trace senkf/internal/costmodel se
         exit 1
     fi
 done
+
+# The registry is the run's one record of every count: a hot path adds to
+# it once, and the -counters table, /metrics and counters.json each render
+# it. Code that reads a value back out of it (CounterValue, GaugeMax) is
+# how a second copy starts — a mirror gauge, a per-rank total beside the
+# counter — so only tests may.
+if bad=$(grep -rn '\.CounterValue(\|\.GaugeMax(' --include='*.go' internal cmd examples ./*.go 2>/dev/null \
+        | grep -v '_test\.go:' | grep -v '^internal/trace/'); then
+    echo "FAIL: registry values are read back outside the tests (render the registry instead of copying a count):" >&2
+    echo "$bad" >&2
+    exit 1
+fi
 
 # internal/ckpt is the checkpoint store: it persists cycled state through
 # ensio member files, so it must build on ensio — but it must never import
@@ -144,4 +156,4 @@ if bad=$(grep -rn 'mlTag\|func observeML\|func runComputeML\|func runIOML' \
     exit 1
 fi
 
-echo "OK: plan, monitor, report and runlog layers are substrate-free; monitor serves no HTTP and derives no plan contract; report builds without runtimeobs; runtimeobs sits below plan; ckpt builds on ensio only; core and schedule build on plan; no bespoke multilevel paths"
+echo "OK: plan, monitor, report and runlog layers are substrate-free; monitor serves no HTTP and derives no plan contract; report builds without runtimeobs; no count is copied out of the registry; runtimeobs sits below plan; ckpt builds on ensio only; core and schedule build on plan; no bespoke multilevel paths"

@@ -494,18 +494,11 @@ func WriteChromeTrace(w io.Writer, events []TraceEvent) error { return trace.Wri
 // TraceBuffer.WriteChrome) back into events.
 func ReadChromeTrace(r io.Reader) ([]TraceEvent, error) { return trace.ReadChrome(r) }
 
-// ParseCountersCSV ingests a CounterRegistry CSV dump into a flat
-// "kind/name/field" map for report attachment.
-func ParseCountersCSV(r io.Reader) (map[string]float64, error) {
-	return report.ParseCountersCSV(r)
-}
-
 // BuildRunReport computes the structured run report — phase breakdowns,
 // overlap shares, critical path, per-stage pipeline efficiency and (when
-// the trace carries a tuner prediction) model drift — from trace events
-// plus optional counters.
-func BuildRunReport(events []TraceEvent, counters map[string]float64) (*RunReport, error) {
-	return report.Build(events, counters)
+// the trace carries a tuner prediction) model drift — from trace events.
+func BuildRunReport(events []TraceEvent) (*RunReport, error) {
+	return report.Build(events)
 }
 
 // CollectBenchRecord runs the suite's P-EnKF/S-EnKF ladder and assembles
