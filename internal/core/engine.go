@@ -290,7 +290,8 @@ func engineIO(comm *mpi.Comm, p plan.Problem, c *plan.Compiled, r plan.IORank, r
 
 			// Comm phase: every destination gets its stage box of every
 			// member, one message per level, tagged in member space. Each
-			// payload was cut for this one receiver, so it is handed over.
+			// payload and its meta were cut for this one receiver, so both
+			// are handed over; the levels' metas share one allocation.
 			commStart := time.Now()
 			for mi, k := range st.Members {
 				if payloads[mi] == nil {
@@ -298,8 +299,10 @@ func engineIO(comm *mpi.Comm, p plan.Problem, c *plan.Compiled, r plan.IORank, r
 				}
 				for di, dst := range st.Comm.Dsts {
 					box := boxes[di]
-					meta := []int{k, box.X0, box.X1, box.Y0, box.Y1}
+					metas := make([]int, 0, 5*len(payloads[mi][di]))
 					for lvl, payload := range payloads[mi][di] {
+						metas = append(metas, k, box.X0, box.X1, box.Y0, box.Y1)
+						meta := metas[len(metas)-5 : len(metas) : len(metas)]
 						if err := comm.SendOwned(dst, c.Spec.Tag(st.Stage, k, lvl), meta, payload); err != nil {
 							return err
 						}

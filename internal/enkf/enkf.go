@@ -179,22 +179,6 @@ func (c Config) taper(x, y int, ox, oy float64) float64 {
 	return linalg.GaspariCohn(z)
 }
 
-// AnalyzePoint computes the analysis ensemble (length N) at grid point
-// (x, y). blk must contain the local box of (x, y); candidates must contain
-// at least every observation inside that local box. It is the analysis of a
-// one-point box: a loop over points should call AnalyzeBox, or reuse one
-// Workspace, so the work the points share is done once. One box shares its
-// perturbed rows with no other, so they are drawn in place (a nil table).
-func (c Config) AnalyzePoint(blk *Block, candidates []obs.Observation, x, y int) ([]float64, error) {
-	var w Workspace
-	w.begin(c, blk, candidates, grid.Box{X0: x, X1: x + 1, Y0: y, Y1: y + 1}, nil)
-	out := make([]float64, c.N)
-	if err := w.point(c, blk, x, y, out); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
 // AnalyzeBox runs the per-point analysis over every point of target, using
 // ensemble data in blk (which must contain the expansion of target) and the
 // given observation candidates. The result is a block over target. It

@@ -41,7 +41,7 @@ type Workspace struct {
 	// What AnalyzeInto writes through instead of solving. (New fields go
 	// last: the offsets above are in the solvers' instruction encodings.)
 	reach []bool    // over the target, row-major: the points some observation can reach
-	mean  []float64 // ensemble means along one run of unreached points
+	mean  []float64 // ensemble means over the points of runs, in order
 
 	// V·Vᵀ, which depends on neither the point nor the box: entry
 	// pair[i*band+i-j] is v_i·v_j for slots j ≤ i, NaN until a point asks for
@@ -49,7 +49,14 @@ type Workspace struct {
 	// fewer than band slots apart.
 	band int // the most observations the rows of one local box hold
 	pair []float64
+
+	runs []run // the target's unreached runs, in row order
 }
+
+// run is a stretch of n points of one target row that no observation
+// reaches, at offset src of each member of the block and dst of the
+// destination's.
+type run struct{ src, dst, n int }
 
 // boxObs is one observation usable inside the workspace's region.
 type boxObs struct {
@@ -466,35 +473,49 @@ func (w *Workspace) begin(c Config, blk *Block, candidates []obs.Observation, ta
 	w.loadObservations(c, candidates, draws)
 }
 
-// background writes the inflated background of row y's points [x0, x1) from
-// blk into dst, member-major: what point yields where no observation
-// reaches, by the operations of Config.inflate in their order, so the bits
-// are the same.
-func (w *Workspace) background(c Config, dst, blk *Block, x0, x1, y int) {
-	run := x1 - x0
-	src := (y-blk.Box.Y0)*blk.Box.Width() + x0 - blk.Box.X0
-	off := (y-dst.Box.Y0)*dst.Box.Width() + x0 - dst.Box.X0
+// background writes the inflated background of the recorded runs from blk
+// into dst: what their points yield where no observation reaches, by the
+// operations of Config.inflate in their order, so the bits are the same. It
+// goes member by member, each member's runs in row order, so each pass reads
+// one source field and writes one destination field front to back; a point's
+// mean is still summed over the members in k order.
+func (w *Workspace) background(c Config, dst, blk *Block) {
 	if c.Inflation <= 0 || c.Inflation == 1 {
 		for k, member := range blk.Data {
-			copy(dst.Data[k][off:off+run], member[src:])
+			out := dst.Data[k]
+			for _, r := range w.runs {
+				copy(out[r.dst:r.dst+r.n], member[r.src:])
+			}
 		}
 		return
 	}
-	w.mean = grow(w.mean, run)
+	points := 0
+	for _, r := range w.runs {
+		points += r.n
+	}
+	w.mean = grow(w.mean, points)
 	mean := w.mean
 	clear(mean)
 	for _, member := range blk.Data {
-		for i, v := range member[src:][:run] {
-			mean[i] += v
+		m := mean
+		for _, r := range w.runs {
+			for i, v := range member[r.src:][:r.n] {
+				m[i] += v
+			}
+			m = m[r.n:]
 		}
 	}
 	for i := range mean {
 		mean[i] /= float64(len(blk.Data))
 	}
 	for k, member := range blk.Data {
-		out := dst.Data[k][off:][:run]
-		for i, v := range member[src:][:run] {
-			out[i] = mean[i] + c.Inflation*(v-mean[i])
+		out, m := dst.Data[k], mean
+		for _, r := range w.runs {
+			o := out[r.dst:][:r.n]
+			for i, v := range member[r.src:][:r.n] {
+				o[i] = m[i] + c.Inflation*(v-m[i])
+			}
+			m = m[r.n:]
 		}
 	}
 }
@@ -519,6 +540,20 @@ func (w *Workspace) AnalyzeInto(c Config, dst, blk *Block, candidates []obs.Obse
 	}
 	w.begin(c, blk, candidates, target, draws)
 	w.xa = grow(w.xa, c.N)
+	// Size the run list in one go, not by appends that allocate as it grows:
+	// a run starts at each unreached point that starts a row or follows a
+	// reached one.
+	runs, width := 0, target.Width()
+	for y := 0; y < target.Height(); y++ {
+		prev := true
+		for _, r := range w.reach[y*width:][:width] {
+			if !r && prev {
+				runs++
+			}
+			prev = r
+		}
+	}
+	w.runs = grow(w.runs, runs)[:0]
 	for y := target.Y0; y < target.Y1; y++ {
 		reach := w.reach[(y-target.Y0)*target.Width():][:target.Width()]
 		for i := 0; i < len(reach); {
@@ -528,7 +563,11 @@ func (w *Workspace) AnalyzeInto(c Config, dst, blk *Block, candidates []obs.Obse
 				for j < len(reach) && !reach[j] {
 					j++
 				}
-				w.background(c, dst, blk, x, target.X0+j, y)
+				w.runs = append(w.runs, run{
+					src: (y-blk.Box.Y0)*blk.Box.Width() + x - blk.Box.X0,
+					dst: (y-dst.Box.Y0)*dst.Box.Width() + x - dst.Box.X0,
+					n:   j - i,
+				})
 				i = j
 				continue
 			}
@@ -542,7 +581,28 @@ func (w *Workspace) AnalyzeInto(c Config, dst, blk *Block, candidates []obs.Obse
 			i++
 		}
 	}
+	w.background(c, dst, blk)
 	return nil
+}
+
+// AnalyzePoint computes the analysis ensemble (length N) at grid point
+// (x, y). blk must contain the local box of (x, y); candidates must contain
+// at least every observation inside that local box. It is the analysis of a
+// one-point box: a loop over points should call AnalyzeBox, or reuse one
+// Workspace, so the work the points share is done once. One box shares its
+// perturbed rows with no other, so they are drawn in place (a nil table).
+//
+// It sits behind the solvers because it zeroes a Workspace on its stack: the
+// code for that grows with the struct, and ahead of them a larger struct
+// moves point and the solvers across 64-byte lines (scripts/text-parity.sh).
+func (c Config) AnalyzePoint(blk *Block, candidates []obs.Observation, x, y int) ([]float64, error) {
+	var w Workspace
+	w.begin(c, blk, candidates, grid.Box{X0: x, X1: x + 1, Y0: y, Y1: y + 1}, nil)
+	out := make([]float64, c.N)
+	if err := w.point(c, blk, x, y, out); err != nil {
+		return nil, err
+	}
+	return out, nil
 }
 
 // MaxAbsDiffFields returns the largest |a−b| across two ensembles of

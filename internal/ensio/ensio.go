@@ -540,15 +540,28 @@ func (m *MemberFile) fetch(off, count int) (*[]byte, error) {
 // decode is the one decoder of the on-disk layout. raw holds whole rows of
 // rowWidth grid points, levels values interleaved per point, little-endian;
 // columns [x0, x1) of its first rows rows go to dst[l][at:], row-major, one
-// slice per level.
+// slice per level. A pass over a row writes two levels, reading each point's
+// 16-byte window of them at constant offsets; an odd last level has a pass
+// of its own.
 func decode(dst [][]float64, at int, raw []byte, rowWidth, x0, x1, rows int) {
 	nl, w := len(dst), x1-x0
+	stride := 8 * nl // bytes per point
 	for r := 0; r < rows; r++ {
-		src := raw[8*nl*(r*rowWidth+x0):][:8*nl*w]
-		for l, d := range dst {
-			d = d[at+r*w:][:w]
-			for x := range d {
-				d[x] = math.Float64frombits(binary.LittleEndian.Uint64(src[8*(x*nl+l):]))
+		src := raw[stride*(r*rowWidth+x0):][:stride*w]
+		l := 0
+		for ; l+1 < nl; l += 2 {
+			a := dst[l][at+r*w:][:w]
+			b := dst[l+1][at+r*w:][:w]
+			for x, off := 0, 8*l; x < len(a); x, off = x+1, off+stride {
+				p := src[off:][:16]
+				a[x] = math.Float64frombits(binary.LittleEndian.Uint64(p[:8]))
+				b[x] = math.Float64frombits(binary.LittleEndian.Uint64(p[8:]))
+			}
+		}
+		if l < nl {
+			d := dst[l][at+r*w:][:w]
+			for x, off := 0, 8*l; x < len(d); x, off = x+1, off+stride {
+				d[x] = math.Float64frombits(binary.LittleEndian.Uint64(src[off:][:8]))
 			}
 		}
 	}

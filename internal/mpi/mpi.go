@@ -118,10 +118,16 @@ func (e *DeadlineError) Is(target error) bool { return target == ErrDeadline }
 // Comm layer wraps it with rank/source detail.
 var errTakeExpired = errors.New("mpi: take deadline expired")
 
+// inbox is a rank's queue of undelivered envelopes, oldest first from head
+// on. It reuses its backing array the way sim's fifo does: taking the oldest
+// envelope advances head, and a full array at least half vacated slides down
+// instead of growing. Every vacated slot is cleared, so a taken envelope's
+// payload is not kept reachable.
 type inbox struct {
 	mu    sync.Mutex
 	cond  *sync.Cond
-	msgs  []envelope
+	msgs  []envelope // msgs[:head] are vacated
+	head  int
 	cause error // non-nil once the world aborted
 }
 
@@ -133,6 +139,11 @@ func newInbox() *inbox {
 
 func (ib *inbox) put(e envelope) {
 	ib.mu.Lock()
+	if ib.head > 0 && len(ib.msgs) == cap(ib.msgs) && 2*ib.head >= len(ib.msgs) {
+		n := copy(ib.msgs, ib.msgs[ib.head:])
+		clear(ib.msgs[n:])
+		ib.msgs, ib.head = ib.msgs[:n], 0
+	}
 	ib.msgs = append(ib.msgs, e)
 	ib.mu.Unlock()
 	ib.cond.Broadcast()
@@ -173,7 +184,8 @@ func (ib *inbox) take(context, src, tag int, timeout time.Duration) (envelope, i
 	ib.mu.Lock()
 	defer ib.mu.Unlock()
 	for {
-		for i, e := range ib.msgs {
+		for i := ib.head; i < len(ib.msgs); i++ {
+			e := &ib.msgs[i]
 			if e.context != context {
 				continue
 			}
@@ -183,13 +195,22 @@ func (ib *inbox) take(context, src, tag int, timeout time.Duration) (envelope, i
 			if tag != AnyTag && e.Tag != tag {
 				continue
 			}
-			// Shift the tail down and clear the vacated slot: the backing
-			// array must not keep the last envelope's payload reachable.
-			last := len(ib.msgs) - 1
-			copy(ib.msgs[i:], ib.msgs[i+1:])
-			ib.msgs[last] = envelope{}
-			ib.msgs = ib.msgs[:last]
-			return e, last, nil
+			got := *e
+			if i == ib.head {
+				// The oldest: vacate its slot.
+				*e = envelope{}
+				if ib.head++; ib.head == len(ib.msgs) {
+					ib.msgs, ib.head = ib.msgs[:0], 0
+				}
+			} else {
+				// Behind the oldest: shift the tail down, which keeps the
+				// order of the rest, and clear the slot that frees.
+				last := len(ib.msgs) - 1
+				copy(ib.msgs[i:], ib.msgs[i+1:])
+				ib.msgs[last] = envelope{}
+				ib.msgs = ib.msgs[:last]
+			}
+			return got, len(ib.msgs) - ib.head, nil
 		}
 		if ib.cause != nil {
 			return envelope{}, 0, ib.cause
@@ -363,17 +384,17 @@ func (c *Comm) Send(dst, tag int, meta []int, data []float64) error {
 	return nil
 }
 
-// SendOwned is Send with the payload handed over instead of copied: the
-// receiver's Message.Data is data itself, so the caller must not read or
-// write data after the call. It is for a payload built for exactly one
-// receiver and dropped by its sender; a buffer the sender keeps or reuses
-// needs Send. Meta is still copied. Validation, the counters, tracing and the
-// message observer see the same message either way.
+// SendOwned is Send with meta and data handed over instead of copied: the
+// receiver's Message.Meta is meta itself and its Message.Data is data
+// itself, so the caller must not read or write either after the call. It is
+// for a message built for exactly one receiver and dropped by its sender; a
+// buffer the sender keeps or reuses needs Send. Validation, the counters,
+// tracing and the message observer see the same message either way.
 func (c *Comm) SendOwned(dst, tag int, meta []int, data []float64) error {
 	if err := c.checkSend(dst, tag); err != nil {
 		return err
 	}
-	c.deliver(dst, tag, append([]int(nil), meta...), data)
+	c.deliver(dst, tag, meta, data)
 	return nil
 }
 

@@ -2,10 +2,13 @@ package mpi
 
 import (
 	"fmt"
+	"math/rand"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"senkf/internal/trace"
 )
@@ -143,6 +146,159 @@ func TestRecvFIFOPerSenderAndTag(t *testing.T) {
 		}
 		return nil
 	})
+
+	// The inbox itself, against a plain slice that is searched from the front
+	// and shifted down after every match: interleaved senders, tags and
+	// contexts, the wildcards, matches at the head and behind it, and a depth
+	// that rises and falls so the queue compacts many times over.
+	t.Run("inbox", func(t *testing.T) {
+		ib := newInbox()
+		var model []envelope
+		seq := 0.0
+		put := func(context, src, tag int) {
+			seq++
+			e := envelope{context: context, Message: Message{Src: src, Tag: tag, Data: []float64{seq}}}
+			ib.put(e)
+			model = append(model, e)
+		}
+		take := func(context, src, tag int) {
+			t.Helper()
+			want := -1
+			for i, e := range model {
+				if e.context == context && (src == AnySource || e.Src == src) && (tag == AnyTag || e.Tag == tag) {
+					want = i
+					break
+				}
+			}
+			if want < 0 {
+				return // would block
+			}
+			got, depth, err := ib.take(context, src, tag, time.Second)
+			if err != nil {
+				t.Fatalf("take(%d, %d, %d) with message %g queued: %v", context, src, tag, model[want].Data[0], err)
+			}
+			if got.Data[0] != model[want].Data[0] {
+				t.Fatalf("take(%d, %d, %d) = message %g, want %g (at %d of %d queued)",
+					context, src, tag, got.Data[0], model[want].Data[0], want, len(model))
+			}
+			model = append(model[:want], model[want+1:]...)
+			if depth != len(model) {
+				t.Fatalf("take(%d, %d, %d) reported depth %d, want %d", context, src, tag, depth, len(model))
+			}
+		}
+
+		// At the head, then behind it, then the wildcards.
+		put(1, 0, 5)
+		put(1, 1, 5)
+		put(1, 0, 6)
+		put(2, 0, 5)
+		take(1, 0, 5)              // the head
+		take(1, 0, 6)              // behind the head
+		take(1, AnySource, AnyTag) // the head again
+		take(2, AnySource, 5)
+		put(1, 2, 7)
+		put(1, 3, 7)
+		put(1, 2, 8)
+		take(1, 2, AnyTag) // the head
+		take(1, AnySource, 8)
+		take(1, 3, 7)
+
+		// Many puts and takes at a bounded depth.
+		rng := rand.New(rand.NewSource(7))
+		maxCap := 0
+		for step := 0; step < 20000; step++ {
+			if len(model) < 3 || (len(model) < 40 && rng.Intn(2) == 0) {
+				put(1+rng.Intn(2), rng.Intn(3), rng.Intn(3))
+				continue
+			}
+			src, tag := rng.Intn(3), rng.Intn(3)
+			switch rng.Intn(4) {
+			case 0:
+				src = AnySource
+			case 1:
+				tag = AnyTag
+			case 2:
+				src, tag = model[0].Src, model[0].Tag
+			}
+			take(1+rng.Intn(2), src, tag)
+			maxCap = max(maxCap, cap(ib.msgs))
+		}
+		for len(model) > 0 {
+			take(model[0].context, AnySource, AnyTag)
+		}
+		// Forty envelopes deep at most: a queue that reused its array never
+		// needed more than a few times that.
+		if maxCap > 256 {
+			t.Errorf("the queue grew to %d slots at a depth of at most 40", maxCap)
+		}
+	})
+}
+
+// TestTakenPayloadIsCollectable: once an envelope is taken, the inbox keeps
+// nothing of it reachable — whether it was the oldest queued or behind
+// others, whether others were queued after it, and after the queue slid down
+// its array.
+func TestTakenPayloadIsCollectable(t *testing.T) {
+	type probe struct{ vals [64]float64 }
+	filler := envelope{Message: Message{Tag: 1, Data: []float64{1}}}
+	fill := func(ib *inbox, n int) {
+		for ; n > 0; n-- {
+			ib.put(filler)
+		}
+	}
+	takeFiller := func(ib *inbox) {
+		if _, _, err := ib.take(0, AnySource, 1, time.Second); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, c := range []struct {
+		name          string
+		before, after func(ib *inbox)
+	}{
+		{"oldest, alone", func(*inbox) {}, func(*inbox) {}},
+		{"oldest, others after", func(*inbox) {}, func(ib *inbox) { fill(ib, 1) }},
+		{"behind others, last", func(ib *inbox) { fill(ib, 2) }, func(*inbox) {}},
+		{"behind others, others after", func(ib *inbox) { fill(ib, 2) }, func(ib *inbox) { fill(ib, 1) }},
+		{"slid down", func(ib *inbox) {
+			// The probe goes last into a full array ...
+			for len(ib.msgs)+1 != cap(ib.msgs) {
+				ib.put(filler)
+			}
+		}, func(ib *inbox) {
+			// ... at least half of which is then taken, so the next put
+			// slides the queue down.
+			for full, k := len(ib.msgs), 0; 2*k < full; k++ {
+				takeFiller(ib)
+			}
+			fill(ib, 1)
+		}},
+	} {
+		ib := newInbox()
+		collected := make(chan struct{})
+		func() {
+			c.before(ib)
+			p := new(probe)
+			runtime.SetFinalizer(p, func(*probe) { close(collected) })
+			ib.put(envelope{Message: Message{Tag: 2, Data: p.vals[:]}})
+			c.after(ib)
+			if _, _, err := ib.take(0, AnySource, 2, time.Second); err != nil {
+				t.Fatal(err)
+			}
+		}()
+		deadline := time.After(5 * time.Second)
+	wait:
+		for {
+			runtime.GC()
+			select {
+			case <-collected:
+				break wait
+			case <-deadline:
+				t.Fatalf("%s: a taken payload stayed reachable", c.name)
+			case <-time.After(10 * time.Millisecond):
+			}
+		}
+		runtime.KeepAlive(ib)
+	}
 }
 
 func TestTagSelectionSkipsNonMatching(t *testing.T) {

@@ -10,18 +10,14 @@ import (
 	"senkf/internal/trace"
 )
 
-// TestSendOwnedHandsOverPayload: the receiver's Data is the sender's slice
-// itself — no copy in between — while Meta is still the receiver's own.
+// TestSendOwnedHandsOverPayload: the receiver's Meta and Data are the
+// sender's slices themselves — no copy in between.
 func TestSendOwnedHandsOverPayload(t *testing.T) {
 	sent := []float64{1, 2, 3}
 	meta := []int{5}
 	run(t, 2, func(c *Comm) error {
 		if c.Rank() == 0 {
-			if err := c.SendOwned(1, 1, meta, sent); err != nil {
-				return err
-			}
-			meta[0] = 99 // meta stays the sender's to reuse
-			return nil
+			return c.SendOwned(1, 1, meta, sent)
 		}
 		got, err := c.Recv(0, 1)
 		if err != nil {
@@ -30,8 +26,8 @@ func TestSendOwnedHandsOverPayload(t *testing.T) {
 		if len(got.Data) != len(sent) || &got.Data[0] != &sent[0] {
 			return fmt.Errorf("payload was copied: got %p, sent %p", got.Data, sent)
 		}
-		if got.Meta[0] != 5 {
-			return fmt.Errorf("meta aliased the sender's: %v", got.Meta)
+		if len(got.Meta) != len(meta) || &got.Meta[0] != &meta[0] {
+			return fmt.Errorf("meta was copied: got %p, sent %p", got.Meta, meta)
 		}
 		return nil
 	})
@@ -129,10 +125,10 @@ func TestSendOwnedAccountsLikeSend(t *testing.T) {
 	}
 }
 
-// TestInboxDropsTakenEnvelopes: take shifts the tail of the queue down, and
-// must clear the slot it vacates — otherwise the backing array keeps the last
-// envelope, and the payload it was handed, reachable after its receiver has
-// dropped it.
+// TestInboxDropsTakenEnvelopes: take vacates a slot — the oldest envelope's,
+// or the last one after shifting the tail down — and must clear it, or the
+// backing array keeps an envelope, and the payload it was handed, reachable
+// after its receiver has dropped it.
 func TestInboxDropsTakenEnvelopes(t *testing.T) {
 	ib := newInbox()
 	for tag := 0; tag < 4; tag++ {
