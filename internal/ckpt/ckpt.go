@@ -10,22 +10,25 @@
 // Friedemann & Raffin, where the member pool grows and shrinks across a
 // study without restarting it.
 //
-// Crash-consistency protocol. A checkpoint is staged into a hidden temp
-// directory inside the checkpoint root: every field is written as an
-// ensio member file (format v2, CRC-64 payload checksums, staged +
-// fsynced + renamed per file, a few files in flight at a time so their
-// fsyncs share journal commits), then — only once every file is durable —
-// a MANIFEST.json naming every file by the SHA-256 of the image that was
-// written and guarded by its own CRC-64 is written last and fsynced, the
-// staged directories are fsynced, and the stage is atomically renamed to
-// its final ckpt-<cycle> name (parent directory fsynced). A crash at any
-// point leaves either a complete, verifiable checkpoint or an ignorable
-// stage — never a half checkpoint behind a valid name. Latest scans
-// newest-first and falls back past checkpoints that fail any of the
-// validation layers (missing manifest, manifest CRC mismatch, missing or
-// hash-mismatched files, ensio checksum or geometry errors), so a
-// corrupted latest checkpoint costs the cycles since the previous valid
-// one, not the run.
+// Layout (schema 2). A checkpoint is a directory ckpt-<cycle> holding two
+// files: the state file, one ensio member image (format v2, CRC-64 payload
+// checksum) whose levels are the truth's, then each ensemble member's, then
+// each control member's, Levels per field; and MANIFEST.json, which carries
+// the run's identity, the SHA-256 of the state file and a CRC-64 of its own.
+// A file system pays per file and per fsync, not per byte, so the state is
+// one file: Encode copies it once, into the image.
+//
+// Crash-consistency protocol. The image is written into a hidden stage
+// directory and fsynced while its SHA-256 is taken; only then is the
+// manifest written and fsynced, the stage directory fsynced, the stage
+// renamed to ckpt-<cycle> and the parent fsynced: four fsyncs. A crash at
+// any point leaves either a complete, verifiable checkpoint or an ignorable
+// stage — never a half checkpoint behind a valid name. Load reads the state
+// file once and checks the manifest CRC, the SHA-256, the ensio CRC-64 and
+// the geometry; Latest scans newest-first and falls back past checkpoints
+// that fail any of them, so a corrupted latest checkpoint costs the cycles
+// since the previous valid one, not the run. Schema-1 checkpoints (one file
+// per field) are refused by the schema check.
 //
 // The package sits below the cycle driver and beside the plan layer: it
 // depends on ensio (the checkpoint *is* an on-disk ensemble) and the
@@ -39,6 +42,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"hash/crc64"
+	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -50,17 +54,15 @@ import (
 )
 
 // Schema is the MANIFEST.json schema version.
-const Schema = 1
+const Schema = 2
 
 // ManifestFile is the checkpoint manifest's file name. It is written
 // last: a checkpoint without a valid manifest does not exist.
 const ManifestFile = "MANIFEST.json"
 
-// File layout inside one checkpoint directory.
+// File layout: the state file beside the manifest in ckpt-<cycle>.
 const (
-	truthFile   = "truth.senk"
-	ensembleDir = "ensemble"
-	freeDir     = "free"
+	stateFile   = "state.senk"
 	stagePrefix = ".stage-"
 	dirPrefix   = "ckpt-"
 )
@@ -102,9 +104,8 @@ type State struct {
 	// Levels is the vertical level count of the checkpointed state; 0 means
 	// 1 (single-level). For Levels > 1 the Truth, Ensemble and Free fields
 	// hold each level's row-major field concatenated level-major: level l
-	// occupies [l·points, (l+1)·points). On disk, members are stored in
-	// ensio's level-interleaved layout, so a resumed multilevel run reads
-	// them with the same one-seek bar reads the engine uses.
+	// occupies [l·points, (l+1)·points). Each level is one level of the
+	// state file's image.
 	Levels int
 }
 
@@ -130,7 +131,7 @@ type Manifest struct {
 	Config       map[string]string `json:"config,omitempty"`
 	ConfigDigest string            `json:"config_digest,omitempty"`
 	History      json.RawMessage   `json:"history,omitempty"`
-	// Files maps every attached file to "sha256:<hex>".
+	// Files maps the state file, the one attached file, to "sha256:<hex>".
 	Files map[string]string `json:"files"`
 	// CRC64 is the CRC-64 (ECMA) of this manifest's JSON rendering with
 	// the crc64 field empty — the integrity guard of the guard itself.
@@ -197,6 +198,34 @@ func syncDir(path string) error {
 	return d.Sync()
 }
 
+// writeSynced creates path holding data and fsyncs it.
+func writeSynced(path string, data []byte) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if _, err := f.Write(data); err != nil {
+		f.Close()
+		return err
+	}
+	if err := f.Sync(); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
+}
+
+// imageLevels returns the level count of the state file of a checkpoint of
+// members members and levels levels (≥ 1) — the truth and two ensembles,
+// levels each — and false if an ensio header cannot hold it.
+func imageLevels(levels, members int) (int, bool) {
+	fields := 1 + 2*uint64(members)
+	if members < 0 || levels < 1 || fields > math.MaxUint32/uint64(levels) {
+		return 0, false
+	}
+	return levels * int(fields), true
+}
+
 // validateState checks a state against the mesh before writing.
 func validateState(m grid.Mesh, st State) error {
 	if st.Cycle < 0 {
@@ -228,25 +257,49 @@ func validateState(m grid.Mesh, st State) error {
 	return nil
 }
 
-// Write lands one checkpoint of st under dir (created on demand) and
-// returns the final checkpoint directory. The write is crash-consistent;
-// see the package comment for the protocol. An existing checkpoint of the
-// same cycle (a re-run of resumed cycles) is replaced.
-func Write(dir string, m grid.Mesh, st State) (string, error) {
-	if err := validateState(m, st); err != nil {
-		return "", err
-	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return "", fmt.Errorf("ckpt: %w", err)
-	}
-	stage, err := os.MkdirTemp(dir, stagePrefix)
-	if err != nil {
-		return "", fmt.Errorf("ckpt: stage: %w", err)
-	}
-	defer os.RemoveAll(stage) // no-op after the final rename
-
+// fieldViews returns the per-level views of a state's fields in the state
+// file's level order: the truth's levels, each member's, each control
+// member's.
+func fieldViews(st State, points int) [][]float64 {
 	lv := st.LevelCount()
-	man := Manifest{
+	views := make([][]float64, 0, lv*(1+2*len(st.Ensemble)))
+	for _, f := range append(append([][]float64{st.Truth}, st.Ensemble...), st.Free...) {
+		for l := 0; l < lv; l++ {
+			views = append(views, f[l*points:(l+1)*points])
+		}
+	}
+	return views
+}
+
+// Image is one checkpoint encoded and ready to land: its manifest, less the
+// state file's hash, and the state file's bytes. It holds no reference to
+// the fields it was encoded from.
+type Image struct {
+	man  Manifest
+	data []byte
+}
+
+// Cycle returns the cycle the image checkpoints.
+func (img *Image) Cycle() int { return img.man.Cycle }
+
+// Encode validates st against the mesh and encodes it into a checkpoint
+// image: the one copy of the state a checkpoint makes. reuse, when non-nil,
+// is an image Encode may overwrite and return, so that a caller encoding
+// every cycle keeps one buffer; on error it is left as it was.
+func Encode(m grid.Mesh, st State, reuse *Image) (*Image, error) {
+	if err := validateState(m, st); err != nil {
+		return nil, err
+	}
+	img := reuse
+	if img == nil {
+		img = new(Image)
+	}
+	data, err := ensio.EncodeImage(img.data, ensio.Header{NX: m.NX, NY: m.NY}, fieldViews(st, m.Points()))
+	if err != nil {
+		return nil, fmt.Errorf("ckpt: %w", err)
+	}
+	img.data = data
+	img.man = Manifest{
 		Schema: Schema,
 		Cycle:  st.Cycle,
 		NX:     m.NX, NY: m.NY,
@@ -256,91 +309,70 @@ func Write(dir string, m grid.Mesh, st State) (string, error) {
 		PlanHash: st.PlanHash,
 		Config:   st.Config,
 		History:  st.History,
-		Files:    map[string]string{},
 	}
-	if lv > 1 {
-		man.Levels = lv
+	if lv := st.LevelCount(); lv > 1 {
+		img.man.Levels = lv
 	}
 	if len(st.Config) > 0 {
-		man.ConfigDigest = DigestConfig(st.Config)
+		img.man.ConfigDigest = DigestConfig(st.Config)
 	}
+	return img, nil
+}
 
-	// Stage every field as an ensio member file — each one staged, synced
-	// and renamed on its own, a few in flight at a time — and hash each from
-	// the image ensio is about to write: the bytes hashed are the bytes
-	// written, without reading the file back. Multilevel fields arrive
-	// level-major and land level-interleaved (the engine's on-disk layout).
-	for _, sub := range []string{ensembleDir, freeDir} {
-		if err := os.Mkdir(filepath.Join(stage, sub), 0o755); err != nil {
-			return "", fmt.Errorf("ckpt: %w", err)
-		}
-	}
-	type stagedFile struct {
-		rel    string
-		member int
-		field  []float64
-		hash   string
-	}
-	files := make([]stagedFile, 0, 1+2*len(st.Ensemble))
-	files = append(files, stagedFile{rel: truthFile, field: st.Truth})
-	for k, f := range st.Ensemble {
-		files = append(files, stagedFile{rel: ensembleDir + "/" + memberName(k), member: k, field: f})
-	}
-	for k, f := range st.Free {
-		files = append(files, stagedFile{rel: freeDir + "/" + memberName(k), member: k, field: f})
-	}
-	pts := m.Points()
-	err = ensio.WriteBatch(len(files), func(i int) (string, ensio.Header, [][]float64) {
-		f := files[i]
-		levels := make([][]float64, lv)
-		for l := range levels {
-			levels[l] = f.field[l*pts : (l+1)*pts]
-		}
-		return filepath.Join(stage, filepath.FromSlash(f.rel)), ensio.Header{NX: m.NX, NY: m.NY, Member: f.member}, levels
-	}, func(i int, image []byte) { files[i].hash = fileHash(image) })
-	if err != nil {
-		return "", fmt.Errorf("ckpt: %w", err)
-	}
-	// Every file is durable; only now does the manifest name them.
-	for _, f := range files {
-		man.Files[f.rel] = f.hash
-	}
-
-	// Manifest last, CRC-guarded, fsynced.
-	crc, err := manifestCRC(man)
+// Write lands one checkpoint of st under dir (created on demand) and
+// returns the final checkpoint directory: Encode, then Image.Write.
+func Write(dir string, m grid.Mesh, st State) (string, error) {
+	img, err := Encode(m, st, nil)
 	if err != nil {
 		return "", err
 	}
-	man.CRC64 = crc
+	return img.Write(dir)
+}
+
+// Write lands the image as the checkpoint of its cycle under dir (created on
+// demand) and returns the checkpoint directory. The write is crash-
+// consistent; see the package comment for the protocol. An existing
+// checkpoint of the same cycle (a re-run of resumed cycles) is replaced.
+func (img *Image) Write(dir string) (string, error) {
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return "", fmt.Errorf("ckpt: %w", err)
+	}
+	stage, err := os.MkdirTemp(dir, stagePrefix)
+	if err != nil {
+		return "", fmt.Errorf("ckpt: stage: %w", err)
+	}
+	defer os.RemoveAll(stage) // no-op after the final rename
+
+	// The manifest needs the state file's hash only once the file is
+	// durable, so the hash is taken while the file is written and synced.
+	// The bytes hashed are the bytes written.
+	hash := make(chan string, 1)
+	go func() { hash <- fileHash(img.data) }()
+	err = writeSynced(filepath.Join(stage, stateFile), img.data)
+	man := img.man
+	man.Files = map[string]string{stateFile: <-hash}
+	if err != nil {
+		return "", fmt.Errorf("ckpt: state file: %w", err)
+	}
+
+	// Manifest last, CRC-guarded, fsynced; then the stage's entries.
+	if man.CRC64, err = manifestCRC(man); err != nil {
+		return "", err
+	}
 	data, err := json.MarshalIndent(&man, "", "  ")
 	if err != nil {
 		return "", fmt.Errorf("ckpt: marshal manifest: %w", err)
 	}
-	data = append(data, '\n')
-	mf, err := os.Create(filepath.Join(stage, ManifestFile))
-	if err != nil {
+	if err := writeSynced(filepath.Join(stage, ManifestFile), append(data, '\n')); err != nil {
 		return "", fmt.Errorf("ckpt: manifest: %w", err)
 	}
-	if _, err := mf.Write(data); err != nil {
-		mf.Close()
-		return "", fmt.Errorf("ckpt: manifest: %w", err)
-	}
-	if err := mf.Sync(); err != nil {
-		mf.Close()
-		return "", fmt.Errorf("ckpt: manifest sync: %w", err)
-	}
-	if err := mf.Close(); err != nil {
-		return "", fmt.Errorf("ckpt: manifest close: %w", err)
-	}
-	for _, d := range []string{filepath.Join(stage, ensembleDir), filepath.Join(stage, freeDir), stage} {
-		if err := syncDir(d); err != nil {
-			return "", fmt.Errorf("ckpt: sync %s: %w", d, err)
-		}
+	if err := syncDir(stage); err != nil {
+		return "", fmt.Errorf("ckpt: sync %s: %w", stage, err)
 	}
 
 	// Atomic landing: replace any same-cycle predecessor, rename the
 	// stage into place, persist the parent's entry.
-	final := filepath.Join(dir, DirName(st.Cycle))
+	final := filepath.Join(dir, DirName(man.Cycle))
 	if _, err := os.Stat(final); err == nil {
 		if err := os.RemoveAll(final); err != nil {
 			return "", fmt.Errorf("ckpt: replace %s: %w", final, err)
@@ -355,8 +387,6 @@ func Write(dir string, m grid.Mesh, st State) (string, error) {
 	return final, nil
 }
 
-func memberName(k int) string { return fmt.Sprintf("member_%04d.senk", k) }
-
 // Loaded is one checkpoint read back and fully verified.
 type Loaded struct {
 	State    State
@@ -365,9 +395,10 @@ type Loaded struct {
 	Dir string
 }
 
-// Load reads and fully verifies the checkpoint at path: manifest CRC,
-// per-file SHA-256, ensio payload checksums, and geometry. Any failure
-// returns an error describing the first broken layer.
+// Load reads and fully verifies the checkpoint at path: manifest CRC, the
+// state file's SHA-256, its ensio payload checksum, and geometry, all from
+// one read of the state file. Any failure returns an error describing the
+// first broken layer.
 func Load(path string) (*Loaded, error) {
 	raw, err := os.ReadFile(filepath.Join(path, ManifestFile))
 	if err != nil {
@@ -378,7 +409,7 @@ func Load(path string) (*Loaded, error) {
 		return nil, fmt.Errorf("ckpt: %s: manifest: %w", path, err)
 	}
 	if man.Schema != Schema {
-		return nil, fmt.Errorf("ckpt: %s: unsupported schema %d", path, man.Schema)
+		return nil, fmt.Errorf("ckpt: %s: unsupported schema %d, this build reads schema %d", path, man.Schema, Schema)
 	}
 	want := man.CRC64
 	if want == "" {
@@ -391,57 +422,26 @@ func Load(path string) (*Loaded, error) {
 	if got != want {
 		return nil, fmt.Errorf("ckpt: %s: manifest CRC %s, recorded %s — corrupted manifest", path, got, want)
 	}
-	if man.NX <= 0 || man.NY <= 0 || man.Members < 2 || man.Levels < 0 {
+	lv := max(man.Levels, 1)
+	fields, ok := imageLevels(lv, man.Members)
+	if man.NX <= 0 || man.NY <= 0 || man.Members < 2 || man.Levels < 0 || !ok {
 		return nil, fmt.Errorf("ckpt: %s: invalid geometry %dx%d with %d members, %d levels", path, man.NX, man.NY, man.Members, man.Levels)
 	}
 	if man.Cycle < 0 {
 		return nil, fmt.Errorf("ckpt: %s: negative cycle %d", path, man.Cycle)
 	}
-	// The manifest names the files a checkpoint has and no other: a name that
-	// leads out of the directory ("../../dev/zero") is never opened.
-	if err := checkNames(man.Files, man.Members); err != nil {
+	// The manifest names the state file and no other: a name that leads out
+	// of the directory ("../../dev/zero") is never opened.
+	if len(man.Files) != 1 || man.Files[stateFile] == "" {
+		return nil, fmt.Errorf("ckpt: %s: manifest lists %d files, want the one %s", path, len(man.Files), stateFile)
+	}
+
+	data, err := os.ReadFile(filepath.Join(path, stateFile))
+	if err != nil {
 		return nil, fmt.Errorf("ckpt: %s: %w", path, err)
 	}
-	m := grid.Mesh{NX: man.NX, NY: man.NY}
-	lv := man.Levels
-	if lv <= 0 {
-		lv = 1
-	}
-
-	// Every attached file must exist with its recorded content address.
-	for _, rel := range sortedNames(man.Files) {
-		data, err := os.ReadFile(filepath.Join(path, filepath.FromSlash(rel)))
-		if err != nil {
-			return nil, fmt.Errorf("ckpt: %s: %w", path, err)
-		}
-		if h := fileHash(data); h != man.Files[rel] {
-			return nil, fmt.Errorf("ckpt: %s: %s content hash %s does not match manifest %s", path, rel, h, man.Files[rel])
-		}
-	}
-
-	read := func(rel string, member int) ([]float64, error) {
-		mf, err := ensio.OpenMemberOpts(filepath.Join(path, filepath.FromSlash(rel)), ensio.OpenOptions{Verify: true})
-		if err != nil {
-			return nil, err
-		}
-		defer mf.Close()
-		if err := mf.CheckGeometry(m.NX, m.NY, lv, member); err != nil {
-			return nil, err
-		}
-		if lv == 1 {
-			return mf.ReadAll()
-		}
-		// One bar read over the whole mesh fetches every level; concatenate
-		// back to the state's level-major layout.
-		levels, err := mf.ReadBarLevels(0, m.NY)
-		if err != nil {
-			return nil, err
-		}
-		out := make([]float64, 0, m.Points()*lv)
-		for _, f := range levels {
-			out = append(out, f...)
-		}
-		return out, nil
+	if h := fileHash(data); h != man.Files[stateFile] {
+		return nil, fmt.Errorf("ckpt: %s: %s content hash %s does not match manifest %s", path, stateFile, h, man.Files[stateFile])
 	}
 	st := State{
 		Cycle:    man.Cycle,
@@ -452,48 +452,24 @@ func Load(path string) (*Loaded, error) {
 		History:  man.History,
 		Levels:   man.Levels,
 	}
-	if st.Truth, err = read(truthFile, 0); err != nil {
-		return nil, err
-	}
-	st.Ensemble = make([][]float64, man.Members)
-	st.Free = make([][]float64, man.Members)
-	for k := 0; k < man.Members; k++ {
-		if st.Ensemble[k], err = read(ensembleDir+"/"+memberName(k), k); err != nil {
-			return nil, err
+	err = ensio.DecodeImage(stateFile, data, func(h ensio.Header) ([][]float64, error) {
+		if h.NX != man.NX || h.NY != man.NY || h.LevelCount() != fields || h.Member != 0 || !h.HasChecksum {
+			return nil, fmt.Errorf("%s holds member %d, %dx%d × %d levels (checksum %v); the manifest declares %dx%d × %d",
+				stateFile, h.Member, h.NX, h.NY, h.LevelCount(), h.HasChecksum, man.NX, man.NY, fields)
 		}
-		if st.Free[k], err = read(freeDir+"/"+memberName(k), k); err != nil {
-			return nil, err
+		n := man.NX * man.NY * lv
+		st.Truth = make([]float64, n)
+		st.Ensemble = make([][]float64, man.Members)
+		st.Free = make([][]float64, man.Members)
+		for k := range st.Ensemble {
+			st.Ensemble[k], st.Free[k] = make([]float64, n), make([]float64, n)
 		}
+		return fieldViews(st, man.NX*man.NY), nil
+	})
+	if err != nil {
+		return nil, fmt.Errorf("ckpt: %s: %w", path, err)
 	}
 	return &Loaded{State: st, Manifest: man, Dir: path}, nil
-}
-
-// checkNames reports an error unless files names exactly the files Write
-// lands for members members: the truth, and each member's file under the
-// ensemble and free directories.
-func checkNames(files map[string]string, members int) error {
-	if members > len(files) || len(files) != 1+2*members {
-		return fmt.Errorf("manifest lists %d files for %d members, want the truth and two per member", len(files), members)
-	}
-	want := []string{truthFile}
-	for k := 0; k < members; k++ {
-		want = append(want, ensembleDir+"/"+memberName(k), freeDir+"/"+memberName(k))
-	}
-	for _, rel := range want {
-		if _, ok := files[rel]; !ok {
-			return fmt.Errorf("manifest lists no %s", rel)
-		}
-	}
-	return nil
-}
-
-func sortedNames(files map[string]string) []string {
-	names := make([]string, 0, len(files))
-	for n := range files {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
 }
 
 // Skipped records one checkpoint Latest could not use.

@@ -120,9 +120,10 @@ func TestLatestFallsBackPastCorruption(t *testing.T) {
 		}
 	}
 
-	// Newest checkpoint: flip a payload byte in one member — the ensio
-	// CRC (and the manifest SHA-256) must disqualify it.
-	victim := filepath.Join(dir, DirName(3), "ensemble", "member_0001.senk")
+	// Newest checkpoint: flip a payload byte of the state file, in the last
+	// control member's values — the manifest SHA-256 (and the ensio CRC
+	// behind it) must disqualify it.
+	victim := filepath.Join(dir, DirName(3), stateFile)
 	data, err := os.ReadFile(victim)
 	if err != nil {
 		t.Fatal(err)

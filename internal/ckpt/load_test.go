@@ -128,7 +128,11 @@ func checkAccepted(t *testing.T, path string, l *Loaded) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if names := sortedNames(man.Files); !slices.Equal(names, own) {
+	names := make([]string, 0, len(man.Files))
+	for rel := range man.Files {
+		names = append(names, rel)
+	}
+	if slices.Sort(names); !slices.Equal(names, own) {
 		t.Fatalf("accepted a manifest naming %q; the checkpoint holds %q", names, own)
 	}
 	for rel, h := range man.Files {
@@ -151,52 +155,58 @@ func checkAccepted(t *testing.T, path string, l *Loaded) {
 // have. Load must refuse it before it opens any of them: a name outside the
 // checkpoint — a FIFO nobody writes to stands in for "/dev/zero" here, which
 // Load would read until memory ran out — would otherwise hang Latest and
-// `senkf-cycle -resume`, and a file beside the real ones would be trusted.
+// `senkf-cycle -resume`, and a file beside the real one would be trusted.
+// The state file carries the truth and both ensembles, so "the truth under
+// another name" is the state file under another name, and "a member past
+// Members" a second state-sized file beside it.
 func TestLoadOpensOnlyTheCheckpointsOwnFiles(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		edit func(path string, man *Manifest)
+		want string
 	}{
 		{"a FIFO outside the checkpoint", func(path string, man *Manifest) {
 			fifo := filepath.Join(filepath.Dir(path), "fifo")
 			if err := syscall.Mkfifo(fifo, 0o644); err != nil {
 				t.Skipf("mkfifo: %v", err)
 			}
-			man.Files["../fifo"] = man.Files[truthFile]
-		}},
+			man.Files["../fifo"] = man.Files[stateFile]
+		}, "manifest lists"},
 		{"a copy outside the checkpoint", func(path string, man *Manifest) {
-			data, err := os.ReadFile(filepath.Join(path, truthFile))
+			data, err := os.ReadFile(filepath.Join(path, stateFile))
 			if err != nil {
 				t.Fatal(err)
 			}
 			if err := os.WriteFile(filepath.Join(filepath.Dir(path), "outside.senk"), data, 0o644); err != nil {
 				t.Fatal(err)
 			}
-			man.Files["../outside.senk"] = fileHash(data)
-		}},
+			man.Files = map[string]string{"../outside.senk": fileHash(data)}
+		}, "manifest lists"},
 		{"the truth under another name", func(_ string, man *Manifest) {
-			man.Files["ensemble/../truth.senk"] = man.Files[truthFile]
-			delete(man.Files, truthFile)
-		}},
+			man.Files["ensemble/../"+stateFile] = man.Files[stateFile]
+			delete(man.Files, stateFile)
+		}, "manifest lists"},
 		{"a member past Members", func(path string, man *Manifest) {
-			data, err := os.ReadFile(filepath.Join(path, ensembleDir, memberName(0)))
+			data, err := os.ReadFile(filepath.Join(path, stateFile))
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := os.WriteFile(filepath.Join(path, ensembleDir, memberName(2)), data, 0o644); err != nil {
+			if err := os.WriteFile(filepath.Join(path, "member_0002.senk"), data, 0o644); err != nil {
 				t.Fatal(err)
 			}
-			man.Files[ensembleDir+"/"+memberName(2)] = fileHash(data)
-		}},
-		{"more members than files", func(_ string, man *Manifest) { man.Members = 1 << 40 }},
+			man.Files["member_0002.senk"] = fileHash(data)
+		}, "manifest lists"},
+		// 2⁴⁰ members cannot be the levels of one state file: refused before
+		// the file is read, not by an allocation sized for them.
+		{"more members than files", func(_ string, man *Manifest) { man.Members = 1 << 40 }, "invalid geometry"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
 			path := smallCheckpoint(t, dir)
 			reseal(t, path, func(man *Manifest) { tc.edit(path, man) })
 			_, err := loadWithin(t, path)
-			if err == nil || !strings.Contains(err.Error(), "manifest lists") {
-				t.Fatalf("Load: %v, want the manifest's names refused", err)
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("Load: %v, want %q", err, tc.want)
 			}
 			l, skipped, err := Latest(dir)
 			if l != nil || err != nil || len(skipped) != 1 {
@@ -221,10 +231,13 @@ func TestLoadAcceptsWhatWriteLands(t *testing.T) {
 	}
 }
 
-// FuzzLoad mutates the manifest of one valid checkpoint, as given and
-// re-sealed with its CRC recomputed, so the decoder and the checks behind the
-// CRC see the fuzzer's edits. Load must never panic or hang, and what it
-// accepts must pass checkAccepted.
+// FuzzLoad feeds each input to Load twice over, against one valid
+// checkpoint: as its manifest, as given and re-sealed with its CRC
+// recomputed, so the decoder and the checks behind the CRC see the fuzzer's
+// edits; and as its state file, with the live manifest re-sealed to the
+// input's SHA-256, so the ensio header parser, its CRC-64 and the geometry
+// checks behind the hash see them. Load must never panic or hang, and what
+// it accepts must pass checkAccepted.
 func FuzzLoad(f *testing.F) {
 	dir := f.TempDir()
 	path := smallCheckpoint(f, dir)
@@ -232,30 +245,48 @@ func FuzzLoad(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
+	state, err := os.ReadFile(filepath.Join(path, stateFile))
+	if err != nil {
+		f.Fatal(err)
+	}
 	f.Add(valid)
-	f.Fuzz(func(t *testing.T, manifest []byte) {
-		try := func(data []byte) {
-			if err := os.WriteFile(filepath.Join(path, ManifestFile), data, 0o644); err != nil {
-				t.Fatal(err)
+	f.Add(state)
+	var man Manifest
+	if err := json.Unmarshal(valid, &man); err != nil {
+		f.Fatal(err)
+	}
+	seal := func(man Manifest) []byte {
+		crc, err := manifestCRC(man)
+		if err != nil {
+			return nil
+		}
+		man.CRC64 = crc
+		data, err := json.MarshalIndent(&man, "", "  ")
+		if err != nil {
+			return nil
+		}
+		return data
+	}
+	f.Fuzz(func(t *testing.T, input []byte) {
+		try := func(manifest, state []byte) {
+			for name, data := range map[string][]byte{ManifestFile: manifest, stateFile: state} {
+				if err := os.WriteFile(filepath.Join(path, name), data, 0o644); err != nil {
+					t.Fatal(err)
+				}
 			}
 			if l, err := loadWithin(t, path); err == nil {
 				checkAccepted(t, path, l)
 			}
 		}
-		try(manifest)
-		var man Manifest
-		if json.Unmarshal(manifest, &man) != nil {
-			return
+		try(input, state)
+		var edited Manifest
+		if json.Unmarshal(input, &edited) == nil {
+			if data := seal(edited); data != nil {
+				try(data, state)
+			}
 		}
-		crc, err := manifestCRC(man)
-		if err != nil {
-			return
-		}
-		man.CRC64 = crc
-		data, err := json.MarshalIndent(&man, "", "  ")
-		if err != nil {
-			return
-		}
-		try(data)
+		live := man
+		live.Files = map[string]string{stateFile: fileHash(input)}
+		try(seal(live), input)
 	})
 }

@@ -5,22 +5,22 @@ import (
 	"encoding/hex"
 	"os"
 	"path/filepath"
-	"strings"
+	"slices"
 	"testing"
 )
 
-// assertManifestHashesMatchDisk checks that every file the manifest names
-// exists and hashes to its entry, and that nothing is staged beside them:
-// Write takes the hashes from the images it is about to write, so they must
-// still be the hashes of what a reader finds.
-func assertManifestHashesMatchDisk(t *testing.T, path string, wantFiles int) {
+// assertManifestHashesMatchDisk checks that the checkpoint holds exactly
+// the manifest and the one file it names, and that the file hashes to its
+// entry: Write takes the hash from the image it is writing, so it must still
+// be the hash of what a reader finds.
+func assertManifestHashesMatchDisk(t *testing.T, path string) {
 	t.Helper()
 	l, err := Load(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(l.Manifest.Files) != wantFiles {
-		t.Fatalf("%s: manifest names %d files, want %d", path, len(l.Manifest.Files), wantFiles)
+	if len(l.Manifest.Files) != 1 {
+		t.Fatalf("%s: manifest names %d files, want 1", path, len(l.Manifest.Files))
 	}
 	for rel, recorded := range l.Manifest.Files {
 		data, err := os.ReadFile(filepath.Join(path, filepath.FromSlash(rel)))
@@ -32,17 +32,23 @@ func assertManifestHashesMatchDisk(t *testing.T, path string, wantFiles int) {
 			t.Fatalf("%s: manifest records %s, the bytes on disk hash to %s", rel, recorded, want)
 		}
 	}
-	for _, sub := range []string{"", ensembleDir, freeDir} {
-		entries, err := os.ReadDir(filepath.Join(path, sub))
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, e := range entries {
-			if strings.Contains(e.Name(), ".tmp-") {
-				t.Fatalf("%s: staging file %s left in the checkpoint", path, e.Name())
-			}
-		}
+	if got := entries(t, path); !slices.Equal(got, []string{ManifestFile, stateFile}) {
+		t.Fatalf("%s holds %q, want the manifest and the state file", path, got)
 	}
+}
+
+// entries lists the names in dir, sorted.
+func entries(t *testing.T, dir string) []string {
+	t.Helper()
+	es, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	names := make([]string, len(es))
+	for i, e := range es {
+		names[i] = e.Name()
+	}
+	return names
 }
 
 func TestManifestHashesAreTheBytesOnDisk(t *testing.T) {
@@ -52,15 +58,15 @@ func TestManifestHashesAreTheBytesOnDisk(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	assertManifestHashesMatchDisk(t, path, 1+2*7)
+	assertManifestHashesMatchDisk(t, path)
 
 	ml, err := Write(dir, m, testStateML(t, m, 4, 5, 3))
 	if err != nil {
 		t.Fatal(err)
 	}
-	assertManifestHashesMatchDisk(t, ml, 1+2*5)
+	assertManifestHashesMatchDisk(t, ml)
 
-	// A second write of the same cycle replaces the first, hashes included.
+	// A second write of the same cycle replaces the first, hash included.
 	st := testState(t, m, 3, 7)
 	st.Ensemble[2][5] += 1
 	again, err := Write(dir, m, st)
@@ -70,7 +76,7 @@ func TestManifestHashesAreTheBytesOnDisk(t *testing.T) {
 	if again != path {
 		t.Fatalf("rewrite landed at %s, want %s", again, path)
 	}
-	assertManifestHashesMatchDisk(t, path, 1+2*7)
+	assertManifestHashesMatchDisk(t, path)
 	l, err := Load(path)
 	if err != nil {
 		t.Fatal(err)
@@ -80,12 +86,13 @@ func TestManifestHashesAreTheBytesOnDisk(t *testing.T) {
 	}
 }
 
-// A member file that cannot be written fails the checkpoint as a whole: no
-// ckpt-<cycle> directory appears, the stage is swept, and Latest falls back
-// to the previous checkpoint. The failure is provoked by deleting the
-// stage's free/ directory while Write is filling the stage — the truth and
-// ensemble files before it land normally, so this is a failure part-way
-// through the batch.
+// A checkpoint that cannot be completed fails as a whole: no ckpt-<cycle>
+// directory appears, Write deletes its own stage, and Latest falls back to
+// the previous checkpoint. The failure is provoked by creating a directory
+// named MANIFEST.json inside the stage while Write is filling it. That
+// succeeds only while the stage exists and its manifest has not been
+// written, so whenever it succeeds Write must fail creating the manifest
+// and leave the stage for its own cleanup.
 func TestFailedMemberLeavesNoCheckpoint(t *testing.T) {
 	m := testMesh(t)
 	dir := t.TempDir()
@@ -104,8 +111,8 @@ func TestFailedMemberLeavesNoCheckpoint(t *testing.T) {
 					return
 				default:
 				}
-				stages, _ := filepath.Glob(filepath.Join(dir, stagePrefix+"*", freeDir))
-				if len(stages) == 1 && os.RemoveAll(stages[0]) == nil {
+				stages, _ := filepath.Glob(filepath.Join(dir, stagePrefix+"*"))
+				if len(stages) == 1 && os.Mkdir(filepath.Join(stages[0], ManifestFile), 0o755) == nil {
 					<-stop
 					sabotaged <- true
 					return
@@ -128,19 +135,13 @@ func TestFailedMemberLeavesNoCheckpoint(t *testing.T) {
 			continue
 		}
 		if err == nil {
-			t.Fatal("Write succeeded although its free/ directory was deleted under it")
+			t.Fatal("Write succeeded although its manifest could not be created")
 		}
 		break
 	}
 
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, e := range entries {
-		if e.Name() != DirName(1) {
-			t.Fatalf("failed write left %s behind", e.Name())
-		}
+	if got := entries(t, dir); !slices.Equal(got, []string{DirName(1)}) {
+		t.Fatalf("failed write left %q, want only %s", got, DirName(1))
 	}
 	l, skipped, err := Latest(dir)
 	if err != nil {

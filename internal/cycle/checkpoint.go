@@ -10,11 +10,13 @@ import (
 )
 
 // Checkpointer cuts crash-consistent checkpoints of a cycled experiment
-// through the per-cycle Hook. Every cycle's post-analysis state is held as
-// the pending snapshot; every Every cycles (default 1) it is written to Dir
-// via ckpt.Write and old checkpoints are pruned to the newest Keep (0 keeps
-// all). Flush writes the pending snapshot immediately — the graceful-
-// shutdown path, so an interrupted run loses at most the in-flight cycle.
+// through the per-cycle Hook. Every cycle's post-analysis state is encoded
+// as the pending checkpoint image — the one copy of the state a checkpoint
+// makes, into storage the checkpointer reuses from cycle to cycle; every
+// Every cycles (default 1) it is landed in Dir and old checkpoints are
+// pruned to the newest Keep (0 keeps all). Flush lands the pending image
+// immediately — the graceful-shutdown path, so an interrupted run loses at
+// most the in-flight cycle.
 type Checkpointer struct {
 	Dir      string
 	Every    int
@@ -26,36 +28,9 @@ type Checkpointer struct {
 
 	mu      sync.Mutex
 	mesh    grid.Mesh
-	pending *ckpt.State
+	pending *ckpt.Image
 	written bool
 	last    int // cycle of the last written checkpoint
-}
-
-// snapshot deep-copies st into a checkpoint state: the run loop keeps
-// mutating the live slices, and Flush may fire from a signal handler.
-func (cp *Checkpointer) snapshot(st State) (*ckpt.State, error) {
-	hist, err := json.Marshal(st.History)
-	if err != nil {
-		return nil, fmt.Errorf("cycle: marshal history: %w", err)
-	}
-	s := &ckpt.State{
-		Cycle:    st.NextCycle - 1,
-		Truth:    append([]float64(nil), st.Truth...),
-		Ensemble: make([][]float64, len(st.Ensemble)),
-		Free:     make([][]float64, len(st.Free)),
-		History:  hist,
-		Seed:     cp.Seed,
-		Config:   cp.Config,
-		PlanHash: cp.PlanHash,
-		RunID:    cp.RunID,
-	}
-	for k := range st.Ensemble {
-		s.Ensemble[k] = append([]float64(nil), st.Ensemble[k]...)
-	}
-	for k := range st.Free {
-		s.Free[k] = append([]float64(nil), st.Free[k]...)
-	}
-	return s, nil
 }
 
 // Hook returns the per-cycle hook that drives this checkpointer.
@@ -64,13 +39,30 @@ func (cp *Checkpointer) Hook(c Config) Hook {
 	cp.mesh = c.Enkf.Mesh
 	cp.mu.Unlock()
 	return func(st State) error {
-		snap, err := cp.snapshot(st)
+		hist, err := json.Marshal(st.History)
 		if err != nil {
-			return err
+			return fmt.Errorf("cycle: marshal history: %w", err)
 		}
 		cp.mu.Lock()
 		defer cp.mu.Unlock()
-		cp.pending = snap
+		// The run loop goes on with the live slices and Flush may fire from a
+		// signal handler, so the state is encoded now, under the lock. The
+		// previous image is either landed or superseded: its storage is reused.
+		img, err := ckpt.Encode(cp.mesh, ckpt.State{
+			Cycle:    st.NextCycle - 1,
+			Truth:    st.Truth,
+			Ensemble: st.Ensemble,
+			Free:     st.Free,
+			History:  hist,
+			Seed:     cp.Seed,
+			Config:   cp.Config,
+			PlanHash: cp.PlanHash,
+			RunID:    cp.RunID,
+		}, cp.pending)
+		if err != nil {
+			return err
+		}
+		cp.pending = img
 		every := cp.Every
 		if every <= 0 {
 			every = 1
@@ -101,13 +93,13 @@ func (cp *Checkpointer) LastCycle() int {
 }
 
 func (cp *Checkpointer) writeLocked() error {
-	if cp.pending == nil || (cp.written && cp.pending.Cycle == cp.last) {
+	if cp.pending == nil || (cp.written && cp.pending.Cycle() == cp.last) {
 		return nil
 	}
-	if _, err := ckpt.Write(cp.Dir, cp.mesh, *cp.pending); err != nil {
+	if _, err := cp.pending.Write(cp.Dir); err != nil {
 		return err
 	}
-	cp.written, cp.last = true, cp.pending.Cycle
+	cp.written, cp.last = true, cp.pending.Cycle()
 	if cp.Keep > 0 {
 		if err := ckpt.Prune(cp.Dir, cp.Keep); err != nil {
 			return err

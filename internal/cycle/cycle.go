@@ -181,16 +181,11 @@ func RunFrom(c Config, st State, totalCycles int, analyze Analyzer, onCycle func
 	if st.Free != nil && len(st.Free) != len(st.Ensemble) {
 		return nil, fmt.Errorf("cycle: control ensemble has %d members, assimilating has %d", len(st.Free), len(st.Ensemble))
 	}
-	truth := append([]float64(nil), st.Truth...)
-	ensemble := make([][]float64, len(st.Ensemble))
-	free := make([][]float64, len(st.Ensemble))
-	for k := range st.Ensemble {
-		ensemble[k] = append([]float64(nil), st.Ensemble[k]...)
-		src := st.Ensemble[k]
-		if st.Free != nil {
-			src = st.Free[k]
-		}
-		free[k] = append([]float64(nil), src...)
+	// The first forecast reads the input state and returns fresh fields, and
+	// nothing before it writes, so the input is read in place, not copied.
+	truth, ensemble, free := st.Truth, st.Ensemble, st.Free
+	if free == nil {
+		free = st.Ensemble
 	}
 
 	history := append([]Stats(nil), st.History...)

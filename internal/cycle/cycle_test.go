@@ -1,6 +1,7 @@
 package cycle
 
 import (
+	"math"
 	"testing"
 
 	"senkf/internal/core"
@@ -214,5 +215,40 @@ func TestSpreadHelper(t *testing.T) {
 	// std of {0,2} with n-1 normalization = sqrt(2)
 	if got < 1.41 || got > 1.42 {
 		t.Errorf("spread = %g", got)
+	}
+}
+
+// RunFrom reads its input state in place and never writes it: after a run
+// with a checkpointing hook — the caller's State bits, the control ensemble
+// included, and its history are what they were.
+func TestRunFromLeavesInputBitIdentical(t *testing.T) {
+	cfg, truth, ens := testSetup(t)
+	free, err := workload.Ensemble(cfg.Enkf.Mesh, truth, len(ens), 0.9, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hist := make([]Stats, 1, 4) // spare capacity RunFrom must not append into
+	hist[0] = Stats{Cycle: 0, AnalysisRMSE: 0.5}
+	st := State{NextCycle: 1, Truth: truth, Ensemble: ens, Free: free, History: hist}
+	fields := append(append([][]float64{truth}, ens...), free...)
+	want := make([][]uint64, len(fields))
+	for i, f := range fields {
+		for _, v := range f {
+			want[i] = append(want[i], math.Float64bits(v))
+		}
+	}
+	cp := &Checkpointer{Dir: t.TempDir(), Seed: cfg.Seed}
+	if _, err := RunFrom(cfg, st, 3, SerialAnalyzer(), nil, cp.Hook(cfg)); err != nil {
+		t.Fatal(err)
+	}
+	for i, f := range fields {
+		for j, v := range f {
+			if math.Float64bits(v) != want[i][j] {
+				t.Fatalf("field %d (0 truth, then ensemble, then control) point %d changed", i, j)
+			}
+		}
+	}
+	if got := hist[:cap(hist)]; got[0] != (Stats{Cycle: 0, AnalysisRMSE: 0.5}) || got[1] != (Stats{}) {
+		t.Fatalf("the caller's history changed: %+v", got)
 	}
 }

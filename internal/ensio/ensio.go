@@ -35,7 +35,6 @@ import (
 	"time"
 
 	"senkf/internal/grid"
-	"senkf/internal/par"
 )
 
 // Magic identifies a member file.
@@ -151,12 +150,12 @@ func atomicCreate(path string, image []byte) error {
 	return nil
 }
 
-// encodeMember is the one member-file encoder. It builds the complete file —
+// EncodeImage is the one member-file encoder. It builds the complete file —
 // header, level-interleaved little-endian payload, CRC-64 of the payload in
-// the header — as a single image borrowed from the scratch pool, which the
-// caller gives back with scratch.Put once the image has been written.
-// levels[l] is the row-major field of level l.
-func encodeMember(h Header, levels [][]float64) (*[]byte, error) {
+// the header — in buf's storage when that is large enough, and returns it.
+// levels[l] is the row-major field of level l; the header's level count is
+// len(levels).
+func EncodeImage(buf []byte, h Header, levels [][]float64) ([]byte, error) {
 	if h.NX <= 0 || h.NY <= 0 {
 		return nil, fmt.Errorf("ensio: invalid dimensions %dx%d", h.NX, h.NY)
 	}
@@ -170,18 +169,30 @@ func encodeMember(h Header, levels [][]float64) (*[]byte, error) {
 		}
 	}
 	n := headerSizeV2 + 8*points*nl
-	bp := scratch.Get().(*[]byte)
-	if cap(*bp) < n {
-		*bp = make([]byte, n)
+	if cap(buf) < n {
+		buf = make([]byte, n)
 	}
-	*bp = (*bp)[:n]
-	payload := (*bp)[headerSizeV2:]
+	buf = buf[:n]
+	payload := buf[headerSizeV2:]
 	for l, f := range levels {
 		for i, v := range f {
 			binary.LittleEndian.PutUint64(payload[8*(i*nl+l):], math.Float64bits(v))
 		}
 	}
-	putHeader(*bp, h, nl, crc64.Checksum(payload, crcTable))
+	putHeader(buf, h, nl, crc64.Checksum(payload, crcTable))
+	return buf, nil
+}
+
+// encodeMember is EncodeImage into an image borrowed from the scratch pool,
+// which the caller gives back with scratch.Put once the image is written.
+func encodeMember(h Header, levels [][]float64) (*[]byte, error) {
+	bp := scratch.Get().(*[]byte)
+	image, err := EncodeImage(*bp, h, levels)
+	if err != nil {
+		scratch.Put(bp)
+		return nil, err
+	}
+	*bp = image
 	return bp, nil
 }
 
@@ -190,42 +201,6 @@ func encodeMember(h Header, levels [][]float64) (*[]byte, error) {
 // previous complete file or the new one, never a torn member.
 func WriteMember(path string, h Header, field []float64) error {
 	return WriteMemberLevels(path, h, [][]float64{field})
-}
-
-// batchWriters is how many member files WriteBatch keeps in flight. Each
-// file is fsynced on its own, and the journal commits concurrent fsyncs
-// together: 33 files of 64 KiB took 42 ms one at a time, 30 ms two at a
-// time, 23 ms with 4, 6 or 8 in flight and 26 ms with 16 or all 33
-// (EXPERIMENTS.md, "Record: PR 17"). The gain comes from the storage stack,
-// not from cores, so the count does not follow GOMAXPROCS; it is the
-// smallest count on the plateau, because it is also how many pooled images
-// are alive at once.
-const batchWriters = 4
-
-// WriteBatch writes n member files, a small fixed number at a time, each
-// one exactly as WriteMemberLevels writes it (staged, fsynced, renamed).
-// file(i) describes file i: its path, header and per-level fields. seen, when
-// non-nil, is handed file i's complete image — the bytes that land on disk —
-// just before they are written; it runs on the writing goroutine, concurrently
-// with the seen of other files, and must not keep the image. On failure the
-// error is that of the lowest failing index, naming it; files already
-// renamed stay.
-func WriteBatch(n int, file func(i int) (path string, h Header, levels [][]float64), seen func(i int, image []byte)) error {
-	return par.Do(n, batchWriters, func(_, i int) error {
-		path, h, levels := file(i)
-		image, err := encodeMember(h, levels)
-		if err != nil {
-			return fmt.Errorf("ensio: file %d (%s): %w", i, path, err)
-		}
-		defer scratch.Put(image)
-		if seen != nil {
-			seen(i, *image)
-		}
-		if err := atomicCreate(path, *image); err != nil {
-			return fmt.Errorf("ensio: file %d (%s): %w", i, path, err)
-		}
-		return nil
-	})
 }
 
 // WriteEnsemble writes all members of an ensemble into dir using the
@@ -351,50 +326,21 @@ func OpenMemberOpts(path string, o OpenOptions) (*MemberFile, error) {
 	if err != nil {
 		return nil, fmt.Errorf("ensio: open: %w", err)
 	}
-	hdr := make([]byte, headerSizeV1)
-	if _, err := io.ReadFull(f, hdr); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("ensio: read header: %w", err)
-	}
-	if string(hdr[0:4]) != Magic {
-		f.Close()
-		return nil, fmt.Errorf("ensio: bad magic %q in %s", hdr[0:4], path)
-	}
-	v := binary.LittleEndian.Uint32(hdr[4:8])
-	if v != 1 && v != Version {
-		f.Close()
-		return nil, fmt.Errorf("ensio: unsupported version %d in %s", v, path)
-	}
-	h := Header{
-		NX:     int(binary.LittleEndian.Uint32(hdr[8:12])),
-		NY:     int(binary.LittleEndian.Uint32(hdr[12:16])),
-		Member: int(binary.LittleEndian.Uint32(hdr[16:20])),
-		Levels: int(binary.LittleEndian.Uint32(hdr[20:24])),
-	}
-	dataOff := int64(headerSizeV1)
-	if v == Version {
-		var sum [8]byte
-		if _, err := io.ReadFull(f, sum[:]); err != nil {
-			f.Close()
-			return nil, fmt.Errorf("ensio: read checksum: %w", err)
-		}
-		h.Checksum = binary.LittleEndian.Uint64(sum[:])
-		h.HasChecksum = true
-		dataOff = headerSizeV2
-	}
-	if h.NX <= 0 || h.NY <= 0 {
-		f.Close()
-		return nil, fmt.Errorf("ensio: invalid dimensions %dx%d in %s", h.NX, h.NY, path)
-	}
 	fi, err := f.Stat()
 	if err != nil {
 		f.Close()
 		return nil, fmt.Errorf("ensio: stat: %w", err)
 	}
-	if want, ok := h.payloadBytes(); !ok || fi.Size() != dataOff+want {
+	hdr := make([]byte, headerSizeV2)
+	n, err := io.ReadFull(f, hdr)
+	if err != nil && err != io.ErrUnexpectedEOF {
 		f.Close()
-		return nil, fmt.Errorf("ensio: %s has %d bytes, not the %d of its header and the %dx%d points × %d levels it declares: %w",
-			path, fi.Size(), dataOff, h.NX, h.NY, h.LevelCount(), ErrTruncated)
+		return nil, fmt.Errorf("ensio: read header: %w", err)
+	}
+	h, dataOff, err := parseHeader(path, hdr[:n], fi.Size())
+	if err != nil {
+		f.Close()
+		return nil, err
 	}
 	m := &MemberFile{Header: h, path: path, f: f, dataOff: dataOff, retry: o.Retry, hook: o.Hook}
 	if o.Verify {
@@ -404,6 +350,78 @@ func OpenMemberOpts(path string, o OpenOptions) (*MemberFile, error) {
 		}
 	}
 	return m, nil
+}
+
+// parseHeader is the one header parser. b is the start of the file path of
+// size bytes — the whole file if it is shorter than a version-2 header —
+// and the header must be well formed and declare exactly the payload the
+// size leaves after it. It returns the header and the payload's offset.
+func parseHeader(path string, b []byte, size int64) (Header, int64, error) {
+	if len(b) < headerSizeV1 {
+		return Header{}, 0, fmt.Errorf("ensio: %s has %d bytes, less than a header: %w", path, size, ErrTruncated)
+	}
+	if string(b[0:4]) != Magic {
+		return Header{}, 0, fmt.Errorf("ensio: bad magic %q in %s", b[0:4], path)
+	}
+	v := binary.LittleEndian.Uint32(b[4:8])
+	if v != 1 && v != Version {
+		return Header{}, 0, fmt.Errorf("ensio: unsupported version %d in %s", v, path)
+	}
+	h := Header{
+		NX:     int(binary.LittleEndian.Uint32(b[8:12])),
+		NY:     int(binary.LittleEndian.Uint32(b[12:16])),
+		Member: int(binary.LittleEndian.Uint32(b[16:20])),
+		Levels: int(binary.LittleEndian.Uint32(b[20:24])),
+	}
+	dataOff := int64(headerSizeV1)
+	if v == Version {
+		if len(b) < headerSizeV2 {
+			return Header{}, 0, fmt.Errorf("ensio: %s has %d bytes, less than a version-2 header: %w", path, size, ErrTruncated)
+		}
+		h.Checksum = binary.LittleEndian.Uint64(b[checksumOffset:headerSizeV2])
+		h.HasChecksum = true
+		dataOff = headerSizeV2
+	}
+	if h.NX <= 0 || h.NY <= 0 {
+		return Header{}, 0, fmt.Errorf("ensio: invalid dimensions %dx%d in %s", h.NX, h.NY, path)
+	}
+	if want, ok := h.payloadBytes(); !ok || size != dataOff+want {
+		return Header{}, 0, fmt.Errorf("ensio: %s has %d bytes, not the %d of its header and the %dx%d points × %d levels it declares: %w",
+			path, size, dataOff, h.NX, h.NY, h.LevelCount(), ErrTruncated)
+	}
+	return h, dataOff, nil
+}
+
+// DecodeImage reads a member file held in memory as name: the header, the
+// size and the payload checksum are checked as OpenMemberOpts with Verify
+// checks a file, and the payload is decoded into the fields dst returns for
+// the header, one row-major field per level. dst may refuse the header by
+// returning an error, which DecodeImage returns.
+func DecodeImage(name string, image []byte, dst func(Header) ([][]float64, error)) error {
+	h, dataOff, err := parseHeader(name, image, int64(len(image)))
+	if err != nil {
+		return err
+	}
+	payload := image[dataOff:]
+	if h.HasChecksum {
+		if got := crc64.Checksum(payload, crcTable); got != h.Checksum {
+			return &CorruptionError{Path: name, Member: h.Member, Want: h.Checksum, Got: got}
+		}
+	}
+	levels, err := dst(h)
+	if err != nil {
+		return err
+	}
+	if len(levels) != h.LevelCount() {
+		return fmt.Errorf("ensio: %s holds %d levels, %d fields given", name, h.LevelCount(), len(levels))
+	}
+	for l, f := range levels {
+		if len(f) != h.NX*h.NY {
+			return fmt.Errorf("ensio: %s: field %d has %d points, the header says %d", name, l, len(f), h.NX*h.NY)
+		}
+	}
+	decode(levels, 0, payload, h.NX, 0, h.NX, h.NY)
+	return nil
 }
 
 // Close closes the underlying file.

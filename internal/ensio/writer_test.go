@@ -3,13 +3,13 @@ package ensio
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc64"
 	"math"
 	"os"
 	"path/filepath"
 	"strings"
-	"sync"
 	"testing"
 
 	"senkf/internal/grid"
@@ -125,39 +125,30 @@ func TestWriterByteIdenticalToStreamingWriter(t *testing.T) {
 	assertNoTempFiles(t, dir)
 }
 
-// WriteBatch hands seen the bytes that land on disk, once per file, and the
-// files are the ones WriteMemberLevels writes.
-func TestWriteBatchSeenImageIsTheFile(t *testing.T) {
+// WriteEnsembleLevels lands each member file exactly as WriteMemberLevels
+// writes it.
+func TestWriteEnsembleLevelsFilesAreWriteMemberLevels(t *testing.T) {
 	dir := t.TempDir()
 	const n = 11
 	m := grid.Mesh{NX: 9, NY: 5}
-	path := func(i int) string { return filepath.Join(dir, fmt.Sprintf("f%02d.senk", i)) }
-	var mu sync.Mutex
-	images := map[int][]byte{}
-	err := WriteBatch(n, func(i int) (string, Header, [][]float64) {
-		return path(i), Header{NX: m.NX, NY: m.NY, Member: i}, [][]float64{oddField(m.NX, m.NY, i), oddField(m.NX, m.NY, i+50)}
-	}, func(i int, image []byte) {
-		mu.Lock()
-		defer mu.Unlock()
-		if _, dup := images[i]; dup {
-			t.Errorf("file %d seen twice", i)
-		}
-		images[i] = append([]byte(nil), image...)
-	})
+	levels := func(k int) [][]float64 {
+		return [][]float64{oddField(m.NX, m.NY, k), oddField(m.NX, m.NY, k+50)}
+	}
+	members := make([][][]float64, n)
+	for k := range members {
+		members[k] = levels(k)
+	}
+	paths, err := WriteEnsembleLevels(dir, m, members)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < n; i++ {
-		got, err := os.ReadFile(path(i))
+	single := filepath.Join(t.TempDir(), "single.senk")
+	for k, path := range paths {
+		got, err := os.ReadFile(path)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(got, images[i]) {
-			t.Fatalf("file %d: the image seen is not the file written", i)
-		}
-		single := filepath.Join(dir, "single.senk")
-		if err := WriteMemberLevels(single, Header{NX: m.NX, NY: m.NY, Member: i},
-			[][]float64{oddField(m.NX, m.NY, i), oddField(m.NX, m.NY, i+50)}); err != nil {
+		if err := WriteMemberLevels(single, Header{NX: m.NX, NY: m.NY, Member: k}, levels(k)); err != nil {
 			t.Fatal(err)
 		}
 		want, err := os.ReadFile(single)
@@ -165,10 +156,69 @@ func TestWriteBatchSeenImageIsTheFile(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(got, want) {
-			t.Fatalf("file %d differs from WriteMemberLevels' file", i)
+			t.Fatalf("member %d differs from WriteMemberLevels' file", k)
 		}
 	}
 	assertNoTempFiles(t, dir)
+}
+
+// DecodeImage reads back what EncodeImage built, through the header parser
+// files are opened with, and refuses the damage a file open refuses.
+func TestDecodeImageRoundTrip(t *testing.T) {
+	m := grid.Mesh{NX: 7, NY: 3}
+	levels := [][]float64{oddField(m.NX, m.NY, 1), oddField(m.NX, m.NY, 2), oddField(m.NX, m.NY, 3)}
+	image, err := EncodeImage(nil, Header{NX: m.NX, NY: m.NY, Member: 4}, levels)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The image is the file WriteMemberLevels lands.
+	path := filepath.Join(t.TempDir(), "m.senk")
+	if err := WriteMemberLevels(path, Header{NX: m.NX, NY: m.NY, Member: 4}, levels); err != nil {
+		t.Fatal(err)
+	}
+	if file, err := os.ReadFile(path); err != nil || !bytes.Equal(file, image) {
+		t.Fatalf("the image is not the file (%v)", err)
+	}
+	decodeAll := func(image []byte) ([][]float64, error) {
+		var out [][]float64
+		err := DecodeImage("m.senk", image, func(h Header) ([][]float64, error) {
+			if h.Member != 4 || h.LevelCount() != 3 {
+				return nil, fmt.Errorf("header %+v", h)
+			}
+			out = [][]float64{make([]float64, 21), make([]float64, 21), make([]float64, 21)}
+			return out, nil
+		})
+		return out, err
+	}
+	got, err := decodeAll(image)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for l := range levels {
+		for i := range levels[l] {
+			if math.Float64bits(got[l][i]) != math.Float64bits(levels[l][i]) {
+				t.Fatalf("level %d point %d: %v, want %v", l, i, got[l][i], levels[l][i])
+			}
+		}
+	}
+	flipped := bytes.Clone(image)
+	flipped[len(flipped)-3] ^= 0x08
+	var ce *CorruptionError
+	if _, err := decodeAll(flipped); !errors.As(err, &ce) {
+		t.Fatalf("a flipped payload bit decoded: %v", err)
+	}
+	for _, cut := range []int{1, 8, len(image) - headerSizeV2, len(image) - 5} {
+		if _, err := decodeAll(image[:len(image)-cut]); !errors.Is(err, ErrTruncated) {
+			t.Fatalf("an image %d bytes short decoded: %v", cut, err)
+		}
+	}
+	refused := errors.New("refused")
+	if err := DecodeImage("m.senk", image, func(Header) ([][]float64, error) { return nil, refused }); err != refused {
+		t.Fatalf("dst's refusal came back as %v", err)
+	}
+	if err := DecodeImage("m.senk", image, func(Header) ([][]float64, error) { return got[:2], nil }); err == nil {
+		t.Fatal("two fields accepted for three levels")
+	}
 }
 
 // One malformed member fails the whole ensemble write with that member's
