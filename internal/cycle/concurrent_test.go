@@ -3,6 +3,7 @@ package cycle
 import (
 	"math"
 	"runtime"
+	"strings"
 	"testing"
 
 	"senkf/internal/ckpt"
@@ -13,33 +14,86 @@ import (
 	"senkf/internal/workload"
 )
 
-// addModelError fans members out over GOMAXPROCS workers; each member's
-// noise depends on its key alone, so the result must be the plain serial
-// loop's bit for bit, whatever the worker count.
-func TestAddModelErrorEqualsSerialLoopForAnyGOMAXPROCS(t *testing.T) {
-	cfg, _, ens := testSetup(t)
+// The forecast pass fans its jobs out over GOMAXPROCS workers that keep their
+// scratch from job to job; each job depends on its key alone, so the result
+// must be the plain serial loop's bit for bit — Run, then SmoothNoise added
+// to each member — whatever the worker count.
+func TestForecastEqualsSerialLoopForAnyGOMAXPROCS(t *testing.T) {
+	cfg, truth, ens := testSetup(t)
 	m := cfg.Enkf.Mesh
-	const sd, cycleIdx, which = 0.2, 3, 1
-	want := make([][]float64, len(ens))
-	for k := range ens {
-		want[k] = append([]float64(nil), ens[k]...)
-		noise := workload.SmoothNoise(m, sd, cfg.Seed, 0x30DE1, cycleIdx, which, k)
-		for i := range want[k] {
-			want[k][i] += noise[i]
-		}
+	const cycleIdx = 3
+	free, err := workload.Ensemble(m, truth, len(ens), 0.9, 5)
+	if err != nil {
+		t.Fatal(err)
 	}
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
-	for _, procs := range []int{1, 2, 8} {
-		runtime.GOMAXPROCS(procs)
-		got := make([][]float64, len(ens))
-		for k := range ens {
-			got[k] = append([]float64(nil), ens[k]...)
+	for _, steps := range []int{1, 2, 3} {
+		cfg.StepsPerCycle = steps
+		wantTruth, err := cfg.Model.Run(truth, steps)
+		if err != nil {
+			t.Fatal(err)
 		}
-		addModelError(m, got, sd, cfg.Seed, cycleIdx, which)
-		for k := range want {
-			for i := range want[k] {
-				if math.Float64bits(got[k][i]) != math.Float64bits(want[k][i]) {
-					t.Fatalf("GOMAXPROCS %d: member %d point %d is %g, serial loop gives %g", procs, k, i, got[k][i], want[k][i])
+		want := make([][]float64, 0, 1+2*len(ens))
+		want = append(want, wantTruth)
+		for which, fields := range [][][]float64{ens, free} {
+			for k := range fields {
+				f, err := cfg.Model.Run(fields[k], steps)
+				if err != nil {
+					t.Fatal(err)
+				}
+				noise := workload.SmoothNoise(m, cfg.ModelErrorSD, cfg.Seed, 0x30DE1, cycleIdx, which, k)
+				for i := range f {
+					f[i] += noise[i]
+				}
+				want = append(want, f)
+			}
+		}
+		for _, procs := range []int{1, 2, 8} {
+			runtime.GOMAXPROCS(procs)
+			scratch := make([][]float64, runtime.GOMAXPROCS(0))
+			gotTruth, gotEns, gotFree, err := cfg.forecast(scratch, cycleIdx, truth, ens, free)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := append(append([][]float64{gotTruth}, gotEns...), gotFree...)
+			for j := range want {
+				for i := range want[j] {
+					if math.Float64bits(got[j][i]) != math.Float64bits(want[j][i]) {
+						t.Fatalf("%d steps, GOMAXPROCS %d: job %d (0 truth, then ensemble, then control) point %d is %g, serial loop gives %g",
+							steps, procs, j, i, got[j][i], want[j][i])
+					}
+				}
+			}
+		}
+	}
+}
+
+// A malformed field fails the cycle with the error of the lowest failing
+// forecast job, worded as the separate truth, ensemble and control forecasts
+// worded it, whatever the worker count.
+func TestForecastReportsLowestFailingJob(t *testing.T) {
+	cfg, truth, ens := testSetup(t)
+	bad := append([][]float64(nil), ens...)
+	bad[9] = bad[9][:7]
+	free := append([][]float64(nil), ens...)
+	free[4] = nil
+	cases := []struct {
+		truth     []float64
+		ens, free [][]float64
+		want      string
+	}{
+		{truth[:5], bad, free, "truth forecast: model: field has 5 points"},
+		{truth, bad, free, "ensemble forecast: model: member 9: model: field has 7 points"},
+		{truth, ens, free, "control forecast: model: member 4: model: field has 0 points"},
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, tc := range cases {
+		for _, procs := range []int{1, 2, 8} {
+			runtime.GOMAXPROCS(procs)
+			for round := 0; round < 10; round++ {
+				_, err := RunFrom(cfg, State{Truth: tc.truth, Ensemble: tc.ens, Free: tc.free}, 1, SerialAnalyzer(), nil, nil)
+				if want := "cycle 0: " + tc.want; err == nil || !strings.HasPrefix(err.Error(), want) {
+					t.Fatalf("GOMAXPROCS %d: err = %v, want %q", procs, err, want)
 				}
 			}
 		}
@@ -48,21 +102,25 @@ func TestAddModelErrorEqualsSerialLoopForAnyGOMAXPROCS(t *testing.T) {
 
 // TestCycleAllocationBudget bounds what one forecast–analysis cycle with a
 // fsynced ensemble write and a checkpoint allocates, in multiples of one
-// ensemble state (N·points·8 bytes). About 15 states today, of which the
-// copies of the run state account for ten: RunFrom's private copy, the
-// forecast's results, the model-error fields and the checkpointer's snapshot
-// are two states each (ensemble plus control), the analysis result and the
-// engine's blocks one each. The 49 member files the cycle writes come out of
-// ensio's pooled images; a fresh buffer per file would cost three states
-// more (19 before the writer built images at all, when the checkpoint also
-// read every file back to hash it), so that regression fails here, in an
-// ordinary test, not only in the benchmark's 2% bound. (Not under the race
-// detector, whose sync.Pool drops a quarter of what it is given.)
+// ensemble state (N·points·8 bytes), at GOMAXPROCS 2: the worker count sets
+// how much forecast scratch a cycle makes. About 3.6 states today. The
+// forecast's results are two (ensemble plus control; the truth adds 1/N) and
+// the analysis result one. The rest is small: the forecast workers' scratch,
+// one mesh and its noise tables each (0.13 for two workers); the
+// observations and their perturbations (0.2); the engine's workspace growth
+// and centring (0.2); opening the member files (0.1). The member files and
+// the checkpoint are encoded into pooled images and the engine reads its
+// blocks into pooled buffers. So a fresh model-error field per member would
+// cost two states more (6.2 before the forecast was one pass), and a fresh
+// image per write three, and either regression fails here, in an ordinary
+// test, not only in the benchmark's 2% bound. (Not under the race detector,
+// whose sync.Pool drops a quarter of what it is given.)
 func TestCycleAllocationBudget(t *testing.T) {
 	const (
 		nx, ny, n = 128, 64, 16
-		budget    = 15.8 // ensemble states per cycle; 15.1 measured
+		budget    = 4.3 // ensemble states per cycle; 3.5–4.0 measured
 	)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 	m, err := grid.NewMesh(nx, ny)
 	if err != nil {
 		t.Fatal(err)

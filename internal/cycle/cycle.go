@@ -189,27 +189,15 @@ func RunFrom(c Config, st State, totalCycles int, analyze Analyzer, onCycle func
 	}
 
 	history := append([]Stats(nil), st.History...)
+	scratch := make([][]float64, runtime.GOMAXPROCS(0)) // the forecast workers', made on first use
 	sc := c.Prof.Scope("cycle")
 	for i := st.NextCycle; i < totalCycles; i++ {
 		i := i
 		err := sc.Stage(i, func() error {
-			// Forecast: truth, assimilating ensemble, and the free control.
 			var err error
-			truth, err = c.Model.Run(truth, c.StepsPerCycle)
+			truth, ensemble, free, err = c.forecast(scratch, i, truth, ensemble, free)
 			if err != nil {
-				return fmt.Errorf("cycle %d: truth forecast: %w", i, err)
-			}
-			ensemble, err = c.Model.RunEnsemble(ensemble, c.StepsPerCycle)
-			if err != nil {
-				return fmt.Errorf("cycle %d: ensemble forecast: %w", i, err)
-			}
-			free, err = c.Model.RunEnsemble(free, c.StepsPerCycle)
-			if err != nil {
-				return fmt.Errorf("cycle %d: control forecast: %w", i, err)
-			}
-			if c.ModelErrorSD > 0 {
-				addModelError(c.Enkf.Mesh, ensemble, c.ModelErrorSD, c.Seed, i, 0)
-				addModelError(c.Enkf.Mesh, free, c.ModelErrorSD, c.Seed, i, 1)
+				return fmt.Errorf("cycle %d: %w", i, err)
 			}
 
 			// Observe the current truth.
@@ -222,16 +210,12 @@ func RunFrom(c Config, st State, totalCycles int, analyze Analyzer, onCycle func
 			// Analysis with cycle-specific perturbation seed.
 			cfg := c.Enkf
 			cfg.Seed = seed
-			st := Stats{
-				Cycle:          i,
-				BackgroundRMSE: enkf.RMSE(enkf.EnsembleMean(ensemble), truth),
-				FreeRMSE:       enkf.RMSE(enkf.EnsembleMean(free), truth),
-			}
+			st := Stats{Cycle: i, BackgroundRMSE: meanRMSE(ensemble, truth), FreeRMSE: meanRMSE(free, truth)}
 			ensemble, err = analyze(cfg, ensemble, net)
 			if err != nil {
 				return fmt.Errorf("cycle %d: analysis: %w", i, err)
 			}
-			st.AnalysisRMSE = enkf.RMSE(enkf.EnsembleMean(ensemble), truth)
+			st.AnalysisRMSE = meanRMSE(ensemble, truth)
 			st.Spread = spread(ensemble)
 			history = append(history, st)
 			if onCycle != nil {
@@ -251,21 +235,68 @@ func RunFrom(c Config, st State, totalCycles int, analyze Analyzer, onCycle func
 	return history, nil
 }
 
-// addModelError perturbs every member with a deterministic realization of
-// spatially correlated (smooth) stochastic model error, keyed by
-// (seed, cycle, ensemble id, member). Smoothness matters: only correlated
-// background errors can be corrected at unobserved points. Each member's
-// realization depends on its key alone, so the members are perturbed on up
-// to GOMAXPROCS goroutines with the result a serial loop gives.
-func addModelError(m grid.Mesh, fields [][]float64, sd float64, seed uint64, cycleIdx, which int) {
-	// The work function cannot fail, so neither can Do.
-	_ = par.Do(len(fields), runtime.GOMAXPROCS(0), func(_, k int) error {
-		noise := workload.SmoothNoise(m, sd, seed, 0x30DE1, cycleIdx, which, k)
-		for i := range fields[k] {
-			fields[k][i] += noise[i]
+// forecast is one cycle's forecast pass: one par.Do whose jobs are the
+// truth, each ensemble member and each control member, in that order, so a
+// failure reports the lowest failing job. A job advances its field into a
+// fresh result through its worker's scratch: one mesh for the step ping-pong
+// and SmoothNoiseInto's tables. A perturbed member's model error is then
+// summed into that mesh and added to the result; it is smooth (spatially
+// correlated), since only correlated background errors can be corrected at
+// unobserved points, and keyed by (seed, cycle, ensemble id, member). A job
+// depends on its key alone, so any worker count gives the same bits. The
+// three results share no backing array: the control must not keep the
+// ensemble the analysis replaces reachable.
+func (c Config) forecast(scratch [][]float64, i int, truth []float64, ensemble, free [][]float64) ([]float64, [][]float64, [][]float64, error) {
+	m, n := c.Enkf.Mesh, len(ensemble)
+	truthOut := make([]float64, m.Points())
+	in, out := [2][][]float64{ensemble, free}, [2][][]float64{make([][]float64, n), make([][]float64, n)}
+	err := par.Do(1+2*n, len(scratch), func(w, j int) error {
+		if scratch[w] == nil {
+			scratch[w] = make([]float64, m.Points()+2*(m.NX+m.NY))
+		}
+		buf, tab := scratch[w][:m.Points()], scratch[w][m.Points():]
+		if j == 0 {
+			if err := c.Model.RunInto(truthOut, buf, truth, c.StepsPerCycle); err != nil {
+				return fmt.Errorf("truth forecast: %w", err)
+			}
+			return nil
+		}
+		which, k := (j-1)/n, (j-1)%n
+		dst := make([]float64, m.Points())
+		out[which][k] = dst
+		if err := c.Model.RunInto(dst, buf, in[which][k], c.StepsPerCycle); err != nil {
+			return fmt.Errorf("%s forecast: model: member %d: %w", [2]string{"ensemble", "control"}[which], k, err)
+		}
+		if c.ModelErrorSD > 0 {
+			workload.SmoothNoiseInto(buf, tab, m, c.ModelErrorSD, c.Seed, 0x30DE1, i, which, k)
+			for p, v := range buf {
+				dst[p] += v
+			}
 		}
 		return nil
 	})
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	return truthOut, out[0], out[1], nil
+}
+
+// meanRMSE is enkf.RMSE(enkf.EnsembleMean(fields), truth) without the mean
+// field: the same operations in the same order. Each point's members are
+// summed in member order and scaled by 1/N (the conversion rounds the scaled
+// mean, as storing it did), then compared with the truth.
+func meanRMSE(fields [][]float64, truth []float64) float64 {
+	inv := 1 / float64(len(fields))
+	var s float64
+	for p, t := range truth {
+		var sum float64
+		for _, f := range fields {
+			sum += f[p]
+		}
+		d := float64(sum*inv) - t
+		s += d * d
+	}
+	return math.Sqrt(s / float64(len(truth)))
 }
 
 // SerialAnalyzer runs the serial reference analysis.

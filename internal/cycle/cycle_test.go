@@ -7,6 +7,7 @@ import (
 	"senkf/internal/core"
 	"senkf/internal/enkf"
 	"senkf/internal/grid"
+	"senkf/internal/linalg"
 	"senkf/internal/model"
 	"senkf/internal/workload"
 )
@@ -215,6 +216,35 @@ func TestSpreadHelper(t *testing.T) {
 	// std of {0,2} with n-1 normalization = sqrt(2)
 	if got < 1.41 || got > 1.42 {
 		t.Errorf("spread = %g", got)
+	}
+}
+
+// meanRMSE is the RMSE of the ensemble mean bit for bit, over generated
+// ensembles and truths (values spread over many binades, so the rounding of
+// the sum, the scaled mean and the squares all show); no members is NaN.
+func TestMeanRMSEIsRMSEOfEnsembleMean(t *testing.T) {
+	s := linalg.NewStream(0x3EA7)
+	for trial := 0; trial < 200; trial++ {
+		n, pts := 1+s.Intn(20), 1+s.Intn(300)
+		value := func() float64 { return s.Norm() * math.Exp2(float64(s.Intn(40)-20)) }
+		fields := make([][]float64, n)
+		for k := range fields {
+			fields[k] = make([]float64, pts)
+			for i := range fields[k] {
+				fields[k][i] = value()
+			}
+		}
+		truth := make([]float64, pts)
+		for i := range truth {
+			truth[i] = value()
+		}
+		got, want := meanRMSE(fields, truth), enkf.RMSE(enkf.EnsembleMean(fields), truth)
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("trial %d (N %d, %d points): %v, the RMSE of the mean is %v", trial, n, pts, got, want)
+		}
+	}
+	if got := meanRMSE(nil, []float64{1, 2}); !math.IsNaN(got) {
+		t.Errorf("no members: %v, want NaN", got)
 	}
 }
 

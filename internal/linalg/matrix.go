@@ -34,22 +34,6 @@ func NewMatrix(r, c int) *Matrix {
 	return &Matrix{Rows: r, Cols: c, Data: make([]float64, r*c)}
 }
 
-// FromRows builds a matrix from row slices; all rows must share a length.
-func FromRows(rows [][]float64) (*Matrix, error) {
-	if len(rows) == 0 {
-		return NewMatrix(0, 0), nil
-	}
-	c := len(rows[0])
-	m := NewMatrix(len(rows), c)
-	for i, row := range rows {
-		if len(row) != c {
-			return nil, fmt.Errorf("linalg: ragged rows: row 0 has %d cols, row %d has %d", c, i, len(row))
-		}
-		copy(m.Data[i*c:(i+1)*c], row)
-	}
-	return m, nil
-}
-
 // Reset reshapes m to a zeroed r × c matrix, reusing its storage when that is
 // large enough, and returns m. The zero Matrix is a valid receiver.
 func (m *Matrix) Reset(r, c int) *Matrix {
@@ -122,23 +106,6 @@ func MatMul(a, b *Matrix) (*Matrix, error) {
 	return out, nil
 }
 
-// MatVec returns a·x as a fresh slice.
-func MatVec(a *Matrix, x []float64) ([]float64, error) {
-	if a.Cols != len(x) {
-		return nil, fmt.Errorf("linalg: matvec shape mismatch %dx%d · %d", a.Rows, a.Cols, len(x))
-	}
-	out := make([]float64, a.Rows)
-	for i := 0; i < a.Rows; i++ {
-		row := a.Row(i)
-		var s float64
-		for j, v := range row {
-			s += v * x[j]
-		}
-		out[i] = s
-	}
-	return out, nil
-}
-
 // Dot returns the inner product of two equal-length vectors.
 func Dot(a, b []float64) float64 {
 	var s float64
@@ -162,15 +129,6 @@ func AAT(a *Matrix) *Matrix {
 	return out
 }
 
-// Identity returns the n × n identity matrix.
-func Identity(n int) *Matrix {
-	m := NewMatrix(n, n)
-	for i := 0; i < n; i++ {
-		m.Set(i, i, 1)
-	}
-	return m
-}
-
 // AddDiagonal adds d[i] to element (i, i) in place.
 func (m *Matrix) AddDiagonal(d []float64) error {
 	if m.Rows != m.Cols || m.Rows != len(d) {
@@ -180,22 +138,6 @@ func (m *Matrix) AddDiagonal(d []float64) error {
 		m.Data[i*m.Cols+i] += v
 	}
 	return nil
-}
-
-// MaxAbsDiff returns the largest absolute element-wise difference between
-// two same-shape matrices; useful in tests.
-func MaxAbsDiff(a, b *Matrix) (float64, error) {
-	if a.Rows != b.Rows || a.Cols != b.Cols {
-		return 0, fmt.Errorf("linalg: diff shape mismatch %dx%d vs %dx%d", a.Rows, a.Cols, b.Rows, b.Cols)
-	}
-	var m float64
-	for i, v := range a.Data {
-		d := math.Abs(v - b.Data[i])
-		if d > m {
-			m = d
-		}
-	}
-	return m, nil
 }
 
 // ErrNotPositiveDefinite is returned by Cholesky when a pivot is not a

@@ -1,12 +1,73 @@
 package linalg
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
 )
 
 const tol = 1e-9
+
+// Helpers the tests share; nothing outside them calls these.
+
+// FromRows builds a matrix from row slices; all rows must share a length.
+func FromRows(rows [][]float64) (*Matrix, error) {
+	if len(rows) == 0 {
+		return NewMatrix(0, 0), nil
+	}
+	c := len(rows[0])
+	m := NewMatrix(len(rows), c)
+	for i, row := range rows {
+		if len(row) != c {
+			return nil, fmt.Errorf("linalg: ragged rows: row 0 has %d cols, row %d has %d", c, i, len(row))
+		}
+		copy(m.Data[i*c:(i+1)*c], row)
+	}
+	return m, nil
+}
+
+// MatVec returns a·x as a fresh slice.
+func MatVec(a *Matrix, x []float64) ([]float64, error) {
+	if a.Cols != len(x) {
+		return nil, fmt.Errorf("linalg: matvec shape mismatch %dx%d · %d", a.Rows, a.Cols, len(x))
+	}
+	out := make([]float64, a.Rows)
+	for i := 0; i < a.Rows; i++ {
+		row := a.Row(i)
+		var s float64
+		for j, v := range row {
+			s += v * x[j]
+		}
+		out[i] = s
+	}
+	return out, nil
+}
+
+// Identity returns the n × n identity matrix.
+func Identity(n int) *Matrix {
+	m := NewMatrix(n, n)
+	for i := 0; i < n; i++ {
+		m.Set(i, i, 1)
+	}
+	return m
+}
+
+// MaxAbsDiff returns the largest absolute element-wise difference between
+// two same-shape matrices.
+func MaxAbsDiff(a, b *Matrix) (float64, error) {
+	if a.Rows != b.Rows || a.Cols != b.Cols {
+		return 0, fmt.Errorf("linalg: diff shape mismatch %dx%d vs %dx%d", a.Rows, a.Cols, b.Rows, b.Cols)
+	}
+	var m float64
+	for i, v := range a.Data {
+		d := math.Abs(v - b.Data[i])
+		if d > m {
+			m = d
+		}
+	}
+	return m, nil
+}
 
 func randomMatrix(s *Stream, r, c int) *Matrix {
 	m := NewMatrix(r, c)

@@ -147,15 +147,6 @@ func growFloats(s []float64, n int) []float64 {
 	return s[:n]
 }
 
-// SampleCovariance returns the sample covariance of the rows of U
-// (rows already centred): U·Uᵀ/(N−1), Eq. (4) of the paper.
-func SampleCovariance(u *Matrix) (*Matrix, error) {
-	if u.Cols < 2 {
-		return nil, fmt.Errorf("linalg: covariance needs at least 2 samples, got %d", u.Cols)
-	}
-	return AAT(u).Scale(1 / float64(u.Cols-1)), nil
-}
-
 // CenterRows subtracts the mean of every row in place and returns the means.
 func CenterRows(u *Matrix) []float64 {
 	means := make([]float64, u.Rows)

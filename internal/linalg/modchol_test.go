@@ -1,10 +1,20 @@
 package linalg
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
 )
+
+// SampleCovariance returns the sample covariance of the rows of U
+// (rows already centred): U·Uᵀ/(N−1), Eq. (4) of the paper.
+func SampleCovariance(u *Matrix) (*Matrix, error) {
+	if u.Cols < 2 {
+		return nil, fmt.Errorf("linalg: covariance needs at least 2 samples, got %d", u.Cols)
+	}
+	return AAT(u).Scale(1 / float64(u.Cols-1)), nil
+}
 
 // sampleFromAR1 draws N samples of an AR(1) process over n variables with
 // coefficient phi, whose true precision matrix is tridiagonal — exactly the

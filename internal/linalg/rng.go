@@ -81,13 +81,29 @@ func (s *Stream) Norm() float64 {
 	return r * math.Cos(theta)
 }
 
-// NormVec fills a fresh slice of n standard normal variates.
-func (s *Stream) NormVec(n int) []float64 {
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = s.Norm()
+// NormInto fills dst with the values of len(dst) successive Norm calls and
+// leaves the stream as they would. A pair drawn whole takes its sine and
+// cosine from one math.Sincos, whose argument reduction and kernels are
+// Sin's and Cos's, so the bits are Norm's. The draw repeats Norm's rather
+// than sharing a helper with it: the compiler does not inline one, and Norm
+// is on the perturbed-observation path.
+func (s *Stream) NormInto(dst []float64) {
+	if len(dst) > 0 && s.haveSpare {
+		dst[0], dst = s.Norm(), dst[1:]
 	}
-	return out
+	for ; len(dst) >= 2; dst = dst[2:] {
+		var u1 float64
+		for u1 == 0 {
+			u1 = s.Float64()
+		}
+		u2 := s.Float64()
+		r := math.Sqrt(-2 * math.Log(u1))
+		sin, cos := math.Sincos(2 * math.Pi * u2)
+		dst[0], dst[1] = r*cos, r*sin
+	}
+	if len(dst) == 1 {
+		dst[0] = s.Norm()
+	}
 }
 
 // Intn returns a uniform integer in [0, n). n must be positive.

@@ -18,10 +18,8 @@ package model
 import (
 	"fmt"
 	"math"
-	"runtime"
 
 	"senkf/internal/grid"
-	"senkf/internal/par"
 )
 
 // AdvectionDiffusion is the forward model. Velocities are in grid cells
@@ -121,68 +119,38 @@ func (a *AdvectionDiffusion) point(c, w, e, s, n float64) float64 {
 // Run advances a copy of the field by the given number of steps and returns
 // it; the input is not modified.
 func (a *AdvectionDiffusion) Run(field []float64, steps int) ([]float64, error) {
-	var scratch []float64
+	out, scratch := make([]float64, len(field)), []float64(nil)
 	if steps > 1 {
 		scratch = make([]float64, a.Mesh.Points())
 	}
-	return a.run(field, scratch, steps)
-}
-
-// run is Run with the second buffer of the step ping-pong supplied by the
-// caller (one mesh of values, needed only for steps > 1; its contents are
-// scratch). The first step reads the input itself and the two buffers
-// alternate so that the last step lands in the freshly allocated result: no
-// copy in, no copy out.
-func (a *AdvectionDiffusion) run(field, scratch []float64, steps int) ([]float64, error) {
-	if steps < 0 {
-		return nil, fmt.Errorf("model: negative step count %d", steps)
-	}
-	if steps == 0 {
-		return append([]float64(nil), field...), nil
-	}
-	out := make([]float64, len(field))
-	buf := [2][]float64{out, scratch}
-	cur := field
-	for s := 0; s < steps; s++ {
-		dst := buf[(steps-1-s)%2] // the last step writes buf[0], the result
-		if _, err := a.Step(dst, cur); err != nil {
-			return nil, err
-		}
-		cur = dst
-	}
-	return out, nil
-}
-
-// RunEnsemble advances every member independently, on up to GOMAXPROCS
-// goroutines. Members share nothing, so the result is bit-identical for any
-// worker count; on failure the error is that of the lowest failing member.
-func (a *AdvectionDiffusion) RunEnsemble(fields [][]float64, steps int) ([][]float64, error) {
-	out := make([][]float64, len(fields))
-	workers := runtime.GOMAXPROCS(0)
-	scratch := make([][]float64, workers) // one ping-pong buffer per worker, on first use
-	err := par.Do(len(fields), workers, func(w, k int) error {
-		if steps > 1 && scratch[w] == nil {
-			scratch[w] = make([]float64, a.Mesh.Points())
-		}
-		adv, err := a.run(fields[k], scratch[w], steps)
-		if err != nil {
-			return fmt.Errorf("model: member %d: %w", k, err)
-		}
-		out[k] = adv
-		return nil
-	})
-	if err != nil {
+	if err := a.RunInto(out, scratch, field, steps); err != nil {
 		return nil, err
 	}
 	return out, nil
 }
 
-// Mass returns the field sum — conserved exactly by the scheme on the
-// doubly periodic mesh, a property the tests pin.
-func Mass(field []float64) float64 {
-	var s float64
-	for _, v := range field {
-		s += v
+// RunInto advances field by the given number of steps into dst, with scratch
+// as the second buffer of the step ping-pong (one mesh of values each;
+// scratch is needed only for steps > 1 and its contents are scratch). The
+// first step reads the input itself and the two buffers alternate so that
+// the last step lands in dst: no copy in, no copy out. field is not modified
+// and aliases neither buffer.
+func (a *AdvectionDiffusion) RunInto(dst, scratch, field []float64, steps int) error {
+	if steps < 0 {
+		return fmt.Errorf("model: negative step count %d", steps)
 	}
-	return s
+	if steps == 0 {
+		copy(dst, field)
+		return nil
+	}
+	buf := [2][]float64{dst, scratch}
+	cur := field
+	for s := 0; s < steps; s++ {
+		next := buf[(steps-1-s)%2] // the last step writes buf[0], dst
+		if _, err := a.Step(next, cur); err != nil {
+			return err
+		}
+		cur = next
+	}
+	return nil
 }

@@ -1,8 +1,8 @@
 // Package par runs independent, index-addressed work on a bounded number of
-// goroutines. It is the one fan-out the cycle's serial phases share: forecast
-// members (model), model-error fields (cycle) and member-file writes (ensio,
-// and ckpt through it) are each "do item i for every i in [0, n)", with no
-// item reading what another writes.
+// goroutines. It is the one fan-out the cycle's serial phases share: the
+// forecast's jobs (cycle: the truth and each member, advanced and perturbed
+// by one worker) and member-file writes (ensio) are each "do item i for
+// every i in [0, n)", with no item reading what another writes.
 package par
 
 import (

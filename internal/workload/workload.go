@@ -177,14 +177,23 @@ func (p Preset) BytesPerPoint() int { return p.Levels * 8 }
 // bits (the test pins the distance), never between two calls with equal
 // arguments.
 func SmoothNoise(m grid.Mesh, sd float64, seed uint64, keys ...int) []float64 {
-	s := linalg.KeyedStream(seed, append([]int{0x5A00F}, keys...)...)
-	const modes = 4
 	f := make([]float64, m.Points())
-	// One table set, refilled per mode; the modes accumulate into f in draw
-	// order, the order the direct per-point sum adds them in.
-	tab := make([]float64, 2*(m.NX+m.NY))
+	SmoothNoiseInto(f, make([]float64, 2*(m.NX+m.NY)), m, sd, seed, keys...)
+	return f
+}
+
+// SmoothNoiseInto is SmoothNoise written into dst, one value per mesh point,
+// with tab, at least 2·(NX+NY) values, as its scratch: first the sine and
+// cosine tables, then blocks of the white noise, which NormInto draws a pair
+// per math.Sincos.
+func SmoothNoiseInto(dst, tab []float64, m grid.Mesh, sd float64, seed uint64, keys ...int) {
+	s := linalg.NewStream(linalg.Key(linalg.Key(seed, 0x5A00F), keys...))
+	const modes = 4
+	clear(dst)
+	// One table set, refilled per mode; the modes accumulate into dst in
+	// draw order, the order the direct per-point sum adds them in.
 	ax, bx := tab[:m.NX], tab[m.NX:2*m.NX]
-	sy, cy := tab[2*m.NX:][:m.NY], tab[2*m.NX+m.NY:]
+	sy, cy := tab[2*m.NX:][:m.NY], tab[2*m.NX+m.NY:][:m.NY]
 	for i := 0; i < modes; i++ {
 		kx := float64(s.Intn(5)+1) * 2 * math.Pi / float64(m.NX)
 		ky := float64(s.Intn(5)+1) * 2 * math.Pi / float64(m.NY)
@@ -198,17 +207,20 @@ func SmoothNoise(m grid.Mesh, sd float64, seed uint64, keys ...int) []float64 {
 			sy[y], cy[y] = math.Sincos(ky*float64(y) + phase)
 		}
 		for y := 0; y < m.NY; y++ {
-			row, sinY, cosY := f[y*m.NX:][:m.NX], sy[y], cy[y]
+			row, sinY, cosY := dst[y*m.NX:][:m.NX], sy[y], cy[y]
 			for x := range row {
 				row[x] += ax[x]*cosY + bx[x]*sinY
 			}
 		}
 	}
-	ws := linalg.KeyedStream(seed, append([]int{0x5A010}, keys...)...)
-	for i := range f {
-		f[i] += 0.15 * sd * ws.Norm()
+	ws := linalg.NewStream(linalg.Key(linalg.Key(seed, 0x5A010), keys...))
+	for f, w := dst, tab; len(f) > 0; f = f[len(w):] {
+		w = w[:min(len(w), len(f))]
+		ws.NormInto(w)
+		for i, v := range w {
+			f[i] += 0.15 * sd * v
+		}
 	}
-	return f
 }
 
 // levelSeed derives an independent generation seed for a vertical level.

@@ -239,3 +239,73 @@ func TestSmoothNoiseMatchesDirectFormula(t *testing.T) {
 	}
 	t.Logf("largest distance from the direct formula over 240 fields: %.3g·sd", worst/sd)
 }
+
+// smoothNoiseNormLoop is SmoothNoise as it was before its white noise came
+// from NormInto: one Norm call per point. Kept as the oracle SmoothNoiseInto
+// must equal bit for bit.
+func smoothNoiseNormLoop(m grid.Mesh, sd float64, seed uint64, keys ...int) []float64 {
+	s := linalg.KeyedStream(seed, append([]int{0x5A00F}, keys...)...)
+	const modes = 4
+	f := make([]float64, m.Points())
+	ax, bx := make([]float64, m.NX), make([]float64, m.NX)
+	sy, cy := make([]float64, m.NY), make([]float64, m.NY)
+	for i := 0; i < modes; i++ {
+		kx := float64(s.Intn(5)+1) * 2 * math.Pi / float64(m.NX)
+		ky := float64(s.Intn(5)+1) * 2 * math.Pi / float64(m.NY)
+		phase := s.Float64() * 2 * math.Pi
+		amp := sd * (0.5 + s.Float64()) / modes * 2
+		for x := range ax {
+			sin, cos := math.Sincos(kx * float64(x))
+			ax[x], bx[x] = amp*sin, amp*cos
+		}
+		for y := range sy {
+			sy[y], cy[y] = math.Sincos(ky*float64(y) + phase)
+		}
+		for y := 0; y < m.NY; y++ {
+			for x := 0; x < m.NX; x++ {
+				f[y*m.NX+x] += ax[x]*cy[y] + bx[x]*sy[y]
+			}
+		}
+	}
+	ws := linalg.KeyedStream(seed, append([]int{0x5A010}, keys...)...)
+	for i := range f {
+		f[i] += 0.15 * sd * ws.Norm()
+	}
+	return f
+}
+
+// SmoothNoiseInto overwrites whatever dst holds and reads nothing from tab
+// it did not write: into dirty buffers, with tab exactly 2·(NX+NY) long or
+// longer by an odd count (so the white-noise blocks split Box–Muller
+// pairs), it gives the Norm-per-point field bit for bit, and so does
+// SmoothNoise.
+func TestSmoothNoiseIntoIsTheNormLoop(t *testing.T) {
+	const sd = 0.2
+	for _, shape := range [][2]int{{45, 27}, {128, 64}, {1, 1}, {3, 1}} {
+		m, err := grid.NewMesh(shape[0], shape[1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		for key := 0; key < 8; key++ {
+			want := smoothNoiseNormLoop(m, sd, 99, 0x30DE1, key, key%2)
+			for _, extra := range []int{0, 7} {
+				dst, tab := make([]float64, m.Points()), make([]float64, 2*(m.NX+m.NY)+extra)
+				for i := range dst {
+					dst[i] = math.NaN()
+				}
+				for i := range tab {
+					tab[i] = math.Inf(1)
+				}
+				SmoothNoiseInto(dst, tab, m, sd, 99, 0x30DE1, key, key%2)
+				for name, got := range map[string][]float64{"SmoothNoiseInto": dst, "SmoothNoise": SmoothNoise(m, sd, 99, 0x30DE1, key, key%2)} {
+					for i := range want {
+						if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+							t.Fatalf("mesh %v key %d tab +%d: %s point %d is %g, the Norm loop gives %g",
+								shape, key, extra, name, i, got[i], want[i])
+						}
+					}
+				}
+			}
+		}
+	}
+}

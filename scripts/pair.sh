@@ -5,6 +5,7 @@
 #
 #   scripts/pair.sh <parent-rev> <workload>... [-pairs n] [-seed s] -out <file>
 #   scripts/pair.sh -render <file>       # the record as markdown tables
+#   scripts/pair.sh -index <file>... >bench/wall/index.json
 #
 # The parent is checked out with `git worktree` under .bench_build/ and the
 # worktree is removed at exit. Each side builds its own binary with its own
@@ -28,6 +29,12 @@
 # record also holds the text-parity tables, the Go version, nproc and both
 # commits. Running again with the same -out adds a set of runs (another seed,
 # another workload) to the file, if both commits are the same.
+#
+# -index chains records, given oldest first, into one trajectory: per
+# workload and end-to-end metric, each record's median ratio (from the
+# workload's first set, the default seed) and their running product, so the
+# last index says how much better the metric is than before the first record.
+# A record without the workload leaves its chain alone.
 set -euo pipefail
 
 root="$(cd "$(dirname "$0")/.." && pwd)"
@@ -79,6 +86,23 @@ def q: map(num) | join(" / ");
 ([.text_parity.parent, .text_parity.change] | transpose[] |
   "| `\(.[0].symbol | sub("^senkf/internal/"; ""))` | \(.[0].address), \(.[0].size), \(.[0].mod64) | \(.[1].address), \(.[1].size), \(.[1].mod64) |")
 ' "$2"
+    exit 0
+fi
+
+if [ "${1:-}" = "-index" ]; then
+    shift
+    [ $# -ge 1 ] || { echo "usage: $0 -index <record.json>..." >&2; exit 2; }
+    jq -n '
+def set($w): first(.sets[] | select(.workload == $w));
+[inputs | {record: (input_filename | split("/") | last | rtrimstr(".json")),
+           parent: .parent.commit, change: .change.commit, dirty: .change.dirty, sets}]
+| . as $recs
+| {records: map({record, parent, change, dirty}),
+   workloads: ([.[].sets[].workload] | unique | map(. as $w | {key: $w, value: (
+     first($recs[] | set($w)) | .metrics | keys_unsorted | map(. as $k | {key: $k, value:
+       [foreach ($recs[] | select(set($w) != null)) as $r (1; . * ($r | set($w).metrics[$k].ratio);
+         {record: $r.record, ratio: ($r | set($w).metrics[$k].ratio), index: .})]}) | from_entries)})
+     | from_entries)}' "$@"
     exit 0
 fi
 
