@@ -75,13 +75,6 @@ type Stats struct {
 	DegradedReads int     // reads served at degraded bandwidth
 }
 
-// OSTStats is the per-storage-target slice of the accounting.
-type OSTStats struct {
-	Requests  int
-	Seeks     int
-	BytesRead float64
-}
-
 // ReadObserver receives one callback per completed read, attributing it to
 // its storage target: the OST index, the payload bytes, the read's start
 // time on the simulated clock, the time spent waiting (OST queue + backbone
@@ -101,9 +94,9 @@ type FS struct {
 	osts     []*sim.Resource
 	backbone *sim.Resource
 	stats    Stats
-	perOST   []OSTStats
 	faults   *faults.Plan
 	readObs  ReadObserver
+	free     []*reader // the slab: readers of no read in flight
 }
 
 // New creates a file system inside env.
@@ -111,7 +104,7 @@ func New(env *sim.Env, cfg Config) (*FS, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	fs := &FS{cfg: cfg, env: env, perOST: make([]OSTStats, cfg.OSTs)}
+	fs := &FS{cfg: cfg, env: env}
 	fs.osts = make([]*sim.Resource, cfg.OSTs)
 	for i := range fs.osts {
 		fs.osts[i] = sim.NewResource(env, fmt.Sprintf("ost%d", i), cfg.ConcurrencyPerOST)
@@ -121,9 +114,6 @@ func New(env *sim.Env, cfg Config) (*FS, error) {
 	}
 	return fs, nil
 }
-
-// Config returns the file system configuration.
-func (fs *FS) Config() Config { return fs.cfg }
 
 // SetReadObserver installs the per-read OST-attribution observer. A nil
 // observer (the default) changes nothing.
@@ -145,114 +135,204 @@ func (fs *FS) OSTOf(file int) int {
 	return file % fs.cfg.OSTs
 }
 
-// Read performs a read of the given file consisting of `seeks` addressing
-// operations and `bytes` payload bytes, blocking the calling process for
+// A ReadHook is told of each read of a ReadEach as it completes: the id the
+// caller passed, and the read's start and end on the simulated clock.
+type ReadHook interface {
+	ReadDone(id int, start, end float64)
+}
+
+// Read performs a read of file consisting of `seeks` addressing operations
+// and `bytes` payload bytes — a ReadEach of one file — blocking p for
 // queueing plus service time. It returns the total time spent.
 func (fs *FS) Read(p *sim.Proc, file, seeks int, bytes float64) float64 {
+	return fs.read(p, nil, file, seeks, bytes, nil, 0)
+}
+
+// ReadEach is a Read of each of files in turn, one chain of steps — queue at
+// the OST and the backbone, stall through outages, serve, release, account —
+// that Run executes in place, switching p back in once, after the last read.
+// It returns the total time; a non-nil hook is told of each read, with id.
+func (fs *FS) ReadEach(p *sim.Proc, files []int, seeks int, bytes float64, hook ReadHook, id int) float64 {
+	return fs.read(p, files, 0, seeks, bytes, hook, id)
+}
+
+// reader is one process's ReadEach in flight: the chain's state, and the
+// sim.Waker that Run wakes for each of its steps.
+type reader struct {
+	fs               *FS
+	p                *sim.Proc
+	files            []int
+	one              [1]int // files of a Read
+	hook             ReadHook
+	seeks, id, i     int // i: the read in progress
+	osti, step       int // its OST; where the next wake-up resumes
+	bytes, service   float64
+	start, tb, tSrv  float64 // the read's start, its backbone queueing, its service
+	waited, stalled  float64
+	degraded, outage bool
+}
+
+// Where a reader's chain resumes.
+const (
+	startRead    = iota // queue at the file's OST
+	ostHeld             // queue at the backbone
+	backboneHeld        // price the read
+	windows             // stall through outages, then serve
+	served              // release, account
+)
+
+// read runs files (nil: a Read's one file) as a chain whose state comes from
+// the slab, grown a block at a time. p's goroutine keeps the chain while each
+// wake-up it schedules is the next event; from the first that is not, Run
+// carries it and p parks until it ends.
+func (fs *FS) read(p *sim.Proc, files []int, file, seeks int, bytes float64, hook ReadHook, id int) float64 {
 	if seeks < 0 || bytes < 0 {
 		panic(fmt.Sprintf("parfs: invalid read (seeks=%d bytes=%g)", seeks, bytes))
 	}
-	start := p.Now()
-	// Queue at the storage target first; a reader waiting for a busy OST
-	// must not hold a backbone stream (head-of-line blocking would collapse
-	// aggregate bandwidth, which real parallel file systems avoid by
-	// queueing requests server-side).
-	osti := fs.OSTOf(file)
-	ost := fs.osts[osti]
-	ost.Acquire(p)
-	tr := fs.env.Tracer()
-	if tr.Enabled() && p.Now() > start {
-		// The reader queued for OST capacity before service began.
-		tr.Instant(ost.Name, trace.CatOST, "queued", start,
-			trace.Arg{Key: "wait", Val: p.Now() - start})
-	}
-	if fs.backbone != nil {
-		tb := p.Now()
-		fs.backbone.Acquire(p)
-		if tr.Enabled() && p.Now() > tb {
-			// Backbone saturation: aggregate bandwidth is the limiter, not
-			// the OST — the throttling regime of Figure 10.
-			tr.Instant("backbone", trace.CatOST, "throttled", tb,
-				trace.Arg{Key: "wait", Val: p.Now() - tb})
+	if len(fs.free) == 0 {
+		block := make([]reader, 64)
+		for i := range block {
+			fs.free = append(fs.free, &block[i])
 		}
 	}
-	waited := p.Now() - start
-	service := float64(seeks)*fs.cfg.SeekTime + bytes*fs.cfg.ByteTime
-	var stalled float64
-	var degraded, outage bool
-	// Fault windows: stall through outages (re-checking, since windows may
-	// abut), then apply any degraded-bandwidth factor active at service time.
-	for {
-		w, ok := fs.faults.WindowAt(osti, p.Now())
-		if !ok {
-			break
+	r, start := fs.free[len(fs.free)-1], p.Now()
+	fs.free = fs.free[:len(fs.free)-1]
+	*r = reader{fs: fs, p: p, files: files, one: [1]int{file}, seeks: seeks, bytes: bytes, hook: hook, id: id}
+	if files == nil {
+		r.files = r.one[:]
+	}
+	for len(r.files) > 0 && !r.advance() {
+		if !p.Env().Due(r) {
+			p.Park() // the chain has gone back to the slab when p resumes
+			return p.Now() - start
 		}
-		if w.Factor == 0 {
-			stall := w.End - p.Now()
-			if tr.Enabled() {
-				tr.Instant(ost.Name, trace.CatFault, "outage", p.Now(),
-					trace.Arg{Key: "stall", Val: stall})
-			}
-			if reg := tr.Counters(); reg != nil {
-				reg.Inc("faults.ost.outages")
-			}
-			fs.stats.OutageStalls++
-			fs.stats.OutageTime += stall
-			outage = true
-			stalled += stall
-			p.Sleep(stall)
-			continue
-		}
-		if tr.Enabled() {
-			tr.Instant(ost.Name, trace.CatFault, "degraded", p.Now(),
-				trace.Arg{Key: "factor", Val: w.Factor})
-		}
-		if reg := tr.Counters(); reg != nil {
-			reg.Inc("faults.ost.degraded")
-		}
-		fs.stats.DegradedReads++
-		degraded = true
-		service *= w.Factor
-		break
 	}
-	tServ := p.Now()
-	p.Sleep(service)
-	if tr.Enabled() {
-		tr.Span(ost.Name, trace.CatOST, "service", tServ, p.Now(),
-			trace.Arg{Key: "seeks", Val: float64(seeks)},
-			trace.Arg{Key: "bytes", Val: bytes})
-	}
-	if fs.backbone != nil {
-		fs.backbone.Release()
-	}
-	ost.Release()
-	fs.stats.Requests++
-	fs.stats.Seeks += seeks
-	fs.stats.BytesRead += bytes
-	fs.stats.WaitTime += waited
-	fs.stats.ServiceTime += service
-	fs.perOST[osti].Requests++
-	fs.perOST[osti].Seeks += seeks
-	fs.perOST[osti].BytesRead += bytes
-	if reg := tr.Counters(); reg != nil {
-		reg.Inc("parfs.requests")
-		reg.Add("parfs.seeks", float64(seeks))
-		reg.Add("parfs.bytes", bytes)
-		reg.Observe("parfs.wait", waited)
-		reg.Observe("parfs.service", service)
-	}
-	if fs.readObs != nil {
-		fs.readObs.OnRead(osti, bytes, start, waited+stalled, service, degraded, outage)
-	}
+	fs.free = append(fs.free, r)
 	return p.Now() - start
+}
+
+// Wake continues the chain on Run's goroutine and, after the last read,
+// switches p back in, in place of the event that would have resumed it.
+func (r *reader) Wake() {
+	if r.step == ostHeld || r.step == backboneHeld {
+		r.p.Unblock() // woken holding the capacity it queued for
+	}
+	if r.advance() {
+		r.fs.free = append(r.fs.free, r)
+		r.p.Wake()
+	}
+}
+
+// advance runs the chain until it must wait — queued for capacity, or for a
+// wake-up it scheduled — and reports whether the last read is done. The
+// steps are a Read loop's, in its order, with its schedule calls.
+func (r *reader) advance() bool {
+	fs, p, tr := r.fs, r.p, r.fs.env.Tracer()
+	for {
+		switch r.step {
+		case startRead:
+			// Queue at the storage target first; a reader waiting for a busy
+			// OST must not hold a backbone stream (head-of-line blocking
+			// would collapse aggregate bandwidth, which real parallel file
+			// systems avoid by queueing requests server-side).
+			r.start, r.osti = p.Now(), fs.OSTOf(r.files[r.i])
+			r.stalled, r.degraded, r.outage = 0, false, false
+			if r.step = ostHeld; !fs.osts[r.osti].Take(p, r) {
+				return false
+			}
+			fallthrough
+		case ostHeld:
+			if tr.Enabled() && p.Now() > r.start {
+				// The reader queued for OST capacity before service began.
+				tr.Instant(fs.osts[r.osti].Name, trace.CatOST, "queued", r.start,
+					trace.Arg{Key: "wait", Val: p.Now() - r.start})
+			}
+			r.step, r.tb = backboneHeld, p.Now()
+			if fs.backbone != nil && !fs.backbone.Take(p, r) {
+				return false
+			}
+			fallthrough
+		case backboneHeld:
+			if fs.backbone != nil && tr.Enabled() && p.Now() > r.tb {
+				// Backbone saturation: aggregate bandwidth is the limiter, not
+				// the OST — the throttling regime of Figure 10.
+				tr.Instant("backbone", trace.CatOST, "throttled", r.tb,
+					trace.Arg{Key: "wait", Val: p.Now() - r.tb})
+			}
+			r.waited = p.Now() - r.start
+			r.service = float64(r.seeks)*fs.cfg.SeekTime + r.bytes*fs.cfg.ByteTime
+			r.step = windows
+			fallthrough
+		case windows:
+			// Fault windows: stall through outages (re-checking, since
+			// windows may abut), then apply any degraded-bandwidth factor
+			// active at service time.
+			w, ok := fs.faults.WindowAt(r.osti, p.Now())
+			if ok && w.Factor == 0 {
+				stall := w.End - p.Now()
+				if tr.Enabled() {
+					tr.Instant(fs.osts[r.osti].Name, trace.CatFault, "outage", p.Now(),
+						trace.Arg{Key: "stall", Val: stall})
+				}
+				if reg := tr.Counters(); reg != nil {
+					reg.Inc("faults.ost.outages")
+				}
+				fs.stats.OutageStalls++
+				fs.stats.OutageTime += stall
+				r.outage, r.stalled = true, r.stalled+stall
+				p.After(stall, r)
+				return false
+			}
+			if ok {
+				if tr.Enabled() {
+					tr.Instant(fs.osts[r.osti].Name, trace.CatFault, "degraded", p.Now(),
+						trace.Arg{Key: "factor", Val: w.Factor})
+				}
+				if reg := tr.Counters(); reg != nil {
+					reg.Inc("faults.ost.degraded")
+				}
+				fs.stats.DegradedReads++
+				r.degraded, r.service = true, r.service*w.Factor
+			}
+			r.step, r.tSrv = served, p.Now()
+			p.After(r.service, r)
+			return false
+		case served:
+			ost := fs.osts[r.osti]
+			if tr.Enabled() {
+				tr.Span(ost.Name, trace.CatOST, "service", r.tSrv, p.Now(),
+					trace.Arg{Key: "seeks", Val: float64(r.seeks)},
+					trace.Arg{Key: "bytes", Val: r.bytes})
+			}
+			if fs.backbone != nil {
+				fs.backbone.Release()
+			}
+			ost.Release()
+			fs.stats.Requests++
+			fs.stats.Seeks += r.seeks
+			fs.stats.BytesRead += r.bytes
+			fs.stats.WaitTime += r.waited
+			fs.stats.ServiceTime += r.service
+			if reg := tr.Counters(); reg != nil {
+				reg.Inc("parfs.requests")
+				reg.Add("parfs.seeks", float64(r.seeks))
+				reg.Add("parfs.bytes", r.bytes)
+				reg.Observe("parfs.wait", r.waited)
+				reg.Observe("parfs.service", r.service)
+			}
+			if fs.readObs != nil {
+				fs.readObs.OnRead(r.osti, r.bytes, r.start, r.waited+r.stalled, r.service, r.degraded, r.outage)
+			}
+			if r.hook != nil {
+				r.hook.ReadDone(r.id, r.start, p.Now())
+			}
+			if r.i++; r.i == len(r.files) {
+				return true
+			}
+			r.step = startRead
+		}
+	}
 }
 
 // Stats returns the accumulated accounting.
 func (fs *FS) Stats() Stats { return fs.stats }
-
-// OSTStats returns a copy of the per-storage-target accounting, indexed by
-// OST number. Summed over OSTs it equals the request/seek/byte totals of
-// Stats.
-func (fs *FS) OSTStats() []OSTStats {
-	return append([]OSTStats(nil), fs.perOST...)
-}

@@ -3,6 +3,7 @@ package parfs
 import (
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"senkf/internal/sim"
@@ -222,12 +223,29 @@ func TestNewRejectsBadConfig(t *testing.T) {
 	}
 }
 
+// perOST is a ReadObserver that attributes each read to its storage target,
+// as the wire collector does.
+type perOST struct {
+	requests []int
+	bytes    []float64
+	service  []float64
+}
+
+func (o *perOST) OnRead(ost int, bytes float64, start, wait, service float64, degraded, outage bool) {
+	o.requests[ost]++
+	o.bytes[ost] += bytes
+	o.service[ost] += service
+}
+
 func TestPerOSTStatsSumToTotals(t *testing.T) {
 	env := sim.NewEnv()
-	fs, err := New(env, simpleConfig())
+	cfg := simpleConfig()
+	fs, err := New(env, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	obs := &perOST{make([]int, cfg.OSTs), make([]float64, cfg.OSTs), make([]float64, cfg.OSTs)}
+	fs.SetReadObserver(obs)
 	for f := 0; f < 10; f++ {
 		file := f
 		env.Go(fmt.Sprintf("r%d", f), func(p *sim.Proc) {
@@ -237,26 +255,22 @@ func TestPerOSTStatsSumToTotals(t *testing.T) {
 	if _, err := env.Run(); err != nil {
 		t.Fatal(err)
 	}
-	per := fs.OSTStats()
-	if len(per) != fs.Config().OSTs {
-		t.Fatalf("OSTStats has %d entries, want %d", len(per), fs.Config().OSTs)
-	}
-	var reqs, seeks int
-	var bytes float64
-	for _, o := range per {
-		reqs += o.Requests
-		seeks += o.Seeks
-		bytes += o.BytesRead
+	var reqs int
+	var bytes, service float64
+	for o := range obs.requests {
+		reqs += obs.requests[o]
+		bytes += obs.bytes[o]
+		service += obs.service[o]
 	}
 	tot := fs.Stats()
-	if reqs != tot.Requests || seeks != tot.Seeks || bytes != tot.BytesRead {
-		t.Errorf("per-OST sums (%d,%d,%g) != totals (%d,%d,%g)",
-			reqs, seeks, bytes, tot.Requests, tot.Seeks, tot.BytesRead)
+	if reqs != tot.Requests || bytes != tot.BytesRead || math.Abs(service-tot.ServiceTime) > 1e-12 {
+		t.Errorf("per-OST sums (%d,%g,%g) != totals (%d,%g,%g)",
+			reqs, bytes, service, tot.Requests, tot.BytesRead, tot.ServiceTime)
 	}
 	// Round-robin placement: file f lands on OST f%4, so 10 files spread
 	// 3/3/2/2.
-	if per[0].Requests != 3 || per[2].Requests != 2 {
-		t.Errorf("placement off: %+v", per)
+	if want := []int{3, 3, 2, 2}; !slices.Equal(obs.requests, want) {
+		t.Errorf("placement: %v reads per OST, want %v", obs.requests, want)
 	}
 }
 

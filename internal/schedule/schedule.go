@@ -500,15 +500,30 @@ func simulate(cfg Config, cp *plan.Compiled, rc *recovery, predict *costmodel.Ch
 	if n := len(cp.IO); n > 0 {
 		// One file barrier per I/O group — group-major and equally sized in
 		// the plan: n_sdy bar readers, or the single reader, whom a barrier of
-		// one never parks — and one mailbox per compute rank they notify.
+		// one never parks — and one mailbox per compute rank they notify. On
+		// a staged plan, later stages' blocks wait in it during analysis, so
+		// it is sized once for every notification the plan sends it (a row
+		// adopted under faults sends what its dead reader would have); L-EnKF's
+		// ranks wait for each block, and their mailboxes stay empty.
 		groups := cp.IO[n-1].Group + 1
 		for g := 0; g < groups; g++ {
 			m.barriers = append(m.barriers, sim.NewBarrier(env, fmt.Sprintf("grp%d", g), n/groups))
+		}
+		depth := make([]int, cp.NumCompute())
+		for q := range cp.IO {
+			for si := range cp.IO[q].Stages {
+				for _, dst := range cp.IO[q].Stages[si].Comm.Dsts {
+					depth[dst]++
+				}
+			}
 		}
 		m.boxes = make([]*sim.Mailbox, cp.NumCompute())
 		for q := range cp.Compute {
 			cr := &cp.Compute[q]
 			m.boxes[cr.Rank] = sim.NewMailbox(env, fmt.Sprintf("mb%d.%d", cr.J, cr.I))
+			if cp.Staged() {
+				m.boxes[cr.Rank].Reserve(depth[cr.Rank])
+			}
 		}
 	}
 	for q := range cp.IO {
@@ -543,6 +558,9 @@ func (m *machine) obs(r int, ph metrics.Phase, t0, t1 float64, stage int) {
 		tr.Span(led.name, trace.CatPhase, ph.String(), t0, t1)
 	}
 }
+
+// ReadDone records one read of compute rank r's ReadEach as a read phase.
+func (m *machine) ReadDone(r int, t0, t1 float64) { m.obs(r, metrics.PhaseRead, t0, t1, -1) }
 
 // io is the body of one dedicated I/O processor: per stage, read the stage's
 // region from each member — one file at a time across the group — then pay
@@ -645,12 +663,7 @@ func (m *machine) compute(proc *sim.Proc, cr *plan.ComputeRank) {
 			}
 		} else {
 			// One addressing operation per expansion row and file (§4.1.1).
-			blockBytes := nominalBytes(st.Read.PointsAllLevels(), p.H)
-			for _, k := range st.SelfMembers {
-				t0 := proc.Now()
-				m.fs.Read(proc, k, st.Read.AddrOps, blockBytes)
-				m.obs(cr.Rank, metrics.PhaseRead, t0, proc.Now(), -1)
-			}
+			m.fs.ReadEach(proc, st.SelfMembers, st.Read.AddrOps, nominalBytes(st.Read.PointsAllLevels(), p.H), m, cr.Rank)
 		}
 		if st.Stage == 0 && cr.Rank == 0 {
 			m.firstStage = proc.Now()

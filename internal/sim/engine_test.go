@@ -112,9 +112,9 @@ func TestFifoClearsAndReusesItsArray(t *testing.T) {
 			t.Errorf("drained mailbox still holds a payload in slot %d", i)
 		}
 	}
-	for i, p := range r.waiters.buf[:cap(r.waiters.buf)] {
-		if p != nil {
-			t.Errorf("idle resource still holds waiter %s in slot %d", p.Name, i)
+	for i, w := range r.waiters.buf[:cap(r.waiters.buf)] {
+		if w != nil {
+			t.Errorf("idle resource still holds waiter %s in slot %d", w.(*Proc).Name, i)
 		}
 	}
 }
@@ -127,6 +127,55 @@ func settle(base int) int {
 		n = runtime.NumGoroutine()
 	}
 	return n
+}
+
+// chain is a Waker working for p: rounds times it takes r — queueing for it
+// as p, if it must — holds it for hold seconds of p's time and releases it,
+// without switching p in; then it hands p back control.
+type chain struct {
+	p             *Proc
+	r             *Resource
+	hold          float64
+	rounds        int
+	queued, holds bool
+}
+
+// start begins the next round and reports whether none was left.
+func (c *chain) start() bool {
+	if c.rounds == 0 {
+		return true
+	}
+	if c.queued = !c.r.Take(c.p, c); !c.queued {
+		c.holds = true
+		c.p.After(c.hold, c)
+	}
+	return false
+}
+
+func (c *chain) Wake() {
+	switch {
+	case c.queued: // woken holding r
+		c.p.Unblock()
+		c.queued, c.holds = false, true
+		c.p.After(c.hold, c)
+		return
+	case c.holds:
+		c.r.Release()
+		c.holds = false
+		c.rounds--
+	}
+	if c.start() {
+		c.p.Wake()
+	}
+}
+
+// runChain is a process body that hands rounds of r to a chain and parks.
+func runChain(r *Resource, hold float64, rounds int) func(p *Proc) {
+	return func(p *Proc) {
+		if c := (&chain{p: p, r: r, hold: hold, rounds: rounds}); !c.start() {
+			p.Park()
+		}
+	}
 }
 
 // TestFailedRunLeavesNoProcessBehind: a Run that gives up — deadlock, or a
@@ -158,25 +207,37 @@ func TestFailedRunLeavesNoProcessBehind(t *testing.T) {
 			t.Error("queued got past an Acquire nobody released")
 		})
 		e.Go("lonely", func(p *Proc) { bar.Wait(p) })
+		e.Go("chained", func(p *Proc) {
+			defer func() { unwound = append(unwound, "defer:chained") }()
+			runChain(r, 1, 2)(p) // its chain queues behind the holder
+			t.Error("chained got past a chain nobody served")
+		})
 		_, err := e.Run()
 		var d *DeadlockError
-		if !errors.As(err, &d) || len(d.Blocked) != 3 {
-			t.Fatalf("expected a DeadlockError with 3 blocked processes, got %v", err)
+		if !errors.As(err, &d) || len(d.Blocked) != 4 {
+			t.Fatalf("expected a DeadlockError with 4 blocked processes, got %v", err)
 		}
-		want := "wrap:holder defer:reader wrap:reader wrap:queued wrap:lonely"
+		if d.Blocked[0] != (BlockedProc{Name: "chained", WaitingOn: "resource:disk"}) {
+			t.Errorf("Blocked[0] = %+v, want chained on resource:disk", d.Blocked[0])
+		}
+		want := "wrap:holder defer:reader wrap:reader wrap:queued wrap:lonely defer:chained wrap:chained"
 		if got := strings.Join(unwound, " "); got != want {
 			t.Fatalf("unwound %q, want %q", got, want)
 		}
 	}
 
 	e := NewEnv()
-	mb := NewMailbox(e, "empty")
+	mb, r := NewMailbox(e, "empty"), NewResource(e, "disk", 1)
 	e.Go("reader", func(p *Proc) { mb.Recv(p) })
+	// Two chains in flight when time goes backwards: one holding the disk
+	// with its release due, one queued behind it.
+	e.Go("holding", runChain(r, 10, 1))
+	e.Go("waiting", runChain(r, 10, 1))
 	e.Go("rewinder", func(p *Proc) {
 		p.Sleep(5)
 		e.Go("late", func(*Proc) { t.Error("a process scheduled after the failure ran") })
 		e.schedule(1, p) // what no exported call can do
-		p.park()
+		p.Park()
 		t.Error("rewinder resumed in the past")
 	})
 	if end, err := e.Run(); err == nil || !strings.Contains(err.Error(), "time went backwards: 5 -> 1") || end != 5 {
@@ -244,6 +305,26 @@ func TestEventsDoNotAllocate(t *testing.T) {
 		if perEvent >= 0.02 {
 			t.Errorf("sync=%v: %.4f allocations per extra event (%.0f at 10 rounds, %.0f at 100), want < 0.02", sync, perEvent, short, long)
 		}
+	}
+	// Chains: each event wakes a Waker that works in place for its process
+	// — one to end a hold, one more to hand over a unit a chain queued for.
+	chains := func(rounds int) func() {
+		return func() {
+			e := NewEnv()
+			r := NewResource(e, "disk", 4)
+			for i := 0; i < procs; i++ {
+				e.Go("p", runChain(r, 0.001, rounds))
+			}
+			if _, err := e.Run(); err != nil {
+				panic(err)
+			}
+		}
+	}
+	short, long := testing.AllocsPerRun(3, chains(10)), testing.AllocsPerRun(3, chains(100))
+	perEvent := (long - short) / (procs * 90 * 2)
+	t.Logf("chains: %.0f allocations at 10 rounds, %.0f at 100: %.4f per extra event", short, long, perEvent)
+	if perEvent >= 0.02 {
+		t.Errorf("chains: %.4f allocations per extra waker event (%.0f at 10 rounds, %.0f at 100), want < 0.02", perEvent, short, long)
 	}
 	plain := testing.AllocsPerRun(3, contend(procs, 10, true, nil))
 	nilTracer := testing.AllocsPerRun(3, contend(procs, 10, true, func(e *Env) { e.SetTracer(nil) }))

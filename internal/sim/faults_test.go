@@ -71,8 +71,8 @@ func TestBarrierLeaveReleasesWaiters(t *testing.T) {
 	if released != 2 {
 		t.Errorf("waiters-first released %d, want 2", released)
 	}
-	if b.Parties() != 2 {
-		t.Errorf("parties = %d, want 2", b.Parties())
+	if b.n != 2 {
+		t.Errorf("parties = %d, want 2", b.n)
 	}
 
 	// Ordering 2: the leaver departs before the others arrive.

@@ -293,8 +293,8 @@ func (g *gprog) run(t *testing.T) string {
 			acquire := func(i int) {
 				res[i].Acquire(p)
 				held[i]++
-				if held[i] > g.caps[i] || res[i].InUse() > g.caps[i] {
-					t.Errorf("%s: res%d holds %d (InUse %d) over capacity %d", p.Name, i, held[i], res[i].InUse(), g.caps[i])
+				if held[i] > g.caps[i] || res[i].inUse > g.caps[i] {
+					t.Errorf("%s: res%d holds %d (InUse %d) over capacity %d", p.Name, i, held[i], res[i].inUse, g.caps[i])
 				}
 			}
 			release := func(i int) {
@@ -343,7 +343,7 @@ func (g *gprog) run(t *testing.T) string {
 					note("passed barrier")
 				case gLeave:
 					bar.Leave()
-					note("left barrier of %d", bar.Parties())
+					note("left barrier of %d", bar.n)
 				case gVoid:
 					void.Recv(p)
 				case gJam:

@@ -5,9 +5,11 @@
 // until it waits on virtual time, a capacity-limited resource, a mailbox or
 // a barrier, and is switched back in when Run pops its wake-up from the
 // event heap. A switch is a direct hand-over on one OS thread — no wake-up,
-// no scheduler pass — and an event allocates nothing. Exactly one process
-// (or Run) executes at any instant and wake-ups are ordered by (time,
-// schedule order) alone, so simulations are deterministic and need no locks.
+// no scheduler pass — and an event allocates nothing. An event wakes a
+// Waker: a process, or a step Run executes in place (internal/parfs's read
+// chains). Exactly one process (or Run) executes at any instant and wake-ups
+// are ordered by (time, schedule order) alone, so simulations are
+// deterministic and need no locks.
 //
 // The engine is the substrate on which the paper's 12,000-processor
 // experiments run: each simulated MPI rank is a process, disks are
@@ -25,16 +27,20 @@ import (
 	"fmt"
 	"iter"
 	"math"
+	"slices"
 	"sort"
 
 	"senkf/internal/trace"
 )
 
-// event is a scheduled process wake-up.
+// A Waker is what an event wakes: a process, or a step Run executes in place.
+type Waker interface{ Wake() }
+
+// event is a scheduled wake-up.
 type event struct {
-	at   float64
-	seq  uint64 // tie-break: FIFO among equal timestamps
-	proc *Proc
+	at  float64
+	seq uint64 // tie-break: FIFO among equal timestamps
+	w   Waker
 }
 
 func (a event) before(b event) bool { return a.at < b.at || (a.at == b.at && a.seq < b.seq) }
@@ -164,12 +170,13 @@ type Proc struct {
 	env     *Env
 	next    func() (struct{}, bool) // runs the process until it next parks
 	stop    func()                  // unwinds a parked process (Env.stopAll)
-	yield   func(struct{}) bool     // the process's side of next: park
+	yield   func(struct{}) bool     // the process's side of next: Park
 	handoff any                     // value delivered by a mailbox wake-up
 
-	// What the process is parked on while it has no wake-up of its own:
-	// "resource", "mailbox" or "barrier", and the object's name.
+	// What the process waits on with no wake-up of its own: "resource",
+	// "mailbox" or "barrier", the name, since when — a deadlock's report.
 	waitKind, waitName string
+	waitFrom           float64
 }
 
 // Env returns the environment the process runs in.
@@ -211,20 +218,35 @@ func (e *Env) Go(name string, fn func(p *Proc)) *Proc {
 	return p
 }
 
-// schedule enqueues a wake-up for p at time t.
-func (e *Env) schedule(t float64, p *Proc) {
+// schedule enqueues a wake-up for w at time t.
+func (e *Env) schedule(t float64, w Waker) {
 	e.seq++
-	e.events.push(event{at: t, seq: e.seq, proc: p})
+	e.events.push(event{at: t, seq: e.seq, w: w})
 }
 
-// park suspends the calling process until Run pops a wake-up for it. When
-// that wake-up is already the head of the heap, Run would pop it and switch
-// straight back, so the process pops it itself and keeps running: the same
-// event leaves the heap at the same point of the sequence, without a switch.
-func (p *Proc) park() {
-	e := p.env
-	if len(e.events) > 0 && e.events[0].proc == p && e.events[0].at >= e.now && !e.stopping {
+// Due pops w's wake-up if it is the head of the heap, which Run would pop
+// next, and reports whether it did: the caller then runs what w would, at the
+// same point of the sequence, without a round trip through Run.
+func (e *Env) Due(w Waker) bool {
+	if len(e.events) > 0 && e.events[0].w == w && e.events[0].at >= e.now && !e.stopping {
 		e.now = e.events.pop().at
+		return true
+	}
+	return false
+}
+
+// Wake switches p in until it next parks: Run calls it for p's wake-ups, a
+// Waker working for p in place of one, to hand p back control.
+func (p *Proc) Wake() {
+	if _, parked := p.next(); !parked {
+		p.env.live--
+	}
+}
+
+// Park suspends the calling process until it is woken. A wake-up of its own
+// at the head of the heap it pops itself (Due) and keeps running.
+func (p *Proc) Park() {
+	if p.env.Due(p) {
 		return
 	}
 	if !p.yield(struct{}{}) {
@@ -232,22 +254,27 @@ func (p *Proc) park() {
 	}
 }
 
-// wait parks p with no wake-up scheduled: the holder of the named
-// synchronization object schedules one. A simulation that runs out of
-// events finds here what each remaining process was blocked on.
-func (p *Proc) wait(kind, name string) {
-	t0 := p.env.now
-	p.waitKind, p.waitName = kind, name
-	p.park()
+// Unblock ends the wait a queueing Take began: the process calls it when it
+// resumes, a Waker that queued for it when woken.
+func (p *Proc) Unblock() {
+	kind := p.waitKind
 	p.waitKind = ""
 	if tr := p.env.tracer; tr.Detail() {
-		tr.Span(p.Name, "sim", kind+"-wait", t0, p.env.now)
+		tr.Span(p.Name, "sim", kind+"-wait", p.waitFrom, p.env.now)
 	}
 }
 
-// Sleep advances the process by d seconds of virtual time. Negative or NaN
-// durations panic — they indicate a broken cost model.
-func (p *Proc) Sleep(d float64) {
+// wait parks p blocked on the named object until its holder wakes it.
+func (p *Proc) wait(kind, name string) {
+	p.waitKind, p.waitName, p.waitFrom = kind, name, p.env.now
+	p.Park()
+	p.Unblock()
+}
+
+// After schedules a wake-up for w d seconds of p's time from now: d is
+// dilated by p's slowdown, as a Sleep is. Negative or NaN durations panic —
+// they indicate a broken cost model.
+func (p *Proc) After(d float64, w Waker) {
 	if d < 0 || math.IsNaN(d) {
 		panic(fmt.Sprintf("sim: %s slept for invalid duration %g", p.Name, d))
 	}
@@ -256,8 +283,13 @@ func (p *Proc) Sleep(d float64) {
 			d *= f
 		}
 	}
-	p.env.schedule(p.env.now+d, p)
-	p.park()
+	p.env.schedule(p.env.now+d, w)
+}
+
+// Sleep advances the process by d seconds of virtual time.
+func (p *Proc) Sleep(d float64) {
+	p.After(d, p)
+	p.Park()
 }
 
 // BlockedProc identifies one parked process of a deadlocked simulation and
@@ -308,9 +340,7 @@ func (e *Env) Run() (float64, error) {
 			return e.now, fmt.Errorf("sim: time went backwards: %g -> %g", e.now, ev.at)
 		}
 		e.now = ev.at
-		if _, parked := ev.proc.next(); !parked {
-			e.live--
-		}
+		ev.w.Wake()
 	}
 	if e.live > 0 {
 		d := &DeadlockError{Time: e.now}
@@ -330,7 +360,7 @@ func (e *Env) Run() (float64, error) {
 }
 
 // stopAll unwinds every unfinished process: a parked one resumes inside
-// park, which panics with stopped{} up to the recover in Go — as does any
+// Park, which panics with stopped{} up to the recover in Go — as does any
 // wait a deferred call attempts on the way; one that never started never
 // will; a finished one is left alone.
 func (e *Env) stopAll() {
@@ -347,7 +377,7 @@ type Resource struct {
 	env      *Env
 	capacity int
 	inUse    int
-	waiters  fifo[*Proc]
+	waiters  fifo[Waker]
 }
 
 // NewResource creates a resource with the given concurrency capacity.
@@ -358,14 +388,15 @@ func NewResource(e *Env, name string, capacity int) *Resource {
 	return &Resource{Name: name, env: e, capacity: capacity}
 }
 
-// Acquire takes one unit of capacity, blocking in FIFO order while the
-// resource is saturated.
-func (r *Resource) Acquire(p *Proc) {
+// Take takes one unit of capacity for p and reports true if one is free.
+// Otherwise it queues w in FIFO order, records p as blocked on the resource
+// and reports false: Release passes a unit to w by waking it.
+func (r *Resource) Take(p *Proc, w Waker) bool {
 	if r.inUse < r.capacity {
 		r.inUse++
-		return
+		return true
 	}
-	r.waiters.push(p)
+	r.waiters.push(w)
 	reg := r.env.tracer.Counters()
 	if reg != nil {
 		reg.Inc("sim.resource.waits")
@@ -374,8 +405,17 @@ func (r *Resource) Acquire(p *Proc) {
 	if r.env.tracer.Detail() {
 		r.env.tracer.Counter(r.Name, "queue", r.env.now, float64(r.waiters.len()))
 	}
-	p.wait("resource", r.Name)
-	// Capacity was transferred to us by Release.
+	p.waitKind, p.waitName, p.waitFrom = "resource", r.Name, r.env.now
+	return false
+}
+
+// Acquire takes one unit of capacity, blocking in FIFO order while the
+// resource is saturated: a Take, and a park if it queued.
+func (r *Resource) Acquire(p *Proc) {
+	if !r.Take(p, p) {
+		p.Park()
+		p.Unblock() // capacity was transferred to us by Release
+	}
 }
 
 // Release returns one unit of capacity, waking the first waiter (at the
@@ -394,9 +434,6 @@ func (r *Resource) Release() {
 	}
 	r.inUse--
 }
-
-// InUse returns the currently used capacity.
-func (r *Resource) InUse() int { return r.inUse }
 
 // Mailbox is an unbounded FIFO message queue between processes. Sends never
 // block; receives block until a message is available.
@@ -430,6 +467,9 @@ func (m *Mailbox) Send(v any) {
 		m.env.tracer.Counter(m.Name, "depth", m.env.now, float64(m.queue.len()))
 	}
 }
+
+// Reserve makes room for n queued values: sized for its sends, m never regrows.
+func (m *Mailbox) Reserve(n int) { m.queue.buf = slices.Grow(m.queue.buf, n) }
 
 // Recv dequeues the oldest value, blocking until one is available.
 func (m *Mailbox) Recv(p *Proc) any {
@@ -495,6 +535,3 @@ func (b *Barrier) release() {
 	}
 	b.arrived = 0
 }
-
-// Parties returns the current number of participants.
-func (b *Barrier) Parties() int { return b.n }

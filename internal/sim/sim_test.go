@@ -120,8 +120,8 @@ func TestResourceLimitsConcurrency(t *testing.T) {
 	for i := 0; i < 6; i++ {
 		e.Go("reader", func(p *Proc) {
 			r.Acquire(p)
-			if r.InUse() > maxInUse {
-				maxInUse = r.InUse()
+			if r.inUse > maxInUse {
+				maxInUse = r.inUse
 			}
 			p.Sleep(1)
 			r.Release()
