@@ -705,18 +705,6 @@ func (m *MemberFile) ReadBlockLevels(b grid.Box) ([][]float64, error) {
 	return out, nil
 }
 
-// ReadBlock is ReadBlockLevels on a single-level file.
-func (m *MemberFile) ReadBlock(b grid.Box) ([]float64, error) {
-	if m.Header.LevelCount() != 1 {
-		return nil, fmt.Errorf("ensio: %d-level file needs ReadBlockLevels", m.Header.LevelCount())
-	}
-	out, err := m.ReadBlockLevels(b)
-	if err != nil {
-		return nil, err
-	}
-	return out[0], nil
-}
-
 // ReadAll reads the entire field with one addressing operation.
 func (m *MemberFile) ReadAll() ([]float64, error) {
 	return m.ReadBar(0, m.Header.NY)

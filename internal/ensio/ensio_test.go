@@ -100,10 +100,11 @@ func TestReadBlockMatchesRectangle(t *testing.T) {
 	}
 	defer m.Close()
 	b := grid.Box{X0: 3, X1: 7, Y0: 1, Y1: 5}
-	blk, err := m.ReadBlock(b)
+	lv, err := m.ReadBlockLevels(b)
 	if err != nil {
 		t.Fatal(err)
 	}
+	blk := lv[0]
 	for y := b.Y0; y < b.Y1; y++ {
 		for x := b.X0; x < b.X1; x++ {
 			got := blk[(y-b.Y0)*b.Width()+(x-b.X0)]
@@ -124,7 +125,7 @@ func TestSeekAccountingBlockVsBar(t *testing.T) {
 	}
 	defer m.Close()
 	b := grid.Box{X0: 2, X1: 6, Y0: 0, Y1: 12}
-	if _, err := m.ReadBlock(b); err != nil {
+	if _, err := m.ReadBlockLevels(b); err != nil {
 		t.Fatal(err)
 	}
 	if s := m.Stats(); s.Seeks != 12 {
@@ -136,7 +137,7 @@ func TestSeekAccountingBlockVsBar(t *testing.T) {
 	}
 	defer m2.Close()
 	full := grid.Box{X0: 0, X1: 16, Y0: 0, Y1: 12}
-	if _, err := m2.ReadBlock(full); err != nil {
+	if _, err := m2.ReadBlockLevels(full); err != nil {
 		t.Fatal(err)
 	}
 	if s := m2.Stats(); s.Seeks != 1 {
@@ -158,8 +159,8 @@ func TestReadBlockBounds(t *testing.T) {
 		{X0: 3, X1: 3, Y0: 0, Y1: 2},
 	}
 	for _, b := range bad {
-		if _, err := m.ReadBlock(b); err == nil {
-			t.Errorf("ReadBlock(%v): expected error", b)
+		if _, err := m.ReadBlockLevels(b); err == nil {
+			t.Errorf("ReadBlockLevels(%v): expected error", b)
 		}
 	}
 }
@@ -256,10 +257,11 @@ func TestBarEqualsUnionOfBlockRows(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer mb.Close()
-	blk, err := mb.ReadBlock(grid.Box{X0: 0, X1: 12, Y0: 3, Y1: 6})
+	lv, err := mb.ReadBlockLevels(grid.Box{X0: 0, X1: 12, Y0: 3, Y1: 6})
 	if err != nil {
 		t.Fatal(err)
 	}
+	blk := lv[0]
 	for i := range bar {
 		if bar[i] != blk[i] {
 			t.Fatalf("bar and full-width block disagree at %d", i)

@@ -104,9 +104,6 @@ func TestSingleLevelAPIGuards(t *testing.T) {
 	if _, err := m.ReadBar(0, 2); err == nil {
 		t.Error("ReadBar on a 2-level file accepted")
 	}
-	if _, err := m.ReadBlock(grid.Box{X0: 0, X1: 4, Y0: 0, Y1: 2}); err == nil {
-		t.Error("ReadBlock on a 2-level file accepted")
-	}
 }
 
 func TestSingleLevelFilesStillWork(t *testing.T) {

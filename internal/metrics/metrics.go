@@ -81,15 +81,6 @@ func (b Breakdown) Get(p Phase) float64 {
 // Total returns the sum over all phases.
 func (b Breakdown) Total() float64 { return b.Read + b.Comm + b.Compute + b.Wait }
 
-// Percent returns the share of phase p in the total (0 when empty).
-func (b Breakdown) Percent(p Phase) float64 {
-	t := b.Total()
-	if t == 0 {
-		return 0
-	}
-	return 100 * b.Get(p) / t
-}
-
 // Mean divides every phase by n processors — the per-processor averages
 // Figure 9 plots (zero when n is 0).
 func (b Breakdown) Mean(n int) Breakdown {

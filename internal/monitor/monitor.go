@@ -11,10 +11,9 @@
 //     the verdicts and blames plan edges;
 //   - budget watchdogs — per-stage expected durations from the Eq. 7–10
 //     cost-model terms (the model/t_* counters the simulated substrate
-//     already emits, or costmodel directly via SetBudgets), with a
-//     straggler/stall verdict when a stage exceeds budget × tolerance.
-//     Real runs without a model prediction fall back to peer-median
-//     budgets per (phase, stage);
+//     already emits), with a straggler/stall verdict when a stage
+//     exceeds budget × tolerance. Real runs, which have no model
+//     prediction, fall back to peer-median budgets per (phase, stage);
 //   - streaming metrics — read/comm/compute latencies, scatter wait,
 //     stage data lead (overlap headroom), and per-OST bytes, counted into
 //     the run's trace.Registry (Options.Registry), plus a JSON conformance
@@ -27,7 +26,7 @@
 //     counted, judged at EndRun against the plan's expected edge matrix.
 //
 // The package is substrate-free by construction: it depends on plan,
-// trace, wire, costmodel and metrics (naming), and duck-types the substrate
+// trace, wire and metrics (naming), and duck-types the substrate
 // errors (sim.DeadlockError's BlockedOn, mpi.RankFailedError's
 // FailedRank) instead of importing sim or mpi. CI enforces the layering.
 package monitor
@@ -37,7 +36,6 @@ import (
 	"strings"
 	"sync"
 
-	"senkf/internal/costmodel"
 	"senkf/internal/metrics"
 	"senkf/internal/plan"
 	"senkf/internal/runtimeobs"
@@ -173,17 +171,6 @@ func (m *Monitor) Close() {
 	if t != nil {
 		t.Close()
 	}
-}
-
-// SetBudgets derives the per-stage watchdog budgets directly from the
-// Eq. 7–10 cost model — the real substrate's counterpart of the model/t_*
-// counter events a simulated run streams.
-func (m *Monitor) SetBudgets(p costmodel.Params, ch costmodel.Choice) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.setBudgetLocked("read", p.TRead(ch))
-	m.setBudgetLocked("comm", p.TComm(ch))
-	m.setBudgetLocked("compute", p.TComp(ch))
 }
 
 func (m *Monitor) setBudgetLocked(phase string, v float64) {

@@ -1,9 +1,8 @@
 // Budget watchdog: every completed phase span is checked against its
 // per-stage expected duration. Budgets come from the Eq. 7–10 cost-model
-// terms when available (model/t_* counter events of a simulated run, or
-// SetBudgets on a real one); without a model the watchdog falls back to
-// the peer median per (phase, stage) — a straggler is whoever takes
-// tolerance × longer than its peers. Durations are in the trace's own
+// terms when available (model/t_* counter events of a simulated run);
+// without a model the watchdog falls back to the peer median per (phase,
+// stage) — a straggler is whoever takes tolerance × longer than its peers. Durations are in the trace's own
 // clock: virtual seconds in the simulation, wall seconds on the real
 // substrate.
 

@@ -78,80 +78,6 @@ func TestRankFailedErrorIdentity(t *testing.T) {
 	if !errors.Is(err, cause) {
 		t.Error("RankFailedError does not unwrap to its cause")
 	}
-	if errors.Is(err, ErrDeadline) {
-		t.Error("RankFailedError matches ErrDeadline")
-	}
-}
-
-// TestRecvDeadlineFires waits on a peer that never sends: the deadline
-// must fire with a *DeadlineError instead of hanging.
-func TestRecvDeadlineFires(t *testing.T) {
-	w, _ := NewWorld(2)
-	err := w.Run(func(c *Comm) error {
-		if c.Rank() == 1 {
-			// Rank 1 stays silent but alive until rank 0 gives up.
-			_, err := c.Recv(0, 9)
-			return err
-		}
-		_, err := c.RecvDeadline(1, 5, 20*time.Millisecond)
-		if !errors.Is(err, ErrDeadline) {
-			return fmt.Errorf("deadline recv returned %v, want ErrDeadline", err)
-		}
-		var de *DeadlineError
-		if !errors.As(err, &de) || de.Src != 1 || de.Tag != 5 {
-			return fmt.Errorf("deadline error detail wrong: %v", err)
-		}
-		// Unblock rank 1 so the world drains cleanly.
-		return c.Send(1, 9, nil, nil)
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestRecvDeadlineNotTriggeredByTimelyMessage makes sure a message beating
-// the deadline is delivered normally and the timer does not fire later.
-func TestRecvDeadlineNotTriggeredByTimelyMessage(t *testing.T) {
-	w, _ := NewWorld(2)
-	err := w.Run(func(c *Comm) error {
-		if c.Rank() == 1 {
-			return c.Send(0, 4, nil, []float64{42})
-		}
-		m, err := c.RecvDeadline(1, 4, 5*time.Second)
-		if err != nil {
-			return err
-		}
-		if len(m.Data) != 1 || m.Data[0] != 42 {
-			return fmt.Errorf("payload %v", m.Data)
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestSendDeadlineRefusesDeadWorld asserts that SendDeadline reports the
-// failed rank instead of enqueueing onto a poisoned inbox.
-func TestSendDeadlineRefusesDeadWorld(t *testing.T) {
-	w, _ := NewWorld(2)
-	w.abortAll(&RankFailedError{Rank: 1, Cause: errors.New("gone")})
-	err := w.Run(func(c *Comm) error {
-		if c.Rank() != 0 {
-			return nil
-		}
-		err := c.SendDeadline(1, 3, nil, []float64{1}, time.Second)
-		var rf *RankFailedError
-		if !errors.As(err, &rf) || rf.Rank != 1 {
-			return fmt.Errorf("send into aborted world returned %v", err)
-		}
-		return nil
-	})
-	// The pre-poisoned world makes Run's own bookkeeping irrelevant here;
-	// only the closure's explicit failures matter.
-	if err != nil && !errors.Is(err, ErrAborted) {
-		t.Fatal(err)
-	}
 }
 
 // TestDeathWhilePeersBlockInSendRecvChain kills the middle of a ring so

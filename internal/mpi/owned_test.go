@@ -136,9 +136,8 @@ func TestInboxDropsTakenEnvelopes(t *testing.T) {
 	}
 	backing := ib.msgs[:cap(ib.msgs)]
 	for _, tag := range []int{1, 0, 3, 2} { // from the middle, the front and the back
-		e, _, err := ib.take(0, AnySource, tag, 0)
-		if err != nil || e.Tag != tag {
-			t.Fatalf("take(tag %d) = %+v, %v", tag, e.Message, err)
+		if e, _ := takeQueued(t, ib, AnySource, tag); e.Tag != tag {
+			t.Fatalf("take(tag %d) = %+v", tag, e.Message)
 		}
 	}
 	if len(ib.msgs) != 0 {

@@ -152,9 +152,6 @@ func Compile(s Spec) (*Compiled, error) {
 // NumCompute returns C2, the compute rank count.
 func (c *Compiled) NumCompute() int { return len(c.Compute) }
 
-// NumIO returns C1, the dedicated I/O rank count.
-func (c *Compiled) NumIO() int { return len(c.IO) }
-
 // WorldSize returns the total rank count C1 + C2.
 func (c *Compiled) WorldSize() int { return len(c.Compute) + len(c.IO) }
 

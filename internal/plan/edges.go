@@ -106,9 +106,6 @@ func (m EdgeMatrix) Clone() EdgeMatrix {
 	return out
 }
 
-// Equal reports whether two matrices are bit-identical.
-func (m EdgeMatrix) Equal(other EdgeMatrix) bool { return m.Diff(other) == nil }
-
 // Diff returns the first edge Compare finds between other and m, taken as
 // the expected matrix — unexpected, then over, missing and short — or nil
 // when the two are identical.

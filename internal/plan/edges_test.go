@@ -1,6 +1,7 @@
 package plan
 
 import (
+	"maps"
 	"testing"
 )
 
@@ -55,11 +56,11 @@ func TestEdgeMatrixRecordAndDiff(t *testing.T) {
 	}
 
 	c := m.Clone()
-	if !m.Equal(c) {
+	if !maps.Equal(m, c) {
 		t.Fatalf("clone differs: %v", m.Diff(c))
 	}
 	c.Record(k2, 5)
-	if m.Equal(c) {
+	if maps.Equal(m, c) {
 		t.Error("matrices with different stats compare equal")
 	}
 	delete(c, k1)

@@ -40,7 +40,7 @@ func TestBarReaderAddrOpsEq5(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%+v: %v", tc, err)
 		}
-		if got, want := c.NumIO(), tc.ncg*tc.nsdy; got != want {
+		if got, want := len(c.IO), tc.ncg*tc.nsdy; got != want {
 			t.Errorf("%+v: C1 = %d, want %d", tc, got, want)
 		}
 		if got, want := c.NumCompute(), tc.nsdx*tc.nsdy; got != want {
@@ -79,8 +79,8 @@ func TestBlockReaderAddrOpsEq2(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%+v: %v", tc, err)
 		}
-		if c.NumIO() != 0 {
-			t.Errorf("%+v: block reading has %d I/O ranks, want 0", tc, c.NumIO())
+		if len(c.IO) != 0 {
+			t.Errorf("%+v: block reading has %d I/O ranks, want 0", tc, len(c.IO))
 		}
 		perProc := n * (60/tc.nsdy + 2*tc.eta)
 		for _, r := range c.Compute {
@@ -104,8 +104,8 @@ func TestSingleReaderPlan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.NumIO() != 1 || c.WorldSize() != d.SubDomains()+1 {
-		t.Fatalf("world = %d compute + %d io, want %d + 1", c.NumCompute(), c.NumIO(), d.SubDomains())
+	if len(c.IO) != 1 || c.WorldSize() != d.SubDomains()+1 {
+		t.Fatalf("world = %d compute + %d io, want %d + 1", c.NumCompute(), len(c.IO), d.SubDomains())
 	}
 	r := c.IO[0]
 	if r.Rank != d.SubDomains() || r.Name != metrics.IOName(0, 0) {

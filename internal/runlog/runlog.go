@@ -161,9 +161,6 @@ func Open(dir string) (*Archive, error) {
 	return &Archive{dir: dir}, nil
 }
 
-// Dir returns the archive's root directory.
-func (a *Archive) Dir() string { return a.dir }
-
 // RunDir returns the directory of run id (which need not exist yet).
 func (a *Archive) RunDir(id string) string { return filepath.Join(a.dir, "runs", id) }
 
@@ -278,11 +275,7 @@ type Record struct {
 	Manifest Manifest
 	// Dir is the run's directory inside the archive.
 	Dir string
-	raw []byte
 }
-
-// RawManifest returns the manifest bytes exactly as stored.
-func (r *Record) RawManifest() []byte { return r.raw }
 
 // ReadFile loads one attached file, verifying its content address
 // against the manifest.
@@ -366,7 +359,7 @@ func (a *Archive) Load(id string) (*Record, error) {
 			return nil, fmt.Errorf("runlog: run %s: %w", id, err)
 		}
 	}
-	return &Record{Manifest: m, Dir: dir, raw: raw}, nil
+	return &Record{Manifest: m, Dir: dir}, nil
 }
 
 // IDs lists the archived run IDs (directories under runs/ holding a

@@ -116,8 +116,8 @@ func TestRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(rec.RawManifest(), want) {
-		t.Error("RawManifest differs from the stored manifest bytes")
+	if loaded, err := json.MarshalIndent(rec.Manifest, "", "  "); err != nil || !bytes.Equal(append(loaded, '\n'), want) {
+		t.Errorf("the loaded manifest encodes as\n%s\nthe stored one is\n%s", loaded, want)
 	}
 	got, err := rec.ReadFile(CountersFile)
 	if err != nil {

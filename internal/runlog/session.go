@@ -239,9 +239,6 @@ func (s *Session) Events() []trace.Event {
 // Describe, or "" before Describe (or when hashing failed).
 func (s *Session) PlanHash() string { return s.planHash }
 
-// Archive returns the session's run ledger, nil without -archive.
-func (s *Session) Archive() *Archive { return s.archive }
-
 // Labels returns the run's pprof label set for plan execution
 // (Problem.Prof, schedule/cycle Config.Prof). Nil — meaning labeling is
 // disabled, at zero cost — until Describe runs with a profiling surface

@@ -158,16 +158,3 @@ func (c *Collector) Other() (msgs, bytes int64) {
 	defer c.mu.Unlock()
 	return c.otherMsgs, c.otherBytes
 }
-
-// OSTBytes sums the attributed bytes across storage targets; it equals
-// parfs.Stats.BytesRead exactly for a run whose file system carried the
-// collector as its read observer.
-func (c *Collector) OSTBytes() float64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	var total float64
-	for _, a := range c.osts {
-		total += a.bytes
-	}
-	return total
-}

@@ -102,9 +102,6 @@ func TestCollectorOSTAttribution(t *testing.T) {
 	// OST 7: one stalled read flagged as outage.
 	c.OnRead(7, 500, 0, 5, 1, false, true)
 
-	if got := c.OSTBytes(); got != 2500 {
-		t.Errorf("OSTBytes = %g, want 2500", got)
-	}
 	s := c.Summary(0)
 	if len(s.OSTs) != 2 {
 		t.Fatalf("summary has %d OSTs, want 2", len(s.OSTs))
@@ -112,6 +109,9 @@ func TestCollectorOSTAttribution(t *testing.T) {
 	o1, o7 := s.OSTs[0], s.OSTs[1]
 	if o1.OST != 1 || o7.OST != 7 {
 		t.Fatalf("OST order %d, %d; want 1, 7", o1.OST, o7.OST)
+	}
+	if o1.Bytes != 2000 || o7.Bytes != 500 {
+		t.Errorf("ost bytes %g and %g, want 2000 and 500", o1.Bytes, o7.Bytes)
 	}
 	if o1.Reads != 2 || o1.Degraded != 1 || o1.Outage != 0 {
 		t.Errorf("ost1 = %+v, want 2 reads, 1 degraded", o1)

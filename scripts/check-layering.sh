@@ -21,10 +21,11 @@ if bad=$(grep -E "$forbidden" <<<"$deps"); then
 fi
 
 # internal/monitor is the live observability layer: it folds the trace
-# stream against compiled plans and Eq. 7-10 budgets, so it must build on
-# plan, trace and costmodel — but it watches both substrates through the
-# event stream alone, duck-typing their error shapes, so it must never
-# import one (or it could only monitor that substrate).
+# stream against compiled plans and the Eq. 7-10 budgets that stream
+# carries, so it must build on plan and trace — but it watches both
+# substrates through the event stream alone, duck-typing their error
+# shapes, so it must never import one (or it could only monitor that
+# substrate).
 deps=$(go list -deps senkf/internal/monitor)
 
 if bad=$(grep -E "$forbidden" <<<"$deps"); then
@@ -33,7 +34,7 @@ if bad=$(grep -E "$forbidden" <<<"$deps"); then
     exit 1
 fi
 
-for need in senkf/internal/plan senkf/internal/trace senkf/internal/costmodel senkf/internal/runtimeobs; do
+for need in senkf/internal/plan senkf/internal/trace senkf/internal/runtimeobs; do
     if ! grep -qx "$need" <<<"$deps"; then
         echo "FAIL: senkf/internal/monitor no longer builds on $need" >&2
         exit 1
