@@ -232,3 +232,218 @@ func TestReadEachBlockedIsReportedAndUnwound(t *testing.T) {
 		t.Errorf("%d goroutines before, %d after: the failed run left its readers behind", base, n)
 	}
 }
+
+// gateProgram is a generated workload of reading groups, the shape of
+// S-EnKF's I/O groups: per stage, every reader of a group reads the stage's
+// files in turn — a file's retry probes, then one read per row the reader
+// serves, none if the file is dropped — and waits at the group's file
+// barrier after each file. Readers start at staggered times, pause between
+// stages, and some leave their barrier for good at the top of a stage, as a
+// dying reader does. The geometry, stragglers and fault windows are
+// genReadProgram's.
+type gateProgram struct {
+	cfg    Config
+	plan   faults.Plan
+	groups []gateGroup
+}
+
+type gateGroup struct {
+	stages  [][]int // the files of each stage, the same for every reader
+	seeks   int
+	bytes   float64
+	probes  [8]int  // retry probes per file
+	drops   [8]bool // files not read after their probes
+	readers []gateReader
+}
+
+type gateReader struct {
+	delay, gap float64
+	rows       []int // rows served per stage
+	leave      int   // the stage at whose top it leaves its barrier (len(stages): never)
+}
+
+func genGateProgram(seed int64) gateProgram {
+	rng := rand.New(rand.NewSource(seed))
+	pick := func(xs ...float64) float64 { return xs[rng.Intn(len(xs))] }
+	base := genReadProgram(seed)
+	g := gateProgram{cfg: base.cfg, plan: faults.Plan{OSTWindows: base.plan.OSTWindows}}
+	proc := 0
+	for n := 1 + rng.Intn(3); n > 0; n-- {
+		gr := gateGroup{seeks: rng.Intn(3), bytes: pick(0, 2, 4, 8)}
+		for f := range gr.probes {
+			if rng.Intn(4) == 0 {
+				gr.probes[f], gr.drops[f] = rng.Intn(3), rng.Intn(2) == 0
+			}
+		}
+		for s := 1 + rng.Intn(3); s > 0; s-- {
+			var files []int
+			for f := rng.Intn(4); f >= 0; f-- {
+				files = append(files, rng.Intn(8))
+			}
+			gr.stages = append(gr.stages, files)
+		}
+		leavers := 0
+		for r := 1 + rng.Intn(4); r > 0; r-- {
+			rd := gateReader{delay: pick(0, 0, 0.5, 1), gap: pick(0, 0.5, 1), leave: len(gr.stages)}
+			for range gr.stages {
+				rd.rows = append(rd.rows, 1+rng.Intn(2))
+			}
+			if leavers < r-1 && rng.Intn(3) == 0 { // one party stays to the end
+				rd.leave = rng.Intn(len(gr.stages))
+				leavers++
+			}
+			if rng.Intn(4) == 0 {
+				g.plan.Stragglers = append(g.plan.Stragglers, faults.Straggler{Proc: fmt.Sprintf("p%d", proc), Factor: pick(1.5, 2, 4)})
+			}
+			gr.readers = append(gr.readers, rd)
+			proc++
+		}
+		g.groups = append(g.groups, gr)
+	}
+	return g
+}
+
+// testGate is a group's Gate: it logs each read and each pass, and holds a
+// chain at the group's barrier. A chain's id is 100·process + rows served.
+type testGate struct {
+	g   *gateGroup
+	bar *sim.Barrier
+	log *readLog
+}
+
+func (tg *testGate) Reads(id, file int) (probes, n int) {
+	if tg.g.drops[file] {
+		return tg.g.probes[file], 0
+	}
+	return tg.g.probes[file], id % 100
+}
+
+func (tg *testGate) ReadDone(id int, start, end float64) { tg.log.ReadDone(id, start, end) }
+
+func (tg *testGate) Pass(p *sim.Proc, w sim.Waker, id, file int) bool {
+	tg.logPass(p, id, file)
+	return tg.bar.Arrive(p, w)
+}
+
+func (tg *testGate) logPass(p *sim.Proc, id, file int) {
+	fmt.Fprintf(tg.log, "pass %s %d %d %x\n", p.Name, id, file, math.Float64bits(p.Now()))
+}
+
+// run executes g with each reader's stage issued as one gated ReadEach, or as
+// the loop it replaces: Reads of each file's probes and rows, then a
+// Barrier.Wait. It also returns how many barrier waits parked.
+func (g gateProgram) run(t *testing.T, chained bool) (readOutcome, int) {
+	env := sim.NewEnv()
+	buf, reg := trace.NewBuffer(), trace.NewRegistry()
+	tr := trace.New(env.Now, buf)
+	tr.SetDetail(true)
+	tr.SetCounters(reg)
+	env.SetTracer(tr)
+	env.SetSlowdown(g.plan.SlowdownFor)
+	fs, err := New(env, g.cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fs.SetFaults(&g.plan)
+	log := &readLog{}
+	fs.SetReadObserver(log)
+	proc := 0
+	for gi := range g.groups {
+		gr := &g.groups[gi]
+		gate := &testGate{g: gr, bar: sim.NewBarrier(env, fmt.Sprintf("grp%d", gi), len(gr.readers)), log: log}
+		for _, rd := range gr.readers {
+			i := proc
+			proc++
+			env.Go(fmt.Sprintf("p%d", i), func(p *sim.Proc) {
+				p.Sleep(rd.delay)
+				for s, files := range gr.stages {
+					if s == rd.leave {
+						gate.bar.Leave()
+						return
+					}
+					id := 100*i + rd.rows[s]
+					t0 := p.Now()
+					if chained {
+						fs.ReadEach(p, files, gr.seeks, gr.bytes, gate, id)
+					} else {
+						for _, f := range files {
+							probes, n := gate.Reads(id, f)
+							for a := 0; a < probes+n; a++ {
+								start := p.Now()
+								if a < probes {
+									fs.Read(p, f, 1, 0)
+								} else {
+									fs.Read(p, f, gr.seeks, gr.bytes)
+								}
+								log.ReadDone(id, start, p.Now())
+							}
+							gate.logPass(p, id, f)
+							gate.bar.Wait(p)
+						}
+					}
+					fmt.Fprintf(log, "stage %d.%d took %x\n", i, s, math.Float64bits(p.Now()-t0))
+					p.Sleep(rd.gap)
+				}
+			})
+		}
+	}
+	end, err := env.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var chrome bytes.Buffer
+	if err := trace.WriteChrome(&chrome, buf.Events()); err != nil {
+		t.Fatal(err)
+	}
+	return readOutcome{end, fs.Stats(), log.String(), reg.Snapshot(), chrome.String()},
+		strings.Count(chrome.String(), `"name":"barrier-wait"`)
+}
+
+// TestGatedReadEachEqualsReadAndWaitLoopsUnderOutagesAndStragglers: a ReadEach
+// whose hook is a Gate is the loop of Reads and Barrier.Waits it replaces,
+// bit for bit — final time, Stats, the observer, hook and gate sequence, the
+// registry and the detail trace — on generated reading groups with retry
+// probes, dropped files, readers that leave their barrier, stragglers and
+// outage and degraded windows. A chain that resumed through a new event
+// after its gate let it pass, rather than in place of the barrier's
+// wake-up, would reorder equal-time wake-ups.
+func TestGatedReadEachEqualsReadAndWaitLoopsUnderOutagesAndStragglers(t *testing.T) {
+	var stalls, degraded, parked, probes, leaves int
+	for seed := int64(1); seed <= 400; seed++ {
+		g := genGateProgram(seed)
+		loop, loopParked := g.run(t, false)
+		each, eachParked := g.run(t, true)
+		if loop.end != each.end || loop.stats != each.stats {
+			t.Fatalf("seed %d: end %g, %+v as loops; %g, %+v as gated ReadEach", seed, loop.end, loop.stats, each.end, each.stats)
+		}
+		if loop.calls != each.calls {
+			t.Fatalf("seed %d: observer calls differ\nloops:\n%s\ngated ReadEach:\n%s", seed, loop.calls, each.calls)
+		}
+		if !reflect.DeepEqual(loop.registry, each.registry) {
+			t.Fatalf("seed %d: registry differs\nloops:          %+v\ngated ReadEach: %+v", seed, loop.registry, each.registry)
+		}
+		if loop.chrome != each.chrome || loopParked != eachParked {
+			t.Fatalf("seed %d: detail traces differ", seed)
+		}
+		stalls += loop.stats.OutageStalls
+		degraded += loop.stats.DegradedReads
+		parked += loopParked
+		for _, gr := range g.groups {
+			for _, rd := range gr.readers {
+				if rd.leave < len(gr.stages) {
+					leaves++
+				}
+			}
+			for _, n := range gr.probes {
+				probes += n
+			}
+		}
+	}
+	t.Logf("400 programs: %d outage stalls, %d degraded reads, %d parked barrier waits, %d probes per faulted file, %d leavers",
+		stalls, degraded, parked, probes, leaves)
+	// The generator must reach what it is for.
+	if stalls < 100 || degraded < 100 || parked < 1000 || probes < 100 || leaves < 50 {
+		t.Errorf("400 programs: %d outage stalls, %d degraded reads, %d parked barrier waits, %d probes per faulted file, %d leavers",
+			stalls, degraded, parked, probes, leaves)
+	}
+}

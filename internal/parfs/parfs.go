@@ -141,6 +141,19 @@ type ReadHook interface {
 	ReadDone(id int, start, end float64)
 }
 
+// A Gate is a ReadHook that also paces its ReadEach file by file: how each
+// file is read, and whether the chain goes past it at once.
+type Gate interface {
+	ReadHook
+	// Reads returns how file is read: first probes retry probes — reads of one
+	// addressing operation and no payload — then n reads of the chain's shape.
+	Reads(id, file int) (probes, n int)
+	// Pass is called once file's reads are done, and reports whether the chain
+	// goes on at once. If not, it has queued w, whose wake-up continues the
+	// chain, and recorded p as blocked (a sim.Barrier's Arrive).
+	Pass(p *sim.Proc, w sim.Waker, id, file int) bool
+}
+
 // Read performs a read of file consisting of `seeks` addressing operations
 // and `bytes` payload bytes — a ReadEach of one file — blocking p for
 // queueing plus service time. It returns the total time spent.
@@ -151,34 +164,39 @@ func (fs *FS) Read(p *sim.Proc, file, seeks int, bytes float64) float64 {
 // ReadEach is a Read of each of files in turn, one chain of steps — queue at
 // the OST and the backbone, stall through outages, serve, release, account —
 // that Run executes in place, switching p back in once, after the last read.
-// It returns the total time; a non-nil hook is told of each read, with id.
+// It returns the total time; a non-nil hook is told of each read, with id. A
+// hook that is also a Gate decides how many reads each file takes and holds
+// the chain after each file until the gate lets it pass.
 func (fs *FS) ReadEach(p *sim.Proc, files []int, seeks int, bytes float64, hook ReadHook, id int) float64 {
 	return fs.read(p, files, 0, seeks, bytes, hook, id)
 }
 
 // reader is one process's ReadEach in flight: the chain's state, and the
-// sim.Waker that Run wakes for each of its steps.
+// sim.Waker that Run wakes for each of its steps. Its size is what the slab
+// costs per process: a field it gains is paid by every P-EnKF rank.
 type reader struct {
-	fs               *FS
-	p                *sim.Proc
-	files            []int
-	one              [1]int // files of a Read
-	hook             ReadHook
-	seeks, id, i     int // i: the read in progress
-	osti, step       int // its OST; where the next wake-up resumes
-	bytes, service   float64
-	start, tb, tSrv  float64 // the read's start, its backbone queueing, its service
-	waited, stalled  float64
-	degraded, outage bool
+	fs                             *FS
+	p                              *sim.Proc
+	files                          []int
+	one                            [1]int // files of a Read
+	hook                           ReadHook
+	seeks, id, i                   int // i: the file in progress
+	rep, osti                      int // its reads done; the read's OST
+	bytes, service                 float64
+	start, tb, tSrv                float64 // the read's start, its backbone queueing, its service
+	waited, stalled                float64
+	step                           uint8 // where the next wake-up resumes
+	gated, probe, degraded, outage bool  // hook is a Gate; the read is a probe
 }
 
 // Where a reader's chain resumes.
 const (
-	startRead    = iota // queue at the file's OST
+	startRead    = iota // read files[i] again, or pass its gate
 	ostHeld             // queue at the backbone
 	backboneHeld        // price the read
 	windows             // stall through outages, then serve
 	served              // release, account
+	passed              // on to the next file
 )
 
 // read runs files (nil: a Read's one file) as a chain whose state comes from
@@ -201,6 +219,7 @@ func (fs *FS) read(p *sim.Proc, files []int, file, seeks int, bytes float64, hoo
 	if files == nil {
 		r.files = r.one[:]
 	}
+	_, r.gated = hook.(Gate)
 	for len(r.files) > 0 && !r.advance() {
 		if !p.Env().Due(r) {
 			p.Park() // the chain has gone back to the slab when p resumes
@@ -211,11 +230,11 @@ func (fs *FS) read(p *sim.Proc, files []int, file, seeks int, bytes float64, hoo
 	return p.Now() - start
 }
 
-// Wake continues the chain on Run's goroutine and, after the last read,
+// Wake continues the chain on Run's goroutine and, after the last file,
 // switches p back in, in place of the event that would have resumed it.
 func (r *reader) Wake() {
-	if r.step == ostHeld || r.step == backboneHeld {
-		r.p.Unblock() // woken holding the capacity it queued for
+	if r.step == ostHeld || r.step == backboneHeld || r.step == passed {
+		r.p.Unblock() // woken holding the capacity it queued for, or let through its gate
 	}
 	if r.advance() {
 		r.fs.free = append(r.fs.free, r)
@@ -223,19 +242,44 @@ func (r *reader) Wake() {
 	}
 }
 
-// advance runs the chain until it must wait — queued for capacity, or for a
-// wake-up it scheduled — and reports whether the last read is done. The
-// steps are a Read loop's, in its order, with its schedule calls.
+// reads returns how files[i] is read: as its gate says, or once.
+func (r *reader) reads() (probes, n int) {
+	if r.gated {
+		return r.hook.(Gate).Reads(r.id, r.files[r.i])
+	}
+	return 0, 1
+}
+
+// shape returns the addressing operations and payload of the read in
+// progress: a probe's, or the chain's.
+func (r *reader) shape() (int, float64) {
+	if r.probe {
+		return 1, 0
+	}
+	return r.seeks, r.bytes
+}
+
+// advance runs the chain until it must wait — queued for capacity or at a
+// gate, or for a wake-up it scheduled — and reports whether the last file is
+// done. The steps are a loop of Reads and gate passes, in its order, with its
+// schedule calls.
 func (r *reader) advance() bool {
 	fs, p, tr := r.fs, r.p, r.fs.env.Tracer()
 	for {
 		switch r.step {
 		case startRead:
+			probes, n := r.reads()
+			if r.rep == probes+n {
+				if r.step = passed; r.gated && !r.hook.(Gate).Pass(p, r, r.id, r.files[r.i]) {
+					return false
+				}
+				continue
+			}
 			// Queue at the storage target first; a reader waiting for a busy
 			// OST must not hold a backbone stream (head-of-line blocking
 			// would collapse aggregate bandwidth, which real parallel file
 			// systems avoid by queueing requests server-side).
-			r.start, r.osti = p.Now(), fs.OSTOf(r.files[r.i])
+			r.start, r.osti, r.probe = p.Now(), fs.OSTOf(r.files[r.i]), r.rep < probes
 			r.stalled, r.degraded, r.outage = 0, false, false
 			if r.step = ostHeld; !fs.osts[r.osti].Take(p, r) {
 				return false
@@ -259,8 +303,9 @@ func (r *reader) advance() bool {
 				tr.Instant("backbone", trace.CatOST, "throttled", r.tb,
 					trace.Arg{Key: "wait", Val: p.Now() - r.tb})
 			}
+			seeks, bytes := r.shape()
 			r.waited = p.Now() - r.start
-			r.service = float64(r.seeks)*fs.cfg.SeekTime + r.bytes*fs.cfg.ByteTime
+			r.service = float64(seeks)*fs.cfg.SeekTime + bytes*fs.cfg.ByteTime
 			r.step = windows
 			fallthrough
 		case windows:
@@ -299,37 +344,44 @@ func (r *reader) advance() bool {
 			return false
 		case served:
 			ost := fs.osts[r.osti]
+			seeks, bytes := r.shape()
 			if tr.Enabled() {
 				tr.Span(ost.Name, trace.CatOST, "service", r.tSrv, p.Now(),
-					trace.Arg{Key: "seeks", Val: float64(r.seeks)},
-					trace.Arg{Key: "bytes", Val: r.bytes})
+					trace.Arg{Key: "seeks", Val: float64(seeks)},
+					trace.Arg{Key: "bytes", Val: bytes})
 			}
 			if fs.backbone != nil {
 				fs.backbone.Release()
 			}
 			ost.Release()
 			fs.stats.Requests++
-			fs.stats.Seeks += r.seeks
-			fs.stats.BytesRead += r.bytes
+			fs.stats.Seeks += seeks
+			fs.stats.BytesRead += bytes
 			fs.stats.WaitTime += r.waited
 			fs.stats.ServiceTime += r.service
 			if reg := tr.Counters(); reg != nil {
 				reg.Inc("parfs.requests")
-				reg.Add("parfs.seeks", float64(r.seeks))
-				reg.Add("parfs.bytes", r.bytes)
+				reg.Add("parfs.seeks", float64(seeks))
+				reg.Add("parfs.bytes", bytes)
 				reg.Observe("parfs.wait", r.waited)
 				reg.Observe("parfs.service", r.service)
 			}
 			if fs.readObs != nil {
-				fs.readObs.OnRead(r.osti, r.bytes, r.start, r.waited+r.stalled, r.service, r.degraded, r.outage)
+				fs.readObs.OnRead(r.osti, bytes, r.start, r.waited+r.stalled, r.service, r.degraded, r.outage)
 			}
 			if r.hook != nil {
 				r.hook.ReadDone(r.id, r.start, p.Now())
 			}
+			if r.rep++; r.gated {
+				r.step = startRead // files[i] again, or its gate
+				continue
+			}
+			fallthrough
+		case passed:
 			if r.i++; r.i == len(r.files) {
 				return true
 			}
-			r.step = startRead
+			r.rep, r.step = 0, startRead
 		}
 	}
 }

@@ -10,7 +10,6 @@ import (
 	"slices"
 
 	"senkf/internal/faults"
-	"senkf/internal/parfs"
 	"senkf/internal/plan"
 	"senkf/internal/sim"
 	"senkf/internal/trace"
@@ -29,32 +28,33 @@ type recovery struct {
 // drops reports whether member k is unrecoverable and excluded from the run.
 func (rc *recovery) drops(k int) bool { return rc != nil && rc.pl.Drops(k) }
 
-// probe charges proc the retry probes of member k's file fault, if it has one
-// — the whole budget for an unrecoverable member, announced the first time —
-// and reports whether k is still read. The probes are paid every stage, where
-// core pays them once at open.
-func (rc *recovery) probe(proc *sim.Proc, fs *parfs.FS, k int) bool {
+// probes returns the retry probes member k's file fault costs a reader — the
+// whole budget for an unrecoverable member. The probes are paid every stage,
+// where core pays them once at open.
+func (rc *recovery) probes(k int) int {
 	if rc == nil {
-		return true
+		return 0
 	}
 	ff, ok := rc.pl.FaultFor(k)
-	if !ok {
-		return true
+	switch {
+	case !ok:
+		return 0
+	case rc.pl.Drops(k):
+		return rc.pl.Budget()
 	}
-	drop, probes := rc.pl.Drops(k), ff.Count
-	if drop {
-		probes = rc.pl.Budget()
+	return ff.Count
+}
+
+// drop announces unrecoverable member k, the first time a reader's probes of
+// it end.
+func (rc *recovery) drop(proc *sim.Proc, k int) {
+	if slices.Contains(rc.dropped, k) {
+		return
 	}
-	for a := 0; a < probes; a++ {
-		fs.Read(proc, k, 1, 0)
-	}
-	if drop && !slices.Contains(rc.dropped, k) {
-		rc.dropped = append(rc.dropped, k)
-		rc.tr.Counters().Inc("faults.members.dropped")
-		rc.tr.Instant(proc.Name, trace.CatFault, "member-dropped", proc.Now(),
-			trace.Arg{Key: "member", Val: float64(k)})
-	}
-	return !drop
+	rc.dropped = append(rc.dropped, k)
+	rc.tr.Counters().Inc("faults.members.dropped")
+	rc.tr.Instant(proc.Name, trace.CatFault, "member-dropped", proc.Now(),
+		trace.Arg{Key: "member", Val: float64(k)})
 }
 
 // adopt returns the dead rows of me's group of n readers that me serves at

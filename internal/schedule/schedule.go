@@ -376,8 +376,8 @@ type machine struct {
 	// process alone and sized for every phase its plan stages can record.
 	ledger []rankLedger
 
-	barriers []*sim.Barrier // per I/O group: keeps its readers on the same file (§4.1.3)
-	boxes    []*sim.Mailbox // per compute rank, when the plan has I/O ranks to notify it
+	groups []group        // per I/O group: keeps its readers on the same file (§4.1.3)
+	boxes  []*sim.Mailbox // per compute rank, when the plan has I/O ranks to notify it
 
 	end        float64 // final virtual time
 	firstStage float64 // instant compute rank 0 starts analysing stage 0
@@ -505,9 +505,9 @@ func simulate(cfg Config, cp *plan.Compiled, rc *recovery, predict *costmodel.Ch
 		// it is sized once for every notification the plan sends it (a row
 		// adopted under faults sends what its dead reader would have); L-EnKF's
 		// ranks wait for each block, and their mailboxes stay empty.
-		groups := cp.IO[n-1].Group + 1
-		for g := 0; g < groups; g++ {
-			m.barriers = append(m.barriers, sim.NewBarrier(env, fmt.Sprintf("grp%d", g), n/groups))
+		m.groups = make([]group, cp.IO[n-1].Group+1)
+		for g := range m.groups {
+			m.groups[g] = group{rc: rc, bar: sim.NewBarrier(env, fmt.Sprintf("grp%d", g), n/len(m.groups))}
 		}
 		depth := make([]int, cp.NumCompute())
 		for q := range cp.IO {
@@ -566,7 +566,7 @@ func (m *machine) ReadDone(r int, t0, t1 float64) { m.obs(r, metrics.PhaseRead, 
 // region from each member — one file at a time across the group — then pay
 // the sends, serialized at the sender's link, and notify every destination.
 func (m *machine) io(proc *sim.Proc, me *plan.IORank) {
-	p, bar := m.cfg.P, m.barriers[me.Group]
+	p, g := m.cfg.P, &m.groups[me.Group]
 	// The virtual time at the top of this stage (0, then the instant the last
 	// file barrier released) and of the one before: the same for every reader
 	// of the group, so all evaluate the death predicate alike.
@@ -577,28 +577,25 @@ func (m *machine) io(proc *sim.Proc, me *plan.IORank) {
 		// unless it is itself dead before the stage and leaves its barrier.
 		adopted, alive := m.rc.adopt(proc, me, m.cp.Spec.Dec.NSdy, st.Stage, tStage, tPrev)
 		if !alive {
-			bar.Leave()
+			g.bar.Leave()
 			return
 		}
 		rows := 1 + len(adopted)
-		// Read phase, once per served row. Seam, members: a faulted file
-		// costs its retry probes; a dropped one is not read.
-		barBytes := nominalBytes(st.Read.PointsAllLevels(), p.H)
-		live := 0
+		// Read phase: one chain over the members, the group its gate — a
+		// member's retry probes, its bar once per served row unless it is
+		// dropped, then the file barrier.
 		t0 := proc.Now()
-		for _, k := range st.Members {
-			if m.rc.probe(proc, m.fs, k) {
-				live++
-				for r := 0; r < rows; r++ {
-					m.fs.Read(proc, k, st.Read.AddrOps, barBytes)
-				}
-			}
-			bar.Wait(proc)
-		}
+		m.fs.ReadEach(proc, st.Members, st.Read.AddrOps, nominalBytes(st.Read.PointsAllLevels(), p.H), g, rows)
 		m.obs(me.Rank, metrics.PhaseRead, t0, proc.Now(), st.Stage)
 		tPrev, tStage = tStage, proc.Now()
 		// Comm phase: startup + transfer per destination of every served row,
 		// each send carrying its block of every live member and level.
+		live := 0
+		for _, k := range st.Members {
+			if !m.rc.drops(k) {
+				live++
+			}
+		}
 		sendBytes := nominalBytes(st.Comm.PerDstPoints*m.lv, p.H) * float64(live)
 		t0 = proc.Now()
 		proc.Sleep(float64(rows) * float64(len(st.Comm.Dsts)) * (p.A + p.B*sendBytes))
@@ -609,6 +606,31 @@ func (m *machine) io(proc *sim.Proc, me *plan.IORank) {
 			m.notify(proc, me, &m.cp.IOAt(me.Group, row).Stages[si])
 		}
 	}
+}
+
+// group is one I/O group's file barrier and the parfs.Gate of its readers'
+// read chains, whose id is the rows a reader serves. Seam, members: a faulted
+// file costs its retry probes; a dropped one is not read, and is announced
+// when its probes end.
+type group struct {
+	rc  *recovery
+	bar *sim.Barrier
+}
+
+func (g *group) Reads(rows, k int) (probes, n int) {
+	if g.rc.drops(k) {
+		rows = 0
+	}
+	return g.rc.probes(k), rows
+}
+
+func (g *group) ReadDone(int, float64, float64) {}
+
+func (g *group) Pass(proc *sim.Proc, w sim.Waker, _, k int) bool {
+	if g.rc.drops(k) {
+		g.rc.drop(proc, k)
+	}
+	return g.bar.Arrive(proc, w)
 }
 
 // notify tells each destination of st — a stage of me's own row or an adopted

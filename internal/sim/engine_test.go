@@ -178,6 +178,39 @@ func runChain(r *Resource, hold float64, rounds int) func(p *Proc) {
 	}
 }
 
+// barChain is a Waker working for p: rounds times it holds for hold seconds
+// of p's time and arrives at bar — queueing itself, if the round is not
+// complete — without switching p in; then it hands p back control.
+type barChain struct {
+	p      *Proc
+	bar    *Barrier
+	hold   float64
+	rounds int
+	queued bool
+}
+
+func (c *barChain) Wake() {
+	if c.queued { // the round was released
+		c.p.Unblock()
+		c.queued = false
+	} else if c.queued = !c.bar.Arrive(c.p, c); c.queued {
+		return
+	}
+	if c.rounds--; c.rounds == 0 {
+		c.p.Wake()
+		return
+	}
+	c.p.After(c.hold, c)
+}
+
+// runBarChain is a process body that hands rounds of bar to a chain and parks.
+func runBarChain(bar *Barrier, hold float64, rounds int) func(p *Proc) {
+	return func(p *Proc) {
+		p.After(hold, &barChain{p: p, bar: bar, hold: hold, rounds: rounds})
+		p.Park()
+	}
+}
+
 // TestFailedRunLeavesNoProcessBehind: a Run that gives up — deadlock, or a
 // wake-up in the past — used to leave every parked process blocked for ever.
 // Now it unwinds them: deferred calls and the spawn wrapper run, processes
@@ -193,7 +226,7 @@ func TestFailedRunLeavesNoProcessBehind(t *testing.T) {
 				fn()
 			}
 		})
-		mb, r, bar := NewMailbox(e, "empty"), NewResource(e, "disk", 1), NewBarrier(e, "gate", 2)
+		mb, r, bar, gate := NewMailbox(e, "empty"), NewResource(e, "disk", 1), NewBarrier(e, "gate", 2), NewBarrier(e, "files", 3)
 		e.Go("holder", func(p *Proc) { r.Acquire(p) })
 		e.Go("reader", func(p *Proc) {
 			defer func() { unwound = append(unwound, "defer:reader") }()
@@ -212,15 +245,23 @@ func TestFailedRunLeavesNoProcessBehind(t *testing.T) {
 			runChain(r, 1, 2)(p) // its chain queues behind the holder
 			t.Error("chained got past a chain nobody served")
 		})
+		e.Go("gated", func(p *Proc) {
+			defer func() { unwound = append(unwound, "defer:gated") }()
+			runBarChain(gate, 1, 2)(p) // its chain parks in a round nobody completes
+			t.Error("gated got past a barrier nobody completed")
+		})
 		_, err := e.Run()
 		var d *DeadlockError
-		if !errors.As(err, &d) || len(d.Blocked) != 4 {
-			t.Fatalf("expected a DeadlockError with 4 blocked processes, got %v", err)
+		if !errors.As(err, &d) || len(d.Blocked) != 5 {
+			t.Fatalf("expected a DeadlockError with 5 blocked processes, got %v", err)
 		}
 		if d.Blocked[0] != (BlockedProc{Name: "chained", WaitingOn: "resource:disk"}) {
 			t.Errorf("Blocked[0] = %+v, want chained on resource:disk", d.Blocked[0])
 		}
-		want := "wrap:holder defer:reader wrap:reader wrap:queued wrap:lonely defer:chained wrap:chained"
+		if d.Blocked[1] != (BlockedProc{Name: "gated", WaitingOn: "barrier:files"}) {
+			t.Errorf("Blocked[1] = %+v, want gated on barrier:files", d.Blocked[1])
+		}
+		want := "wrap:holder defer:reader wrap:reader wrap:queued wrap:lonely defer:chained wrap:chained defer:gated wrap:gated"
 		if got := strings.Join(unwound, " "); got != want {
 			t.Fatalf("unwound %q, want %q", got, want)
 		}
@@ -230,9 +271,16 @@ func TestFailedRunLeavesNoProcessBehind(t *testing.T) {
 	mb, r := NewMailbox(e, "empty"), NewResource(e, "disk", 1)
 	e.Go("reader", func(p *Proc) { mb.Recv(p) })
 	// Two chains in flight when time goes backwards: one holding the disk
-	// with its release due, one queued behind it.
+	// with its release due, one queued behind it; and one parked at a
+	// barrier whose other party is not due yet.
 	e.Go("holding", runChain(r, 10, 1))
 	e.Go("waiting", runChain(r, 10, 1))
+	bar := NewBarrier(e, "files", 2)
+	e.Go("gated", runBarChain(bar, 1, 1))
+	e.Go("late-party", func(p *Proc) {
+		p.Sleep(20)
+		bar.Wait(p)
+	})
 	e.Go("rewinder", func(p *Proc) {
 		p.Sleep(5)
 		e.Go("late", func(*Proc) { t.Error("a process scheduled after the failure ran") })
@@ -320,11 +368,38 @@ func TestEventsDoNotAllocate(t *testing.T) {
 			}
 		}
 	}
-	short, long := testing.AllocsPerRun(3, chains(10)), testing.AllocsPerRun(3, chains(100))
-	perEvent := (long - short) / (procs * 90 * 2)
-	t.Logf("chains: %.0f allocations at 10 rounds, %.0f at 100: %.4f per extra event", short, long, perEvent)
-	if perEvent >= 0.02 {
-		t.Errorf("chains: %.4f allocations per extra waker event (%.0f at 10 rounds, %.0f at 100), want < 0.02", perEvent, short, long)
+	// Chains at barriers: a hold, then an arrival that queues the chain
+	// unless it completes the round of its group of ten — 1.9 events per
+	// chain and round.
+	barChains := func(rounds int) func() {
+		return func() {
+			e := NewEnv()
+			var bar *Barrier
+			for i := 0; i < procs; i++ {
+				if i%10 == 0 {
+					bar = NewBarrier(e, "files", 10)
+				}
+				e.Go("p", runBarChain(bar, 0.001, rounds))
+			}
+			if _, err := e.Run(); err != nil {
+				panic(err)
+			}
+		}
+	}
+	for _, c := range []struct {
+		name     string
+		run      func(rounds int) func()
+		perRound float64 // events per chain and round
+	}{
+		{"chains", chains, 2},
+		{"barrier chains", barChains, 1.9},
+	} {
+		short, long := testing.AllocsPerRun(3, c.run(10)), testing.AllocsPerRun(3, c.run(100))
+		perEvent := (long - short) / (procs * 90 * c.perRound)
+		t.Logf("%s: %.0f allocations at 10 rounds, %.0f at 100: %.4f per extra event", c.name, short, long, perEvent)
+		if perEvent >= 0.02 {
+			t.Errorf("%s: %.4f allocations per extra waker event (%.0f at 10 rounds, %.0f at 100), want < 0.02", c.name, perEvent, short, long)
+		}
 	}
 	plain := testing.AllocsPerRun(3, contend(procs, 10, true, nil))
 	nilTracer := testing.AllocsPerRun(3, contend(procs, 10, true, func(e *Env) { e.SetTracer(nil) }))

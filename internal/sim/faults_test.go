@@ -1,6 +1,9 @@
 package sim
 
 import (
+	"errors"
+	"reflect"
+	"runtime"
 	"testing"
 )
 
@@ -92,6 +95,68 @@ func TestBarrierLeaveReleasesWaiters(t *testing.T) {
 	}
 	if released2 != 2 {
 		t.Errorf("leaver-first released %d, want 2", released2)
+	}
+}
+
+// TestBarrierLeaveReleasesWakerWaiters is TestBarrierLeaveReleasesWaiters
+// with chains queued at the barrier in place of parked processes.
+func TestBarrierLeaveReleasesWakerWaiters(t *testing.T) {
+	for _, leaverFirst := range []bool{false, true} {
+		env := NewEnv()
+		b := NewBarrier(env, "b", 3)
+		released := 0
+		if leaverFirst {
+			env.Go("leaver", func(p *Proc) { b.Leave() })
+		}
+		for i := 0; i < 2; i++ {
+			env.Go("w", func(p *Proc) {
+				runBarChain(b, 1, 1)(p) // arrives at t = 1
+				released++
+			})
+		}
+		if !leaverFirst {
+			env.Go("leaver", func(p *Proc) {
+				p.Sleep(2) // let both chains queue
+				b.Leave()
+			})
+		}
+		end, err := env.Run()
+		if err != nil {
+			t.Fatalf("leaver first %v: %v", leaverFirst, err)
+		}
+		if released != 2 || b.n != 2 || b.waiters.len() != 0 {
+			t.Errorf("leaver first %v: released %d, parties %d, %d still queued; want 2, 2, 0", leaverFirst, released, b.n, b.waiters.len())
+		}
+		if want := map[bool]float64{false: 2, true: 1}[leaverFirst]; end != want {
+			t.Errorf("leaver first %v: released at %g, want %g", leaverFirst, end, want)
+		}
+	}
+}
+
+// TestBarrierChainOneShortIsReportedAndUnwound: chains one arrival short of a
+// round are blocked on the barrier as far as Run can tell — the DeadlockError
+// names it — and the failed run leaves no goroutine behind.
+func TestBarrierChainOneShortIsReportedAndUnwound(t *testing.T) {
+	base := runtime.NumGoroutine()
+	env := NewEnv()
+	b := NewBarrier(env, "grp0", 3)
+	env.Go("r0", runBarChain(b, 1, 2))
+	env.Go("r1", runBarChain(b, 1, 2))
+	env.Go("r2", func(p *Proc) { // arrives for the first round only
+		p.Sleep(1)
+		b.Wait(p)
+	})
+	_, err := env.Run()
+	var d *DeadlockError
+	if !errors.As(err, &d) {
+		t.Fatalf("expected a DeadlockError, got %v", err)
+	}
+	want := []BlockedProc{{Name: "r0", WaitingOn: "barrier:grp0"}, {Name: "r1", WaitingOn: "barrier:grp0"}}
+	if !reflect.DeepEqual(d.Blocked, want) || d.Time != 2 {
+		t.Errorf("at t=%g Blocked = %+v, want %+v at t=2", d.Time, d.Blocked, want)
+	}
+	if n := settle(base); n > base {
+		t.Errorf("%d goroutines before, %d after: the failed run left its chains' processes behind", base, n)
 	}
 }
 

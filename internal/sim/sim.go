@@ -6,10 +6,14 @@
 // a barrier, and is switched back in when Run pops its wake-up from the
 // event heap. A switch is a direct hand-over on one OS thread — no wake-up,
 // no scheduler pass — and an event allocates nothing. An event wakes a
-// Waker: a process, or a step Run executes in place (internal/parfs's read
-// chains). Exactly one process (or Run) executes at any instant and wake-ups
-// are ordered by (time, schedule order) alone, so simulations are
-// deterministic and need no locks.
+// Waker: a process, or a step Run executes in place. A chain of such steps
+// works for a process without switching it in — it schedules wake-ups of
+// its own (After), queues at resources (Take) and barriers (Arrive) in the
+// process's name — and hands the process back control when it is done:
+// internal/parfs's read chains, which carry a P-EnKF rank's block reads and
+// an S-EnKF reader's whole I/O stage. Exactly one process (or Run) executes
+// at any instant and wake-ups are ordered by (time, schedule order) alone,
+// so simulations are deterministic and need no locks.
 //
 // The engine is the substrate on which the paper's 12,000-processor
 // experiments run: each simulated MPI rank is a process, disks are
@@ -254,8 +258,8 @@ func (p *Proc) Park() {
 	}
 }
 
-// Unblock ends the wait a queueing Take began: the process calls it when it
-// resumes, a Waker that queued for it when woken.
+// Unblock ends the wait a queueing Take, Arrive or Recv began: the process
+// calls it when it resumes, a Waker that queued for it when woken.
 func (p *Proc) Unblock() {
 	kind := p.waitKind
 	p.waitKind = ""
@@ -264,11 +268,10 @@ func (p *Proc) Unblock() {
 	}
 }
 
-// wait parks p blocked on the named object until its holder wakes it.
-func (p *Proc) wait(kind, name string) {
+// block records p as waiting, from now, on the named object, whose holder
+// wakes it: what a deadlock reports and Unblock ends.
+func (p *Proc) block(kind, name string) {
 	p.waitKind, p.waitName, p.waitFrom = kind, name, p.env.now
-	p.Park()
-	p.Unblock()
 }
 
 // After schedules a wake-up for w d seconds of p's time from now: d is
@@ -405,7 +408,7 @@ func (r *Resource) Take(p *Proc, w Waker) bool {
 	if r.env.tracer.Detail() {
 		r.env.tracer.Counter(r.Name, "queue", r.env.now, float64(r.waiters.len()))
 	}
-	p.waitKind, p.waitName, p.waitFrom = "resource", r.Name, r.env.now
+	p.block("resource", r.Name)
 	return false
 }
 
@@ -477,46 +480,60 @@ func (m *Mailbox) Recv(p *Proc) any {
 		return m.queue.pop()
 	}
 	m.recvq.push(p)
-	p.wait("mailbox", m.Name)
+	p.block("mailbox", m.Name)
+	p.Park()
+	p.Unblock()
 	v := p.handoff
 	p.handoff = nil
 	return v
 }
 
-// Barrier synchronizes a fixed set of n processes: every participant blocks
-// in Wait until all n have arrived, then all are released and the barrier
-// resets for the next round (a cyclic barrier).
+// Barrier synchronizes a fixed set of n participants: each arrival waits
+// until all n have arrived, then all are released and the barrier resets for
+// the next round (a cyclic barrier).
 type Barrier struct {
 	Name    string
 	env     *Env
 	n       int
 	arrived int
-	waiters fifo[*Proc]
+	waiters fifo[Waker]
 }
 
-// NewBarrier creates a cyclic barrier for n participants.
+// NewBarrier creates a cyclic barrier for n participants. Its queue is sized
+// for a round, so the barrier never regrows.
 func NewBarrier(e *Env, name string, n int) *Barrier {
 	if n <= 0 {
 		panic(fmt.Sprintf("sim: barrier %s with non-positive parties %d", name, n))
 	}
-	return &Barrier{Name: name, env: e, n: n}
+	return &Barrier{Name: name, env: e, n: n, waiters: fifo[Waker]{buf: make([]Waker, 0, n-1)}}
 }
 
-// Wait blocks p until all participants of the current round have arrived.
-func (b *Barrier) Wait(p *Proc) {
-	b.arrived++
-	if b.arrived == b.n {
+// Arrive counts p in to the current round and reports true if that completes
+// it: the round is released and p goes on. Otherwise it queues w, records p as
+// blocked on the barrier and reports false: the round's release wakes w.
+func (b *Barrier) Arrive(p *Proc, w Waker) bool {
+	if b.arrived++; b.arrived == b.n {
 		b.release()
-		return
+		return true
 	}
-	b.waiters.push(p)
-	p.wait("barrier", b.Name)
+	b.waiters.push(w)
+	p.block("barrier", b.Name)
+	return false
+}
+
+// Wait blocks p until all participants of the current round have arrived: an
+// Arrive, and a park if it queued.
+func (b *Barrier) Wait(p *Proc) {
+	if !b.Arrive(p, p) {
+		p.Park()
+		p.Unblock()
+	}
 }
 
 // Leave permanently removes one participant from the barrier — the hook a
 // dying process uses so its group does not deadlock waiting for it. If the
 // remaining participants have all already arrived, the round is released
-// immediately; the order of Leave and the last Wait does not matter.
+// immediately; the order of Leave and the last Arrive does not matter.
 func (b *Barrier) Leave() {
 	if b.n <= 1 {
 		panic(fmt.Sprintf("sim: barrier %s would be left with no participants", b.Name))
@@ -527,8 +544,8 @@ func (b *Barrier) Leave() {
 	}
 }
 
-// release ends the current round: every waiter wakes at the current time,
-// in arrival order.
+// release ends the current round: every queued Waker wakes at the current
+// time, in arrival order.
 func (b *Barrier) release() {
 	for b.waiters.len() > 0 {
 		b.env.schedule(b.env.now, b.waiters.pop())

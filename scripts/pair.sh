@@ -3,16 +3,24 @@
 # against this checkout — written to one JSON record (EXPERIMENTS.md,
 # "Wall-clock claims: paired alternating runs").
 #
-#   scripts/pair.sh <parent-rev> <workload>... [-pairs n] [-seed s] -out <file>
+#   scripts/pair.sh <parent-rev> <workload>... [-pairs n] [-seed s] [-trace k] -out <file>
 #   scripts/pair.sh -render <file>       # the record as markdown tables
 #   scripts/pair.sh -index <file>... >bench/wall/index.json
 #
-# The parent is checked out with `git worktree` under .bench_build/ and the
-# worktree is removed at exit. Each side builds its own binary with its own
+# The parent's tree is exported with `git archive` under .bench_build/ and
+# removed at exit. Each side builds its own binary with its own
 # benchmark/run.sh; pair i runs the parent first when i is odd, this checkout
 # first when it is even. Each run lasts the benchmark's default length, which
 # the record takes from the run's header line. Then scripts/text-parity.sh
 # runs on both binaries.
+#
+# -trace k adds, per workload, k alternating pairs of traced runs
+# (`run.sh --trace 1`) in a set of their own, marked "traced": per metric of
+# BENCHMARK.json's per_layer list that the traced runs print, each side's
+# runs, their quartiles, the pairs the change wins and the median ratio (> 1:
+# the change is better; null unless both medians are positive). k pairs are
+# too few for a verdict, and -index ignores traced sets; -render leaves out
+# the metrics that read 0 in every run.
 #
 # Per workload and end-to-end metric of BENCHMARK.json the record holds each
 # side's runs, their first quartile, median and third quartile (linear
@@ -57,6 +65,14 @@ def summary($d):
        elif $worse > $d.bound then "worse"
        elif ($pq[2] - $pq[0]) / $pq[1] > $d.bound then "unresolved"
        else "flat" end)};
+def layer($d):
+  .parent as $pv | .change as $cv | ($pv | quartiles) as $pq | ($cv | quartiles) as $cq
+  | (if $d.better == "lower" then 1 else -1 end) as $sign
+  | {parent: $pv, change: $cv, parent_q: $pq, change_q: $cq,
+     wins: ([$pv, $cv] | transpose | map(select($sign * (.[1] - .[0]) < 0)) | length),
+     ratio: (if $pq[1] <= 0 or $cq[1] <= 0 then null
+       elif $d.better == "lower" then $pq[1] / $cq[1] else $cq[1] / $pq[1] end),
+     better: $d.better, unit: $d.unit};
 '
 
 if [ "${1:-}" = "-render" ]; then
@@ -67,7 +83,7 @@ def num: if . == null then "—" elif (. | fabs) >= 100 then (. * 10 | round / 1
   else (. * 1000000 | round / 1000000 | tostring) end;
 def q: map(num) | join(" / ");
 "Parent \(.parent.rev) at `\(.parent.commit[0:7])`, change `\(.change.commit[0:7])`\(if .change.dirty then " plus uncommitted edits" else "" end); \(.go), nproc \(.nproc).",
-(.sets[] |
+(.sets[] | select(.traced | not) |
   "",
   "`\(.workload)`, seed \(.seed), \(.pairs) pairs of \(.seconds) s runs\(if .correct then ", every run correct with 0 failed ops" else ", NOT every run correct" end):",
   "",
@@ -78,6 +94,15 @@ def q: map(num) | join(" / ");
   "",
   (.metrics | to_entries[] | select(.value.verdict != "flat" or .key == "op_s_p05") |
     "`\(.key)` pairs, parent → change, in run order: \([.value.parent, .value.change] | transpose | map("\(.[0] | num)→\(.[1] | num)") | join(", "))."),
+  ""),
+(.sets[] | select(.traced) |
+  "",
+  "`\(.workload)`, seed \(.seed), \(.pairs) pairs of traced \(.seconds) s runs\(if .correct then ", every run correct with 0 failed ops" else ", NOT every run correct" end):",
+  "",
+  "| layer metric | unit | parent q1 / median / q3 | change q1 / median / q3 | wins | median ratio |",
+  "|---|---|---|---|---|---|",
+  (.layers | to_entries[] | select(.value.parent + .value.change | any(. != 0)) |
+    "| `\(.key)` | \(.value.unit) | \(.value.parent_q | q) | \(.value.change_q | q) | \(.value.wins)/\(.value.parent | length) | \(if .value.ratio == null then "—" else "\(.value.ratio * 1000 | round / 1000)×" end) |"),
   ""),
 "Text parity (`scripts/text-parity.sh`; address, size, address mod 64):",
 "",
@@ -93,12 +118,12 @@ if [ "${1:-}" = "-index" ]; then
     shift
     [ $# -ge 1 ] || { echo "usage: $0 -index <record.json>..." >&2; exit 2; }
     jq -n '
-def set($w): first(.sets[] | select(.workload == $w));
+def set($w): first(.sets[] | select(.workload == $w and (.traced | not)));
 [inputs | {record: (input_filename | split("/") | last | rtrimstr(".json")),
            parent: .parent.commit, change: .change.commit, dirty: .change.dirty, sets}]
 | . as $recs
 | {records: map({record, parent, change, dirty}),
-   workloads: ([.[].sets[].workload] | unique | map(. as $w | {key: $w, value: (
+   workloads: ([.[].sets[] | select(.traced | not) | .workload] | unique | map(. as $w | {key: $w, value: (
      first($recs[] | set($w)) | .metrics | keys_unsorted | map(. as $k | {key: $k, value:
        [foreach ($recs[] | select(set($w) != null)) as $r (1; . * ($r | set($w).metrics[$k].ratio);
          {record: $r.record, ratio: ($r | set($w).metrics[$k].ratio), index: .})]}) | from_entries)})
@@ -106,14 +131,15 @@ def set($w): first(.sets[] | select(.workload == $w));
     exit 0
 fi
 
-usage="usage: $0 <parent-rev> <workload>... [-pairs n] [-seed s] -out <file>"
+usage="usage: $0 <parent-rev> <workload>... [-pairs n] [-seed s] [-trace k] -out <file>"
 [ $# -ge 2 ] || { echo "$usage" >&2; exit 2; }
 rev=$1
 shift
-workloads=() pairs=10 seed=20190216 out=
+workloads=() pairs=10 seed=20190216 out= traced=0
 while [ $# -gt 0 ]; do
     case $1 in
     -pairs) pairs=$2; shift 2 ;;
+    -trace) traced=$2; shift 2 ;;
     -seed) seed=$2; shift 2 ;;
     -out) out=$2; shift 2 ;;
     -*) echo "$usage" >&2; exit 2 ;;
@@ -131,58 +157,80 @@ dirty=false
 
 tree="$root/.bench_build/pair-parent"
 runs="$root/.bench_build/pair-runs"
-mkdir -p "$root/.bench_build"
-git worktree remove --force "$tree" 2>/dev/null || rm -rf "$tree"
-git worktree add --detach "$tree" "$parent_commit" >/dev/null
-trap 'git -C "$root" worktree remove --force "$tree"' EXIT
+rm -rf "$tree" && mkdir -p "$tree"
+git archive "$parent_commit" | tar -x -C "$tree"
+trap 'rm -rf "$tree"' EXIT
 rm -rf "$runs" && mkdir -p "$runs"
 
-for w in "${workloads[@]}"; do
-    for i in $(seq 1 "$pairs"); do
+# pairs <workload> <n> <trace> <name>: n alternating pairs of runs with
+# --trace <trace>, written to $runs/<name>-<side>-<i>.{json,txt}.
+pairs() {
+    local w=$1 n=$2 tr=$3 name=$4 i side order dir
+    for i in $(seq 1 "$n"); do
         if [ $((i % 2)) = 1 ]; then order="parent change"; else order="change parent"; fi
         for side in $order; do
             dir=$root
             [ $side = parent ] && dir=$tree
-            echo "pair.sh: $w pair $i/$pairs, $side" >&2
+            echo "pair.sh: $name pair $i/$n, $side" >&2
             # A run that is not correct exits 1; its file still records it.
-            (cd "$dir" && bash benchmark/run.sh --workload "$w" --seed "$seed" \
-                --out "$runs/$w-$side-$i.json" >"$runs/$w-$side-$i.txt") || true
-            [ -f "$runs/$w-$side-$i.json" ] || { echo "pair.sh: $w $side run $i wrote no result" >&2; exit 1; }
+            (cd "$dir" && bash benchmark/run.sh --workload "$w" --seed "$seed" --trace "$tr" \
+                --out "$runs/$name-$side-$i.json" >"$runs/$name-$side-$i.txt") || true
+            [ -f "$runs/$name-$side-$i.json" ] || { echo "pair.sh: $name $side run $i wrote no result" >&2; exit 1; }
         done
     done
+}
+for w in "${workloads[@]}"; do
+    pairs "$w" "$pairs" 0 "$w"
+    if [ "$traced" -gt 0 ]; then pairs "$w" "$traced" 1 "$w-traced"; fi
 done
 
 parity() { "$root/scripts/text-parity.sh" "$1" | jq -R -s '
   [splits("\n") | select(length > 0) | capture("^(?<address>\\S+)\\s+(?<size>\\S+)\\s+(?<mod64>\\S+)\\s+(?<symbol>.*)$")] | .[1:]'; }
 
-sets=$(for w in "${workloads[@]}"; do
+# set_of <workload> <name> <n>: the set of the n pairs $runs/<name>-<side>-<i>,
+# traced if <name> is not the workload's.
+set_of() {
+    local w=$1 name=$2 n=$3 seconds
     # The header line: "workload <w>  seed <s>  seconds <t>  ...".
-    seconds=$(sed -n '1s/.*  seconds \([^ ]*\) .*/\1/p' "$runs/$w-change-1.txt")
-    jq -n --arg w "$w" --argjson seed "$seed" --argjson seconds "$seconds" --argjson pairs "$pairs" \
+    seconds=$(sed -n '1s/.*  seconds \([^ ]*\) .*/\1/p' "$runs/$name-change-1.txt")
+    jq -n --arg w "$w" --argjson traced "$([ "$name" = "$w" ] && echo false || echo true)" \
+        --argjson seed "$seed" --argjson seconds "$seconds" --argjson pairs "$n" \
         --slurpfile bench "$root/BENCHMARK.json" \
-        --slurpfile p <(for i in $(seq 1 "$pairs"); do cat "$runs/$w-parent-$i.json"; done) \
-        --slurpfile c <(for i in $(seq 1 "$pairs"); do cat "$runs/$w-change-$i.json"; done) "$stats"'
+        --slurpfile p <(for i in $(seq 1 "$n"); do cat "$runs/$name-parent-$i.json"; done) \
+        --slurpfile c <(for i in $(seq 1 "$n"); do cat "$runs/$name-change-$i.json"; done) "$stats"'
       ($p | map(.[$w])) as $p | ($c | map(.[$w])) as $c |
-      {workload: $w, seed: $seed, seconds: $seconds, pairs: $pairs,
-       correct: (($p + $c) | all(.correct and .failed == 0)),
-       metrics: ($bench[0].end_to_end | map(. as $d |
-         {key: $d.name, value: ({parent: ($p | map(.metrics[$d.name].value)),
-                                 change: ($c | map(.metrics[$d.name].value))} | summary($d))}) | from_entries)}'
-done | jq -s .)
+      def runs($d): {parent: ($p | map(.metrics[$d.name].value)), change: ($c | map(.metrics[$d.name].value))};
+      {workload: $w, seed: $seed, seconds: $seconds, pairs: $pairs}
+      + (if $traced then {traced: true} else {} end)
+      + {correct: (($p + $c) | all(.correct and .failed == 0))}
+      + if $traced then
+          {layers: ($bench[0].per_layer | map(. as $d | select(($p + $c) | all(.metrics[$d.name].value != null))
+            | {key: $d.name, value: (runs($d) | layer($d))}) | from_entries)}
+        else
+          {metrics: ($bench[0].end_to_end | map(. as $d | {key: $d.name, value: (runs($d) | summary($d))}) | from_entries)}
+        end'
+}
+# The sets and the record go through files: a traced set is larger than
+# one command-line argument may be.
+for w in "${workloads[@]}"; do
+    set_of "$w" "$w" "$pairs"
+    if [ "$traced" -gt 0 ]; then set_of "$w" "$w-traced" "$traced"; fi
+done | jq -s . >"$runs/sets.json"
 
-record=$(jq -n --arg rev "$rev" --arg pc "$parent_commit" --arg cc "$change_commit" --argjson dirty "$dirty" \
+jq -n --arg rev "$rev" --arg pc "$parent_commit" --arg cc "$change_commit" --argjson dirty "$dirty" \
     --arg go "$(go version | awk '{print $3}')" --argjson nproc "$(nproc)" \
     --argjson tp "$(parity "$tree/.bench_build/senkf-benchmark")" --argjson tc "$(parity "$root/.bench_build/senkf-benchmark")" \
-    --argjson sets "$sets" \
+    --slurpfile sets "$runs/sets.json" \
     '{go: $go, nproc: $nproc, parent: {rev: $rev, commit: $pc}, change: {commit: $cc, dirty: $dirty},
-      text_parity: {parent: $tp, change: $tc}, sets: $sets}')
+      text_parity: {parent: $tp, change: $tc}, sets: $sets[0]}' >"$runs/record.json"
 if [ -f "$out" ]; then
-    if ! jq -e --argjson r "$record" '.parent.commit == $r.parent.commit and .change == $r.change' "$out" >/dev/null; then
+    if ! jq -e --slurpfile r "$runs/record.json" '.parent.commit == $r[0].parent.commit and .change == $r[0].change' "$out" >/dev/null; then
         echo "pair.sh: $out records other commits; give another -out" >&2
         exit 1
     fi
-    record=$(jq --argjson r "$record" '.sets += $r.sets | .text_parity = $r.text_parity' "$out")
+    jq --slurpfile r "$runs/record.json" '.sets += $r[0].sets | .text_parity = $r[0].text_parity' "$out" >"$runs/merged.json"
+    mv "$runs/merged.json" "$runs/record.json"
 fi
 mkdir -p "$(dirname "$out")"
-jq . <<<"$record" >"$out"
+jq . "$runs/record.json" >"$out"
 "$0" -render "$out"
