@@ -43,7 +43,7 @@ func main() {
 		out    = flag.String("out", "", "optional directory to write the analysis ensemble to")
 		prPlan = flag.Bool("print-plan", false, "print the compiled per-rank execution plan and exit without running (no ensemble needed)")
 
-		faultsI   = flag.Float64("faults", 0, "inject a seeded fault plan of this intensity (0 = none, 1 = nominal)")
+		faultsI   = flag.Float64("faults", 0, "inject a seeded fault plan of this intensity (0 = none, 1 = nominal): its stragglers always; with -resilient also its reader deaths and transient/outage read retries; never its file damage (the run does not write to the ensemble)")
 		faultSeed = flag.Uint64("fault-seed", 1, "seed for the -faults plan")
 		stragSpec = flag.String("straggler", "", "inject one straggler, proc:factor (e.g. io/g0/r0:30)")
 	)
@@ -253,7 +253,7 @@ func main() {
 		fmt.Printf("S-EnKF: %d compute ranks + %d I/O ranks (%d groups, L=%d)\n",
 			plan.ComputeRanks(), plan.IORanks(), *ncg, *layers)
 		if *resil {
-			res, err := senkf.RunSEnKFResilient(problem, plan, senkf.Resilience{})
+			res, err := senkf.RunSEnKFResilient(problem, plan, senkf.Resilience{Faults: fp})
 			if err != nil {
 				sess.Fatal(fmt.Errorf("resilient S-EnKF: %w", err))
 			}
@@ -263,8 +263,12 @@ func main() {
 				for _, d := range res.Dropped {
 					fmt.Printf("  member %d dropped (%s)", d.Member, d.Reason)
 				}
-				fmt.Printf("; %d failovers; inflation reweighted to %.4f\n",
-					len(res.Failovers), res.EffectiveConfig.Inflation)
+				fmt.Printf("; %d failovers;", len(res.Failovers))
+				if len(res.Dropped) > 0 {
+					fmt.Printf(" inflation reweighted to %.4f\n", res.EffectiveConfig.Inflation)
+				} else {
+					fmt.Println(" inflation unchanged")
+				}
 			}
 		} else if analysis, err = senkf.RunSEnKF(problem, plan); err != nil {
 			sess.Fatal(err)

@@ -213,11 +213,13 @@ func execute(p plan.Problem, c *plan.Compiled, rc *recovery) ([][][]float64, err
 
 // engineIO is the body of one dedicated I/O rank: per stage, read the
 // stage's region from every member of the stage, then cut and send every
-// destination its block of every member.
+// destination its block of every member — for its own bar row and every dead
+// row it serves, in one read phase and one comm phase.
 func engineIO(comm *mpi.Comm, p plan.Problem, c *plan.Compiled, r plan.IORank, rc *recovery, t0 time.Time, sc *runtimeobs.Scope) error {
 	staged := c.Staged()
 	nl := c.Spec.LevelCount()
 	slow := p.Faults.SlowdownFor(r.Name)
+	fp := rc.faultPlan()
 
 	// Keep the rank's member files open across stages — each stage reads a
 	// different region of the same files.
@@ -232,7 +234,7 @@ func engineIO(comm *mpi.Comm, p plan.Problem, c *plan.Compiled, r plan.IORank, r
 	// into a drop code to agree on instead of a fatal error. A rank dead from
 	// the start opens nothing but still joins the agreement.
 	codes, opts := rc.reportCodes(c, r), rc.openOptions()
-	if !rc.dead(r, 0) {
+	if !fp.DeadAt(r.Group, r.Row, 0, 0) {
 		for _, k := range r.Members {
 			mf, err := openMember(p, k, nl, opts)
 			if err != nil {
@@ -253,36 +255,57 @@ func engineIO(comm *mpi.Comm, p plan.Problem, c *plan.Compiled, r plan.IORank, r
 		return err
 	}
 
-	// serve runs one stage of a bar row — the rank's own or an adopted one;
-	// either way the work, and so the spans and labels, are this rank's.
-	serve := func(st *plan.IOStage) error {
+	// A bar row served at a stage: the rank's own or an adopted one; either
+	// way the work, and so the spans and labels, are this rank's.
+	type served struct {
+		st       *plan.IOStage
+		boxes    []grid.Box
+		payloads [][][][]float64 // [member][dst][level]
+	}
+	for si := range r.Stages {
+		// Seam 3, rows served: the rank's own plus the dead rows it adopts,
+		// unless it is itself dead before the stage and leaves.
+		adopted, _, alive := c.Failover(p.Tr, fp, &r, r.Stages[si].Stage, time.Since(t0).Seconds(), 0, 0)
+		if !alive {
+			return nil
+		}
 		tag := -1
 		if staged {
-			tag = st.Stage
+			tag = r.Stages[si].Stage
 		}
-		return sc.Stage(tag, func() error {
-			// Read phase: the stage's contiguous region of each member — one
-			// addressing operation per member read (bar reading, §4.1.2),
-			// fetching every level of the stage rows at once on multilevel
-			// files (the level-interleaved layout's co-design) and decoding
-			// them straight into the payload of each destination and level.
-			readStart := time.Now()
-			boxes := make([]grid.Box, len(st.Comm.Dsts))
-			for di, dst := range st.Comm.Dsts {
-				boxes[di] = c.Compute[dst].Stages[st.Stage].Box
+		err := sc.Stage(tag, func() error {
+			// Declared in here, the one-row array stays on the stack.
+			var own [1]served
+			rows := append(own[:0], served{st: &r.Stages[si]})
+			for _, row := range adopted {
+				rows = append(rows, served{st: &c.IOAt(r.Group, row).Stages[si]})
 			}
-			payloads := make([][][][]float64, len(st.Members)) // [member][dst][level]
-			for mi, k := range st.Members {
-				if mem.pos(k) < 0 {
-					continue
+			// Read phase: the stage's contiguous region of each member, row
+			// by row — one addressing operation per member read (bar
+			// reading, §4.1.2), fetching every level of the stage rows at
+			// once on multilevel files (the level-interleaved layout's
+			// co-design) and decoding them straight into the payload of each
+			// destination and level.
+			readStart := time.Now()
+			for i := range rows {
+				sr := &rows[i]
+				sr.boxes = make([]grid.Box, len(sr.st.Comm.Dsts))
+				for di, dst := range sr.st.Comm.Dsts {
+					sr.boxes[di] = c.Compute[dst].Stages[sr.st.Stage].Box
 				}
-				mf := files[k]
-				if mf == nil {
-					return fmt.Errorf("core: reader %s lost member %d agreed as a survivor", r.Name, k)
-				}
-				var err error
-				if payloads[mi], err = mf.ReadBarBoxes(st.Read.Box.Y0, st.Read.Box.Y1, boxes); err != nil {
-					return err
+				sr.payloads = make([][][][]float64, len(sr.st.Members))
+				for mi, k := range sr.st.Members {
+					if mem.pos(k) < 0 {
+						continue
+					}
+					mf := files[k]
+					if mf == nil {
+						return fmt.Errorf("core: reader %s lost member %d agreed as a survivor", r.Name, k)
+					}
+					var err error
+					if sr.payloads[mi], err = mf.ReadBarBoxes(sr.st.Read.Box.Y0, sr.st.Read.Box.Y1, sr.boxes); err != nil {
+						return err
+					}
 				}
 			}
 			stretch(p, r.Name, t0, readStart, slow)
@@ -293,18 +316,20 @@ func engineIO(comm *mpi.Comm, p plan.Problem, c *plan.Compiled, r plan.IORank, r
 			// payload and its meta were cut for this one receiver, so both
 			// are handed over; the levels' metas share one allocation.
 			commStart := time.Now()
-			for mi, k := range st.Members {
-				if payloads[mi] == nil {
-					continue
-				}
-				for di, dst := range st.Comm.Dsts {
-					box := boxes[di]
-					metas := make([]int, 0, 5*len(payloads[mi][di]))
-					for lvl, payload := range payloads[mi][di] {
-						metas = append(metas, k, box.X0, box.X1, box.Y0, box.Y1)
-						meta := metas[len(metas)-5 : len(metas) : len(metas)]
-						if err := comm.SendOwned(dst, c.Spec.Tag(st.Stage, k, lvl), meta, payload); err != nil {
-							return err
+			for _, sr := range rows {
+				for mi, k := range sr.st.Members {
+					if sr.payloads[mi] == nil {
+						continue
+					}
+					for di, dst := range sr.st.Comm.Dsts {
+						box := sr.boxes[di]
+						metas := make([]int, 0, 5*len(sr.payloads[mi][di]))
+						for lvl, payload := range sr.payloads[mi][di] {
+							metas = append(metas, k, box.X0, box.X1, box.Y0, box.Y1)
+							meta := metas[len(metas)-5 : len(metas) : len(metas)]
+							if err := comm.SendOwned(dst, c.Spec.Tag(sr.st.Stage, k, lvl), meta, payload); err != nil {
+								return err
+							}
 						}
 					}
 				}
@@ -313,22 +338,8 @@ func engineIO(comm *mpi.Comm, p plan.Problem, c *plan.Compiled, r plan.IORank, r
 			observe(p, r.Name, metrics.PhaseComm, t0, commStart, time.Now(), tag)
 			return nil
 		})
-	}
-
-	for si := range r.Stages {
-		// Seam 3, rows served: the rank's own plus the dead rows it adopts,
-		// unless it is itself dead before the stage and leaves.
-		adopted, alive := rc.adopt(p, c, r, r.Stages[si].Stage, t0)
-		if !alive {
-			return nil
-		}
-		if err := serve(&r.Stages[si]); err != nil {
+		if err != nil {
 			return err
-		}
-		for _, row := range adopted {
-			if err := serve(&c.IOAt(r.Group, row).Stages[si]); err != nil {
-				return err
-			}
 		}
 	}
 	return nil

@@ -32,36 +32,18 @@ import (
 	"senkf/internal/trace"
 )
 
-// Resilience configures the hardened run.
+// Resilience configures the hardened run. Under it every member file is
+// opened with DefaultRetryBudget attempts and its payload checksum verified —
+// what turns silent corruption into a clean member drop — and the run aborts
+// when fewer than two members survive.
 type Resilience struct {
 	// Faults is the injected fault plan (nil runs the hardened schedule on
 	// a healthy system; the recovery machinery then only verifies).
 	Faults *faults.Plan
-	// Retry bounds per-operation read retries. A zero value defaults to
-	// the fault plan's retry budget with no backoff.
-	Retry ensio.RetryPolicy
-	// NoVerify skips payload-checksum verification at open. Verification
-	// is on by default: it is what converts silent corruption into a
-	// clean member drop.
-	NoVerify bool
-	// MinMembers aborts the run when fewer members survive (values below
-	// 2 mean 2 — an ensemble needs at least two members).
-	MinMembers int
 }
 
-func (r Resilience) retry() ensio.RetryPolicy {
-	if r.Retry.Attempts >= 1 || r.Retry.Backoff > 0 {
-		return r.Retry
-	}
-	return ensio.RetryPolicy{Attempts: r.Faults.Budget()}
-}
-
-func (r Resilience) minMembers() int {
-	if r.MinMembers < 2 {
-		return 2
-	}
-	return r.MinMembers
-}
+// minMembers is the smallest ensemble a run analyses.
+const minMembers = 2
 
 // DroppedMember records one member excluded from the analysis and why.
 type DroppedMember struct {
@@ -141,9 +123,8 @@ func classifyOpenError(err error) float64 {
 }
 
 // RunSEnKFResilient executes the S-EnKF schedule under the recovery policy r
-// describes. Unreadable members are dropped (not fatal) down to
-// Resilience.MinMembers; plan-declared reader deaths fail over to the
-// group's surviving readers.
+// describes. Unreadable members are dropped (not fatal) down to two;
+// plan-declared reader deaths fail over to the group's surviving readers.
 func RunSEnKFResilient(p Problem, pl Plan, r Resilience) (*DegradedResult, error) {
 	c, err := plan.Compile(pl.Spec(p.Cfg.N))
 	if err != nil {
@@ -201,28 +182,31 @@ type recovery struct {
 	agreed *membership // what world rank 0 agreed on, for the DegradedResult
 }
 
+// faultPlan returns the policy's fault plan, nil without a policy.
+func (rc *recovery) faultPlan() *faults.Plan {
+	if rc == nil {
+		return nil
+	}
+	return rc.Faults
+}
+
 // openOptions is seam 1: how member files are opened.
 func (rc *recovery) openOptions() ensio.OpenOptions {
 	if rc == nil {
 		return ensio.OpenOptions{}
 	}
-	return ensio.OpenOptions{Retry: rc.retry(), Hook: rc.Faults.EnsioHook(), Verify: !rc.NoVerify}
-}
-
-// dead reports whether the policy's fault plan kills I/O rank r before stage l.
-func (rc *recovery) dead(r plan.IORank, l int) bool {
-	return rc != nil && rc.Faults.DeadBeforeStage(r.Group, r.Row, l)
+	return ensio.OpenOptions{Attempts: faults.DefaultRetryBudget, Hook: rc.Faults.EnsioHook(), Verify: true}
 }
 
 // reportCodes returns the drop-code vector I/O rank r fills at the open seam:
 // nil unless r is the first reader of its group alive at stage 0, so exactly
 // one reader per group reports and the agreed sum is not multiplied by n_sdy.
 func (rc *recovery) reportCodes(c *plan.Compiled, r plan.IORank) []float64 {
-	if rc == nil || rc.dead(r, 0) {
+	if rc == nil || rc.Faults.DeadAt(r.Group, r.Row, 0, 0) {
 		return nil
 	}
 	for j := 0; j < r.Row; j++ {
-		if !rc.Faults.DeadBeforeStage(r.Group, j, 0) {
+		if !rc.Faults.DeadAt(r.Group, j, 0, 0) {
 			return nil
 		}
 	}
@@ -244,8 +228,8 @@ func (rc *recovery) agree(comm *mpi.Comm, p plan.Problem, c *plan.Compiled, t0 t
 	if err != nil {
 		return nil, p.Cfg, err
 	}
-	if len(m.survivors) < rc.minMembers() {
-		return nil, p.Cfg, fmt.Errorf("core: only %d of %d members readable (%d dropped) — need at least %d", len(m.survivors), p.Cfg.N, len(m.dropped), rc.minMembers())
+	if len(m.survivors) < minMembers {
+		return nil, p.Cfg, fmt.Errorf("core: only %d of %d members readable (%d dropped) — need at least %d", len(m.survivors), p.Cfg.N, len(m.dropped), minMembers)
 	}
 	m.cfg = effectiveConfig(p.Cfg, len(m.survivors))
 	if comm.Rank() == 0 {
@@ -280,31 +264,6 @@ func agreeMembership(comm *mpi.Comm, codes []float64) (*membership, error) {
 	return m, nil
 }
 
-// adopt is seam 3: the dead bar rows of r's group that r serves at stage l
-// besides its own — faults.Adopt's assignment, which every live reader derives
-// identically from the plan — and whether r itself is still alive.
-func (rc *recovery) adopt(p plan.Problem, c *plan.Compiled, r plan.IORank, l int, t0 time.Time) (rows []int, alive bool) {
-	if rc == nil || rc.Faults == nil {
-		return nil, true
-	}
-	// The predicate is stage-only: there is no virtual clock here for a
-	// time-based death to trigger on.
-	dead := func(row, l int) bool { return rc.Faults.DeadBeforeStage(r.Group, row, l) }
-	rows, fresh, alive := faults.Adopt(r.Row, c.Spec.Dec.NSdy, l, dead)
-	if !alive {
-		p.Tr.Counters().Inc("faults.rank.deaths")
-		p.Tr.Instant(r.Name, trace.CatFault, "rank-death", time.Since(t0).Seconds(),
-			trace.Arg{Key: trace.ArgStage, Val: float64(l)})
-		return nil, false
-	}
-	for _, row := range fresh {
-		p.Tr.Counters().Inc("faults.failovers")
-		p.Tr.Instant(r.Name, trace.CatFault, "failover", time.Since(t0).Seconds(),
-			trace.Arg{Key: "row", Val: float64(row)}, trace.Arg{Key: trace.ArgStage, Val: float64(l)})
-	}
-	return rows, true
-}
-
 // effectiveConfig shrinks the ensemble to the survivors and scales the
 // inflation so the analysis-spread loss from dropped members is
 // compensated: deviations are multiplied by sqrt((N−1)/(N′−1)), the factor
@@ -323,16 +282,15 @@ func effectiveConfig(cfg enkf.Config, effN int) enkf.Config {
 }
 
 // planFailovers derives the result's failover records from the fault plan:
-// each death's row goes to the reader that adopts it fresh at that stage.
+// each death's row goes to the reader that takes it over at that stage.
 func planFailovers(fp *faults.Plan, nsdy int) []Failover {
 	if fp == nil {
 		return nil
 	}
 	var out []Failover
 	for _, d := range fp.Deaths {
-		dead := func(row, l int) bool { return fp.DeadBeforeStage(d.Group, row, l) }
 		for to := 0; to < nsdy; to++ {
-			if _, fresh, _ := faults.Adopt(to, nsdy, d.BeforeStage, dead); slices.Contains(fresh, d.Reader) {
+			if _, fresh, _ := fp.Failover(d.Group, to, nsdy, d.BeforeStage, 0, 0); slices.Contains(fresh, d.Reader) {
 				out = append(out, Failover{Group: d.Group, FromReader: d.Reader, ToReader: to, Stage: d.BeforeStage})
 			}
 		}

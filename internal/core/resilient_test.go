@@ -235,21 +235,22 @@ func TestResilientMissingAndTruncated(t *testing.T) {
 }
 
 // TestResilientMinMembersFloor verifies the run aborts cleanly (no hang,
-// actionable error) when too few members survive.
+// actionable error) when fewer than two members survive: all but one member
+// file are missing.
 func TestResilientMinMembersFloor(t *testing.T) {
 	p, dec, _ := resilientSetup(t)
 	pl := Plan{Dec: dec, L: 3, NCg: 2}
-	for k := 0; k < 3; k++ {
+	for k := 1; k < p.Cfg.N; k++ {
 		if err := os.Remove(ensio.MemberPath(p.Dir, k)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	_, err := RunSEnKFResilient(p, pl, Resilience{MinMembers: p.Cfg.N - 2})
+	_, err := RunSEnKFResilient(p, pl, Resilience{})
 	if err == nil {
-		t.Fatal("run below MinMembers succeeded")
+		t.Fatal("run on one surviving member succeeded")
 	}
-	if !strings.Contains(err.Error(), "need at least") {
-		t.Errorf("unhelpful MinMembers error: %v", err)
+	if !strings.Contains(err.Error(), "need at least 2") {
+		t.Errorf("unhelpful member-floor error: %v", err)
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
-	"time"
 
 	"senkf/internal/grid"
 )
@@ -104,64 +103,6 @@ func assertNoTempFiles(t *testing.T, dir string) {
 	for _, e := range entries {
 		if ok, _ := filepath.Match(".*.tmp-*", e.Name()); ok {
 			t.Fatalf("staging temp file %s left behind", e.Name())
-		}
-	}
-}
-
-// TestRetryBackoffCap pins the capped exponential schedule: without
-// jitter the waits double up to MaxBackoff and stay there.
-func TestRetryBackoffCap(t *testing.T) {
-	r := RetryPolicy{Attempts: 8, Backoff: 10 * time.Millisecond, MaxBackoff: 40 * time.Millisecond}
-	want := []time.Duration{10, 20, 40, 40, 40}
-	for i, w := range want {
-		if got := r.wait(0, i+1); got != w*time.Millisecond {
-			t.Errorf("retry %d: wait %v, want %v", i+1, got, w*time.Millisecond)
-		}
-	}
-	// The default cap bounds the former unbounded doubling at 8×Backoff.
-	def := RetryPolicy{Attempts: 32, Backoff: time.Millisecond}
-	if got, limit := def.wait(0, 30), 8*time.Millisecond; got != limit {
-		t.Errorf("default cap: wait %v, want %v", got, limit)
-	}
-}
-
-// TestRetryBackoffJitterDeterministic pins the seeded jitter: same seed
-// replays the same waits, every wait stays within [base/2, base), and
-// different members desynchronize.
-func TestRetryBackoffJitterDeterministic(t *testing.T) {
-	r := RetryPolicy{Attempts: 5, Backoff: 16 * time.Millisecond, MaxBackoff: 64 * time.Millisecond, JitterSeed: 42}
-	base := []time.Duration{16, 32, 64, 64}
-	var first []time.Duration
-	for i := range base {
-		d := r.wait(3, i+1)
-		lo, hi := base[i]*time.Millisecond/2, base[i]*time.Millisecond
-		if d < lo || d >= hi {
-			t.Errorf("retry %d: jittered wait %v outside [%v, %v)", i+1, d, lo, hi)
-		}
-		first = append(first, d)
-	}
-	for i := range base {
-		if d := r.wait(3, i+1); d != first[i] {
-			t.Errorf("retry %d: jitter not deterministic: %v then %v", i+1, first[i], d)
-		}
-	}
-	diverged := false
-	for i := range base {
-		if r.wait(4, i+1) != first[i] {
-			diverged = true
-		}
-	}
-	if !diverged {
-		t.Error("jitter identical across members — seed not keyed by member")
-	}
-}
-
-// TestRetryWaitZeroBackoff keeps the test-friendly zero policy waitless.
-func TestRetryWaitZeroBackoff(t *testing.T) {
-	r := RetryPolicy{Attempts: 5, JitterSeed: 9}
-	for i := 1; i < 5; i++ {
-		if d := r.wait(0, i); d != 0 {
-			t.Fatalf("zero backoff policy waited %v", d)
 		}
 	}
 }

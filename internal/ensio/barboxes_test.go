@@ -187,7 +187,7 @@ func TestReadBarBoxesRetriesLikeReadBar(t *testing.T) {
 			}
 			return nil
 		}
-		m, err := OpenMemberOpts(path, OpenOptions{Retry: RetryPolicy{Attempts: attempts}, Hook: hook})
+		m, err := OpenMemberOpts(path, OpenOptions{Attempts: attempts, Hook: hook})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -16,7 +16,7 @@
 // Integrity and fault tolerance (format version 2): the header carries a
 // CRC-64 checksum of the payload, so single-bit corruption and silent
 // truncation are detected instead of silently assimilated; reads can be
-// wrapped with a bounded retry-with-backoff policy and a fault-injection
+// retried under a bounded attempt budget and pass a fault-injection
 // hook, so transient storage errors are survived and testable. Version-1
 // files (no checksum) remain readable.
 package ensio
@@ -32,7 +32,6 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
-	"time"
 
 	"senkf/internal/grid"
 )
@@ -220,65 +219,6 @@ func WriteEnsemble(dir string, m grid.Mesh, fields [][]float64) ([]string, error
 // fault plans use this to inject deterministic transient failures.
 type ReadHook func(op string, member, attempt int) error
 
-// RetryPolicy bounds retry-with-backoff for transient read errors.
-type RetryPolicy struct {
-	// Attempts is the total attempt budget per operation (first try
-	// included); values below 1 mean a single attempt (no retry).
-	Attempts int
-	// Backoff is the wait before the first retry; it doubles per retry up
-	// to MaxBackoff. Zero disables waiting (useful in tests).
-	Backoff time.Duration
-	// MaxBackoff caps the exponential growth of the per-retry wait; 0
-	// applies the default cap of 8×Backoff (the wait used to double
-	// unbounded, which under a large attempt budget turns a transient
-	// stall into a multi-minute one).
-	MaxBackoff time.Duration
-	// JitterSeed, when non-zero, scales every wait by a deterministic
-	// pseudo-random factor in [0.5, 1) keyed by (seed, member, retry):
-	// concurrent readers retrying the same storage target desynchronize
-	// instead of hammering it in lockstep, and a test seed replays the
-	// exact wait sequence.
-	JitterSeed uint64
-}
-
-func (r RetryPolicy) attempts() int {
-	if r.Attempts < 1 {
-		return 1
-	}
-	return r.Attempts
-}
-
-// wait returns the backoff before retry number `retry` (1-based) of an
-// operation on the given member: Backoff doubled per prior retry, capped,
-// then jittered when a seed is set.
-func (r RetryPolicy) wait(member, retry int) time.Duration {
-	if r.Backoff <= 0 || retry < 1 {
-		return 0
-	}
-	limit := r.MaxBackoff
-	if limit <= 0 {
-		limit = 8 * r.Backoff
-	}
-	d := r.Backoff
-	for i := 1; i < retry && d < limit; i++ {
-		d *= 2
-	}
-	if d > limit {
-		d = limit
-	}
-	if r.JitterSeed != 0 {
-		x := r.JitterSeed ^ uint64(member)<<32 ^ uint64(retry)
-		x += 0x9e3779b97f4a7c15
-		z := x
-		z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-		z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-		z ^= z >> 31
-		frac := float64(z>>11) / float64(1<<53) // uniform [0, 1)
-		d = time.Duration(float64(d) * (0.5 + 0.5*frac))
-	}
-	return d
-}
-
 // transient is the marker interface of retryable errors.
 type transient interface{ Transient() bool }
 
@@ -296,20 +236,23 @@ var ErrTruncated = errors.New("truncated or padded member file")
 // OpenOptions configures integrity and fault-tolerance behaviour of
 // OpenMemberOpts. The zero value matches OpenMember exactly.
 type OpenOptions struct {
-	Retry  RetryPolicy
-	Hook   ReadHook
-	Verify bool // verify the payload checksum before returning
+	// Attempts is the attempt budget of each read operation, the first
+	// included: a transient error is retried at once until it is spent.
+	// Values below 1 mean a single attempt.
+	Attempts int
+	Hook     ReadHook
+	Verify   bool // verify the payload checksum before returning
 }
 
 // MemberFile is an open member file with access accounting.
 type MemberFile struct {
-	Header  Header
-	path    string
-	f       *os.File
-	stats   IOStats
-	dataOff int64 // payload start: headerSizeV1 or headerSizeV2
-	retry   RetryPolicy
-	hook    ReadHook
+	Header   Header
+	path     string
+	f        *os.File
+	stats    IOStats
+	dataOff  int64 // payload start: headerSizeV1 or headerSizeV2
+	attempts int   // per read operation (OpenOptions.Attempts)
+	hook     ReadHook
 }
 
 // OpenMember opens and validates a member file (no retry, no checksum
@@ -342,7 +285,7 @@ func OpenMemberOpts(path string, o OpenOptions) (*MemberFile, error) {
 		f.Close()
 		return nil, err
 	}
-	m := &MemberFile{Header: h, path: path, f: f, dataOff: dataOff, retry: o.Retry, hook: o.Hook}
+	m := &MemberFile{Header: h, path: path, f: f, dataOff: dataOff, attempts: o.Attempts, hook: o.Hook}
 	if o.Verify {
 		if err := m.VerifyChecksum(); err != nil {
 			f.Close()
@@ -461,17 +404,13 @@ func (e *CorruptionError) Error() string {
 	return fmt.Sprintf("ensio: %s (member %d) payload checksum %016x, header says %016x — corrupted member file", e.Path, e.Member, e.Got, e.Want)
 }
 
-// withRetry runs op under the file's retry policy: transient errors are
-// retried with capped, optionally jittered exponential backoff until the
-// attempt budget is exhausted; permanent errors abort immediately.
+// withRetry runs op under the file's attempt budget: transient errors are
+// retried until it is spent; permanent errors abort immediately.
 func (m *MemberFile) withRetry(opName string, op func() error) error {
-	attempts := m.retry.attempts()
+	attempts := max(1, m.attempts)
 	var lastErr error
 	for a := 0; a < attempts; a++ {
 		if a > 0 {
-			if d := m.retry.wait(m.Header.Member, a); d > 0 {
-				time.Sleep(d)
-			}
 			m.stats.Retries++
 		}
 		err := m.attempt(opName, a, op)
@@ -529,7 +468,7 @@ var scratch = sync.Pool{New: func() any { return new([]byte) }}
 
 // fetch reads the count grid points starting at point offset off — every
 // level of each — with a single addressing operation, applying the hook and
-// retry policy. The bytes land in a scratch buffer, which the caller gives
+// attempt budget. The bytes land in a scratch buffer, which the caller gives
 // back with scratch.Put when it has decoded them.
 func (m *MemberFile) fetch(off, count int) (*[]byte, error) {
 	pointBytes := 8 * m.Header.LevelCount()

@@ -107,8 +107,8 @@ func TestRetryRecoversFromTransient(t *testing.T) {
 		return nil
 	}
 	m, err := OpenMemberOpts(path, OpenOptions{
-		Retry: RetryPolicy{Attempts: 3},
-		Hook:  hook,
+		Attempts: 3,
+		Hook:     hook,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -135,8 +135,8 @@ func TestRetryBudgetExhaustion(t *testing.T) {
 		return nil
 	}
 	m, err := OpenMemberOpts(path, OpenOptions{
-		Retry: RetryPolicy{Attempts: 3},
-		Hook:  hook,
+		Attempts: 3,
+		Hook:     hook,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -165,8 +165,8 @@ func TestPermanentErrorNotRetried(t *testing.T) {
 		return errors.New("permanent storage error")
 	}
 	m, err := OpenMemberOpts(path, OpenOptions{
-		Retry: RetryPolicy{Attempts: 5},
-		Hook:  hook,
+		Attempts: 5,
+		Hook:     hook,
 	})
 	if err != nil {
 		t.Fatal(err)

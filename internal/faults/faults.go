@@ -62,8 +62,8 @@ type FileFault struct {
 	Member int
 	Kind   FileFaultKind
 	// Count, for FileTransient, is how many attempts fail before a read
-	// succeeds. A Count at or above the reader's retry budget turns the
-	// transient fault into a permanent one (the member is dropped).
+	// succeeds. A Count at or above DefaultRetryBudget turns the transient
+	// fault into a permanent one (the member is dropped).
 	Count int
 	// Offset, for FileTruncated/FileCorrupt, is the payload byte offset of
 	// the damage; negative picks a seeded pseudo-random offset in Apply.
@@ -135,10 +135,6 @@ type Plan struct {
 	// Crash, when non-nil, is a whole-process kill at a cycle boundary
 	// (cycled experiments only; the per-analysis substrates ignore it).
 	Crash *CycleCrash
-	// RetryBudget is the number of read attempts the simulated schedule
-	// models before declaring a transient fault permanent; 0 means 3,
-	// matching DefaultRetryBudget.
-	RetryBudget int
 	// OSTs, when positive, lets the real execution map member files to
 	// storage targets the same way parfs does (file k lives on OST
 	// k mod OSTs): reads of members on an OST with an outage window then
@@ -147,16 +143,11 @@ type Plan struct {
 	OSTs int
 }
 
-// DefaultRetryBudget is the attempt budget assumed when RetryBudget is 0.
+// DefaultRetryBudget is the number of read attempts, the first included, a
+// reader makes before a transient fault counts as permanent: the real
+// engine's attempt count at open, and the probes the simulator charges an
+// unrecoverable member.
 const DefaultRetryBudget = 3
-
-// Budget returns the effective retry budget.
-func (pl *Plan) Budget() int {
-	if pl == nil || pl.RetryBudget <= 0 {
-		return DefaultRetryBudget
-	}
-	return pl.RetryBudget
-}
 
 // WindowAt returns the first window covering (ost, t), if any. Nil-safe.
 func (pl *Plan) WindowAt(ost int, t float64) (OSTWindow, bool) {
@@ -198,8 +189,7 @@ func (pl *Plan) FaultFor(member int) (FileFault, bool) {
 	return FileFault{}, false
 }
 
-// Drops reports whether member k is unrecoverable under the plan's retry
-// budget: missing, truncated or corrupt files, or transient faults whose
+// Drops reports whether member k is unrecoverable under the retry budget: missing, truncated or corrupt files, or transient faults whose
 // failing-attempt count meets the budget. Nil-safe.
 func (pl *Plan) Drops(member int) bool {
 	f, ok := pl.FaultFor(member)
@@ -207,7 +197,7 @@ func (pl *Plan) Drops(member int) bool {
 		return false
 	}
 	if f.Kind == FileTransient {
-		return f.Count >= pl.Budget()
+		return f.Count >= DefaultRetryBudget
 	}
 	return true
 }
@@ -235,7 +225,9 @@ func (pl *Plan) DeathFor(g, j int) (RankDeath, bool) {
 // virtual time t. Time-based deaths (At > 0) trigger at the first stage
 // boundary with t ≥ At; stage-based deaths trigger at BeforeStage. All
 // processors of a group evaluate this with the same (l, t), so the group
-// agrees on its live set without any communication. Nil-safe.
+// agrees on its live set without any communication. The real engine, which
+// has no virtual clock, asks at t = 0, where no time-based death triggers.
+// Nil-safe.
 func (pl *Plan) DeadAt(g, j, l int, t float64) bool {
 	d, ok := pl.DeathFor(g, j)
 	if !ok {
@@ -247,25 +239,13 @@ func (pl *Plan) DeadAt(g, j, l int, t float64) bool {
 	return l >= d.BeforeStage
 }
 
-// DeadBeforeStage is the stage-only death predicate used by the real
-// execution, which has no virtual clock: time-based deaths never trigger.
-func (pl *Plan) DeadBeforeStage(g, j, l int) bool {
-	d, ok := pl.DeathFor(g, j)
-	if !ok || d.At > 0 {
-		return false
-	}
-	return l >= d.BeforeStage
-}
-
-// Adopt is the failover assignment of one reader at one stage, the decision
-// both substrates share: the dead rows reader j of a group of n serves at
-// stage l besides its own, ascending — a dead row goes to the next live
-// reader cyclically after it — the ones among them that are fresh (dead at l
-// but not at l−1: the one stage a failover is announced and counted), and
-// whether j itself is alive; a dead reader serves nothing. dead(row, stage),
-// the group's death predicate — stage-only on the real engine, stage and
-// virtual time on the simulator — is the only input, so every live reader
-// derives the same assignment alone.
+// Adopt is the failover assignment of one reader at one stage: the dead rows
+// reader j of a group of n serves at stage l besides its own, ascending — a
+// dead row goes to the next live reader cyclically after it — the ones among
+// them that are fresh (dead at l but not at l−1: the one stage a failover is
+// announced and counted), and whether j itself is alive; a dead reader serves
+// nothing. dead(row, stage), the group's death predicate, is the only input,
+// so every live reader derives the same assignment alone.
 func Adopt(j, n, l int, dead func(row, stage int) bool) (rows, fresh []int, alive bool) {
 	if dead(j, l) {
 		return nil, nil, false
@@ -287,6 +267,20 @@ func Adopt(j, n, l int, dead func(row, stage int) bool) (rows, fresh []int, aliv
 		}
 	}
 	return rows, fresh, true
+}
+
+// Failover is the failover decision of I/O rank (g, j), one of n readers, at
+// stage l, the one both substrates take: Adopt under DeadAt, asked at the
+// virtual times the group's stages began — tStage for stage l, tPrev for
+// l−1. The real engine passes zeros; the simulator the instants its group's
+// file barriers released. Nil-safe.
+func (pl *Plan) Failover(g, j, n, l int, tStage, tPrev float64) (rows, fresh []int, alive bool) {
+	return Adopt(j, n, l, func(row, stage int) bool {
+		if stage < l {
+			return pl.DeadAt(g, row, stage, tPrev)
+		}
+		return pl.DeadAt(g, row, stage, tStage)
+	})
 }
 
 // Validate checks the plan against an S-EnKF geometry: ncg groups of nsdy

@@ -23,7 +23,7 @@ func TestNilPlanIsInert(t *testing.T) {
 	if pl.Drops(3) {
 		t.Error("nil plan drops a member")
 	}
-	if pl.DeadAt(0, 0, 0, 0) || pl.DeadBeforeStage(0, 0, 0) {
+	if pl.DeadAt(0, 0, 0, 0) {
 		t.Error("nil plan kills a rank")
 	}
 	if hook := pl.EnsioHook(); hook != nil {
@@ -71,12 +71,9 @@ func TestDeathPredicates(t *testing.T) {
 	if !pl.DeadAt(1, 0, 0, 5.0) {
 		t.Error("time-death did not fire at At")
 	}
-	// Real execution ignores time-based deaths.
-	if pl.DeadBeforeStage(1, 0, 99) {
-		t.Error("time-death fired in the stage-only predicate")
-	}
-	if !pl.DeadBeforeStage(0, 1, 2) {
-		t.Error("stage-death missing in stage-only predicate")
+	// Real execution asks at t = 0, where time-based deaths never fire.
+	if pl.DeadAt(1, 0, 99, 0) {
+		t.Error("time-death fired at t = 0")
 	}
 }
 

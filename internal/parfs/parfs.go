@@ -200,9 +200,8 @@ const (
 )
 
 // read runs files (nil: a Read's one file) as a chain whose state comes from
-// the slab, grown a block at a time. p's goroutine keeps the chain while each
-// wake-up it schedules is the next event; from the first that is not, Run
-// carries it and p parks until it ends.
+// the slab, grown a block at a time. p's goroutine runs the chain up to its
+// first wait; from there Run carries it and p parks until it ends.
 func (fs *FS) read(p *sim.Proc, files []int, file, seeks int, bytes float64, hook ReadHook, id int) float64 {
 	if seeks < 0 || bytes < 0 {
 		panic(fmt.Sprintf("parfs: invalid read (seeks=%d bytes=%g)", seeks, bytes))
@@ -220,11 +219,9 @@ func (fs *FS) read(p *sim.Proc, files []int, file, seeks int, bytes float64, hoo
 		r.files = r.one[:]
 	}
 	_, r.gated = hook.(Gate)
-	for len(r.files) > 0 && !r.advance() {
-		if !p.Env().Due(r) {
-			p.Park() // the chain has gone back to the slab when p resumes
-			return p.Now() - start
-		}
+	if len(r.files) > 0 && !r.advance() {
+		p.Park() // the chain has gone back to the slab when p resumes
+		return p.Now() - start
 	}
 	fs.free = append(fs.free, r)
 	return p.Now() - start

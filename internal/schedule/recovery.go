@@ -1,8 +1,10 @@
-// Recovery is a policy, not a second walk — the simulated mirror of core's
-// resilient.go, consulted by the io body at the seams core marks: the members
-// a run drops and their retry probes, the rows a reader adopts or the stage
-// it dies before, what a send carries. The nil policy — the baselines, the
-// ablations, a healthy machine — drops nothing, adopts nothing, kills nobody.
+// Recovery is a policy, not a second walk, consulted by the io body at the
+// seams core's resilient.go marks: the members a run drops and their retry
+// probes, the rows a reader adopts or the stage it dies before, what a send
+// carries. The failover decision and its record are core's too
+// (plan.Compiled.Failover); what differs by design is named in DESIGN ch. 9.
+// The nil policy — the baselines, the ablations, a healthy machine — drops
+// nothing, adopts nothing, kills nobody.
 
 package schedule
 
@@ -40,7 +42,7 @@ func (rc *recovery) probes(k int) int {
 	case !ok:
 		return 0
 	case rc.pl.Drops(k):
-		return rc.pl.Budget()
+		return faults.DefaultRetryBudget
 	}
 	return ff.Count
 }
@@ -57,32 +59,19 @@ func (rc *recovery) drop(proc *sim.Proc, k int) {
 		trace.Arg{Key: "member", Val: float64(k)})
 }
 
-// adopt returns the dead rows of me's group of n readers that me serves at
-// stage l besides its own — faults.Adopt's assignment, as in core, but under
-// the predicate that also honours time-based deaths, evaluated at the
-// group-agreed stage-top times — and whether me itself is alive.
-func (rc *recovery) adopt(proc *sim.Proc, me *plan.IORank, n, l int, tStage, tPrev float64) (rows []int, alive bool) {
+// adopt returns the dead rows of me's group that me serves at stage l
+// besides its own, and whether me itself is alive: the failover decision both
+// substrates take, recorded by plan's Failover, under the death predicate
+// asked at the group-agreed stage-top times — where time-based deaths, which
+// only the simulator has, trigger.
+func (rc *recovery) adopt(proc *sim.Proc, cp *plan.Compiled, me *plan.IORank, l int, tStage, tPrev float64) (rows []int, alive bool) {
 	if rc == nil {
 		return nil, true
 	}
-	rows, fresh, alive := faults.Adopt(me.Row, n, l, func(row, stage int) bool {
-		if stage < l {
-			return rc.pl.DeadAt(me.Group, row, stage, tPrev)
-		}
-		return rc.pl.DeadAt(me.Group, row, stage, tStage)
-	})
+	rows, fresh, alive := cp.Failover(rc.tr, rc.pl, me, l, proc.Now(), tStage, tPrev)
 	if !alive {
 		rc.deaths++
-		rc.tr.Counters().Inc("faults.rank.deaths")
-		rc.tr.Instant(proc.Name, trace.CatFault, "rank-death", proc.Now(),
-			trace.Arg{Key: trace.ArgStage, Val: float64(l)})
-		return nil, false
 	}
-	for _, row := range fresh {
-		rc.failovers++
-		rc.tr.Counters().Inc("faults.failovers")
-		rc.tr.Instant(proc.Name, trace.CatFault, "failover", proc.Now(),
-			trace.Arg{Key: "row", Val: float64(row)}, trace.Arg{Key: trace.ArgStage, Val: float64(l)})
-	}
-	return rows, true
+	rc.failovers += fresh
+	return rows, alive
 }

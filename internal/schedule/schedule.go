@@ -575,7 +575,7 @@ func (m *machine) io(proc *sim.Proc, me *plan.IORank) {
 		st := &me.Stages[si]
 		// Seam, rows served: the reader's own plus the dead rows it adopts,
 		// unless it is itself dead before the stage and leaves its barrier.
-		adopted, alive := m.rc.adopt(proc, me, m.cp.Spec.Dec.NSdy, st.Stage, tStage, tPrev)
+		adopted, alive := m.rc.adopt(proc, m.cp, me, st.Stage, tStage, tPrev)
 		if !alive {
 			g.bar.Leave()
 			return

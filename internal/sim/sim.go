@@ -131,9 +131,8 @@ type Env struct {
 	seq    uint64
 	events eventHeap
 
-	live     int     // processes started and not finished
-	procs    []*Proc // every process, in spawn order
-	stopping bool    // Run has failed and is unwinding what is left
+	live  int     // processes started and not finished
+	procs []*Proc // every process, in spawn order
 
 	slowdown  func(name string) float64           // per-process sleep multiplier (nil = none)
 	spawnWrap func(name string, fn func()) func() // per-process body wrapper (nil = none)
@@ -228,17 +227,6 @@ func (e *Env) schedule(t float64, w Waker) {
 	e.events.push(event{at: t, seq: e.seq, w: w})
 }
 
-// Due pops w's wake-up if it is the head of the heap, which Run would pop
-// next, and reports whether it did: the caller then runs what w would, at the
-// same point of the sequence, without a round trip through Run.
-func (e *Env) Due(w Waker) bool {
-	if len(e.events) > 0 && e.events[0].w == w && e.events[0].at >= e.now && !e.stopping {
-		e.now = e.events.pop().at
-		return true
-	}
-	return false
-}
-
 // Wake switches p in until it next parks: Run calls it for p's wake-ups, a
 // Waker working for p in place of one, to hand p back control.
 func (p *Proc) Wake() {
@@ -247,12 +235,8 @@ func (p *Proc) Wake() {
 	}
 }
 
-// Park suspends the calling process until it is woken. A wake-up of its own
-// at the head of the heap it pops itself (Due) and keeps running.
+// Park suspends the calling process until it is woken.
 func (p *Proc) Park() {
-	if p.env.Due(p) {
-		return
-	}
 	if !p.yield(struct{}{}) {
 		panic(stopped{})
 	}
@@ -367,7 +351,6 @@ func (e *Env) Run() (float64, error) {
 // wait a deferred call attempts on the way; one that never started never
 // will; a finished one is left alone.
 func (e *Env) stopAll() {
-	e.stopping = true
 	for _, p := range e.procs {
 		p.stop()
 	}

@@ -901,3 +901,152 @@ func ioRankNamed(c *CompiledPlan, name string) *plan.IORank {
 	}
 	return nil
 }
+
+// TestEveryReaderDeathRecoversAlike widens TestRealAndSimulatedRecoveryAgree
+// to every stage-based reader death and every pair of them on its geometry,
+// with its missing and corrupt member in every run. Each run must emit the
+// same rank-death and failover instants on both substrates, drop the same
+// members, and leave equal structural DAGs: an adopting reader spends each
+// stage in one read and one comm span, whatever number of rows it serves.
+// No pair empties a group of three readers, so each group's whole-group
+// triple is run too, for Validate's error on both substrates.
+func TestEveryReaderDeathRecoversAlike(t *testing.T) {
+	const (
+		members = 8
+		nsdx    = 4
+		nsdy    = 3
+		layers  = 2
+		ncg     = 2
+	)
+	mesh, err := NewMesh(48, 24)
+	if err != nil {
+		t.Fatal(err)
+	}
+	radius, err := NewRadius(4, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	truth := GenerateTruth(mesh, DefaultFieldSpec, 11)
+	ens, err := GenerateEnsemble(mesh, truth, members, 1.5, 11)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if _, err := WriteEnsemble(dir, mesh, ens); err != nil {
+		t.Fatal(err)
+	}
+	net, err := NewStridedNetwork(mesh, truth, 3, 3, 0.01, 11)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dec, err := NewDecomposition(mesh, nsdx, nsdy, radius)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fileFaults := []FileFault{
+		{Member: 3, Kind: faults.FileMissing},
+		{Member: 6, Kind: faults.FileCorrupt},
+	}
+	if err := (&FaultPlan{FileFaults: fileFaults}).Apply(dir); err != nil {
+		t.Fatal(err)
+	}
+	wantDropped := []int{3, 6}
+
+	var deaths []RankDeath
+	for g := 0; g < ncg; g++ {
+		for r := 0; r < nsdy; r++ {
+			for l := 0; l < layers; l++ {
+				deaths = append(deaths, RankDeath{Group: g, Reader: r, BeforeStage: l})
+			}
+		}
+	}
+	var runs [][]RankDeath
+	for i, a := range deaths {
+		runs = append(runs, []RankDeath{a})
+		for _, b := range deaths[i+1:] {
+			if a.Group != b.Group || a.Reader != b.Reader {
+				runs = append(runs, []RankDeath{a, b})
+			}
+		}
+	}
+	for g := 0; g < ncg; g++ {
+		runs = append(runs, []RankDeath{{Group: g, Reader: 0}, {Group: g, Reader: 1, BeforeStage: 1}, {Group: g, Reader: 2}})
+	}
+
+	// The rank-death and failover instants of a run, in a comparable form.
+	type instant struct {
+		track, name string
+		row, stage  int
+	}
+	instants := func(events []TraceEvent) []instant {
+		var out []instant
+		for _, ev := range events {
+			if ev.Cat != trace.CatFault || (ev.Name != "rank-death" && ev.Name != "failover") {
+				continue
+			}
+			in := instant{track: ev.Track, name: ev.Name, row: -1}
+			if v, ok := ev.ArgValue("row"); ok {
+				in.row = int(v)
+			}
+			if v, ok := ev.ArgValue(trace.ArgStage); ok {
+				in.stage = int(v)
+			}
+			out = append(out, in)
+		}
+		sort.Slice(out, func(i, j int) bool {
+			a, b := out[i], out[j]
+			if a.track != b.track {
+				return a.track < b.track
+			}
+			if a.name != b.name {
+				return a.name < b.name
+			}
+			return a.row < b.row
+		})
+		return out
+	}
+
+	for _, ds := range runs {
+		fp := &FaultPlan{Deaths: ds, FileFaults: fileFaults}
+		realBuf, simBuf := trace.NewBuffer(), trace.NewBuffer()
+		res, realErr := RunSEnKFResilient(
+			Problem{Cfg: Config{Mesh: mesh, Radius: radius, N: members, Seed: 11}, Dir: dir, Net: net, Tr: NewWallTracer(realBuf)},
+			Plan{Dec: dec, L: layers, NCg: ncg}, Resilience{Faults: fp})
+		simRes, simErr := schedule.SimulateSEnKF(schedule.Config{
+			P: costmodel.Params{
+				N: members, NX: 48, NY: 24,
+				A: 1e-6, B: 1e-9, C: 1e-6,
+				Theta: 1e-9, Xi: 4, Eta: 2, H: 8,
+			},
+			FS:     parfs.Config{OSTs: 2, ConcurrencyPerOST: 2, SeekTime: 1e-4, ByteTime: 1e-9, BackboneStreams: 4},
+			Tracer: trace.New(nil, simBuf),
+			Faults: fp,
+		}, costmodel.Choice{NSdx: nsdx, NSdy: nsdy, L: layers, NCg: ncg})
+
+		if len(ds) == nsdy {
+			verr := fp.Validate(ncg, nsdy, layers, members, 0)
+			if verr == nil || realErr == nil || simErr == nil ||
+				realErr.Error() != verr.Error() || simErr.Error() != verr.Error() {
+				t.Errorf("deaths %v empty a group: Validate %v, real %v, simulated %v", ds, verr, realErr, simErr)
+			}
+			continue
+		}
+		if realErr != nil || simErr != nil {
+			t.Fatalf("deaths %v: real %v, simulated %v", ds, realErr, simErr)
+		}
+		var realDropped []int
+		for _, d := range res.Dropped {
+			realDropped = append(realDropped, d.Member)
+		}
+		if !reflect.DeepEqual(realDropped, wantDropped) || !reflect.DeepEqual(simRes.DroppedMembers, wantDropped) {
+			t.Errorf("deaths %v: dropped members: real %v, simulated %v, want %v", ds, realDropped, simRes.DroppedMembers, wantDropped)
+		}
+		realEvents, simEvents := realBuf.Events(), simBuf.Events()
+		if got, want := instants(realEvents), instants(simEvents); !reflect.DeepEqual(got, want) || len(got) < 2*len(ds) {
+			t.Errorf("deaths %v: fault instants: real %v, simulated %v", ds, got, want)
+		}
+		if err := DiffDAG(TraceDAG(realEvents), TraceDAG(simEvents)); err != nil {
+			t.Errorf("deaths %v: real vs simulated DAG: %v", ds, err)
+		}
+	}
+}

@@ -407,8 +407,6 @@ type (
 	DegradedResult = core.DegradedResult
 	// DroppedMember records one member excluded from a degraded analysis.
 	DroppedMember = core.DroppedMember
-	// RetryPolicy bounds ensio read retries with exponential backoff.
-	RetryPolicy = ensio.RetryPolicy
 	// EnsembleInfo describes an on-disk ensemble directory.
 	EnsembleInfo = ensio.DirInfo
 )
@@ -421,10 +419,10 @@ func GenerateFaultPlan(seed uint64, intensity float64, g FaultGeometry) *FaultPl
 }
 
 // RunSEnKFResilient executes S-EnKF hardened against I/O failures:
-// unreadable or corrupted members are dropped (down to Resilience.MinMembers)
-// with a variance-preserving inflation reweighting, plan-declared reader
-// deaths fail over inside their concurrent group, and transient read errors
-// are retried with backoff. See DegradedResult for what comes back.
+// unreadable or corrupted members are dropped (down to two) with a
+// variance-preserving inflation reweighting, plan-declared reader deaths fail
+// over inside their concurrent group, and transient read errors are retried
+// at once, up to three attempts. See DegradedResult for what comes back.
 func RunSEnKFResilient(p Problem, pl Plan, r Resilience) (*DegradedResult, error) {
 	return core.RunSEnKFResilient(p, pl, r)
 }
