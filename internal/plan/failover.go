@@ -13,6 +13,13 @@ import (
 // per dead row it takes over at l. It returns the dead rows r serves at l
 // besides its own, how many of them it took over at l, and whether r is
 // alive. A nil fp kills nobody and records nothing.
+//
+// Three differences between the substrates' recovery stay by design
+// (DESIGN ch. 9): time-based deaths exist only in the simulator, whose
+// stage-top times are virtual, while the real engine passes zeros; the
+// simulator charges a faulted member's retry probes every stage, while core
+// pays them once, at open; and the real engine announces member-dropped on
+// compute rank 0, the simulator on the reader.
 func (c *Compiled) Failover(tr *trace.Tracer, fp *faults.Plan, r *IORank, l int, now, tStage, tPrev float64) (rows []int, fresh int, alive bool) {
 	if fp == nil {
 		return nil, 0, true
