@@ -106,20 +106,31 @@ func log2p1(x float64) float64 { return math.Log2(1 + x) }
 // TRead is Eq. (7): the cost of one stage of concurrent-group bar reading.
 // Each of the n_sdy processors in each of the n_cg groups reads a small bar
 // of (n_y/(n_sdy·L) + 2η)·n_x points from each of its N/n_cg files.
-func (p Params) TRead(c Choice) float64 {
+func (p Params) TRead(c Choice) float64 { return p.tRead(c, readDepth(c)) }
+
+// readDepth is Eq. (7)'s collective-depth factor: it depends on n_cg and
+// n_sdy alone, so a sweep over L computes it once.
+func readDepth(c Choice) float64 { return log2p1(float64(c.NCg * c.NSdy)) }
+
+func (p Params) tRead(c Choice, depth float64) float64 {
 	rows := float64(p.NY)/(float64(c.NSdy)*float64(c.L)) + 2*float64(p.Eta)
 	perFile := rows * float64(p.NX) * p.BytesPerPoint() * p.Theta
-	return perFile * float64(p.N) / float64(c.NCg) * log2p1(float64(c.NCg*c.NSdy))
+	return perFile * float64(p.N) / float64(c.NCg) * depth
 }
 
 // TComm is Eq. (8): each I/O processor feeds n_sdx compute processors with
 // block messages of (n_y/(n_sdy·L)+2η)·(n_x/n_sdx+2ξ)·N/n_cg points.
-func (p Params) TComm(c Choice) float64 {
+func (p Params) TComm(c Choice) float64 { return p.tComm(c, commDepth(c)) }
+
+// commDepth is Eq. (8)'s depth factor log(n_cg + 1), which already includes
+// the +1: it depends on n_cg alone.
+func commDepth(c Choice) float64 { return math.Log2(float64(c.NCg) + 1) }
+
+func (p Params) tComm(c Choice, depth float64) float64 {
 	rows := float64(p.NY)/(float64(c.NSdy)*float64(c.L)) + 2*float64(p.Eta)
 	cols := float64(p.NX)/float64(c.NSdx) + 2*float64(p.Xi)
 	bytes := rows * cols * float64(p.N) / float64(c.NCg) * p.BytesPerPoint()
-	// Eq. (8)'s depth factor log(n_cg + 1) already includes the +1.
-	return float64(c.NSdx) * math.Log2(float64(c.NCg)+1) * (p.A + p.B*bytes)
+	return float64(c.NSdx) * depth * (p.A + p.B*bytes)
 }
 
 // TComp is Eq. (9): local analysis cost of one layer — run once per
@@ -322,15 +333,36 @@ func (p Params) t1CurveFast(c2, maxC1 int) []CurvePoint {
 // T1CurveConstrained is the fast T1 curve restricted to choices allowed by
 // tc; with zero constraints it matches the literal T1Curve.
 func (p Params) T1CurveConstrained(c2, maxC1 int, tc TuneConstraints) []CurvePoint {
-	type bestAt struct {
-		t1 float64
-		ch Choice
-		ok bool
+	return p.t1Curve(c2, maxC1, tc, p.curveDivisors())
+}
+
+// curveDivisors are the divisor lists every T1 curve of a sweep enumerates:
+// computed once per sweep, not once per compute cost.
+type curveDivisors struct {
+	groups []int   // n_cg: the divisors of N
+	rows   []int   // n_sdy: the divisors of NY
+	layers [][]int // layers[k]: the divisors of NY / rows[k], the L a strip of rows[k] admits
+}
+
+func (p Params) curveDivisors() curveDivisors {
+	d := curveDivisors{groups: divisors(p.N), rows: divisors(p.NY)}
+	for _, nsdy := range d.rows {
+		d.layers = append(d.layers, divisors(p.NY/nsdy))
 	}
-	best := map[int]*bestAt{}
+	return d
+}
+
+// bestAt is the least T1 found so far at one C1.
+type bestAt struct {
+	t1 float64
+	ch Choice
+}
+
+// t1Curve is T1CurveConstrained over divisor lists computed beforehand.
+func (p Params) t1Curve(c2, maxC1 int, tc TuneConstraints, d curveDivisors) []CurvePoint {
+	best := map[int]bestAt{}
 	var c1s []int
-	groups := divisors(p.N)
-	for _, nsdy := range divisors(p.NY) {
+	for k, nsdy := range d.rows {
 		if c2%nsdy != 0 {
 			continue
 		}
@@ -338,28 +370,24 @@ func (p Params) T1CurveConstrained(c2, maxC1 int, tc TuneConstraints) []CurvePoi
 		if p.NX%nsdx != 0 {
 			continue
 		}
-		layers := divisors(p.NY / nsdy)
-		for _, ncg := range groups {
+		for _, ncg := range d.groups {
 			c1 := ncg * nsdy
 			if c1 > maxC1 {
 				continue
 			}
-			for _, l := range layers {
+			read, comm := readDepth(Choice{NSdy: nsdy, NCg: ncg}), commDepth(Choice{NCg: ncg})
+			for _, l := range d.layers[k] {
 				if !tc.allows(l, ncg) {
 					continue
 				}
 				ch := Choice{NSdx: nsdx, NSdy: nsdy, L: l, NCg: ncg}
-				t1 := p.T1(ch)
-				b := best[c1]
-				if b == nil {
-					b = &bestAt{}
-					best[c1] = b
+				t1 := p.tRead(ch, read) + p.tComm(ch, comm) // T1, its depths taken once per n_cg
+				b, ok := best[c1]
+				if !ok {
 					c1s = append(c1s, c1)
 				}
-				if !b.ok || t1 < b.t1 {
-					b.ok = true
-					b.t1 = t1
-					b.ch = ch
+				if !ok || t1 < b.t1 {
+					best[c1] = bestAt{t1: t1, ch: ch}
 				}
 			}
 		}
@@ -368,8 +396,7 @@ func (p Params) T1CurveConstrained(c2, maxC1 int, tc TuneConstraints) []CurvePoi
 	var curve []CurvePoint
 	bestSoFar := math.Inf(1)
 	for _, c1 := range c1s {
-		b := best[c1]
-		if b.ok && b.t1 < bestSoFar {
+		if b := best[c1]; b.t1 < bestSoFar {
 			bestSoFar = b.t1
 			curve = append(curve, CurvePoint{C1: c1, T1: b.t1, Choice: b.ch})
 		}
@@ -407,15 +434,15 @@ func (p Params) autoTuneConstrained(np int, eps float64, tc TuneConstraints, rec
 	var best Tuned
 	found := false
 	seen := map[int]bool{}
-	xs := divisors(p.NX)
-	for _, nsdy := range divisors(p.NY) {
+	xs, d := divisors(p.NX), p.curveDivisors()
+	for _, nsdy := range d.rows {
 		for _, nsdx := range xs {
 			c2 := nsdx * nsdy
 			if c2 >= np || seen[c2] {
 				continue
 			}
 			seen[c2] = true
-			curve := p.T1CurveConstrained(c2, np-c2, tc)
+			curve := p.t1Curve(c2, np-c2, tc, d)
 			idx, stopped, ok := EconomicIndex(curve, eps)
 			if !ok {
 				continue

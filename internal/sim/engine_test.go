@@ -10,35 +10,171 @@ import (
 	"time"
 )
 
-// TestEventHeapPopsInScheduleOrder: whatever order wake-ups are pushed in,
-// they leave the heap by time and, among equal times, by sequence number.
-func TestEventHeapPopsInScheduleOrder(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	var h eventHeap
-	var seq uint64
-	last := event{at: -1}
-	for round := 0; round < 200; round++ {
-		for i, n := 0, rng.Intn(20); i < n; i++ {
-			seq++
-			// Never earlier than what was already popped, as schedule guarantees.
-			h.push(event{at: last.at + float64(rng.Intn(4)), seq: seq})
+// tag is a Waker that only names a wake-up.
+type tag int
+
+func (tag) Wake() {}
+
+// colliders returns n distinct whole-second times from 1 up that share one
+// slot of the queue's time cache.
+func colliders(n int) []float64 {
+	var out []float64
+	for k := 1; len(out) < n; k++ {
+		if t := float64(k); slotOf(t) == slotOf(1) {
+			out = append(out, t)
 		}
-		for i, n := 0, rng.Intn(len(h)+1); i < n; i++ {
-			ev := h.pop()
-			if !last.before(ev) {
-				t.Fatalf("popped (%g, %d) after (%g, %d)", ev.at, ev.seq, last.at, last.seq)
+	}
+	return out
+}
+
+// TestEventQueuePopsInScheduleOrder holds the queue to a reference: pushed
+// wake-ups leave by time and, among equal times, in push order — a stable
+// sort on (at, seq). The inputs run long ties, times that collide in one
+// cache slot, instants that empty and reopen for the same and for other
+// times, and pushes at now while now's instant drains.
+func TestEventQueuePopsInScheduleOrder(t *testing.T) {
+	type want struct {
+		at  float64
+		tag tag
+	}
+	coll := colliders(64)
+	for _, mode := range []string{"ties", "collisions", "reopen", "draining"} {
+		rng := rand.New(rand.NewSource(7))
+		var q eventQueue
+		var ref []want // pending, in push order
+		now, pushed, popped := 0.0, 0, 0
+		push := func(at float64) {
+			q.push(at, tag(pushed))
+			ref = append(ref, want{at, tag(pushed)})
+			pushed++
+		}
+		pop := func() {
+			k := 0 // the stable sort's first: the earliest push of the least time
+			for j := range ref {
+				if ref[j].at < ref[k].at {
+					k = j
+				}
 			}
-			last = ev
+			w := ref[k]
+			ref = append(ref[:k], ref[k+1:]...)
+			at, got, ok := q.next()
+			if !ok || at != w.at || got != w.tag {
+				t.Fatalf("%s: pop %d = (%g, %v, %v), want (%g, %d)", mode, popped, at, got, ok, w.at, w.tag)
+			}
+			now = at
+			popped++
 		}
-	}
-	backing := h[:cap(h)]
-	for len(h) > 0 {
-		h.pop()
-	}
-	for i, ev := range backing {
-		if ev != (event{}) {
-			t.Errorf("drained heap still holds %+v in slot %d", ev, i)
+		// at draws a time no earlier than now, as schedule guarantees.
+		at := func() float64 {
+			switch mode {
+			case "ties":
+				return now + float64(rng.Intn(3))
+			case "collisions":
+				for _, c := range coll {
+					if c >= now && rng.Intn(3) == 0 {
+						return c
+					}
+				}
+				return now
+			case "reopen":
+				return now + float64(rng.Intn(2))
+			}
+			return now // draining: every push lands on the instant being drained
 		}
+		for round := 0; round < 300; round++ {
+			for i, n := 0, rng.Intn(30); i < n; i++ {
+				push(at())
+			}
+			switch mode {
+			case "reopen": // empty the queue: every instant closes, and the next round reopens them
+				for len(ref) > 0 {
+					pop()
+				}
+			case "draining": // pops and pushes at now interleave
+				for i, n := 0, rng.Intn(len(ref)+1); i < n; i++ {
+					pop()
+					if rng.Intn(2) == 0 {
+						push(now)
+					}
+				}
+				if len(ref) == 0 {
+					now++
+				}
+			default:
+				for i, n := 0, rng.Intn(len(ref)+1); i < n; i++ {
+					pop()
+				}
+			}
+		}
+		for len(ref) > 0 {
+			pop()
+		}
+		if _, w, ok := q.next(); ok {
+			t.Fatalf("%s: the queue pops %v after the reference emptied", mode, w)
+		}
+		for i, l := range q.links {
+			if l.w != nil {
+				t.Errorf("%s: drained queue still holds %v in link %d", mode, l.w, i)
+			}
+		}
+		t.Logf("%s: %d wake-ups, %d instants and %d links in the slabs", mode, pushed, len(q.inst)-1, len(q.links)-1)
+	}
+}
+
+// TestEqualTimesShareOneInstant: wake-ups for one time queue in one instant,
+// so a thousand processes asleep until t = 5 are one entry of the heap.
+func TestEqualTimesShareOneInstant(t *testing.T) {
+	e := NewEnv()
+	for i := 0; i < 1000; i++ {
+		e.Go("sleeper", func(p *Proc) { p.Sleep(5) })
+	}
+	e.Go("watcher", func(p *Proc) {
+		p.Sleep(1)
+		var holding []entry
+		for _, h := range e.events.heap {
+			if e.events.inst[h.i].head != 0 {
+				holding = append(holding, h)
+			}
+		}
+		if len(holding) != 1 || holding[0].at != 5 {
+			t.Fatalf("instants with wake-ups at t=1: %+v, want one at 5", holding)
+		}
+		n := 0
+		for l := e.events.inst[holding[0].i].head; l != 0; l = e.events.links[l].next {
+			n++
+		}
+		if n != 1000 {
+			t.Errorf("the instant at 5 holds %d wake-ups, want 1000", n)
+		}
+	})
+	if end, err := e.Run(); err != nil || end != 5 {
+		t.Fatalf("Run = %g, %v", end, err)
+	}
+}
+
+// TestQueueIsSizedBySpawning: the slabs grow as processes spawn and never as
+// they run. A thousand processes hop between four times that share a cache
+// slot, so most pushes open an instant; yet Run finds every instant, link and
+// heap slot it needs already laid down by Go.
+func TestQueueIsSizedBySpawning(t *testing.T) {
+	coll := colliders(4 * 20)
+	rng := rand.New(rand.NewSource(5))
+	e := NewEnv()
+	for i := 0; i < 1000; i++ {
+		e.Go("p", func(p *Proc) {
+			for j := 0; j < 20; j++ {
+				p.Sleep(coll[4*j+rng.Intn(4)] - p.Now())
+			}
+		})
+	}
+	q := &e.events
+	size := func() [3]int { return [3]int{len(q.inst), len(q.links), cap(q.heap)} }
+	spawned := size()
+	if _, err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if ran := size(); ran != spawned || q.seq < 10000 {
+		t.Errorf("instants, links, heap capacity: %v after spawning, %v after %d instants opened", spawned, ran, q.seq)
 	}
 }
 
@@ -386,19 +522,64 @@ func TestEventsDoNotAllocate(t *testing.T) {
 			}
 		}
 	}
+	// No ties: process i sleeps 1 + i·1e-6 s a round, so no two wake-ups
+	// share a time and each opens an instant of its own.
+	distinct := func(rounds int) func() {
+		return func() {
+			e := NewEnv()
+			for i := 0; i < procs; i++ {
+				d := 1 + float64(i)*1e-6
+				e.Go("p", func(p *Proc) {
+					for j := 0; j < rounds; j++ {
+						p.Sleep(d)
+					}
+				})
+			}
+			if _, err := e.Run(); err != nil {
+				panic(err)
+			}
+		}
+	}
+	// Colliding times: round j wakes each process at a random one of four
+	// times in one cache slot, coll[4j..4j+3], so three pushes in four evict
+	// the instant the push before opened: instants open and close by the
+	// thousand, several to a time.
+	coll := colliders(4 * 100)
+	pick := make([]int, procs*100)
+	rng := rand.New(rand.NewSource(3))
+	for k := range pick {
+		pick[k] = rng.Intn(4)
+	}
+	colliding := func(rounds int) func() {
+		return func() {
+			e := NewEnv()
+			for i := 0; i < procs; i++ {
+				e.Go("p", func(p *Proc) {
+					for j := 0; j < rounds; j++ {
+						p.Sleep(coll[4*j+pick[100*i+j]] - p.Now())
+					}
+				})
+			}
+			if _, err := e.Run(); err != nil {
+				panic(err)
+			}
+		}
+	}
 	for _, c := range []struct {
 		name     string
 		run      func(rounds int) func()
-		perRound float64 // events per chain and round
+		perRound float64 // events per process and round
 	}{
 		{"chains", chains, 2},
 		{"barrier chains", barChains, 1.9},
+		{"no ties", distinct, 1},
+		{"colliding instants", colliding, 1},
 	} {
 		short, long := testing.AllocsPerRun(3, c.run(10)), testing.AllocsPerRun(3, c.run(100))
 		perEvent := (long - short) / (procs * 90 * c.perRound)
 		t.Logf("%s: %.0f allocations at 10 rounds, %.0f at 100: %.4f per extra event", c.name, short, long, perEvent)
 		if perEvent >= 0.02 {
-			t.Errorf("%s: %.4f allocations per extra waker event (%.0f at 10 rounds, %.0f at 100), want < 0.02", c.name, perEvent, short, long)
+			t.Errorf("%s: %.4f allocations per extra event (%.0f at 10 rounds, %.0f at 100), want < 0.02", c.name, perEvent, short, long)
 		}
 	}
 	plain := testing.AllocsPerRun(3, contend(procs, 10, true, nil))

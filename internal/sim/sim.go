@@ -4,7 +4,7 @@
 // style of SimPy. A simulated process is a coroutine (iter.Pull): it runs
 // until it waits on virtual time, a capacity-limited resource, a mailbox or
 // a barrier, and is switched back in when Run pops its wake-up from the
-// event heap. A switch is a direct hand-over on one OS thread — no wake-up,
+// event queue. A switch is a direct hand-over on one OS thread — no wake-up,
 // no scheduler pass — and an event allocates nothing. An event wakes a
 // Waker: a process, or a step Run executes in place. A chain of such steps
 // works for a process without switching it in — it schedules wake-ups of
@@ -13,7 +13,10 @@
 // internal/parfs's read chains, which carry a P-EnKF rank's block reads and
 // an S-EnKF reader's whole I/O stage. Exactly one process (or Run) executes
 // at any instant and wake-ups are ordered by (time, schedule order) alone,
-// so simulations are deterministic and need no locks.
+// so simulations are deterministic and need no locks. Simulated time
+// advances an instant at a time: the queue is a heap of distinct times, each
+// holding its wake-ups in FIFO order, so the many wake-ups that fall on one
+// time cost the heap one entry (DESIGN.md ch. 35).
 //
 // The engine is the substrate on which the paper's 12,000-processor
 // experiments run: each simulated MPI rank is a process, disks are
@@ -40,59 +43,160 @@ import (
 // A Waker is what an event wakes: a process, or a step Run executes in place.
 type Waker interface{ Wake() }
 
-// event is a scheduled wake-up.
-type event struct {
-	at  float64
-	seq uint64 // tie-break: FIFO among equal timestamps
-	w   Waker
+// instant is one simulated time with its wake-ups: a FIFO of links, in
+// schedule order. An instant that is not open has at = NaN, which no time
+// equals.
+type instant struct {
+	at         float64
+	head, tail int32 // first and last link; head 0: empty. A free instant links the free list through head.
 }
 
-func (a event) before(b event) bool { return a.at < b.at || (a.at == b.at && a.seq < b.seq) }
+// link is one pending wake-up in its instant's FIFO. A free link links the
+// free list through next.
+type link struct {
+	w    Waker
+	next int32 // 0: the last
+}
 
-// eventHeap is a binary min-heap on (at, seq). seq is unique, so the order
-// is total and the pop sequence does not depend on the heap's layout. A
-// process has at most one wake-up pending, so the heap never outgrows the
-// number of live processes: it stops allocating once they are spawned.
-type eventHeap []event
+// entry is an open instant in the heap, keyed (at, seq): seq is the
+// schedule order of the instant's first wake-up, so the order is total.
+type entry struct {
+	at  float64
+	seq uint64
+	i   int32
+}
 
-func (h *eventHeap) push(e event) {
-	*h = append(*h, e)
-	s, i := *h, len(*h)-1
-	for i > 0 {
-		up := (i - 1) / 2
-		if !e.before(s[up]) {
+func (a entry) before(b entry) bool { return a.at < b.at || (a.at == b.at && a.seq < b.seq) }
+
+// newestSlots is the size of the direct-mapped cache from a time to the
+// newest instant opened for it.
+const newestSlots = 64
+
+// eventQueue holds the pending wake-ups: a binary min-heap of instants
+// ordered by (at, seq), each instant a FIFO of its wake-ups. A wake-up joins
+// the newest instant of its time, which the cache finds, or opens a new one;
+// so the instants of one time hold runs of schedule order that do not
+// overlap, and popping instant by instant, FIFO within each, is exactly the
+// (time, schedule order) sequence (DESIGN ch. 35). Instants and links live
+// in slabs whose slot 0 is a sentinel, with free lists; Env.Go grows both by
+// one per process, and a process has at most one wake-up pending, so the
+// queue stops allocating once the processes are spawned.
+type eventQueue struct {
+	heap               []entry
+	inst               []instant
+	links              []link
+	freeInst, freeLink int32
+	seq                uint64
+	newest             [newestSlots]int32 // by slotOf(at); 0, or an instant no longer open, misses
+}
+
+// slotOf maps a time's bits to its cache slot (Fibonacci hashing).
+func slotOf(t float64) int { return int(math.Float64bits(t) * 0x9E3779B97F4A7C15 >> 58) }
+
+// grow adds one instant and one link to the free lists. The first call also
+// lays down both sentinels and a spare instant: the instant Run is draining
+// stays open while empty, so there can be one instant more than wake-ups.
+func (q *eventQueue) grow() {
+	if len(q.inst) == 0 {
+		q.inst = append(q.inst, instant{at: math.NaN()}, instant{at: math.NaN()})
+		q.links = append(q.links, link{})
+		q.freeInst = 1
+	}
+	q.inst = append(q.inst, instant{at: math.NaN(), head: q.freeInst})
+	q.freeInst = int32(len(q.inst) - 1)
+	q.links = append(q.links, link{next: q.freeLink})
+	q.freeLink = int32(len(q.links) - 1)
+	q.heap = slices.Grow(q.heap, len(q.inst)-1-len(q.heap))
+}
+
+// push enqueues a wake-up for w at time t.
+func (q *eventQueue) push(t float64, w Waker) {
+	if q.freeLink == 0 {
+		q.grow()
+	}
+	l := q.freeLink
+	q.freeLink = q.links[l].next
+	q.links[l] = link{w: w}
+	newest := &q.newest[slotOf(t)]
+	if in := &q.inst[*newest]; in.at == t {
+		if in.head == 0 { // the instant Run is draining, emptied
+			in.head = l
+		} else {
+			q.links[in.tail].next = l
+		}
+		in.tail = l
+		return
+	}
+	if q.freeInst == 0 {
+		q.grow()
+	}
+	i := q.freeInst
+	in := &q.inst[i]
+	q.freeInst = in.head
+	*in = instant{at: t, head: l, tail: l}
+	*newest = i
+	q.seq++
+	q.heap = append(q.heap, entry{at: t, seq: q.seq, i: i})
+	h, k := q.heap, len(q.heap)-1
+	e := h[k]
+	for k > 0 {
+		up := (k - 1) / 2
+		if !e.before(h[up]) {
 			break
 		}
-		s[i], i = s[up], up
+		h[k], k = h[up], up
 	}
-	s[i] = e
+	h[k] = e
 }
 
-func (h *eventHeap) pop() event {
-	s := *h
-	top, n := s[0], len(s)-1
-	e := s[n]
-	s[n] = event{} // do not keep the process reachable from the spare capacity
-	s = s[:n]
-	*h = s
-	i := 0
+// drop closes the head instant, which is empty, and removes it from the heap.
+func (q *eventQueue) drop() {
+	i := q.heap[0].i
+	q.inst[i] = instant{at: math.NaN(), head: q.freeInst}
+	q.freeInst = i
+	h, n := q.heap, len(q.heap)-1
+	e := h[n]
+	h = h[:n]
+	q.heap = h
+	k := 0
 	for {
-		kid := 2*i + 1
+		kid := 2*k + 1
 		if kid >= n {
 			break
 		}
-		if kid+1 < n && s[kid+1].before(s[kid]) {
+		if kid+1 < n && h[kid+1].before(h[kid]) {
 			kid++
 		}
-		if !s[kid].before(e) {
+		if !h[kid].before(e) {
 			break
 		}
-		s[i], i = s[kid], kid
+		h[k], k = h[kid], kid
 	}
 	if n > 0 {
-		s[i] = e
+		h[k] = e
 	}
-	return top
+}
+
+// next returns the first pending wake-up and its time, removing it, and
+// false when none is left. The head instant stays open until a later call
+// finds it empty, so what is scheduled for its time meanwhile joins it.
+func (q *eventQueue) next() (float64, Waker, bool) {
+	for len(q.heap) > 0 {
+		top := q.heap[0]
+		in := &q.inst[top.i]
+		if in.head == 0 {
+			q.drop()
+			continue
+		}
+		l := in.head
+		lk := &q.links[l]
+		w := lk.w
+		in.head = lk.next
+		*lk = link{next: q.freeLink} // do not keep the Waker reachable from the slab
+		q.freeLink = l
+		return top.at, w, true
+	}
+	return 0, nil, false
 }
 
 // fifo is a queue that reuses its backing array: pop advances a head index
@@ -128,8 +232,7 @@ func (q *fifo[T]) pop() T {
 // Env is a simulation environment: a virtual clock and an event queue.
 type Env struct {
 	now    float64
-	seq    uint64
-	events eventHeap
+	events eventQueue
 
 	live  int     // processes started and not finished
 	procs []*Proc // every process, in spawn order
@@ -217,15 +320,13 @@ func (e *Env) Go(name string, fn func(p *Proc)) *Proc {
 		}
 	})
 	e.procs = append(e.procs, p)
+	e.events.grow()
 	e.schedule(e.now, p)
 	return p
 }
 
 // schedule enqueues a wake-up for w at time t.
-func (e *Env) schedule(t float64, w Waker) {
-	e.seq++
-	e.events.push(event{at: t, seq: e.seq, w: w})
-}
+func (e *Env) schedule(t float64, w Waker) { e.events.push(t, w) }
 
 // Wake switches p in until it next parks: Run calls it for p's wake-ups, a
 // Waker working for p in place of one, to hand p back control.
@@ -320,14 +421,17 @@ func (d *DeadlockError) BlockedOn() map[string]string {
 // or mailboxes with an empty event queue. On an error every unfinished
 // process is unwound before Run returns, so none outlives the simulation.
 func (e *Env) Run() (float64, error) {
-	for len(e.events) > 0 {
-		ev := e.events.pop()
-		if ev.at < e.now {
-			e.stopAll()
-			return e.now, fmt.Errorf("sim: time went backwards: %g -> %g", e.now, ev.at)
+	for {
+		at, w, ok := e.events.next()
+		if !ok {
+			break
 		}
-		e.now = ev.at
-		ev.w.Wake()
+		if at < e.now {
+			e.stopAll()
+			return e.now, fmt.Errorf("sim: time went backwards: %g -> %g", e.now, at)
+		}
+		e.now = at
+		w.Wake()
 	}
 	if e.live > 0 {
 		d := &DeadlockError{Time: e.now}
