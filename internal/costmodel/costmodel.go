@@ -19,6 +19,7 @@ package costmodel
 import (
 	"fmt"
 	"math"
+	"slices"
 )
 
 // Params carries the Table 1 quantities.
@@ -333,23 +334,26 @@ func (p Params) t1CurveFast(c2, maxC1 int) []CurvePoint {
 // T1CurveConstrained is the fast T1 curve restricted to choices allowed by
 // tc; with zero constraints it matches the literal T1Curve.
 func (p Params) T1CurveConstrained(c2, maxC1 int, tc TuneConstraints) []CurvePoint {
-	return p.t1Curve(c2, maxC1, tc, p.curveDivisors())
+	return p.t1Curve(c2, maxC1, tc, p.newSweep())
 }
 
-// curveDivisors are the divisor lists every T1 curve of a sweep enumerates:
-// computed once per sweep, not once per compute cost.
-type curveDivisors struct {
+// sweep is what every T1 curve of one sweep shares: the divisor lists it
+// enumerates, computed once, and the per-C1 table, emptied for each curve.
+type sweep struct {
 	groups []int   // n_cg: the divisors of N
 	rows   []int   // n_sdy: the divisors of NY
 	layers [][]int // layers[k]: the divisors of NY / rows[k], the L a strip of rows[k] admits
+	best   map[int]bestAt
+	c1s    []int        // best's keys, in the order found
+	curve  []CurvePoint // the last curve t1Curve returned
 }
 
-func (p Params) curveDivisors() curveDivisors {
-	d := curveDivisors{groups: divisors(p.N), rows: divisors(p.NY)}
-	for _, nsdy := range d.rows {
-		d.layers = append(d.layers, divisors(p.NY/nsdy))
+func (p Params) newSweep() *sweep {
+	s := &sweep{groups: divisors(p.N), rows: divisors(p.NY), best: map[int]bestAt{}}
+	for _, nsdy := range s.rows {
+		s.layers = append(s.layers, divisors(p.NY/nsdy))
 	}
-	return d
+	return s
 }
 
 // bestAt is the least T1 found so far at one C1.
@@ -358,11 +362,14 @@ type bestAt struct {
 	ch Choice
 }
 
-// t1Curve is T1CurveConstrained over divisor lists computed beforehand.
-func (p Params) t1Curve(c2, maxC1 int, tc TuneConstraints, d curveDivisors) []CurvePoint {
-	best := map[int]bestAt{}
-	var c1s []int
-	for k, nsdy := range d.rows {
+// t1Curve is T1CurveConstrained over a sweep's divisor lists. A C1's best
+// is looked up once per (n_sdy, n_cg) and updated over L in place, in the
+// order and with the comparison of one candidate at a time. The curve lives
+// in the sweep's buffer until the next call.
+func (p Params) t1Curve(c2, maxC1 int, tc TuneConstraints, s *sweep) []CurvePoint {
+	clear(s.best)
+	s.c1s = s.c1s[:0]
+	for k, nsdy := range s.rows {
 		if c2%nsdy != 0 {
 			continue
 		}
@@ -370,37 +377,42 @@ func (p Params) t1Curve(c2, maxC1 int, tc TuneConstraints, d curveDivisors) []Cu
 		if p.NX%nsdx != 0 {
 			continue
 		}
-		for _, ncg := range d.groups {
+		for _, ncg := range s.groups {
 			c1 := ncg * nsdy
 			if c1 > maxC1 {
 				continue
 			}
 			read, comm := readDepth(Choice{NSdy: nsdy, NCg: ncg}), commDepth(Choice{NCg: ncg})
-			for _, l := range d.layers[k] {
+			b, had := s.best[c1]
+			ok := had
+			for _, l := range s.layers[k] {
 				if !tc.allows(l, ncg) {
 					continue
 				}
 				ch := Choice{NSdx: nsdx, NSdy: nsdy, L: l, NCg: ncg}
 				t1 := p.tRead(ch, read) + p.tComm(ch, comm) // T1, its depths taken once per n_cg
-				b, ok := best[c1]
-				if !ok {
-					c1s = append(c1s, c1)
-				}
 				if !ok || t1 < b.t1 {
-					best[c1] = bestAt{t1: t1, ch: ch}
+					b, ok = bestAt{t1: t1, ch: ch}, true
 				}
+			}
+			if ok {
+				if !had {
+					s.c1s = append(s.c1s, c1)
+				}
+				s.best[c1] = b
 			}
 		}
 	}
-	sortInts(c1s)
-	var curve []CurvePoint
+	sortInts(s.c1s)
+	curve := s.curve[:0]
 	bestSoFar := math.Inf(1)
-	for _, c1 := range c1s {
-		if b := best[c1]; b.t1 < bestSoFar {
+	for _, c1 := range s.c1s {
+		if b := s.best[c1]; b.t1 < bestSoFar {
 			bestSoFar = b.t1
 			curve = append(curve, CurvePoint{C1: c1, T1: b.t1, Choice: b.ch})
 		}
 	}
+	s.curve = curve
 	return curve
 }
 
@@ -434,15 +446,15 @@ func (p Params) autoTuneConstrained(np int, eps float64, tc TuneConstraints, rec
 	var best Tuned
 	found := false
 	seen := map[int]bool{}
-	xs, d := divisors(p.NX), p.curveDivisors()
-	for _, nsdy := range d.rows {
+	xs, sw := divisors(p.NX), p.newSweep()
+	for _, nsdy := range sw.rows {
 		for _, nsdx := range xs {
 			c2 := nsdx * nsdy
 			if c2 >= np || seen[c2] {
 				continue
 			}
 			seen[c2] = true
-			curve := p.t1Curve(c2, np-c2, tc, d)
+			curve := p.t1Curve(c2, np-c2, tc, sw)
 			idx, stopped, ok := EconomicIndex(curve, eps)
 			if !ok {
 				continue
@@ -451,7 +463,7 @@ func (p Params) autoTuneConstrained(np int, eps float64, tc TuneConstraints, rec
 			total := p.TTotal(pt.Choice)
 			if st != nil {
 				ce := CurveExplain{
-					C2: c2, Points: curve, PickIndex: idx,
+					C2: c2, Points: slices.Clone(curve), PickIndex: idx,
 					StoppedEarly: stopped, TTotal: total,
 				}
 				for m := 0; m+1 < len(curve); m++ {
