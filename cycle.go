@@ -6,7 +6,6 @@ import (
 	"senkf/internal/grid"
 	"senkf/internal/model"
 	"senkf/internal/obs"
-	"senkf/internal/workload"
 )
 
 // Sequential assimilation types.
@@ -50,13 +49,6 @@ func SEnKFAnalyzer(tpl Problem, plan Plan) Analyzer { return cycle.SEnKFAnalyzer
 
 // PEnKFAnalyzer is SEnKFAnalyzer for the block-reading baseline.
 func PEnKFAnalyzer(tpl Problem, dec Decomposition) Analyzer { return cycle.PEnKFAnalyzer(tpl, dec) }
-
-// GenerateSmoothNoise returns a deterministic smooth random field with
-// point-wise standard deviation on the order of sd — usable as spatially
-// correlated model error.
-func GenerateSmoothNoise(m Mesh, sd float64, seed uint64, keys ...int) []float64 {
-	return workload.SmoothNoise(m, sd, seed, keys...)
-}
 
 // compile-time coherence between facade aliases and internals.
 var (

@@ -3,6 +3,8 @@ package senkf
 import (
 	"strings"
 	"testing"
+
+	"senkf/internal/workload"
 )
 
 func TestFacadeCycling(t *testing.T) {
@@ -140,7 +142,7 @@ func TestFacadeOffGridNetwork(t *testing.T) {
 }
 
 func TestFacadeETKFSolver(t *testing.T) {
-	ps := TestScale
+	ps := workload.TestScale
 	mesh, _ := NewMesh(ps.NX, ps.NY)
 	radius, _ := NewRadius(ps.Xi, ps.Eta)
 	truth := GenerateTruth(mesh, DefaultFieldSpec, ps.Seed)
@@ -180,14 +182,14 @@ func TestFacadeAblations(t *testing.T) {
 
 func TestFacadeSmoothNoise(t *testing.T) {
 	mesh, _ := NewMesh(16, 8)
-	a := GenerateSmoothNoise(mesh, 0.5, 1, 2, 3)
-	b := GenerateSmoothNoise(mesh, 0.5, 1, 2, 3)
+	a := workload.SmoothNoise(mesh, 0.5, 1, 2, 3)
+	b := workload.SmoothNoise(mesh, 0.5, 1, 2, 3)
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatal("smooth noise not deterministic")
 		}
 	}
-	c := GenerateSmoothNoise(mesh, 0.5, 1, 2, 4)
+	c := workload.SmoothNoise(mesh, 0.5, 1, 2, 4)
 	same := true
 	for i := range a {
 		if a[i] != c[i] {

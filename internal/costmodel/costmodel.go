@@ -326,7 +326,7 @@ func (tc TuneConstraints) allows(l, ncg int) bool {
 // t1CurveFast computes the same strictly-improving (C1, min T1) curve as
 // T1Curve but enumerates only feasible (n_sdy, n_cg, L) structures instead
 // of scanning every integer C1 — equivalent output, polynomially cheaper.
-// Used by AutoTuneFast at paper scale (np ≈ 12,000).
+// Used by AutoTuneConstrained at paper scale (np ≈ 12,000).
 func (p Params) t1CurveFast(c2, maxC1 int) []CurvePoint {
 	return p.T1CurveConstrained(c2, maxC1, TuneConstraints{})
 }
@@ -416,15 +416,11 @@ func (p Params) t1Curve(c2, maxC1 int, tc TuneConstraints, s *sweep) []CurvePoin
 	return curve
 }
 
-// AutoTuneFast is Algorithm 2 with the search restructured around feasible
-// divisor structures: identical results to AutoTune, but usable at the
-// paper's processor counts. Only compute costs C2 with a feasible
+// AutoTuneConstrained is Algorithm 2 with the search restructured around
+// feasible divisor structures, restricted to choices allowed by tc. With
+// zero constraints it returns what AutoTune returns, but it is usable at
+// the paper's processor counts: only compute costs C2 with a feasible
 // decomposition are visited (others contribute nothing in AutoTune either).
-func (p Params) AutoTuneFast(np int, eps float64) (Tuned, bool) {
-	return p.AutoTuneConstrained(np, eps, TuneConstraints{})
-}
-
-// AutoTuneConstrained is AutoTuneFast restricted to choices allowed by tc.
 func (p Params) AutoTuneConstrained(np int, eps float64, tc TuneConstraints) (Tuned, bool) {
 	t, _, ok := p.autoTuneConstrained(np, eps, tc, false)
 	return t, ok

@@ -359,7 +359,7 @@ func TestAutoTuneFastMatchesLiteral(t *testing.T) {
 	p := testParams()
 	for _, np := range []int{8, 16, 32, 64} {
 		for _, eps := range []float64{1e-12, 1e-4, 0.01} {
-			fast, okF := p.AutoTuneFast(np, eps)
+			fast, okF := p.AutoTuneConstrained(np, eps, TuneConstraints{})
 			slow, okS := p.AutoTune(np, eps)
 			if okF != okS {
 				t.Fatalf("np=%d eps=%g: ok mismatch %v vs %v", np, eps, okF, okS)
@@ -382,7 +382,7 @@ func TestAutoTuneFastPaperScale(t *testing.T) {
 		A: 2e-6, B: 2e-10, C: 1.3e-4,
 		Theta: 0.5e-9, Xi: 16, Eta: 8, H: 240,
 	}
-	tuned, ok := p.AutoTuneFast(12000, 0.001)
+	tuned, ok := p.AutoTuneConstrained(12000, 0.001, TuneConstraints{})
 	if !ok {
 		t.Fatal("no configuration at paper scale")
 	}

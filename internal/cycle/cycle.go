@@ -147,15 +147,7 @@ type Hook func(State) error
 // copy of the ensemble (never assimilating) is propagated alongside as the
 // control experiment.
 func Run(c Config, truth0 []float64, ensemble0 [][]float64, cycles int, analyze Analyzer) ([]Stats, error) {
-	return RunObserved(c, truth0, ensemble0, cycles, analyze, nil)
-}
-
-// RunObserved is Run with a per-cycle callback: onCycle (may be nil) fires
-// after each cycle's statistics are recorded, so a live monitor can
-// publish per-cycle series while the experiment is still running.
-func RunObserved(c Config, truth0 []float64, ensemble0 [][]float64, cycles int, analyze Analyzer, onCycle func(Stats)) ([]Stats, error) {
-	st := State{Truth: truth0, Ensemble: ensemble0}
-	return RunFrom(c, st, cycles, analyze, onCycle, nil)
+	return RunFrom(c, State{Truth: truth0, Ensemble: ensemble0}, cycles, analyze, nil, nil)
 }
 
 // RunFrom continues a cycled experiment from st until totalCycles cycles

@@ -115,29 +115,6 @@ func StridedNetwork(m grid.Mesh, truth []float64, strideX, strideY int, variance
 	return NewNetwork(m, obs)
 }
 
-// RandomNetwork places count observations at distinct random grid points.
-func RandomNetwork(m grid.Mesh, truth []float64, count int, variance float64, seed uint64) (*Network, error) {
-	if count < 0 || count > m.Points() {
-		return nil, fmt.Errorf("obs: count %d out of range for %d-point mesh", count, m.Points())
-	}
-	if len(truth) != m.Points() {
-		return nil, fmt.Errorf("obs: truth field has %d points, mesh has %d", len(truth), m.Points())
-	}
-	s := linalg.KeyedStream(seed, 0x0B6)
-	perm := s.Perm(m.Points())
-	obs := make([]Observation, 0, count)
-	for _, idx := range perm[:count] {
-		x, y := m.Coords(idx)
-		ns := linalg.KeyedStream(seed, 0x0B5, x, y)
-		obs = append(obs, Observation{
-			X: x, Y: y,
-			Value:    truth[idx] + ns.Norm()*sqrt(variance),
-			Variance: variance,
-		})
-	}
-	return NewNetwork(m, obs)
-}
-
 // InBox returns the observations whose entire support lies inside the box,
 // preserving order. This is the restriction of (H, R, Yˢ) to an expansion
 // D̄ (Eq. 6): an observation is usable by a processor exactly when all grid

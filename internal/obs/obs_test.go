@@ -134,28 +134,6 @@ func TestStridedNetworkDeterministic(t *testing.T) {
 	}
 }
 
-func TestRandomNetworkDistinctPoints(t *testing.T) {
-	m := testMesh(t, 6, 6)
-	n, err := RandomNetwork(m, flatTruth(m, 1), 20, 1, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n.Len() != 20 {
-		t.Fatalf("random network has %d obs, want 20", n.Len())
-	}
-	seen := map[[2]int]bool{}
-	for _, o := range n.Obs {
-		k := [2]int{o.X, o.Y}
-		if seen[k] {
-			t.Fatalf("duplicate observation point (%d,%d)", o.X, o.Y)
-		}
-		seen[k] = true
-	}
-	if _, err := RandomNetwork(m, flatTruth(m, 1), 37, 1, 7); err == nil {
-		t.Error("expected count out of range error")
-	}
-}
-
 func TestInBoxRestriction(t *testing.T) {
 	m := testMesh(t, 8, 8)
 	n, err := StridedNetwork(m, flatTruth(m, 0), 1, 1, 1, 3)

@@ -2,6 +2,7 @@ package schedule
 
 import (
 	"math"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -56,6 +57,9 @@ func TestLedgerIsSizedFromThePlan(t *testing.T) {
 // share and leaves nothing: each compute rank's mailbox is sized from the
 // plan before the run, so it does not double as notifications wait in it.
 func TestSimulationObjectsDoNotFollowL(t *testing.T) {
+	// The process's first collection starts the mark workers, whose
+	// goroutines are counted mallocs: run it before counting exactly.
+	runtime.GC()
 	cfg := smallConfig()
 	mesh, err := grid.NewMesh(cfg.P.NX, cfg.P.NY)
 	if err != nil {
@@ -91,6 +95,7 @@ func TestSimulationObjectsDoNotFollowL(t *testing.T) {
 // rank block-reads its members as one chain whose state comes from the file
 // system's slab, so eight times the reads allocate nothing more.
 func TestPEnKFReadsDoNotAllocate(t *testing.T) {
+	runtime.GC() // as above
 	mesh, err := grid.NewMesh(smallConfig().P.NX, smallConfig().P.NY)
 	if err != nil {
 		t.Fatal(err)

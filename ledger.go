@@ -1,6 +1,6 @@
-// Run-ledger facade: the persistent run archive, run identity, shared
-// observability flags and structured logging of internal/runlog
-// re-exported for the binaries and external users. Every invocation
+// Run-ledger facade: the persistent run archive, the shared observability
+// flags and the run session of internal/runlog, and the hot-stage
+// attribution of internal/runtimeobs, for the binaries. Every invocation
 // mints a run ID; with -archive it lands a self-describing, content-
 // addressed record (manifest, counters, report, trace, monitor state,
 // per-cycle series, CPU and anomaly profiles) that senkf-report can list,
@@ -11,8 +11,6 @@ package senkf
 import (
 	"flag"
 	"io"
-	"log/slog"
-	"time"
 
 	"senkf/internal/runlog"
 	"senkf/internal/runtimeobs"
@@ -27,27 +25,17 @@ type (
 	RunSession = runlog.Session
 	// RunArchive is the content-addressed run ledger on disk.
 	RunArchive = runlog.Archive
-	// RunManifest is the self-describing header of one archived run.
-	RunManifest = runlog.Manifest
-	// RunRecord is one archived run loaded back from the ledger.
-	RunRecord = runlog.Record
 	// RunFilter selects archived runs for list queries.
 	RunFilter = runlog.Filter
 	// RunSummary is one archived run's list row.
 	RunSummary = runlog.Summary
-	// RunDiff is the structured comparison of two archived runs.
-	RunDiff = runlog.Diff
-	// RunLabels is a run's pprof label set (RunSession.Labels); assign it
-	// to Problem.Prof / CycleConfig.Prof / Machine.Prof so CPU profiles
-	// slice by {run_id, algo, substrate, proc, stage}.
-	RunLabels = runtimeobs.LabelSet
 	// HotStageAttribution ranks per-{class, stage} CPU self-time from a
 	// labeled profile against trace busy time.
 	HotStageAttribution = runtimeobs.Attribution
 )
 
 // Attached-file names inside an archived run directory, for
-// RunRecord.ReadFile / Has: the two halves of a hot-stage attribution.
+// an archived record's ReadFile / Has: the two halves of a hot-stage attribution.
 const (
 	RunTraceFile      = runlog.TraceFile
 	RunCPUProfileFile = runlog.CPUProfileFile
@@ -92,21 +80,6 @@ func RegisterBasicRunFlags(fs *flag.FlagSet, binary string) *RunFlags {
 
 // OpenRunArchive opens (creating if needed) the run ledger at dir.
 func OpenRunArchive(dir string) (*RunArchive, error) { return runlog.Open(dir) }
-
-// NewRunID mints a run identity for the named binary.
-func NewRunID(binary string) string {
-	return runlog.NewRunID(binary, time.Now(), nil)
-}
-
-// NewRunLogger builds a structured logger whose every line carries the
-// run ID. level is debug | info | warn | error (empty means info).
-func NewRunLogger(w io.Writer, level string, runID string) (*slog.Logger, error) {
-	l, err := runlog.ParseLevel(level)
-	if err != nil {
-		return nil, err
-	}
-	return runlog.NewLogger(w, l, runID), nil
-}
 
 // WriteRunListTable renders archived-run list rows as an aligned table.
 func WriteRunListTable(w io.Writer, rows []RunSummary) error {

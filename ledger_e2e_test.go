@@ -12,6 +12,9 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"senkf/internal/figures"
+	"senkf/internal/trace"
 )
 
 // sessionQuickSuite runs the same quick-scale S-EnKF simulation as
@@ -29,7 +32,7 @@ func sessionQuickSuite(t *testing.T, np int, args ...string) *RunSession {
 	if err != nil {
 		t.Fatal(err)
 	}
-	o := QuickFigureOptions()
+	o := figures.QuickOptions()
 	o.Cfg.Tracer = sess.Tracer
 	o.Cfg.Obs = sess.Observer()
 	s := NewFigureSuite(o)
@@ -49,7 +52,7 @@ func TestSessionTraceMatchesSeedWiring(t *testing.T) {
 	// did before the session existed.
 	events := tracedQuickSuite(t, 180)
 	var want bytes.Buffer
-	if err := WriteChromeTrace(&want, events); err != nil {
+	if err := trace.WriteChrome(&want, events); err != nil {
 		t.Fatal(err)
 	}
 

@@ -33,7 +33,7 @@ func WriteEnsembleLevels(dir string, m Mesh, members [][][]float64) ([]string, e
 // compute ranks assimilate level by level with 2-D localization. Returns
 // the analysis as [level][member][]field. It is a thin spec wrapper: the
 // same compiled plan RunSEnKF executes, with the level dimension set, runs
-// on the one shared engine (ExecutePlanLevels).
+// on the one shared engine.
 func RunSEnKFMultiLevel(p Problem, plan Plan) ([][][]float64, error) {
 	return core.RunSEnKFMultiLevel(p, plan)
 }
@@ -44,11 +44,4 @@ func RunSEnKFMultiLevel(p Problem, plan Plan) ([][][]float64, error) {
 // a thin spec wrapper over the shared engine.
 func RunPEnKFMultiLevel(p Problem, dec Decomposition) ([][][]float64, error) {
 	return baseline.RunPEnKFMultiLevel(p, dec)
-}
-
-// ExecutePlanLevels runs any compiled plan on the real substrate and
-// returns the analysis as [level][member][]field — the engine entry point
-// the algorithm wrappers (single-level and multilevel alike) delegate to.
-func ExecutePlanLevels(p Problem, c *CompiledPlan) ([][][]float64, error) {
-	return core.ExecutePlanLevels(p, c)
 }

@@ -24,6 +24,7 @@ import (
 	"senkf/internal/plan"
 	"senkf/internal/schedule"
 	"senkf/internal/trace"
+	"senkf/internal/wire"
 )
 
 func relClose(a, b, tol float64) bool {
@@ -34,7 +35,7 @@ func relClose(a, b, tol float64) bool {
 }
 
 // ostBytes sums the bytes a wire collector attributed to the storage targets.
-func ostBytes(wc *WireCollector) float64 {
+func ostBytes(wc *wire.Collector) float64 {
 	var total float64
 	for _, o := range wc.Summary(0).OSTs {
 		total += o.Bytes
@@ -228,8 +229,8 @@ func TestRealSEnKFCrossChecksSimulatedAccounting(t *testing.T) {
 	}
 
 	// Counters accumulate without any span sink attached.
-	reg := NewCounterRegistry()
-	tr := NewWallTracer()
+	reg := trace.NewRegistry()
+	tr := trace.New(nil)
 	tr.SetCounters(reg)
 	cfg := Config{Mesh: mesh, Radius: radius, N: members, Seed: 11}
 	p := Problem{Cfg: cfg, Dir: dir, Net: net, Tr: tr}
@@ -378,10 +379,10 @@ func TestWireAccountingMatchesTransportTotals(t *testing.T) {
 	}
 	for _, v := range realVariants {
 		t.Run(v.name, func(t *testing.T) {
-			reg := NewCounterRegistry()
-			tr := NewWallTracer()
+			reg := trace.NewRegistry()
+			tr := trace.New(nil)
 			tr.SetCounters(reg)
-			wc := NewWireCollector()
+			wc := wire.NewCollector()
 			p := Problem{Cfg: cfg, Dir: dir, Net: net, Tr: tr, Msgs: wc}
 			mp := Problem{Cfg: cfg, Dir: mlDir, Nets: nets, Tr: tr, Msgs: wc}
 			if err := v.run(p, mp); err != nil {
@@ -441,7 +442,7 @@ func TestWireAccountingMatchesTransportTotals(t *testing.T) {
 		t.Run(v.name, func(t *testing.T) {
 			sc := simCfg
 			sc.P.Levels = v.levels
-			wc := NewWireCollector()
+			wc := wire.NewCollector()
 			sc.Msgs = wc
 			sc.Reads = wc
 			res, err := v.run(sc)
@@ -478,7 +479,7 @@ func TestWireTelemetryKeepsPrimarySinkByteIdentical(t *testing.T) {
 	}
 	choice := costmodel.Choice{NSdx: 4, NSdy: 2, L: 2, NCg: 2}
 
-	run := func(wc *WireCollector) string {
+	run := func(wc *wire.Collector) string {
 		primary := trace.NewBuffer()
 		sc := simCfg
 		sc.Tracer = trace.New(nil, primary)
@@ -497,7 +498,7 @@ func TestWireTelemetryKeepsPrimarySinkByteIdentical(t *testing.T) {
 	}
 
 	plain := run(nil)
-	wc := NewWireCollector()
+	wc := wire.NewCollector()
 	wired := run(wc)
 	if plain != wired {
 		t.Errorf("primary Chrome trace differs with wire telemetry on (%d vs %d bytes)",
@@ -564,21 +565,21 @@ func TestRealAndSimulatedSchedulesShareStructure(t *testing.T) {
 		},
 	}
 
-	real := func(t *testing.T, run func(Problem) error) ([]TraceEvent, *WireCollector) {
+	real := func(t *testing.T, run func(Problem) error) ([]TraceEvent, *wire.Collector) {
 		t.Helper()
 		buf := trace.NewBuffer()
-		wc := NewWireCollector()
-		if err := run(Problem{Cfg: cfg, Dir: dir, Net: net, Tr: NewWallTracer(buf), Msgs: wc}); err != nil {
+		wc := wire.NewCollector()
+		if err := run(Problem{Cfg: cfg, Dir: dir, Net: net, Tr: trace.New(nil, buf), Msgs: wc}); err != nil {
 			t.Fatal(err)
 		}
 		return buf.Events(), wc
 	}
-	simulated := func(t *testing.T, run func(schedule.Config) error) ([]TraceEvent, *WireCollector) {
+	simulated := func(t *testing.T, run func(schedule.Config) error) ([]TraceEvent, *wire.Collector) {
 		t.Helper()
 		buf := trace.NewBuffer()
 		sc := simCfg
 		sc.Tracer = trace.New(nil, buf)
-		wc := NewWireCollector()
+		wc := wire.NewCollector()
 		sc.Msgs = wc
 		sc.Reads = wc
 		if err := run(sc); err != nil {
@@ -586,23 +587,23 @@ func TestRealAndSimulatedSchedulesShareStructure(t *testing.T) {
 		}
 		return buf.Events(), wc
 	}
-	check := func(t *testing.T, spec AlgorithmSpec, realEvents, simEvents []TraceEvent, realWC, simWC *WireCollector) {
+	check := func(t *testing.T, spec AlgorithmSpec, realEvents, simEvents []TraceEvent, realWC, simWC *wire.Collector) {
 		t.Helper()
 		cp, err := CompilePlan(spec)
 		if err != nil {
 			t.Fatal(err)
 		}
 		want := cp.ExpectedDAG()
-		if err := DiffDAG(TraceDAG(realEvents), want); err != nil {
+		if err := plan.DiffDAG(plan.StructuralDAG(realEvents), want); err != nil {
 			t.Errorf("real vs plan: %v", err)
 		}
-		if err := DiffDAG(TraceDAG(simEvents), want); err != nil {
+		if err := plan.DiffDAG(plan.StructuralDAG(simEvents), want); err != nil {
 			t.Errorf("simulated vs plan: %v", err)
 		}
 		// Wire telemetry's central invariant: the edge matrix observed on
 		// the real transport, the one mirrored by the simulated schedule,
 		// and the one derived from the compiled plan alone are bit-identical.
-		wantEdges := ExpectedEdges(cp)
+		wantEdges := plan.ExpectedEdges(cp)
 		if err := wantEdges.Diff(realWC.Matrix()); err != nil {
 			t.Errorf("expected vs real edges: %v", err)
 		}
@@ -668,22 +669,22 @@ func TestRealAndSimulatedSchedulesShareStructure(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	realML := func(t *testing.T, run func(Problem) error) ([]TraceEvent, *WireCollector) {
+	realML := func(t *testing.T, run func(Problem) error) ([]TraceEvent, *wire.Collector) {
 		t.Helper()
 		buf := trace.NewBuffer()
-		wc := NewWireCollector()
-		if err := run(Problem{Cfg: cfg, Dir: mlDir, Nets: nets, Tr: NewWallTracer(buf), Msgs: wc}); err != nil {
+		wc := wire.NewCollector()
+		if err := run(Problem{Cfg: cfg, Dir: mlDir, Nets: nets, Tr: trace.New(nil, buf), Msgs: wc}); err != nil {
 			t.Fatal(err)
 		}
 		return buf.Events(), wc
 	}
-	simulatedML := func(t *testing.T, run func(schedule.Config) error) ([]TraceEvent, *WireCollector) {
+	simulatedML := func(t *testing.T, run func(schedule.Config) error) ([]TraceEvent, *wire.Collector) {
 		t.Helper()
 		buf := trace.NewBuffer()
 		sc := simCfg
 		sc.P.Levels = levels
 		sc.Tracer = trace.New(nil, buf)
-		wc := NewWireCollector()
+		wc := wire.NewCollector()
 		sc.Msgs = wc
 		sc.Reads = wc
 		if err := run(sc); err != nil {
@@ -764,11 +765,11 @@ func TestRealAndSimulatedRecoveryAgree(t *testing.T) {
 	// starts without reader 2 (adopted, wrapping, by reader 0). Member 3
 	// (group 1) is missing, member 6 (group 0) corrupt.
 	fp := &FaultPlan{
-		Deaths: []RankDeath{
+		Deaths: []faults.RankDeath{
 			{Group: 0, Reader: 1, BeforeStage: 1},
 			{Group: 1, Reader: 2, BeforeStage: 0},
 		},
-		FileFaults: []FileFault{
+		FileFaults: []faults.FileFault{
 			{Member: 3, Kind: faults.FileMissing},
 			{Member: 6, Kind: faults.FileCorrupt},
 		},
@@ -805,14 +806,14 @@ func TestRealAndSimulatedRecoveryAgree(t *testing.T) {
 		return adoptions, deaths
 	}
 
-	realBuf, realWC := trace.NewBuffer(), NewWireCollector()
+	realBuf, realWC := trace.NewBuffer(), wire.NewCollector()
 	res, err := RunSEnKFResilient(
-		Problem{Cfg: Config{Mesh: mesh, Radius: radius, N: members, Seed: 11}, Dir: dir, Net: net, Tr: NewWallTracer(realBuf), Msgs: realWC},
+		Problem{Cfg: Config{Mesh: mesh, Radius: radius, N: members, Seed: 11}, Dir: dir, Net: net, Tr: trace.New(nil, realBuf), Msgs: realWC},
 		Plan{Dec: dec, L: layers, NCg: ncg}, Resilience{Faults: fp})
 	if err != nil {
 		t.Fatal(err)
 	}
-	simBuf, simWC := trace.NewBuffer(), NewWireCollector()
+	simBuf, simWC := trace.NewBuffer(), wire.NewCollector()
 	simRes, err := schedule.SimulateSEnKF(schedule.Config{
 		P: costmodel.Params{
 			N: members, NX: 48, NY: 24,
@@ -864,7 +865,7 @@ func TestRealAndSimulatedRecoveryAgree(t *testing.T) {
 		}
 		return r.Rank
 	}
-	want := EdgeMatrix{}
+	want := plan.EdgeMatrix{}
 	for q := range cp.IO {
 		r := &cp.IO[q]
 		for _, st := range r.Stages {
@@ -873,7 +874,7 @@ func TestRealAndSimulatedRecoveryAgree(t *testing.T) {
 					continue
 				}
 				for _, dst := range st.Comm.Dsts {
-					want.Record(EdgeKey{Src: sender(r, st.Stage), Dst: dst, Stage: st.Stage}, plan.StageMsgBytes(cp, dst, st.Stage))
+					want.Record(plan.EdgeKey{Src: sender(r, st.Stage), Dst: dst, Stage: st.Stage}, plan.StageMsgBytes(cp, dst, st.Stage))
 				}
 			}
 		}
@@ -887,8 +888,8 @@ func TestRealAndSimulatedRecoveryAgree(t *testing.T) {
 	if err := realWC.Matrix().Diff(simWC.Matrix()); err != nil {
 		t.Errorf("real vs simulated edges: %v", err)
 	}
-	if ExpectedEdges(cp).Totals().Msgs-want.Totals().Msgs != int64(len(wantDropped)*nsdy*nsdx*layers) {
-		t.Errorf("want matrix lost %d messages, not the dropped members' %d", ExpectedEdges(cp).Totals().Msgs-want.Totals().Msgs, len(wantDropped)*nsdy*nsdx*layers)
+	if plan.ExpectedEdges(cp).Totals().Msgs-want.Totals().Msgs != int64(len(wantDropped)*nsdy*nsdx*layers) {
+		t.Errorf("want matrix lost %d messages, not the dropped members' %d", plan.ExpectedEdges(cp).Totals().Msgs-want.Totals().Msgs, len(wantDropped)*nsdy*nsdx*layers)
 	}
 }
 
@@ -943,7 +944,7 @@ func TestEveryReaderDeathRecoversAlike(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fileFaults := []FileFault{
+	fileFaults := []faults.FileFault{
 		{Member: 3, Kind: faults.FileMissing},
 		{Member: 6, Kind: faults.FileCorrupt},
 	}
@@ -952,25 +953,25 @@ func TestEveryReaderDeathRecoversAlike(t *testing.T) {
 	}
 	wantDropped := []int{3, 6}
 
-	var deaths []RankDeath
+	var deaths []faults.RankDeath
 	for g := 0; g < ncg; g++ {
 		for r := 0; r < nsdy; r++ {
 			for l := 0; l < layers; l++ {
-				deaths = append(deaths, RankDeath{Group: g, Reader: r, BeforeStage: l})
+				deaths = append(deaths, faults.RankDeath{Group: g, Reader: r, BeforeStage: l})
 			}
 		}
 	}
-	var runs [][]RankDeath
+	var runs [][]faults.RankDeath
 	for i, a := range deaths {
-		runs = append(runs, []RankDeath{a})
+		runs = append(runs, []faults.RankDeath{a})
 		for _, b := range deaths[i+1:] {
 			if a.Group != b.Group || a.Reader != b.Reader {
-				runs = append(runs, []RankDeath{a, b})
+				runs = append(runs, []faults.RankDeath{a, b})
 			}
 		}
 	}
 	for g := 0; g < ncg; g++ {
-		runs = append(runs, []RankDeath{{Group: g, Reader: 0}, {Group: g, Reader: 1, BeforeStage: 1}, {Group: g, Reader: 2}})
+		runs = append(runs, []faults.RankDeath{{Group: g, Reader: 0}, {Group: g, Reader: 1, BeforeStage: 1}, {Group: g, Reader: 2}})
 	}
 
 	// The rank-death and failover instants of a run, in a comparable form.
@@ -1010,7 +1011,7 @@ func TestEveryReaderDeathRecoversAlike(t *testing.T) {
 		fp := &FaultPlan{Deaths: ds, FileFaults: fileFaults}
 		realBuf, simBuf := trace.NewBuffer(), trace.NewBuffer()
 		res, realErr := RunSEnKFResilient(
-			Problem{Cfg: Config{Mesh: mesh, Radius: radius, N: members, Seed: 11}, Dir: dir, Net: net, Tr: NewWallTracer(realBuf)},
+			Problem{Cfg: Config{Mesh: mesh, Radius: radius, N: members, Seed: 11}, Dir: dir, Net: net, Tr: trace.New(nil, realBuf)},
 			Plan{Dec: dec, L: layers, NCg: ncg}, Resilience{Faults: fp})
 		simRes, simErr := schedule.SimulateSEnKF(schedule.Config{
 			P: costmodel.Params{
@@ -1045,7 +1046,7 @@ func TestEveryReaderDeathRecoversAlike(t *testing.T) {
 		if got, want := instants(realEvents), instants(simEvents); !reflect.DeepEqual(got, want) || len(got) < 2*len(ds) {
 			t.Errorf("deaths %v: fault instants: real %v, simulated %v", ds, got, want)
 		}
-		if err := DiffDAG(TraceDAG(realEvents), TraceDAG(simEvents)); err != nil {
+		if err := plan.DiffDAG(plan.StructuralDAG(realEvents), plan.StructuralDAG(simEvents)); err != nil {
 			t.Errorf("deaths %v: real vs simulated DAG: %v", ds, err)
 		}
 	}

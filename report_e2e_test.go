@@ -8,16 +8,20 @@ import (
 	"bytes"
 	"math"
 	"testing"
+
+	"senkf/internal/figures"
+	"senkf/internal/trace"
+	"senkf/internal/trace/critpath"
 )
 
 // tracedQuickSuite runs the quick-scale tuner + S-EnKF simulation with
 // tracing and returns the events.
 func tracedQuickSuite(t *testing.T, np int) []TraceEvent {
 	t.Helper()
-	o := QuickFigureOptions()
-	buf := NewTraceBuffer()
-	tr := NewWallTracer(buf)
-	tr.SetCounters(NewCounterRegistry())
+	o := figures.QuickOptions()
+	buf := trace.NewBuffer()
+	tr := trace.New(nil, buf)
+	tr.SetCounters(trace.NewRegistry())
 	o.Cfg.Tracer = tr
 	s := NewFigureSuite(o)
 	if _, _, err := s.SEnKFAt(np); err != nil {
@@ -32,7 +36,7 @@ func TestRunReportEndToEnd(t *testing.T) {
 	// The report must survive the same Chrome file round trip senkf-report
 	// performs.
 	var file bytes.Buffer
-	if err := WriteChromeTrace(&file, events); err != nil {
+	if err := trace.WriteChrome(&file, events); err != nil {
 		t.Fatal(err)
 	}
 	decoded, err := ReadChromeTrace(&file)
@@ -73,14 +77,14 @@ func TestRunReportEndToEnd(t *testing.T) {
 
 func TestCriticalPathFacade(t *testing.T) {
 	events := tracedQuickSuite(t, 60)
-	path, err := ExtractCriticalPath(events)
+	path, err := critpath.Extract(events)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got, want := path.Total(), path.End-path.Start; math.Abs(got-want) > 1e-9*want {
 		t.Fatalf("path Total %g != End-Start %g", got, want)
 	}
-	stages := StagePipelineOverlaps(events)
+	stages := critpath.StageOverlaps(events)
 	if len(stages) == 0 {
 		t.Fatal("no stage overlap accounting from a multi-stage run")
 	}
@@ -92,7 +96,7 @@ func TestCriticalPathFacade(t *testing.T) {
 }
 
 func TestBenchRecordGateEndToEnd(t *testing.T) {
-	o := QuickFigureOptions()
+	o := figures.QuickOptions()
 	o.ProcCounts = []int{60}
 	s := NewFigureSuite(o)
 	rec, err := CollectBenchRecord(s, "quick")

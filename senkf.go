@@ -15,15 +15,21 @@
 //     assimilation over real member files, parallelised across goroutine
 //     ranks with a message-passing runtime. All three reproduce the serial
 //     reference (SerialReference) bit for bit.
-//   - Simulated executions (SimulateSEnKF, SimulatePEnKF, SimulateLEnKF):
-//     the same compiled schedules replayed on a discrete-event machine with
-//     a parallel-file-system model at the paper's scale (12,000 processors,
+//   - Simulated executions (SimulateSEnKF, SimulatePEnKF): the same
+//     compiled schedules replayed on a discrete-event machine with a
+//     parallel-file-system model at the paper's scale (12,000 processors,
 //     0.1° data), regenerating the evaluation figures (PaperFigures).
 //
 // Because both substrates derive their event structure from the same
 // compiled plan, a traced real run and a simulated run at equal geometry
 // are structurally identical — same phase spans, same stage release edges
-// per rank (see ExpectedDAG/TraceDAG/DiffDAG).
+// per rank (internal/plan's Compiled.ExpectedDAG, StructuralDAG, DiffDAG).
+//
+// This package is the facade the binaries (cmd/), the examples and the
+// README reach the system through, and it holds only what they use:
+// TestFacadeNamesHaveAUser fails on an exported name none of them writes
+// as senkf.X and no kept declaration names. Tests and new tools that need
+// more import the internal package behind it.
 //
 // Quick start:
 //
@@ -57,7 +63,6 @@ import (
 	"senkf/internal/report/bench"
 	"senkf/internal/schedule"
 	"senkf/internal/trace"
-	"senkf/internal/trace/critpath"
 	"senkf/internal/workload"
 )
 
@@ -65,8 +70,6 @@ import (
 type (
 	// Mesh is the global latitude–longitude mesh (n_x × n_y grid points).
 	Mesh = grid.Mesh
-	// Box is a half-open rectangle of grid points.
-	Box = grid.Box
 	// Radius is the domain-localization influence scope (ξ, η).
 	Radius = grid.Radius
 	// Decomposition splits the mesh into n_sdx × n_sdy sub-domains.
@@ -80,16 +83,10 @@ type (
 	Config = enkf.Config
 	// Solver selects the local analysis formulation.
 	Solver = enkf.Solver
-	// Block is ensemble data over a box.
-	Block = enkf.Block
 	// Network is an observation network over the mesh.
 	Network = obs.Network
-	// Observation is one observed component.
-	Observation = obs.Observation
 	// FieldSpec controls synthetic truth-field generation.
 	FieldSpec = workload.FieldSpec
-	// ExperimentPreset bundles a full experiment geometry.
-	ExperimentPreset = workload.Preset
 )
 
 // Parallel execution types.
@@ -102,17 +99,8 @@ type (
 
 // Observability types (structured event tracing and counters).
 type (
-	// Tracer emits structured spans/instants/counters to its sinks. A nil
-	// tracer is valid everywhere and costs nothing.
-	Tracer = trace.Tracer
 	// TraceEvent is one emitted trace event.
 	TraceEvent = trace.Event
-	// TraceSink receives emitted events.
-	TraceSink = trace.Sink
-	// TraceBuffer collects events in memory and exports Chrome trace JSON.
-	TraceBuffer = trace.Buffer
-	// CounterRegistry aggregates named counters, gauges and histograms.
-	CounterRegistry = trace.Registry
 )
 
 // Processor-name class prefixes: every I/O processor is named
@@ -161,13 +149,8 @@ const (
 
 // Experiment presets.
 var (
-	// PaperScale is the §5.1 configuration: 0.1° data, 3600×1800 grid,
-	// 30 levels, 120 members. Simulation-only (the state is ~186 GB).
-	PaperScale = workload.PaperScale
 	// LaptopScale is a small geometry for real end-to-end runs.
 	LaptopScale = workload.LaptopScale
-	// TestScale is tiny, for tests and demos.
-	TestScale = workload.TestScale
 	// DefaultFieldSpec is a reasonable ocean-like truth texture.
 	DefaultFieldSpec = workload.DefaultFieldSpec
 )
@@ -200,18 +183,10 @@ func WriteEnsemble(dir string, m Mesh, members [][]float64) ([]string, error) {
 	return ensio.WriteEnsemble(dir, m, members)
 }
 
-// MemberPath returns the canonical file name of member k inside dir.
-func MemberPath(dir string, k int) string { return ensio.MemberPath(dir, k) }
-
 // NewStridedNetwork builds a regular observation network measuring the
 // truth with noise of the given variance.
 func NewStridedNetwork(m Mesh, truth []float64, strideX, strideY int, variance float64, seed uint64) (*Network, error) {
 	return obs.StridedNetwork(m, truth, strideX, strideY, variance, seed)
-}
-
-// NewRandomNetwork places count observations at distinct random points.
-func NewRandomNetwork(m Mesh, truth []float64, count int, variance float64, seed uint64) (*Network, error) {
-	return obs.RandomNetwork(m, truth, count, variance, seed)
 }
 
 // NewOffGridNetwork places count observations at random fractional
@@ -233,22 +208,11 @@ func EnsembleMean(fields [][]float64) []float64 { return enkf.EnsembleMean(field
 // RMSE returns the root-mean-square error between a field and the truth.
 func RMSE(field, truth []float64) float64 { return enkf.RMSE(field, truth) }
 
-// NewTraceBuffer returns an empty in-memory trace sink.
-func NewTraceBuffer() *TraceBuffer { return trace.NewBuffer() }
-
-// NewWallTracer returns a wall-clocked tracer over the given sinks, for
-// real executions. With no sinks the tracer is disabled (every call is a
-// cheap no-op), so it is safe to construct one unconditionally.
-func NewWallTracer(sinks ...trace.Sink) *Tracer { return trace.New(nil, sinks...) }
-
 // PhaseTotals sums a traced run's phase spans over the tracks of one
 // processor class (IOPrefix, ComputePrefix, or a full proc name).
 func PhaseTotals(events []TraceEvent, prefix string) PhaseBreakdown {
 	return trace.PhaseBreakdown(events, prefix)
 }
-
-// NewCounterRegistry returns an empty counter/gauge/histogram registry.
-func NewCounterRegistry() *CounterRegistry { return trace.NewRegistry() }
 
 // Problem bundles what a real parallel run needs: the assimilation
 // configuration, the member-file directory, the observation network (Net, or
@@ -267,9 +231,6 @@ type (
 	// what with how many addressing operations, what is sent where at which
 	// stage, and where the helper-thread release points are.
 	CompiledPlan = plan.Compiled
-	// TrackDAG is the substrate-independent structural signature of one
-	// processor track (busy spans + stage release instants).
-	TrackDAG = plan.TrackDAG
 )
 
 // SEnKFSpec declares the paper's schedule: bar reading in ncg concurrent
@@ -284,18 +245,6 @@ func LEnKFSpec(dec Decomposition, n int) AlgorithmSpec { return plan.LEnKF(dec, 
 
 // CompilePlan turns a declarative spec into its explicit per-rank schedule.
 func CompilePlan(s AlgorithmSpec) (*CompiledPlan, error) { return plan.Compile(s) }
-
-// ExecutePlan runs a compiled plan on the real substrate and returns the
-// analysis ensemble. RunSEnKF/RunPEnKF/RunLEnKF are thin wrappers over it.
-func ExecutePlan(p Problem, c *CompiledPlan) ([][]float64, error) { return core.ExecutePlan(p, c) }
-
-// TraceDAG reduces trace events (from either substrate) to per-track
-// structural signatures, comparable across substrates with DiffDAG.
-func TraceDAG(events []TraceEvent) map[string]*TrackDAG { return plan.StructuralDAG(events) }
-
-// DiffDAG reports the first structural difference between two signatures,
-// or nil when they are identical.
-func DiffDAG(a, b map[string]*TrackDAG) error { return plan.DiffDAG(a, b) }
 
 // RunSEnKF executes the paper's S-EnKF for real: C1 = n_cg·n_sdy I/O ranks
 // bar-read the member files in concurrent groups and stream stage blocks to
@@ -319,14 +268,10 @@ func RunLEnKF(p Problem, dec Decomposition) ([][]float64, error) {
 	return baseline.RunLEnKF(p, dec)
 }
 
-// AutoTune runs Algorithm 2 (restructured for large processor counts):
-// given the model parameters, a processor budget and the earnings-rate
-// threshold ε of Eq. (14), it returns the economic configuration.
-func AutoTune(p ModelParams, np int, eps float64) (Tuned, bool) {
-	return p.AutoTuneFast(np, eps)
-}
-
-// AutoTuneConstrained is AutoTune restricted by tc.
+// AutoTuneConstrained runs Algorithm 2 (restructured for large processor
+// counts) within the bounds tc sets: given the model parameters, a processor
+// budget and the earnings-rate threshold ε of Eq. (14), it returns the
+// economic configuration.
 func AutoTuneConstrained(p ModelParams, np int, eps float64, tc TuneConstraints) (Tuned, bool) {
 	return p.AutoTuneConstrained(np, eps, tc)
 }
@@ -345,11 +290,6 @@ func SimulateSEnKF(m Machine, ch Choice) (SimResult, error) {
 // simulated processors.
 func SimulatePEnKF(m Machine, nsdx, nsdy int) (SimResult, error) {
 	return schedule.SimulatePEnKF(m, nsdx, nsdy)
-}
-
-// SimulateLEnKF runs the single-reader baseline schedule.
-func SimulateLEnKF(m Machine, nsdx, nsdy int) (SimResult, error) {
-	return schedule.SimulateLEnKF(m, nsdx, nsdy)
 }
 
 // ChooseDecomposition picks the halo-minimizing (n_sdx, n_sdy) for np
@@ -371,9 +311,6 @@ func NewFigureSuite(o FigureOptions) *FigureSuite { return figures.NewSuite(o) }
 // PaperFigureOptions returns the paper-scale experiment options.
 func PaperFigureOptions() FigureOptions { return figures.PaperOptions() }
 
-// QuickFigureOptions returns the reduced-scale experiment options.
-func QuickFigureOptions() FigureOptions { return figures.QuickOptions() }
-
 // AblationResult is one rung of the co-design ablation ladder.
 type AblationResult = figures.Ablation
 
@@ -394,10 +331,6 @@ type (
 	FaultGeometry = faults.Geometry
 	// OSTWindow is a storage-target outage or degraded-bandwidth interval.
 	OSTWindow = faults.OSTWindow
-	// FileFault is per-member file damage (missing/truncated/corrupt/transient).
-	FileFault = faults.FileFault
-	// RankDeath kills one I/O reader at a chosen point of the schedule.
-	RankDeath = faults.RankDeath
 	// CycleCrash kills the whole process at a cycle boundary of a cycled
 	// experiment — the fault the checkpoint/resume machinery survives.
 	CycleCrash = faults.CycleCrash
@@ -405,8 +338,6 @@ type (
 	Resilience = core.Resilience
 	// DegradedResult is the structured outcome of a resilient run.
 	DegradedResult = core.DegradedResult
-	// DroppedMember records one member excluded from a degraded analysis.
-	DroppedMember = core.DroppedMember
 	// EnsembleInfo describes an on-disk ensemble directory.
 	EnsembleInfo = ensio.DirInfo
 )
@@ -437,16 +368,6 @@ func InspectEnsemble(dir string, n int) (EnsembleInfo, error) {
 // measured drift, tuner explainability, run reports and the bench
 // regression pipeline.
 type (
-	// CriticalPath is the blocking chain explaining a run's end-to-end time.
-	CriticalPath = critpath.Path
-	// CritPathSegment is one segment of a critical path.
-	CritPathSegment = critpath.Segment
-	// StagePipelineOverlap is the per-stage hidden-I/O accounting.
-	StagePipelineOverlap = critpath.StageOverlap
-	// ModelMeasured carries measured per-stage T_read/T_comm/T_comp.
-	ModelMeasured = costmodel.Measured
-	// ModelDriftReport compares Eq. 7–10 predictions against measurements.
-	ModelDriftReport = costmodel.DriftReport
 	// TuneSearchTrace records the full Algorithm 1/2 search for -explain.
 	TuneSearchTrace = costmodel.SearchTrace
 	// RunReport is the structured outcome of one traced run.
@@ -457,27 +378,6 @@ type (
 	BenchRunDelta = bench.RunDelta
 )
 
-// ExtractCriticalPath walks the trace's span DAG backwards from the
-// last-ending phase span and returns the chain of segments explaining the
-// end-to-end time (gaps appear as synthetic "blocked" segments).
-func ExtractCriticalPath(events []TraceEvent) (CriticalPath, error) {
-	return critpath.Extract(events)
-}
-
-// StagePipelineOverlaps computes, per stage, how much of the I/O activity
-// was hidden behind computation — overlap efficiency against the ideal
-// §4.2 pipeline (stage 0 exposed, stages ≥ 1 fully hidden).
-func StagePipelineOverlaps(events []TraceEvent) []StagePipelineOverlap {
-	return critpath.StageOverlaps(events)
-}
-
-// ModelDrift compares the model's predictions for choice ch against
-// measured per-stage times: signed relative error per term plus
-// coefficients recalibrated to reproduce the measurements.
-func ModelDrift(p ModelParams, ch Choice, m ModelMeasured) ModelDriftReport {
-	return p.Drift(ch, m)
-}
-
 // AutoTuneExplained is AutoTuneConstrained with the full Algorithm 1/2
 // search table attached (the Eq. 13–14 earnings-rate series and stopping
 // points); senkf-tune -explain prints it.
@@ -485,11 +385,8 @@ func AutoTuneExplained(p ModelParams, np int, eps float64, tc TuneConstraints) (
 	return p.AutoTuneExplained(np, eps, tc)
 }
 
-// WriteChromeTrace encodes events as Chrome trace-event JSON.
-func WriteChromeTrace(w io.Writer, events []TraceEvent) error { return trace.WriteChrome(w, events) }
-
-// ReadChromeTrace decodes a Chrome trace-event JSON file (as written by
-// TraceBuffer.WriteChrome) back into events.
+// ReadChromeTrace decodes a Chrome trace-event JSON file (a traced run's
+// -trace output) back into events.
 func ReadChromeTrace(r io.Reader) ([]TraceEvent, error) { return trace.ReadChrome(r) }
 
 // BuildRunReport computes the structured run report — phase breakdowns,

@@ -3,12 +3,16 @@ package senkf
 import (
 	"io"
 	"testing"
+
+	"senkf/internal/ensio"
+	"senkf/internal/schedule"
+	"senkf/internal/workload"
 )
 
 // buildProblem assembles a complete test problem via the public API only.
 func buildProblem(t *testing.T) (Problem, Decomposition, [][]float64, []float64) {
 	t.Helper()
-	ps := TestScale
+	ps := workload.TestScale
 	mesh, err := NewMesh(ps.NX, ps.NY)
 	if err != nil {
 		t.Fatal(err)
@@ -96,7 +100,7 @@ func TestPublicAPIAutoTuneAndSimulate(t *testing.T) {
 		t.Errorf("tuned S-EnKF (%.1fs) not faster than P-EnKF (%.1fs) at 4000 processors",
 			sres.Runtime, pres.Runtime)
 	}
-	lres, err := SimulateLEnKF(m, nsdx, nsdy)
+	lres, err := schedule.SimulateLEnKF(m, nsdx, nsdy)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +124,7 @@ func TestPublicAPIQuickFigures(t *testing.T) {
 }
 
 func TestPresetsAreConsistent(t *testing.T) {
-	for _, ps := range []ExperimentPreset{PaperScale, LaptopScale, TestScale} {
+	for _, ps := range []workload.Preset{workload.PaperScale, LaptopScale, workload.TestScale} {
 		m, err := ps.Mesh()
 		if err != nil {
 			t.Errorf("%s: %v", ps.Name, err)
@@ -133,13 +137,13 @@ func TestPresetsAreConsistent(t *testing.T) {
 			t.Errorf("%s: h = %d, want %d", ps.Name, ps.BytesPerPoint(), ps.Levels*8)
 		}
 	}
-	if PaperScale.BytesPerPoint() != 240 {
-		t.Errorf("paper h = %d, want 240", PaperScale.BytesPerPoint())
+	if workload.PaperScale.BytesPerPoint() != 240 {
+		t.Errorf("paper h = %d, want 240", workload.PaperScale.BytesPerPoint())
 	}
 }
 
 func TestMemberPathExported(t *testing.T) {
-	if MemberPath("/x", 3) != "/x/member_0003.senk" {
-		t.Errorf("MemberPath = %q", MemberPath("/x", 3))
+	if ensio.MemberPath("/x", 3) != "/x/member_0003.senk" {
+		t.Errorf("MemberPath = %q", ensio.MemberPath("/x", 3))
 	}
 }
