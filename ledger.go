@@ -34,8 +34,8 @@ type (
 	HotStageAttribution = runtimeobs.Attribution
 )
 
-// Attached-file names inside an archived run directory, for
-// an archived record's ReadFile / Has: the two halves of a hot-stage attribution.
+// Attached-file names inside an archived run directory, for a record's
+// ReadFile / Has: the two halves of a hot-stage attribution.
 const (
 	RunTraceFile      = runlog.TraceFile
 	RunCPUProfileFile = runlog.CPUProfileFile

@@ -97,7 +97,7 @@ type (
 	PhaseBreakdown = metrics.Breakdown
 )
 
-// Observability types (structured event tracing and counters).
+// Observability types: a traced run is a stream of events.
 type (
 	// TraceEvent is one emitted trace event.
 	TraceEvent = trace.Event
@@ -364,9 +364,8 @@ func InspectEnsemble(dir string, n int) (EnsembleInfo, error) {
 	return ensio.InspectDir(dir, n)
 }
 
-// Performance-observability types: critical-path extraction, model-vs-
-// measured drift, tuner explainability, run reports and the bench
-// regression pipeline.
+// Performance-observability types: tuner explainability, run reports and
+// the bench regression pipeline.
 type (
 	// TuneSearchTrace records the full Algorithm 1/2 search for -explain.
 	TuneSearchTrace = costmodel.SearchTrace
