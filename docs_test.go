@@ -1,101 +1,11 @@
 package senkf
 
 import (
-	"go/ast"
-	"go/parser"
-	"go/token"
 	"os"
-	"path/filepath"
 	"regexp"
 	"strings"
 	"testing"
 )
-
-// treeSymbols indexes every Go file of the module, tests included, by
-// package name: the top-level names of each package, and the methods and
-// fields of each of its types ("Type.Name"). Packages named main (the
-// binaries and the benchmark) are left out; docs name them by path.
-func treeSymbols(t *testing.T) map[string]map[string]bool {
-	t.Helper()
-	syms := map[string]map[string]bool{}
-	add := func(pkg, name string) {
-		if syms[pkg] == nil {
-			syms[pkg] = map[string]bool{}
-		}
-		syms[pkg][name] = true
-	}
-	err := filepath.WalkDir(".", func(path string, d os.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if d.IsDir() {
-			if n := d.Name(); path != "." && (strings.HasPrefix(n, ".") || n == "testdata") {
-				return filepath.SkipDir
-			}
-			return nil
-		}
-		if !strings.HasSuffix(path, ".go") {
-			return nil
-		}
-		f, err := parser.ParseFile(token.NewFileSet(), path, nil, parser.SkipObjectResolution)
-		if err != nil {
-			return err
-		}
-		pkg := strings.TrimSuffix(f.Name.Name, "_test")
-		if pkg == "main" {
-			return nil
-		}
-		for _, decl := range f.Decls {
-			switch decl := decl.(type) {
-			case *ast.FuncDecl:
-				if decl.Recv == nil {
-					add(pkg, decl.Name.Name)
-					continue
-				}
-				typ := decl.Recv.List[0].Type
-				if star, ok := typ.(*ast.StarExpr); ok {
-					typ = star.X
-				}
-				if idx, ok := typ.(*ast.IndexExpr); ok {
-					typ = idx.X
-				}
-				if id, ok := typ.(*ast.Ident); ok {
-					add(pkg, id.Name+"."+decl.Name.Name)
-				}
-			case *ast.GenDecl:
-				for _, spec := range decl.Specs {
-					switch spec := spec.(type) {
-					case *ast.TypeSpec:
-						add(pkg, spec.Name.Name)
-						if st, ok := spec.Type.(*ast.StructType); ok {
-							for _, field := range st.Fields.List {
-								for _, id := range field.Names {
-									add(pkg, spec.Name.Name+"."+id.Name)
-								}
-							}
-						}
-						if it, ok := spec.Type.(*ast.InterfaceType); ok {
-							for _, m := range it.Methods.List {
-								for _, id := range m.Names {
-									add(pkg, spec.Name.Name+"."+id.Name)
-								}
-							}
-						}
-					case *ast.ValueSpec:
-						for _, id := range spec.Names {
-							add(pkg, id.Name)
-						}
-					}
-				}
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return syms
-}
 
 var (
 	// fencedBlock is a ``` block; its contents are commands and programs,
@@ -115,7 +25,7 @@ var (
 // standard library) is not checked; a deliberate mention of code that is
 // gone reads "`pkg.Ident` (deleted, PR n)".
 func TestDocsNameRealSymbols(t *testing.T) {
-	syms := treeSymbols(t)
+	syms := packageDecls(t, moduleGoFiles(t))
 	for _, doc := range []string{"README.md", "DESIGN.md"} {
 		b, err := os.ReadFile(doc)
 		if err != nil {
@@ -135,11 +45,11 @@ func TestDocsNameRealSymbols(t *testing.T) {
 					if !ok {
 						continue
 					}
-					if !known[name] {
+					if _, ok := known[name]; !ok {
 						t.Errorf("%s:%d: `%s` names %s.%s, which does not exist", doc, i+1, span[1], pkg, name)
 						continue
 					}
-					if member != "" && !known[name+"."+member] {
+					if _, ok := known[name+"."+member]; member != "" && !ok {
 						t.Errorf("%s:%d: `%s` names %s.%s.%s, which does not exist", doc, i+1, span[1], pkg, name, member)
 					}
 				}

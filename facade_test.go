@@ -17,42 +17,20 @@ import (
 // FuncDecl for a function, the one spec for a type, const or var.
 func facadeDecls(t *testing.T) map[string]ast.Node {
 	t.Helper()
-	fset := token.NewFileSet()
 	files, err := filepath.Glob("*.go")
 	if err != nil {
 		t.Fatal(err)
 	}
-	decls := map[string]ast.Node{}
+	var src []string
 	for _, name := range files {
-		if strings.HasSuffix(name, "_test.go") {
-			continue
+		if !strings.HasSuffix(name, "_test.go") {
+			src = append(src, name)
 		}
-		f, err := parser.ParseFile(fset, name, nil, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, d := range f.Decls {
-			switch d := d.(type) {
-			case *ast.FuncDecl:
-				if d.Recv == nil && d.Name.IsExported() {
-					decls[d.Name.Name] = d
-				}
-			case *ast.GenDecl:
-				for _, s := range d.Specs {
-					switch s := s.(type) {
-					case *ast.TypeSpec:
-						if s.Name.IsExported() {
-							decls[s.Name.Name] = s
-						}
-					case *ast.ValueSpec:
-						for _, id := range s.Names {
-							if id.IsExported() {
-								decls[id.Name] = s
-							}
-						}
-					}
-				}
-			}
+	}
+	decls := map[string]ast.Node{}
+	for name, node := range packageDecls(t, src)["senkf"] {
+		if !strings.Contains(name, ".") && token.IsExported(name) {
+			decls[name] = node
 		}
 	}
 	return decls

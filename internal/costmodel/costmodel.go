@@ -323,16 +323,10 @@ func (tc TuneConstraints) allows(l, ncg int) bool {
 	return true
 }
 
-// t1CurveFast computes the same strictly-improving (C1, min T1) curve as
-// T1Curve but enumerates only feasible (n_sdy, n_cg, L) structures instead
-// of scanning every integer C1 — equivalent output, polynomially cheaper.
-// Used by AutoTuneConstrained at paper scale (np ≈ 12,000).
-func (p Params) t1CurveFast(c2, maxC1 int) []CurvePoint {
-	return p.T1CurveConstrained(c2, maxC1, TuneConstraints{})
-}
-
-// T1CurveConstrained is the fast T1 curve restricted to choices allowed by
-// tc; with zero constraints it matches the literal T1Curve.
+// T1CurveConstrained is the strictly-improving (C1, min T1) curve over the
+// choices tc allows. It enumerates only feasible (n_sdy, n_cg, L)
+// structures instead of scanning every integer C1, so with zero
+// constraints it matches the literal T1Curve at polynomially lower cost.
 func (p Params) T1CurveConstrained(c2, maxC1 int, tc TuneConstraints) []CurvePoint {
 	return p.t1Curve(c2, maxC1, tc, p.newSweep())
 }

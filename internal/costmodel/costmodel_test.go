@@ -341,7 +341,7 @@ func TestQuickCostsNonNegativeAndFinite(t *testing.T) {
 func TestT1CurveFastMatchesLiteral(t *testing.T) {
 	p := testParams()
 	for _, c2 := range []int{4, 12, 24, 30} {
-		fast := p.t1CurveFast(c2, 48)
+		fast := p.T1CurveConstrained(c2, 48, TuneConstraints{})
 		slow := p.T1Curve(c2, 48)
 		if len(fast) != len(slow) {
 			t.Fatalf("C2=%d: fast curve has %d points, literal %d", c2, len(fast), len(slow))

@@ -1,35 +1,34 @@
 #!/usr/bin/env bash
 # Mutation record: how much the tests catch that is not a pinned bit pattern.
 #
-#   scripts/mutants.sh [-rev <rev>] [-out <file>]    # default: HEAD, bench/mutants.json
+#   scripts/mutants.sh [-out <file>]    # default: bench/mutants.json
 #
 # Each scripts/mutants/*.patch plants one bug, applied consistently (the
 # production code and any verbatim copy of it in the tests change alike), so
 # only a test that knows the right answer independently can catch it. The
-# script exports <rev>'s tree with `git archive` under .bench_build/mutants/
-# (removed at exit), checks that the unmutated tree passes, then applies each
-# patch to a fresh export and runs `go test ./...` with the -skip list below:
-# the digest pins and verbatim-oracle comparisons, which fail on any change of
-# bits and so say nothing about whether the maths is right. A mutant is
-# killed when some test still fails; the record names the first one (package
-# order, then run order within the package). The script exits 1 when a
-# mutant survives, and when the unmutated tree fails.
+# script exports the HEAD commit's tree with `git archive` under
+# .bench_build/mutants/ (removed at exit), checks that the unmutated tree
+# passes, then applies each patch to a fresh export and runs `go test ./...`
+# with the -skip list below: the digest pins and verbatim-oracle comparisons,
+# which fail on any change of bits and so say nothing about whether the maths
+# is right. A mutant is killed when some test still fails; the record names
+# the first one (package paths in byte order, so the record is the same in
+# every locale, then run order within the package). The script exits 1 when
+# a mutant survives, and when the unmutated tree fails.
 set -euo pipefail
 
 root="$(cd "$(dirname "$0")/.." && pwd)"
 skip='^(TestSerialReferenceGolden|TestWorkspaceMatchesOracle|TestWorkspaceMatchesOracleOnSparseNetworks|TestWorkspaceErrorsMatchOracle|TestRunFromStateDigests|TestMultiLevelGoldenSEnKF|TestMultiLevelGoldenPEnKF|TestGoldenDigests|TestGoldenPrograms)$'
 
-rev=HEAD
 out="$root/bench/mutants.json"
 while [ $# -gt 0 ]; do
     case "$1" in
-        -rev) rev="$2"; shift 2 ;;
         -out) out="$2"; shift 2 ;;
-        *) echo "usage: $0 [-rev <rev>] [-out <file>]" >&2; exit 2 ;;
+        *) echo "usage: $0 [-out <file>]" >&2; exit 2 ;;
     esac
 done
-commit="$(git -C "$root" rev-parse --verify "$rev^{commit}")"
-if [ "$rev" = HEAD ] && [ -n "$(git -C "$root" status --porcelain --untracked-files=normal)" ]; then
+commit="$(git -C "$root" rev-parse --verify "HEAD^{commit}")"
+if [ -n "$(git -C "$root" status --porcelain --untracked-files=normal)" ]; then
     echo "mutants: testing $commit; uncommitted edits are not in the run" >&2
 fi
 
@@ -46,7 +45,7 @@ killer() {
     (cd "$1" && go test -json -skip "$skip" ./... 2>/dev/null || true) |
         jq -r 'select(.Action == "fail" and ((.Test // "") | contains("/") | not))
           | "\(.Package) \(.Test // "(package)")"' |
-        awk '!seen[$1]++' | sort | awk 'NR == 1'
+        awk '!seen[$1]++' | LC_ALL=C sort | awk 'NR == 1'
 }
 
 export_tree() {
