@@ -39,14 +39,12 @@ func stageOf(ev trace.Event) int {
 }
 
 // foldSpanLocked checks one busy span against the plan and feeds the
-// watchdog + streaming latency histograms. Wait spans are timing, not
-// structure (plan.StructuralDAG skips them too), but they are exactly
-// where a starved compute rank shows, so they get the watchdog treatment
-// with the stage the rank was awaiting.
+// watchdog. Wait spans are timing, not structure (plan.StructuralDAG skips
+// them too), but they are exactly where a starved compute rank shows, so
+// they get the watchdog treatment with the stage the rank was awaiting.
 func (m *Monitor) foldSpanLocked(ev trace.Event) {
 	stage := stageOf(ev)
 	if ev.Name == metrics.PhaseWait.String() {
-		m.reg.Observe("monitor/scatter_wait", ev.Dur)
 		// A wait that began after every expected release had already
 		// arrived is not starving on stage data (a terminal barrier,
 		// say) — there is no plan edge to budget it against.
@@ -57,25 +55,6 @@ func (m *Monitor) foldSpanLocked(ev trace.Event) {
 	}
 
 	m.spans++
-	switch ev.Name {
-	case metrics.PhaseRead.String():
-		if strings.HasPrefix(ev.Track, metrics.IOPrefix+"/") {
-			m.reg.Observe("monitor/read_latency", ev.Dur)
-		} else {
-			m.reg.Observe("monitor/self_read_latency", ev.Dur)
-		}
-	case metrics.PhaseComm.String():
-		m.reg.Observe("monitor/comm_latency", ev.Dur)
-	case metrics.PhaseCompute.String():
-		m.reg.Observe("monitor/compute_latency", ev.Dur)
-		if stage >= 0 {
-			// Stage data lead: how long before this stage's compute began
-			// was its last block already there — the overlap headroom.
-			if ts, ok := m.readyTs[ev.Track][stage]; ok {
-				m.reg.Observe("monitor/stage_lead", ev.Ts-ts)
-			}
-		}
-	}
 	if d := m.check.Span(ev.Track, plan.DAGNode{Phase: ev.Name, Stage: stage}); d != "" {
 		m.divergeLocked(d)
 	}

@@ -67,14 +67,14 @@ func (m *Monitor) incidentLocked(inc Incident, dump bool) {
 	}
 	m.reg.Inc("monitor/incidents")
 	if dump {
-		m.dumpLocked(inc.Kind)
+		m.dumpLocked()
 	}
 }
 
 // dumpLocked snapshots the ring (for error attachment and LastDump) and
 // writes the dump file if a path is configured. Only the first anomaly
 // dumps: the interesting events are the ones leading up to it.
-func (m *Monitor) dumpLocked(reason string) {
+func (m *Monitor) dumpLocked() {
 	if m.dumped {
 		return
 	}
@@ -83,11 +83,6 @@ func (m *Monitor) dumpLocked(reason string) {
 	// events, so the dump shows GC/heap state at the moment of anomaly.
 	m.lastDump = mergeByTs(m.ring.events(), m.runtime.ring.events())
 	m.reg.Inc("monitor/flight_dumps")
-	if m.opts.AnomalyHook != nil {
-		// On its own goroutine: the hook (pprof capture, archival) must
-		// not run under the monitor lock in the tee's drain path.
-		go m.opts.AnomalyHook(reason)
-	}
 	if m.opts.DumpPath == "" {
 		return
 	}

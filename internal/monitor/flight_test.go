@@ -35,7 +35,7 @@ func TestDumpOnlyOnFirstAnomaly(t *testing.T) {
 	m := New(Options{})
 	m.Emit(trace.Event{Ts: 1})
 	m.mu.Lock()
-	m.dumpLocked("first")
+	m.dumpLocked()
 	n := len(m.lastDump)
 	m.mu.Unlock()
 	if n != 1 {
@@ -43,7 +43,7 @@ func TestDumpOnlyOnFirstAnomaly(t *testing.T) {
 	}
 	m.Emit(trace.Event{Ts: 2})
 	m.mu.Lock()
-	m.dumpLocked("second")
+	m.dumpLocked()
 	n = len(m.lastDump)
 	m.mu.Unlock()
 	if n != 1 {

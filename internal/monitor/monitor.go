@@ -14,11 +14,12 @@
 //     already emits), with a straggler/stall verdict when a stage
 //     exceeds budget × tolerance. Real runs, which have no model
 //     prediction, fall back to peer-median budgets per (phase, stage);
-//   - streaming metrics — read/comm/compute latencies, scatter wait,
-//     stage data lead (overlap headroom), and per-OST bytes, counted into
-//     the run's trace.Registry (Options.Registry), plus a JSON conformance
-//     summary (Status), which the run's one server (runlog's -profile)
-//     renders at /metrics and /status;
+//   - the monitor's own counts — runs, divergences, watchdog trips,
+//     incidents, faults, planned messages — in the run's trace.Registry
+//     (Options.Registry), plus a JSON conformance summary (Status), which
+//     the run's one server (runlog's -profile) renders at /metrics and
+//     /status. Phase latencies and file-system traffic are the trace's
+//     spans and the parfs counters; the monitor does not count them again;
 //   - a flight recorder — a fixed-size ring of the most recent trace
 //     events, dumped automatically (file + attached to the error) on
 //     deadlock, watchdog trip, rank death, or plan divergence;
@@ -59,10 +60,6 @@ type Options struct {
 	// Logger, when set, receives structured log lines for run boundaries,
 	// incidents, watchdog verdicts and divergences.
 	Logger *slog.Logger
-	// AnomalyHook, when set, fires (once, on its own goroutine) when the
-	// flight recorder dumps — the run ledger uses it to capture pprof
-	// snapshots into the archive while the anomaly is fresh.
-	AnomalyHook func(kind string)
 	// Wire, when set, is the run's wire collector: EndRun judges the
 	// traffic it counted against the plan's expected edge matrix, and
 	// /status reports it live (wire.go).
@@ -258,7 +255,7 @@ func (m *Monitor) EndRun(err error) error {
 		m.opts.Logger.Error("monitor: run failed", "err", err.Error())
 	}
 	edges := m.classifyErrorLocked(err)
-	m.dumpLocked("run error")
+	m.dumpLocked()
 	return &RunError{
 		Err:        err,
 		Edges:      edges,
@@ -294,8 +291,6 @@ func (m *Monitor) Emit(ev trace.Event) {
 		m.foldReadyLocked(ev)
 	case ev.Ph == trace.PhaseCounter && ev.Track == trace.ModelTrack:
 		m.foldModelLocked(ev)
-	case ev.Cat == trace.CatOST:
-		m.foldOSTLocked(ev)
 	case ev.Ph == trace.PhaseInstant && ev.Cat == trace.CatFault:
 		m.foldFaultLocked(ev)
 	}
@@ -314,22 +309,6 @@ func (m *Monitor) foldModelLocked(ev trace.Event) {
 		m.setBudgetLocked("comm", v)
 	case "model/t_comp":
 		m.setBudgetLocked("compute", v)
-	}
-}
-
-// foldOSTLocked folds file-system service activity into per-OST byte and
-// queue-wait metrics.
-func (m *Monitor) foldOSTLocked(ev trace.Event) {
-	switch {
-	case ev.Ph == trace.PhaseSpan && ev.Name == "service":
-		if b, ok := ev.ArgValue("bytes"); ok {
-			m.reg.Add("monitor/"+ev.Track+"/bytes", b)
-		}
-		m.reg.Inc("monitor/" + ev.Track + "/requests")
-	case ev.Ph == trace.PhaseInstant && ev.Name == "queued":
-		if w, ok := ev.ArgValue("wait"); ok {
-			m.reg.Observe("monitor/ost_wait", w)
-		}
 	}
 }
 

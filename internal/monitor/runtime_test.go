@@ -145,7 +145,7 @@ func TestFlightDumpInterleavesRuntimeSamples(t *testing.T) {
 	m.Emit(runtimeSample(1, arg(runtimeobs.ArgGoroutines, 10)))
 	m.Emit(trace.Event{Track: "io/g0/r0", Cat: trace.CatPhase, Name: "comm", Ph: trace.PhaseSpan, Ts: 2, Dur: 1})
 	m.mu.Lock()
-	m.dumpLocked("test")
+	m.dumpLocked()
 	m.mu.Unlock()
 	dump := m.LastDump()
 	if len(dump) != 3 {

@@ -41,7 +41,7 @@ func Register(fs *flag.FlagSet, binary string) *Flags {
 	f := RegisterBasic(fs, binary)
 	f.trace = fs.String("trace", "", "write a Chrome trace-event JSON file of the run (open in Perfetto)")
 	f.counters = fs.Bool("counters", false, "print runtime counters/gauges/histograms after the run")
-	f.monitor = fs.Bool("monitor", false, "attach the live plan-conformance monitor: watchdog verdicts, streaming metrics, flight recorder")
+	f.monitor = fs.Bool("monitor", false, "attach the live plan-conformance monitor, with watchdog verdicts and a flight recorder")
 	f.flight = fs.String("flight-recorder", "", "with -monitor: write the anomaly flight-recorder dump (Chrome trace JSON) here")
 	f.linger = fs.Duration("linger", 0, "keep the -profile server up for this long after the run, so it can be scraped")
 	f.runtimeSample = fs.Duration("runtime-sample", 0, "sample runtime/metrics (goroutines, heap, GC pauses) on this cadence: one runtime-track trace instant per tick, and runtime/<arg> registry gauges whose high-water marks are the run's peaks (0 = off)")
@@ -55,7 +55,7 @@ func Register(fs *flag.FlagSet, binary string) *Flags {
 func RegisterBasic(fs *flag.FlagSet, binary string) *Flags {
 	f := &Flags{binary: binary, fs: fs}
 	f.profile = fs.String("profile", "", "serve /debug/pprof/, Prometheus /metrics and (with -monitor) JSON /status on this address (e.g. localhost:6060) while running")
-	f.archive = fs.String("archive", "", "archive this run's record (manifest, counters, report, trace, monitor state) into this run-ledger directory")
+	f.archive = fs.String("archive", "", "archive this run's record (manifest, counters, trace, monitor state) into this run-ledger directory")
 	f.logLevel = fs.String("log-level", "info", "structured-log level: debug | info | warn | error")
 	return f
 }

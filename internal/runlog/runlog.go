@@ -7,10 +7,11 @@
 // binary, full config, algorithm spec + compiled-plan hash, fault plan,
 // substrate, outcome), the final counter registry (with the runtime
 // sampler's gauges, whose high-water marks are the run's peaks), the
-// structured run report (critical path, §4.2 overlap efficiency, Eq. 7–10
-// drift), the monitor's verdicts/divergences/incidents, the per-cycle
-// RMSE/spread series, the Chrome trace, the flight-recorder dump, the
-// whole-run CPU profile and any pprof snapshots captured on anomalies.
+// monitor's verdicts/divergences/incidents, the per-cycle RMSE/spread
+// series, the Chrome trace, the flight-recorder dump and the whole-run CPU
+// profile. The structured run report (critical path, §4.2 overlap
+// efficiency, Eq. 7–10 drift) is not stored: the trace determines it, and
+// Record.Report derives it on read.
 //
 // The archive is content-addressed: the manifest records the SHA-256 of
 // every attached file, and the manifest is written last, so a record
@@ -26,6 +27,7 @@
 package runlog
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -47,13 +49,12 @@ const ManifestSchema = 1
 const (
 	ManifestFile = "manifest.json"
 	CountersFile = "counters.json"
-	ReportFile   = "report.json"
 	MonitorFile  = "monitor.json"
 	CyclesFile   = "cycles.json"
 	TraceFile    = "trace.json"
 	FlightFile   = "flight.json"
-	// CPUProfileFile is the attached CPU profile: the whole-run labeled
-	// capture under -capture-profile, or the anomaly-hook snapshot.
+	// CPUProfileFile is the whole-run labeled CPU profile, attached under
+	// -capture-profile.
 	CPUProfileFile = "profiles/cpu.pprof"
 	// WireFile is the wire-telemetry summary (edge matrix top lines, OST
 	// utilization timelines) written under -wire.
@@ -301,21 +302,26 @@ func (r *Record) Has(name string) bool {
 	return ok
 }
 
-// Report loads and decodes the attached run report, or nil when the run
-// archived none.
+// Report derives the run report from the attached trace, or returns nil
+// when the run archived no trace or its trace determines no report (no
+// phase spans). A report.json that older records also carry is not read.
 func (r *Record) Report() (*report.Report, error) {
-	if !r.Has(ReportFile) {
+	if !r.Has(TraceFile) {
 		return nil, nil
 	}
-	data, err := r.ReadFile(ReportFile)
+	data, err := r.ReadFile(TraceFile)
 	if err != nil {
 		return nil, err
 	}
-	var rep report.Report
-	if err := json.Unmarshal(data, &rep); err != nil {
-		return nil, fmt.Errorf("runlog: run %s: %s: %w", r.Manifest.RunID, ReportFile, err)
+	events, err := trace.ReadChrome(bytes.NewReader(data))
+	if err != nil {
+		return nil, fmt.Errorf("runlog: run %s: %s: %w", r.Manifest.RunID, TraceFile, err)
 	}
-	return &rep, nil
+	rep, err := report.Build(events)
+	if err != nil {
+		return nil, nil // a trace without phase spans determines no report
+	}
+	return rep, nil
 }
 
 // Counters loads the attached flat counter map ("kind/name/field" keys, as

@@ -184,7 +184,8 @@ func TestResolve(t *testing.T) {
 	}
 }
 
-// testReport builds a minimal but well-formed run report for query tests.
+// testReport builds a minimal but well-formed run report, the report.json
+// a record of the older layout carries beside its trace.
 func testReport(runtime, eff float64) *report.Report {
 	return &report.Report{
 		Schema:             report.Schema,
@@ -207,14 +208,40 @@ func testReport(runtime, eff float64) *report.Report {
 	}
 }
 
+// testTrace builds a minimal traced two-stage run that ends at runtime:
+// one I/O and one compute track, a critical path of io/read for the first
+// 30% and comp/compute for the rest, a stage-1 read of which eff is
+// hidden behind the computation, and a cost-model prediction, so its
+// report carries every section DiffRuns reads.
+func testTrace(runtime, eff float64) []trace.Event {
+	span := func(track, phase string, start, end float64, stage int) trace.Event {
+		return trace.Event{Track: track, Cat: trace.CatPhase, Name: phase, Ph: trace.PhaseSpan,
+			Ts: start, Dur: end - start, Args: []trace.Arg{{Key: trace.ArgStage, Val: float64(stage)}}}
+	}
+	first, late := 0.3*runtime, 0.2*runtime
+	pred := trace.Event{Track: trace.ModelTrack, Cat: trace.CatModel, Name: "prediction", Ph: trace.PhaseInstant,
+		Args: []trace.Arg{{Key: "nsdx", Val: 1}, {Key: "nsdy", Val: 1}, {Key: "l", Val: 2}, {Key: "ncg", Val: 1},
+			{Key: "n", Val: 4}, {Key: "nx", Val: 8}, {Key: "ny", Val: 4}, {Key: "xi", Val: 1}, {Key: "eta", Val: 1},
+			{Key: "h", Val: 1}, {Key: "a", Val: 1e-3}, {Key: "b", Val: 1e-6}, {Key: "c", Val: 1e-2}, {Key: "theta", Val: 1e-3}}}
+	return []trace.Event{
+		pred,
+		span("io/g0/r0", "read", 0, first, 0),
+		span("io/g0/r0", "read", first-(1-eff)*late, first+eff*late, 1),
+		span("comp/x0y0", "compute", first, runtime, 0),
+	}
+}
+
+// archiveRun stores a record the way a session does: trace.json (see
+// testTrace), counters.json when counters is non-nil, and a manifest whose
+// runtime headline is the trace's last span end.
 func archiveRun(t testing.TB, a *Archive, id, binary, start string, runtime float64, eff float64, counters map[string]float64) {
 	t.Helper()
 	files := map[string][]byte{}
-	rep, err := json.Marshal(testReport(runtime, eff))
+	data, err := chromeBytes(testTrace(runtime, eff))
 	if err != nil {
 		t.Fatal(err)
 	}
-	files[ReportFile] = rep
+	files[TraceFile] = data
 	if counters != nil {
 		data, err := json.Marshal(counters)
 		if err != nil {
@@ -338,7 +365,7 @@ func TestDiffRuns(t *testing.T) {
 	if d.Efficiency == nil || d.Efficiency.Delta >= 0 {
 		t.Errorf("pipeline efficiency delta = %+v", d.Efficiency)
 	}
-	if len(d.Drift) != 2 {
+	if len(d.Drift) != 4 { // t_read, t_comm, t_comp and t_total
 		t.Errorf("drift terms = %+v", d.Drift)
 	}
 	if len(d.Counters) != 1 || d.Counters[0].Name != "counter/io/reads/value" || d.Counters[0].Delta != 60 {

@@ -1,4 +1,4 @@
-// The run's one HTTP server and its in-process profile captures. -profile
+// The run's one HTTP server and its whole-run CPU capture. -profile
 // starts a private mux (never http.DefaultServeMux) serving the standard
 // /debug/pprof/ endpoints, the run's registry in Prometheus text at
 // /metrics and, with -monitor, the live JSON summary at /status.
@@ -11,11 +11,8 @@ import (
 	"net"
 	"net/http"
 	"net/http/pprof"
-	"runtime"
 	rpprof "runtime/pprof"
 	"time"
-
-	"senkf/internal/runtimeobs"
 )
 
 // serve starts the run's server on addr.
@@ -40,11 +37,10 @@ func (s *Session) serve(addr string) error {
 	return nil
 }
 
-// serveMetrics renders the run's registry. Every scrape first refreshes
-// the baseline go/process gauges, so they are current even with the
-// sampler off.
+// serveMetrics renders the run's registry. The scrape adds nothing to it:
+// the runtime's readings are the sampler's runtime/* gauges
+// (-runtime-sample).
 func (s *Session) serveMetrics(w http.ResponseWriter, _ *http.Request) {
-	runtimeobs.CollectBaseline(s.Registry)
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	// Info-metric idiom: the run ID rides one labeled constant sample
 	// rather than a label on every series, so existing scrape configs and
@@ -65,23 +61,11 @@ func (s *Session) serveStatus(w http.ResponseWriter, _ *http.Request) {
 	_, _ = w.Write(data) // as in serveMetrics, a failed write has no one to tell
 }
 
-// captureHeapProfile returns the current heap profile in pprof format
-// (after a GC, so the live set is accurate).
-func captureHeapProfile() ([]byte, error) {
-	runtime.GC()
-	var buf bytes.Buffer
-	if err := rpprof.Lookup("heap").WriteTo(&buf, 0); err != nil {
-		return nil, fmt.Errorf("runlog: heap profile: %w", err)
-	}
-	return buf.Bytes(), nil
-}
-
-// startCPUCapture begins a CPU capture and returns the stop function,
-// which ends profiling and returns the accumulated profile. It is the one
-// way the session runs the CPU profiler: the whole-run capture
-// (-capture-profile) stops at Finish, the anomaly snapshot after 250 ms.
-// Errors if CPU profiling is already running — e.g. a concurrent
-// /debug/pprof/profile request; the stop function is idempotent.
+// startCPUCapture begins the whole-run CPU capture (-capture-profile) and
+// returns the stop function, which ends profiling and returns the
+// accumulated profile; Finish calls it. Errors if CPU profiling is already
+// running — e.g. a concurrent /debug/pprof/profile request; the stop
+// function is idempotent.
 func startCPUCapture() (stop func() []byte, err error) {
 	var buf bytes.Buffer
 	if err := rpprof.StartCPUProfile(&buf); err != nil {

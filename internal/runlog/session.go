@@ -20,7 +20,6 @@ import (
 
 	"senkf/internal/monitor"
 	"senkf/internal/plan"
-	"senkf/internal/report"
 	"senkf/internal/runtimeobs"
 	"senkf/internal/trace"
 	"senkf/internal/wire"
@@ -74,9 +73,6 @@ type Session struct {
 
 	mu          sync.Mutex
 	cycles      []monitor.CycleSample
-	profiles    map[string][]byte
-	captured    bool
-	profWG      sync.WaitGroup
 	finished    bool
 	parentRun   string
 	resumeCycle int
@@ -98,7 +94,6 @@ func (f *Flags) Start() (*Session, error) {
 		flags:    f,
 		start:    now,
 		notes:    map[string]string{},
-		profiles: map[string][]byte{},
 	}
 	level, _ := ParseLevel(strOf(f.logLevel))
 	s.Log = NewLogger(os.Stderr, level, s.RunID).With("binary", f.binary)
@@ -129,9 +124,6 @@ func (f *Flags) Start() (*Session, error) {
 			RunID:    s.RunID,
 			Logger:   s.Log,
 			Wire:     s.Wire,
-		}
-		if s.archive != nil {
-			opts.AnomalyHook = s.captureAnomalyProfiles
 		}
 		s.Monitor = monitor.New(opts)
 		primary = s.Monitor.Tee(primary)
@@ -270,10 +262,10 @@ func (s *Session) MsgObserver() plan.MsgObserver {
 func (s *Session) Describe(algorithm, substrate string, cp *plan.Compiled) {
 	s.algorithm, s.substrate = algorithm, substrate
 	// Mint the run's pprof label set when any profiling surface exists:
-	// the whole-run capture, a live /debug/pprof server, or the archive's
-	// anomaly snapshots. Labels are inherited at goroutine spawn, so this
-	// must happen before the plan executes.
-	if s.cpuStop != nil || s.srv != nil || s.archive != nil {
+	// the whole-run capture or a live /debug/pprof server. Labels are
+	// inherited at goroutine spawn, so this must happen before the plan
+	// executes.
+	if s.cpuStop != nil || s.srv != nil {
 		s.labels = runtimeobs.Labels(s.RunID, algorithm, substrate)
 	}
 	if cp != nil {
@@ -318,46 +310,6 @@ func (s *Session) RecordCycle(c monitor.CycleSample) {
 	if s.Monitor != nil {
 		s.Monitor.RecordCycle(c)
 	}
-}
-
-// captureAnomalyProfiles is the monitor's anomaly hook: on the first
-// flight-recorder dump it snapshots heap and CPU profiles for the archive
-// record. Runs on its own goroutine (the monitor never blocks on it);
-// Finish waits for it.
-func (s *Session) captureAnomalyProfiles(kind string) {
-	s.mu.Lock()
-	if s.captured || s.finished {
-		s.mu.Unlock()
-		return
-	}
-	s.captured = true
-	s.profWG.Add(1)
-	s.mu.Unlock()
-	defer s.profWG.Done()
-
-	s.Log.Warn("anomaly: capturing pprof snapshots", "kind", kind)
-	if heap, err := captureHeapProfile(); err == nil {
-		s.mu.Lock()
-		s.profiles["profiles/heap.pprof"] = heap
-		s.mu.Unlock()
-	} else {
-		s.Log.Warn("heap profile capture failed", "err", err.Error())
-	}
-	if s.cpuStop != nil {
-		// The whole-run capture already owns the CPU profiler and will
-		// cover the anomaly window; a second StartCPUProfile would fail.
-		return
-	}
-	stop, err := startCPUCapture()
-	if err != nil {
-		s.Log.Warn("cpu profile capture failed", "err", err.Error())
-		return
-	}
-	time.Sleep(250 * time.Millisecond)
-	cpu := stop()
-	s.mu.Lock()
-	s.profiles[CPUProfileFile] = cpu
-	s.mu.Unlock()
 }
 
 // close shuts down the sampler, the whole-run CPU capture, the server and
@@ -496,10 +448,6 @@ func (s *Session) writeMonitorSummary(w io.Writer) {
 
 // writeArchiveRecord assembles and stores this run's archive record.
 func (s *Session) writeArchiveRecord(runErr error) (string, error) {
-	// Give a just-tripped anomaly hook a bounded window to finish its
-	// profile capture.
-	waitTimeout(&s.profWG, 3*time.Second)
-
 	files := map[string][]byte{}
 
 	// Land the whole-run CPU capture; senkf-report hotspots attributes it
@@ -510,9 +458,6 @@ func (s *Session) writeArchiveRecord(runErr error) (string, error) {
 		}
 	}
 
-	// Refresh the baseline go/process gauges so the archived counters
-	// carry final heap/GC/CPU numbers even without the sampler.
-	runtimeobs.CollectBaseline(s.Registry)
 	m := &Manifest{
 		RunID:     s.RunID,
 		Binary:    s.flags.binary,
@@ -550,9 +495,6 @@ func (s *Session) writeArchiveRecord(runErr error) (string, error) {
 		m.Config[k] = v
 	}
 	cycles := append([]monitor.CycleSample(nil), s.cycles...)
-	for name, data := range s.profiles {
-		files[name] = data
-	}
 	s.mu.Unlock()
 
 	counters := FlattenSnapshot(s.Registry.Snapshot())
@@ -571,15 +513,13 @@ func (s *Session) writeArchiveRecord(runErr error) (string, error) {
 			return "", err
 		}
 		files[TraceFile] = data
-		if rep, err := report.Build(events); err == nil {
-			m.Runtime = rep.Runtime
-			data, err := jsonMarshalIndent(rep)
-			if err != nil {
-				return "", err
+		// The run report is not stored: Record.Report derives it from
+		// trace.json. The manifest keeps its runtime, the last span end,
+		// for the list table.
+		for _, ev := range events {
+			if end := ev.Ts + ev.Dur; ev.Ph == trace.PhaseSpan && end > m.Runtime {
+				m.Runtime = end
 			}
-			files[ReportFile] = data
-		} else {
-			s.Log.Warn("run report not derivable from trace", "err", err.Error())
 		}
 	}
 
@@ -629,17 +569,4 @@ func writeFileWith(path string, write func(io.Writer) error) error {
 		return err
 	}
 	return f.Close()
-}
-
-// waitTimeout waits on wg, giving up after d.
-func waitTimeout(wg *sync.WaitGroup, d time.Duration) {
-	done := make(chan struct{})
-	go func() {
-		wg.Wait()
-		close(done)
-	}()
-	select {
-	case <-done:
-	case <-time.After(d):
-	}
 }

@@ -5,18 +5,22 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"net/http"
+	"os"
+	"path/filepath"
 	"runtime"
 	"runtime/pprof"
 	"strings"
 	"testing"
 	"time"
 
+	"senkf/internal/figures"
 	"senkf/internal/grid"
 	"senkf/internal/monitor"
 	"senkf/internal/plan"
-	"senkf/internal/runtimeobs"
+	"senkf/internal/report"
 )
 
 // TestFailedStartStopsSamplerAndProfiler starts a session whose -profile
@@ -94,8 +98,9 @@ func startServer(t *testing.T, monitored bool) (*Session, func(path string) (*ht
 }
 
 // checkServer asserts what the run's server always serves: pprof, and a
-// /metrics scrape in Prometheus text that holds every fragment of want and
-// types no metric family twice (one scrape renders one registry).
+// /metrics scrape in Prometheus text that holds every fragment of want,
+// types no metric family twice (one scrape renders one registry) and reads
+// the Go runtime no second time (that is the sampler's runtime/* gauges).
 func checkServer(t *testing.T, get func(path string) (*http.Response, string), want []string) {
 	t.Helper()
 	for _, path := range []string{"/debug/pprof/", "/debug/pprof/goroutine?debug=1"} {
@@ -112,6 +117,11 @@ func checkServer(t *testing.T, get func(path string) (*http.Response, string), w
 			t.Errorf("/metrics missing %q:\n%s", frag, body)
 		}
 	}
+	for _, second := range []string{"senkf_go_", "senkf_process_"} {
+		if strings.Contains(body, second) {
+			t.Errorf("/metrics serves %s* series beside the sampler's", second)
+		}
+	}
 	typed := map[string]bool{}
 	for _, line := range strings.Split(body, "\n") {
 		if fam, ok := strings.CutPrefix(line, "# TYPE "); ok {
@@ -125,11 +135,11 @@ func checkServer(t *testing.T, get func(path string) (*http.Response, string), w
 }
 
 // TestSessionServerPprof drives the run's one server without -monitor:
-// pprof and /metrics (runtime baseline and the run_info line) are there,
+// pprof and /metrics (the run_info line) are there,
 // /status is not.
 func TestSessionServerPprof(t *testing.T) {
 	s, get := startServer(t, false)
-	checkServer(t, get, []string{"senkf_go_goroutines ", fmt.Sprintf("senkf_run_info{run_id=%q} 1", s.RunID)})
+	checkServer(t, get, []string{fmt.Sprintf("senkf_run_info{run_id=%q} 1", s.RunID)})
 	if resp, _ := get("/status"); resp.StatusCode != http.StatusNotFound {
 		t.Errorf("/status without -monitor: status %d, want 404", resp.StatusCode)
 	}
@@ -156,7 +166,7 @@ func TestSessionServerMonitor(t *testing.T) {
 	s.Monitor.BeginRun(cp)
 	s.RecordCycle(monitor.CycleSample{Cycle: 3, AnalysisRMSE: 0.25, Spread: 0.3})
 	checkServer(t, get, []string{
-		"senkf_go_goroutines ", fmt.Sprintf("senkf_run_info{run_id=%q} 1", s.RunID),
+		fmt.Sprintf("senkf_run_info{run_id=%q} 1", s.RunID),
 		"senkf_monitor_runs 1", "senkf_cycle_rmse_analysis 0.25", "senkf_cycle_index 3",
 	})
 
@@ -193,7 +203,6 @@ func TestMetricsScrapeAddsNothingToTheRecord(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.Tracer.Counters().Add("mpi.msgs", 3)
-	runtimeobs.CollectBaseline(s.Registry)
 	before := FlattenSnapshot(s.Registry.Snapshot())
 
 	resp, err := http.Get("http://" + s.srvAddr + "/metrics")
@@ -234,5 +243,114 @@ func TestMetricsScrapeAddsNothingToTheRecord(t *testing.T) {
 	}
 	if archived["counter/mpi.msgs/value"] != 3 {
 		t.Errorf("counters.json mpi.msgs = %v, want 3", archived["counter/mpi.msgs/value"])
+	}
+}
+
+// TestArchivedReportIsDerived archives a traced simulated S-EnKF session
+// and checks that the record stores no report.json, yet Record.Report
+// equals report.Build over the session's own events on every field
+// DiffRuns reads; and that a record laid out the older way, with a
+// report.json beside its trace, still loads, lists and diffs, read from
+// the trace.
+func TestArchivedReportIsDerived(t *testing.T) {
+	dir := t.TempDir()
+	fs := flag.NewFlagSet("test", flag.ContinueOnError)
+	f := Register(fs, "senkf-test")
+	if err := fs.Parse([]string{"-archive", dir, "-log-level", "error"}); err != nil {
+		t.Fatal(err)
+	}
+	s, err := f.Start()
+	if err != nil {
+		t.Fatal(err)
+	}
+	o := figures.QuickOptions()
+	o.Cfg.Tracer = s.Tracer
+	if _, _, err := figures.NewSuite(o).SEnKFAt(180); err != nil {
+		t.Fatal(err)
+	}
+	s.Describe("senkf", "simulated", nil)
+	if err := s.Finish(nil); err != nil {
+		t.Fatal(err)
+	}
+	want, err := report.Build(s.Events())
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	a, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec, err := a.Load(s.RunID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rec.Has("report.json") {
+		t.Error("the record stores report.json")
+	}
+	if _, err := os.Stat(filepath.Join(rec.Dir, "report.json")); !os.IsNotExist(err) {
+		t.Errorf("report.json in the run directory: %v", err)
+	}
+	got, err := rec.Report()
+	if err != nil || got == nil {
+		t.Fatalf("Report() = %v, %v", got, err)
+	}
+	if rec.Manifest.Runtime != want.Runtime {
+		t.Errorf("manifest runtime %v, report.Build over the events %v", rec.Manifest.Runtime, want.Runtime)
+	}
+	near := func(what string, g, w float64) {
+		t.Helper()
+		if math.Abs(g-w) > 1e-12*math.Abs(w) {
+			t.Errorf("%s: derived %v, built from the events %v", what, g, w)
+		}
+	}
+	if len(got.CriticalPath.Attribution) != len(want.CriticalPath.Attribution) || len(want.CriticalPath.Attribution) == 0 {
+		t.Errorf("critical path attribution %v, want %v", got.CriticalPath.Attribution, want.CriticalPath.Attribution)
+	}
+	for k, w := range want.CriticalPath.Attribution {
+		near("critical path "+k, got.CriticalPath.Attribution[k], w)
+	}
+	near("pipeline efficiency", got.PipelineEfficiency, want.PipelineEfficiency)
+	if got.Model == nil || want.Model == nil || len(got.Model.Drift.Terms) != len(want.Model.Drift.Terms) {
+		t.Fatalf("drift sections differ: %+v vs %+v", got.Model, want.Model)
+	}
+	for i, w := range want.Model.Drift.Terms {
+		g := got.Model.Drift.Terms[i]
+		if g.Term != w.Term {
+			t.Errorf("drift term %d is %s, want %s", i, g.Term, w.Term)
+		}
+		near("drift "+w.Term+" measured", g.Measured, w.Measured)
+		near("drift "+w.Term+" rel err", g.RelErr, w.RelErr)
+	}
+
+	// The older layout: trace.json and a report.json that disagrees with it.
+	trc, err := rec.ReadFile(TraceFile)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stale, err := json.Marshal(testReport(1, 0.5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := rec.Manifest
+	old.RunID, old.Files = "run-older", nil
+	if _, err := a.WriteRecord(&old, map[string][]byte{TraceFile: trc, "report.json": stale}); err != nil {
+		t.Fatal(err)
+	}
+	rows, err := a.List(Filter{})
+	if err != nil || len(rows) != 2 {
+		t.Fatalf("List = %+v, %v", rows, err)
+	}
+	d, err := a.DiffRuns("run-older", s.RunID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d.Efficiency == nil || d.Efficiency.A != d.Efficiency.B || len(d.Drift) != len(want.Model.Drift.Terms) || len(d.CriticalPath) != len(want.CriticalPath.Attribution) {
+		t.Errorf("the older record does not diff like its trace: %+v", d)
+	}
+	for _, v := range d.CriticalPath {
+		if v.Delta != 0 {
+			t.Errorf("critical path %s moved %v between two records of one trace", v.Name, v.Delta)
+		}
 	}
 }

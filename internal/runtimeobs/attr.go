@@ -212,12 +212,3 @@ func ProfileStages(p *Profile) []int {
 	sort.Ints(out)
 	return out
 }
-
-func sortedKeys(m map[string]string) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
-}

@@ -68,7 +68,7 @@ func TestProfileRoundTrip(t *testing.T) {
 		},
 		PeriodNanos: 10_000_000,
 	}
-	out, err := ParseProfile(in.Marshal())
+	out, err := ParseProfile(marshalProfile(in))
 	if err != nil {
 		t.Fatalf("ParseProfile: %v", err)
 	}
@@ -343,23 +343,6 @@ func checkOneReadingOneName(t *testing.T, events, instants []trace.Event, reg *t
 		}
 		if g.HighWater != peak {
 			t.Errorf("gauge runtime/%s high-water = %g, samples peak at %g", a.Key, g.HighWater, peak)
-		}
-	}
-}
-
-func TestCollectBaselineSetsGauges(t *testing.T) {
-	CollectBaseline(nil) // nil-safe
-	reg := trace.NewRegistry()
-	CollectBaseline(reg)
-	want := map[string]bool{RegGoGoroutines: false, RegGoHeapAlloc: false, RegGoGCCycles: false}
-	for _, g := range reg.Snapshot().Gauges {
-		if _, ok := want[g.Name]; ok {
-			want[g.Name] = true
-		}
-	}
-	for name, ok := range want {
-		if !ok {
-			t.Errorf("baseline gauge %s not set", name)
 		}
 	}
 }

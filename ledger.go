@@ -2,9 +2,10 @@
 // flags and the run session of internal/runlog, and the hot-stage
 // attribution of internal/runtimeobs, for the binaries. Every invocation
 // mints a run ID; with -archive it lands a self-describing, content-
-// addressed record (manifest, counters, report, trace, monitor state,
-// per-cycle series, CPU and anomaly profiles) that senkf-report can list,
-// diff and attribute hot stages over.
+// addressed record (manifest, counters, trace, monitor state, per-cycle
+// series, whole-run CPU profile) that senkf-report can list, diff (the
+// run report is derived from the trace on read) and attribute hot stages
+// over.
 
 package senkf
 

@@ -120,6 +120,17 @@ if bad=$(grep -rn '\.CounterValue(\|\.GaugeMax(' --include='*.go' internal cmd e
     exit 1
 fi
 
+# The runtime sampler (internal/runtimeobs/sampler.go) is the run's one
+# reader of the Go runtime: a second reader re-records what its runtime/*
+# gauges hold, and runtime.ReadMemStats stops the world to do it. The
+# benchmark module keeps its own readings.
+if bad=$(grep -rn --include='*.go' -e 'runtime\.ReadMemStats(' -e '"runtime/metrics"' . \
+        | grep -v '_test\.go:' | grep -v '^\./internal/runtimeobs/' | grep -v '^\./benchmark/'); then
+    echo "FAIL: the Go runtime is read outside internal/runtimeobs (the sampler is its one reader):" >&2
+    echo "$bad" >&2
+    exit 1
+fi
+
 # internal/ckpt is the checkpoint store: it persists cycled state through
 # ensio member files, so it must build on ensio — but it must never import
 # mpi, sim or parfs (a checkpoint is pure data; reading one must not drag
@@ -157,4 +168,4 @@ if bad=$(grep -rn 'mlTag\|func observeML\|func runComputeML\|func runIOML' \
     exit 1
 fi
 
-echo "OK: plan, monitor, report and runlog layers are substrate-free; monitor serves no HTTP and derives no plan contract; report builds without runtimeobs; no count is copied out of the registry; runtimeobs sits below plan; ckpt builds on ensio only; core and schedule build on plan; no bespoke multilevel paths"
+echo "OK: plan, monitor, report and runlog layers are substrate-free; monitor serves no HTTP and derives no plan contract; report builds without runtimeobs; no count is copied out of the registry; only runtimeobs reads the Go runtime; runtimeobs sits below plan; ckpt builds on ensio only; core and schedule build on plan; no bespoke multilevel paths"
