@@ -39,7 +39,7 @@ func main() {
 		detail    = flag.Bool("trace-detail", false, "include high-volume detail events (park/wake, queue depths) in the trace")
 		faultsRun = flag.Bool("faults", false, "run the fault-injection resilience sweep instead of the figures")
 		faultSeed = flag.Uint64("fault-seed", 42, "seed for the generated fault plans (with -faults)")
-		ostOutage = flag.String("ost-outage", "", "inject a full storage-target outage window ost:start:end in virtual seconds into the traced run (e.g. 3:0:0.5; needs -trace/-counters/-monitor)")
+		ostOutage = flag.String("ost-outage", "", "inject a full storage-target outage window ost:start:end in virtual seconds into the traced run (e.g. 3:0:0.5; needs -trace, -counters, -monitor, -wire or -archive)")
 		record    = flag.String("record", "", "run the bench suite and write the next versioned BENCH_<n>.json into this directory")
 		recordVer = flag.Int("record-version", 0, "with -record: force the record's version number (0 = latest+1)")
 		check     = flag.String("check", "", "run the bench suite and compare against the latest BENCH_<n>.json in this directory; exit 1 on regression")
@@ -58,9 +58,11 @@ func main() {
 		suite = senkf.QuickFigures()
 		scale = "quick"
 	}
-	traced := obs.TraceOut() != "" || obs.CountersOn() || obs.MonitorOn()
+	// The traced run is the one any observer of the run was started for:
+	// a sink, the counters, the monitor, the wire collector or the archive.
+	traced := sess.Tracer != nil || sess.Wire != nil
 	if *ostOutage != "" && (!traced || *record != "" || *check != "") {
-		sess.Fatal(fmt.Errorf("-ost-outage applies only to the traced run (-trace/-counters/-monitor, without -record/-check)"))
+		sess.Fatal(fmt.Errorf("-ost-outage applies only to the traced run (-trace, -counters, -monitor, -wire or -archive, without -record/-check)"))
 	}
 	if *record != "" || *check != "" {
 		benchPipeline(sess, suite, scale, *record, *recordVer, *check)

@@ -58,19 +58,6 @@ func stretch(p plan.Problem, proc string, t0, start time.Time, factor float64) {
 	}
 }
 
-// announceFaults emits one fault instant per injected straggler before the
-// ranks start, mirroring the simulated substrate's announcement, so a
-// monitor can distinguish injected slowdowns from organic ones.
-func announceFaults(p plan.Problem) {
-	if p.Faults == nil || !p.Tr.Enabled() {
-		return
-	}
-	for _, s := range p.Faults.Stragglers {
-		p.Tr.Instant(s.Proc, trace.CatFault, "straggler", 0,
-			trace.Arg{Key: "factor", Val: s.Factor})
-	}
-}
-
 // addIOStats feeds one member file's addressing counters into the tracer's
 // registry so real runs expose the same accounting the cost model predicts.
 func addIOStats(tr *trace.Tracer, st ensio.IOStats) {
@@ -152,7 +139,7 @@ func execute(p plan.Problem, c *plan.Compiled, rc *recovery) ([][][]float64, err
 	if p.Obs != nil {
 		p.Obs.BeginRun(c)
 	}
-	announceFaults(p)
+	plan.AnnounceStragglers(p.Tr, p.Faults)
 	// The result is allocated once, by the first compute rank to know the
 	// configuration the run analyses with, and written by all of them: each
 	// analyses its own rectangle of every field, and no two rectangles share a

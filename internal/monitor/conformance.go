@@ -210,7 +210,6 @@ func (m *Monitor) classifyErrorLocked(err error) []string {
 				Detail: fmt.Sprintf("world rank %d failed", f.FailedRank()),
 				Edge:   edge,
 			}, false)
-			m.reg.Inc("monitor/rank_deaths")
 		}
 	}
 	return edges

@@ -14,12 +14,15 @@
 //     already emits), with a straggler/stall verdict when a stage
 //     exceeds budget × tolerance. Real runs, which have no model
 //     prediction, fall back to peer-median budgets per (phase, stage);
-//   - the monitor's own counts — runs, divergences, watchdog trips,
-//     incidents, faults, planned messages — in the run's trace.Registry
-//     (Options.Registry), plus a JSON conformance summary (Status), which
-//     the run's one server (runlog's -profile) renders at /metrics and
-//     /status. Phase latencies and file-system traffic are the trace's
-//     spans and the parfs counters; the monitor does not count them again;
+//   - the monitor's own counts — runs, divergences, deadlocks, watchdog
+//     trips, incidents, flight dumps: what it decides, and nothing else —
+//     in the run's trace.Registry (Options.Registry), plus a JSON
+//     conformance summary (Status), which the run's one server (runlog's
+//     -profile) renders at /metrics and /status. Every other count has its
+//     writer at the layer that makes the fact: phase latencies are the
+//     trace's spans, file-system traffic the parfs counters, injected
+//     faults the faults.* counters, wire traffic the wire collector, the Go
+//     runtime the sampler's runtime/* gauges;
 //   - a flight recorder — a fixed-size ring of the most recent trace
 //     events, dumped automatically (file + attached to the error) on
 //     deadlock, watchdog trip, rank death, or plan divergence;
@@ -51,8 +54,8 @@ type Options struct {
 	// plan.StructuralDAG) on the first anomaly.
 	DumpPath string
 	// Registry is the registry the monitor counts into — the run's own, so
-	// one snapshot carries the monitor/* and cycle/* series next to the
-	// run's counters. Nil makes a private one.
+	// one snapshot carries the monitor/* series next to the run's counters.
+	// Nil makes a private one.
 	Registry *trace.Registry
 	// RunID, when set, labels Status with the invocation's run-ledger
 	// identity.
@@ -119,9 +122,6 @@ type Monitor struct {
 
 	// Runtime sampler state + watchdogs (runtime.go).
 	runtime runtimeState
-
-	// Per-cycle series (senkf-cycle).
-	cycles []CycleSample
 }
 
 // New returns a monitor counting into opts.Registry (a private registry
@@ -315,7 +315,6 @@ func (m *Monitor) foldModelLocked(ev trace.Event) {
 // foldFaultLocked turns injected-fault events into incidents, so every
 // injection is correlatable with the watchdog verdict that should follow.
 func (m *Monitor) foldFaultLocked(ev trace.Event) {
-	m.reg.Inc("monitor/faults/" + ev.Name)
 	switch ev.Name {
 	case "straggler", "straggle":
 		// Announcement of an injected straggler: remember the factor so
@@ -328,7 +327,6 @@ func (m *Monitor) foldFaultLocked(ev trace.Event) {
 		}
 	case "rank-death":
 		m.dead[ev.Track] = true
-		m.reg.Inc("monitor/rank_deaths")
 		m.incidentLocked(Incident{
 			Kind: "rank-death", Proc: ev.Track, Time: ev.Ts,
 			Detail: "announced rank death",
@@ -337,35 +335,6 @@ func (m *Monitor) foldFaultLocked(ev trace.Event) {
 		return
 	}
 	m.incidentLocked(Incident{Kind: "fault", Proc: ev.Track, Time: ev.Ts, Detail: ev.Name}, false)
-}
-
-// CycleSample is one assimilation cycle's outcome, published by
-// senkf-cycle so a multi-cycle run reads like a long-lived service.
-type CycleSample struct {
-	Cycle           int     `json:"cycle"`
-	BackgroundRMSE  float64 `json:"background_rmse"`
-	AnalysisRMSE    float64 `json:"analysis_rmse"`
-	FreeRMSE        float64 `json:"free_rmse"`
-	Spread          float64 `json:"spread"`
-	DegradedMembers int     `json:"degraded_members"`
-}
-
-// RecordCycle publishes one cycle's statistics as gauges (current cycle
-// series) and histograms (distribution over the run so far).
-func (m *Monitor) RecordCycle(s CycleSample) {
-	m.mu.Lock()
-	m.cycles = append(m.cycles, s)
-	if len(m.cycles) > 4096 {
-		m.cycles = m.cycles[len(m.cycles)-4096:]
-	}
-	m.mu.Unlock()
-	m.reg.SetGauge("cycle/index", float64(s.Cycle))
-	m.reg.SetGauge("cycle/rmse_background", s.BackgroundRMSE)
-	m.reg.SetGauge("cycle/rmse_analysis", s.AnalysisRMSE)
-	m.reg.SetGauge("cycle/rmse_free", s.FreeRMSE)
-	m.reg.SetGauge("cycle/spread", s.Spread)
-	m.reg.SetGauge("cycle/degraded_members", float64(s.DegradedMembers))
-	m.reg.Observe("cycle/analysis_rmse_hist", s.AnalysisRMSE)
 }
 
 var _ trace.Sink = (*Monitor)(nil)

@@ -34,7 +34,7 @@ func attachWire(cfg *schedule.Config, buf *trace.Buffer) (*monitor.Monitor, *wir
 func TestMonitorWireConformanceCleanRun(t *testing.T) {
 	cfg, ch := simConfig()
 	buf := trace.NewBuffer()
-	m, _ := attachWire(&cfg, buf)
+	m, wc := attachWire(&cfg, buf)
 	defer m.Close()
 
 	if _, err := schedule.SimulateSEnKF(cfg, ch); err != nil {
@@ -65,8 +65,10 @@ func TestMonitorWireConformanceCleanRun(t *testing.T) {
 	if st.Wire.PeakOSTUtil <= 0 {
 		t.Errorf("peak OST util %g, want > 0", st.Wire.PeakOSTUtil)
 	}
-	if m.Registry().CounterValue("monitor/comm/msgs") == 0 {
-		t.Error("monitor/comm/msgs counter not fed")
+	// The collector is the one count of wire traffic: /status reads this
+	// run's share of it, which is all of it on a fresh collector.
+	if sum := wc.Summary(0); st.Wire.Msgs != sum.Msgs || st.Wire.Bytes != sum.Bytes {
+		t.Errorf("status wire %d msgs/%d bytes, collector %d/%d", st.Wire.Msgs, st.Wire.Bytes, sum.Msgs, sum.Bytes)
 	}
 }
 

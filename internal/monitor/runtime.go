@@ -38,86 +38,63 @@ const (
 	runtimeRingSamples  = 64        // runtime events kept for flight dumps
 )
 
-// RuntimeSample is one parsed sampler reading.
-type RuntimeSample struct {
-	Time           float64 `json:"time_s"`
-	Goroutines     float64 `json:"goroutines"`
-	HeapLiveBytes  float64 `json:"heap_live_bytes"`
-	HeapInuseBytes float64 `json:"heap_inuse_bytes"`
-	HeapGoalBytes  float64 `json:"heap_goal_bytes"`
-	GCCycles       float64 `json:"gc_cycles"`
-	GCPauseMaxS    float64 `json:"gc_pause_max_s"`
-	SchedLatMaxS   float64 `json:"sched_lat_max_s"`
-}
-
-// RuntimeStatus is the runtime section of /status.
-type RuntimeStatus struct {
-	Samples int64         `json:"samples"`
-	Last    RuntimeSample `json:"last"`
-}
-
-// runtimeState is the monitor's runtime-watchdog bookkeeping.
+// runtimeState is the monitor's runtime-watchdog bookkeeping: what the
+// next sample is compared against. The readings themselves are the
+// sampler's runtime/* gauges.
 type runtimeState struct {
-	ring    *ring // runtime-track events, merged into flight dumps
-	samples int64
-	last    RuntimeSample
-	have    bool
+	ring *ring // runtime-track events, merged into flight dumps
+	seen bool  // a sample has been folded since New
 
-	gorGrowth int     // consecutive samples with growing goroutine count
-	gorBase   float64 // goroutine count at the start of the growth window
-	heapBase  float64 // heap-in-use at the last GC-cycle change
-	lastGC    float64
-	tripped   map[string]bool // watchdog kind -> already tripped
+	goroutines float64         // the previous sample's goroutine count
+	gorGrowth  int             // consecutive samples with growing goroutine count
+	gorBase    float64         // goroutine count at the start of the growth window
+	heapBase   float64         // heap-in-use at the last GC-cycle change
+	lastGC     float64         // the previous sample's GC cycle count
+	tripped    map[string]bool // watchdog kind -> already tripped
 }
 
-// foldRuntimeLocked absorbs one sampler instant: bookkeeping, then the
-// three health invariants. Callers hold m.mu.
+// foldRuntimeLocked checks one sampler instant against the three health
+// invariants. Callers hold m.mu.
 func (m *Monitor) foldRuntimeLocked(ev trace.Event) {
-	s := RuntimeSample{Time: ev.Ts}
-	s.Goroutines, _ = ev.ArgValue(runtimeobs.ArgGoroutines)
-	s.HeapLiveBytes, _ = ev.ArgValue(runtimeobs.ArgHeapLive)
-	s.HeapInuseBytes, _ = ev.ArgValue(runtimeobs.ArgHeapInuse)
-	s.HeapGoalBytes, _ = ev.ArgValue(runtimeobs.ArgHeapGoal)
-	s.GCCycles, _ = ev.ArgValue(runtimeobs.ArgGCCycles)
-	s.GCPauseMaxS, _ = ev.ArgValue(runtimeobs.ArgGCPause)
-	s.SchedLatMaxS, _ = ev.ArgValue(runtimeobs.ArgSchedLat)
+	gor, _ := ev.ArgValue(runtimeobs.ArgGoroutines)
+	heap, _ := ev.ArgValue(runtimeobs.ArgHeapInuse)
+	gc, _ := ev.ArgValue(runtimeobs.ArgGCCycles)
+	pause, _ := ev.ArgValue(runtimeobs.ArgGCPause)
 
 	rt := &m.runtime
-	rt.samples++
-	m.reg.Inc("monitor/runtime_samples")
-	prev, had := rt.last, rt.have
-	rt.last, rt.have = s, true
+	prevGor, had := rt.goroutines, rt.seen
+	rt.goroutines, rt.seen = gor, true
 
 	// Goroutine leak: count consecutive strictly-growing samples.
-	if had && s.Goroutines > prev.Goroutines {
+	if had && gor > prevGor {
 		if rt.gorGrowth == 0 {
-			rt.gorBase = prev.Goroutines
+			rt.gorBase = prevGor
 		}
 		rt.gorGrowth++
-		if rt.gorGrowth >= goroutineLeakWindow && s.Goroutines-rt.gorBase >= goroutineLeakGrowth {
-			m.runtimeTripLocked("goroutine-leak", s.Time, s.Goroutines-rt.gorBase, goroutineLeakGrowth,
+		if rt.gorGrowth >= goroutineLeakWindow && gor-rt.gorBase >= goroutineLeakGrowth {
+			m.runtimeTripLocked("goroutine-leak", ev.Ts, gor-rt.gorBase, goroutineLeakGrowth,
 				fmt.Sprintf("goroutine count grew %d samples straight, %.0f -> %.0f",
-					rt.gorGrowth, rt.gorBase, s.Goroutines))
+					rt.gorGrowth, rt.gorBase, gor))
 		}
 	} else {
 		rt.gorGrowth = 0
 	}
 
 	// Heap growth without GC progress.
-	if !had || s.GCCycles != rt.lastGC {
-		rt.lastGC = s.GCCycles
-		rt.heapBase = s.HeapInuseBytes
-	} else if grown := s.HeapInuseBytes - rt.heapBase; grown > heapGrowthBudget {
-		m.runtimeTripLocked("heap-growth", s.Time, grown, heapGrowthBudget,
+	if !had || gc != rt.lastGC {
+		rt.lastGC = gc
+		rt.heapBase = heap
+	} else if grown := heap - rt.heapBase; grown > heapGrowthBudget {
+		m.runtimeTripLocked("heap-growth", ev.Ts, grown, heapGrowthBudget,
 			fmt.Sprintf("heap grew %.0f MiB with no GC cycle (%.0f -> %.0f MiB)",
-				grown/(1<<20), rt.heapBase/(1<<20), s.HeapInuseBytes/(1<<20)))
+				grown/(1<<20), rt.heapBase/(1<<20), heap/(1<<20)))
 	}
 
 	// GC-pause budget.
-	if s.GCPauseMaxS > gcPauseBudget {
-		m.runtimeTripLocked("gc-pause", s.Time, s.GCPauseMaxS, gcPauseBudget,
+	if pause > gcPauseBudget {
+		m.runtimeTripLocked("gc-pause", ev.Ts, pause, gcPauseBudget,
 			fmt.Sprintf("stop-the-world pause %.3gs exceeds %.3gs budget",
-				s.GCPauseMaxS, gcPauseBudget))
+				pause, gcPauseBudget))
 	}
 }
 

@@ -42,8 +42,6 @@ type Status struct {
 	Verdicts    []Verdict          `json:"watchdog_verdicts"`
 	Incidents   []Incident         `json:"incidents"`
 	FlightDump  string             `json:"flight_dump,omitempty"`
-	Cycles      []CycleSample      `json:"cycles,omitempty"`
-	Runtime     *RuntimeStatus     `json:"runtime,omitempty"`
 	Wire        *WireStatus        `json:"wire,omitempty"`
 }
 
@@ -59,11 +57,7 @@ func (m *Monitor) Status() Status {
 		Verdicts:    append([]Verdict{}, m.verdicts...),
 		Incidents:   append([]Incident{}, m.incidents...),
 		FlightDump:  m.dumpPath,
-		Cycles:      append([]CycleSample(nil), m.cycles...),
 		Conformance: Conformance{Divergences: append([]string{}, m.divergences...)},
-	}
-	if m.runtime.samples > 0 {
-		s.Runtime = &RuntimeStatus{Samples: m.runtime.samples, Last: m.runtime.last}
 	}
 	s.Wire = m.wireStatusLocked()
 	if m.cp != nil {

@@ -80,9 +80,6 @@ func (m *Monitor) judgeWireLocked(healthy bool) {
 	if r == nil {
 		return
 	}
-	tot := r.edges.Totals()
-	m.reg.Add("monitor/comm/msgs", float64(tot.Msgs+r.other.Msgs))
-	m.reg.Add("monitor/comm/bytes", float64(tot.Bytes+r.other.Bytes))
 	for _, k := range r.unexpected {
 		m.divergeLocked(fmt.Sprintf("unexpected wire edge %s: %d bytes outside the plan's comm matrix", k, r.edges[k].Bytes))
 	}

@@ -38,3 +38,18 @@ func (c *Compiled) Failover(tr *trace.Tracer, fp *faults.Plan, r *IORank, l int,
 	}
 	return rows, len(took), true
 }
+
+// AnnounceStragglers is the straggler seam of both interpreters: one
+// "straggler" instant per injected straggler, at time 0 on its track, and a
+// faults.stragglers count each, recorded before any rank starts so a live
+// monitor can tell injected slowdowns from organic ones. A nil fp announces
+// nothing.
+func AnnounceStragglers(tr *trace.Tracer, fp *faults.Plan) {
+	if fp == nil {
+		return
+	}
+	for _, s := range fp.Stragglers {
+		tr.Counters().Inc("faults.stragglers")
+		tr.Instant(s.Proc, trace.CatFault, "straggler", 0, trace.Arg{Key: "factor", Val: s.Factor})
+	}
+}

@@ -9,8 +9,6 @@ import (
 	"senkf/internal/trace"
 )
 
-func jsonMarshal(v any) ([]byte, error) { return json.Marshal(v) }
-
 // jsonMarshalIndent renders v the way every archived JSON file is stored:
 // two-space indent with a trailing newline.
 func jsonMarshalIndent(v any) ([]byte, error) {

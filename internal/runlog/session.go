@@ -7,6 +7,7 @@
 package runlog
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -72,7 +73,7 @@ type Session struct {
 	notes     map[string]string
 
 	mu          sync.Mutex
-	cycles      []monitor.CycleSample
+	cycles      []CycleSample
 	finished    bool
 	parentRun   string
 	resumeCycle int
@@ -285,7 +286,7 @@ func (s *Session) Describe(algorithm, substrate string, cp *plan.Compiled) {
 
 // SetFaults attaches the run's fault-injection plan to the manifest.
 func (s *Session) SetFaults(v any) {
-	data, err := jsonMarshal(v)
+	data, err := json.Marshal(v)
 	if err != nil {
 		s.Log.Warn("fault plan not serializable", "err", err.Error())
 		return
@@ -301,15 +302,31 @@ func (s *Session) Note(key, value string) {
 	s.mu.Unlock()
 }
 
-// RecordCycle publishes one assimilation cycle's outcome to the archive's
-// per-cycle series and, when monitored, to the monitor's live series.
-func (s *Session) RecordCycle(c monitor.CycleSample) {
+// CycleSample is one assimilation cycle's outcome, published by
+// senkf-cycle so a multi-cycle run reads like a long-lived service.
+type CycleSample struct {
+	Cycle           int     `json:"cycle"`
+	BackgroundRMSE  float64 `json:"background_rmse"`
+	AnalysisRMSE    float64 `json:"analysis_rmse"`
+	FreeRMSE        float64 `json:"free_rmse"`
+	Spread          float64 `json:"spread"`
+	DegradedMembers int     `json:"degraded_members"`
+}
+
+// RecordCycle is the one writer of the run's cycle series: the archive's
+// cycles.json and the registry's cycle/* gauges (the current cycle) and
+// cycle/analysis_rmse_hist (the run so far), monitored or not.
+func (s *Session) RecordCycle(c CycleSample) {
 	s.mu.Lock()
 	s.cycles = append(s.cycles, c)
 	s.mu.Unlock()
-	if s.Monitor != nil {
-		s.Monitor.RecordCycle(c)
-	}
+	s.Registry.SetGauge("cycle/index", float64(c.Cycle))
+	s.Registry.SetGauge("cycle/rmse_background", c.BackgroundRMSE)
+	s.Registry.SetGauge("cycle/rmse_analysis", c.AnalysisRMSE)
+	s.Registry.SetGauge("cycle/rmse_free", c.FreeRMSE)
+	s.Registry.SetGauge("cycle/spread", c.Spread)
+	s.Registry.SetGauge("cycle/degraded_members", float64(c.DegradedMembers))
+	s.Registry.Observe("cycle/analysis_rmse_hist", c.AnalysisRMSE)
 }
 
 // close shuts down the sampler, the whole-run CPU capture, the server and
@@ -427,9 +444,12 @@ func (s *Session) Fatal(err error) {
 // to print by hand.
 func (s *Session) writeMonitorSummary(w io.Writer) {
 	st := s.Monitor.Status()
-	if len(st.Cycles) > 0 {
+	s.mu.Lock()
+	cycles := len(s.cycles)
+	s.mu.Unlock()
+	if cycles > 0 {
 		fmt.Fprintf(w, "monitor: %d cycles published, %d events, %d divergences, %d watchdog verdicts\n",
-			len(st.Cycles), st.Events, st.Conformance.DivergenceCount, len(st.Verdicts))
+			cycles, st.Events, st.Conformance.DivergenceCount, len(st.Verdicts))
 	} else {
 		fmt.Fprintf(w, "monitor: %d events, %d/%d spans conformant, %d divergences, %d watchdog verdicts\n",
 			st.Events, st.Conformance.MatchedSpans, st.Conformance.ExpectedSpans,
@@ -494,7 +514,7 @@ func (s *Session) writeArchiveRecord(runErr error) (string, error) {
 		}
 		m.Config[k] = v
 	}
-	cycles := append([]monitor.CycleSample(nil), s.cycles...)
+	cycles := append([]CycleSample(nil), s.cycles...)
 	s.mu.Unlock()
 
 	counters := FlattenSnapshot(s.Registry.Snapshot())

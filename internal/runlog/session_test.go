@@ -164,7 +164,7 @@ func TestSessionServerMonitor(t *testing.T) {
 	}
 	s, get := startServer(t, true)
 	s.Monitor.BeginRun(cp)
-	s.RecordCycle(monitor.CycleSample{Cycle: 3, AnalysisRMSE: 0.25, Spread: 0.3})
+	s.RecordCycle(CycleSample{Cycle: 3, AnalysisRMSE: 0.25, Spread: 0.3})
 	checkServer(t, get, []string{
 		fmt.Sprintf("senkf_run_info{run_id=%q} 1", s.RunID),
 		"senkf_monitor_runs 1", "senkf_cycle_rmse_analysis 0.25", "senkf_cycle_index 3",
@@ -178,12 +178,81 @@ func TestSessionServerMonitor(t *testing.T) {
 	if err := json.Unmarshal([]byte(body), &st); err != nil {
 		t.Fatalf("/status is not valid JSON: %v", err)
 	}
-	if st.RunID != s.RunID || st.WorldSize == 0 || len(st.Cycles) != 1 || st.Cycles[0].Cycle != 3 {
+	if st.RunID != s.RunID || st.WorldSize == 0 {
 		t.Errorf("status round-trip lost fields: %+v", st)
 	}
 	// The CI smoke job greps for the always-present empty divergence list.
 	if !strings.Contains(body, `"divergences": []`) {
 		t.Errorf("/status lacks the empty divergences list:\n%s", body)
+	}
+}
+
+// TestCycleSeriesHasOneWriter: Session.RecordCycle writes the archive's
+// cycles.json and the registry's cycle/* series, and does so unmonitored —
+// the monitor keeps no copy of either.
+func TestCycleSeriesHasOneWriter(t *testing.T) {
+	dir := t.TempDir()
+	fs := flag.NewFlagSet("test", flag.ContinueOnError)
+	f := Register(fs, "senkf-test")
+	if err := fs.Parse([]string{"-archive", dir, "-log-level", "error"}); err != nil {
+		t.Fatal(err)
+	}
+	s, err := f.Start()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []CycleSample{
+		{Cycle: 1, BackgroundRMSE: 0.5, AnalysisRMSE: 0.25, FreeRMSE: 0.75, Spread: 0.3},
+		{Cycle: 2, BackgroundRMSE: 0.375, AnalysisRMSE: 0.125, FreeRMSE: 0.875, Spread: 0.2, DegradedMembers: 1},
+	}
+	for _, c := range want {
+		s.RecordCycle(c)
+	}
+	if err := s.Finish(nil); err != nil {
+		t.Fatal(err)
+	}
+
+	a, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec, err := a.Load(s.RunID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rec.Manifest.Cycles != len(want) {
+		t.Errorf("manifest cycles = %d, want %d", rec.Manifest.Cycles, len(want))
+	}
+	data, err := rec.ReadFile(CyclesFile)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []CycleSample
+	if err := json.Unmarshal(data, &got); err != nil {
+		t.Fatal(err)
+	}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Errorf("cycles.json = %+v, want %+v", got, want)
+	}
+	counters, err := rec.Counters()
+	if err != nil {
+		t.Fatal(err)
+	}
+	last := want[len(want)-1]
+	for name, v := range map[string]float64{
+		"gauge/cycle/index/value":                  2,
+		"gauge/cycle/rmse_background/value":        last.BackgroundRMSE,
+		"gauge/cycle/rmse_analysis/value":          last.AnalysisRMSE,
+		"gauge/cycle/rmse_analysis/high-water":     0.25,
+		"gauge/cycle/rmse_free/value":              last.FreeRMSE,
+		"gauge/cycle/spread/value":                 last.Spread,
+		"gauge/cycle/degraded_members/value":       1,
+		"histogram/cycle/analysis_rmse_hist/count": 2,
+		"histogram/cycle/analysis_rmse_hist/sum":   0.375,
+	} {
+		if counters[name] != v {
+			t.Errorf("counters.json %s = %v, want %v", name, counters[name], v)
+		}
 	}
 }
 

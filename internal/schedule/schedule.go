@@ -489,13 +489,7 @@ func simulate(cfg Config, cp *plan.Compiled, rc *recovery, predict *costmodel.Ch
 	if predict != nil {
 		emitModelPrediction(tr, cfg.P, *predict)
 	}
-	if cfg.Faults != nil && tr.Enabled() {
-		// One fault instant per injected straggler, so the injections are in
-		// the event stream (and before a live monitor) before their effects.
-		for _, s := range cfg.Faults.Stragglers {
-			tr.Instant(s.Proc, trace.CatFault, "straggler", 0, trace.Arg{Key: "factor", Val: s.Factor})
-		}
-	}
+	plan.AnnounceStragglers(tr, cfg.Faults)
 
 	if n := len(cp.IO); n > 0 {
 		// One file barrier per I/O group — group-major and equally sized in

@@ -10,7 +10,7 @@ import (
 	"strings"
 )
 
-// promName maps a registry name ("parfs.ost.queue", "monitor/comm/msgs")
+// promName maps a registry name ("parfs.ost.queue", "monitor/divergences")
 // to a legal Prometheus metric name under the given prefix: every character
 // outside [a-zA-Z0-9_:] becomes '_'.
 func promName(prefix, name string) string {

@@ -24,6 +24,9 @@ type (
 	// RunSession is one invocation's observability context: run ID,
 	// structured logger, counter registry, tracer, monitor and archive.
 	RunSession = runlog.Session
+	// CycleSample is one assimilation cycle's outcome as published to the
+	// session's per-cycle series (RunSession.RecordCycle).
+	CycleSample = runlog.CycleSample
 	// RunArchive is the content-addressed run ledger on disk.
 	RunArchive = runlog.Archive
 	// RunFilter selects archived runs for list queries.

@@ -893,6 +893,99 @@ func TestRealAndSimulatedRecoveryAgree(t *testing.T) {
 	}
 }
 
+// TestStragglersAnnouncedAlike runs one plan with two injected stragglers,
+// a reader and a compute rank, on both substrates: each announces every
+// straggler once, as a "straggler" instant at time 0 on its track with its
+// factor, and counts faults.stragglers once per straggler.
+func TestStragglersAnnouncedAlike(t *testing.T) {
+	const (
+		members = 8
+		nsdx    = 4
+		nsdy    = 2
+		layers  = 2
+		ncg     = 2
+	)
+	mesh, err := NewMesh(48, 24)
+	if err != nil {
+		t.Fatal(err)
+	}
+	radius, err := NewRadius(4, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	truth := GenerateTruth(mesh, DefaultFieldSpec, 11)
+	ens, err := GenerateEnsemble(mesh, truth, members, 1.5, 11)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if _, err := WriteEnsemble(dir, mesh, ens); err != nil {
+		t.Fatal(err)
+	}
+	net, err := NewStridedNetwork(mesh, truth, 3, 3, 0.01, 11)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dec, err := NewDecomposition(mesh, nsdx, nsdy, radius)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fp := &FaultPlan{Stragglers: []faults.Straggler{{Proc: "io/g1/r0", Factor: 1.5}, {Proc: "comp/x2y1", Factor: 2}}}
+	type announced struct {
+		proc   string
+		factor float64
+	}
+	var want []announced
+	for _, s := range fp.Stragglers {
+		want = append(want, announced{s.Proc, s.Factor})
+	}
+	check := func(label string, buf *trace.Buffer, reg *trace.Registry) {
+		t.Helper()
+		var got []announced
+		for _, ev := range buf.Events() {
+			if ev.Cat == trace.CatFault && ev.Name == "straggler" {
+				if ev.Ph != trace.PhaseInstant || ev.Ts != 0 {
+					t.Errorf("%s: straggler event %+v is not an instant at 0", label, ev)
+				}
+				f, _ := ev.ArgValue("factor")
+				got = append(got, announced{ev.Track, f})
+			}
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: straggler instants %v, want %v", label, got, want)
+		}
+		if n := reg.CounterValue("faults.stragglers"); n != float64(len(fp.Stragglers)) {
+			t.Errorf("%s: faults.stragglers = %g, want %d", label, n, len(fp.Stragglers))
+		}
+	}
+
+	realBuf, realReg := trace.NewBuffer(), trace.NewRegistry()
+	realTr := trace.New(nil, realBuf)
+	realTr.SetCounters(realReg)
+	if _, err := RunSEnKF(Problem{Cfg: Config{Mesh: mesh, Radius: radius, N: members, Seed: 11}, Dir: dir, Net: net, Tr: realTr, Faults: fp},
+		Plan{Dec: dec, L: layers, NCg: ncg}); err != nil {
+		t.Fatal(err)
+	}
+	check("real", realBuf, realReg)
+
+	simBuf, simReg := trace.NewBuffer(), trace.NewRegistry()
+	simTr := trace.New(nil, simBuf)
+	simTr.SetCounters(simReg)
+	if _, err := schedule.SimulateSEnKF(schedule.Config{
+		P: costmodel.Params{
+			N: members, NX: 48, NY: 24,
+			A: 1e-6, B: 1e-9, C: 1e-6,
+			Theta: 1e-9, Xi: 4, Eta: 2, H: 8,
+		},
+		FS:     parfs.Config{OSTs: 2, ConcurrencyPerOST: 2, SeekTime: 1e-4, ByteTime: 1e-9, BackboneStreams: 4},
+		Tracer: simTr,
+		Faults: fp,
+	}, costmodel.Choice{NSdx: nsdx, NSdy: nsdy, L: layers, NCg: ncg}); err != nil {
+		t.Fatal(err)
+	}
+	check("simulated", simBuf, simReg)
+}
+
 // ioRankNamed returns the I/O rank of c with the given proc name.
 func ioRankNamed(c *CompiledPlan, name string) *plan.IORank {
 	for q := range c.IO {

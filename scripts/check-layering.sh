@@ -120,6 +120,18 @@ if bad=$(grep -rn '\.CounterValue(\|\.GaugeMax(' --include='*.go' internal cmd e
     exit 1
 fi
 
+# Every count has one writer, at the layer that makes the fact. The
+# monitor's own facts are its verdicts — runs, divergences, deadlocks,
+# watchdog trips, incidents, flight dumps — so it writes monitor/* series
+# only; a fault, a message or a runtime reading it sees is already counted
+# by faults.*, the wire collector or the sampler.
+if bad=$(grep -nE '\.(Inc|Add|SetGauge|Observe)\(' internal/monitor/*.go | grep -v '_test\.go:' \
+        | grep -vE '\.(Inc|Add|SetGauge|Observe)\("monitor/'); then
+    echo "FAIL: internal/monitor writes a registry series that is not its own (monitor/*):" >&2
+    echo "$bad" >&2
+    exit 1
+fi
+
 # The runtime sampler (internal/runtimeobs/sampler.go) is the run's one
 # reader of the Go runtime: a second reader re-records what its runtime/*
 # gauges hold, and runtime.ReadMemStats stops the world to do it. The
@@ -168,4 +180,4 @@ if bad=$(grep -rn 'mlTag\|func observeML\|func runComputeML\|func runIOML' \
     exit 1
 fi
 
-echo "OK: plan, monitor, report and runlog layers are substrate-free; monitor serves no HTTP and derives no plan contract; report builds without runtimeobs; no count is copied out of the registry; only runtimeobs reads the Go runtime; runtimeobs sits below plan; ckpt builds on ensio only; core and schedule build on plan; no bespoke multilevel paths"
+echo "OK: plan, monitor, report and runlog layers are substrate-free; monitor serves no HTTP and derives no plan contract; report builds without runtimeobs; no count is copied out of the registry; the monitor writes monitor/* only; only runtimeobs reads the Go runtime; runtimeobs sits below plan; ckpt builds on ensio only; core and schedule build on plan; no bespoke multilevel paths"
