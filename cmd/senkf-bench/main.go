@@ -46,6 +46,13 @@ func main() {
 	)
 	obs := senkf.RegisterRunFlags(flag.CommandLine, "senkf-bench")
 	flag.Parse()
+	if *record == "" && *check == "" {
+		given := map[string]bool{}
+		flag.Visit(func(f *flag.Flag) { given[f.Name] = f.Value.String() != f.DefValue })
+		if err := checkTracedRun(given); err != nil {
+			log.Fatal(err)
+		}
+	}
 
 	sess, err := obs.Start()
 	if err != nil {
@@ -155,6 +162,31 @@ func main() {
 		sess.Fatal(fmt.Errorf("unknown figure %d (have 1, 5, 9, 10, 11, 12, 13)", *figure))
 	}
 	finish(sess)
+}
+
+// observerFlags are the flags that start an observer of the run; with any of
+// them (and without -record/-check) senkf-bench makes its one traced S-EnKF
+// run instead of the figures.
+var observerFlags = []string{"trace", "counters", "monitor", "wire", "archive"}
+
+// droppedByTracedRun are the flags that choose what the untraced run prints.
+var droppedByTracedRun = []string{"faults", "eps-sweep", "ablations", "figure", "csv"}
+
+// checkTracedRun refuses a flag the traced run would drop, naming it and the
+// observer flag that chose the traced run. given reports the flags set to
+// other than their defaults.
+func checkTracedRun(given map[string]bool) error {
+	for _, o := range observerFlags {
+		if !given[o] {
+			continue
+		}
+		for _, d := range droppedByTracedRun {
+			if given[d] {
+				return fmt.Errorf("-%s does not combine with -%s: an observer flag runs the one traced S-EnKF run, which does not apply -%s", d, o, d)
+			}
+		}
+	}
+	return nil
 }
 
 // parseOSTOutage parses the -ost-outage value "ost:start:end" into a

@@ -155,14 +155,14 @@ func DigestConfig(cfg map[string]string) string {
 }
 
 // manifestCRC computes the manifest's CRC-64 over its rendering with the
-// CRC field cleared.
-func manifestCRC(m Manifest) (string, error) {
+// CRC field cleared, and returns that rendering too.
+func manifestCRC(m Manifest) (string, []byte, error) {
 	m.CRC64 = ""
 	data, err := json.MarshalIndent(&m, "", "  ")
 	if err != nil {
-		return "", fmt.Errorf("ckpt: marshal manifest: %w", err)
+		return "", nil, fmt.Errorf("ckpt: marshal manifest: %w", err)
 	}
-	return fmt.Sprintf("%016x", crc64.Checksum(data, crcTable)), nil
+	return fmt.Sprintf("%016x", crc64.Checksum(data, crcTable)), data, nil
 }
 
 // fileHash content-addresses one attached file.
@@ -355,15 +355,15 @@ func (img *Image) Write(dir string) (string, error) {
 		return "", fmt.Errorf("ckpt: state file: %w", err)
 	}
 
-	// Manifest last, CRC-guarded, fsynced; then the stage's entries.
-	if man.CRC64, err = manifestCRC(man); err != nil {
+	// Manifest last, CRC-guarded, fsynced; then the stage's entries. It is
+	// rendered once: the crc64 field, omitted when empty and the last, is
+	// spliced in before the closing brace of the rendering the CRC covers.
+	crc, data, err := manifestCRC(man)
+	if err != nil {
 		return "", err
 	}
-	data, err := json.MarshalIndent(&man, "", "  ")
-	if err != nil {
-		return "", fmt.Errorf("ckpt: marshal manifest: %w", err)
-	}
-	if err := writeSynced(filepath.Join(stage, ManifestFile), append(data, '\n')); err != nil {
+	data = append(data[:len(data)-len("\n}")], ",\n  \"crc64\": \""+crc+"\"\n}\n"...)
+	if err := writeSynced(filepath.Join(stage, ManifestFile), data); err != nil {
 		return "", fmt.Errorf("ckpt: manifest: %w", err)
 	}
 	if err := syncDir(stage); err != nil {
@@ -415,7 +415,7 @@ func Load(path string) (*Loaded, error) {
 	if want == "" {
 		return nil, fmt.Errorf("ckpt: %s: manifest carries no CRC", path)
 	}
-	got, err := manifestCRC(man)
+	got, _, err := manifestCRC(man)
 	if err != nil {
 		return nil, err
 	}

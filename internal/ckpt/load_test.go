@@ -88,7 +88,7 @@ func reseal(t *testing.T, path string, edit func(*Manifest)) {
 		t.Fatal(err)
 	}
 	edit(&man)
-	if man.CRC64, err = manifestCRC(man); err != nil {
+	if man.CRC64, _, err = manifestCRC(man); err != nil {
 		t.Fatal(err)
 	}
 	data, err := json.MarshalIndent(&man, "", "  ")
@@ -114,7 +114,7 @@ func checkAccepted(t *testing.T, path string, l *Loaded) {
 	if err := json.Unmarshal(raw, &man); err != nil {
 		t.Fatalf("accepted a manifest that does not parse: %v", err)
 	}
-	if crc, err := manifestCRC(man); err != nil || crc != man.CRC64 {
+	if crc, _, err := manifestCRC(man); err != nil || crc != man.CRC64 {
 		t.Fatalf("accepted a manifest whose CRC is %s (%v), recorded %s", crc, err, man.CRC64)
 	}
 	var own []string
@@ -256,7 +256,7 @@ func FuzzLoad(f *testing.F) {
 		f.Fatal(err)
 	}
 	seal := func(man Manifest) []byte {
-		crc, err := manifestCRC(man)
+		crc, _, err := manifestCRC(man)
 		if err != nil {
 			return nil
 		}

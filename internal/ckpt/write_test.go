@@ -1,8 +1,11 @@
 package ckpt
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
+	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"slices"
@@ -150,4 +153,59 @@ func TestFailedMemberLeavesNoCheckpoint(t *testing.T) {
 	if l == nil || l.State.Cycle != 1 || len(skipped) != 0 {
 		t.Fatalf("Latest after a failed write: %+v, skipped %v; want cycle 1", l, skipped)
 	}
+}
+
+// TestManifestIsTheSealedRendering: the manifest file Write lands is the
+// manifest rendered with its CRC set — the CRC of the rendering with the field
+// empty — and a newline, whatever the history holds: none, an empty one, one
+// entry or 600.
+func TestManifestIsTheSealedRendering(t *testing.T) {
+	m := testMesh(t)
+	entries := func(n int) json.RawMessage {
+		h := make([]map[string]float64, n)
+		for i := range h {
+			h[i] = map[string]float64{"cycle": float64(i), "rmse": 1 / float64(i+3)}
+		}
+		data, err := json.Marshal(h)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return data
+	}
+	for _, hist := range []json.RawMessage{nil, json.RawMessage("[]"), json.RawMessage("null"), entries(1), entries(600)} {
+		st := testState(t, m, 3, 4)
+		st.History = hist
+		img, err := Encode(m, st, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		path, err := img.Write(t.TempDir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := os.ReadFile(filepath.Join(path, ManifestFile))
+		if err != nil {
+			t.Fatal(err)
+		}
+		man := img.man
+		man.Files = map[string]string{stateFile: fileHash(img.data)}
+		if man.CRC64, _, err = manifestCRC(man); err != nil {
+			t.Fatal(err)
+		}
+		want, err := json.MarshalIndent(&man, "", "  ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want = append(want, '\n'); !bytes.Equal(got, want) {
+			t.Errorf("history of %d bytes: the manifest differs from its rendering with the CRC set:\n%s\nwant\n%s", len(hist), clip(got), clip(want))
+		}
+	}
+}
+
+// clip shortens a manifest for a failure message.
+func clip(b []byte) string {
+	if len(b) > 600 {
+		return fmt.Sprintf("%s … %s", b[:300], b[len(b)-300:])
+	}
+	return string(b)
 }

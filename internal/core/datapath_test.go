@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"senkf/internal/grid"
@@ -63,5 +64,86 @@ func TestDataPathAllocationBudget(t *testing.T) {
 	}
 	if best > budget {
 		t.Errorf("one run allocates %.2f× the state it moves, budget %.1f×", best, budget)
+	}
+}
+
+// TestDataPathObjectsFollowThePlan counts the objects one S-EnKF run allocates
+// on stream's shape scaled to 96×48 (2 levels, 4×2 or 8×2 sub-domains,
+// radius (0,1), n_cg 2) and holds them to a function of the plan: a term per
+// member is what opening its file costs the two readers that open it, and the
+// stages and destinations add objects per stage, not per message. The count
+// of one (member, destination) pair — a meta or a payload header of its own,
+// 67 objects per member with both — shows as a slope above 20 per member, and
+// as a destination or stage term that grows with N. The collector is off while
+// a configuration is counted, so the payload and workspace pools keep what
+// they are given and the count is the program's; under -race sync.Pool drops
+// a quarter of its puts and the count is not.
+func TestDataPathObjectsFollowThePlan(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops puts under -race")
+	}
+	const nx, ny, levels = 96, 48, 2
+	type shape struct{ n, l, nsdx int }
+	fixtures := map[int]fixture{}
+	objects := func(s shape) float64 {
+		f, ok := fixtures[s.n]
+		if !ok {
+			f = newFixture(t, nx, ny, s.n, levels, 16, grid.Radius{Xi: 0, Eta: 1}, 11)
+			fixtures[s.n] = f
+		}
+		c := f.compile(t, plan.SEnKF(f.decompose(t, s.nsdx, 2), s.n, s.l, 2))
+		defer debug.SetGCPercent(debug.SetGCPercent(-1))
+		// The first call fills the pools and checks the bits.
+		got, err := ExecutePlanLevels(f.p, c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := exact(got, f.refs); err != nil {
+			t.Fatalf("%+v: %v", s, err)
+		}
+		// The fewest of 16 calls: a pooled payload too small for the box
+		// it is popped for is a miss whose place in the run the scheduler
+		// decides, and misses only add.
+		best := math.Inf(1)
+		for i := 0; i < 16; i++ {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			if _, err := ExecutePlanLevels(f.p, c); err != nil {
+				t.Fatal(err)
+			}
+			runtime.ReadMemStats(&after)
+			best = math.Min(best, float64(after.Mallocs-before.Mallocs))
+		}
+		t.Logf("N %2d  L %d  n_sdx %d: %6.0f objects per run", s.n, s.l, s.nsdx, best)
+		return best
+	}
+	count := map[shape]float64{}
+	for _, s := range []shape{
+		{16, 4, 4}, {32, 4, 4}, {64, 4, 4},
+		{16, 2, 4}, {64, 2, 4},
+		{16, 4, 8}, {64, 4, 8},
+	} {
+		count[s] = objects(s)
+		runtime.GC() // the collector was off for the count; free the results
+	}
+
+	if slope := (count[shape{64, 4, 4}] - count[shape{16, 4, 4}]) / 48; slope > 20 {
+		t.Errorf("%.1f objects per member from N = 16 to 64, want at most 20", slope)
+	}
+	for _, d := range []struct {
+		what     string
+		from, to shape
+	}{
+		{"doubling n_sdx", shape{0, 4, 4}, shape{0, 4, 8}},
+		{"going from L = 2 to 4", shape{0, 2, 4}, shape{0, 4, 4}},
+	} {
+		at := func(n int) float64 {
+			from, to := d.from, d.to
+			from.n, to.n = n, n
+			return count[to] - count[from]
+		}
+		if lo, hi := at(16), at(64); math.Abs(hi-lo) > 48 {
+			t.Errorf("%s adds %.0f objects at N = 16 and %.0f at N = 64, want the same within 48", d.what, lo, hi)
+		}
 	}
 }

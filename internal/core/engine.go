@@ -243,11 +243,15 @@ func engineIO(comm *mpi.Comm, p plan.Problem, c *plan.Compiled, r plan.IORank, r
 	}
 
 	// A bar row served at a stage: the rank's own or an adopted one; either
-	// way the work, and so the spans and labels, are this rank's.
+	// way the work, and so the spans and labels, are this rank's. Its slots
+	// and metas are its ranges of the stage's slabs, one slot and one meta per
+	// message: member mi, destination di and level l are slot (mi·dsts+di)·
+	// levels+l.
 	type served struct {
 		st       *plan.IOStage
 		boxes    []grid.Box
-		payloads [][][][]float64 // [member][dst][level]
+		payloads [][]float64
+		metas    []int
 	}
 	for si := range r.Stages {
 		// Seam 3, rows served: the rank's own plus the dead rows it adopts,
@@ -267,20 +271,37 @@ func engineIO(comm *mpi.Comm, p plan.Problem, c *plan.Compiled, r plan.IORank, r
 			for _, row := range adopted {
 				rows = append(rows, served{st: &c.IOAt(r.Group, row).Stages[si]})
 			}
+			// One slab each of boxes, payload slots and metas for the whole
+			// stage, cut into the rows' capacity-capped ranges.
+			var nboxes, nslots int
+			for _, sr := range rows {
+				nboxes += len(sr.st.Comm.Dsts)
+				nslots += len(sr.st.Members) * len(sr.st.Comm.Dsts) * nl
+			}
+			boxes := make([]grid.Box, nboxes)
+			slots := make([][]float64, nslots)
+			metas := make([]int, 5*nslots)
+			for i := range rows {
+				sr := &rows[i]
+				nd := len(sr.st.Comm.Dsts)
+				n := len(sr.st.Members) * nd * nl
+				sr.boxes, boxes = boxes[:nd:nd], boxes[nd:]
+				sr.payloads, slots = slots[:n:n], slots[n:]
+				sr.metas, metas = metas[:5*n:5*n], metas[5*n:]
+			}
+
 			// Read phase: the stage's contiguous region of each member, row
 			// by row — one addressing operation per member read (bar
 			// reading, §4.1.2), fetching every level of the stage rows at
 			// once on multilevel files (the level-interleaved layout's
-			// co-design) and decoding them straight into the payload of each
-			// destination and level.
+			// co-design) and decoding them straight into the member's slots,
+			// one payload per destination and level.
 			readStart := time.Now()
-			for i := range rows {
-				sr := &rows[i]
-				sr.boxes = make([]grid.Box, len(sr.st.Comm.Dsts))
+			for _, sr := range rows {
 				for di, dst := range sr.st.Comm.Dsts {
 					sr.boxes[di] = c.Compute[dst].Stages[sr.st.Stage].Box
 				}
-				sr.payloads = make([][][][]float64, len(sr.st.Members))
+				per := len(sr.boxes) * nl
 				for mi, k := range sr.st.Members {
 					if mem.pos(k) < 0 {
 						continue
@@ -289,8 +310,7 @@ func engineIO(comm *mpi.Comm, p plan.Problem, c *plan.Compiled, r plan.IORank, r
 					if mf == nil {
 						return fmt.Errorf("core: reader %s lost member %d agreed as a survivor", r.Name, k)
 					}
-					var err error
-					if sr.payloads[mi], err = mf.ReadBarBoxes(sr.st.Read.Box.Y0, sr.st.Read.Box.Y1, sr.boxes); err != nil {
+					if err := mf.ReadBarBoxes(sr.st.Read.Box.Y0, sr.st.Read.Box.Y1, sr.boxes, sr.payloads[mi*per:(mi+1)*per]); err != nil {
 						return err
 					}
 				}
@@ -301,20 +321,22 @@ func engineIO(comm *mpi.Comm, p plan.Problem, c *plan.Compiled, r plan.IORank, r
 			// Comm phase: every destination gets its stage box of every
 			// member, one message per level, tagged in member space. Each
 			// payload and its meta were cut for this one receiver, so both
-			// are handed over; the levels' metas share one allocation.
+			// are handed over: the receivers own disjoint capped ranges of
+			// the stage's meta slab.
 			commStart := time.Now()
 			for _, sr := range rows {
+				per := len(sr.boxes) * nl
 				for mi, k := range sr.st.Members {
-					if sr.payloads[mi] == nil {
+					if mem.pos(k) < 0 {
 						continue
 					}
 					for di, dst := range sr.st.Comm.Dsts {
 						box := sr.boxes[di]
-						metas := make([]int, 0, 5*len(sr.payloads[mi][di]))
-						for lvl, payload := range sr.payloads[mi][di] {
-							metas = append(metas, k, box.X0, box.X1, box.Y0, box.Y1)
-							meta := metas[len(metas)-5 : len(metas) : len(metas)]
-							if err := comm.SendOwned(dst, c.Spec.Tag(sr.st.Stage, k, lvl), meta, payload); err != nil {
+						for lvl := 0; lvl < nl; lvl++ {
+							j := mi*per + di*nl + lvl
+							meta := sr.metas[5*j : 5*j+5 : 5*j+5]
+							meta[0], meta[1], meta[2], meta[3], meta[4] = k, box.X0, box.X1, box.Y0, box.Y1
+							if err := comm.SendOwned(dst, c.Spec.Tag(sr.st.Stage, k, lvl), meta, sr.payloads[j]); err != nil {
 								return err
 							}
 						}

@@ -1,6 +1,7 @@
 package cycle
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"sync"
@@ -29,8 +30,50 @@ type Checkpointer struct {
 	mu      sync.Mutex
 	mesh    grid.Mesh
 	pending *ckpt.Image
+	hist    historyJSON
 	written bool
 	last    int // cycle of the last written checkpoint
+}
+
+// historyJSON is json.Marshal of a run's history, kept from cycle to cycle so
+// that each cycle's checkpoint encodes only the entries the cycle added, not
+// a history as long as the run.
+type historyJSON struct {
+	open    []byte // json.Marshal of the history's first n entries, less the ']'
+	n       int
+	lastLen int // bytes of entry n-1's encoding, which ends open
+}
+
+// encode returns json.Marshal(h), in a slice of its own. It appends h's new
+// entries when h extends the history kept, judged by its last kept entry,
+// and encodes h afresh when h is shorter or that entry's encoding differs.
+func (e *historyJSON) encode(h []Stats) ([]byte, error) {
+	if h == nil {
+		return []byte("null"), nil
+	}
+	if e.n > 0 && len(h) >= e.n {
+		last, err := json.Marshal(h[e.n-1])
+		if err != nil || !bytes.Equal(last, e.open[len(e.open)-e.lastLen:]) {
+			e.n = 0
+		}
+	} else {
+		e.n = 0
+	}
+	if e.n == 0 {
+		e.open = append(e.open[:0], '[')
+	}
+	for _, s := range h[e.n:] {
+		entry, err := json.Marshal(s)
+		if err != nil {
+			e.n = 0
+			return nil, err
+		}
+		if e.n > 0 {
+			e.open = append(e.open, ',')
+		}
+		e.open, e.n, e.lastLen = append(e.open, entry...), e.n+1, len(entry)
+	}
+	return append(append(make([]byte, 0, len(e.open)+1), e.open...), ']'), nil
 }
 
 // Hook returns the per-cycle hook that drives this checkpointer.
@@ -39,12 +82,12 @@ func (cp *Checkpointer) Hook(c Config) Hook {
 	cp.mesh = c.Enkf.Mesh
 	cp.mu.Unlock()
 	return func(st State) error {
-		hist, err := json.Marshal(st.History)
+		cp.mu.Lock()
+		defer cp.mu.Unlock()
+		hist, err := cp.hist.encode(st.History)
 		if err != nil {
 			return fmt.Errorf("cycle: marshal history: %w", err)
 		}
-		cp.mu.Lock()
-		defer cp.mu.Unlock()
 		// The run loop goes on with the live slices and Flush may fire from a
 		// signal handler, so the state is encoded now, under the lock. The
 		// previous image is either landed or superseded: its storage is reused.

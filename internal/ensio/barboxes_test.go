@@ -49,6 +49,21 @@ func cutBox(field []float64, nx int, b grid.Box) []float64 {
 	return out
 }
 
+// readBoxes is ReadBarBoxes into fresh slots, regrouped per box: out[i][l]
+// is slot i·levels+l, level l over boxes[i].
+func readBoxes(m *MemberFile, y0, y1 int, boxes []grid.Box) ([][][]float64, error) {
+	nl := m.Header.LevelCount()
+	slots := make([][]float64, len(boxes)*nl)
+	if err := m.ReadBarBoxes(y0, y1, boxes, slots); err != nil {
+		return nil, err
+	}
+	out := make([][][]float64, len(boxes))
+	for i := range out {
+		out[i] = slots[i*nl : (i+1)*nl]
+	}
+	return out, nil
+}
+
 func sameBits(a, b []float64) bool {
 	if len(a) != len(b) {
 		return false
@@ -108,7 +123,7 @@ func TestReadBarBoxesGenerated(t *testing.T) {
 		}
 
 		before := m.Stats()
-		got, err := m.ReadBarBoxes(y0, y1, boxes)
+		got, err := readBoxes(m, y0, y1, boxes)
 		if err != nil {
 			t.Fatalf("case %d: ReadBarBoxes(%d, %d, %v): %v", c, y0, y1, boxes, err)
 		}
@@ -160,17 +175,25 @@ func TestReadBarBoxesRejectsBadBoxes(t *testing.T) {
 		"inverted rows":  {X0: 0, X1: 6, Y0: 3, Y1: 1},
 		"outside, empty": {X0: 9, X1: 9, Y0: 9, Y1: 9},
 	} {
-		if _, err := m.ReadBarBoxes(1, 4, []grid.Box{inside, bad}); err == nil {
+		if _, err := readBoxes(m, 1, 4, []grid.Box{inside, bad}); err == nil {
 			t.Errorf("%s: box %v accepted for bar rows [1,4)", name, bad)
 		}
 	}
 	if st := m.Stats(); st.Seeks != 0 || st.Reads != 0 {
 		t.Errorf("rejected requests still read: %+v", st)
 	}
-	if _, err := m.ReadBarBoxes(2, 2, nil); err == nil {
+	if _, err := readBoxes(m, 2, 2, nil); err == nil {
 		t.Error("empty bar accepted")
 	}
-	if _, err := m.ReadBarBoxes(1, 4, []grid.Box{inside}); err != nil {
+	for _, slots := range []int{0, 1, 3} { // two levels: one box takes two slots
+		if err := m.ReadBarBoxes(1, 4, []grid.Box{inside}, make([][]float64, slots)); err == nil {
+			t.Errorf("%d payload slots accepted for one box of two levels", slots)
+		}
+	}
+	if st := m.Stats(); st.Seeks != 0 || st.Reads != 0 {
+		t.Errorf("rejected requests still read: %+v", st)
+	}
+	if _, err := readBoxes(m, 1, 4, []grid.Box{inside}); err != nil {
 		t.Errorf("valid box rejected: %v", err)
 	}
 }
@@ -200,7 +223,7 @@ func TestReadBarBoxesRetriesLikeReadBar(t *testing.T) {
 	if _, err := viaBar.ReadBar(0, 4); err != nil {
 		t.Fatal(err)
 	}
-	got, err := viaBoxes.ReadBarBoxes(0, 4, []grid.Box{box})
+	got, err := readBoxes(viaBoxes, 0, 4, []grid.Box{box})
 	if err != nil {
 		t.Fatalf("fused read with 2 transient failures under a 3-attempt budget: %v", err)
 	}
@@ -212,7 +235,7 @@ func TestReadBarBoxesRetriesLikeReadBar(t *testing.T) {
 	}
 
 	_, errBar := open(5, 3).ReadBar(0, 4)
-	_, errBoxes := open(5, 3).ReadBarBoxes(0, 4, []grid.Box{box})
+	_, errBoxes := readBoxes(open(5, 3), 0, 4, []grid.Box{box})
 	if errBar == nil || errBoxes == nil || errBar.Error() != errBoxes.Error() || !strings.Contains(errBoxes.Error(), "after 3 attempts") {
 		t.Errorf("exhausted budget: fused read %v, ReadBar %v", errBoxes, errBar)
 	}
@@ -228,11 +251,11 @@ func TestReadsDoNotAlias(t *testing.T) {
 	}
 	defer m.Close()
 	boxA, boxB := grid.Box{X0: 0, X1: 7, Y0: 0, Y1: 3}, grid.Box{X0: 1, X1: 6, Y0: 3, Y1: 6}
-	first, err := m.ReadBarBoxes(0, 3, []grid.Box{boxA})
+	first, err := readBoxes(m, 0, 3, []grid.Box{boxA})
 	if err != nil {
 		t.Fatal(err)
 	}
-	second, err := m.ReadBarBoxes(3, 6, []grid.Box{boxB})
+	second, err := readBoxes(m, 3, 6, []grid.Box{boxB})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -305,7 +328,7 @@ func TestReadsOverwriteRecycledPayloads(t *testing.T) {
 		b := grid.Box{X0: x0, X1: x0 + 1 + rng.Intn(nx-x0), Y0: y0, Y1: y1}
 		var got [][]float64
 		if round%2 == 0 {
-			out, err := mf.ReadBarBoxes(y0, y1, []grid.Box{b, {X0: 0, X1: nx, Y0: y0, Y1: y1}})
+			out, err := readBoxes(mf, y0, y1, []grid.Box{b, {X0: 0, X1: nx, Y0: y0, Y1: y1}})
 			if err != nil {
 				t.Fatal(err)
 			}

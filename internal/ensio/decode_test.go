@@ -110,7 +110,7 @@ func TestDecodeThroughReads(t *testing.T) {
 			{X0: 5, X1: 6, Y0: 4, Y1: 7},
 			{X0: 1, X1: nx, Y0: 6, Y1: 7},
 		}
-		bar, err := m.ReadBarBoxes(2, 7, boxes)
+		bar, err := readBoxes(m, 2, 7, boxes)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -537,13 +537,13 @@ func Recycle(bundle [][]float64) {
 	}
 }
 
-// borrow returns count payloads, the i-th of points(i) values, each a recycled
-// one where the pool has one that large and new otherwise. The caller
+// borrow fills out with payloads, the i-th of points(i) values, each a
+// recycled one where the pool has one that large and new otherwise. The caller
 // overwrites them all.
-func borrow(count int, points func(i int) int) [][]float64 {
-	out := make([][]float64, count)
+func borrow(out [][]float64, points func(i int) int) {
 	var bundle *[][]float64
 	for i := range out {
+		out[i] = nil
 		if bundle == nil || len(*bundle) == 0 {
 			bundle, _ = payloads.Get().(*[][]float64)
 		}
@@ -561,49 +561,51 @@ func borrow(count int, points func(i int) int) [][]float64 {
 	if bundle != nil && len(*bundle) > 0 {
 		payloads.Put(bundle)
 	}
-	return out
 }
 
 // ReadBarBoxes reads the contiguous latitude rows [y0, y1) of every level
 // with a single addressing operation — the bar reading approach: one seek
 // regardless of the bar height or of how many boxes are cut from it — and
-// decodes the bar straight into one payload per box and level: out[i][l] is
-// level l over boxes[i], row-major. Every box must be non-empty and lie
-// inside the bar. The payloads are the caller's, to keep or to Recycle.
-func (m *MemberFile) ReadBarBoxes(y0, y1 int, boxes []grid.Box) ([][][]float64, error) {
+// decodes the bar straight into one payload per box and level, which it
+// stores in the caller's slots: dst[i·levels+l] is level l over boxes[i],
+// row-major, and dst holds exactly len(boxes)·levels slots. Every box must be
+// non-empty and lie inside the bar. The payloads are the caller's, to keep or
+// to Recycle; what the slots held before is overwritten, not given back.
+func (m *MemberFile) ReadBarBoxes(y0, y1 int, boxes []grid.Box, dst [][]float64) error {
 	nx, nl := m.Header.NX, m.Header.LevelCount()
 	if y0 < 0 || y1 > m.Header.NY || y0 >= y1 {
-		return nil, fmt.Errorf("ensio: bar rows [%d,%d) out of range [0,%d)", y0, y1, m.Header.NY)
+		return fmt.Errorf("ensio: bar rows [%d,%d) out of range [0,%d)", y0, y1, m.Header.NY)
+	}
+	if len(dst) != len(boxes)*nl {
+		return fmt.Errorf("ensio: %d payload slots for %d boxes of %d levels", len(dst), len(boxes), nl)
 	}
 	bar := grid.Box{X0: 0, X1: nx, Y0: y0, Y1: y1}
 	for _, b := range boxes {
 		if b.Empty() || b.Intersect(bar) != b {
-			return nil, fmt.Errorf("ensio: box %v empty or outside bar rows [%d,%d) of a %d-wide mesh", b, y0, y1, nx)
+			return fmt.Errorf("ensio: box %v empty or outside bar rows [%d,%d) of a %d-wide mesh", b, y0, y1, nx)
 		}
 	}
 	bp, err := m.fetch(y0*nx, bar.Points())
 	if err != nil {
-		return nil, err
+		return err
 	}
 	defer scratch.Put(bp)
-	all := borrow(len(boxes)*nl, func(i int) int { return boxes[i/nl].Points() })
-	out := make([][][]float64, len(boxes))
+	borrow(dst, func(i int) int { return boxes[i/nl].Points() })
 	for i, b := range boxes {
-		out[i] = all[i*nl : (i+1)*nl : (i+1)*nl]
-		decode(out[i], 0, (*bp)[8*nl*nx*(b.Y0-y0):], nx, b.X0, b.X1, b.Height())
+		decode(dst[i*nl:(i+1)*nl], 0, (*bp)[8*nl*nx*(b.Y0-y0):], nx, b.X0, b.X1, b.Height())
 	}
-	return out, nil
+	return nil
 }
 
 // ReadBarLevels reads the contiguous latitude rows [y0, y1) of every level
 // with a single addressing operation, returning one row-major slice per
 // level.
 func (m *MemberFile) ReadBarLevels(y0, y1 int) ([][]float64, error) {
-	out, err := m.ReadBarBoxes(y0, y1, []grid.Box{{X0: 0, X1: m.Header.NX, Y0: y0, Y1: y1}})
-	if err != nil {
+	out := make([][]float64, m.Header.LevelCount())
+	if err := m.ReadBarBoxes(y0, y1, []grid.Box{{X0: 0, X1: m.Header.NX, Y0: y0, Y1: y1}}, out); err != nil {
 		return nil, err
 	}
-	return out[0], nil
+	return out, nil
 }
 
 // ReadBar is ReadBarLevels on a single-level file.
@@ -632,7 +634,8 @@ func (m *MemberFile) ReadBlockLevels(b grid.Box) ([][]float64, error) {
 		return m.ReadBarLevels(b.Y0, b.Y1)
 	}
 	nl, w := m.Header.LevelCount(), b.Width()
-	out := borrow(nl, func(int) int { return b.Points() })
+	out := make([][]float64, nl)
+	borrow(out, func(int) int { return b.Points() })
 	for y := b.Y0; y < b.Y1; y++ {
 		bp, err := m.fetch(y*mesh.NX+b.X0, w)
 		if err != nil {
