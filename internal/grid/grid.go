@@ -191,38 +191,29 @@ func (d Decomposition) OwnerOf(x, y int) (i, j int) {
 	return x / d.SubWidth(), y / d.SubHeight()
 }
 
-// Layers splits sub-domain D_{i,j} into L latitude layers D'_{i,j,l}
-// (§4.2): layer l covers the rows [Y0 + l·h/L, Y0 + (l+1)·h/L). The
-// sub-domain height must be a multiple of L.
-func (d Decomposition) Layers(i, j, L int) ([]Box, error) {
-	if L <= 0 {
-		return nil, fmt.Errorf("grid: layer count must be positive, got %d", L)
+// Layer returns layer l of the L latitude layers D'_{i,j,l} that split
+// sub-domain D_{i,j} (§4.2): the rows [Y0 + l·h/L, Y0 + (l+1)·h/L). The
+// sub-domain height must be a multiple of L, and l must lie in [0, L).
+func (d Decomposition) Layer(i, j, l, L int) (Box, error) {
+	if L <= 0 || d.SubHeight()%L != 0 {
+		return Box{}, fmt.Errorf("%w: sub-domain height %d, layers %d", ErrIndivisible, d.SubHeight(), L)
 	}
-	sd := d.SubDomain(i, j)
-	if sd.Height()%L != 0 {
-		return nil, fmt.Errorf("%w: sub-domain height %d, layers %d", ErrIndivisible, sd.Height(), L)
+	if l < 0 || l >= L {
+		return Box{}, fmt.Errorf("grid: layer %d outside [0, %d)", l, L)
 	}
-	lh := sd.Height() / L
-	layers := make([]Box, L)
-	for l := 0; l < L; l++ {
-		layers[l] = Box{X0: sd.X0, X1: sd.X1, Y0: sd.Y0 + l*lh, Y1: sd.Y0 + (l+1)*lh}
-	}
-	return layers, nil
+	sd, lh := d.SubDomain(i, j), d.SubHeight()/L
+	return Box{X0: sd.X0, X1: sd.X1, Y0: sd.Y0 + l*lh, Y1: sd.Y0 + (l+1)*lh}, nil
 }
 
 // LayerExpansion returns the expansion of layer l of D_{i,j}: the data
 // needed to run local analysis on exactly that layer (Figure 7) — the rows
 // of stage l's small bar, the columns of the sub-domain's own expansion.
 func (d Decomposition) LayerExpansion(i, j, l, L int) (Box, error) {
-	if l < 0 || l >= L {
-		return Box{}, fmt.Errorf("grid: layer %d outside [0, %d)", l, L)
-	}
-	rows, err := d.LayerBar(j, l, L)
+	layer, err := d.Layer(i, j, l, L)
 	if err != nil {
 		return Box{}, err
 	}
-	cols := d.Expansion(i, j)
-	return Box{X0: cols.X0, X1: cols.X1, Y0: rows.Y0, Y1: rows.Y1}, nil
+	return layer.Expand(d.Mesh, d.R.Xi, d.R.Eta), nil
 }
 
 // Bar returns the contiguous latitude bar assigned to I/O row index j under

@@ -193,14 +193,14 @@ func TestOwnerOf(t *testing.T) {
 func TestLayersPartitionSubDomain(t *testing.T) {
 	m := mustMesh(t, 12, 12)
 	d := mustDecomp(t, m, 3, 2, Radius{Xi: 1, Eta: 1})
-	layers, err := d.Layers(1, 1, 3)
-	if err != nil {
-		t.Fatalf("Layers: %v", err)
-	}
 	sd := d.SubDomain(1, 1)
 	total := 0
 	prevY := sd.Y0
-	for l, b := range layers {
+	for l := 0; l < 3; l++ {
+		b, err := d.Layer(1, 1, l, 3)
+		if err != nil {
+			t.Fatalf("Layer: %v", err)
+		}
 		if b.X0 != sd.X0 || b.X1 != sd.X1 {
 			t.Errorf("layer %d x-range %v differs from sub-domain %v", l, b, sd)
 		}
@@ -213,10 +213,10 @@ func TestLayersPartitionSubDomain(t *testing.T) {
 	if prevY != sd.Y1 || total != sd.Points() {
 		t.Errorf("layers do not cover sub-domain: total=%d want %d", total, sd.Points())
 	}
-	if _, err := d.Layers(0, 0, 4); err == nil {
+	if _, err := d.Layer(0, 0, 0, 4); err == nil {
 		t.Error("expected error for indivisible layer count")
 	}
-	if _, err := d.Layers(0, 0, 0); err == nil {
+	if _, err := d.Layer(0, 0, 0, 0); err == nil {
 		t.Error("expected error for L=0")
 	}
 }
@@ -242,11 +242,11 @@ func TestLayerExpansionCoversLayerLocalBoxes(t *testing.T) {
 	const L = 3
 	for j := 0; j < d.NSdy; j++ {
 		for i := 0; i < d.NSdx; i++ {
-			layers, err := d.Layers(i, j, L)
-			if err != nil {
-				t.Fatalf("Layers: %v", err)
-			}
-			for l, layer := range layers {
+			for l := 0; l < L; l++ {
+				layer, err := d.Layer(i, j, l, L)
+				if err != nil {
+					t.Fatalf("Layer: %v", err)
+				}
 				exp, err := d.LayerExpansion(i, j, l, L)
 				if err != nil {
 					t.Fatalf("LayerExpansion: %v", err)

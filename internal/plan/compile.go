@@ -221,16 +221,19 @@ func (b BarReader) compile(s Spec, c *Compiled) error {
 	blockCols := d.SubWidth() + 2*d.R.Xi
 	layerRows := d.SubHeight()/s.L + 2*d.R.Eta
 
+	// Every rank's L stages are cut from one slab, capacity-capped so that
+	// no rank's slice reaches into the next rank's.
+	slab := make([]ComputeStage, d.SubDomains()*s.L)
 	var err error
 	c.Compute, err = computeRanks(s, func(i, j int) ([]ComputeStage, error) {
-		layers, err := d.Layers(i, j, s.L)
-		if err != nil {
-			return nil, err
-		}
-		stages := make([]ComputeStage, s.L)
-		for l := 0; l < s.L; l++ {
-			exp := layers[l].Expand(d.Mesh, d.R.Xi, d.R.Eta)
-			stages[l] = ComputeStage{Stage: l, Expect: s.N, Box: exp, Analyze: layers[l]}
+		stages := slab[:s.L:s.L]
+		slab = slab[s.L:]
+		for l := range stages {
+			layer, err := d.Layer(i, j, l, s.L)
+			if err != nil {
+				return nil, err
+			}
+			stages[l] = ComputeStage{Stage: l, Expect: s.N, Box: layer.Expand(d.Mesh, d.R.Xi, d.R.Eta), Analyze: layer}
 		}
 		return stages, nil
 	})

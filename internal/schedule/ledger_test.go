@@ -2,19 +2,22 @@ package schedule
 
 import (
 	"math"
+	"math/rand/v2"
 	"runtime"
 	"slices"
+	"strings"
 	"testing"
 
 	"senkf/internal/costmodel"
 	"senkf/internal/grid"
+	"senkf/internal/metrics"
 	"senkf/internal/plan"
 )
 
-// The ledger is sized from the plan, once: one slice per rank and the table
-// of them, whatever L is, and no phase a rank records — not a dead row's
-// reads adopted under a fault plan, not P-EnKF's read per member — makes a
-// slice grow.
+// The ledger is sized from the plan, once: the table of ranks, one slab of
+// lengths and one of spans, whatever the rank count or L, and no phase a rank
+// records — not a dead row's reads adopted under a fault plan, not P-EnKF's
+// read per member — makes a per-phase or span slice grow.
 func TestLedgerIsSizedFromThePlan(t *testing.T) {
 	cfg := smallConfig()
 	senkf := func(l int) func(grid.Decomposition) plan.Spec {
@@ -34,19 +37,181 @@ func TestLedgerIsSizedFromThePlan(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		if n := testing.AllocsPerRun(10, func() { newLedger(m.cp) }); n != float64(1+m.cp.WorldSize()) {
-			t.Errorf("%s: newLedger allocates %v objects for %d ranks", name, n, m.cp.WorldSize())
+		if n := testing.AllocsPerRun(10, func() { newLedger(m.cp) }); n != 3 {
+			t.Errorf("%s: newLedger allocates %v objects for %d ranks, want 3", name, n, m.cp.WorldSize())
 		}
 		recorded := 0
 		for r, fresh := range newLedger(m.cp) {
-			led := m.ledger[r]
-			if cap(led.ivs) != cap(fresh.ivs) {
-				t.Errorf("%s: %s recorded %d intervals into room for %d", name, led.name, len(led.ivs), cap(fresh.ivs))
+			led := &m.ledger[r]
+			for ph := range led.d {
+				if cap(led.d[ph]) != cap(fresh.d[ph]) {
+					t.Errorf("%s: %s recorded %d %v intervals into room for %d", name, led.name, len(led.d[ph]), metrics.Phase(ph), cap(fresh.d[ph]))
+				}
+				recorded += len(led.d[ph])
 			}
-			recorded += len(led.ivs)
+			if cap(led.spans) != cap(fresh.spans) {
+				t.Errorf("%s: %s recorded %d spans into room for %d", name, led.name, len(led.spans), cap(fresh.spans))
+			}
 		}
 		if recorded == 0 {
 			t.Errorf("%s: nothing recorded", name)
+		}
+	}
+}
+
+// P-EnKF's ledger costs 8 bytes per self-read — its length, and no start, end
+// or phase — plus a constant per rank: the rank's table entry, its analysis's
+// length and span, and what the allocator's size classes round up.
+func TestPEnKFLedgerBytes(t *testing.T) {
+	const perRank = 256
+	cfg := smallConfig()
+	cfg.P.N = 64
+	mesh, err := grid.NewMesh(cfg.P.NX, cfg.P.NY)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dec, err := grid.NewDecomposition(mesh, 4, 3, grid.Radius{Xi: cfg.P.Xi, Eta: cfg.P.Eta})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cp, err := plan.Compile(plan.PEnKF(dec, cfg.P.N))
+	if err != nil {
+		t.Fatal(err)
+	}
+	reads := 0
+	for _, cr := range cp.Compute {
+		for _, st := range cr.Stages {
+			reads += len(st.SelfMembers)
+		}
+	}
+	got := testing.Benchmark(func(b *testing.B) {
+		b.ReportAllocs()
+		for range b.N {
+			newLedger(cp)
+		}
+	}).AllocedBytesPerOp()
+	if bound := int64(8*reads + perRank*cp.WorldSize()); got > bound {
+		t.Errorf("P-EnKF ledger of %d ranks and %d self-reads allocates %d bytes, over %d", cp.WorldSize(), reads, got, bound)
+	}
+}
+
+// interval is one phase interval as a rank records it.
+type interval struct {
+	ph     metrics.Phase
+	t0, t1 float64
+}
+
+// foldOracle is the fold the ledger used to make over its intervals: ranks
+// that recorded an interval of some length, sorted by proc name, one
+// Breakdown.Add per such interval as recorded, divided once by their number.
+func foldOracle(names []string, ivs [][]interval) metrics.Breakdown {
+	var ranks []int
+	for r, rs := range ivs {
+		if slices.ContainsFunc(rs, func(iv interval) bool { return iv.t1 > iv.t0 }) {
+			ranks = append(ranks, r)
+		}
+	}
+	slices.SortFunc(ranks, func(a, b int) int { return strings.Compare(names[a], names[b]) })
+	var b metrics.Breakdown
+	for _, r := range ranks {
+		for _, iv := range ivs[r] {
+			if iv.t1 > iv.t0 {
+				b.Add(iv.ph, iv.t1-iv.t0)
+			}
+		}
+	}
+	return b.Mean(len(ranks))
+}
+
+// spansOracle is the union the ledger used to make: the intervals of some
+// length that ranks [lo, hi) recorded in the given phases.
+func spansOracle(ivs [][]interval, lo, hi int, phases ...metrics.Phase) []metrics.Span {
+	var raw []metrics.Span
+	for _, rs := range ivs[lo:hi] {
+		for _, iv := range rs {
+			if iv.t1 > iv.t0 && slices.Contains(phases, iv.ph) {
+				raw = append(raw, metrics.Span{Start: iv.t0, End: iv.t1})
+			}
+		}
+	}
+	return metrics.UnionSpans(raw)
+}
+
+// The ledger's per-phase fold is the interleaved fold, bit for bit, and its
+// spans are the phase-filtered union, over generated ledgers: phases
+// interleaved within a rank, intervals of no or negative length, ranks that
+// record nothing, and proc names whose order is not the ranks' order
+// (comp/x10y0 sorts before comp/x2y0, io/g10/r0 before io/g2/r0).
+func TestLedgerFoldEqualsInterleavedFold(t *testing.T) {
+	rng := rand.New(rand.NewPCG(51, 1))
+	for trial := range 300 {
+		nsdx, nsdy, ncg := 1+rng.IntN(13), 1+rng.IntN(3), 1+rng.IntN(12)
+		nc, world := nsdx*nsdy, nsdx*nsdy+ncg*nsdy
+		names := make([]string, world)
+		ivs := make([][]interval, world)
+		m := &machine{
+			cp:     &plan.Compiled{Compute: make([]plan.ComputeRank, nc), IO: make([]plan.IORank, world-nc)},
+			ledger: make([]rankLedger, world),
+		}
+		for r := range world {
+			// The phases each kind of rank records: an I/O rank reads and
+			// sends; a compute rank waits or reads, and analyses.
+			kinds := []metrics.Phase{metrics.PhaseRead, metrics.PhaseWait, metrics.PhaseCompute}
+			if r < nc {
+				names[r] = metrics.ComputeName(r%nsdx, r/nsdx)
+			} else {
+				q := r - nc
+				names[r] = metrics.IOName(q/nsdy, q%nsdy)
+				kinds = []metrics.Phase{metrics.PhaseRead, metrics.PhaseComm}
+			}
+			n := rng.IntN(9)
+			if rng.IntN(4) == 0 {
+				n = 0
+			}
+			for range n {
+				t0 := rng.Float64() * 100
+				iv := interval{ph: kinds[rng.IntN(len(kinds))], t0: t0, t1: t0 + rng.Float64()*10}
+				switch rng.IntN(6) {
+				case 0:
+					iv.t1 = iv.t0
+				case 1:
+					iv.t1 = iv.t0 - rng.Float64()
+				}
+				ivs[r] = append(ivs[r], iv)
+			}
+			// Room for every interval, in each phase and as spans.
+			led := &m.ledger[r]
+			led.name = names[r]
+			for ph := range led.d {
+				led.d[ph] = make([]float64, 0, n)
+			}
+			led.spans = make([]metrics.Span, 0, n)
+		}
+		// Record the ranks' intervals interleaved, each rank's in its order.
+		var order []int
+		for r := range world {
+			for range ivs[r] {
+				order = append(order, r)
+			}
+		}
+		rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
+		next := make([]int, world)
+		for _, r := range order {
+			iv := ivs[r][next[r]]
+			m.obs(r, iv.ph, iv.t0, iv.t1, -1)
+			next[r]++
+		}
+		if got, want := m.mean(0, nc), foldOracle(names[:nc], ivs[:nc]); got != want {
+			t.Fatalf("trial %d: compute mean %+v, interleaved fold %+v", trial, got, want)
+		}
+		if got, want := m.mean(nc, world), foldOracle(names[nc:], ivs[nc:]); got != want {
+			t.Fatalf("trial %d: I/O mean %+v, interleaved fold %+v", trial, got, want)
+		}
+		if got, want := m.spans(0, nc), spansOracle(ivs, 0, nc, metrics.PhaseCompute); !slices.Equal(got, want) {
+			t.Fatalf("trial %d: compute spans %v, phase-filtered union %v", trial, got, want)
+		}
+		if got, want := m.spans(nc, world), spansOracle(ivs, nc, world, metrics.PhaseRead, metrics.PhaseComm); !slices.Equal(got, want) {
+			t.Fatalf("trial %d: I/O spans %v, phase-filtered union %v", trial, got, want)
 		}
 	}
 }

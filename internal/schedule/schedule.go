@@ -304,8 +304,8 @@ func SimulateSEnKF(cfg Config, ch costmodel.Choice) (Result, error) {
 		return Result{}, err
 	}
 	res := m.result("S-EnKF")
-	ioSpans := m.spans(m.cp.NumCompute(), m.cp.WorldSize(), metrics.PhaseRead, metrics.PhaseComm)
-	cpSpans := m.spans(0, m.cp.NumCompute(), metrics.PhaseCompute)
+	ioSpans := m.spans(m.cp.NumCompute(), m.cp.WorldSize()) // reads and comms
+	cpSpans := m.spans(0, m.cp.NumCompute())                // analyses
 	overlap := metrics.OverlapDuration(ioSpans, cpSpans)
 	res.OverlapRuntimeFraction = overlap / m.end
 	res.FirstStage = m.firstStage
@@ -372,7 +372,7 @@ type machine struct {
 
 	// ledger is the run's phase record, by world rank — the compute ranks,
 	// then the I/O ranks: what Result's breakdowns and overlap shares are
-	// folded from, tracer on or off. A rank's slice is written by its own
+	// folded from, tracer on or off. A rank's slices are written by its own
 	// process alone and sized for every phase its plan stages can record.
 	ledger []rankLedger
 
@@ -383,32 +383,61 @@ type machine struct {
 	firstStage float64 // instant compute rank 0 starts analysing stage 0
 }
 
-// rankLedger is the phases one rank spent time in, in the order it did.
+// phases is the number of metrics.Phase values.
+const phases = int(metrics.PhaseWait) + 1
+
+// rankLedger is what one rank recorded, kept for the two questions asked of
+// it: mean reads each interval's length, per phase in record order; the
+// overlap reads start and end, of only the intervals it unions — an I/O
+// rank's reads and comms, a compute rank's analyses.
 type rankLedger struct {
-	name string
-	ivs  []interval
+	name  string
+	d     [phases][]float64
+	spans []metrics.Span
 }
 
-type interval struct {
-	ph     metrics.Phase
-	t0, t1 float64
+// room is what world rank r of cp can record, per phase and as spans: a read
+// and a comm per I/O stage, both spans; per compute stage its analysis, a
+// span, and either one wait or a read per self-read member.
+func room(cp *plan.Compiled, r int) (name string, n [phases]int, spans int) {
+	if q := r - cp.NumCompute(); q >= 0 {
+		me := &cp.IO[q]
+		n[metrics.PhaseRead], n[metrics.PhaseComm] = len(me.Stages), len(me.Stages)
+		return me.Name, n, 2 * len(me.Stages)
+	}
+	cr := &cp.Compute[r]
+	for si := range cr.Stages {
+		if st := &cr.Stages[si]; st.Expect > 0 {
+			n[metrics.PhaseWait]++
+		} else {
+			n[metrics.PhaseRead] += len(st.SelfMembers)
+		}
+	}
+	n[metrics.PhaseCompute] = len(cr.Stages)
+	return cr.Name, n, len(cr.Stages)
 }
 
-// newLedger gives every rank of cp room for what its stages record: a read
-// and a comm per I/O stage; per compute stage the analysis and either one
-// wait or a read per self-read member.
+// newLedger gives every rank of cp its room, cut capacity-capped from one
+// slab of lengths and one of spans: three objects, whatever the plan.
 func newLedger(cp *plan.Compiled) []rankLedger {
 	ledger := make([]rankLedger, cp.WorldSize())
-	for q := range cp.IO {
-		me := &cp.IO[q]
-		ledger[me.Rank] = rankLedger{name: me.Name, ivs: make([]interval, 0, 2*len(me.Stages))}
-	}
-	for q := range cp.Compute {
-		cr, n := &cp.Compute[q], 0
-		for si := range cr.Stages {
-			n += 1 + max(1, len(cr.Stages[si].SelfMembers))
+	nd, ns := 0, 0
+	for r := range ledger {
+		_, n, spans := room(cp, r)
+		for _, k := range n {
+			nd += k
 		}
-		ledger[cr.Rank] = rankLedger{name: cr.Name, ivs: make([]interval, 0, n)}
+		ns += spans
+	}
+	d, sp := make([]float64, nd), make([]metrics.Span, ns)
+	for r := range ledger {
+		name, n, spans := room(cp, r)
+		led := &ledger[r]
+		led.name = name
+		for ph, k := range n {
+			led.d[ph], d = d[:0:k], d[k:]
+		}
+		led.spans, sp = sp[:0:spans], sp[spans:]
 	}
 	return ledger
 }
@@ -416,32 +445,38 @@ func newLedger(cp *plan.Compiled) []rankLedger {
 // mean folds world ranks [lo, hi) into their mean phase breakdown. The order
 // of the additions is part of Result's bits: ranks by proc name, a rank's
 // intervals as recorded, one running sum per phase, divided once by the
-// number of ranks that recorded anything.
+// number of ranks that recorded anything. Breakdown.Add keeps each phase's
+// sum apart from the others, so folding a rank phase by phase adds the same
+// numbers to each sum in the same order as folding its intervals as they
+// interleaved.
 func (m *machine) mean(lo, hi int) metrics.Breakdown {
-	ranks := slices.DeleteFunc(slices.Clone(m.ledger[lo:hi]), func(r rankLedger) bool { return len(r.ivs) == 0 })
-	slices.SortFunc(ranks, func(a, b rankLedger) int { return strings.Compare(a.name, b.name) })
+	ranks := make([]*rankLedger, 0, hi-lo)
+	for r := lo; r < hi; r++ {
+		if led := &m.ledger[r]; slices.ContainsFunc(led.d[:], func(d []float64) bool { return len(d) > 0 }) {
+			ranks = append(ranks, led)
+		}
+	}
+	slices.SortFunc(ranks, func(a, b *rankLedger) int { return strings.Compare(a.name, b.name) })
 	var b metrics.Breakdown
 	for _, r := range ranks {
-		for _, iv := range r.ivs {
-			b.Add(iv.ph, iv.t1-iv.t0)
+		for ph, ds := range r.d {
+			for _, d := range ds {
+				b.Add(metrics.Phase(ph), d)
+			}
 		}
 	}
 	return b.Mean(len(ranks))
 }
 
-// spans merges the intervals world ranks [lo, hi) spent in the given phases.
-func (m *machine) spans(lo, hi int, phases ...metrics.Phase) []metrics.Span {
-	n := 0 // room for every interval of the ranks: no growing by doubling
-	for _, r := range m.ledger[lo:hi] {
-		n += len(r.ivs)
+// spans merges the intervals world ranks [lo, hi) kept as spans.
+func (m *machine) spans(lo, hi int) []metrics.Span {
+	n := 0 // room for every span of the ranks: no growing by doubling
+	for r := lo; r < hi; r++ {
+		n += len(m.ledger[r].spans)
 	}
 	raw := make([]metrics.Span, 0, n)
-	for _, r := range m.ledger[lo:hi] {
-		for _, iv := range r.ivs {
-			if slices.Contains(phases, iv.ph) {
-				raw = append(raw, metrics.Span{Start: iv.t0, End: iv.t1})
-			}
-		}
+	for r := lo; r < hi; r++ {
+		raw = append(raw, m.ledger[r].spans...)
 	}
 	return metrics.UnionSpans(raw)
 }
@@ -537,11 +572,16 @@ func simulate(cfg Config, cp *plan.Compiled, rc *recovery, predict *costmodel.Ch
 
 // obs records one phase interval of world rank r: in the ledger and — when
 // tracing — as a span on the rank's own track, stage-tagged, as in core, on a
-// staged plan. An interval of no length is a span but not a ledger entry.
+// staged plan. An interval of no length is a trace span but not a ledger
+// entry. The ledger keeps its length, and its ends where the overlap reads
+// them: on an I/O rank, and for an analysis.
 func (m *machine) obs(r int, ph metrics.Phase, t0, t1 float64, stage int) {
 	led := &m.ledger[r]
 	if t1 > t0 {
-		led.ivs = append(led.ivs, interval{ph, t0, t1})
+		led.d[ph] = append(led.d[ph], t1-t0)
+		if r >= m.cp.NumCompute() || ph == metrics.PhaseCompute {
+			led.spans = append(led.spans, metrics.Span{Start: t0, End: t1})
+		}
 	}
 	tr := m.cfg.Tracer
 	switch {
