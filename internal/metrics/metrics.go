@@ -101,20 +101,30 @@ type Span struct{ Start, End float64 }
 // Truncated intervals — End before Start, as left behind by ranks that
 // died mid-phase in a resilient run — are clamped to zero length at their
 // start instead of being allowed to swallow neighbouring spans, so the
-// Figure 11 hidden-I/O accounting cannot be inflated by failed ranks.
+// Figure 11 hidden-I/O accounting cannot be inflated by failed ranks. ivs
+// is left as it was.
 func UnionSpans(ivs []Span) []Span {
 	if len(ivs) == 0 {
 		return nil
 	}
-	sorted := append([]Span(nil), ivs...)
-	for i := range sorted {
-		if sorted[i].End < sorted[i].Start {
-			sorted[i].End = sorted[i].Start
+	return UnionInPlace(append([]Span(nil), ivs...))
+}
+
+// UnionInPlace is UnionSpans for a caller that owns ivs and no longer needs
+// it: ivs is clamped, sorted and merged where it lies, and the disjoint
+// spans are returned as its prefix.
+func UnionInPlace(ivs []Span) []Span {
+	if len(ivs) == 0 {
+		return nil
+	}
+	for i := range ivs {
+		if ivs[i].End < ivs[i].Start {
+			ivs[i].End = ivs[i].Start
 		}
 	}
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Start < sorted[j].Start })
-	out := []Span{sorted[0]}
-	for _, s := range sorted[1:] {
+	sort.Slice(ivs, func(i, j int) bool { return ivs[i].Start < ivs[j].Start })
+	out := ivs[:1]
+	for _, s := range ivs[1:] {
 		last := &out[len(out)-1]
 		if s.Start <= last.End {
 			if s.End > last.End {

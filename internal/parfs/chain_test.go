@@ -329,10 +329,59 @@ func (tg *testGate) logPass(p *sim.Proc, id, file int) {
 	fmt.Fprintf(tg.log, "pass %s %d %d %x\n", p.Name, id, file, math.Float64bits(p.Now()))
 }
 
-// run executes g with each reader's stage issued as one gated ReadEach, or as
-// the loop it replaces: Reads of each file's probes and rows, then a
-// Barrier.Wait. It also returns how many barrier waits parked.
-func (g gateProgram) run(t *testing.T, chained bool) (readOutcome, int) {
+// How a gate program's readers issue their stages.
+const (
+	asLoops    = iota // Reads of each file's probes and rows, then a Barrier.Wait
+	asReadEach        // one gated ReadEach per stage
+	asSteps           // one gated StartEach per stage, from a Stepper
+)
+
+// gateStepper is a reader of a gate program written as a Stepper, the way
+// internal/schedule's I/O ranks read: each stage one StartEach, whose chain
+// wakes the reader for its next step.
+type gateStepper struct {
+	fs   *FS
+	gate *testGate
+	rd   gateReader
+	log  *readLog
+	i, s int // the process's number; the stage in progress
+	t0   float64
+	at   int
+}
+
+func (r *gateStepper) Step(p *sim.Proc) bool {
+	for {
+		switch r.at {
+		case 0:
+			r.at = 1
+			p.After(r.rd.delay, p)
+			return false
+		case 1:
+			gr := r.gate.g
+			if r.s == len(gr.stages) {
+				return true
+			}
+			if r.s == r.rd.leave {
+				r.gate.bar.Leave()
+				return true
+			}
+			r.t0, r.at = p.Now(), 2
+			if !r.fs.StartEach(p, gr.stages[r.s], gr.seeks, gr.bytes, r.gate, 100*r.i+r.rd.rows[r.s]) {
+				return false
+			}
+		case 2:
+			fmt.Fprintf(r.log, "stage %d.%d took %x\n", r.i, r.s, math.Float64bits(p.Now()-r.t0))
+			r.s, r.at = r.s+1, 1
+			p.After(r.rd.gap, p)
+			return false
+		}
+	}
+}
+
+// run executes g with each reader's stage issued as one gated ReadEach — from
+// a coroutine or a Stepper — or as the loop it replaces. It also returns how
+// many barrier waits parked.
+func (g gateProgram) run(t *testing.T, issue int) (readOutcome, int) {
 	env := sim.NewEnv()
 	buf, reg := trace.NewBuffer(), trace.NewRegistry()
 	tr := trace.New(env.Now, buf)
@@ -354,6 +403,10 @@ func (g gateProgram) run(t *testing.T, chained bool) (readOutcome, int) {
 		for _, rd := range gr.readers {
 			i := proc
 			proc++
+			if issue == asSteps {
+				env.Spawn(fmt.Sprintf("p%d", i), &gateStepper{fs: fs, gate: gate, rd: rd, log: log, i: i})
+				continue
+			}
 			env.Go(fmt.Sprintf("p%d", i), func(p *sim.Proc) {
 				p.Sleep(rd.delay)
 				for s, files := range gr.stages {
@@ -363,7 +416,7 @@ func (g gateProgram) run(t *testing.T, chained bool) (readOutcome, int) {
 					}
 					id := 100*i + rd.rows[s]
 					t0 := p.Now()
-					if chained {
+					if issue == asReadEach {
 						fs.ReadEach(p, files, gr.seeks, gr.bytes, gate, id)
 					} else {
 						for _, f := range files {
@@ -406,13 +459,17 @@ func (g gateProgram) run(t *testing.T, chained bool) (readOutcome, int) {
 // probes, dropped files, readers that leave their barrier, stragglers and
 // outage and degraded windows. A chain that resumed through a new event
 // after its gate let it pass, rather than in place of the barrier's
-// wake-up, would reorder equal-time wake-ups.
+// wake-up, would reorder equal-time wake-ups. Readers written as steppers,
+// each stage a StartEach, leave exactly what ReadEach's coroutines leave.
 func TestGatedReadEachEqualsReadAndWaitLoopsUnderOutagesAndStragglers(t *testing.T) {
 	var stalls, degraded, parked, probes, leaves int
 	for seed := int64(1); seed <= 400; seed++ {
 		g := genGateProgram(seed)
-		loop, loopParked := g.run(t, false)
-		each, eachParked := g.run(t, true)
+		loop, loopParked := g.run(t, asLoops)
+		each, eachParked := g.run(t, asReadEach)
+		if steps, stepsParked := g.run(t, asSteps); !reflect.DeepEqual(steps, each) || stepsParked != eachParked {
+			t.Fatalf("seed %d: stepped readers' StartEach differs from coroutines' ReadEach", seed)
+		}
 		if loop.end != each.end || loop.stats != each.stats {
 			t.Fatalf("seed %d: end %g, %+v as loops; %g, %+v as gated ReadEach", seed, loop.end, loop.stats, each.end, each.stats)
 		}

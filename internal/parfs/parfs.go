@@ -158,20 +158,35 @@ type Gate interface {
 // and `bytes` payload bytes — a ReadEach of one file — blocking p for
 // queueing plus service time. It returns the total time spent.
 func (fs *FS) Read(p *sim.Proc, file, seeks int, bytes float64) float64 {
-	return fs.read(p, nil, file, seeks, bytes, nil, 0)
+	start := p.Now()
+	if !fs.start(p, nil, file, seeks, bytes, nil, 0) {
+		p.Park()
+	}
+	return p.Now() - start
 }
 
-// ReadEach is a Read of each of files in turn, one chain of steps — queue at
-// the OST and the backbone, stall through outages, serve, release, account —
-// that Run executes in place, switching p back in once, after the last read.
-// It returns the total time; a non-nil hook is told of each read, with id. A
-// hook that is also a Gate decides how many reads each file takes and holds
-// the chain after each file until the gate lets it pass.
+// ReadEach is a Read of each of files in turn: a StartEach, and a park
+// until its chain hands p back control. It returns the total time.
 func (fs *FS) ReadEach(p *sim.Proc, files []int, seeks int, bytes float64, hook ReadHook, id int) float64 {
-	return fs.read(p, files, 0, seeks, bytes, hook, id)
+	start := p.Now()
+	if !fs.StartEach(p, files, seeks, bytes, hook, id) {
+		p.Park()
+	}
+	return p.Now() - start
 }
 
-// reader is one process's ReadEach in flight: the chain's state, and the
+// StartEach begins a read of each of files in turn for p, one chain of
+// steps — queue at the OST and the backbone, stall through outages, serve,
+// release, account — that Run executes in place, and reports true if it is
+// already done. Otherwise p waits: the chain wakes it (sim.Proc.Wake) once,
+// after the last read. A non-nil hook is told of each read, with id. A hook
+// that is also a Gate decides how many reads each file takes and holds the
+// chain after each file until the gate lets it pass.
+func (fs *FS) StartEach(p *sim.Proc, files []int, seeks int, bytes float64, hook ReadHook, id int) bool {
+	return fs.start(p, files, 0, seeks, bytes, hook, id)
+}
+
+// reader is one process's read chain in flight: the chain's state, and the
 // sim.Waker that Run wakes for each of its steps. Its size is what the slab
 // costs per process: a field it gains is paid by every P-EnKF rank.
 type reader struct {
@@ -199,10 +214,10 @@ const (
 	passed              // on to the next file
 )
 
-// read runs files (nil: a Read's one file) as a chain whose state comes from
-// the slab, grown a block at a time. p's goroutine runs the chain up to its
-// first wait; from there Run carries it and p parks until it ends.
-func (fs *FS) read(p *sim.Proc, files []int, file, seeks int, bytes float64, hook ReadHook, id int) float64 {
+// start runs files (nil: a Read's one file) as a chain whose state comes
+// from the slab, grown a block at a time, up to its first wait, and reports
+// whether it is already done; from there Run carries it, and its end wakes p.
+func (fs *FS) start(p *sim.Proc, files []int, file, seeks int, bytes float64, hook ReadHook, id int) bool {
 	if seeks < 0 || bytes < 0 {
 		panic(fmt.Sprintf("parfs: invalid read (seeks=%d bytes=%g)", seeks, bytes))
 	}
@@ -212,7 +227,7 @@ func (fs *FS) read(p *sim.Proc, files []int, file, seeks int, bytes float64, hoo
 			fs.free = append(fs.free, &block[i])
 		}
 	}
-	r, start := fs.free[len(fs.free)-1], p.Now()
+	r := fs.free[len(fs.free)-1]
 	fs.free = fs.free[:len(fs.free)-1]
 	*r = reader{fs: fs, p: p, files: files, one: [1]int{file}, seeks: seeks, bytes: bytes, hook: hook, id: id}
 	if files == nil {
@@ -220,15 +235,14 @@ func (fs *FS) read(p *sim.Proc, files []int, file, seeks int, bytes float64, hoo
 	}
 	_, r.gated = hook.(Gate)
 	if len(r.files) > 0 && !r.advance() {
-		p.Park() // the chain has gone back to the slab when p resumes
-		return p.Now() - start
+		return false // the chain goes back to the slab before it wakes p
 	}
 	fs.free = append(fs.free, r)
-	return p.Now() - start
+	return true
 }
 
 // Wake continues the chain on Run's goroutine and, after the last file,
-// switches p back in, in place of the event that would have resumed it.
+// wakes p in place of the event that would have resumed it.
 func (r *reader) Wake() {
 	if r.step == ostHeld || r.step == backboneHeld || r.step == passed {
 		r.p.Unblock() // woken holding the capacity it queued for, or let through its gate

@@ -71,8 +71,9 @@ func (l *LabelSet) Scope(proc string) *Scope {
 }
 
 // SpawnWrapper adapts the label set to the simulated substrate's process
-// spawn hook (sim.Env.SetSpawnWrapper): every simulated process body runs
-// under its proc-name scope, and goroutines it spawns inherit the labels.
+// spawn hook (sim.Env.SetSpawnWrapper): every simulated process — a
+// coroutine's body, or each step of a stepper — runs under its proc-name
+// scope, built once per process, and goroutines it spawns inherit the labels.
 // Returns nil on a nil LabelSet, which the spawn hook treats as disabled.
 func (l *LabelSet) SpawnWrapper() func(name string, fn func()) func() {
 	if l == nil {

@@ -8,13 +8,14 @@
 // waits for whom, and what overlaps with what.
 //
 // There is one interpreter, simulate, the mirror of core's execute: it builds
-// the machine, spawns one process per plan rank and runs two bodies, io and
-// compute. What tells P-EnKF (§2.3: every processor block-reads its
-// expansion, no overlap), L-EnKF (§3.1: one reader, one round per member) and
-// S-EnKF (§4: n_cg groups of n_sdy bar readers feeding L overlapped stages,
-// Figure 8) apart is read from the plan; fault handling is the policy of
-// recovery.go. Both substrates interpreting one plan.Compiled, a simulated
-// schedule has the structure of a traced real run (plan.ExpectedDAG).
+// the machine, spawns one process per plan rank and steps two bodies,
+// ioBody and computeBody. What tells P-EnKF (§2.3: every processor
+// block-reads its expansion, no overlap), L-EnKF (§3.1: one reader, one
+// round per member) and S-EnKF (§4: n_cg groups of n_sdy bar readers feeding
+// L overlapped stages, Figure 8) apart is read from the plan; fault handling
+// is the policy of recovery.go. Both substrates interpreting one
+// plan.Compiled, a simulated schedule has the structure of a traced real run
+// (plan.ExpectedDAG).
 package schedule
 
 import (
@@ -478,7 +479,7 @@ func (m *machine) spans(lo, hi int) []metrics.Span {
 	for r := lo; r < hi; r++ {
 		raw = append(raw, m.ledger[r].spans...)
 	}
-	return metrics.UnionSpans(raw)
+	return metrics.UnionInPlace(raw)
 }
 
 // result fills the fields every algorithm reports the same way. P-EnKF has
@@ -555,13 +556,27 @@ func simulate(cfg Config, cp *plan.Compiled, rc *recovery, predict *costmodel.Ch
 			}
 		}
 	}
+	// The bodies are cut from one slab per kind, and the compute ranks' block
+	// counts from one more.
+	ios := make([]ioBody, len(cp.IO))
 	for q := range cp.IO {
-		me := &cp.IO[q]
-		env.Go(me.Name, func(p *sim.Proc) { m.io(p, me) })
+		ios[q] = ioBody{m: m, me: &cp.IO[q]}
+		env.Spawn(cp.IO[q].Name, &ios[q])
 	}
+	n := 0
+	for q := range cp.Compute {
+		if waits(&cp.Compute[q]) {
+			n += len(cp.Compute[q].Stages)
+		}
+	}
+	arrived, crs := make([]int, n), make([]computeBody, len(cp.Compute))
 	for q := range cp.Compute {
 		cr := &cp.Compute[q]
-		env.Go(cr.Name, func(p *sim.Proc) { m.compute(p, cr) })
+		crs[q] = computeBody{m: m, cr: cr}
+		if waits(cr) {
+			crs[q].arrived, arrived = arrived[:len(cr.Stages):len(cr.Stages)], arrived[len(cr.Stages):]
+		}
+		env.Spawn(cr.Name, &crs[q])
 	}
 	m.end, err = env.Run()
 	if cfg.Obs != nil {
@@ -596,48 +611,79 @@ func (m *machine) obs(r int, ph metrics.Phase, t0, t1 float64, stage int) {
 // ReadDone records one read of compute rank r's ReadEach as a read phase.
 func (m *machine) ReadDone(r int, t0, t1 float64) { m.obs(r, metrics.PhaseRead, t0, t1, -1) }
 
-// io is the body of one dedicated I/O processor: per stage, read the stage's
-// region from each member — one file at a time across the group — then pay
-// the sends, serialized at the sender's link, and notify every destination.
-func (m *machine) io(proc *sim.Proc, me *plan.IORank) {
-	p, g := m.cfg.P, &m.groups[me.Group]
+// ioBody is the body of one dedicated I/O processor: per stage, read the
+// stage's region from each member — one file at a time across the group —
+// then pay the sends, serialized at the sender's link, and notify every
+// destination.
+type ioBody struct {
+	m  *machine
+	me *plan.IORank
+	si int // the stage in progress
 	// The virtual time at the top of this stage (0, then the instant the last
 	// file barrier released) and of the one before: the same for every reader
 	// of the group, so all evaluate the death predicate alike.
-	tStage, tPrev := 0.0, 0.0
-	for si := range me.Stages {
-		st := &me.Stages[si]
-		// Seam, rows served: the reader's own plus the dead rows it adopts,
-		// unless it is itself dead before the stage and leaves its barrier.
-		adopted, alive := m.rc.adopt(proc, m.cp, me, st.Stage, tStage, tPrev)
-		if !alive {
-			g.bar.Leave()
-			return
-		}
-		rows := 1 + len(adopted)
-		// Read phase: one chain over the members, the group its gate — a
-		// member's retry probes, its bar once per served row unless it is
-		// dropped, then the file barrier.
-		t0 := proc.Now()
-		m.fs.ReadEach(proc, st.Members, st.Read.AddrOps, nominalBytes(st.Read.PointsAllLevels(), p.H), g, rows)
-		m.obs(me.Rank, metrics.PhaseRead, t0, proc.Now(), st.Stage)
-		tPrev, tStage = tStage, proc.Now()
-		// Comm phase: startup + transfer per destination of every served row,
-		// each send carrying its block of every live member and level.
-		live := 0
-		for _, k := range st.Members {
-			if !m.rc.drops(k) {
-				live++
+	tStage, tPrev float64
+	t0            float64 // the start of the phase in progress
+	adopted       []int   // the dead rows served this stage besides its own
+	at            uint8   // where the next step resumes
+}
+
+// Where an ioBody resumes.
+const (
+	ioStage = iota // adopt, then read
+	ioRead         // the read is done: pay the sends
+	ioSent         // the sends are paid: notify
+)
+
+func (b *ioBody) Step(proc *sim.Proc) bool {
+	m, me := b.m, b.me
+	p, g := m.cfg.P, &m.groups[me.Group]
+	for {
+		switch b.at {
+		case ioStage:
+			if b.si == len(me.Stages) {
+				return true
 			}
-		}
-		sendBytes := nominalBytes(st.Comm.PerDstPoints*m.lv, p.H) * float64(live)
-		t0 = proc.Now()
-		proc.Sleep(float64(rows) * float64(len(st.Comm.Dsts)) * (p.A + p.B*sendBytes))
-		m.obs(me.Rank, metrics.PhaseComm, t0, proc.Now(), st.Stage)
-		m.notify(proc, me, st)
-		for _, row := range adopted {
-			// The dead rank's plan entry names the destinations.
-			m.notify(proc, me, &m.cp.IOAt(me.Group, row).Stages[si])
+			st := &me.Stages[b.si]
+			// Seam, rows served: the reader's own plus the dead rows it adopts,
+			// unless it is itself dead before the stage and leaves its barrier.
+			adopted, alive := m.rc.adopt(proc, m.cp, me, st.Stage, b.tStage, b.tPrev)
+			if !alive {
+				g.bar.Leave()
+				return true
+			}
+			// Read phase: one chain over the members, the group its gate — a
+			// member's retry probes, its bar once per served row unless it is
+			// dropped, then the file barrier.
+			b.adopted, b.t0, b.at = adopted, proc.Now(), ioRead
+			if !m.fs.StartEach(proc, st.Members, st.Read.AddrOps, nominalBytes(st.Read.PointsAllLevels(), p.H), g, 1+len(adopted)) {
+				return false
+			}
+		case ioRead:
+			st := &me.Stages[b.si]
+			m.obs(me.Rank, metrics.PhaseRead, b.t0, proc.Now(), st.Stage)
+			b.tPrev, b.tStage = b.tStage, proc.Now()
+			// Comm phase: startup + transfer per destination of every served row,
+			// each send carrying its block of every live member and level.
+			live := 0
+			for _, k := range st.Members {
+				if !m.rc.drops(k) {
+					live++
+				}
+			}
+			sendBytes := nominalBytes(st.Comm.PerDstPoints*m.lv, p.H) * float64(live)
+			b.t0, b.at = proc.Now(), ioSent
+			proc.After(float64(1+len(b.adopted))*float64(len(st.Comm.Dsts))*(p.A+p.B*sendBytes), proc)
+			return false
+		case ioSent:
+			st := &me.Stages[b.si]
+			m.obs(me.Rank, metrics.PhaseComm, b.t0, proc.Now(), st.Stage)
+			m.notify(proc, me, st)
+			for _, row := range b.adopted {
+				// The dead rank's plan entry names the destinations.
+				m.notify(proc, me, &m.cp.IOAt(me.Group, row).Stages[b.si])
+			}
+			b.si, b.at = b.si+1, ioStage
 		}
 	}
 }
@@ -690,43 +736,95 @@ func (m *machine) notify(proc *sim.Proc, me *plan.IORank, st *plan.IOStage) {
 	}
 }
 
-// compute is the body of one compute processor: per stage, wait for the
-// Expect per-member blocks or block-read SelfMembers, then analyse. The helper
-// thread is implicit — stage l+1 data accumulates in the mailbox during stage
-// l's analysis, exactly the overlap of Figure 8.
-func (m *machine) compute(proc *sim.Proc, cr *plan.ComputeRank) {
-	p, tr := m.cfg.P, m.cfg.Tracer
-	var arrived []int // per-member blocks received, by stage
-	for si := range cr.Stages {
-		st := &cr.Stages[si]
-		if st.Expect > 0 {
-			if arrived == nil {
-				arrived = make([]int, len(cr.Stages))
+// waits reports whether cr receives its blocks from I/O ranks: it then
+// counts them per stage.
+func waits(cr *plan.ComputeRank) bool {
+	return slices.ContainsFunc(cr.Stages, func(st plan.ComputeStage) bool { return st.Expect > 0 })
+}
+
+// computeBody is the body of one compute processor: per stage, wait for the
+// Expect per-member blocks or block-read SelfMembers, then analyse. The
+// helper thread is implicit — stage l+1 data accumulates in the mailbox
+// during stage l's analysis, exactly the overlap of Figure 8.
+type computeBody struct {
+	m       *machine
+	cr      *plan.ComputeRank
+	arrived []int   // per-member blocks received, by stage
+	si      int     // the stage in progress
+	t0      float64 // the start of the wait or analysis in progress
+	at      uint8   // where the next step resumes
+}
+
+// Where a computeBody resumes.
+const (
+	cpStage    = iota // wait for the stage's blocks, or read them
+	cpReceive         // take blocks until the stage's have arrived
+	cpReceived        // woken with a block handed over
+	cpAnalyse         // the blocks are in: analyse
+	cpAnalysed        // the analysis is done
+)
+
+func (b *computeBody) Step(proc *sim.Proc) bool {
+	m, cr := b.m, b.cr
+	for {
+		switch b.at {
+		case cpStage:
+			if b.si == len(cr.Stages) {
+				return true
 			}
-			t0 := proc.Now()
-			for arrived[st.Stage] < st.Expect {
-				n := m.boxes[cr.Rank].Recv(proc).(*plan.IOStage)
-				arrived[n.Stage] += len(n.Members)
-				if tr.Enabled() && m.cp.Staged() && arrived[n.Stage] == cr.Stages[n.Stage].Expect {
-					// The last block of stage n.Stage just arrived: computing
-					// that stage is causally legal from this instant on.
-					tr.Instant(cr.Name, trace.CatStage, "ready", proc.Now(),
-						trace.Arg{Key: trace.ArgStage, Val: float64(n.Stage)})
-				}
+			st := &cr.Stages[b.si]
+			if st.Expect > 0 {
+				b.t0, b.at = proc.Now(), cpReceive
+				continue
 			}
-			if t0 != proc.Now() {
-				m.obs(cr.Rank, metrics.PhaseWait, t0, proc.Now(), -1)
-			}
-		} else {
 			// One addressing operation per expansion row and file (§4.1.1).
-			m.fs.ReadEach(proc, st.SelfMembers, st.Read.AddrOps, nominalBytes(st.Read.PointsAllLevels(), p.H), m, cr.Rank)
+			b.at = cpAnalyse
+			if !m.fs.StartEach(proc, st.SelfMembers, st.Read.AddrOps, nominalBytes(st.Read.PointsAllLevels(), m.cfg.P.H), m, cr.Rank) {
+				return false
+			}
+		case cpReceived:
+			proc.Unblock()
+			b.arrive(proc, proc.Received())
+			b.at = cpReceive
+		case cpReceive:
+			st := &cr.Stages[b.si]
+			for b.arrived[st.Stage] < st.Expect {
+				v, ok := m.boxes[cr.Rank].Take(proc, proc)
+				if !ok {
+					b.at = cpReceived
+					return false
+				}
+				b.arrive(proc, v)
+			}
+			if b.t0 != proc.Now() {
+				m.obs(cr.Rank, metrics.PhaseWait, b.t0, proc.Now(), -1)
+			}
+			b.at = cpAnalyse
+		case cpAnalyse:
+			st := &cr.Stages[b.si]
+			if st.Stage == 0 && cr.Rank == 0 {
+				m.firstStage = proc.Now()
+			}
+			// Local analysis on the stage's region, level by level.
+			b.t0, b.at = proc.Now(), cpAnalysed
+			proc.After(m.cfg.P.C*float64(st.Analyze.Points()*m.lv), proc)
+			return false
+		case cpAnalysed:
+			st := &cr.Stages[b.si]
+			m.obs(cr.Rank, metrics.PhaseCompute, b.t0, proc.Now(), st.Stage)
+			b.si, b.at = b.si+1, cpStage
 		}
-		if st.Stage == 0 && cr.Rank == 0 {
-			m.firstStage = proc.Now()
-		}
-		// Local analysis on the stage's region, level by level.
-		t0 := proc.Now()
-		proc.Sleep(p.C * float64(st.Analyze.Points()*m.lv))
-		m.obs(cr.Rank, metrics.PhaseCompute, t0, proc.Now(), st.Stage)
+	}
+}
+
+// arrive counts a stage notification's blocks in.
+func (b *computeBody) arrive(proc *sim.Proc, v any) {
+	n := v.(*plan.IOStage)
+	b.arrived[n.Stage] += len(n.Members)
+	if tr := b.m.cfg.Tracer; tr.Enabled() && b.m.cp.Staged() && b.arrived[n.Stage] == b.cr.Stages[n.Stage].Expect {
+		// The last block of stage n.Stage just arrived: computing that stage
+		// is causally legal from this instant on.
+		tr.Instant(b.cr.Name, trace.CatStage, "ready", proc.Now(),
+			trace.Arg{Key: trace.ArgStage, Val: float64(n.Stage)})
 	}
 }

@@ -5,7 +5,10 @@ import (
 	"testing"
 
 	"senkf/internal/costmodel"
+	"senkf/internal/grid"
+	"senkf/internal/metrics"
 	"senkf/internal/parfs"
+	"senkf/internal/plan"
 )
 
 // smallConfig is a scaled-down machine so tests run in milliseconds while
@@ -205,6 +208,40 @@ func TestSimulateSEnKFBasics(t *testing.T) {
 	}
 	if _, err := SimulateSEnKF(cfg, costmodel.Choice{NSdx: 7, NSdy: 5, L: 6, NCg: 4}); err == nil {
 		t.Error("expected infeasible-choice error")
+	}
+}
+
+// TestCommChargesStartupPerDestination: with no transfer and no analysis
+// cost (B = C = 0), an I/O rank's communication time is its startup cost α
+// once per destination of every stage — Σ_stages rows·|Dsts|·α, read from
+// the plan, with one served row per stage on a healthy machine — as in
+// Eq. 8, which prices one message per destination.
+func TestCommChargesStartupPerDestination(t *testing.T) {
+	cfg := smallConfig()
+	cfg.P.A, cfg.P.B, cfg.P.C = 1e-3, 0, 0
+	for _, ch := range []costmodel.Choice{
+		{NSdx: 8, NSdy: 5, L: 6, NCg: 4},
+		{NSdx: 4, NSdy: 3, L: 2, NCg: 2},
+		{NSdx: 1, NSdy: 5, L: 3, NCg: 1},
+	} {
+		m, err := run(cfg, ch.NSdx, ch.NSdy, func(d grid.Decomposition) plan.Spec { return plan.SEnKF(d, cfg.P.N, ch.L, ch.NCg) }, nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for q := range m.cp.IO {
+			me := &m.cp.IO[q]
+			sends := 0
+			for _, st := range me.Stages {
+				sends += len(st.Comm.Dsts)
+			}
+			got := 0.0
+			for _, d := range m.ledger[m.cp.NumCompute()+q].d[metrics.PhaseComm] {
+				got += d
+			}
+			if want := cfg.P.A * float64(sends); math.Abs(got-want) > 1e-9*want {
+				t.Fatalf("%+v: %s spent %g s communicating, want α·%d = %g s", ch, me.Name, got, sends, want)
+			}
+		}
 	}
 }
 

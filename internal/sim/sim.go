@@ -1,22 +1,29 @@
 //go:build go1.23
 
 // Package sim is a deterministic discrete-event simulation engine in the
-// style of SimPy. A simulated process is a coroutine (iter.Pull): it runs
-// until it waits on virtual time, a capacity-limited resource, a mailbox or
-// a barrier, and is switched back in when Run pops its wake-up from the
-// event queue. A switch is a direct hand-over on one OS thread — no wake-up,
-// no scheduler pass — and an event allocates nothing. An event wakes a
-// Waker: a process, or a step Run executes in place. A chain of such steps
-// works for a process without switching it in — it schedules wake-ups of
-// its own (After), queues at resources (Take) and barriers (Arrive) in the
+// style of SimPy. A simulated process is a Stepper: Run calls its Step on
+// each of the process's wake-ups, in place, and the step runs until the
+// process must wait — on virtual time (After), a capacity-limited resource
+// (Resource.Take), a mailbox (Mailbox.Take) or a barrier (Barrier.Arrive) —
+// and returns. Waiting is a wake-up scheduled or a place taken in a queue,
+// never a switch: a step runs on Run's goroutine, and an event allocates
+// nothing. An event wakes a Waker: a process, or a step of work that Run
+// executes for a process without waking it — it schedules wake-ups of its
+// own (After), queues at resources (Take) and barriers (Arrive) in the
 // process's name — and hands the process back control when it is done:
 // internal/parfs's read chains, which carry a P-EnKF rank's block reads and
-// an S-EnKF reader's whole I/O stage. Exactly one process (or Run) executes
-// at any instant and wake-ups are ordered by (time, schedule order) alone,
-// so simulations are deterministic and need no locks. Simulated time
-// advances an instant at a time: the queue is a heap of distinct times, each
-// holding its wake-ups in FIFO order, so the many wake-ups that fall on one
-// time cost the heap one entry (DESIGN.md ch. 35).
+// an S-EnKF reader's whole I/O stage. Exactly one step executes at any
+// instant and wake-ups are ordered by (time, schedule order) alone, so
+// simulations are deterministic and need no locks. Simulated time advances
+// an instant at a time: the queue is a heap of distinct times, each holding
+// its wake-ups in FIFO order, so the many wake-ups that fall on one time
+// cost the heap one entry (DESIGN.md ch. 35).
+//
+// Go starts a process written as straight-line code instead: its body is a
+// coroutine (iter.Pull) that one Stepper switches in on each wake-up and
+// that parks where a Stepper would return (Sleep, Acquire, Recv, Wait).
+// The simulated machine's ranks are steppers (DESIGN.md ch. 36); tests and
+// the benchmark's engine probe write coroutines.
 //
 // The engine is the substrate on which the paper's 12,000-processor
 // experiments run: each simulated MPI rank is a process, disks are
@@ -78,9 +85,9 @@ const newestSlots = 64
 // so the instants of one time hold runs of schedule order that do not
 // overlap, and popping instant by instant, FIFO within each, is exactly the
 // (time, schedule order) sequence (DESIGN ch. 35). Instants and links live
-// in slabs whose slot 0 is a sentinel, with free lists; Env.Go grows both by
-// one per process, and a process has at most one wake-up pending, so the
-// queue stops allocating once the processes are spawned.
+// in slabs whose slot 0 is a sentinel, with free lists; starting a process
+// (Spawn, Go) grows both by one, and a process has at most one wake-up
+// pending, so the queue stops allocating once the processes are started.
 type eventQueue struct {
 	heap               []entry
 	inst               []instant
@@ -261,23 +268,31 @@ func (e *Env) Tracer() *trace.Tracer { return e.tracer }
 // models. A nil fn (the default) disables dilation.
 func (e *Env) SetSlowdown(fn func(name string) float64) { e.slowdown = fn }
 
-// SetSpawnWrapper installs a wrapper applied to every process body as the
-// process starts: it runs wrap(name, body)() instead of body(). runtimeobs uses
-// this to run each simulated process under its pprof proc labels; the
-// wrapper must call the wrapped body exactly once, synchronously. A nil
-// wrap (the default) disables wrapping. Must be set before processes
-// start.
+// SetSpawnWrapper installs a wrapper through which processes run: wrap is
+// called once per process, as it starts, and the function it returns runs
+// a coroutine's whole body once, or one step of a stepper each time it is
+// called. runtimeobs uses this to run each simulated process under its
+// pprof proc labels; the returned function must call what it wraps exactly
+// once per call, synchronously. A nil wrap (the default) disables
+// wrapping. Must be set before processes start.
 func (e *Env) SetSpawnWrapper(wrap func(name string, fn func()) func()) { e.spawnWrap = wrap }
 
+// A Stepper is the body of a process: Step runs on each of p's wake-ups, on
+// Run's goroutine, and reports whether p is done. A step that is not the
+// last leaves exactly one way to be woken again — a wake-up it scheduled
+// (After), or a place in a queue (Resource.Take, Mailbox.Take,
+// Barrier.Arrive) with p as the Waker — or hands p to a Waker that works for
+// it and calls p.Wake when it is through (internal/parfs's read chains). It
+// never parks.
+type Stepper interface{ Step(p *Proc) bool }
+
 // Proc is a simulated process. Its methods must only be called from within
-// the process's own function.
+// the process's own body.
 type Proc struct {
 	Name    string
 	env     *Env
-	next    func() (struct{}, bool) // runs the process until it next parks
-	stop    func()                  // unwinds a parked process (Env.stopAll)
-	yield   func(struct{}) bool     // the process's side of next: Park
-	handoff any                     // value delivered by a mailbox wake-up
+	body    Stepper
+	handoff any // value delivered by a mailbox wake-up
 
 	// What the process waits on with no wake-up of its own: "resource",
 	// "mailbox" or "barrier", the name, since when — a deadlock's report.
@@ -291,21 +306,68 @@ func (p *Proc) Env() *Env { return p.env }
 // Now returns the current virtual time.
 func (p *Proc) Now() float64 { return p.env.now }
 
-// stopped is what park panics with when Run has given up on the simulation.
-type stopped struct{}
+// Spawn starts a process whose body is s. May be called before Run or from
+// a running process; in the latter case the new process takes its first
+// step at the current virtual time, after the caller's.
+func (e *Env) Spawn(name string, s Stepper) *Proc {
+	p := &Proc{Name: name, env: e, body: s}
+	if e.spawnWrap != nil {
+		w := &wrapped{s: s, p: p}
+		w.run = e.spawnWrap(name, w.step)
+		p.body = w
+	}
+	return e.start(p)
+}
 
-// Go starts a new process. May be called before Run or from inside a
-// running process; in the latter case the new process starts at the current
-// virtual time once the caller yields.
-func (e *Env) Go(name string, fn func(p *Proc)) *Proc {
-	p := &Proc{Name: name, env: e}
+// start counts p in and schedules its first wake-up.
+func (e *Env) start(p *Proc) *Proc {
 	e.live++
 	e.tracer.Counters().Inc("sim.procs")
 	if e.tracer.Detail() {
-		e.tracer.Instant(name, "sim", "start", e.now)
+		e.tracer.Instant(p.Name, "sim", "start", e.now)
 	}
-	p.next, p.stop = iter.Pull(func(yield func(struct{}) bool) {
-		p.yield = yield
+	e.procs = append(e.procs, p)
+	e.events.grow()
+	e.schedule(e.now, p)
+	return p
+}
+
+// wrapped runs each step of s inside the spawn wrapper, under its
+// process's name.
+type wrapped struct {
+	s    Stepper
+	p    *Proc
+	run  func() // the wrapper's: one step of s a call
+	done bool
+}
+
+func (w *wrapped) step()           { w.done = w.s.Step(w.p) }
+func (w *wrapped) Step(*Proc) bool { w.run(); return w.done }
+
+// stopped is what Park panics with when Run has given up on the simulation.
+type stopped struct{}
+
+// coroutine is the Stepper of a process Go started: a step switches the
+// body in until it parks or ends.
+type coroutine struct {
+	next  func() (struct{}, bool) // runs the body until it next parks
+	stop  func()                  // unwinds a parked body (Env.stopAll)
+	yield func(struct{}) bool     // the body's side of next: Park
+}
+
+func (c *coroutine) Step(*Proc) bool {
+	_, parked := c.next()
+	return !parked
+}
+
+// Go starts a process whose body is the straight-line fn, run as a
+// coroutine that parks where a Stepper would return. May be called before
+// Run or from a running process, as Spawn.
+func (e *Env) Go(name string, fn func(p *Proc)) *Proc {
+	c := &coroutine{}
+	p := &Proc{Name: name, env: e, body: c}
+	c.next, c.stop = iter.Pull(func(yield func(struct{}) bool) {
+		c.yield = yield
 		defer func() {
 			// A stopped process unwinds like any panicking one — deferred
 			// calls and the spawn wrapper included — and ends here.
@@ -319,26 +381,28 @@ func (e *Env) Go(name string, fn func(p *Proc)) *Proc {
 			fn(p)
 		}
 	})
-	e.procs = append(e.procs, p)
-	e.events.grow()
-	e.schedule(e.now, p)
-	return p
+	return e.start(p)
 }
 
 // schedule enqueues a wake-up for w at time t.
 func (e *Env) schedule(t float64, w Waker) { e.events.push(t, w) }
 
-// Wake switches p in until it next parks: Run calls it for p's wake-ups, a
-// Waker working for p in place of one, to hand p back control.
+// Wake runs p's next step: Run calls it for p's wake-ups, a Waker working
+// for p in place of one, to hand p back control.
 func (p *Proc) Wake() {
-	if _, parked := p.next(); !parked {
+	if p.body.Step(p) {
 		p.env.live--
 	}
 }
 
-// Park suspends the calling process until it is woken.
+// Park suspends the calling process until it is woken. Only a process Go
+// started parks; a Stepper returns instead.
 func (p *Proc) Park() {
-	if !p.yield(struct{}{}) {
+	c, ok := p.body.(*coroutine)
+	if !ok {
+		panic(fmt.Sprintf("sim: %s parks, but it is a Stepper", p.Name))
+	}
+	if !c.yield(struct{}{}) {
 		panic(stopped{})
 	}
 }
@@ -450,13 +514,16 @@ func (e *Env) Run() (float64, error) {
 	return e.now, nil
 }
 
-// stopAll unwinds every unfinished process: a parked one resumes inside
+// stopAll unwinds every unfinished coroutine: a parked one resumes inside
 // Park, which panics with stopped{} up to the recover in Go — as does any
 // wait a deferred call attempts on the way; one that never started never
-// will; a finished one is left alone.
+// will; a finished one is left alone. A Stepper holds no goroutine: it is
+// simply never stepped again.
 func (e *Env) stopAll() {
 	for _, p := range e.procs {
-		p.stop()
+		if c, ok := p.body.(*coroutine); ok {
+			c.stop()
+		}
 	}
 }
 
@@ -526,24 +593,30 @@ func (r *Resource) Release() {
 }
 
 // Mailbox is an unbounded FIFO message queue between processes. Sends never
-// block; receives block until a message is available.
+// block; receives wait until a message is available.
 type Mailbox struct {
 	Name  string
 	env   *Env
 	queue fifo[any]
-	recvq fifo[*Proc]
+	recvq fifo[receiver]
+}
+
+// receiver is a queued Take: p receives, w is woken.
+type receiver struct {
+	p *Proc
+	w Waker
 }
 
 // NewMailbox creates an empty mailbox.
 func NewMailbox(e *Env, name string) *Mailbox { return &Mailbox{Name: name, env: e} }
 
-// Send enqueues a value, waking the oldest waiting receiver if any.
+// Send enqueues a value, handing it to the oldest waiting receiver if any.
 // It never blocks, so it may be called from any process.
 func (m *Mailbox) Send(v any) {
 	if m.recvq.len() > 0 {
-		w := m.recvq.pop()
-		w.handoff = v
-		m.env.schedule(m.env.now, w)
+		r := m.recvq.pop()
+		r.p.handoff = v
+		m.env.schedule(m.env.now, r.w)
 		return
 	}
 	m.queue.push(v)
@@ -561,18 +634,36 @@ func (m *Mailbox) Send(v any) {
 // Reserve makes room for n queued values: sized for its sends, m never regrows.
 func (m *Mailbox) Reserve(n int) { m.queue.buf = slices.Grow(m.queue.buf, n) }
 
-// Recv dequeues the oldest value, blocking until one is available.
-func (m *Mailbox) Recv(p *Proc) any {
+// Take dequeues the oldest value for p and reports true if one is queued.
+// Otherwise it queues w in FIFO order, records p as blocked on the mailbox
+// and reports false: the next Send hands its value to p (Received) and
+// wakes w.
+func (m *Mailbox) Take(p *Proc, w Waker) (any, bool) {
 	if m.queue.len() > 0 {
-		return m.queue.pop()
+		return m.queue.pop(), true
 	}
-	m.recvq.push(p)
+	m.recvq.push(receiver{p: p, w: w})
 	p.block("mailbox", m.Name)
-	p.Park()
-	p.Unblock()
+	return nil, false
+}
+
+// Received returns the value a Send handed p when it woke a queued Take,
+// and forgets it.
+func (p *Proc) Received() any {
 	v := p.handoff
 	p.handoff = nil
 	return v
+}
+
+// Recv dequeues the oldest value, waiting until one is available: a Take,
+// and a park if it queued.
+func (m *Mailbox) Recv(p *Proc) any {
+	if v, ok := m.Take(p, p); ok {
+		return v
+	}
+	p.Park()
+	p.Unblock()
+	return p.Received()
 }
 
 // Barrier synchronizes a fixed set of n participants: each arrival waits

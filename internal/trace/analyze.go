@@ -142,7 +142,7 @@ func PhaseSpans(events []Event, trackPrefix string, phases ...metrics.Phase) []m
 			raw = append(raw, metrics.Span{Start: ev.Ts, End: ev.Ts + ev.Dur})
 		}
 	}
-	return metrics.UnionSpans(raw)
+	return metrics.UnionInPlace(raw)
 }
 
 // CheckStageOrdering asserts the multi-stage causality invariant: on every
