@@ -2,6 +2,7 @@ package metrics
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -126,7 +127,13 @@ func TestQuickUnionSpansInvariants(t *testing.T) {
 			spans = append(spans, Span{lo, hi})
 			total += hi - lo
 		}
+		before := slices.Clone(spans)
 		u := UnionSpans(spans)
+		// UnionSpans leaves its input alone; UnionInPlace merges its own
+		// slice to the same spans.
+		if !slices.Equal(spans, before) || !slices.Equal(UnionInPlace(before), u) {
+			return false
+		}
 		// Disjoint, sorted, and total does not exceed raw sum.
 		for i := 1; i < len(u); i++ {
 			if u[i].Start <= u[i-1].End {

@@ -347,9 +347,11 @@ func (w *wrapped) Step(*Proc) bool { w.run(); return w.done }
 // stopped is what Park panics with when Run has given up on the simulation.
 type stopped struct{}
 
-// coroutine is the Stepper of a process Go started: a step switches the
-// body in until it parks or ends.
+// coroutine is a process Go started, and its Stepper: a step switches the
+// body in until it parks or ends. The process lives inside it, so a
+// coroutine costs one object besides iter.Pull's, as a Proc did.
 type coroutine struct {
+	p     Proc
 	next  func() (struct{}, bool) // runs the body until it next parks
 	stop  func()                  // unwinds a parked body (Env.stopAll)
 	yield func(struct{}) bool     // the body's side of next: Park
@@ -364,8 +366,9 @@ func (c *coroutine) Step(*Proc) bool {
 // coroutine that parks where a Stepper would return. May be called before
 // Run or from a running process, as Spawn.
 func (e *Env) Go(name string, fn func(p *Proc)) *Proc {
-	c := &coroutine{}
-	p := &Proc{Name: name, env: e, body: c}
+	c := &coroutine{p: Proc{Name: name, env: e}}
+	p := &c.p
+	p.body = c
 	c.next, c.stop = iter.Pull(func(yield func(struct{}) bool) {
 		c.yield = yield
 		defer func() {
