@@ -8,6 +8,7 @@ import (
 	"senkf/internal/grid"
 	"senkf/internal/metrics"
 	"senkf/internal/obs"
+	"senkf/internal/report"
 	"senkf/internal/trace"
 	"senkf/internal/workload"
 )
@@ -93,8 +94,8 @@ func TestPEnKFRecordsReadAndCompute(t *testing.T) {
 	if b.Comm != 0 {
 		t.Error("P-EnKF should not communicate during acquisition")
 	}
-	if got := len(trace.Tracks(events, metrics.ComputePrefix)); got != dec.SubDomains() {
-		t.Errorf("recorded %d procs, want %d", got, dec.SubDomains())
+	if r, err := report.Build(events); err != nil || r.ComputeTracks != dec.SubDomains() {
+		t.Errorf("recorded %+v (%v), want %d compute procs", r, err, dec.SubDomains())
 	}
 }
 

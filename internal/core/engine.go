@@ -32,13 +32,7 @@ func observe(p plan.Problem, proc string, ph metrics.Phase, t0, from, to time.Ti
 	if !p.Tr.Enabled() {
 		return
 	}
-	f, t := from.Sub(t0).Seconds(), to.Sub(t0).Seconds()
-	if stage >= 0 {
-		p.Tr.Span(proc, trace.CatPhase, ph.String(), f, t,
-			trace.Arg{Key: trace.ArgStage, Val: float64(stage)})
-	} else {
-		p.Tr.Span(proc, trace.CatPhase, ph.String(), f, t)
-	}
+	p.Tr.Phase(proc, ph, from.Sub(t0).Seconds(), to.Sub(t0).Seconds(), stage)
 }
 
 // stretch dilates a straggling rank's just-finished busy phase on the wall
@@ -440,8 +434,7 @@ func engineCompute(comm *mpi.Comm, p plan.Problem, c *plan.Compiled, r plan.Comp
 				if staged && p.Tr.Enabled() {
 					// Helper-thread handoff: the stage is fully assembled
 					// and ready for the main thread from this instant on.
-					p.Tr.Instant(r.Name, trace.CatStage, "ready", time.Since(t0).Seconds(),
-						trace.Arg{Key: trace.ArgStage, Val: float64(st.Stage)})
+					p.Tr.Stage(r.Name, "ready", time.Since(t0).Seconds(), st.Stage)
 				}
 				assembled <- stageData{blks: blks}
 			}
@@ -514,8 +507,7 @@ func engineCompute(comm *mpi.Comm, p plan.Problem, c *plan.Compiled, r plan.Comp
 			stretch(p, r.Name, t0, compStart, slow)
 			observe(p, r.Name, metrics.PhaseCompute, t0, compStart, time.Now(), tag)
 			if staged && p.Tr.Enabled() {
-				p.Tr.Instant(r.Name, trace.CatStage, "computed", time.Since(t0).Seconds(),
-					trace.Arg{Key: trace.ArgStage, Val: float64(st.Stage)})
+				p.Tr.Stage(r.Name, "computed", time.Since(t0).Seconds(), st.Stage)
 			}
 			return nil
 		})

@@ -9,6 +9,7 @@ import (
 	"senkf/internal/metrics"
 	"senkf/internal/obs"
 	"senkf/internal/plan"
+	"senkf/internal/report"
 	"senkf/internal/trace"
 	"senkf/internal/workload"
 )
@@ -183,11 +184,15 @@ func TestSEnKFRecordsPhases(t *testing.T) {
 	if cp.Compute <= 0 {
 		t.Errorf("compute breakdown %+v", cp)
 	}
-	if got := len(trace.Tracks(events, metrics.IOPrefix)); got != 4 {
-		t.Errorf("io procs = %d, want 4", got)
+	r, err := report.Build(events)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if got := len(trace.Tracks(events, metrics.ComputePrefix)); got != 8 {
-		t.Errorf("compute procs = %d, want 8", got)
+	if r.IOTracks != 4 {
+		t.Errorf("io procs = %d, want 4", r.IOTracks)
+	}
+	if r.ComputeTracks != 8 {
+		t.Errorf("compute procs = %d, want 8", r.ComputeTracks)
 	}
 }
 

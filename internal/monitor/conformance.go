@@ -31,20 +31,12 @@ func (m *Monitor) divergeLocked(detail string) {
 	}
 }
 
-func stageOf(ev trace.Event) int {
-	if v, ok := ev.ArgValue(trace.ArgStage); ok {
-		return int(v)
-	}
-	return -1
-}
-
 // foldSpanLocked checks one busy span against the plan and feeds the
 // watchdog. Wait spans are timing, not structure (plan.StructuralDAG skips
 // them too), but they are exactly where a starved compute rank shows, so
 // they get the watchdog treatment with the stage the rank was awaiting.
-func (m *Monitor) foldSpanLocked(ev trace.Event) {
-	stage := stageOf(ev)
-	if ev.Name == metrics.PhaseWait.String() {
+func (m *Monitor) foldSpanLocked(ev trace.Event, ph metrics.Phase, stage int) {
+	if ph == metrics.PhaseWait {
 		// A wait that began after every expected release had already
 		// arrived is not starving on stage data (a terminal barrier,
 		// say) — there is no plan edge to budget it against.
@@ -62,8 +54,7 @@ func (m *Monitor) foldSpanLocked(ev trace.Event) {
 }
 
 // foldReadyLocked checks one "ready" instant and times its arrival.
-func (m *Monitor) foldReadyLocked(ev trace.Event) {
-	stage := stageOf(ev)
+func (m *Monitor) foldReadyLocked(ev trace.Event, stage int) {
 	if ts := m.readyTs[ev.Track]; ts == nil {
 		m.readyTs[ev.Track] = map[int]float64{stage: ev.Ts}
 	} else if _, dup := ts[stage]; !dup {

@@ -284,11 +284,15 @@ func (m *Monitor) Emit(ev trace.Event) {
 
 	onProc := strings.HasPrefix(ev.Track, metrics.IOPrefix+"/") ||
 		strings.HasPrefix(ev.Track, metrics.ComputePrefix+"/")
+	if ph, stage, ok := trace.PhaseOf(ev); ok && onProc {
+		m.foldSpanLocked(ev, ph, stage)
+		return
+	}
+	if stage, ok := trace.ReadyOf(ev); ok && onProc {
+		m.foldReadyLocked(ev, stage)
+		return
+	}
 	switch {
-	case ev.Ph == trace.PhaseSpan && ev.Cat == trace.CatPhase && onProc:
-		m.foldSpanLocked(ev)
-	case ev.Ph == trace.PhaseInstant && ev.Cat == trace.CatStage && ev.Name == "ready" && onProc:
-		m.foldReadyLocked(ev)
 	case ev.Ph == trace.PhaseCounter && ev.Track == trace.ModelTrack:
 		m.foldModelLocked(ev)
 	case ev.Ph == trace.PhaseInstant && ev.Cat == trace.CatFault:

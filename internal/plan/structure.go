@@ -67,22 +67,10 @@ func StructuralDAG(events []trace.Event) map[string]*TrackDAG {
 			!strings.HasPrefix(ev.Track, metrics.ComputePrefix+"/") {
 			continue
 		}
-		switch {
-		case ev.Ph == trace.PhaseSpan && ev.Cat == trace.CatPhase:
-			if ev.Name == metrics.PhaseWait.String() {
-				continue
-			}
-			stage := -1
-			if v, ok := ev.ArgValue(trace.ArgStage); ok {
-				stage = int(v)
-			}
+		if ph, stage, ok := trace.PhaseOf(ev); ok && ph != metrics.PhaseWait {
 			spans[ev.Track] = append(spans[ev.Track],
-				keyed{start: ev.Ts, seq: seq, node: DAGNode{Phase: ev.Name, Stage: stage}})
-		case ev.Ph == trace.PhaseInstant && ev.Cat == trace.CatStage && ev.Name == "ready":
-			stage := -1
-			if v, ok := ev.ArgValue(trace.ArgStage); ok {
-				stage = int(v)
-			}
+				keyed{start: ev.Ts, seq: seq, node: DAGNode{Phase: ph.String(), Stage: stage}})
+		} else if stage, ok := trace.ReadyOf(ev); ok {
 			track(ev.Track).Ready = append(track(ev.Track).Ready, stage)
 		}
 	}

@@ -1,12 +1,12 @@
-// Package critpath extracts the critical path of a traced run and
-// attributes end-to-end time to phases per processor class.
+// The critical path of a traced run, and its end-to-end time attributed to
+// phases per processor class.
 //
-// The schedules emit one phase span per activity per processor track
-// (internal/trace conventions, see analyze.go). The critical path is the
-// chain of activities that bounds the end-to-end time: starting from the
-// span that finishes last — the final local analysis of the slowest
-// compute processor — the extractor walks backwards in time, at every
-// step following the activity that released the current one:
+// The engines emit one phase span per activity per processor track
+// (trace.Tracer.Phase). The critical path is the chain of activities that
+// bounds the end-to-end time: starting from the span that finishes last —
+// the final local analysis of the slowest compute processor — the
+// extractor walks backwards in time, at every step following the activity
+// that released the current one:
 //
 //   - an earlier span on the same track that ends exactly where the
 //     current one starts (the processor was continuously busy), or
@@ -23,14 +23,8 @@
 // the property the run reports assert (within 1%) and the reason the
 // per-phase attribution is trustworthy: every second of the run is
 // charged to exactly one activity class.
-//
-// The same package derives the per-stage overlap efficiency of the §4.2
-// multi-stage pipeline: for every stage, how much of its I/O activity
-// (reading + communication, stage-tagged spans on the I/O tracks) was
-// hidden behind local analysis. In the ideal pipeline only stage 0 is
-// exposed; the efficiency of stages ≥ 1 measures how closely a run
-// approaches that.
-package critpath
+
+package report
 
 import (
 	"fmt"
@@ -101,19 +95,31 @@ func (p Path) Attribution() map[string]float64 {
 // magnitude of the timestamp.
 func tol(t float64) float64 { return 1e-9 * math.Max(1, math.Abs(t)) }
 
-// span is a phase span prepared for extraction.
+// span is one phase span as trace.PhaseOf decodes it. end is Ts + Dur, so
+// it lies before start when the span was truncated.
 type span struct {
-	track      string
-	name       string
-	start, end float64
-	stage      int
+	track           string
+	phase           metrics.Phase
+	start, end, dur float64
+	stage           int
+}
+
+// phaseSpans decodes the trace's phase spans once, in event order.
+func phaseSpans(events []trace.Event) []span {
+	var out []span
+	for _, ev := range events {
+		if ph, stage, ok := trace.PhaseOf(ev); ok {
+			out = append(out, span{track: ev.Track, phase: ph, start: ev.Ts, end: ev.Ts + ev.Dur, dur: ev.Dur, stage: stage})
+		}
+	}
+	return out
 }
 
 // better ranks candidate releasing spans: busy beats wait, then the
 // current track (continuous busy chain), then the longest, then track
 // order for determinism.
 func better(s, pick span, curTrack string) bool {
-	if sw, pw := s.name == "wait", pick.name == "wait"; sw != pw {
+	if sw, pw := s.phase == metrics.PhaseWait, pick.phase == metrics.PhaseWait; sw != pw {
 		return pw
 	}
 	if sSame, pSame := s.track == curTrack, pick.track == curTrack; sSame != pSame {
@@ -125,23 +131,15 @@ func better(s, pick span, curTrack string) bool {
 	return s.track < pick.track
 }
 
-// phaseSpans collects the clamped phase spans of all tracks, sorted by
-// end time. Truncated spans (negative duration) are clamped to zero
-// length so a rank that died mid-phase cannot anchor the walk.
-func phaseSpans(events []trace.Event) []span {
-	var out []span
-	for _, ev := range events {
-		if ev.Ph != trace.PhaseSpan || ev.Cat != trace.CatPhase {
-			continue
-		}
-		s := span{track: ev.Track, name: ev.Name, start: ev.Ts, end: ev.Ts + ev.Dur, stage: -1}
+// byEnd copies the phase spans sorted by end time, truncated ones clamped
+// to zero length so a rank that died mid-phase cannot anchor the walk.
+func byEnd(phases []span) []span {
+	out := make([]span, len(phases))
+	for i, s := range phases {
 		if s.end < s.start {
 			s.end = s.start
 		}
-		if st, ok := ev.ArgValue(trace.ArgStage); ok {
-			s.stage = int(st)
-		}
-		out = append(out, s)
+		out[i] = s
 	}
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].end != out[j].end {
@@ -157,10 +155,12 @@ func phaseSpans(events []trace.Event) []span {
 
 // Extract computes the critical path of the traced run. It needs at least
 // one phase span; traces of untraced or span-free runs return an error.
-func Extract(events []trace.Event) (Path, error) {
-	spans := phaseSpans(events)
+func Extract(events []trace.Event) (Path, error) { return extract(phaseSpans(events)) }
+
+func extract(phases []span) (Path, error) {
+	spans := byEnd(phases)
 	if len(spans) == 0 {
-		return Path{}, fmt.Errorf("critpath: no phase spans in trace")
+		return Path{}, fmt.Errorf("report: no phase spans in trace")
 	}
 	// Anchor: the positive-duration span that ends last — zero-length spans
 	// (clamped truncations from dead ranks) cannot bound the run. Among
@@ -174,7 +174,7 @@ func Extract(events []trace.Event) (Path, error) {
 		}
 	}
 	if anchorAt < 0 {
-		return Path{}, fmt.Errorf("critpath: no positive-duration phase spans in trace")
+		return Path{}, fmt.Errorf("report: no positive-duration phase spans in trace")
 	}
 	last := spans[anchorAt]
 	for i := anchorAt - 1; i >= 0; i-- {
@@ -188,7 +188,7 @@ func Extract(events []trace.Event) (Path, error) {
 	}
 	var segs []Segment
 	cur := last
-	segs = append(segs, Segment{Track: cur.track, Name: cur.name, Start: cur.start, End: cur.end, Stage: cur.stage})
+	segs = append(segs, Segment{Track: cur.track, Name: cur.phase.String(), Start: cur.start, End: cur.end, Stage: cur.stage})
 	cursor := cur.start
 	for {
 		// Candidates ending at the cursor. spans is sorted by end; binary
@@ -228,7 +228,7 @@ func Extract(events []trace.Event) (Path, error) {
 			continue
 		}
 		cur = *pick
-		segs = append(segs, Segment{Track: cur.track, Name: cur.name, Start: cur.start, End: cur.end, Stage: cur.stage})
+		segs = append(segs, Segment{Track: cur.track, Name: cur.phase.String(), Start: cur.start, End: cur.end, Stage: cur.stage})
 		cursor = cur.start
 	}
 	// Reverse into increasing time order and seal the tiling: each
@@ -250,29 +250,23 @@ type StageOverlap struct {
 	Efficiency float64 `json:"efficiency"` // Hidden / IOBusy (0 when idle)
 }
 
-// StageOverlaps computes, per stage, how much of the I/O processors'
-// stage-tagged read+comm activity proceeded concurrently with local
-// analysis. Stages are discovered from the trace; runs whose I/O spans
-// carry no stage tags return nil.
-func StageOverlaps(events []trace.Event) []StageOverlap {
+// StageOverlaps computes, per stage of the §4.2 multi-stage pipeline, how
+// much of the I/O processors' stage-tagged read+comm activity proceeded
+// concurrently with local analysis. Stages are discovered from the trace;
+// runs whose I/O spans carry no stage tags return nil.
+func StageOverlaps(events []trace.Event) []StageOverlap { return stageOverlaps(phaseSpans(events)) }
+
+func stageOverlaps(phases []span) []StageOverlap {
 	perStage := map[int][]metrics.Span{}
 	var compute []metrics.Span
-	for _, ev := range events {
-		if ev.Ph != trace.PhaseSpan || ev.Cat != trace.CatPhase {
-			continue
+	for _, s := range phases {
+		switch {
+		case s.phase == metrics.PhaseCompute && strings.HasPrefix(s.track, metrics.ComputePrefix):
+			compute = append(compute, metrics.Span{Start: s.start, End: s.end})
+		case (s.phase == metrics.PhaseRead || s.phase == metrics.PhaseComm) && s.stage >= 0 &&
+			strings.HasPrefix(s.track, metrics.IOPrefix):
+			perStage[s.stage] = append(perStage[s.stage], metrics.Span{Start: s.start, End: s.end})
 		}
-		if strings.HasPrefix(ev.Track, metrics.ComputePrefix) && ev.Name == "compute" {
-			compute = append(compute, metrics.Span{Start: ev.Ts, End: ev.Ts + ev.Dur})
-			continue
-		}
-		if !strings.HasPrefix(ev.Track, metrics.IOPrefix) || (ev.Name != "read" && ev.Name != "comm") {
-			continue
-		}
-		st, ok := ev.ArgValue(trace.ArgStage)
-		if !ok {
-			continue
-		}
-		perStage[int(st)] = append(perStage[int(st)], metrics.Span{Start: ev.Ts, End: ev.Ts + ev.Dur})
 	}
 	if len(perStage) == 0 {
 		return nil

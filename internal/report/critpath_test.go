@@ -1,4 +1,4 @@
-package critpath
+package report
 
 import (
 	"math"
@@ -14,7 +14,7 @@ func phase(track, name string, start, dur float64, args ...trace.Arg) trace.Even
 
 func stageArg(l int) trace.Arg { return trace.Arg{Key: trace.ArgStage, Val: float64(l)} }
 
-func near(a, b float64) bool { return math.Abs(a-b) <= 1e-9*math.Max(1, math.Abs(b)) }
+func within(a, b float64) bool { return math.Abs(a-b) <= 1e-9*math.Max(1, math.Abs(b)) }
 
 // A reader → scatter → compute chain: the path must follow the compute
 // span back through the comm that released it into the read that fed the
@@ -30,10 +30,10 @@ func TestExtractFollowsReleaseChain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !near(p.Start, 0) || !near(p.End, 8) {
+	if !within(p.Start, 0) || !within(p.End, 8) {
 		t.Fatalf("path bounds [%g, %g], want [0, 8]", p.Start, p.End)
 	}
-	if !near(p.Total(), 8) {
+	if !within(p.Total(), 8) {
 		t.Fatalf("Total() = %g, want 8 (must equal End-Start)", p.Total())
 	}
 	want := []struct {
@@ -53,7 +53,7 @@ func TestExtractFollowsReleaseChain(t *testing.T) {
 		}
 	}
 	attr := p.Attribution()
-	if !near(attr["io/read"], 2) || !near(attr["io/comm"], 1) || !near(attr["comp/compute"], 5) {
+	if !within(attr["io/read"], 2) || !within(attr["io/comm"], 1) || !within(attr["comp/compute"], 5) {
 		t.Fatalf("attribution = %v", attr)
 	}
 	// The wait span overlaps the chain but must not be attributed: every
@@ -62,7 +62,7 @@ func TestExtractFollowsReleaseChain(t *testing.T) {
 	for _, v := range attr {
 		sum += v
 	}
-	if !near(sum, 8) {
+	if !within(sum, 8) {
 		t.Fatalf("attribution sums to %g, want 8", sum)
 	}
 }
@@ -79,7 +79,7 @@ func TestExtractBridgesGaps(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !near(p.Total(), 7) {
+	if !within(p.Total(), 7) {
 		t.Fatalf("Total() = %g, want 7", p.Total())
 	}
 	var blocked float64
@@ -88,7 +88,7 @@ func TestExtractBridgesGaps(t *testing.T) {
 			blocked += s.Duration()
 		}
 	}
-	if !near(blocked, 1) {
+	if !within(blocked, 1) {
 		t.Fatalf("blocked time = %g, want 1 (the [2,3] gap)", blocked)
 	}
 }
@@ -105,10 +105,10 @@ func TestExtractIgnoresTruncatedSpans(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !near(p.End, 5) {
+	if !within(p.End, 5) {
 		t.Fatalf("path ends at %g, want 5 (the truncated span must not anchor)", p.End)
 	}
-	if !near(p.Total(), 5) {
+	if !within(p.Total(), 5) {
 		t.Fatalf("Total() = %g, want 5", p.Total())
 	}
 }
@@ -151,13 +151,13 @@ func TestStageOverlaps(t *testing.T) {
 	if len(stages) != 2 {
 		t.Fatalf("got %d stages, want 2: %v", len(stages), stages)
 	}
-	if stages[0].Stage != 0 || !near(stages[0].Efficiency, 0) {
+	if stages[0].Stage != 0 || !within(stages[0].Efficiency, 0) {
 		t.Errorf("stage 0 = %+v, want efficiency 0", stages[0])
 	}
-	if stages[1].Stage != 1 || !near(stages[1].Efficiency, 1) {
+	if stages[1].Stage != 1 || !within(stages[1].Efficiency, 1) {
 		t.Errorf("stage 1 = %+v, want efficiency 1", stages[1])
 	}
-	if e := PipelineEfficiency(stages); !near(e, 1) {
+	if e := PipelineEfficiency(stages); !within(e, 1) {
 		t.Errorf("PipelineEfficiency = %g, want 1", e)
 	}
 	// Untagged I/O spans: no stage accounting at all.

@@ -17,11 +17,11 @@ import (
 	"io"
 	"math"
 	"sort"
+	"strings"
 
 	"senkf/internal/costmodel"
 	"senkf/internal/metrics"
 	"senkf/internal/trace"
-	"senkf/internal/trace/critpath"
 )
 
 // Schema is the run-report schema version.
@@ -122,8 +122,8 @@ type Report struct {
 
 	// Per-stage pipeline accounting (empty when I/O spans carry no stage
 	// tags — e.g. real-execution traces).
-	Stages             []critpath.StageOverlap `json:"stages,omitempty"`
-	PipelineEfficiency float64                 `json:"pipeline_efficiency"`
+	Stages             []StageOverlap `json:"stages,omitempty"`
+	PipelineEfficiency float64        `json:"pipeline_efficiency"`
 
 	// Model drift; nil when the trace has no prediction instant.
 	Model *ModelSection `json:"model,omitempty"`
@@ -143,27 +143,50 @@ type ModelSection struct {
 // with N = 120.
 const maxRetuneExtent = 1 << 16
 
-// Build computes the report from trace events.
+// classFold is one processor class's share of the phase spans: its tracks,
+// its phase totals and the busy spans Figure 11's overlap counts.
+type classFold struct {
+	tracks map[string]bool
+	sum    metrics.Breakdown
+	busy   []metrics.Span
+}
+
+func (c *classFold) add(s span, busy bool) {
+	c.tracks[s.track] = true
+	if s.dur > 0 {
+		c.sum.Add(s.phase, s.dur)
+	}
+	if busy {
+		c.busy = append(c.busy, metrics.Span{Start: s.start, End: s.end})
+	}
+}
+
+// Build computes the report from trace events. It decodes the phase spans
+// once, in event order, and folds everything from them.
 func Build(events []trace.Event) (*Report, error) {
 	if len(events) == 0 {
 		return nil, fmt.Errorf("report: empty trace")
 	}
 	r := &Report{Schema: Schema}
 	for _, ev := range events {
-		if ev.Ph != trace.PhaseSpan {
-			continue
-		}
-		if end := ev.Ts + ev.Dur; end > r.Runtime {
+		if end := ev.Ts + ev.Dur; ev.Ph == trace.PhaseSpan && end > r.Runtime {
 			r.Runtime = end
 		}
 	}
-	r.IOTracks = len(trace.Tracks(events, metrics.IOPrefix))
-	r.ComputeTracks = len(trace.Tracks(events, metrics.ComputePrefix))
-	r.IOMean = trace.MeanPhaseBreakdown(events, metrics.IOPrefix)
-	r.ComputeMean = trace.MeanPhaseBreakdown(events, metrics.ComputePrefix)
+	phases := phaseSpans(events)
+	io, cp := classFold{tracks: map[string]bool{}}, classFold{tracks: map[string]bool{}}
+	for _, s := range phases {
+		switch {
+		case strings.HasPrefix(s.track, metrics.IOPrefix):
+			io.add(s, s.phase == metrics.PhaseRead || s.phase == metrics.PhaseComm)
+		case strings.HasPrefix(s.track, metrics.ComputePrefix):
+			cp.add(s, s.phase == metrics.PhaseCompute)
+		}
+	}
+	r.IOTracks, r.ComputeTracks = len(io.tracks), len(cp.tracks)
+	r.IOMean, r.ComputeMean = io.sum.Mean(r.IOTracks), cp.sum.Mean(r.ComputeTracks)
 
-	ioSpans := trace.PhaseSpans(events, metrics.IOPrefix, metrics.PhaseRead, metrics.PhaseComm)
-	cpSpans := trace.PhaseSpans(events, metrics.ComputePrefix, metrics.PhaseCompute)
+	ioSpans, cpSpans := metrics.UnionInPlace(io.busy), metrics.UnionInPlace(cp.busy)
 	overlap := metrics.OverlapDuration(ioSpans, cpSpans)
 	if busy := metrics.SpanTotal(ioSpans); busy > 0 {
 		r.OverlapFraction = math.Min(1, overlap/busy)
@@ -172,7 +195,7 @@ func Build(events []trace.Event) (*Report, error) {
 		r.OverlapRuntimeFraction = overlap / r.Runtime
 	}
 
-	path, err := critpath.Extract(events)
+	path, err := extract(phases)
 	if err != nil {
 		return nil, err
 	}
@@ -187,8 +210,8 @@ func Build(events []trace.Event) (*Report, error) {
 		r.CriticalPath.CoverageError = math.Abs(path.Total()-r.Runtime) / r.Runtime
 	}
 
-	r.Stages = critpath.StageOverlaps(events)
-	r.PipelineEfficiency = critpath.PipelineEfficiency(r.Stages)
+	r.Stages = stageOverlaps(phases)
+	r.PipelineEfficiency = PipelineEfficiency(r.Stages)
 
 	if info, ok := ExtractRunInfo(events); ok {
 		ms := &ModelSection{Info: info}

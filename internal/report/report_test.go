@@ -87,6 +87,35 @@ func TestBuildReportFromTracedRun(t *testing.T) {
 	}
 }
 
+// Build folds each processor class from the phase spans alone: tracks
+// that carry one, mean phase times per track, and the union of busy spans
+// the overlap share is taken over.
+func TestBuildFoldsPhaseSpansPerClass(t *testing.T) {
+	events := []trace.Event{
+		{Track: "comp/x0y0", Cat: "phase", Name: "compute", Ph: trace.PhaseSpan, Ts: 0, Dur: 2},
+		{Track: "comp/x0y0", Cat: "phase", Name: "wait", Ph: trace.PhaseSpan, Ts: 2, Dur: 1},
+		{Track: "comp/x1y0", Cat: "phase", Name: "compute", Ph: trace.PhaseSpan, Ts: 1, Dur: 2},
+		{Track: "io/g0/r0", Cat: "phase", Name: "read", Ph: trace.PhaseSpan, Ts: 0, Dur: 4},
+		// Non-phase events must be ignored.
+		{Track: "comp/x0y0", Cat: "stage", Name: "ready", Ph: trace.PhaseInstant, Ts: 0.5},
+		{Track: "ost0", Cat: "ost", Name: "service", Ph: trace.PhaseSpan, Ts: 0, Dur: 3},
+	}
+	r, err := Build(events)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.ComputeTracks != 2 || r.IOTracks != 1 {
+		t.Fatalf("tracks: %d compute, %d I/O; want 2 and 1", r.ComputeTracks, r.IOTracks)
+	}
+	if r.ComputeMean.Compute != 2 || r.ComputeMean.Wait != 0.5 || r.IOMean.Read != 4 {
+		t.Fatalf("means: compute %+v, I/O %+v", r.ComputeMean, r.IOMean)
+	}
+	// Compute [0,2] and [1,3] merge to [0,3]: 3 of the read's 4 s hidden.
+	if r.OverlapFraction != 0.75 || r.OverlapRuntimeFraction != 0.75 {
+		t.Fatalf("overlap %g of I/O, %g of runtime; want 0.75 and 0.75", r.OverlapFraction, r.OverlapRuntimeFraction)
+	}
+}
+
 func TestBuildReportEmptyTrace(t *testing.T) {
 	if _, err := Build(nil); err == nil {
 		t.Fatal("want error on empty trace")

@@ -13,7 +13,6 @@ import (
 	"senkf/internal/costmodel"
 	"senkf/internal/report"
 	"senkf/internal/trace"
-	"senkf/internal/trace/critpath"
 )
 
 func TestNewRunIDDeterministic(t *testing.T) {
@@ -191,7 +190,7 @@ func testReport(runtime, eff float64) *report.Report {
 		Schema:             report.Schema,
 		Runtime:            runtime,
 		PipelineEfficiency: eff,
-		Stages: []critpath.StageOverlap{
+		Stages: []report.StageOverlap{
 			{Stage: 0, IOBusy: 0.5, Hidden: 0.4, Efficiency: 0.8},
 		},
 		CriticalPath: report.CritPathSummary{

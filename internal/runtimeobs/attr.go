@@ -18,6 +18,7 @@ import (
 	"sort"
 	"strconv"
 
+	"senkf/internal/metrics"
 	"senkf/internal/trace"
 )
 
@@ -146,15 +147,9 @@ func Attribute(p *Profile, events []trace.Event) (*Attribution, error) {
 	}
 
 	for _, ev := range events {
-		if ev.Ph != trace.PhaseSpan || ev.Cat != trace.CatPhase || ev.Dur <= 0 {
+		ph, stage, ok := trace.PhaseOf(ev)
+		if !ok || ph == metrics.PhaseWait || ev.Dur <= 0 { // waiting is not busy time
 			continue
-		}
-		if ev.Name == "wait" { // waiting is not busy time
-			continue
-		}
-		stage := -1
-		if v, ok := ev.ArgValue(trace.ArgStage); ok {
-			stage = int(v)
 		}
 		r := row(stageKey{class: ClassOf(ev.Track), stage: stage})
 		r.BusySeconds += ev.Dur

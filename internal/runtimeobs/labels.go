@@ -91,14 +91,16 @@ type Scope struct {
 }
 
 // Do runs fn with the scope's labels set on the current goroutine (and
-// inherited by goroutines fn spawns), returning fn's error.
+// inherited by goroutines fn spawns), returning fn's error. The labels stay
+// set when fn returns, as pprof.Do(s.ctx, ...) would leave them; setting
+// the prebuilt context allocates nothing, so a simulated rank may run each
+// step under it.
 func (s *Scope) Do(fn func() error) error {
 	if s == nil {
 		return fn()
 	}
-	var err error
-	pprof.Do(s.ctx, pprof.Labels(), func(context.Context) { err = fn() })
-	return err
+	pprof.SetGoroutineLabels(s.ctx)
+	return fn()
 }
 
 // Stage runs fn with the scope's labels plus {stage: <stage>}. A negative

@@ -56,6 +56,20 @@ func TestSpawnWrapperRunsBody(t *testing.T) {
 	<-done
 }
 
+// Do runs every simulated rank step under Config.Prof, so it must not
+// allocate: it sets the scope's prebuilt label context and calls fn.
+func TestScopeDoDoesNotAllocate(t *testing.T) {
+	sc := Labels("run-1", "senkf", "sim").Scope("comp/x0y0")
+	n := 0
+	fn := func() error { n++; return nil }
+	if a := testing.AllocsPerRun(100, func() { _ = sc.Do(fn) }); a != 0 {
+		t.Fatalf("Scope.Do allocates %g objects per call, want 0", a)
+	}
+	if n == 0 {
+		t.Fatal("Scope.Do did not run fn")
+	}
+}
+
 // Round-trip: a synthetic profile through the test encoder and back
 // through the parser must preserve sample types, values and labels.
 func TestProfileRoundTrip(t *testing.T) {

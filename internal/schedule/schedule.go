@@ -598,13 +598,11 @@ func (m *machine) obs(r int, ph metrics.Phase, t0, t1 float64, stage int) {
 			led.spans = append(led.spans, metrics.Span{Start: t0, End: t1})
 		}
 	}
-	tr := m.cfg.Tracer
-	switch {
-	case !tr.Enabled():
-	case stage >= 0 && m.cp.Staged():
-		tr.Span(led.name, trace.CatPhase, ph.String(), t0, t1, trace.Arg{Key: trace.ArgStage, Val: float64(stage)})
-	default:
-		tr.Span(led.name, trace.CatPhase, ph.String(), t0, t1)
+	if tr := m.cfg.Tracer; tr.Enabled() {
+		if !m.cp.Staged() {
+			stage = -1
+		}
+		tr.Phase(led.name, ph, t0, t1, stage)
 	}
 }
 
@@ -824,7 +822,6 @@ func (b *computeBody) arrive(proc *sim.Proc, v any) {
 	if tr := b.m.cfg.Tracer; tr.Enabled() && b.m.cp.Staged() && b.arrived[n.Stage] == b.cr.Stages[n.Stage].Expect {
 		// The last block of stage n.Stage just arrived: computing that stage
 		// is causally legal from this instant on.
-		tr.Instant(b.cr.Name, trace.CatStage, "ready", proc.Now(),
-			trace.Arg{Key: trace.ArgStage, Val: float64(n.Stage)})
+		tr.Stage(b.cr.Name, "ready", proc.Now(), n.Stage)
 	}
 }

@@ -3,17 +3,12 @@
 // derivation a real run has, and the one tests hold the simulator's Result
 // against — plus causality and capacity invariants.
 //
-// Conventions (shared by every instrumented schedule):
-//
-//   - phase activity is a span with Cat "phase" and Name equal to the
-//     metrics.Phase string ("read", "comm", "compute", "wait");
-//   - stage data readiness is an instant with Cat "stage", Name "ready"
-//     and an Arg "stage"; compute spans of multi-stage schedules carry the
-//     matching "stage" Arg;
-//   - file-system service is a span with Cat "ost", Name "service" on the
-//     OST's own track;
-//   - per-message and per-read wire traffic is not a trace event at all:
-//     internal/wire's collector counts it, and the monitor reads that.
+// The plan events both engines emit are written and read here alone
+// (scripts/check-layering.sh pins it): a phase span by Tracer.Phase and
+// PhaseOf, a stage instant by Tracer.Stage and ReadyOf. File-system service
+// is a span with Cat "ost", Name "service" on the OST's own track.
+// Per-message and per-read wire traffic is not a trace event at all:
+// internal/wire's collector counts it, and the monitor reads that.
 
 package trace
 
@@ -72,36 +67,57 @@ func (e Event) ArgValue(key string) (float64, bool) {
 	return 0, false
 }
 
-// phaseByName inverts metrics.Phase.String.
-func phaseByName(name string) (metrics.Phase, bool) {
-	switch name {
-	case "read":
-		return metrics.PhaseRead, true
-	case "comm":
-		return metrics.PhaseComm, true
-	case "compute":
-		return metrics.PhaseCompute, true
-	case "wait":
-		return metrics.PhaseWait, true
+// Phase emits one phase span: activity ph on track over [t0, t1], with Cat
+// CatPhase, Name ph.String() and, when stage >= 0, an ArgStage arg.
+func (t *Tracer) Phase(track string, ph metrics.Phase, t0, t1 float64, stage int) {
+	if !t.Enabled() {
+		return
 	}
-	return 0, false
+	ev := Event{Track: track, Cat: CatPhase, Name: ph.String(), Ph: PhaseSpan, Ts: t0, Dur: t1 - t0}
+	if stage >= 0 {
+		ev.Args = []Arg{{Key: ArgStage, Val: float64(stage)}}
+	}
+	t.emit(ev)
 }
 
-// Tracks returns the sorted distinct tracks with the given prefix that
-// carry at least one phase span.
-func Tracks(events []Event, trackPrefix string) []string {
-	seen := map[string]bool{}
-	for _, ev := range events {
-		if ev.Ph == PhaseSpan && ev.Cat == CatPhase && strings.HasPrefix(ev.Track, trackPrefix) {
-			seen[ev.Track] = true
+// Stage emits a stage instant on track at ts, with Cat CatStage and an
+// ArgStage arg: "ready" when the stage's data is in hand and computing it is
+// causally legal, "computed" when its analysis is done.
+func (t *Tracer) Stage(track, name string, ts float64, stage int) {
+	if t.Enabled() {
+		t.Instant(track, CatStage, name, ts, Arg{Key: ArgStage, Val: float64(stage)})
+	}
+}
+
+// PhaseOf decodes a span Tracer.Phase wrote: its phase and its stage, -1
+// when it carries none. ok is false for every other event, a "phase" span
+// named by no metrics.Phase included.
+func PhaseOf(ev Event) (ph metrics.Phase, stage int, ok bool) {
+	if ev.Ph != PhaseSpan || ev.Cat != CatPhase {
+		return 0, -1, false
+	}
+	for ph := metrics.PhaseRead; ph <= metrics.PhaseWait; ph++ {
+		if ev.Name == ph.String() {
+			return ph, stageArg(ev), true
 		}
 	}
-	out := make([]string, 0, len(seen))
-	for t := range seen {
-		out = append(out, t)
+	return 0, -1, false
+}
+
+// ReadyOf decodes a "ready" instant Tracer.Stage wrote: its stage, -1 when
+// it carries none. ok is false for every other event.
+func ReadyOf(ev Event) (stage int, ok bool) {
+	if ev.Ph != PhaseInstant || ev.Cat != CatStage || ev.Name != "ready" {
+		return -1, false
 	}
-	sort.Strings(out)
-	return out
+	return stageArg(ev), true
+}
+
+func stageArg(ev Event) int {
+	if v, ok := ev.ArgValue(ArgStage); ok {
+		return int(v)
+	}
+	return -1
 }
 
 // PhaseBreakdown sums phase-span durations across tracks with the given
@@ -110,39 +126,11 @@ func Tracks(events []Event, trackPrefix string) []string {
 func PhaseBreakdown(events []Event, trackPrefix string) metrics.Breakdown {
 	var b metrics.Breakdown
 	for _, ev := range events {
-		if ev.Ph != PhaseSpan || ev.Cat != CatPhase || !strings.HasPrefix(ev.Track, trackPrefix) {
-			continue
-		}
-		if ph, ok := phaseByName(ev.Name); ok && ev.Dur > 0 {
+		if ph, _, ok := PhaseOf(ev); ok && ev.Dur > 0 && strings.HasPrefix(ev.Track, trackPrefix) {
 			b.Add(ph, ev.Dur)
 		}
 	}
 	return b
-}
-
-// MeanPhaseBreakdown divides the prefix breakdown by the number of tracks
-// carrying phase spans: the per-processor averages of Figure 9.
-func MeanPhaseBreakdown(events []Event, trackPrefix string) metrics.Breakdown {
-	return PhaseBreakdown(events, trackPrefix).Mean(len(Tracks(events, trackPrefix)))
-}
-
-// PhaseSpans returns the merged busy spans of the given phases across
-// tracks with the prefix, feeding metrics.OverlapDuration (Figure 11).
-func PhaseSpans(events []Event, trackPrefix string, phases ...metrics.Phase) []metrics.Span {
-	want := map[metrics.Phase]bool{}
-	for _, p := range phases {
-		want[p] = true
-	}
-	var raw []metrics.Span
-	for _, ev := range events {
-		if ev.Ph != PhaseSpan || ev.Cat != CatPhase || !strings.HasPrefix(ev.Track, trackPrefix) {
-			continue
-		}
-		if ph, ok := phaseByName(ev.Name); ok && want[ph] {
-			raw = append(raw, metrics.Span{Start: ev.Ts, End: ev.Ts + ev.Dur})
-		}
-	}
-	return metrics.UnionInPlace(raw)
 }
 
 // CheckStageOrdering asserts the multi-stage causality invariant: on every
@@ -153,11 +141,8 @@ func PhaseSpans(events []Event, trackPrefix string, phases ...metrics.Phase) []m
 func CheckStageOrdering(events []Event) (int, error) {
 	ready := map[string]map[int]float64{} // track -> stage -> ts
 	for _, ev := range events {
-		if ev.Ph != PhaseInstant || ev.Cat != CatStage || ev.Name != "ready" {
-			continue
-		}
-		stage, ok := ev.ArgValue(ArgStage)
-		if !ok {
+		stage, ok := ReadyOf(ev)
+		if !ok || stage < 0 {
 			continue
 		}
 		m := ready[ev.Track]
@@ -165,25 +150,22 @@ func CheckStageOrdering(events []Event) (int, error) {
 			m = map[int]float64{}
 			ready[ev.Track] = m
 		}
-		m[int(stage)] = ev.Ts
+		m[stage] = ev.Ts
 	}
 	checked := 0
 	for _, ev := range events {
-		if ev.Ph != PhaseSpan || ev.Cat != CatPhase || ev.Name != "compute" {
+		ph, stage, ok := PhaseOf(ev)
+		if !ok || ph != metrics.PhaseCompute || stage < 0 {
 			continue
 		}
-		stage, ok := ev.ArgValue(ArgStage)
+		ts, ok := ready[ev.Track][stage]
 		if !ok {
-			continue
-		}
-		ts, ok := ready[ev.Track][int(stage)]
-		if !ok {
-			return checked, fmt.Errorf("trace: %s computes stage %d with no ready event", ev.Track, int(stage))
+			return checked, fmt.Errorf("trace: %s computes stage %d with no ready event", ev.Track, stage)
 		}
 		// Allow the round-trip quantization of the microsecond encoding.
 		if ev.Ts < ts-1e-9*math.Max(1, math.Abs(ts)) {
 			return checked, fmt.Errorf("trace: %s starts stage-%d compute at %g before data ready at %g",
-				ev.Track, int(stage), ev.Ts, ts)
+				ev.Track, stage, ev.Ts, ts)
 		}
 		checked++
 	}
@@ -202,7 +184,8 @@ func CheckReadBeforeCompute(events []Event, trackPrefix string) (int, error) {
 	}
 	byTrack := map[string]*bounds{}
 	for _, ev := range events {
-		if ev.Ph != PhaseSpan || ev.Cat != CatPhase || !strings.HasPrefix(ev.Track, trackPrefix) {
+		ph, _, ok := PhaseOf(ev)
+		if !ok || !strings.HasPrefix(ev.Track, trackPrefix) {
 			continue
 		}
 		b := byTrack[ev.Track]
@@ -210,13 +193,13 @@ func CheckReadBeforeCompute(events []Event, trackPrefix string) (int, error) {
 			b = &bounds{}
 			byTrack[ev.Track] = b
 		}
-		switch ev.Name {
-		case "read":
+		switch ph {
+		case metrics.PhaseRead:
 			if end := ev.Ts + ev.Dur; !b.hasRead || end > b.lastReadEnd {
 				b.lastReadEnd = end
 			}
 			b.hasRead = true
-		case "compute":
+		case metrics.PhaseCompute:
 			if !b.hasComp || ev.Ts < b.firstComputeStart {
 				b.firstComputeStart = ev.Ts
 			}

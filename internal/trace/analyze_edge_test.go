@@ -12,9 +12,9 @@ import (
 	"senkf/internal/faults"
 	"senkf/internal/metrics"
 	"senkf/internal/parfs"
+	"senkf/internal/report"
 	"senkf/internal/schedule"
 	"senkf/internal/trace"
-	"senkf/internal/trace/critpath"
 )
 
 func edgeConfig() schedule.Config {
@@ -56,17 +56,11 @@ func TestAnalyzeZeroSpanTrace(t *testing.T) {
 		},
 	} {
 		t.Run(name, func(t *testing.T) {
-			if got := trace.Tracks(events, metrics.IOPrefix); len(got) != 0 {
-				t.Errorf("Tracks = %v", got)
-			}
 			if b := trace.PhaseBreakdown(events, metrics.IOPrefix); b != (metrics.Breakdown{}) {
 				t.Errorf("PhaseBreakdown = %+v", b)
 			}
-			if b := trace.MeanPhaseBreakdown(events, metrics.ComputePrefix); b != (metrics.Breakdown{}) {
-				t.Errorf("MeanPhaseBreakdown = %+v", b)
-			}
-			if s := trace.PhaseSpans(events, metrics.IOPrefix, metrics.PhaseRead); len(s) != 0 {
-				t.Errorf("PhaseSpans = %v", s)
+			if r, err := report.Build(events); err == nil {
+				t.Errorf("Build = %+v, want an error", r)
 			}
 			if n, err := trace.CheckStageOrdering(events); n != 0 || err != nil {
 				t.Errorf("CheckStageOrdering = %d, %v", n, err)
@@ -77,7 +71,7 @@ func TestAnalyzeZeroSpanTrace(t *testing.T) {
 			if m := trace.MaxConcurrent(events, "ost", trace.CatOST, "service"); len(m) != 0 {
 				t.Errorf("MaxConcurrent = %v", m)
 			}
-			if s := critpath.StageOverlaps(events); s != nil {
+			if s := report.StageOverlaps(events); s != nil {
 				t.Errorf("StageOverlaps = %v", s)
 			}
 		})
@@ -100,15 +94,15 @@ func TestAnalyzeSingleStageRun(t *testing.T) {
 	if n, err := trace.CheckStageOrdering(events); err != nil || n == 0 {
 		t.Fatalf("CheckStageOrdering = %d, %v", n, err)
 	}
-	stages := critpath.StageOverlaps(events)
+	stages := report.StageOverlaps(events)
 	if len(stages) != 1 || stages[0].Stage != 0 {
 		t.Fatalf("StageOverlaps = %v, want exactly stage 0", stages)
 	}
-	if e := critpath.PipelineEfficiency(stages); e != 1 {
+	if e := report.PipelineEfficiency(stages); e != 1 {
 		t.Fatalf("PipelineEfficiency = %g, want 1 (no stages past the fill)", e)
 	}
 	// The critical path must still tile end-to-end.
-	p, err := critpath.Extract(events)
+	p, err := report.Extract(events)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,14 +134,18 @@ func TestAnalyzeRunWithDroppedMembers(t *testing.T) {
 			t.Fatalf("%s breakdown has negative phases: %+v", prefix, b)
 		}
 	}
-	io := trace.PhaseSpans(events, metrics.IOPrefix, metrics.PhaseRead, metrics.PhaseComm)
-	cp := trace.PhaseSpans(events, metrics.ComputePrefix, metrics.PhaseCompute)
-	busy := metrics.SpanTotal(io)
-	if busy <= 0 {
+	r, err := report.Build(events)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.IOMean.Read+r.IOMean.Comm <= 0 {
 		t.Fatal("no I/O busy time in a degraded run")
 	}
-	if share := metrics.OverlapDuration(io, cp) / busy; share < 0 || share > 1 {
-		t.Fatalf("overlap share %g outside [0, 1] — truncated spans corrupt the union", share)
+	// OverlapFraction is clamped to 1; the runtime share is not.
+	for _, share := range []float64{r.OverlapFraction, r.OverlapRuntimeFraction} {
+		if share < 0 || share > 1 {
+			t.Fatalf("overlap share %g outside [0, 1] — truncated spans corrupt the union", share)
+		}
 	}
 	if res.OverlapFraction < 0 || res.OverlapFraction > 1 {
 		t.Fatalf("Result.OverlapFraction = %g outside [0, 1]", res.OverlapFraction)

@@ -3,6 +3,7 @@ package trace
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -250,21 +251,8 @@ func TestPhaseBreakdownAndSpans(t *testing.T) {
 	if b.Compute != 4 || b.Wait != 1 || b.Read != 0 {
 		t.Fatalf("PhaseBreakdown = %+v", b)
 	}
-	mb := MeanPhaseBreakdown(events, "comp")
-	if mb.Compute != 2 || mb.Wait != 0.5 {
-		t.Fatalf("MeanPhaseBreakdown = %+v", mb)
-	}
-	if got := MeanPhaseBreakdown(events, "nosuch"); got != (metrics.Breakdown{}) {
-		t.Fatalf("MeanPhaseBreakdown of empty prefix = %+v", got)
-	}
-	tracks := Tracks(events, "comp")
-	if len(tracks) != 2 || tracks[0] != "comp/x0y0" || tracks[1] != "comp/x1y0" {
-		t.Fatalf("Tracks = %v", tracks)
-	}
-	spans := PhaseSpans(events, "comp", metrics.PhaseCompute)
-	// [0,2] and [1,3] merge to [0,3].
-	if len(spans) != 1 || spans[0].Start != 0 || spans[0].End != 3 {
-		t.Fatalf("PhaseSpans = %+v", spans)
+	if got := PhaseBreakdown(events, "nosuch"); got != (metrics.Breakdown{}) {
+		t.Fatalf("PhaseBreakdown of empty prefix = %+v", got)
 	}
 }
 
@@ -325,5 +313,69 @@ func TestMaxConcurrent(t *testing.T) {
 	}
 	if got["ost1"] != 1 {
 		t.Fatalf("ost1 max concurrency = %d, want 1", got["ost1"])
+	}
+}
+
+// Every phase × stage Tracer.Phase and Tracer.Stage write comes back from
+// a Chrome round trip through PhaseOf and ReadyOf as it went in, and no
+// other event decodes as either.
+func TestPlanEventsRoundTrip(t *testing.T) {
+	buf := NewBuffer()
+	tr := New(nil, buf)
+	type want struct {
+		ph    metrics.Phase
+		stage int
+	}
+	var spans []want
+	var ready []int
+	for ph := metrics.PhaseRead; ph <= metrics.PhaseWait; ph++ {
+		for _, stage := range []int{-1, 0, 5} {
+			tr.Phase("comp/x0y0", ph, 1, 2.5, stage)
+			spans = append(spans, want{ph, stage})
+		}
+	}
+	for _, stage := range []int{-1, 0, 5} {
+		tr.Stage("comp/x0y0", "ready", 3, stage)
+		tr.Stage("comp/x0y0", "computed", 4, stage)
+		ready = append(ready, stage)
+	}
+	var out bytes.Buffer
+	if err := WriteChrome(&out, buf.Events()); err != nil {
+		t.Fatal(err)
+	}
+	events, err := ReadChrome(&out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var gotSpans []want
+	var gotReady []int
+	for _, ev := range events {
+		if ph, stage, ok := PhaseOf(ev); ok {
+			gotSpans = append(gotSpans, want{ph, stage})
+		}
+		if stage, ok := ReadyOf(ev); ok {
+			gotReady = append(gotReady, stage)
+		}
+	}
+	if fmt.Sprint(gotSpans) != fmt.Sprint(spans) {
+		t.Errorf("PhaseOf decoded %v, want %v", gotSpans, spans)
+	}
+	if fmt.Sprint(gotReady) != fmt.Sprint(ready) {
+		t.Errorf("ReadyOf decoded %v, want %v", gotReady, ready)
+	}
+
+	stage := []Arg{{Key: ArgStage, Val: 1}}
+	for name, ev := range map[string]Event{
+		"phase span of no phase":  {Track: "comp/x0y0", Cat: CatPhase, Name: "idle", Ph: PhaseSpan, Dur: 1, Args: stage},
+		"phase instant":           {Track: "comp/x0y0", Cat: CatPhase, Name: "compute", Ph: PhaseInstant, Args: stage},
+		"stage instant not ready": {Track: "comp/x0y0", Cat: CatStage, Name: "computed", Ph: PhaseInstant, Args: stage},
+		"span of another cat":     {Track: "ost0", Cat: CatOST, Name: "read", Ph: PhaseSpan, Dur: 1, Args: stage},
+	} {
+		if _, _, ok := PhaseOf(ev); ok {
+			t.Errorf("%s: PhaseOf accepts %+v", name, ev)
+		}
+		if _, ok := ReadyOf(ev); ok {
+			t.Errorf("%s: ReadyOf accepts %+v", name, ev)
+		}
 	}
 }

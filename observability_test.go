@@ -22,6 +22,7 @@ import (
 	"senkf/internal/metrics"
 	"senkf/internal/parfs"
 	"senkf/internal/plan"
+	"senkf/internal/report"
 	"senkf/internal/schedule"
 	"senkf/internal/trace"
 	"senkf/internal/wire"
@@ -81,21 +82,21 @@ func TestTracedSEnKFPaperScale(t *testing.T) {
 	}
 
 	// Figure 9: mean per-processor phase breakdowns from the trace.
-	assertBreakdownsMatch(t, "io", trace.MeanPhaseBreakdown(events, metrics.IOPrefix), res.IO)
-	assertBreakdownsMatch(t, "compute", trace.MeanPhaseBreakdown(events, metrics.ComputePrefix), res.Compute)
+	r, err := report.Build(events)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertBreakdownsMatch(t, "io", r.IOMean, res.IO)
+	assertBreakdownsMatch(t, "compute", r.ComputeMean, res.Compute)
 
 	// Figure 11: overlap share of I/O+comm behind compute, from the trace.
-	ioSpans := trace.PhaseSpans(events, metrics.IOPrefix, metrics.PhaseRead, metrics.PhaseComm)
-	cpSpans := trace.PhaseSpans(events, metrics.ComputePrefix, metrics.PhaseCompute)
-	overlap := metrics.OverlapDuration(ioSpans, cpSpans)
-	ioBusy := metrics.SpanTotal(ioSpans)
-	if ioBusy == 0 {
+	if r.IOMean.Read+r.IOMean.Comm == 0 {
 		t.Fatal("no I/O phase spans in trace")
 	}
-	if got := overlap / ioBusy; !relClose(got, res.OverlapFraction, 1e-6) {
+	if got := r.OverlapFraction; !relClose(got, res.OverlapFraction, 1e-6) {
 		t.Errorf("overlap fraction from trace %.12g vs result %.12g", got, res.OverlapFraction)
 	}
-	if got := overlap / res.Runtime; !relClose(got, res.OverlapRuntimeFraction, 1e-6) {
+	if got := r.OverlapRuntimeFraction; !relClose(got, res.OverlapRuntimeFraction, 1e-6) {
 		t.Errorf("overlap runtime fraction from trace %.12g vs result %.12g", got, res.OverlapRuntimeFraction)
 	}
 
@@ -179,7 +180,11 @@ func TestTracedPEnKFCausality(t *testing.T) {
 	if checked != 2000 {
 		t.Errorf("read-before-compute checked %d tracks, want 2000", checked)
 	}
-	assertBreakdownsMatch(t, "compute", trace.MeanPhaseBreakdown(events, metrics.ComputePrefix), res.Compute)
+	r, err := report.Build(events)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertBreakdownsMatch(t, "compute", r.ComputeMean, res.Compute)
 	for ost, m := range trace.MaxConcurrent(events, "ost", trace.CatOST, "service") {
 		if m > suite.O.Cfg.FS.ConcurrencyPerOST {
 			t.Errorf("%s served %d requests at once, limit %d", ost, m, suite.O.Cfg.FS.ConcurrencyPerOST)

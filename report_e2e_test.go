@@ -10,8 +10,8 @@ import (
 	"testing"
 
 	"senkf/internal/figures"
+	"senkf/internal/report"
 	"senkf/internal/trace"
-	"senkf/internal/trace/critpath"
 )
 
 // tracedQuickSuite runs the quick-scale tuner + S-EnKF simulation with
@@ -77,14 +77,14 @@ func TestRunReportEndToEnd(t *testing.T) {
 
 func TestCriticalPathFacade(t *testing.T) {
 	events := tracedQuickSuite(t, 60)
-	path, err := critpath.Extract(events)
+	path, err := report.Extract(events)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got, want := path.Total(), path.End-path.Start; math.Abs(got-want) > 1e-9*want {
 		t.Fatalf("path Total %g != End-Start %g", got, want)
 	}
-	stages := critpath.StageOverlaps(events)
+	stages := report.StageOverlaps(events)
 	if len(stages) == 0 {
 		t.Fatal("no stage overlap accounting from a multi-stage run")
 	}

@@ -120,6 +120,18 @@ if bad=$(grep -rn '\.CounterValue(\|\.GaugeMax(' --include='*.go' internal cmd e
     exit 1
 fi
 
+# The plan events both engines emit have one owner: trace.Tracer.Phase and
+# Tracer.Stage write them, trace.PhaseOf and ReadyOf read them. Code that
+# spells their category or decodes their stage arg itself is a second
+# encoding, free to drift from the one every consumer reads.
+if bad=$(grep -rn -e 'trace\.CatPhase' -e 'trace\.CatStage' -e 'ArgValue(trace\.ArgStage)' \
+        --include='*.go' internal cmd examples ./*.go 2>/dev/null \
+        | grep -v '_test\.go:' | grep -v '^internal/trace/'); then
+    echo "FAIL: phase spans or stage instants are encoded or decoded outside internal/trace (use Tracer.Phase/Stage and PhaseOf/ReadyOf):" >&2
+    echo "$bad" >&2
+    exit 1
+fi
+
 # Every count has one writer, at the layer that makes the fact. The
 # monitor's own facts are its verdicts — runs, divergences, deadlocks,
 # watchdog trips, incidents, flight dumps — so it writes monitor/* series
@@ -180,4 +192,4 @@ if bad=$(grep -rn 'mlTag\|func observeML\|func runComputeML\|func runIOML' \
     exit 1
 fi
 
-echo "OK: plan, monitor, report and runlog layers are substrate-free; monitor serves no HTTP and derives no plan contract; report builds without runtimeobs; no count is copied out of the registry; the monitor writes monitor/* only; only runtimeobs reads the Go runtime; runtimeobs sits below plan; ckpt builds on ensio only; core and schedule build on plan; no bespoke multilevel paths"
+echo "OK: plan, monitor, report and runlog layers are substrate-free; monitor serves no HTTP and derives no plan contract; report builds without runtimeobs; no count is copied out of the registry; only trace encodes and decodes phase spans and stage instants; the monitor writes monitor/* only; only runtimeobs reads the Go runtime; runtimeobs sits below plan; ckpt builds on ensio only; core and schedule build on plan; no bespoke multilevel paths"
