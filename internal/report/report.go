@@ -169,7 +169,10 @@ func Build(events []trace.Event) (*Report, error) {
 	}
 	r := &Report{Schema: Schema}
 	for _, ev := range events {
-		if end := ev.Ts + ev.Dur; ev.Ph == trace.PhaseSpan && end > r.Runtime {
+		if ev.Ph != trace.PhaseSpan {
+			continue
+		}
+		if end := ev.Ts + ev.Dur; end > r.Runtime {
 			r.Runtime = end
 		}
 	}
