@@ -153,10 +153,9 @@ func byEnd(phases []span) []span {
 	return out
 }
 
-// Extract computes the critical path of the traced run. It needs at least
-// one phase span; traces of untraced or span-free runs return an error.
-func Extract(events []trace.Event) (Path, error) { return extract(phaseSpans(events)) }
-
+// extract computes the critical path of the traced run from its decoded
+// phase spans. It needs at least one; untraced or span-free runs return an
+// error.
 func extract(phases []span) (Path, error) {
 	spans := byEnd(phases)
 	if len(spans) == 0 {
@@ -250,12 +249,10 @@ type StageOverlap struct {
 	Efficiency float64 `json:"efficiency"` // Hidden / IOBusy (0 when idle)
 }
 
-// StageOverlaps computes, per stage of the §4.2 multi-stage pipeline, how
+// stageOverlaps computes, per stage of the §4.2 multi-stage pipeline, how
 // much of the I/O processors' stage-tagged read+comm activity proceeded
 // concurrently with local analysis. Stages are discovered from the trace;
 // runs whose I/O spans carry no stage tags return nil.
-func StageOverlaps(events []trace.Event) []StageOverlap { return stageOverlaps(phaseSpans(events)) }
-
 func stageOverlaps(phases []span) []StageOverlap {
 	perStage := map[int][]metrics.Span{}
 	var compute []metrics.Span

@@ -26,7 +26,7 @@ func TestExtractFollowsReleaseChain(t *testing.T) {
 		phase("comp/x0y0", "wait", 0, 3),
 		phase("comp/x0y0", "compute", 3, 5),
 	}
-	p, err := Extract(events)
+	p, err := extract(phaseSpans(events))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +75,7 @@ func TestExtractBridgesGaps(t *testing.T) {
 		// nothing happens in [2, 3]: queued on an unmodelled resource
 		phase("comp/x0y0", "compute", 3, 4),
 	}
-	p, err := Extract(events)
+	p, err := extract(phaseSpans(events))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +101,7 @@ func TestExtractIgnoresTruncatedSpans(t *testing.T) {
 		phase("io/g0/r1", "read", 100, -100), // dead rank: open span closed at death
 		phase("comp/x0y0", "compute", 2, 3),
 	}
-	p, err := Extract(events)
+	p, err := extract(phaseSpans(events))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,12 +114,12 @@ func TestExtractIgnoresTruncatedSpans(t *testing.T) {
 }
 
 func TestExtractEmptyTrace(t *testing.T) {
-	if _, err := Extract(nil); err == nil {
+	if _, err := extract(phaseSpans(nil)); err == nil {
 		t.Fatal("want error on empty trace")
 	}
 	// Instants alone are not a critical path either.
 	events := []trace.Event{{Track: "model", Cat: trace.CatModel, Name: "prediction", Ph: trace.PhaseInstant}}
-	if _, err := Extract(events); err == nil {
+	if _, err := extract(phaseSpans(events)); err == nil {
 		t.Fatal("want error on span-free trace")
 	}
 }
@@ -130,7 +130,7 @@ func TestExtractAnchorTieBreak(t *testing.T) {
 		phase("comp/x1y0", "compute", 4, 4),
 		phase("comp/x0y0", "compute", 6, 2),
 	}
-	p, err := Extract(events)
+	p, err := extract(phaseSpans(events))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +147,7 @@ func TestStageOverlaps(t *testing.T) {
 		phase("io/g0/r0", "read", 2, 2, stageArg(1)),
 		phase("comp/x0y0", "compute", 2, 4, stageArg(0)),
 	}
-	stages := StageOverlaps(events)
+	stages := stageOverlaps(phaseSpans(events))
 	if len(stages) != 2 {
 		t.Fatalf("got %d stages, want 2: %v", len(stages), stages)
 	}
@@ -161,8 +161,12 @@ func TestStageOverlaps(t *testing.T) {
 		t.Errorf("PipelineEfficiency = %g, want 1", e)
 	}
 	// Untagged I/O spans: no stage accounting at all.
-	if got := StageOverlaps([]trace.Event{phase("io/g0/r0", "read", 0, 1)}); got != nil {
+	if got := stageOverlaps(phaseSpans([]trace.Event{phase("io/g0/r0", "read", 0, 1)})); got != nil {
 		t.Errorf("untagged spans produced stages: %v", got)
+	}
+	// No phase spans at all: no stage accounting either.
+	if got := stageOverlaps(phaseSpans(nil)); got != nil {
+		t.Errorf("span-free trace produced stages: %v", got)
 	}
 	// No stages >= 1: a single-stage run has no pipeline to be inefficient.
 	if e := PipelineEfficiency([]StageOverlap{{Stage: 0, IOBusy: 5}}); e != 1 {

@@ -6,6 +6,8 @@
 package trace_test
 
 import (
+	"slices"
+	"strings"
 	"testing"
 
 	"senkf/internal/costmodel"
@@ -45,6 +47,18 @@ func tracedSEnKF(t *testing.T, cfg schedule.Config, ch costmodel.Choice) ([]trac
 	return buf.Events(), res
 }
 
+// busySpans merges the spans of the given phases on tracks with the prefix:
+// the busy time Figure 11's overlap share counts, before any clamp.
+func busySpans(events []trace.Event, prefix string, phases ...metrics.Phase) []metrics.Span {
+	var raw []metrics.Span
+	for _, ev := range events {
+		if ph, _, ok := trace.PhaseOf(ev); ok && strings.HasPrefix(ev.Track, prefix) && slices.Contains(phases, ph) {
+			raw = append(raw, metrics.Span{Start: ev.Ts, End: ev.Ts + ev.Dur})
+		}
+	}
+	return metrics.UnionSpans(raw)
+}
+
 // Every analysis function must return its zero value on an empty or
 // span-free trace instead of panicking or inventing data.
 func TestAnalyzeZeroSpanTrace(t *testing.T) {
@@ -71,9 +85,6 @@ func TestAnalyzeZeroSpanTrace(t *testing.T) {
 			if m := trace.MaxConcurrent(events, "ost", trace.CatOST, "service"); len(m) != 0 {
 				t.Errorf("MaxConcurrent = %v", m)
 			}
-			if s := report.StageOverlaps(events); s != nil {
-				t.Errorf("StageOverlaps = %v", s)
-			}
 		})
 	}
 }
@@ -94,20 +105,19 @@ func TestAnalyzeSingleStageRun(t *testing.T) {
 	if n, err := trace.CheckStageOrdering(events); err != nil || n == 0 {
 		t.Fatalf("CheckStageOrdering = %d, %v", n, err)
 	}
-	stages := report.StageOverlaps(events)
-	if len(stages) != 1 || stages[0].Stage != 0 {
-		t.Fatalf("StageOverlaps = %v, want exactly stage 0", stages)
-	}
-	if e := report.PipelineEfficiency(stages); e != 1 {
-		t.Fatalf("PipelineEfficiency = %g, want 1 (no stages past the fill)", e)
-	}
-	// The critical path must still tile end-to-end.
-	p, err := report.Extract(events)
+	r, err := report.Build(events)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := p.Total(), p.End-p.Start; got != want {
-		t.Fatalf("path Total %g != End-Start %g", got, want)
+	if len(r.Stages) != 1 || r.Stages[0].Stage != 0 {
+		t.Fatalf("Stages = %v, want exactly stage 0", r.Stages)
+	}
+	if e := r.PipelineEfficiency; e != 1 {
+		t.Fatalf("PipelineEfficiency = %g, want 1 (no stages past the fill)", e)
+	}
+	// The critical path must still tile end-to-end.
+	if p := r.CriticalPath; p.Total != p.End-p.Start {
+		t.Fatalf("path Total %g != End-Start %g", p.Total, p.End-p.Start)
 	}
 }
 
@@ -134,18 +144,14 @@ func TestAnalyzeRunWithDroppedMembers(t *testing.T) {
 			t.Fatalf("%s breakdown has negative phases: %+v", prefix, b)
 		}
 	}
-	r, err := report.Build(events)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.IOMean.Read+r.IOMean.Comm <= 0 {
+	io := busySpans(events, metrics.IOPrefix, metrics.PhaseRead, metrics.PhaseComm)
+	cp := busySpans(events, metrics.ComputePrefix, metrics.PhaseCompute)
+	busy := metrics.SpanTotal(io)
+	if busy <= 0 {
 		t.Fatal("no I/O busy time in a degraded run")
 	}
-	// OverlapFraction is clamped to 1; the runtime share is not.
-	for _, share := range []float64{r.OverlapFraction, r.OverlapRuntimeFraction} {
-		if share < 0 || share > 1 {
-			t.Fatalf("overlap share %g outside [0, 1] — truncated spans corrupt the union", share)
-		}
+	if share := metrics.OverlapDuration(io, cp) / busy; share < 0 || share > 1 {
+		t.Fatalf("overlap share %g outside [0, 1] — truncated spans corrupt the union", share)
 	}
 	if res.OverlapFraction < 0 || res.OverlapFraction > 1 {
 		t.Fatalf("Result.OverlapFraction = %g outside [0, 1]", res.OverlapFraction)

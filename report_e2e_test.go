@@ -77,18 +77,17 @@ func TestRunReportEndToEnd(t *testing.T) {
 
 func TestCriticalPathFacade(t *testing.T) {
 	events := tracedQuickSuite(t, 60)
-	path, err := report.Extract(events)
+	r, err := report.Build(events)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := path.Total(), path.End-path.Start; math.Abs(got-want) > 1e-9*want {
-		t.Fatalf("path Total %g != End-Start %g", got, want)
+	if path := r.CriticalPath; math.Abs(path.Total-(path.End-path.Start)) > 1e-9*(path.End-path.Start) {
+		t.Fatalf("path Total %g != End-Start %g", path.Total, path.End-path.Start)
 	}
-	stages := report.StageOverlaps(events)
-	if len(stages) == 0 {
+	if len(r.Stages) == 0 {
 		t.Fatal("no stage overlap accounting from a multi-stage run")
 	}
-	for _, s := range stages {
+	for _, s := range r.Stages {
 		if s.Efficiency < 0 || s.Efficiency > 1 {
 			t.Fatalf("stage %d efficiency %g outside [0, 1]", s.Stage, s.Efficiency)
 		}
