@@ -471,13 +471,13 @@ func engineCompute(comm *mpi.Comm, p plan.Problem, c *plan.Compiled, r plan.Comp
 				// every member file, one addressing operation per row — rows
 				// that are levels× heavier on multilevel files.
 				blks = stageBlocks(st.Box, n, nl)
-				for _, k := range st.SelfMembers {
+				for _, k := range r.SelfMembers(&st) {
 					readStart := time.Now()
 					mf, err := openMember(p, k, nl, ensio.OpenOptions{})
 					if err != nil {
 						return err
 					}
-					data, err := mf.ReadBlockLevels(st.Read.Box)
+					data, err := mf.ReadBlockLevels(r.Self.Read.Box)
 					addIOStats(p.Tr, mf.Stats())
 					mf.Close()
 					if err != nil {

@@ -89,17 +89,13 @@ func (r IORank) AddrOps() int {
 
 // ComputeStage is one stage of a compute rank's schedule. Either the stage
 // data arrives as Expect messages from I/O ranks (bar/single reading), or
-// the rank reads it itself from SelfMembers (block reading) — never both.
+// the rank reads it itself, as its Self record says (block reading) — never
+// both.
 type ComputeStage struct {
 	Stage int
 	// Expect is the number of per-member blocks to receive from I/O ranks
 	// before the stage is ready (0 when the rank reads for itself).
 	Expect int
-	// SelfMembers lists the members the rank block-reads itself (P-EnKF);
-	// empty when data arrives by message.
-	SelfMembers []int
-	// Read is the self-read template (meaningful only with SelfMembers).
-	Read ReadTemplate
 	// Box is the region holding the stage's data: the (layer) expansion.
 	// It is also the exact payload box I/O ranks cut for this rank.
 	Box grid.Box
@@ -107,13 +103,32 @@ type ComputeStage struct {
 	Analyze grid.Box
 }
 
+// SelfRead is the read a block-reading rank makes for itself (P-EnKF): in
+// a stage that expects no messages, one read of Read per member of Members.
+type SelfRead struct {
+	Members []int // in read order
+	Read    ReadTemplate
+}
+
 // ComputeRank is the compiled schedule of one compute rank.
 type ComputeRank struct {
-	Rank   int    // world rank
-	Name   string // stable proc name and trace track ("comp/x<i>y<j>")
-	I, J   int    // sub-domain coordinates
-	Sub    grid.Box
+	Rank int    // world rank
+	Name string // stable proc name and trace track ("comp/x<i>y<j>")
+	I, J int    // sub-domain coordinates
+	Sub  grid.Box
+	// Self is the rank's own read (block reading); empty when its stage
+	// data arrives by message.
+	Self   SelfRead
 	Stages []ComputeStage
+}
+
+// SelfMembers returns the members the rank reads for itself in stage st,
+// in read order: Self's in a stage that expects no messages, else none.
+func (r *ComputeRank) SelfMembers(st *ComputeStage) []int {
+	if st.Expect > 0 {
+		return nil
+	}
+	return r.Self.Members
 }
 
 // AddrOps returns the rank's total nominal addressing operations — the
@@ -121,8 +136,8 @@ type ComputeRank struct {
 // 0 when data arrives by message.
 func (r ComputeRank) AddrOps() int {
 	var total int
-	for _, st := range r.Stages {
-		total += len(st.SelfMembers) * st.Read.AddrOps
+	for si := range r.Stages {
+		total += len(r.SelfMembers(&r.Stages[si])) * r.Self.Read.AddrOps
 	}
 	return total
 }
@@ -184,23 +199,22 @@ func (c *Compiled) TotalAddrOps() int {
 }
 
 // computeRanks builds the compute side shared by every strategy: one rank
-// per sub-domain in RankOf order, with the given per-rank stage builder.
-func computeRanks(s Spec, stagesFor func(i, j int) ([]ComputeStage, error)) ([]ComputeRank, error) {
-	out := make([]ComputeRank, 0, s.Dec.SubDomains())
-	for r := 0; r < s.Dec.SubDomains(); r++ {
+// per sub-domain in RankOf order, each with l stages, which fill fills in.
+// The ranks, their names and their stages are cut from one slab each.
+func computeRanks(s Spec, l int, fill func(cr *ComputeRank) error) ([]ComputeRank, error) {
+	out, stages := make([]ComputeRank, s.Dec.SubDomains()), make([]ComputeStage, s.Dec.SubDomains()*l)
+	metrics.NameAll(len(out), func(b []byte, r int) []byte {
 		i, j := s.Dec.CoordsOf(r)
-		stages, err := stagesFor(i, j)
-		if err != nil {
+		return metrics.AppendComputeName(b, i, j)
+	}, func(r int, name string) { out[r].Name = name })
+	for r := range out {
+		i, j := s.Dec.CoordsOf(r)
+		cr := &out[r]
+		cr.Rank, cr.I, cr.J, cr.Sub = r, i, j, s.Dec.SubDomain(i, j)
+		cr.Stages = stages[r*l : (r+1)*l : (r+1)*l]
+		if err := fill(cr); err != nil {
 			return nil, err
 		}
-		out = append(out, ComputeRank{
-			Rank:   r,
-			Name:   metrics.ComputeName(i, j),
-			I:      i,
-			J:      j,
-			Sub:    s.Dec.SubDomain(i, j),
-			Stages: stages,
-		})
 	}
 	return out, nil
 }
@@ -221,21 +235,16 @@ func (b BarReader) compile(s Spec, c *Compiled) error {
 	blockCols := d.SubWidth() + 2*d.R.Xi
 	layerRows := d.SubHeight()/s.L + 2*d.R.Eta
 
-	// Every rank's L stages are cut from one slab, capacity-capped so that
-	// no rank's slice reaches into the next rank's.
-	slab := make([]ComputeStage, d.SubDomains()*s.L)
 	var err error
-	c.Compute, err = computeRanks(s, func(i, j int) ([]ComputeStage, error) {
-		stages := slab[:s.L:s.L]
-		slab = slab[s.L:]
-		for l := range stages {
-			layer, err := d.Layer(i, j, l, s.L)
+	c.Compute, err = computeRanks(s, s.L, func(cr *ComputeRank) error {
+		for l := range cr.Stages {
+			layer, err := d.Layer(cr.I, cr.J, l, s.L)
 			if err != nil {
-				return nil, err
+				return err
 			}
-			stages[l] = ComputeStage{Stage: l, Expect: s.N, Box: layer.Expand(d.Mesh, d.R.Xi, d.R.Eta), Analyze: layer}
+			cr.Stages[l] = ComputeStage{Stage: l, Expect: s.N, Box: layer.Expand(d.Mesh, d.R.Xi, d.R.Eta), Analyze: layer}
 		}
-		return stages, nil
+		return nil
 	})
 	if err != nil {
 		return err
@@ -304,11 +313,10 @@ func (BlockReader) compile(s Spec, c *Compiled) error {
 	}
 	nomRows := d.SubHeight() + 2*d.R.Eta
 	var err error
-	c.Compute, err = computeRanks(s, func(i, j int) ([]ComputeStage, error) {
-		exp := d.Expansion(i, j)
-		return []ComputeStage{{
-			Stage:       0,
-			SelfMembers: members,
+	c.Compute, err = computeRanks(s, 1, func(cr *ComputeRank) error {
+		exp := d.Expansion(cr.I, cr.J)
+		cr.Self = SelfRead{
+			Members: members,
 			Read: ReadTemplate{
 				Box:           exp,
 				Contiguous:    false,
@@ -316,9 +324,9 @@ func (BlockReader) compile(s Spec, c *Compiled) error {
 				NominalPoints: nominalExpansion(d),
 				Levels:        s.LevelCount(),
 			},
-			Box:     exp,
-			Analyze: d.SubDomain(i, j),
-		}}, nil
+		}
+		cr.Stages[0] = ComputeStage{Stage: 0, Box: exp, Analyze: cr.Sub}
+		return nil
 	})
 	return err
 }
@@ -327,9 +335,9 @@ func (BlockReader) compile(s Spec, c *Compiled) error {
 func (SingleReader) compile(s Spec, c *Compiled) error {
 	d := s.Dec
 	var err error
-	c.Compute, err = computeRanks(s, func(i, j int) ([]ComputeStage, error) {
-		exp := d.Expansion(i, j)
-		return []ComputeStage{{Stage: 0, Expect: s.N, Box: exp, Analyze: d.SubDomain(i, j)}}, nil
+	c.Compute, err = computeRanks(s, 1, func(cr *ComputeRank) error {
+		cr.Stages[0] = ComputeStage{Stage: 0, Expect: s.N, Box: d.Expansion(cr.I, cr.J), Analyze: cr.Sub}
+		return nil
 	})
 	if err != nil {
 		return err
@@ -406,10 +414,10 @@ func (c *Compiled) Dump(w io.Writer) error {
 		fmt.Fprintf(w, "  %s (rank %d, sub-domain %s): %d addressing ops\n",
 			r.Name, r.Rank, r.Sub, r.AddrOps())
 		for _, st := range r.Stages {
-			switch {
-			case len(st.SelfMembers) > 0:
+			switch self := r.SelfMembers(&st); {
+			case len(self) > 0:
 				fmt.Fprintf(w, "    stage %d: self-read %s (%d ops x %d members), analyze %s\n",
-					st.Stage, st.Read.Box, st.Read.AddrOps, len(st.SelfMembers), st.Analyze)
+					st.Stage, r.Self.Read.Box, r.Self.Read.AddrOps, len(self), st.Analyze)
 			default:
 				fmt.Fprintf(w, "    stage %d: expect %d blocks into %s, analyze %s\n",
 					st.Stage, st.Expect, st.Box, st.Analyze)

@@ -50,8 +50,8 @@ func TestExpectedDAGLevelsInvariant(t *testing.T) {
 					for _, st := range r.Stages {
 						// Message stages have no read template; only
 						// self-read stages carry the level factor.
-						if st.Expect == 0 && st.Read.Levels != levels {
-							t.Errorf("proc %s stage %d: template levels %d, want %d", r.Name, st.Stage, st.Read.Levels, levels)
+						if st.Expect == 0 && r.Self.Read.Levels != levels {
+							t.Errorf("proc %s stage %d: template levels %d, want %d", r.Name, st.Stage, r.Self.Read.Levels, levels)
 						}
 					}
 				}

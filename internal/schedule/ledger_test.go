@@ -41,17 +41,21 @@ func TestLedgerIsSizedFromThePlan(t *testing.T) {
 			t.Errorf("%s: newLedger allocates %v objects for %d ranks, want 3", name, n, m.cp.WorldSize())
 		}
 		recorded := 0
-		for r, fresh := range newLedger(m.cp) {
-			led := &m.ledger[r]
+		fresh := newLedger(m.cp)
+		for r, want := range fresh.ranks {
+			led := &m.ledger.ranks[r]
 			for ph := range led.d {
-				if cap(led.d[ph]) != cap(fresh.d[ph]) {
-					t.Errorf("%s: %s recorded %d %v intervals into room for %d", name, led.name, len(led.d[ph]), metrics.Phase(ph), cap(fresh.d[ph]))
+				if got := led.d[ph]; got.at != want.d[ph].at || got.max != want.d[ph].max || got.n > got.max {
+					t.Errorf("%s: %s recorded %d %v intervals into room for %d", name, m.name(r), got.n, metrics.Phase(ph), want.d[ph].max)
 				}
-				recorded += len(led.d[ph])
+				recorded += int(led.d[ph].n)
 			}
-			if cap(led.spans) != cap(fresh.spans) {
-				t.Errorf("%s: %s recorded %d spans into room for %d", name, led.name, len(led.spans), cap(fresh.spans))
+			if got := led.spans; got.at != want.spans.at || got.max != want.spans.max || got.n > got.max {
+				t.Errorf("%s: %s recorded %d spans into room for %d", name, m.name(r), got.n, want.spans.max)
 			}
+		}
+		if len(m.ledger.lens) != len(fresh.lens) || len(m.ledger.spans) != len(fresh.spans) {
+			t.Errorf("%s: the slabs grew from %d lengths and %d spans to %d and %d", name, len(fresh.lens), len(fresh.spans), len(m.ledger.lens), len(m.ledger.spans))
 		}
 		if recorded == 0 {
 			t.Errorf("%s: nothing recorded", name)
@@ -81,7 +85,7 @@ func TestPEnKFLedgerBytes(t *testing.T) {
 	reads := 0
 	for _, cr := range cp.Compute {
 		for _, st := range cr.Stages {
-			reads += len(st.SelfMembers)
+			reads += len(cr.SelfMembers(&st))
 		}
 	}
 	got := testing.Benchmark(func(b *testing.B) {
@@ -151,7 +155,7 @@ func TestLedgerFoldEqualsInterleavedFold(t *testing.T) {
 		ivs := make([][]interval, world)
 		m := &machine{
 			cp:     &plan.Compiled{Compute: make([]plan.ComputeRank, nc), IO: make([]plan.IORank, world-nc)},
-			ledger: make([]rankLedger, world),
+			ledger: ledger{ranks: make([]rankLedger, world)},
 		}
 		for r := range world {
 			// The phases each kind of rank records: an I/O rank reads and
@@ -159,9 +163,11 @@ func TestLedgerFoldEqualsInterleavedFold(t *testing.T) {
 			kinds := []metrics.Phase{metrics.PhaseRead, metrics.PhaseWait, metrics.PhaseCompute}
 			if r < nc {
 				names[r] = metrics.ComputeName(r%nsdx, r/nsdx)
+				m.cp.Compute[r].Name = names[r]
 			} else {
 				q := r - nc
 				names[r] = metrics.IOName(q/nsdy, q%nsdy)
+				m.cp.IO[q].Name = names[r]
 				kinds = []metrics.Phase{metrics.PhaseRead, metrics.PhaseComm}
 			}
 			n := rng.IntN(9)
@@ -180,12 +186,13 @@ func TestLedgerFoldEqualsInterleavedFold(t *testing.T) {
 				ivs[r] = append(ivs[r], iv)
 			}
 			// Room for every interval, in each phase and as spans.
-			led := &m.ledger[r]
-			led.name = names[r]
+			led := &m.ledger.ranks[r]
 			for ph := range led.d {
-				led.d[ph] = make([]float64, 0, n)
+				led.d[ph] = part{at: int32(len(m.ledger.lens)), max: int32(n)}
+				m.ledger.lens = append(m.ledger.lens, make([]float64, n)...)
 			}
-			led.spans = make([]metrics.Span, 0, n)
+			led.spans = part{at: int32(len(m.ledger.spans)), max: int32(n)}
+			m.ledger.spans = append(m.ledger.spans, make([]metrics.Span, n)...)
 		}
 		// Record the ranks' intervals interleaved, each rank's in its order.
 		var order []int

@@ -22,6 +22,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"strconv"
 	"strings"
 
 	"senkf/internal/costmodel"
@@ -373,12 +374,11 @@ type machine struct {
 
 	// ledger is the run's phase record, by world rank — the compute ranks,
 	// then the I/O ranks: what Result's breakdowns and overlap shares are
-	// folded from, tracer on or off. A rank's slices are written by its own
-	// process alone and sized for every phase its plan stages can record.
-	ledger []rankLedger
+	// folded from, tracer on or off.
+	ledger ledger
 
-	groups []group        // per I/O group: keeps its readers on the same file (§4.1.3)
-	boxes  []*sim.Mailbox // per compute rank, when the plan has I/O ranks to notify it
+	groups []group                    // per I/O group: keeps its readers on the same file (§4.1.3)
+	boxes  []sim.Inbox[*plan.IOStage] // per compute rank, when the plan has I/O ranks to notify it
 
 	end        float64 // final virtual time
 	firstStage float64 // instant compute rank 0 starts analysing stage 0
@@ -387,60 +387,91 @@ type machine struct {
 // phases is the number of metrics.Phase values.
 const phases = int(metrics.PhaseWait) + 1
 
-// rankLedger is what one rank recorded, kept for the two questions asked of
-// it: mean reads each interval's length, per phase in record order; the
+// ledger is what the ranks recorded, kept for the two questions asked of it:
+// mean reads each interval's length, per rank and phase in record order; the
 // overlap reads start and end, of only the intervals it unions — an I/O
-// rank's reads and comms, a compute rank's analyses.
-type rankLedger struct {
-	name  string
-	d     [phases][]float64
+// rank's reads and comms, a compute rank's analyses. Each rank has a part of
+// the one slab of lengths per phase and a part of the one slab of spans,
+// sized for every phase its plan stages can record and written by its own
+// process alone.
+type ledger struct {
+	ranks []rankLedger
+	lens  []float64
 	spans []metrics.Span
+}
+
+// lengths returns the lengths world rank r recorded in phase ph, in record
+// order.
+func (l *ledger) lengths(r int, ph metrics.Phase) []float64 {
+	p := l.ranks[r].d[ph]
+	return l.lens[p.at : p.at+p.n]
+}
+
+// rankLedger is one rank's parts of the ledger's slabs.
+type rankLedger struct {
+	d     [phases]part
+	spans part
+}
+
+// part is a rank's room in one of the ledger's slabs: it starts at at, holds
+// n records and has room for max.
+type part struct{ at, n, max int32 }
+
+// add takes the part's next slot.
+func (p *part) add() int32 {
+	if p.n == p.max {
+		panic("schedule: a rank recorded more than its plan has room for")
+	}
+	p.n++
+	return p.at + p.n - 1
 }
 
 // room is what world rank r of cp can record, per phase and as spans: a read
 // and a comm per I/O stage, both spans; per compute stage its analysis, a
 // span, and either one wait or a read per self-read member.
-func room(cp *plan.Compiled, r int) (name string, n [phases]int, spans int) {
+func room(cp *plan.Compiled, r int) (n [phases]int, spans int) {
 	if q := r - cp.NumCompute(); q >= 0 {
 		me := &cp.IO[q]
 		n[metrics.PhaseRead], n[metrics.PhaseComm] = len(me.Stages), len(me.Stages)
-		return me.Name, n, 2 * len(me.Stages)
+		return n, 2 * len(me.Stages)
 	}
 	cr := &cp.Compute[r]
 	for si := range cr.Stages {
 		if st := &cr.Stages[si]; st.Expect > 0 {
 			n[metrics.PhaseWait]++
 		} else {
-			n[metrics.PhaseRead] += len(st.SelfMembers)
+			n[metrics.PhaseRead] += len(cr.SelfMembers(st))
 		}
 	}
 	n[metrics.PhaseCompute] = len(cr.Stages)
-	return cr.Name, n, len(cr.Stages)
+	return n, len(cr.Stages)
 }
 
-// newLedger gives every rank of cp its room, cut capacity-capped from one
-// slab of lengths and one of spans: three objects, whatever the plan.
-func newLedger(cp *plan.Compiled) []rankLedger {
-	ledger := make([]rankLedger, cp.WorldSize())
-	nd, ns := 0, 0
-	for r := range ledger {
-		_, n, spans := room(cp, r)
-		for _, k := range n {
-			nd += k
-		}
-		ns += spans
-	}
-	d, sp := make([]float64, nd), make([]metrics.Span, ns)
-	for r := range ledger {
-		name, n, spans := room(cp, r)
-		led := &ledger[r]
-		led.name = name
+// newLedger gives every rank of cp its room, its parts laid out in world rank
+// order: three objects, whatever the plan.
+func newLedger(cp *plan.Compiled) ledger {
+	l := ledger{ranks: make([]rankLedger, cp.WorldSize())}
+	nd, ns := int32(0), int32(0)
+	for r := range l.ranks {
+		n, spans := room(cp, r)
+		led := &l.ranks[r]
 		for ph, k := range n {
-			led.d[ph], d = d[:0:k], d[k:]
+			led.d[ph] = part{at: nd, max: int32(k)}
+			nd += int32(k)
 		}
-		led.spans, sp = sp[:0:spans], sp[spans:]
+		led.spans = part{at: ns, max: int32(spans)}
+		ns += int32(spans)
 	}
-	return ledger
+	l.lens, l.spans = make([]float64, nd), make([]metrics.Span, ns)
+	return l
+}
+
+// name returns world rank r's proc name.
+func (m *machine) name(r int) string {
+	if q := r - m.cp.NumCompute(); q >= 0 {
+		return m.cp.IO[q].Name
+	}
+	return m.cp.Compute[r].Name
 }
 
 // mean folds world ranks [lo, hi) into their mean phase breakdown. The order
@@ -451,17 +482,17 @@ func newLedger(cp *plan.Compiled) []rankLedger {
 // numbers to each sum in the same order as folding its intervals as they
 // interleaved.
 func (m *machine) mean(lo, hi int) metrics.Breakdown {
-	ranks := make([]*rankLedger, 0, hi-lo)
+	ranks := make([]int, 0, hi-lo)
 	for r := lo; r < hi; r++ {
-		if led := &m.ledger[r]; slices.ContainsFunc(led.d[:], func(d []float64) bool { return len(d) > 0 }) {
-			ranks = append(ranks, led)
+		if slices.ContainsFunc(m.ledger.ranks[r].d[:], func(p part) bool { return p.n > 0 }) {
+			ranks = append(ranks, r)
 		}
 	}
-	slices.SortFunc(ranks, func(a, b *rankLedger) int { return strings.Compare(a.name, b.name) })
+	slices.SortFunc(ranks, func(a, b int) int { return strings.Compare(m.name(a), m.name(b)) })
 	var b metrics.Breakdown
 	for _, r := range ranks {
-		for ph, ds := range r.d {
-			for _, d := range ds {
+		for ph := range phases {
+			for _, d := range m.ledger.lengths(r, metrics.Phase(ph)) {
 				b.Add(metrics.Phase(ph), d)
 			}
 		}
@@ -469,17 +500,21 @@ func (m *machine) mean(lo, hi int) metrics.Breakdown {
 	return b.Mean(len(ranks))
 }
 
-// spans merges the intervals world ranks [lo, hi) kept as spans.
+// spans merges the intervals world ranks [lo, hi) kept as spans, in place:
+// it moves them together to the start of the ranks' room and unions them
+// there, so it is asked once per range.
 func (m *machine) spans(lo, hi int) []metrics.Span {
-	n := 0 // room for every span of the ranks: no growing by doubling
-	for r := lo; r < hi; r++ {
-		n += len(m.ledger[r].spans)
+	if lo == hi {
+		return nil
 	}
-	raw := make([]metrics.Span, 0, n)
+	sp := m.ledger.spans
+	at := m.ledger.ranks[lo].spans.at
+	n := at
 	for r := lo; r < hi; r++ {
-		raw = append(raw, m.ledger[r].spans...)
+		p := m.ledger.ranks[r].spans
+		n += int32(copy(sp[n:], sp[p.at:p.at+p.n]))
 	}
-	return metrics.UnionInPlace(raw)
+	return metrics.UnionInPlace(sp[at:n])
 }
 
 // result fills the fields every algorithm reports the same way. P-EnKF has
@@ -540,24 +575,24 @@ func simulate(cfg Config, cp *plan.Compiled, rc *recovery, predict *costmodel.Ch
 			m.groups[g] = group{rc: rc, bar: sim.NewBarrier(env, fmt.Sprintf("grp%d", g), n/len(m.groups))}
 		}
 		depth := make([]int, cp.NumCompute())
-		for q := range cp.IO {
+		for q := 0; cp.Staged() && q < len(cp.IO); q++ {
 			for si := range cp.IO[q].Stages {
 				for _, dst := range cp.IO[q].Stages[si].Comm.Dsts {
 					depth[dst]++
 				}
 			}
 		}
-		m.boxes = make([]*sim.Mailbox, cp.NumCompute())
-		for q := range cp.Compute {
-			cr := &cp.Compute[q]
-			m.boxes[cr.Rank] = sim.NewMailbox(env, fmt.Sprintf("mb%d.%d", cr.J, cr.I))
-			if cp.Staged() {
-				m.boxes[cr.Rank].Reserve(depth[cr.Rank])
-			}
-		}
+		m.boxes = sim.NewInboxes[*plan.IOStage](env, depth)
+		metrics.NameAll(len(m.boxes), func(b []byte, r int) []byte {
+			cr := &cp.Compute[r]
+			b = strconv.AppendInt(append(b, "mb"...), int64(cr.J), 10)
+			return strconv.AppendInt(append(b, '.'), int64(cr.I), 10)
+		}, func(r int, name string) { m.boxes[r].Name = name })
 	}
-	// The bodies are cut from one slab per kind, and the compute ranks' block
-	// counts from one more.
+	// The bodies are cut from one slab per kind, their processes and the
+	// event queue's room from the reservation, and the compute ranks' block
+	// counts from one more slab.
+	env.Reserve(cp.WorldSize())
 	ios := make([]ioBody, len(cp.IO))
 	for q := range cp.IO {
 		ios[q] = ioBody{m: m, me: &cp.IO[q]}
@@ -591,18 +626,18 @@ func simulate(cfg Config, cp *plan.Compiled, rc *recovery, predict *costmodel.Ch
 // entry. The ledger keeps its length, and its ends where the overlap reads
 // them: on an I/O rank, and for an analysis.
 func (m *machine) obs(r int, ph metrics.Phase, t0, t1 float64, stage int) {
-	led := &m.ledger[r]
 	if t1 > t0 {
-		led.d[ph] = append(led.d[ph], t1-t0)
+		led := &m.ledger.ranks[r]
+		m.ledger.lens[led.d[ph].add()] = t1 - t0
 		if r >= m.cp.NumCompute() || ph == metrics.PhaseCompute {
-			led.spans = append(led.spans, metrics.Span{Start: t0, End: t1})
+			m.ledger.spans[led.spans.add()] = metrics.Span{Start: t0, End: t1}
 		}
 	}
 	if tr := m.cfg.Tracer; tr.Enabled() {
 		if !m.cp.Staged() {
 			stage = -1
 		}
-		tr.Phase(led.name, ph, t0, t1, stage)
+		tr.Phase(m.name(r), ph, t0, t1, stage)
 	}
 }
 
@@ -741,7 +776,7 @@ func waits(cr *plan.ComputeRank) bool {
 }
 
 // computeBody is the body of one compute processor: per stage, wait for the
-// Expect per-member blocks or block-read SelfMembers, then analyse. The
+// Expect per-member blocks or block-read its Self members, then analyse. The
 // helper thread is implicit — stage l+1 data accumulates in the mailbox
 // during stage l's analysis, exactly the overlap of Figure 8.
 type computeBody struct {
@@ -777,12 +812,12 @@ func (b *computeBody) Step(proc *sim.Proc) bool {
 			}
 			// One addressing operation per expansion row and file (§4.1.1).
 			b.at = cpAnalyse
-			if !m.fs.StartEach(proc, st.SelfMembers, st.Read.AddrOps, nominalBytes(st.Read.PointsAllLevels(), m.cfg.P.H), m, cr.Rank) {
+			if !m.fs.StartEach(proc, cr.SelfMembers(st), cr.Self.Read.AddrOps, nominalBytes(cr.Self.Read.PointsAllLevels(), m.cfg.P.H), m, cr.Rank) {
 				return false
 			}
 		case cpReceived:
 			proc.Unblock()
-			b.arrive(proc, proc.Received())
+			b.arrive(proc, proc.Received().(*plan.IOStage))
 			b.at = cpReceive
 		case cpReceive:
 			st := &cr.Stages[b.si]
@@ -816,8 +851,7 @@ func (b *computeBody) Step(proc *sim.Proc) bool {
 }
 
 // arrive counts a stage notification's blocks in.
-func (b *computeBody) arrive(proc *sim.Proc, v any) {
-	n := v.(*plan.IOStage)
+func (b *computeBody) arrive(proc *sim.Proc, n *plan.IOStage) {
 	b.arrived[n.Stage] += len(n.Members)
 	if tr := b.m.cfg.Tracer; tr.Enabled() && b.m.cp.Staged() && b.arrived[n.Stage] == b.cr.Stages[n.Stage].Expect {
 		// The last block of stage n.Stage just arrived: computing that stage

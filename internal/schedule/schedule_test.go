@@ -235,7 +235,7 @@ func TestCommChargesStartupPerDestination(t *testing.T) {
 				sends += len(st.Comm.Dsts)
 			}
 			got := 0.0
-			for _, d := range m.ledger[m.cp.NumCompute()+q].d[metrics.PhaseComm] {
+			for _, d := range m.ledger.lengths(m.cp.NumCompute()+q, metrics.PhaseComm) {
 				got += d
 			}
 			if want := cfg.P.A * float64(sends); math.Abs(got-want) > 1e-9*want {

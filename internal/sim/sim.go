@@ -4,7 +4,7 @@
 // style of SimPy. A simulated process is a Stepper: Run calls its Step on
 // each of the process's wake-ups, in place, and the step runs until the
 // process must wait — on virtual time (After), a capacity-limited resource
-// (Resource.Take), a mailbox (Mailbox.Take) or a barrier (Barrier.Arrive) —
+// (Resource.Take), a mailbox (Inbox.Take) or a barrier (Barrier.Arrive) —
 // and returns. Waiting is a wake-up scheduled or a place taken in a queue,
 // never a switch: a step runs on Run's goroutine, and an event allocates
 // nothing. An event wakes a Waker: a process, or a step of work that Run
@@ -86,8 +86,9 @@ const newestSlots = 64
 // overlap, and popping instant by instant, FIFO within each, is exactly the
 // (time, schedule order) sequence (DESIGN ch. 35). Instants and links live
 // in slabs whose slot 0 is a sentinel, with free lists; starting a process
-// (Spawn, Go) grows both by one, and a process has at most one wake-up
-// pending, so the queue stops allocating once the processes are started.
+// (Spawn, Go) grows both by one, unless Env.Reserve made its room, and a
+// process has at most one wake-up pending, so the queue stops allocating once
+// the processes are started.
 type eventQueue struct {
 	heap               []entry
 	inst               []instant
@@ -100,26 +101,30 @@ type eventQueue struct {
 // slotOf maps a time's bits to its cache slot (Fibonacci hashing).
 func slotOf(t float64) int { return int(math.Float64bits(t) * 0x9E3779B97F4A7C15 >> 58) }
 
-// grow adds one instant and one link to the free lists. The first call also
-// lays down both sentinels and a spare instant: the instant Run is draining
-// stays open while empty, so there can be one instant more than wake-ups.
-func (q *eventQueue) grow() {
+// grow adds n instants and n links to the free lists, in one allocation per
+// slab. The first call also lays down both sentinels and a spare instant: the
+// instant Run is draining stays open while empty, so there can be one instant
+// more than wake-ups.
+func (q *eventQueue) grow(n int) {
 	if len(q.inst) == 0 {
-		q.inst = append(q.inst, instant{at: math.NaN()}, instant{at: math.NaN()})
-		q.links = append(q.links, link{})
+		q.inst = append(make([]instant, 0, 2+n), instant{at: math.NaN()}, instant{at: math.NaN()})
+		q.links = make([]link, 1, 1+n)
 		q.freeInst = 1
 	}
-	q.inst = append(q.inst, instant{at: math.NaN(), head: q.freeInst})
-	q.freeInst = int32(len(q.inst) - 1)
-	q.links = append(q.links, link{next: q.freeLink})
-	q.freeLink = int32(len(q.links) - 1)
+	q.inst, q.links = slices.Grow(q.inst, n), slices.Grow(q.links, n)
+	for range n {
+		q.inst = append(q.inst, instant{at: math.NaN(), head: q.freeInst})
+		q.freeInst = int32(len(q.inst) - 1)
+		q.links = append(q.links, link{next: q.freeLink})
+		q.freeLink = int32(len(q.links) - 1)
+	}
 	q.heap = slices.Grow(q.heap, len(q.inst)-1-len(q.heap))
 }
 
 // push enqueues a wake-up for w at time t.
 func (q *eventQueue) push(t float64, w Waker) {
 	if q.freeLink == 0 {
-		q.grow()
+		q.grow(1)
 	}
 	l := q.freeLink
 	q.freeLink = q.links[l].next
@@ -135,7 +140,7 @@ func (q *eventQueue) push(t float64, w Waker) {
 		return
 	}
 	if q.freeInst == 0 {
-		q.grow()
+		q.grow(1)
 	}
 	i := q.freeInst
 	in := &q.inst[i]
@@ -244,6 +249,9 @@ type Env struct {
 	live  int     // processes started and not finished
 	procs []*Proc // every process, in spawn order
 
+	room int    // processes Reserve made the event queue's room for, not yet started
+	slab []Proc // the Procs Reserve cut, not yet spawned
+
 	slowdown  func(name string) float64           // per-process sleep multiplier (nil = none)
 	spawnWrap func(name string, fn func()) func() // per-process body wrapper (nil = none)
 	tracer    *trace.Tracer
@@ -280,7 +288,7 @@ func (e *Env) SetSpawnWrapper(wrap func(name string, fn func()) func()) { e.spaw
 // A Stepper is the body of a process: Step runs on each of p's wake-ups, on
 // Run's goroutine, and reports whether p is done. A step that is not the
 // last leaves exactly one way to be woken again — a wake-up it scheduled
-// (After), or a place in a queue (Resource.Take, Mailbox.Take,
+// (After), or a place in a queue (Resource.Take, Inbox.Take,
 // Barrier.Arrive) with p as the Waker — or hands p to a Waker that works for
 // it and calls p.Wake when it is through (internal/parfs's read chains). It
 // never parks.
@@ -306,11 +314,27 @@ func (p *Proc) Env() *Env { return p.env }
 // Now returns the current virtual time.
 func (p *Proc) Now() float64 { return p.env.now }
 
+// Reserve makes room for n more processes at once: the next n Spawns cut
+// their Procs from one slab, and starting them grows neither the event queue
+// nor the process table.
+func (e *Env) Reserve(n int) {
+	e.events.grow(n)
+	e.room += n
+	e.procs = slices.Grow(e.procs, n)
+	e.slab = make([]Proc, n)
+}
+
 // Spawn starts a process whose body is s. May be called before Run or from
 // a running process; in the latter case the new process takes its first
 // step at the current virtual time, after the caller's.
 func (e *Env) Spawn(name string, s Stepper) *Proc {
-	p := &Proc{Name: name, env: e, body: s}
+	var p *Proc
+	if len(e.slab) > 0 {
+		p, e.slab = &e.slab[0], e.slab[1:]
+	} else {
+		p = new(Proc)
+	}
+	*p = Proc{Name: name, env: e, body: s}
 	if e.spawnWrap != nil {
 		w := &wrapped{s: s, p: p}
 		w.run = e.spawnWrap(name, w.step)
@@ -327,7 +351,11 @@ func (e *Env) start(p *Proc) *Proc {
 		e.tracer.Instant(p.Name, "sim", "start", e.now)
 	}
 	e.procs = append(e.procs, p)
-	e.events.grow()
+	if e.room > 0 {
+		e.room--
+	} else {
+		e.events.grow(1)
+	}
 	e.schedule(e.now, p)
 	return p
 }
@@ -595,14 +623,19 @@ func (r *Resource) Release() {
 	r.inUse--
 }
 
-// Mailbox is an unbounded FIFO message queue between processes. Sends never
-// block; receives wait until a message is available.
-type Mailbox struct {
+// Inbox is an unbounded FIFO queue of T values between processes. Sends
+// never block; receives wait until a value is available. A value handed to a
+// waiting receiver travels as an any (Received), which boxes a T that is not
+// pointer-shaped.
+type Inbox[T any] struct {
 	Name  string
 	env   *Env
-	queue fifo[any]
+	queue fifo[T]
 	recvq fifo[receiver]
 }
+
+// Mailbox is an Inbox of any values.
+type Mailbox = Inbox[any]
 
 // receiver is a queued Take: p receives, w is woken.
 type receiver struct {
@@ -613,9 +646,26 @@ type receiver struct {
 // NewMailbox creates an empty mailbox.
 func NewMailbox(e *Env, name string) *Mailbox { return &Mailbox{Name: name, env: e} }
 
+// NewInboxes creates len(room) empty inboxes, unnamed, inbox i with room for
+// room[i] queued values and for one waiting receiver. The inboxes, their
+// queues and their receiver queues are cut from one slab apiece: sized for
+// its sends and one receiver, an inbox never grows.
+func NewInboxes[T any](e *Env, room []int) []Inbox[T] {
+	total := 0
+	for _, n := range room {
+		total += n
+	}
+	boxes, queues, recvs := make([]Inbox[T], len(room)), make([]T, total), make([]receiver, len(room))
+	for i, n := range room {
+		boxes[i] = Inbox[T]{env: e, queue: fifo[T]{buf: queues[:0:n]}, recvq: fifo[receiver]{buf: recvs[i : i : i+1]}}
+		queues = queues[n:]
+	}
+	return boxes
+}
+
 // Send enqueues a value, handing it to the oldest waiting receiver if any.
 // It never blocks, so it may be called from any process.
-func (m *Mailbox) Send(v any) {
+func (m *Inbox[T]) Send(v T) {
 	if m.recvq.len() > 0 {
 		r := m.recvq.pop()
 		r.p.handoff = v
@@ -634,20 +684,18 @@ func (m *Mailbox) Send(v any) {
 	}
 }
 
-// Reserve makes room for n queued values: sized for its sends, m never regrows.
-func (m *Mailbox) Reserve(n int) { m.queue.buf = slices.Grow(m.queue.buf, n) }
-
 // Take dequeues the oldest value for p and reports true if one is queued.
 // Otherwise it queues w in FIFO order, records p as blocked on the mailbox
 // and reports false: the next Send hands its value to p (Received) and
 // wakes w.
-func (m *Mailbox) Take(p *Proc, w Waker) (any, bool) {
+func (m *Inbox[T]) Take(p *Proc, w Waker) (T, bool) {
 	if m.queue.len() > 0 {
 		return m.queue.pop(), true
 	}
 	m.recvq.push(receiver{p: p, w: w})
 	p.block("mailbox", m.Name)
-	return nil, false
+	var zero T
+	return zero, false
 }
 
 // Received returns the value a Send handed p when it woke a queued Take,
@@ -660,13 +708,14 @@ func (p *Proc) Received() any {
 
 // Recv dequeues the oldest value, waiting until one is available: a Take,
 // and a park if it queued.
-func (m *Mailbox) Recv(p *Proc) any {
+func (m *Inbox[T]) Recv(p *Proc) T {
 	if v, ok := m.Take(p, p); ok {
 		return v
 	}
 	p.Park()
 	p.Unblock()
-	return p.Received()
+	v, _ := p.Received().(T) // a nil any is T's zero value
+	return v
 }
 
 // Barrier synchronizes a fixed set of n participants: each arrival waits

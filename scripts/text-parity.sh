@@ -1,12 +1,14 @@
 #!/usr/bin/env bash
-# Where the linker put the local solve's hot functions.
+# Where the linker put the local solve's and the simulator's hot functions.
 #
 # The dense benchmark workload moves 5–17% with the 32-byte parity of the
 # linalg/enkf text: the same loops, 32 bytes later, straddle 64-byte lines
 # differently (EXPERIMENTS.md, "Record: PR 17", "PR 20", "PR 21"). Before
-# crediting or blaming a change for a move of `dense`, print this table for the
-# binary of each side and compare: a function whose size is unchanged but whose
-# address mod 64 flipped has moved for no reason in its own code.
+# crediting or blaming a change for a move of `dense` — or of `simcell`, whose
+# op is the event loop, the read chain, the compute ranks' steps and the
+# tuner's curve below — print this table for the binary of each side and
+# compare: a function whose size is unchanged but whose address mod 64
+# flipped has moved for no reason in its own code.
 #
 #   scripts/text-parity.sh .bench_build/senkf-benchmark
 #
@@ -29,6 +31,12 @@ symbols=(
     'senkf/internal/enkf.(*Workspace).solveEnsembleSpace'
     'senkf/internal/enkf.(*Workspace).solveModifiedCholesky'
     'senkf/internal/enkf.(*Workspace).loadEnsemble'
+    'senkf/internal/parfs.(*reader).advance'
+    'senkf/internal/sim.(*eventQueue).push'
+    'senkf/internal/sim.(*eventQueue).next'
+    'senkf/internal/sim.(*Env).Run'
+    'senkf/internal/schedule.(*computeBody).Step'
+    'senkf/internal/costmodel.Params.t1Curve'
 )
 
 table=$(go tool nm -n -size "$1")
