@@ -471,7 +471,7 @@ func engineCompute(comm *mpi.Comm, p plan.Problem, c *plan.Compiled, r plan.Comp
 				// every member file, one addressing operation per row — rows
 				// that are levels× heavier on multilevel files.
 				blks = stageBlocks(st.Box, n, nl)
-				for _, k := range r.SelfMembers(&st) {
+				for _, k := range r.Self.Members {
 					readStart := time.Now()
 					mf, err := openMember(p, k, nl, ensio.OpenOptions{})
 					if err != nil {

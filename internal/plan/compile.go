@@ -116,19 +116,10 @@ type ComputeRank struct {
 	Name string // stable proc name and trace track ("comp/x<i>y<j>")
 	I, J int    // sub-domain coordinates
 	Sub  grid.Box
-	// Self is the rank's own read (block reading); empty when its stage
-	// data arrives by message.
-	Self   SelfRead
+	// Self is the rank's own read (block reading), made in each stage that
+	// expects no messages; nil when its stage data arrives by message.
+	Self   *SelfRead
 	Stages []ComputeStage
-}
-
-// SelfMembers returns the members the rank reads for itself in stage st,
-// in read order: Self's in a stage that expects no messages, else none.
-func (r *ComputeRank) SelfMembers(st *ComputeStage) []int {
-	if st.Expect > 0 {
-		return nil
-	}
-	return r.Self.Members
 }
 
 // AddrOps returns the rank's total nominal addressing operations — the
@@ -136,8 +127,10 @@ func (r *ComputeRank) SelfMembers(st *ComputeStage) []int {
 // 0 when data arrives by message.
 func (r ComputeRank) AddrOps() int {
 	var total int
-	for si := range r.Stages {
-		total += len(r.SelfMembers(&r.Stages[si])) * r.Self.Read.AddrOps
+	for _, st := range r.Stages {
+		if st.Expect == 0 {
+			total += len(r.Self.Members) * r.Self.Read.AddrOps
+		}
 	}
 	return total
 }
@@ -312,10 +305,12 @@ func (BlockReader) compile(s Spec, c *Compiled) error {
 		members[k] = k
 	}
 	nomRows := d.SubHeight() + 2*d.R.Eta
+	selves := make([]SelfRead, d.SubDomains())
 	var err error
 	c.Compute, err = computeRanks(s, 1, func(cr *ComputeRank) error {
 		exp := d.Expansion(cr.I, cr.J)
-		cr.Self = SelfRead{
+		cr.Self = &selves[cr.Rank]
+		*cr.Self = SelfRead{
 			Members: members,
 			Read: ReadTemplate{
 				Box:           exp,
@@ -414,10 +409,10 @@ func (c *Compiled) Dump(w io.Writer) error {
 		fmt.Fprintf(w, "  %s (rank %d, sub-domain %s): %d addressing ops\n",
 			r.Name, r.Rank, r.Sub, r.AddrOps())
 		for _, st := range r.Stages {
-			switch self := r.SelfMembers(&st); {
-			case len(self) > 0:
+			switch {
+			case st.Expect == 0 && len(r.Self.Members) > 0:
 				fmt.Fprintf(w, "    stage %d: self-read %s (%d ops x %d members), analyze %s\n",
-					st.Stage, r.Self.Read.Box, r.Self.Read.AddrOps, len(self), st.Analyze)
+					st.Stage, r.Self.Read.Box, r.Self.Read.AddrOps, len(r.Self.Members), st.Analyze)
 			default:
 				fmt.Fprintf(w, "    stage %d: expect %d blocks into %s, analyze %s\n",
 					st.Stage, st.Expect, st.Box, st.Analyze)

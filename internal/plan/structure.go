@@ -117,7 +117,7 @@ func (c *Compiled) ExpectedDAG() map[string]*TrackDAG {
 	for _, r := range c.Compute {
 		t := &TrackDAG{}
 		for _, st := range r.Stages {
-			for range r.SelfMembers(&st) {
+			for i := 0; st.Expect == 0 && i < len(r.Self.Members); i++ {
 				t.Spans = append(t.Spans, DAGNode{Phase: metrics.PhaseRead.String(), Stage: -1})
 			}
 			if staged && st.Expect > 0 {

@@ -63,7 +63,7 @@ func TestSimulationObjectsPerRank(t *testing.T) {
 // two boxes), its analysis's and wait's lengths and its analysis span (32 B),
 // its block count (8 B) and a mailbox slot per I/O group that notifies it
 // (8 B each, three groups here). A rank costs its plan entry and name, its
-// body, process, event-queue room, ledger part and mailbox — about 620 B for
+// body, process, event-queue room, ledger part and mailbox — about 540 B for
 // a compute rank — and a share of the I/O ranks' stage lists, the file
 // system's readers and the fixed rest. A P-EnKF self-read template in every
 // stage (88 B) or a notification boxed as an interface (8 B more a slot)

@@ -440,7 +440,7 @@ func room(cp *plan.Compiled, r int) (n [phases]int, spans int) {
 		if st := &cr.Stages[si]; st.Expect > 0 {
 			n[metrics.PhaseWait]++
 		} else {
-			n[metrics.PhaseRead] += len(cr.SelfMembers(st))
+			n[metrics.PhaseRead] += len(cr.Self.Members)
 		}
 	}
 	n[metrics.PhaseCompute] = len(cr.Stages)
@@ -812,7 +812,7 @@ func (b *computeBody) Step(proc *sim.Proc) bool {
 			}
 			// One addressing operation per expansion row and file (§4.1.1).
 			b.at = cpAnalyse
-			if !m.fs.StartEach(proc, cr.SelfMembers(st), cr.Self.Read.AddrOps, nominalBytes(cr.Self.Read.PointsAllLevels(), m.cfg.P.H), m, cr.Rank) {
+			if !m.fs.StartEach(proc, cr.Self.Members, cr.Self.Read.AddrOps, nominalBytes(cr.Self.Read.PointsAllLevels(), m.cfg.P.H), m, cr.Rank) {
 				return false
 			}
 		case cpReceived:
