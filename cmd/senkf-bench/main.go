@@ -10,10 +10,12 @@
 //	senkf-bench -figure 13      # one figure only
 //	senkf-bench -quick -faults  # fault-injection resilience sweep
 //
-// The bench pipeline writes versioned records and gates regressions:
+// -record prints the suite record instead: every P-EnKF, S-EnKF and
+// S-EnKF-ML cell's virtual-clock runtime, phase breakdowns, tuned choice,
+// model drift and wire summary, as indented JSON on stdout. The quick
+// record is pinned byte for byte by bench/quick-suite.golden.json:
 //
-//	senkf-bench -quick -record bench   # write bench/BENCH_<n>.json
-//	senkf-bench -quick -check bench    # fail if wall time regressed >15%
+//	senkf-bench -quick -record > bench/quick-suite.golden.json
 package main
 
 import (
@@ -40,13 +42,14 @@ func main() {
 		faultsRun = flag.Bool("faults", false, "run the fault-injection resilience sweep instead of the figures")
 		faultSeed = flag.Uint64("fault-seed", 42, "seed for the generated fault plans (with -faults)")
 		ostOutage = flag.String("ost-outage", "", "inject a full storage-target outage window ost:start:end in virtual seconds into the traced run (e.g. 3:0:0.5; needs -trace, -counters, -monitor, -wire or -archive)")
-		record    = flag.String("record", "", "run the bench suite and write the next versioned BENCH_<n>.json into this directory")
-		recordVer = flag.Int("record-version", 0, "with -record: force the record's version number (0 = latest+1)")
-		check     = flag.String("check", "", "run the bench suite and compare against the latest BENCH_<n>.json in this directory; exit 1 on regression")
+		record    = flag.Bool("record", false, "print the suite record (every cell's runtime, breakdowns, tuned choice, drift and wire summary) as JSON on stdout")
 	)
 	obs := senkf.RegisterRunFlags(flag.CommandLine, "senkf-bench")
 	flag.Parse()
-	if *record == "" && *check == "" {
+	if flag.NArg() > 0 {
+		log.Fatalf("unexpected argument %q: senkf-bench takes flags only (-record prints to stdout)", flag.Arg(0))
+	}
+	if !*record {
 		given := map[string]bool{}
 		flag.Visit(func(f *flag.Flag) { given[f.Name] = f.Value.String() != f.DefValue })
 		if err := checkTracedRun(given); err != nil {
@@ -68,11 +71,23 @@ func main() {
 	// The traced run is the one any observer of the run was started for:
 	// a sink, the counters, the monitor, the wire collector or the archive.
 	traced := sess.Tracer != nil || sess.Wire != nil
-	if *ostOutage != "" && (!traced || *record != "" || *check != "") {
-		sess.Fatal(fmt.Errorf("-ost-outage applies only to the traced run (-trace, -counters, -monitor, -wire or -archive, without -record/-check)"))
+	if *ostOutage != "" && (!traced || *record) {
+		sess.Fatal(fmt.Errorf("-ost-outage applies only to the traced run (-trace, -counters, -monitor, -wire or -archive, without -record)"))
 	}
-	if *record != "" || *check != "" {
-		benchPipeline(sess, suite, scale, *record, *recordVer, *check)
+	if *record {
+		sess.Describe("bench-suite", "simulated", nil)
+		rec, err := collectRecord(suite, scale)
+		if err != nil {
+			sess.Fatal(fmt.Errorf("bench suite: %w", err))
+		}
+		data, err := rec.encode()
+		if err != nil {
+			sess.Fatal(err)
+		}
+		if _, err := os.Stdout.Write(data); err != nil {
+			sess.Fatal(err)
+		}
+		finish(sess)
 		return
 	}
 	if traced {
@@ -165,7 +180,7 @@ func main() {
 }
 
 // observerFlags are the flags that start an observer of the run; with any of
-// them (and without -record/-check) senkf-bench makes its one traced S-EnKF
+// them (and without -record) senkf-bench makes its one traced S-EnKF
 // run instead of the figures.
 var observerFlags = []string{"trace", "counters", "monitor", "wire", "archive"}
 
@@ -210,58 +225,6 @@ func finish(sess *senkf.RunSession) {
 	if err := sess.Finish(nil); err != nil {
 		log.Fatal(err)
 	}
-}
-
-// benchTol is the relative wall-time regression tolerance of -check.
-const benchTol = 0.15
-
-// benchPipeline runs the deterministic bench suite and either records it
-// as the next BENCH_<n>.json version or checks it against the latest
-// committed record, exiting non-zero when any run's wall time regressed
-// beyond benchTol.
-func benchPipeline(sess *senkf.RunSession, suite *senkf.FigureSuite, scale, record string, recordVer int, check string) {
-	sess.Describe("bench-suite", "simulated", nil)
-	rec, err := senkf.CollectBenchRecord(suite, scale)
-	if err != nil {
-		sess.Fatal(fmt.Errorf("bench suite: %w", err))
-	}
-	rec.Version = recordVer
-	if record != "" {
-		path, err := senkf.WriteBenchRecord(record, rec)
-		if err != nil {
-			sess.Fatal(err)
-		}
-		fmt.Printf("wrote %s (%d runs at %s scale)\n", path, len(rec.Runs), scale)
-	}
-	if check == "" {
-		finish(sess)
-		return
-	}
-	prev, path, ok, err := senkf.LatestBenchRecord(check)
-	if err != nil {
-		sess.Fatal(err)
-	}
-	if !ok {
-		sess.Fatal(fmt.Errorf("no BENCH_<n>.json in %s to check against (record one with -record)", check))
-	}
-	deltas, err := senkf.CompareBenchRecords(prev, rec, benchTol)
-	if err != nil {
-		sess.Fatal(err)
-	}
-	fmt.Printf("checked against %s (tolerance %.0f%%):\n", path, 100*benchTol)
-	for _, d := range deltas {
-		verdict := "ok"
-		if d.Regressed {
-			verdict = "REGRESSED"
-		}
-		fmt.Printf("  %-8s np=%-6d %10.4gs -> %10.4gs  %+7.2f%%  %s\n",
-			d.Algorithm, d.NP, d.Prev, d.Cur, 100*d.Delta, verdict)
-	}
-	if reg := senkf.BenchRegressions(deltas); len(reg) > 0 {
-		sess.Fatal(fmt.Errorf("%d run(s) regressed beyond %.0f%% vs %s", len(reg), 100*benchTol, path))
-	}
-	fmt.Println("no regressions")
-	finish(sess)
 }
 
 // tracedRun auto-tunes and simulates one S-EnKF run at np processors with

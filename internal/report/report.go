@@ -5,11 +5,6 @@
 // cost-model "prediction" instant a simulated S-EnKF run emits — the
 // model-vs-measured drift of every Eq. 7–10 term, including whether the
 // auto-tuner would have decided differently under measured coefficients.
-//
-// The bench regression pipeline — versioned BENCH_<n>.json records of a
-// deterministic simulated suite and the tolerance gate CI runs against the
-// previously committed record — lives in internal/report/bench, above this
-// package, because it runs the simulator.
 package report
 
 import (

@@ -233,7 +233,7 @@ func (s *Session) Events() []trace.Event {
 func (s *Session) PlanHash() string { return s.planHash }
 
 // Labels returns the run's pprof label set for plan execution
-// (Problem.Prof, schedule/cycle Config.Prof). Nil — meaning labeling is
+// (Problem.Prof, cycle Config.Prof). Nil — meaning labeling is
 // disabled, at zero cost — until Describe runs with a profiling surface
 // active; a nil *LabelSet is safe to use everywhere.
 func (s *Session) Labels() *runtimeobs.LabelSet { return s.labels }

@@ -70,21 +70,6 @@ func (l *LabelSet) Scope(proc string) *Scope {
 	return &Scope{ctx: pprof.WithLabels(l.base, pprof.Labels(LabelProc, proc))}
 }
 
-// SpawnWrapper adapts the label set to the simulated substrate's process
-// spawn hook (sim.Env.SetSpawnWrapper): every simulated process — a
-// coroutine's body, or each step of a stepper — runs under its proc-name
-// scope, built once per process, and goroutines it spawns inherit the labels.
-// Returns nil on a nil LabelSet, which the spawn hook treats as disabled.
-func (l *LabelSet) SpawnWrapper() func(name string, fn func()) func() {
-	if l == nil {
-		return nil
-	}
-	return func(name string, fn func()) func() {
-		sc := l.Scope(name)
-		return func() { _ = sc.Do(func() error { fn(); return nil }) }
-	}
-}
-
 // Scope is one processor's label context. Nil is the disabled no-op.
 type Scope struct {
 	ctx context.Context
@@ -93,8 +78,7 @@ type Scope struct {
 // Do runs fn with the scope's labels set on the current goroutine (and
 // inherited by goroutines fn spawns), returning fn's error. The labels stay
 // set when fn returns, as pprof.Do(s.ctx, ...) would leave them; setting
-// the prebuilt context allocates nothing, so a simulated rank may run each
-// step under it.
+// the prebuilt context allocates nothing.
 func (s *Scope) Do(fn func() error) error {
 	if s == nil {
 		return fn()

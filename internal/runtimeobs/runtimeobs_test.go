@@ -12,7 +12,7 @@ import (
 )
 
 // A nil LabelSet must be a pure pass-through: no labels, fn runs, errors
-// propagate, SpawnWrapper disabled.
+// propagate.
 func TestNilLabelSetIsNoOp(t *testing.T) {
 	var l *LabelSet
 	sc := l.Scope("io/g0/r0")
@@ -27,9 +27,6 @@ func TestNilLabelSetIsNoOp(t *testing.T) {
 	if err := sc.Stage(3, func() error { ran = true; return nil }); err != nil || !ran {
 		t.Fatalf("nil Scope.Stage: ran=%v err=%v", ran, err)
 	}
-	if l.SpawnWrapper() != nil {
-		t.Fatalf("nil LabelSet produced a non-nil spawn wrapper")
-	}
 }
 
 func TestClassOf(t *testing.T) {
@@ -42,22 +39,8 @@ func TestClassOf(t *testing.T) {
 	}
 }
 
-// SpawnWrapper must run the body under the proc's labels and goroutines
-// spawned inside must inherit them — asserted through a real CPU capture
-// in TestLabeledCaptureSlicesByProcAndStage; here just that it runs.
-func TestSpawnWrapperRunsBody(t *testing.T) {
-	l := Labels("run-1", "senkf", "sim")
-	wrap := l.SpawnWrapper()
-	if wrap == nil {
-		t.Fatal("SpawnWrapper returned nil for a live LabelSet")
-	}
-	done := make(chan struct{})
-	go wrap("comp/x0y0", func() { close(done) })()
-	<-done
-}
-
-// Do runs every simulated rank step under Config.Prof, so it must not
-// allocate: it sets the scope's prebuilt label context and calls fn.
+// Do must not allocate: it sets the scope's prebuilt label context and
+// calls fn.
 func TestScopeDoDoesNotAllocate(t *testing.T) {
 	sc := Labels("run-1", "senkf", "sim").Scope("comp/x0y0")
 	n := 0

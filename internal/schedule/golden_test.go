@@ -181,7 +181,7 @@ func goldenRun(t *testing.T, name string) [3]string {
 		cfg.Faults = goldenAllFaults()
 		res, err = SimulateLEnKF(cfg, 4, 3)
 	case "readonly/block":
-		// The ablations take the whole Config but use only P, FS and Prof:
+		// The ablations take the whole Config but use only P and FS:
 		// the fault plan, tracer and observers handed in must stay unused.
 		cfg.Faults = goldenAllFaults()
 		res, err = ReadOnlyBlock(cfg, 12, 3, 6)

@@ -31,7 +31,6 @@ import (
 	"senkf/internal/metrics"
 	"senkf/internal/parfs"
 	"senkf/internal/plan"
-	"senkf/internal/runtimeobs"
 	"senkf/internal/sim"
 	"senkf/internal/trace"
 )
@@ -57,11 +56,6 @@ type Config struct {
 	// the hook a live monitor (internal/monitor) attaches through,
 	// alongside a Tracer teeing events to it.
 	Obs plan.RunObserver
-
-	// Prof, when non-nil, runs every simulated process under its pprof
-	// proc labels (via sim.Env.SetSpawnWrapper), so profiling the simulator
-	// itself attributes CPU to the proc names the trace uses.
-	Prof *runtimeobs.LabelSet
 
 	// Msgs, when non-nil, receives the simulated substrate's mirror of the
 	// real engine's per-message accounting: BeginMessages with the compiled
@@ -354,7 +348,7 @@ func ReadOnlyConcurrent(cfg Config, nsdy, ncg, nFiles int) (float64, error) {
 // config with the communication and analysis coefficients zeroed — their
 // sleeps add events, not virtual time — and no observer or fault plan.
 func readOnly(cfg Config, nsdx, nsdy int, spec func(grid.Decomposition) plan.Spec) (float64, error) {
-	ro := Config{P: cfg.P, FS: cfg.FS, Prof: cfg.Prof}
+	ro := Config{P: cfg.P, FS: cfg.FS}
 	ro.P.A, ro.P.B, ro.P.C = 0, 0, 0
 	m, err := run(ro, nsdx, nsdy, spec, nil, nil)
 	if err != nil {
@@ -536,10 +530,6 @@ func (m *machine) result(algorithm string) Result {
 func simulate(cfg Config, cp *plan.Compiled, rc *recovery, predict *costmodel.Choice) (*machine, error) {
 	env, tr := sim.NewEnv(), cfg.Tracer
 	env.SetTracer(tr)
-	if cfg.Prof != nil {
-		// Every spawned process body runs under its pprof proc labels.
-		env.SetSpawnWrapper(cfg.Prof.SpawnWrapper())
-	}
 	fs, err := parfs.New(env, cfg.FS)
 	if err != nil {
 		return nil, err

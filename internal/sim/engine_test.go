@@ -349,19 +349,13 @@ func runBarChain(bar *Barrier, hold float64, rounds int) func(p *Proc) {
 
 // TestFailedRunLeavesNoProcessBehind: a Run that gives up — deadlock, or a
 // wake-up in the past — used to leave every parked process blocked for ever.
-// Now it unwinds them: deferred calls and the spawn wrapper run, processes
-// that never started never do, and no goroutine is left.
+// Now it unwinds them: deferred calls run, processes that never started
+// never do, and no goroutine is left.
 func TestFailedRunLeavesNoProcessBehind(t *testing.T) {
 	base := runtime.NumGoroutine()
 	for i := 0; i < 20; i++ {
 		e := NewEnv()
 		var unwound []string
-		e.SetSpawnWrapper(func(name string, fn func()) func() {
-			return func() {
-				defer func() { unwound = append(unwound, "wrap:"+name) }()
-				fn()
-			}
-		})
 		mb, r, bar, gate := NewMailbox(e, "empty"), NewResource(e, "disk", 1), NewBarrier(e, "gate", 2), NewBarrier(e, "files", 3)
 		e.Go("holder", func(p *Proc) { r.Acquire(p) })
 		e.Go("reader", func(p *Proc) {
@@ -397,7 +391,7 @@ func TestFailedRunLeavesNoProcessBehind(t *testing.T) {
 		if d.Blocked[1] != (BlockedProc{Name: "gated", WaitingOn: "barrier:files"}) {
 			t.Errorf("Blocked[1] = %+v, want gated on barrier:files", d.Blocked[1])
 		}
-		want := "wrap:holder defer:reader wrap:reader wrap:queued wrap:lonely defer:chained wrap:chained defer:gated wrap:gated"
+		want := "defer:reader defer:chained defer:gated"
 		if got := strings.Join(unwound, " "); got != want {
 			t.Fatalf("unwound %q, want %q", got, want)
 		}

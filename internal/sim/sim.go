@@ -252,9 +252,8 @@ type Env struct {
 	room int    // processes Reserve made the event queue's room for, not yet started
 	slab []Proc // the Procs Reserve cut, not yet spawned
 
-	slowdown  func(name string) float64           // per-process sleep multiplier (nil = none)
-	spawnWrap func(name string, fn func()) func() // per-process body wrapper (nil = none)
-	tracer    *trace.Tracer
+	slowdown func(name string) float64 // per-process sleep multiplier (nil = none)
+	tracer   *trace.Tracer
 }
 
 // NewEnv creates an empty simulation environment at time 0.
@@ -275,15 +274,6 @@ func (e *Env) Tracer() *trace.Tracer { return e.tracer }
 // plans use this to model straggler processors without touching the cost
 // models. A nil fn (the default) disables dilation.
 func (e *Env) SetSlowdown(fn func(name string) float64) { e.slowdown = fn }
-
-// SetSpawnWrapper installs a wrapper through which processes run: wrap is
-// called once per process, as it starts, and the function it returns runs
-// a coroutine's whole body once, or one step of a stepper each time it is
-// called. runtimeobs uses this to run each simulated process under its
-// pprof proc labels; the returned function must call what it wraps exactly
-// once per call, synchronously. A nil wrap (the default) disables
-// wrapping. Must be set before processes start.
-func (e *Env) SetSpawnWrapper(wrap func(name string, fn func()) func()) { e.spawnWrap = wrap }
 
 // A Stepper is the body of a process: Step runs on each of p's wake-ups, on
 // Run's goroutine, and reports whether p is done. A step that is not the
@@ -335,11 +325,6 @@ func (e *Env) Spawn(name string, s Stepper) *Proc {
 		p = new(Proc)
 	}
 	*p = Proc{Name: name, env: e, body: s}
-	if e.spawnWrap != nil {
-		w := &wrapped{s: s, p: p}
-		w.run = e.spawnWrap(name, w.step)
-		p.body = w
-	}
 	return e.start(p)
 }
 
@@ -359,18 +344,6 @@ func (e *Env) start(p *Proc) *Proc {
 	e.schedule(e.now, p)
 	return p
 }
-
-// wrapped runs each step of s inside the spawn wrapper, under its
-// process's name.
-type wrapped struct {
-	s    Stepper
-	p    *Proc
-	run  func() // the wrapper's: one step of s a call
-	done bool
-}
-
-func (w *wrapped) step()           { w.done = w.s.Step(w.p) }
-func (w *wrapped) Step(*Proc) bool { w.run(); return w.done }
 
 // stopped is what Park panics with when Run has given up on the simulation.
 type stopped struct{}
@@ -400,17 +373,13 @@ func (e *Env) Go(name string, fn func(p *Proc)) *Proc {
 	c.next, c.stop = iter.Pull(func(yield func(struct{}) bool) {
 		c.yield = yield
 		defer func() {
-			// A stopped process unwinds like any panicking one — deferred
-			// calls and the spawn wrapper included — and ends here.
+			// A stopped process unwinds like any panicking one, deferred
+			// calls included, and ends here.
 			if r := recover(); r != nil && r != any(stopped{}) {
 				panic(r)
 			}
 		}()
-		if e.spawnWrap != nil {
-			e.spawnWrap(name, func() { fn(p) })()
-		} else {
-			fn(p)
-		}
+		fn(p)
 	})
 	return e.start(p)
 }

@@ -464,47 +464,6 @@ func TestBlockedSteppersAreReportedLikeCoroutines(t *testing.T) {
 	}
 }
 
-// TestStepsRunUnderTheSpawnWrapper: with a wrapper installed, every step of
-// a stepped process — woken by its own wake-up, by a queue it waited in or
-// by a chain that worked for it — runs inside the wrapper, under its name.
-func TestStepsRunUnderTheSpawnWrapper(t *testing.T) {
-	e := NewEnv()
-	var current string
-	wraps := 0
-	e.SetSpawnWrapper(func(name string, fn func()) func() {
-		return func() {
-			prev := current
-			current, wraps = name, wraps+1
-			fn()
-			current = prev
-		}
-	})
-	steps := 0
-	labelled := func(pieces ...func(*Proc) bool) *seq {
-		var out []func(*Proc) bool
-		for _, piece := range pieces {
-			out = append(out, func(p *Proc) bool {
-				if current != p.Name {
-					t.Errorf("a step of %s ran under %q", p.Name, current)
-				}
-				steps++
-				return piece(p)
-			})
-		}
-		return &seq{pieces: out}
-	}
-	disk, box, bar := NewResource(e, "disk", 1), NewMailbox(e, "box"), NewBarrier(e, "bar", 2)
-	send := func(*Proc) bool { box.Send(1); return false }
-	e.Spawn("a", labelled(after(1), take(disk), resumed, release(disk), chained(disk, 1, 2), resumed, recv(box), resumed, arrive(bar), resumed))
-	e.Spawn("b", labelled(take(disk), resumed, after(3), release(disk), send, arrive(bar), resumed))
-	if _, err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if steps != 17 || wraps == 0 {
-		t.Errorf("%d pieces ran, want 17, in %d wrapped steps", steps, wraps)
-	}
-}
-
 // contender is the contend probe's process as a Stepper: rounds times
 // through acquire, sleep, release, then a message round a ring and a
 // barrier.

@@ -93,28 +93,3 @@ func TestCriticalPathFacade(t *testing.T) {
 		}
 	}
 }
-
-func TestBenchRecordGateEndToEnd(t *testing.T) {
-	o := figures.QuickOptions()
-	o.ProcCounts = []int{60}
-	s := NewFigureSuite(o)
-	rec, err := CollectBenchRecord(s, "quick")
-	if err != nil {
-		t.Fatal(err)
-	}
-	dir := t.TempDir()
-	if _, err := WriteBenchRecord(dir, rec); err != nil {
-		t.Fatal(err)
-	}
-	prev, _, ok, err := LatestBenchRecord(dir)
-	if err != nil || !ok {
-		t.Fatalf("LatestBenchRecord: ok=%v err=%v", ok, err)
-	}
-	deltas, err := CompareBenchRecords(prev, rec, 0.15)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if reg := BenchRegressions(deltas); len(reg) != 0 {
-		t.Fatalf("deterministic self-comparison regressed: %v", reg)
-	}
-}

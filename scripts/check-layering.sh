@@ -81,8 +81,8 @@ fi
 # monitor it must build on plan, trace, costmodel and report — and must
 # never import a substrate, or the ledger could only describe that
 # substrate's runs. internal/report stays substrate-free for the same
-# reason (the bench collector, which does need the simulator, lives in
-# report/bench above it).
+# reason (the quick-suite record, which does need the simulator, is
+# assembled in cmd/senkf-bench).
 for pkg in senkf/internal/runlog senkf/internal/report; do
     deps=$(go list -deps "$pkg")
     if bad=$(grep -E "$forbidden" <<<"$deps"); then

@@ -7,7 +7,7 @@
 #   scripts/lines.sh | cmp - bench/lines.json   # the committed record is current (CI)
 #
 # A group counts its packages' subpackages too: "report" is internal/report
-# and internal/report/bench. The files counted are those git tracks or would
+# and any internal/report/<sub>. The files counted are those git tracks or would
 # track, so build leftovers in ignored directories never count.
 set -euo pipefail
 

@@ -18,7 +18,7 @@
 set -euo pipefail
 
 root="$(cd "$(dirname "$0")/.." && pwd)"
-skip='^(TestSerialReferenceGolden|TestWorkspaceMatchesOracle|TestWorkspaceMatchesOracleOnSparseNetworks|TestWorkspaceErrorsMatchOracle|TestRunFromStateDigests|TestMultiLevelGoldenSEnKF|TestMultiLevelGoldenPEnKF|TestGoldenDigests|TestGoldenPrograms)$'
+skip='^(TestSerialReferenceGolden|TestWorkspaceMatchesOracle|TestWorkspaceMatchesOracleOnSparseNetworks|TestWorkspaceErrorsMatchOracle|TestRunFromStateDigests|TestMultiLevelGoldenSEnKF|TestMultiLevelGoldenPEnKF|TestGoldenDigests|TestQuickSuiteGolden|TestGoldenPrograms)$'
 
 out="$root/bench/mutants.json"
 while [ $# -gt 0 ]; do

@@ -60,7 +60,6 @@ import (
 	"senkf/internal/obs"
 	"senkf/internal/plan"
 	"senkf/internal/report"
-	"senkf/internal/report/bench"
 	"senkf/internal/schedule"
 	"senkf/internal/trace"
 	"senkf/internal/workload"
@@ -364,17 +363,19 @@ func InspectEnsemble(dir string, n int) (EnsembleInfo, error) {
 	return ensio.InspectDir(dir, n)
 }
 
-// Performance-observability types: tuner explainability, run reports and
-// the bench regression pipeline.
+// Performance-observability types: tuner explainability, model drift and
+// run reports.
 type (
 	// TuneSearchTrace records the full Algorithm 1/2 search for -explain.
 	TuneSearchTrace = costmodel.SearchTrace
 	// RunReport is the structured outcome of one traced run.
 	RunReport = report.Report
-	// BenchRecord is the content of one versioned BENCH_<n>.json.
-	BenchRecord = bench.Record
-	// BenchRunDelta compares one bench run across two records.
-	BenchRunDelta = bench.RunDelta
+	// TermDrift compares one cost-model term against its measurement
+	// (ModelParams.Drift).
+	TermDrift = costmodel.TermDrift
+	// MeasuredTerms are the per-stage t_read, t_comm and t_comp a run
+	// measured, the input of ModelParams.Drift.
+	MeasuredTerms = costmodel.Measured
 )
 
 // AutoTuneExplained is AutoTuneConstrained with the full Algorithm 1/2
@@ -393,32 +394,4 @@ func ReadChromeTrace(r io.Reader) ([]TraceEvent, error) { return trace.ReadChrom
 // the trace carries a tuner prediction) model drift — from trace events.
 func BuildRunReport(events []TraceEvent) (*RunReport, error) {
 	return report.Build(events)
-}
-
-// CollectBenchRecord runs the suite's P-EnKF/S-EnKF ladder and assembles
-// a bench record (Version is assigned when written).
-func CollectBenchRecord(s *FigureSuite, scale string) (BenchRecord, error) {
-	return bench.FromSuite(s, scale)
-}
-
-// LatestBenchRecord loads the highest-versioned BENCH_<n>.json in dir.
-func LatestBenchRecord(dir string) (BenchRecord, string, bool, error) {
-	return bench.LatestRecord(dir)
-}
-
-// WriteBenchRecord stores rec in dir as the next BENCH_<n>.json version
-// and returns the written path.
-func WriteBenchRecord(dir string, rec BenchRecord) (string, error) {
-	return bench.WriteRecord(dir, rec)
-}
-
-// CompareBenchRecords matches runs by (algorithm, np) and flags wall-time
-// regressions beyond the relative tolerance.
-func CompareBenchRecords(prev, cur BenchRecord, tol float64) ([]BenchRunDelta, error) {
-	return bench.Compare(prev, cur, tol)
-}
-
-// BenchRegressions filters compare deltas down to the failures.
-func BenchRegressions(deltas []BenchRunDelta) []BenchRunDelta {
-	return bench.Regressions(deltas)
 }

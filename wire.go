@@ -1,7 +1,8 @@
-// Wire-telemetry facade: the archived wire.json summary of internal/wire,
-// re-exported for senkf-report. A run with -wire folds every delivered
-// message and parallel-file-system read into an edge matrix keyed by
-// (src, dst, stage, level) and archives its summary under RunWireFile.
+// Wire-telemetry facade: internal/wire's collector, for senkf-bench's
+// per-cell summaries, and the archived wire.json summary, for
+// senkf-report. A run with -wire folds every delivered message and
+// parallel-file-system read into an edge matrix keyed by (src, dst, stage,
+// level) and archives its summary under RunWireFile.
 
 package senkf
 
@@ -11,6 +12,10 @@ import (
 	"senkf/internal/runlog"
 	"senkf/internal/wire"
 )
+
+// NewWireCollector returns an empty wire collector; attach it as a
+// Machine's Msgs and Reads observers.
+func NewWireCollector() *wire.Collector { return wire.NewCollector() }
 
 // WireSummary is the archived wire-telemetry picture of one run
 // (wire.json): totals, top edges, skew, per-OST timelines.
