@@ -49,12 +49,10 @@ func main() {
 	if flag.NArg() > 0 {
 		log.Fatalf("unexpected argument %q: senkf-bench takes flags only (-record prints to stdout)", flag.Arg(0))
 	}
-	if !*record {
-		given := map[string]bool{}
-		flag.Visit(func(f *flag.Flag) { given[f.Name] = f.Value.String() != f.DefValue })
-		if err := checkTracedRun(given); err != nil {
-			log.Fatal(err)
-		}
+	given := map[string]bool{}
+	flag.Visit(func(f *flag.Flag) { given[f.Name] = f.Value.String() != f.DefValue })
+	if err := checkTracedRun(given); err != nil {
+		log.Fatal(err)
 	}
 
 	sess, err := obs.Start()
@@ -71,8 +69,8 @@ func main() {
 	// The traced run is the one any observer of the run was started for:
 	// a sink, the counters, the monitor, the wire collector or the archive.
 	traced := sess.Tracer != nil || sess.Wire != nil
-	if *ostOutage != "" && (!traced || *record) {
-		sess.Fatal(fmt.Errorf("-ost-outage applies only to the traced run (-trace, -counters, -monitor, -wire or -archive, without -record)"))
+	if *ostOutage != "" && !traced {
+		sess.Fatal(fmt.Errorf("-ost-outage applies only to the traced run (-trace, -counters, -monitor, -wire or -archive)"))
 	}
 	if *record {
 		sess.Describe("bench-suite", "simulated", nil)
@@ -180,12 +178,11 @@ func main() {
 }
 
 // observerFlags are the flags that start an observer of the run; with any of
-// them (and without -record) senkf-bench makes its one traced S-EnKF
-// run instead of the figures.
+// them senkf-bench makes its one traced S-EnKF run instead of the figures.
 var observerFlags = []string{"trace", "counters", "monitor", "wire", "archive"}
 
 // droppedByTracedRun are the flags that choose what the untraced run prints.
-var droppedByTracedRun = []string{"faults", "eps-sweep", "ablations", "figure", "csv"}
+var droppedByTracedRun = []string{"faults", "eps-sweep", "ablations", "figure", "csv", "record"}
 
 // checkTracedRun refuses a flag the traced run would drop, naming it and the
 // observer flag that chose the traced run. given reports the flags set to
